@@ -10,7 +10,6 @@ package buffer
 // drive it.
 
 import (
-	"repro/internal/lru"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -148,8 +147,9 @@ func (m *Manager) fuzzyCheckpoint(p *sim.Process, gen int, k func()) {
 // NVEM write buffer with its in-flight destages, and everything on the
 // devices. The since-checkpoint log counter is left for the recovery
 // snapshot; RecoveryScan resets it once the log has been replayed.
+// Clearing the buffer uncounts its frames from a residency table (Track).
 func (m *Manager) Crash() {
-	m.mm = lru.New[storage.PageKey, frame](m.cfg.BufferSize)
+	m.mm.Clear()
 	m.gcWaiters = nil
 }
 

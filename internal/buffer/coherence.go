@@ -11,6 +11,7 @@ package buffer
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/lru"
 	"repro/internal/storage"
@@ -54,6 +55,82 @@ func NewShared(cfg Config, partitionNames []string, units []*storage.DiskUnit,
 func NewRemote(cfg Config, partitionNames []string, units []*storage.DiskUnit,
 	nvem *storage.NVEM, host Host, shared *SharedNVEMCache, remote RemoteNVEMCache) (*Manager, error) {
 	return newManager(cfg, partitionNames, units, nvem, host, shared, remote)
+}
+
+// Residency is an exact count, per hash slot, of the pages each node of
+// a cluster holds where Invalidate finds them: in main memory, or in the
+// node's private NVEM cache. A zero count proves a node holds no page of
+// the slot; Holds confirms a nonzero one. The counts of one slot for all
+// nodes are adjacent, so finding the holders of a page reads one row.
+type Residency struct {
+	t *lru.Tally[storage.PageKey]
+}
+
+// NewResidency sizes a residency table for nodes nodes holding at most
+// frames pages each. With four slots per frame a slot reads nonzero for
+// about one node in five that lacks the page. It returns nil when frames
+// exceeds 65535, the largest count a slot holds.
+func NewResidency(nodes, frames int) *Residency {
+	if frames > math.MaxUint16 {
+		return nil
+	}
+	return &Residency{t: lru.NewTally[storage.PageKey](4*frames, nodes, pageHash)}
+}
+
+// pageHash spreads page keys over the residency slots.
+func pageHash(k storage.PageKey) uint64 {
+	h := (uint64(k.Page) ^ uint64(k.Partition)<<48) * 0x9e3779b97f4a7c15
+	return h ^ h>>29
+}
+
+// Row returns the counts of key's slot, one per node.
+func (r *Residency) Row(key storage.PageKey) []uint16 { return r.t.Row(key) }
+
+// Track counts the pages m holds into column node of r and calls onInsert
+// whenever a page enters main memory or the private NVEM cache — whenever
+// m may start to hold a page it did not hold before. The manager's frames
+// must fit r's sizing.
+func (m *Manager) Track(r *Residency, node int, onInsert func(storage.PageKey)) {
+	m.mm.Track(r.t, node, onInsert)
+	if m.nvemCache != nil && !m.sharedNVEM {
+		m.nvemCache.Track(r.t, node, onInsert)
+	}
+}
+
+// VerifyResidency recounts the pages m holds against column node of r and
+// reports the first slot whose count disagrees — a debug hook for the
+// residency tests (including cross-package ones).
+func (m *Manager) VerifyResidency(r *Residency, node int) error {
+	got := r.t.Column(node)
+	want := make([]uint16, len(got))
+	m.mm.Each(func(k storage.PageKey, _ frame) bool {
+		want[r.t.Slot(k)]++
+		return true
+	})
+	if m.nvemCache != nil && !m.sharedNVEM {
+		m.nvemCache.Each(func(k storage.PageKey, _ nvemFrame) bool {
+			want[r.t.Slot(k)]++
+			return true
+		})
+	}
+	for slot := range got {
+		if got[slot] != want[slot] {
+			return fmt.Errorf("buffer: node %d slot %d counts %d pages, holds %d", node, slot, got[slot], want[slot])
+		}
+	}
+	return nil
+}
+
+// Holds reports whether Invalidate would find a copy of key to drop.
+func (m *Manager) Holds(key storage.PageKey) bool {
+	if _, ok := m.mm.Peek(key); ok {
+		return true
+	}
+	if m.nvemCache != nil && !m.sharedNVEM {
+		_, ok := m.nvemCache.Peek(key)
+		return ok
+	}
+	return false
 }
 
 // Invalidate drops this node's copies of key because a remote node is

@@ -142,3 +142,83 @@ func TestInvalidateDirtyHandoff(t *testing.T) {
 		t.Fatalf("writer missed the handed-off copy: %+v", b.Stats())
 	}
 }
+
+// TestResidencyTracksHolders: a tracked manager counts exactly the copies
+// Invalidate would drop — main memory and the private NVEM cache — and
+// notifies every page that enters either; a crash uncounts the lost main
+// memory, and an invalidation uncounts what it drops.
+func TestResidencyTracksHolders(t *testing.T) {
+	r := newRig(t, Config{
+		BufferSize:    1,
+		NVEMCacheSize: 10,
+		Partitions:    []PartitionAlloc{{DiskUnit: 0, NVEMCache: true, NVEMCacheMode: MigrateAll}},
+		Log:           LogAlloc{DiskUnit: 0},
+	})
+	res := NewResidency(2, 11)
+	var inserted []storage.PageKey
+	r.m.Track(res, 1, func(k storage.PageKey) { inserted = append(inserted, k) })
+	verify := func(when string) {
+		t.Helper()
+		if err := r.m.VerifyResidency(res, 1); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	r.drive(func(bp *sim.BlockingProcess) {
+		fixB(bp, r.m, key(0, 1), false) // page 1 enters MM
+		fixB(bp, r.m, key(0, 2), false) // page 2 enters MM, page 1 the NVEM cache
+	})
+	if len(inserted) != 3 || inserted[0] != key(0, 1) || inserted[1] != key(0, 2) || inserted[2] != key(0, 1) {
+		t.Fatalf("insert notifications %v, want pages 1 (MM), 2 (MM), 1 (NVEM cache)", inserted)
+	}
+	verify("after the fixes")
+	for page, want := range map[int64]bool{1: true, 2: true, 3: false} {
+		if got := r.m.Holds(key(0, page)); got != want {
+			t.Fatalf("Holds(page %d) = %v, want %v", page, got, want)
+		}
+		if row := res.Row(key(0, page)); want && row[1] == 0 || row[0] != 0 {
+			t.Fatalf("page %d's slot counts %v, want nonzero only in column 1", page, row)
+		}
+	}
+	r.m.Crash()
+	verify("after the crash")
+	if r.m.Holds(key(0, 2)) || !r.m.Holds(key(0, 1)) {
+		t.Fatal("the crash must drop the MM copy and keep the NVEM-cache copy")
+	}
+	r.m.Invalidate(key(0, 1))
+	verify("after the invalidation")
+	if r.m.Holds(key(0, 1)) {
+		t.Fatal("the invalidation left the NVEM-cache copy")
+	}
+}
+
+// TestResidencySkipsSharedCache: a page a node destaged into the shared
+// NVEM cache is not the node's copy — Invalidate leaves it alone — so it
+// is neither counted nor held.
+func TestResidencySkipsSharedCache(t *testing.T) {
+	s, a, _, shared := twoNodeRig(t, 1, 10)
+	res := NewResidency(2, 1)
+	a.Track(res, 0, func(storage.PageKey) {})
+	s.SpawnBlocking("fixer", 0, func(bp *sim.BlockingProcess) {
+		fixB(bp, a, key(0, 1), false)
+		fixB(bp, a, key(0, 2), false) // page 1 moves into the shared cache
+	})
+	s.RunAll()
+	if shared.Len() != 1 || a.Holds(key(0, 1)) || !a.Holds(key(0, 2)) {
+		t.Fatalf("shared cache holds %d pages; node holds page 1 %v, page 2 %v; want 1, false, true",
+			shared.Len(), a.Holds(key(0, 1)), a.Holds(key(0, 2)))
+	}
+	if err := a.VerifyResidency(res, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNewResidencyTooLarge: nodes whose frames a uint16 count cannot
+// cover get no residency table.
+func TestNewResidencyTooLarge(t *testing.T) {
+	if NewResidency(4, 1<<16) != nil {
+		t.Fatal("a table for 65536 frames per node must not be built")
+	}
+	if NewResidency(4, 1<<16-1) == nil {
+		t.Fatal("65535 frames per node fit a uint16 count")
+	}
+}

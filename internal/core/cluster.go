@@ -188,8 +188,15 @@ func (r *ClusterResult) Report() string {
 
 // RunCluster executes one multi-node data-sharing simulation.
 func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
+	_, res, err := runCluster(cfg)
+	return res, err
+}
+
+// runCluster is RunCluster returning the finished cluster as well, for
+// tests that inspect node state after the run.
+func runCluster(cfg ClusterConfig) (*cluster, *ClusterResult, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	nodeCfgs := make([]Config, cfg.NumNodes)
 	for i := range nodeCfgs {
@@ -236,7 +243,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 	}
 	c, err := newCluster(cfg.Base.Seed, nodeCfgs, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	c.runPhases()
 	out := &ClusterResult{}
@@ -252,7 +259,7 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 		out.Cluster.SurvivorRespMean = survivorRespMean(out.Nodes, cfg.Failure.Node)
 	}
 	c.finish()
-	return out, nil
+	return c, out, nil
 }
 
 // clusterOpts are the cluster-level switches of an internal build.
@@ -373,6 +380,19 @@ func newCluster(seed int64, nodeCfgs []Config, opts clusterOpts) (*cluster, erro
 		}
 		c.shared = sc
 	}
+	if c.pdes != nil && !pdesBroadcast {
+		// The residency table covers every frame Invalidate looks in: main
+		// memory, plus the private NVEM cache when there is no shared one.
+		frames := 0
+		for i := range nodeCfgs {
+			f := nodeCfgs[i].Buffer.BufferSize
+			if c.shared == nil {
+				f += nodeCfgs[i].Buffer.NVEMCacheSize
+			}
+			frames = max(frames, f)
+		}
+		c.pdes.residency = buffer.NewResidency(len(nodeCfgs), frames)
+	}
 	if opts.globalLocks {
 		c.glocks = cc.NewGlobal(len(nodeCfgs), func(txn cc.TxnID) {
 			c.nodes[int(int64(txn)%int64(c.stride))].onLockGrant(txn)
@@ -391,9 +411,10 @@ func newCluster(seed int64, nodeCfgs []Config, opts clusterOpts) (*cluster, erro
 
 // invalidate drops every other node's copy of key before writer modifies
 // the page (write-invalidate coherence). Nodes are visited in id order for
-// determinism. Under PDES the invalidation travels as a message and lands
-// on each peer one lookahead later; either way the node that held the page
-// counts the hand-off.
+// determinism. Under PDES the invalidation travels as a message, and the
+// coordinator hands it to the peers that hold the page
+// (pdesState.invalidate); either way the node that held the page counts
+// the hand-off.
 func (c *cluster) invalidate(writer int, key storage.PageKey) {
 	if c.stride == 1 {
 		return

@@ -203,6 +203,9 @@ func newNode(c *cluster, id, numNodes int, seed int64, cfg Config) (*node, error
 		return nil, err
 	}
 	n.bm = bm
+	if c.pdes != nil && c.pdes.residency != nil {
+		bm.Track(c.pdes.residency, id, n.inbox.inserted)
+	}
 	if c.glocks == nil {
 		n.locks = cc.NewManager(n.onLockGrant)
 	}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"repro/internal/buffer"
 	"repro/internal/cc"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -126,8 +127,21 @@ type pdesState struct {
 	// manager during a release read it to timestamp the wakeup.
 	msgTime sim.Time
 
+	// residency counts the pages each node holds, so a write-invalidation
+	// reaches only the peers holding the page (invalidate). Nil makes
+	// every peer a holder: nodes too large for the table, or the
+	// pdesBroadcast test hook.
+	residency *buffer.Residency
+
 	barrier *pdesBarrier // non-nil when workers > 1
 }
+
+// pdesBroadcast, when true, builds PDES clusters without a residency
+// table, so every peer counts as a holder of every page and each
+// write-invalidation reaches all of them — the reference the exactness
+// test compares the holder filter against; never enable it in production
+// runs.
+var pdesBroadcast = false
 
 // newPDES builds the per-node kernels and (for Workers > 1) the persistent
 // worker pool. lookahead must be positive — it is the resolved message
@@ -224,7 +238,8 @@ func (pd *pdesState) sendLockRelease(e *node, txn cc.TxnID) {
 	pd.send(pdesMsg{kind: pdesLockRelease, from: e.id, arrive: e.s.Now() + pd.lockDelay, txn: txn})
 }
 
-// sendInvalidate broadcasts a write-invalidation for key.
+// sendInvalidate ships a write-invalidation of key; the coordinator applies
+// it to the peers at the next barrier (invalidate).
 func (pd *pdesState) sendInvalidate(e *node, key storage.PageKey) {
 	pd.send(pdesMsg{kind: pdesInvalidate, from: e.id, arrive: e.s.Now() + pd.cohDelay, key: key})
 }
@@ -322,11 +337,7 @@ func (pd *pdesState) dispatch(m *pdesMsg) {
 		// branch of onLockGrant timestamps them with msgTime.
 		c.glocks.ReleaseAllFrom(m.from, m.txn)
 	case pdesInvalidate:
-		for _, n := range c.nodes {
-			if n.id != m.from {
-				n.inbox.invalidate(m.arrive, m.key)
-			}
-		}
+		pd.invalidate(m)
 	case pdesReroute:
 		// Same decision chain as the coupled rerouter (admitArrival),
 		// taken at the barrier where survivor state is coherent. Drops
@@ -367,6 +378,31 @@ func (pd *pdesState) dispatch(m *pdesMsg) {
 	}
 }
 
+// invalidate applies a write-invalidation: each peer that holds the page
+// now gets the invalidation as a kernel event; every other peer only
+// reserves the kernel slot the event would take, and the slot becomes an
+// event if the page enters the peer's buffer before the slot comes up
+// (pdesInbox.inserted). An invalidation that finds no copy changes nothing
+// but the kernel clock, and the reserved seq keeps every other event's
+// (at, seq), so the kernels fire the same effective events as under a
+// broadcast. A zero residency count proves a peer lacks the page; a
+// nonzero one is confirmed by Holds.
+func (pd *pdesState) invalidate(m *pdesMsg) {
+	var row []uint16
+	if pd.residency != nil {
+		row = pd.residency.Row(m.key)
+	}
+	for i, n := range pd.c.nodes {
+		switch {
+		case i == m.from:
+		case row == nil || (row[i] != 0 && n.bm.Holds(m.key)):
+			n.inbox.invalidate(m.arrive, m.key)
+		default:
+			n.inbox.reserve(m.arrive, m.key)
+		}
+	}
+}
+
 // pdesNVEMBus routes one node's shared-NVEM-cache operations over the
 // message layer; it implements buffer.RemoteNVEMCache.
 type pdesNVEMBus struct {
@@ -398,6 +434,15 @@ func (b *pdesNVEMBus) Put(key storage.PageKey, dirty bool) {
 // it was delivered for, and firing it at any other instant panics.
 type pdesInbox struct {
 	e *node
+	s *sim.Sim // e's kernel
+
+	// watch lists the slots reserved for invalidations of pages the node
+	// did not hold at the barrier, in delivery order; lateFree recycles
+	// the records of those that became events. They lead the struct
+	// because the coordinator touches them for nearly every peer of every
+	// write.
+	watch    fifo[reservedInval]
+	lateFree *lateInval
 
 	verdicts fifo[lockVerdict]
 	invals   fifo[pageInval]
@@ -420,6 +465,26 @@ type pageInval struct {
 	key storage.PageKey
 }
 
+// reservedInval is a watched kernel slot: where an invalidation of key
+// would fire had the node held the page at the barrier.
+type reservedInval struct {
+	at  sim.Time
+	seq uint64
+	key storage.PageKey
+}
+
+// lateInval is a reserved slot that became an event because its page
+// entered the node's buffer before the slot came up. Such events fire
+// outside the invals FIFO's order, so each carries its own payload: a
+// record pooled on the inbox's freelist with its fire method bound once.
+type lateInval struct {
+	in   *pdesInbox
+	at   sim.Time
+	key  storage.PageKey
+	fire func()
+	next *lateInval // freelist link
+}
+
 // probeReply carries a shared-NVEM-cache verdict back to the prober.
 type probeReply struct {
 	at         sim.Time
@@ -428,7 +493,7 @@ type probeReply struct {
 }
 
 func newPDESInbox(e *node) *pdesInbox {
-	in := &pdesInbox{e: e}
+	in := &pdesInbox{e: e, s: e.s}
 	in.fireVerdict = in.onVerdict
 	in.fireInval = in.onInval
 	in.fireReply = in.onReply
@@ -441,34 +506,100 @@ func newPDESInbox(e *node) *pdesInbox {
 // windows it may differ in the last bit, and the golden outputs pin the
 // Schedule rounding.
 func (in *pdesInbox) landing(arrive sim.Time) sim.Time {
-	now := in.e.s.Now()
+	now := in.s.Now()
 	return now + (arrive - now)
 }
 
 // deliver hands fn to the node's kernel for a message arriving at arrive.
 func (in *pdesInbox) deliver(arrive sim.Time, fn func()) {
-	in.e.s.Deliver(in.landing(arrive), fn)
+	in.s.Deliver(in.landing(arrive), fn)
 }
 
 // verdict delivers the global lock manager's verdict on t's request.
 func (in *pdesInbox) verdict(arrive sim.Time, t *txRun, ok bool) {
 	at := in.landing(arrive)
 	in.verdicts.push(lockVerdict{at: at, t: t, ok: ok})
-	in.e.s.Deliver(at, in.fireVerdict)
+	in.s.Deliver(at, in.fireVerdict)
 }
 
 // invalidate delivers a peer's write-invalidation of key.
 func (in *pdesInbox) invalidate(arrive sim.Time, key storage.PageKey) {
 	at := in.landing(arrive)
 	in.invals.push(pageInval{at: at, key: key})
-	in.e.s.Deliver(at, in.fireInval)
+	in.s.Deliver(at, in.fireInval)
+}
+
+// reserve takes the kernel slot of a peer's write-invalidation of key that
+// finds the node without the page, and watches it.
+func (in *pdesInbox) reserve(arrive sim.Time, key storage.PageKey) {
+	in.expire()
+	in.watch.push(reservedInval{at: in.landing(arrive), seq: in.s.Reserve(), key: key})
+}
+
+// expire drops the watched slots that have passed. Slots are watched in
+// the order they were reserved, which is (at, seq) order, so the passed
+// ones lead the list.
+func (in *pdesInbox) expire() {
+	w, s := &in.watch, in.s
+	for w.head < len(w.items) && s.Passed(w.items[w.head].at, w.items[w.head].seq) {
+		w.pop()
+	}
+}
+
+// inserted is the buffer manager's insert notification: key entered main
+// memory or the private NVEM cache. Every watched slot of key that has not
+// passed becomes the invalidation event it stood for. Each match is
+// checked on its own: in a run's first windows a landing instant may
+// differ from its arrival in the last bit (landing), so correctness does
+// not rest on the list's order, only expiry's efficiency does.
+func (in *pdesInbox) inserted(key storage.PageKey) {
+	in.expire()
+	w, s := &in.watch, in.s
+	for i := w.head; i < len(w.items); {
+		r := w.items[i]
+		if r.key != key {
+			i++
+			continue
+		}
+		if !s.Passed(r.at, r.seq) {
+			in.late(r)
+		}
+		n := copy(w.items[i:], w.items[i+1:])
+		w.items[i+n] = reservedInval{}
+		w.items = w.items[:i+n]
+	}
+}
+
+// late turns the watched slot r into an event on a pooled record.
+func (in *pdesInbox) late(r reservedInval) {
+	l := in.lateFree
+	if l == nil {
+		l = &lateInval{in: in}
+		l.fire = l.onFire
+	} else {
+		in.lateFree = l.next
+		l.next = nil
+	}
+	l.at, l.key = r.at, r.key
+	in.s.DeliverReserved(r.at, r.seq, l.fire)
+}
+
+func (l *lateInval) onFire() {
+	in, at, key := l.in, l.at, l.key
+	if poolPoison {
+		l.at, l.key = -1, storage.PageKey{Partition: -1, Page: -1}
+	}
+	l.next = in.lateFree
+	in.lateFree = l
+	in.check(at, "late invalidation")
+	in.e.invalidate(key)
 }
 
 // reply delivers a shared-cache probe's verdict to the prober's k.
 func (in *pdesInbox) reply(arrive sim.Time, hit, dirty bool, k func(hit, dirty bool)) {
 	at := in.landing(arrive)
 	in.replies.push(probeReply{at: at, hit: hit, dirty: dirty, k: k})
-	in.e.s.Deliver(at, in.fireReply)
+	in.s.Deliver(at, in.fireReply)
 }
 
 func (in *pdesInbox) onVerdict() {
@@ -493,7 +624,7 @@ func (in *pdesInbox) onReply() {
 // delivered for: a mismatch means the FIFO argument above broke and the
 // payload belongs to another event.
 func (in *pdesInbox) check(at sim.Time, kind string) {
-	if now := in.e.s.Now(); now != at {
+	if now := in.s.Now(); now != at {
 		panic(fmt.Sprintf("core: node %d fired a %s due at %v at %v: barrier payloads out of FIFO order",
 			in.e.id, kind, at, now))
 	}

@@ -30,6 +30,21 @@ func pdesSharedCluster(t *testing.T, nodes int, aggregateRate float64, workers i
 	return cfg
 }
 
+// pdesPrivateCluster builds a PDES cluster whose nodes cache pages in
+// private NVEM caches under deferred destage, with main memory small
+// enough that pages keep migrating between the two.
+func pdesPrivateCluster(t *testing.T, nodes int, aggregateRate float64, workers int) ClusterConfig {
+	t.Helper()
+	cfg := pdesCluster(t, nodes, aggregateRate, workers)
+	for i := range cfg.Base.Buffer.Partitions {
+		cfg.Base.Buffer.Partitions[i].NVEMCache = true
+	}
+	cfg.Base.Buffer.BufferSize = 300
+	cfg.Base.Buffer.NVEMCacheSize = 600
+	cfg.Base.Buffer.NVEMDeferredDestage = true
+	return cfg
+}
+
 // runPDES executes one PDES cluster run.
 func runPDES(t *testing.T, cfg ClusterConfig) *ClusterResult {
 	t.Helper()
@@ -233,15 +248,13 @@ func TestPDESValidate(t *testing.T) {
 	}
 }
 
-// TestPDESBarrierDeliveryZeroAlloc pins barrier delivery at zero
-// allocations once warm. Each cycle drives the coordinator through a lock
-// request the global manager grants, one it queues and grants when a
-// release lands, one it refuses as a deadlock, two shared-NVEM probes whose
-// replies resume remote fixes (a probe hit and a miss that reads the
-// device), and two invalidations reaching three peers, one of them handing
-// a dirty page off.
-func TestPDESBarrierDeliveryZeroAlloc(t *testing.T) {
-	cfg := pdesSharedCluster(t, 4, 400, 1)
+// quietPDES builds a PDES cluster of nodes nodes over the shared-NVEM
+// template, serial, with every arrival stream stopped, so a test drives
+// all traffic itself. window runs one barrier and one lookahead window;
+// busy reports whether any kernel or outbox still holds work.
+func quietPDES(t *testing.T, nodes int) (c *cluster, window func(), busy func() bool) {
+	t.Helper()
+	cfg := pdesSharedCluster(t, nodes, 100*float64(nodes), 1)
 	nodeCfgs := make([]Config, cfg.NumNodes)
 	for i := range nodeCfgs {
 		nodeCfgs[i] = cfg.Base
@@ -261,16 +274,16 @@ func TestPDESBarrierDeliveryZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range c.nodes {
-		n.stopArrivals = true // the cycle below is the only traffic
+		n.stopArrivals = true // the test's traffic is the only traffic
 	}
 	pd := c.pdes
 	now := sim.Time(0)
-	window := func() {
+	window = func() {
 		pd.deliver()
 		now += pd.lookahead
 		pd.runWindow(now)
 	}
-	busy := func() bool {
+	busy = func() bool {
 		for _, k := range pd.kernels {
 			if k.Pending() > 0 {
 				return true
@@ -278,6 +291,37 @@ func TestPDESBarrierDeliveryZeroAlloc(t *testing.T) {
 		}
 		return pd.pending.Load() > 0
 	}
+	return c, window, busy
+}
+
+// watched is the number of slots node n watches.
+func watched(n *node) int { return len(n.inbox.watch.items) - n.inbox.watch.head }
+
+// lateRecords counts the late-invalidation records on every node's
+// freelist: nonzero once a reserved slot has become an event and fired.
+func lateRecords(c *cluster) int {
+	k := 0
+	for _, n := range c.nodes {
+		for l := n.inbox.lateFree; l != nil; l = l.next {
+			k++
+		}
+	}
+	return k
+}
+
+// TestPDESBarrierDeliveryZeroAlloc pins barrier delivery at zero
+// allocations once warm. Each cycle drives the coordinator through a lock
+// request the global manager grants, one it queues and grants when a
+// release lands, one it refuses as a deadlock, two shared-NVEM probes whose
+// replies resume remote fixes (a probe hit and a miss that reads the
+// device), and three invalidations. Two of them reach the one peer holding
+// the page, which hands a dirty page off, and reserve kernel slots on the
+// other peers; the third finds no holder, and one peer fixes the page
+// before the invalidation lands, which turns its reserved slot into an
+// event.
+func TestPDESBarrierDeliveryZeroAlloc(t *testing.T) {
+	c, window, busy := quietPDES(t, 4)
+	pd := c.pdes
 
 	// Transactions x (node 1) and y (node 2) contend for two granules. Both
 	// are marked dead, so their verdicts resume into nothing and the cycle
@@ -292,20 +336,25 @@ func TestPDESBarrierDeliveryZeroAlloc(t *testing.T) {
 	}
 	// Node 3 fixes two pages through the shared cache, then node 0 writes
 	// both: the written page is handed off into the shared cache and hits
-	// there next cycle, the clean one is dropped and misses again.
-	n3 := c.nodes[3]
-	p := n3.s.NewProcess("driver")
+	// there next cycle, the clean one is dropped and misses again. Node 0
+	// also writes a third page no one holds, and node 2 fixes it while that
+	// invalidation is in flight.
+	n2, n3 := c.nodes[2], c.nodes[3]
+	p2, p3 := n2.s.NewProcess("late reader"), n3.s.NewProcess("fixer")
 	fixes := 0
 	fixed := func() { fixes++ }
 	hot := storage.PageKey{Partition: 0, Page: 1}
 	cold := storage.PageKey{Partition: 0, Page: 2}
+	late := storage.PageKey{Partition: 0, Page: 3}
 
+	cycles := 0
 	cycle := func() {
+		cycles++
 		request(x, g1)
 		request(y, g2)
 		fixes = 0
-		n3.bm.Fix(p, hot, true, fixed)
-		n3.bm.Fix(p, cold, false, fixed)
+		n3.bm.Fix(p3, hot, true, fixed)
+		n3.bm.Fix(p3, cold, false, fixed)
 		window()
 		request(x, g2) // queues behind y
 		request(y, g1) // closes the wait-for cycle: deadlock
@@ -318,6 +367,9 @@ func TestPDESBarrierDeliveryZeroAlloc(t *testing.T) {
 		}
 		pd.sendInvalidate(c.nodes[0], hot)
 		pd.sendInvalidate(c.nodes[0], cold)
+		pd.sendInvalidate(c.nodes[0], late)
+		window() // the barrier reserves slots; the invalidations land later
+		n2.bm.Fix(p2, late, false, fixed)
 		for busy() {
 			window()
 		}
@@ -333,8 +385,179 @@ func TestPDESBarrierDeliveryZeroAlloc(t *testing.T) {
 		t.Fatalf("cycle skipped a delivery path: locks %+v, buffer %+v, dirty hand-offs %d",
 			locks, buf, n3.dirtyHandoffs)
 	}
+	if n2.invalidations != int64(cycles) || n2.bm.Holds(late) || lateRecords(c) != 1 {
+		t.Fatalf("late invalidations: node 2 counted %d in %d cycles, holds the page %v, %d records pooled",
+			n2.invalidations, cycles, n2.bm.Holds(late), lateRecords(c))
+	}
+	// Node 1 never inserts, so its slots expire only as the next cycle's
+	// reservations append behind them: at most one cycle's three stay.
+	if n1 := c.nodes[1]; cap(n1.inbox.watch.items) == 0 || watched(n1) > 3 {
+		t.Fatalf("node 1 reserved no slots, or kept %d, more than one cycle's", watched(n1))
+	}
 	if allocs != 0 {
 		t.Fatalf("warm barrier delivery cycle allocates %.2f/op, want 0", allocs)
+	}
+}
+
+// TestPDESLateInsertInvalidated drives the late-insert path: a peer that
+// does not hold the page at the barrier fixes it before the invalidation
+// lands, so the reserved slot becomes an event that still drops the copy
+// and counts it — exactly what the broadcast did.
+func TestPDESLateInsertInvalidated(t *testing.T) {
+	defer func() { pdesBroadcast = false }()
+	for _, broadcast := range []bool{false, true} {
+		pdesBroadcast = broadcast
+		c, window, busy := quietPDES(t, 3)
+		pdesBroadcast = false
+		n1, n2 := c.nodes[1], c.nodes[2]
+		page := storage.PageKey{Partition: 0, Page: 7}
+
+		// Sent at 0, the invalidation lands at 0.15; the barrier at 0 finds
+		// no holder. Node 1 fixes the page at 0.05, between the two.
+		c.pdes.sendInvalidate(c.nodes[0], page)
+		p := n1.s.NewProcess("reader")
+		n1.s.Schedule(0.05, func() { n1.bm.Fix(p, page, false, func() {}) })
+		window()
+		if !broadcast && (watched(n1) != 0 || watched(n2) != 1) {
+			t.Fatalf("at 0.1 nodes 1 and 2 watch %d and %d slots, want 0 (the insert filled it) and 1",
+				watched(n1), watched(n2))
+		}
+		for busy() {
+			window()
+		}
+		if n1.bm.Holds(page) || n1.invalidations != 1 || n2.invalidations != 0 {
+			t.Fatalf("broadcast=%v: node 1 holds the page %v and counted %d invalidations, node 2 %d; want false, 1, 0",
+				broadcast, n1.bm.Holds(page), n1.invalidations, n2.invalidations)
+		}
+		if !broadcast && lateRecords(c) != 1 {
+			t.Fatalf("%d late records pooled, want 1", lateRecords(c))
+		}
+	}
+}
+
+// TestPDESInsertAfterSlotCreatesNoEvent: a peer that fixes the page only
+// after the reserved slot has passed keeps its copy, and no event is
+// created for the slot.
+func TestPDESInsertAfterSlotCreatesNoEvent(t *testing.T) {
+	c, window, busy := quietPDES(t, 3)
+	n1 := c.nodes[1]
+	page := storage.PageKey{Partition: 0, Page: 7}
+	c.pdes.sendInvalidate(c.nodes[0], page) // lands at 0.15
+	window()
+	window() // both kernels now stand at 0.2
+	if watched(n1) != 1 {
+		t.Fatalf("node 1 watches %d slots, want 1", watched(n1))
+	}
+	n1.bm.Fix(n1.s.NewProcess("reader"), page, false, func() {})
+	if watched(n1) != 0 {
+		t.Fatalf("the insert left %d passed slots watched", watched(n1))
+	}
+	for busy() {
+		window()
+	}
+	if !n1.bm.Holds(page) || n1.invalidations != 0 || lateRecords(c) != 0 {
+		t.Fatalf("node 1 holds the page %v, counted %d invalidations, %d late records; want true, 0, 0",
+			n1.bm.Holds(page), n1.invalidations, lateRecords(c))
+	}
+}
+
+// filterScenario is a configuration the holder filter is checked on,
+// built for a given worker count.
+type filterScenario struct {
+	name  string
+	build func(workers int) ClusterConfig
+}
+
+// filterScenarios cover every kind of copy Invalidate drops and the crash
+// schedule.
+func filterScenarios(t *testing.T) []filterScenario {
+	return []filterScenario{
+		{"shared NVEM, NOFORCE", func(w int) ClusterConfig {
+			return pdesSharedCluster(t, 4, 400, w)
+		}},
+		{"shared NVEM, FORCE", func(w int) ClusterConfig {
+			cfg := pdesSharedCluster(t, 4, 400, w)
+			cfg.Base.Buffer.Force = true
+			return cfg
+		}},
+		{"private NVEM caches", func(w int) ClusterConfig {
+			return pdesPrivateCluster(t, 4, 400, w)
+		}},
+		{"256 nodes with a crash", func(w int) ClusterConfig {
+			cfg := pdesCluster(t, 256, 2560, w)
+			cfg.Base.WarmupMS = 150
+			cfg.Base.MeasureMS = 300
+			cfg.Base.Buffer.CheckpointIntervalMS = 200
+			cfg.Failure = FailureConfig{Enabled: true, Node: 17, CrashAtMS: 200, RebootMS: 150}
+			return cfg
+		}},
+	}
+}
+
+// TestPDESInvalidationFilterExact checks the holder filter against the
+// broadcast it replaces: with the pdesBroadcast hook every peer counts as
+// a holder, so the same code delivers each invalidation to every peer. The
+// filtered runs, at 1, 2 and 4 workers, must render the broadcast's report
+// byte for byte and match it node for node, and must have turned reserved
+// slots into events.
+func TestPDESInvalidationFilterExact(t *testing.T) {
+	defer func() { pdesBroadcast = false }()
+	for _, sc := range filterScenarios(t) {
+		pdesBroadcast = true
+		_, want, err := runCluster(sc.build(1))
+		pdesBroadcast = false
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Cluster.Invalidations == 0 {
+			t.Fatalf("%s: the broadcast run invalidated nothing", sc.name)
+		}
+		late := 0
+		for _, workers := range []int{1, 2, 4} {
+			c, got, err := runCluster(sc.build(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := got.Report(), want.Report(); g != w {
+				t.Fatalf("%s, %d workers: the filtered report differs from the broadcast:\n%s\nvs\n%s",
+					sc.name, workers, g, w)
+			}
+			for i := range want.Nodes {
+				if !reflect.DeepEqual(got.Nodes[i], want.Nodes[i]) {
+					t.Fatalf("%s, %d workers: node %d differs from the broadcast:\n%+v\nvs\n%+v",
+						sc.name, workers, i, got.Nodes[i], want.Nodes[i])
+				}
+			}
+			late += lateRecords(c)
+		}
+		if late == 0 {
+			t.Fatalf("%s: no reserved slot became an event; the late-insert path went untested", sc.name)
+		}
+	}
+}
+
+// TestPDESResidencyMatchesRecount: after a PDES run with a crash, whose
+// buffer clear must uncount every frame, each node's residency counts
+// equal a recount of its main memory and private NVEM cache.
+func TestPDESResidencyMatchesRecount(t *testing.T) {
+	cfg := pdesPrivateCluster(t, 4, 400, 2)
+	cfg.Base.Buffer.CheckpointIntervalMS = 500
+	cfg.Failure = FailureConfig{Enabled: true, Node: 1, CrashAtMS: 500, RebootMS: 300}
+	c, res, err := runCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cluster.Restart == nil || !res.Cluster.Restart.Recovered {
+		t.Fatal("the crashed node did not recover within the run")
+	}
+	for _, n := range c.nodes {
+		if n.bm.MMLen() == 0 || n.bm.NVEMCacheLen() == 0 {
+			t.Fatalf("node %d holds %d MM and %d NVEM pages; the recount is vacuous",
+				n.id, n.bm.MMLen(), n.bm.NVEMCacheLen())
+		}
+		if err := n.bm.VerifyResidency(c.pdes.residency, n.id); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

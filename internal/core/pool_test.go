@@ -14,8 +14,9 @@ import (
 // and requires byte-identical reports. Poison fills freed records with
 // sentinel garbage, so any reset line deleted from any reuse path makes
 // the poisoned run's report diverge (or panic on a sentinel state). The
-// PDES shared-NVEM cluster adds barrier delivery, the remote fix and the
-// coherence hand-off to the single-node engine's paths.
+// PDES shared-NVEM cluster adds barrier delivery, the remote fix, the
+// coherence hand-off and the late-invalidation records to the single-node
+// engine's paths.
 func TestPoolPoisonInvariance(t *testing.T) {
 	runs := []struct {
 		name string
@@ -29,7 +30,14 @@ func TestPoolPoisonInvariance(t *testing.T) {
 			return res.Report()
 		}},
 		{"PDES shared NVEM", func() string {
-			return runPDES(t, pdesSharedCluster(t, 3, 300, 2)).Report()
+			c, res, err := runCluster(pdesSharedCluster(t, 3, 300, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lateRecords(c) == 0 {
+				t.Fatal("PDES run recycled no late-invalidation record")
+			}
+			return res.Report()
 		}},
 	}
 	clean := make([]string, len(runs))

@@ -19,6 +19,85 @@ type Cache[K comparable, V any] struct {
 	nodes    []node[K, V] // nodes[0] is the sentinel of the circular list
 	index    map[K]int
 	free     []int
+
+	// Membership tracking (Track): every resident key counts once in
+	// column col of tally, and onInsert runs after each new key enters.
+	tally    *Tally[K]
+	col      int
+	onInsert func(K)
+}
+
+// Tally is an exact count of resident keys per hash slot, kept for the
+// caches tracked into it. Each tracked cache counts into one column, and
+// several caches may share a column. A zero count proves that no cache of
+// the column holds any key of the slot; a nonzero count says only that
+// some key of the slot is resident. The table is slot-major: the counts of
+// one slot for every column are adjacent, so reading a key's counts for
+// all columns touches one contiguous row.
+type Tally[K comparable] struct {
+	counts []uint16 // counts[slot*cols + col]
+	cols   int
+	mask   uint64
+	hash   func(K) uint64
+}
+
+// NewTally returns a tally of cols columns and at least slots hash slots
+// (rounded up to a power of two), placing key k in slot hash(k) mod slots.
+// A column's count of one slot must stay below 65536, so the caches
+// sharing a column may hold at most 65535 keys between them.
+func NewTally[K comparable](slots, cols int, hash func(K) uint64) *Tally[K] {
+	if slots <= 0 || cols <= 0 {
+		panic("lru: non-positive tally dimensions")
+	}
+	n := 1
+	for n < slots {
+		n *= 2
+	}
+	return &Tally[K]{counts: make([]uint16, n*cols), cols: cols, mask: uint64(n - 1), hash: hash}
+}
+
+// Slot returns the index of k's slot.
+func (t *Tally[K]) Slot(k K) int { return int(t.hash(k) & t.mask) }
+
+// Row returns k's slot: one count per column.
+func (t *Tally[K]) Row(k K) []uint16 {
+	i := t.Slot(k) * t.cols
+	return t.counts[i : i+t.cols : i+t.cols]
+}
+
+// Column returns a copy of column col: one count per slot.
+func (t *Tally[K]) Column(col int) []uint16 {
+	out := make([]uint16, len(t.counts)/t.cols)
+	for i := range out {
+		out[i] = t.counts[i*t.cols+col]
+	}
+	return out
+}
+
+func (t *Tally[K]) add(col int, k K) {
+	c := &t.counts[t.Slot(k)*t.cols+col]
+	if *c == ^uint16(0) {
+		panic("lru: tally count overflow")
+	}
+	*c++
+}
+
+func (t *Tally[K]) sub(col int, k K) {
+	t.counts[t.Slot(k)*t.cols+col]--
+}
+
+// Track counts c's keys into column col of t from now on — the keys
+// already resident included — and calls onInsert(k) after every insertion
+// of a new key k. Replacing a present key's value, recency changes and
+// Update are not insertions. onInsert must not modify c.
+func (c *Cache[K, V]) Track(t *Tally[K], col int, onInsert func(K)) {
+	if c.tally != nil {
+		panic("lru: cache already tracked")
+	}
+	c.tally, c.col, c.onInsert = t, col, onInsert
+	for i := c.nodes[0].next; i != 0; i = c.nodes[i].next {
+		t.add(col, c.nodes[i].key)
+	}
 }
 
 // New creates an LRU cache holding at most capacity entries. capacity must
@@ -131,12 +210,19 @@ func (c *Cache[K, V]) Put(k K, v V) (evictedK K, evictedV V, evicted bool) {
 	c.nodes[i].value = v
 	c.index[k] = i
 	c.pushFront(i)
+	if c.tally != nil {
+		c.tally.add(c.col, k)
+		c.onInsert(k)
+	}
 	return
 }
 
 func (c *Cache[K, V]) removeIndex(i int) {
 	c.unlink(i)
 	delete(c.index, c.nodes[i].key)
+	if c.tally != nil {
+		c.tally.sub(c.col, c.nodes[i].key)
+	}
 	var zeroK K
 	var zeroV V
 	c.nodes[i].key = zeroK
@@ -154,6 +240,16 @@ func (c *Cache[K, V]) Remove(k K) (V, bool) {
 	v := c.nodes[i].value
 	c.removeIndex(i)
 	return v, true
+}
+
+// Clear removes every entry, as if each were removed in turn: a tracked
+// cache uncounts them and stays tracked.
+func (c *Cache[K, V]) Clear() {
+	for i := c.nodes[0].next; i != 0; {
+		next := c.nodes[i].next
+		c.removeIndex(i)
+		i = next
+	}
 }
 
 // FindOldest scans from least to most recently used and returns the first

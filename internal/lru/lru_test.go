@@ -1,6 +1,7 @@
 package lru
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -266,4 +267,98 @@ func TestMatchesReferenceModel(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestTallyMatchesRecount is the membership counts' property test: random
+// Put/Get/Touch/Update/Remove/Clear sequences with evictions run on three
+// caches tracked into one tally — two sharing column 0, as a node's main
+// memory and private NVEM cache do — and after every step each slot's
+// count in each column must equal a recount of the column's resident keys.
+// The insert notification must fire exactly once per insertion of a key
+// that was not resident, and never otherwise.
+func TestTallyMatchesRecount(t *testing.T) {
+	const slots = 8 // far fewer than the key space, so slots collide
+	type op struct {
+		Kind  uint8
+		Cache uint8
+		Key   uint16
+	}
+	f := func(ops []op) bool {
+		tally := NewTally[uint16](slots, 2, func(k uint16) uint64 { return uint64(k) * 7 })
+		caches := []*Cache[uint16, int]{New[uint16, int](5), New[uint16, int](3), New[uint16, int](4)}
+		cols := []int{0, 0, 1}
+		var notified []uint16
+		for i, c := range caches {
+			if i == 2 {
+				// Tracking starts on a non-empty cache: its keys count in.
+				c.Put(1, 0)
+				c.Put(9, 0)
+			}
+			ci := i
+			c.Track(tally, cols[i], func(k uint16) {
+				if _, ok := caches[ci].Peek(k); !ok {
+					t.Errorf("notified of key %d before it was resident", k)
+				}
+				notified = append(notified, k)
+			})
+		}
+		for step, o := range ops {
+			c := caches[int(o.Cache)%len(caches)]
+			k := o.Key % 24
+			_, present := c.Peek(k)
+			notified = notified[:0]
+			switch o.Kind % 7 {
+			case 0, 1: // Put, often enough to keep the caches full
+				c.Put(k, step)
+			case 2:
+				c.Get(k)
+			case 3:
+				c.Touch(k)
+			case 4:
+				c.Update(k, step)
+			case 5:
+				c.Remove(k)
+			default:
+				if o.Key%8 == 0 { // rarely: drop everything
+					c.Clear()
+				} else {
+					c.Remove(k)
+				}
+			}
+			wantNote := o.Kind%7 <= 1 && !present
+			if wantNote != (len(notified) == 1) || len(notified) > 1 || wantNote && notified[0] != k {
+				t.Logf("step %d: op %d on key %d (resident %v) notified %v", step, o.Kind%7, k, present, notified)
+				return false
+			}
+			for col := 0; col < 2; col++ {
+				want := make([]uint16, slots)
+				for i, c := range caches {
+					if cols[i] == col {
+						c.Each(func(k uint16, _ int) bool { want[tally.Slot(k)]++; return true })
+					}
+				}
+				if got := tally.Column(col); !slices.Equal(got, want) {
+					t.Logf("step %d: column %d counts %v, recount %v", step, col, got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTrackTwicePanics: a cache counts into one column only.
+func TestTrackTwicePanics(t *testing.T) {
+	tally := NewTally[int](4, 1, func(k int) uint64 { return uint64(k) })
+	c := New[int, int](2)
+	c.Track(tally, 0, func(int) {})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second Track did not panic")
+		}
+	}()
+	c.Track(tally, 0, func(int) {})
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -18,10 +19,15 @@ import (
 //  3. Empty-heap termination — RunAll drains every scheduled continuation
 //     and stops; nothing fires after Shutdown.
 //
-// Each program runs twice: once entering its plain events through Schedule
-// and once through Deliver, whose ordered lane Run merges with the queue.
-// Both runs must fire the same events in the same order and report the
-// same Pending counts.
+// Each program runs three times: once entering its plain events through
+// Schedule, once through Deliver, whose ordered lane Run merges with the
+// queue, and once through Deliver and reserved slots. Both of the first
+// two runs must fire the same events in the same order and report the
+// same Pending counts. In the third, a random subset of the deliveries
+// becomes a Reserve whose slot DeliverReserved fills at once, from an
+// earlier event — possibly one at the slot's own instant — or, when the
+// event's body does nothing, never; every filled slot must fire exactly
+// where Deliver placed it.
 //
 // Delays are quantized (multiples of 0.5, with plenty of zeros) to force
 // timestamp collisions, which is exactly where property 2 bites — and where
@@ -42,18 +48,34 @@ type propTrace struct {
 	pending  []int
 	appended int // deliveries appended to the lane
 	fellBack int // out-of-order deliveries pushed to the queue
+
+	// Reserve mode: the events whose slot was never filled, and the filled
+	// slots that fired at an instant shared with another event.
+	dropped map[int]bool
+	filled  map[int]bool
+	tied    int
 }
 
+// propMode selects how propRun enters a program's plain events.
+type propMode int
+
+const (
+	viaSchedule propMode = iota
+	viaLane              // Deliver
+	viaReserve           // Deliver, or Reserve + DeliverReserved
+)
+
 // propRun drives one randomized program on a fresh kernel and checks all
-// three properties. viaLane enters plain events through Deliver instead of
-// Schedule.
-func propRun(t *testing.T, seed int64, kind QueueKind, viaLane bool) propTrace {
+// three properties.
+func propRun(t *testing.T, seed int64, kind QueueKind, mode propMode) propTrace {
 	t.Helper()
 	rnd := rand.New(rand.NewSource(seed))
+	// pick draws the reservation choices, leaving rnd's program intact.
+	pick := rand.New(rand.NewSource(-seed))
 	s := NewWithQueue(kind)
 	res := s.NewResource("dev", 1+rnd.Intn(3))
 
-	var tr propTrace
+	tr := propTrace{dropped: map[int]bool{}, filled: map[int]bool{}}
 	var expected []trackRec
 	idx := 0
 	last := Time(-1)
@@ -79,13 +101,39 @@ func propRun(t *testing.T, seed int64, kind QueueKind, viaLane bool) propTrace {
 		}
 	}
 
-	// schedule enters a plain event at now+d, through Deliver when viaLane.
-	schedule := func(d Time, fn func()) {
-		if !viaLane {
+	// schedule tracks body as a plain event at now+d and enters it as mode
+	// says. inert marks a body that does nothing, so that the reserve mode
+	// may leave its slot unfilled without changing the rest of the program.
+	schedule := func(d Time, body func(), inert bool) {
+		fn := track(d, body)
+		rec := idx - 1
+		at := s.Now() + d
+		if mode == viaSchedule {
 			s.Schedule(d, fn)
 			return
 		}
-		at := s.Now() + d
+		if mode == viaReserve {
+			switch pick.Intn(4) {
+			case 0: // filled at once
+				s.DeliverReserved(at, s.Reserve(), fn)
+				tr.filled[rec] = true
+				return
+			case 1, 2: // filled by an earlier event, scheduled ahead of the
+				// reservation so that it precedes the slot even at u == d
+				var seq uint64
+				u := Time(pick.Intn(int(d/0.5)+1)) * 0.5
+				s.Schedule(u, func() { s.DeliverReserved(at, seq, fn) })
+				seq = s.Reserve()
+				tr.filled[rec] = true
+				return
+			default:
+				if inert {
+					s.Reserve() // never filled
+					tr.dropped[rec] = true
+					return
+				}
+			}
+		}
 		if n := len(s.lane); n > s.laneHead && at < s.lane[n-1].at {
 			tr.fellBack++
 		} else {
@@ -104,8 +152,7 @@ func propRun(t *testing.T, seed int64, kind QueueKind, viaLane bool) propTrace {
 		}
 		switch rnd.Intn(4) {
 		case 0: // plain scheduled event, possibly scheduling more work
-			d := delay()
-			schedule(d, track(d, func() { op(budget - 1) }))
+			schedule(delay(), func() { op(budget - 1) }, budget == 1)
 		case 1: // process with a random Hold chain
 			hops := 1 + rnd.Intn(3)
 			s.Spawn("chain", delay(), func(p *Process) {
@@ -135,7 +182,7 @@ func propRun(t *testing.T, seed int64, kind QueueKind, viaLane bool) propTrace {
 				s.Activate(proc, 0)
 				// The activation consumed the stored continuation; re-track a
 				// plain event to keep exercising collisions at this instant.
-				schedule(wake, track(wake, nil))
+				schedule(wake, nil, true)
 			})
 		default: // resource usage: untracked interleaved load
 			s.Spawn("user", delay(), func(p *Process) {
@@ -160,10 +207,12 @@ func propRun(t *testing.T, seed int64, kind QueueKind, viaLane bool) propTrace {
 	}
 	s.RunAll()
 
-	// Property 3: the heap drained and every tracked continuation ran.
+	// Property 3: the heap drained and every tracked continuation ran,
+	// except those whose slot was never filled.
 	if s.Pending() != 0 {
 		t.Fatalf("seed %d: %d events pending after RunAll", seed, s.Pending())
 	}
+	expected = slices.DeleteFunc(expected, func(r trackRec) bool { return tr.dropped[r.idx] })
 	if len(tr.fired) != len(expected) {
 		t.Fatalf("seed %d: fired %d of %d tracked events", seed, len(tr.fired), len(expected))
 	}
@@ -186,15 +235,21 @@ func propRun(t *testing.T, seed int64, kind QueueKind, viaLane bool) propTrace {
 				seed, i, tr.fired[i].at, tr.fired[i].idx, expected[i].at, expected[i].idx)
 		}
 	}
+	for i, r := range tr.fired {
+		if tr.filled[r.idx] && (i > 0 && tr.fired[i-1].at == r.at ||
+			i+1 < len(tr.fired) && tr.fired[i+1].at == r.at) {
+			tr.tied++
+		}
+	}
 	return tr
 }
 
 func TestKernelProperties(t *testing.T) {
-	appended, fellBack := 0, 0
+	appended, fellBack, dropped, filled, tied := 0, 0, 0, 0, 0
 	for seed := int64(1); seed <= 100; seed++ {
 		for _, kind := range []QueueKind{QueueCalendar, QueueHeap} {
-			sched := propRun(t, seed, kind, false)
-			lane := propRun(t, seed, kind, true)
+			sched := propRun(t, seed, kind, viaSchedule)
+			lane := propRun(t, seed, kind, viaLane)
 			if !slices.Equal(lane.fired, sched.fired) {
 				t.Fatalf("seed %d, queue %d: Deliver and Schedule fired different sequences", seed, kind)
 			}
@@ -204,10 +259,101 @@ func TestKernelProperties(t *testing.T) {
 			}
 			appended += lane.appended
 			fellBack += lane.fellBack
+
+			res := propRun(t, seed, kind, viaReserve)
+			want := slices.DeleteFunc(slices.Clone(lane.fired), func(r trackRec) bool { return res.dropped[r.idx] })
+			if !slices.Equal(res.fired, want) {
+				t.Fatalf("seed %d, queue %d: reserved slots fired differently from Deliver", seed, kind)
+			}
+			dropped += len(res.dropped)
+			filled += len(res.filled)
+			tied += res.tied
 		}
 	}
 	if appended == 0 || fellBack == 0 {
 		t.Fatalf("programs never exercised both Deliver paths: %d appended, %d fell back", appended, fellBack)
+	}
+	if dropped == 0 || filled == 0 || tied == 0 {
+		t.Fatalf("reserve runs left %d slots unfilled and filled %d, %d of them tied with another event",
+			dropped, filled, tied)
+	}
+}
+
+// TestDeliverReservedPassedPanics: filling a slot the kernel has already
+// moved past panics — one before Now(), and one at the horizon of a
+// finished Run, which would have fired inside that Run — whether Run
+// returned because the queue drained or because the next event lies
+// past the horizon.
+func TestDeliverReservedPassedPanics(t *testing.T) {
+	for _, later := range []bool{false, true} {
+		s := New()
+		s.Schedule(2, func() {})
+		// Both slots take seqs above the event that fires at 2.
+		early, atHorizon := s.Reserve(), s.Reserve()
+		if later {
+			s.Schedule(5, func() {})
+		}
+		s.Run(3)
+		for _, slot := range []struct {
+			at  Time
+			seq uint64
+		}{{1, early}, {3, atHorizon}} {
+			if !s.Passed(slot.at, slot.seq) {
+				t.Fatalf("later event %v: slot (%v, %d) has not passed after Run(3)", later, slot.at, slot.seq)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("later event %v: DeliverReserved(%v, %d) after Run(3) did not panic",
+							later, slot.at, slot.seq)
+					}
+				}()
+				s.DeliverReserved(slot.at, slot.seq, func() {})
+			}()
+		}
+		// A slot reserved after Run returned, at the horizon itself, is live.
+		fired := false
+		s.DeliverReserved(3, s.Reserve(), func() { fired = true })
+		s.Run(4)
+		if !fired {
+			t.Fatalf("later event %v: a slot reserved at the horizon after Run returned did not fire", later)
+		}
+	}
+}
+
+// TestReservedSlotEqualInstant pins the equal-instant edge: while an event
+// fires, a slot at its own instant has passed if its seq is lower and is
+// live if its seq is higher, and a filled live slot fires in the same
+// instant, ahead of the later events there.
+func TestReservedSlotEqualInstant(t *testing.T) {
+	s := New()
+	var order []string
+	before := s.Reserve()
+	s.Schedule(1, func() {
+		order = append(order, "first")
+		if !s.Passed(1, before) {
+			t.Fatal("a lower-seq slot at the firing instant has not passed")
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("DeliverReserved into a lower-seq slot at the firing instant did not panic")
+				}
+			}()
+			s.DeliverReserved(1, before, func() { order = append(order, "before") })
+		}()
+	})
+	after := s.Reserve()
+	s.Schedule(1, func() { order = append(order, "last") })
+	s.Schedule(0.5, func() {
+		if s.Passed(1, after) {
+			t.Fatal("a future slot has passed")
+		}
+		s.DeliverReserved(1, after, func() { order = append(order, "after") })
+	})
+	s.RunAll()
+	if got := fmt.Sprint(order); got != "[first after last]" {
+		t.Fatalf("fired %s, want [first after last]", got)
 	}
 }
 

@@ -24,6 +24,10 @@ type Sim struct {
 	now    Time
 	events eventQueue
 	seq    uint64
+	// firing is the seq horizon at now: a slot (now, seq) has passed iff
+	// seq < firing. While an event fires it is that event's seq; once Run
+	// returns it is one past the last seq handed out.
+	firing uint64
 
 	// lane is the ordered delivery lane Deliver appends to: events in
 	// nondecreasing (at, seq) order, live from laneHead on. Run merges its
@@ -128,6 +132,39 @@ func (s *Sim) Deliver(at Time, fn func()) {
 	s.lane = append(s.lane, ev)
 }
 
+// Reserve takes the kernel's next seq, as Schedule and Deliver do, and
+// schedules nothing. Together with an instant at ≥ Now() the seq names a
+// slot (at, seq): DeliverReserved can fill it later, and the event then
+// fires exactly where Deliver(at, fn) in Reserve's place would have put
+// it. A slot never filled costs nothing, and every other event keeps the
+// seq it would have had.
+func (s *Sim) Reserve() uint64 {
+	s.seq++
+	return s.seq
+}
+
+// Passed reports whether the slot (at, seq) has passed: the kernel has
+// fired an event that follows it in (at, seq) order — at lies before Now(),
+// or at equals Now() and the event firing now, or the last one fired there,
+// has a larger seq. Once Run(until) returns, every slot reserved so far at
+// or before until has passed.
+func (s *Sim) Passed(at Time, seq uint64) bool {
+	return at < s.now || (at == s.now && seq < s.firing)
+}
+
+// DeliverReserved runs fn in kernel context in the slot (at, seq), whose
+// seq Reserve handed out. The event goes to the calendar queue, which
+// orders by (at, seq) whatever the push time, so it fires in the slot's
+// place among the events scheduled before and after the reservation. It
+// panics if the slot has passed.
+func (s *Sim) DeliverReserved(at Time, seq uint64, fn func()) {
+	if seq > s.seq || s.Passed(at, seq) {
+		panic(fmt.Sprintf("sim: reserved slot (%v, %d) has passed or was never reserved (now %v, next seq %d)",
+			at, seq, s.now, s.seq+1))
+	}
+	s.events.Push(event{at: at, seq: seq, fn: fn})
+}
+
 // laneFirst reports whether the lane head precedes the queue head in
 // (at, seq) order. The lane must not be empty.
 func (s *Sim) laneFirst() bool {
@@ -167,8 +204,7 @@ func (s *Sim) Run(until Time) Time {
 		var ev event
 		if s.laneHead < len(s.lane) && s.laneFirst() {
 			if s.lane[s.laneHead].at > until {
-				s.now = until
-				return s.now
+				return s.stop(until)
 			}
 			ev = s.popLane()
 		} else {
@@ -176,12 +212,11 @@ func (s *Sim) Run(until Time) Time {
 				break
 			}
 			if s.events.Peek().at > until {
-				s.now = until
-				return s.now
+				return s.stop(until)
 			}
 			ev = s.events.Pop()
 		}
-		s.now = ev.at
+		s.now, s.firing = ev.at, ev.seq
 		if ev.release != nil {
 			ev.release.Release()
 		}
@@ -190,6 +225,15 @@ func (s *Sim) Run(until Time) Time {
 	if s.now < until {
 		s.now = until
 	}
+	s.firing = s.seq + 1
+	return s.now
+}
+
+// stop lands the clock on until when the next event lies past it. Every
+// slot reserved so far at until has passed: had it been filled, it would
+// have fired before Run returned.
+func (s *Sim) stop(until Time) Time {
+	s.now, s.firing = until, s.seq+1
 	return s.now
 }
 
@@ -203,9 +247,10 @@ func (s *Sim) RunAll() Time {
 		case s.events.Len() > 0:
 			ev = s.events.Pop()
 		default:
+			s.firing = s.seq + 1
 			return s.now
 		}
-		s.now = ev.at
+		s.now, s.firing = ev.at, ev.seq
 		if ev.release != nil {
 			ev.release.Release()
 		}
