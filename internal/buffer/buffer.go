@@ -42,8 +42,8 @@ type Host interface {
 // interconnect instead of touching the cache structure directly. The
 // parallel engine implements it with lookahead messages: a Probe's verdict
 // arrives NVEMAccessDelayMS later on the requesting node, and a Put is a
-// one-way insert applied at the same latency. A manager built with
-// NewRemote never touches the shared cache from its own kernel — the
+// one-way insert applied at the same latency. A manager built by NewShared
+// with a bus never touches the shared cache from its own kernel — the
 // cluster coordinator applies the operations through ApplySharedProbe and
 // ApplySharedPut while every kernel is quiescent.
 type RemoteNVEMCache interface {
@@ -164,11 +164,11 @@ type Manager struct {
 	nvemCache  *lru.Cache[storage.PageKey, nvemFrame]
 	sharedNVEM bool // the NVEM cache is the cluster-shared one, not private
 
-	// Remote mode (NewRemote): shared-cache operations travel over the
-	// interconnect instead of touching the structure. nvemCache stays nil
-	// so no node-side path can reach the shared structure by accident;
-	// remoteShared is only dereferenced by the ApplyShared* entry points
-	// the cluster coordinator calls at barriers.
+	// Remote mode (NewShared with a bus): shared-cache operations travel
+	// over the interconnect instead of touching the structure. nvemCache
+	// stays nil so no node-side path can reach the shared structure by
+	// accident; remoteShared is only dereferenced by the ApplyShared* entry
+	// points the cluster coordinator calls at barriers.
 	remote       RemoteNVEMCache
 	remoteShared *SharedNVEMCache
 
@@ -569,15 +569,22 @@ func (m *Manager) asyncWrite(key storage.PageKey, wb bool) {
 // New builds a buffer manager. units must cover every DiskUnit index in the
 // configuration; nvem may be nil when cfg.UsesNVEM() is false.
 func New(cfg Config, partitionNames []string, units []*storage.DiskUnit, nvem *storage.NVEM, host Host) (*Manager, error) {
-	return newManager(cfg, partitionNames, units, nvem, host, nil, nil)
+	return NewShared(cfg, partitionNames, units, nvem, host, nil, nil)
 }
 
-// newManager is the shared constructor: with a non-nil shared cache the
-// manager operates on the cluster-shared NVEM cache and allocates no
-// private one; with a remote bus as well, it reaches that cache only
-// through the bus (NewRemote).
-func newManager(cfg Config, partitionNames []string, units []*storage.DiskUnit,
-	nvem *storage.NVEM, host Host, shared *SharedNVEMCache, remote RemoteNVEMCache) (*Manager, error) {
+// NewShared builds a cluster node's buffer manager whose NVEM second-level
+// cache is the cluster-shared cache instead of a private one. cfg still
+// validates as usual (cfg.NVEMCacheSize sizes the allocation check); the
+// shared cache's capacity wins. A nil shared is equivalent to New.
+//
+// With a nil bus the manager operates on the shared cache directly. With
+// a bus — the lookahead interconnect of a parallel (PDES) cluster — every
+// shared-cache operation travels through it instead of touching the
+// structure, and the cluster coordinator applies it at a barrier via
+// ApplySharedProbe / ApplySharedPut; shared is then kept only for those
+// entry points and for occupancy reporting.
+func NewShared(cfg Config, partitionNames []string, units []*storage.DiskUnit,
+	nvem *storage.NVEM, host Host, shared *SharedNVEMCache, bus RemoteNVEMCache) (*Manager, error) {
 	if err := cfg.Validate(partitionNames, len(units)); err != nil {
 		return nil, err
 	}
@@ -595,11 +602,11 @@ func newManager(cfg Config, partitionNames []string, units []*storage.DiskUnit,
 		sim:          host.Sim(),
 	}
 	switch {
-	case remote != nil:
+	case bus != nil:
 		if shared == nil {
 			return nil, fmt.Errorf("buffer: remote NVEM bus without a shared cache")
 		}
-		m.remote = remote
+		m.remote = bus
 		m.remoteShared = shared
 		m.sharedNVEM = true
 	case shared != nil:

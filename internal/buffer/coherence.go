@@ -37,26 +37,6 @@ func NewSharedNVEMCache(frames int) (*SharedNVEMCache, error) {
 // Len returns the number of occupied shared-cache frames.
 func (c *SharedNVEMCache) Len() int { return c.cache.Len() }
 
-// NewShared builds a node's buffer manager whose NVEM second-level cache
-// is the cluster-shared cache instead of a private one. cfg still
-// validates as usual (cfg.NVEMCacheSize sizes the allocation check); the
-// shared cache's capacity wins. A nil shared is equivalent to New.
-func NewShared(cfg Config, partitionNames []string, units []*storage.DiskUnit,
-	nvem *storage.NVEM, host Host, shared *SharedNVEMCache) (*Manager, error) {
-	return newManager(cfg, partitionNames, units, nvem, host, shared, nil)
-}
-
-// NewRemote builds a node's buffer manager for a parallel (PDES) cluster
-// with a shared NVEM cache: every shared-cache operation travels through
-// remote — a lookahead-respecting interconnect — instead of touching the
-// structure, and the cluster coordinator applies it at a barrier via
-// ApplySharedProbe / ApplySharedPut. shared is kept only for those entry
-// points and for occupancy reporting.
-func NewRemote(cfg Config, partitionNames []string, units []*storage.DiskUnit,
-	nvem *storage.NVEM, host Host, shared *SharedNVEMCache, remote RemoteNVEMCache) (*Manager, error) {
-	return newManager(cfg, partitionNames, units, nvem, host, shared, remote)
-}
-
 // Residency is an exact count, per hash slot, of the pages each node of
 // a cluster holds where Invalidate finds them: in main memory, or in the
 // node's private NVEM cache. A zero count proves a node holds no page of

@@ -39,7 +39,7 @@ func twoNodeRig(t *testing.T, bufferSize, sharedFrames int) (s *sim.Sim, a, b *M
 	}
 	mk := func() *Manager {
 		host := &testHost{s: s, nvem: nvem}
-		m, err := NewShared(cfg, []string{"p"}, []*storage.DiskUnit{unit}, nvem, host, shared)
+		m, err := NewShared(cfg, []string{"p"}, []*storage.DiskUnit{unit}, nvem, host, shared, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,7 +49,7 @@ func newRemoteRig(t *testing.T, cfg Config, frames int) *rig {
 		t.Fatal(err)
 	}
 	bus := &loopbackBus{}
-	m, err := NewRemote(cfg, names, []*storage.DiskUnit{unit}, nvem, host, shared, bus)
+	m, err := NewShared(cfg, names, []*storage.DiskUnit{unit}, nvem, host, shared, bus)
 	if err != nil {
 		t.Fatal(err)
 	}

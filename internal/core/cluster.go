@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -205,41 +206,15 @@ func runCluster(cfg ClusterConfig) (*cluster, *ClusterResult, error) {
 	}
 	opts := clusterOpts{
 		sharedNVEM:       cfg.SharedNVEMCache,
+		globalLocks:      cfg.GlobalLocks,
+		instrLockMsg:     cmp.Or(cfg.InstrLockMsg, DefaultInstrLockMsg),
+		lockMsgDelay:     cmp.Or(cfg.LockMsgDelayMS, DefaultLockMsgDelayMS),
+		nvemAccessDelay:  cfg.NVEMAccessDelayMS,
 		failure:          cfg.Failure,
 		trackActive:      cfg.Failure.Enabled,
 		timelineBucketMS: cfg.TimelineBucketMS,
 		admission:        cfg.Admission,
 		pdes:             cfg.PDES,
-	}
-	if cfg.PDES.Enabled {
-		// The lock-message latency governs lock traffic even when global
-		// locking is off: it is the model's inter-node messaging latency,
-		// and invalidations and reroutes travel at the same speed. With a
-		// shared NVEM cache, coherence traffic instead travels at the NVEM
-		// access latency, and the barrier horizon is the smaller of the two
-		// (no message may arrive inside the window that sent it).
-		opts.pdesLockDelay = cfg.LockMsgDelayMS
-		if opts.pdesLockDelay == 0 {
-			opts.pdesLockDelay = DefaultLockMsgDelayMS
-		}
-		opts.pdesLookahead = opts.pdesLockDelay
-		if cfg.SharedNVEMCache {
-			opts.nvemAccessDelay = cfg.NVEMAccessDelayMS
-			if opts.nvemAccessDelay < opts.pdesLookahead {
-				opts.pdesLookahead = opts.nvemAccessDelay
-			}
-		}
-	}
-	if cfg.GlobalLocks {
-		opts.globalLocks = true
-		opts.instrLockMsg = cfg.InstrLockMsg
-		opts.lockMsgDelay = cfg.LockMsgDelayMS
-		if opts.instrLockMsg == 0 {
-			opts.instrLockMsg = DefaultInstrLockMsg
-		}
-		if opts.lockMsgDelay == 0 {
-			opts.lockMsgDelay = DefaultLockMsgDelayMS
-		}
 	}
 	c, err := newCluster(cfg.Base.Seed, nodeCfgs, opts)
 	if err != nil {
@@ -267,7 +242,14 @@ type clusterOpts struct {
 	sharedNVEM   bool
 	globalLocks  bool
 	instrLockMsg float64
-	lockMsgDelay float64
+
+	// lockMsgDelay is the model's inter-node message latency: the round
+	// trip of a global lock request, and under PDES the travel time of
+	// every lock, invalidation and reroute message even when locking is
+	// local. nvemAccessDelay is the shared-NVEM-cache access latency,
+	// which only the parallel engine models.
+	lockMsgDelay    float64
+	nvemAccessDelay float64
 
 	// failure injects a crash boundary into the phase schedule;
 	// trackActive makes nodes register in-flight transactions so a crash
@@ -279,25 +261,20 @@ type clusterOpts struct {
 	timelineBucketMS float64
 	admission        AdmissionConfig
 
-	// pdes switches the build to per-node kernels and storage;
-	// pdesLookahead is the resolved barrier horizon (ms), pdesLockDelay
-	// the resolved lock/invalidate/reroute message latency, and
-	// nvemAccessDelay the shared-NVEM-cache access latency (positive only
-	// when a shared cache runs under PDES).
-	pdes            PDESConfig
-	pdesLookahead   float64
-	pdesLockDelay   float64
-	nvemAccessDelay float64
+	// pdes picks the conservative parallel engine over the coupled one.
+	pdes PDESConfig
 }
 
-// cluster wires shared storage and N nodes into one simulation kernel —
-// or, under PDES, one kernel with private storage per node (pdes.go).
+// cluster wires N nodes onto one or more simulation kernels through the
+// interconnect that runs them: the coupled engine puts every node on one
+// kernel, the parallel engine gives each node its own (pdes.go). Each
+// kernel has its own device set.
 type cluster struct {
-	s      *sim.Sim // coupled mode: the single shared kernel (nil under PDES)
-	units  []*storage.DiskUnit
-	nvem   *storage.NVEM
-	nodes  []*node
-	stride int // node count; txn ids are k*stride+nodeID
+	net     interconnect
+	kernels []*sim.Sim // node i runs on kernels[i mod len(kernels)]
+	devs    []devices  // devs[k]: kernel k's storage
+	nodes   []*node
+	stride  int // node count; txn ids are k*stride+nodeID
 
 	glocks       *cc.Global // non-nil: cluster-wide lock manager
 	instrLockMsg float64
@@ -305,8 +282,6 @@ type cluster struct {
 	baseGlobal   cc.Stats
 
 	shared *buffer.SharedNVEMCache // non-nil: coherent shared NVEM cache
-
-	pdes *pdesState // non-nil: conservative parallel engine
 
 	warmup, measure float64
 
@@ -321,9 +296,17 @@ type cluster struct {
 	timelineBucketMS float64
 }
 
-// newCluster builds the shared storage and every node. nodeCfgs[0]
-// supplies the shared parameters (devices, NVEM, windows); callers
-// guarantee all node configurations agree on them.
+// devices is one kernel's storage: the disk units and the NVEM store (nil
+// when no node on the kernel uses NVEM).
+type devices struct {
+	units []*storage.DiskUnit
+	nvem  *storage.NVEM
+}
+
+// newCluster builds the interconnect with its kernels, each kernel's
+// devices and every node. nodeCfgs[0] supplies the cluster-wide
+// parameters (windows, shared-cache size); callers guarantee all node
+// configurations agree on them.
 func newCluster(seed int64, nodeCfgs []Config, opts clusterOpts) (*cluster, error) {
 	shared := nodeCfgs[0]
 	c := &cluster{
@@ -341,38 +324,6 @@ func newCluster(seed int64, nodeCfgs []Config, opts clusterOpts) (*cluster, erro
 		c.admission.QueueFactor = DefaultAdmissionQueueFactor
 	}
 
-	if opts.pdes.Enabled {
-		// Parallel build: no shared kernel and no shared storage — each
-		// node constructs its own devices in newNode.
-		c.pdes = newPDES(c, len(nodeCfgs), sim.Time(opts.pdesLookahead), opts.pdes.Workers)
-		if opts.pdesLockDelay > 0 {
-			c.pdes.lockDelay = sim.Time(opts.pdesLockDelay)
-		}
-		if opts.nvemAccessDelay > 0 {
-			c.pdes.cohDelay = sim.Time(opts.nvemAccessDelay)
-		}
-	} else {
-		c.s = sim.New()
-		unitRnd := rng.NewStream(seed, "disk-units")
-		for i := range shared.DiskUnits {
-			u, err := storage.NewDiskUnit(c.s, shared.DiskUnits[i], unitRnd)
-			if err != nil {
-				return nil, err
-			}
-			c.units = append(c.units, u)
-		}
-		usesNVEM := false
-		for i := range nodeCfgs {
-			usesNVEM = usesNVEM || nodeCfgs[i].Buffer.UsesNVEM()
-		}
-		if usesNVEM {
-			nvem, err := storage.NewNVEM(c.s, shared.NVEMServers, shared.NVEMDelay)
-			if err != nil {
-				return nil, err
-			}
-			c.nvem = nvem
-		}
-	}
 	if opts.sharedNVEM {
 		sc, err := buffer.NewSharedNVEMCache(shared.Buffer.NVEMCacheSize)
 		if err != nil {
@@ -380,26 +331,30 @@ func newCluster(seed int64, nodeCfgs []Config, opts clusterOpts) (*cluster, erro
 		}
 		c.shared = sc
 	}
-	if c.pdes != nil && !pdesBroadcast {
-		// The residency table covers every frame Invalidate looks in: main
-		// memory, plus the private NVEM cache when there is no shared one.
-		frames := 0
-		for i := range nodeCfgs {
-			f := nodeCfgs[i].Buffer.BufferSize
-			if c.shared == nil {
-				f += nodeCfgs[i].Buffer.NVEMCacheSize
-			}
-			frames = max(frames, f)
-		}
-		c.pdes.residency = buffer.NewResidency(len(nodeCfgs), frames)
+	if opts.pdes.Enabled {
+		c.net = newPDES(c, nodeCfgs, opts)
+	} else {
+		c.net = newDirect(c)
 	}
 	if opts.globalLocks {
 		c.glocks = cc.NewGlobal(len(nodeCfgs), func(txn cc.TxnID) {
-			c.nodes[int(int64(txn)%int64(c.stride))].onLockGrant(txn)
+			n := c.nodes[int(int64(txn)%int64(c.stride))]
+			if k := n.waiter(txn); k != nil {
+				c.net.lockGrant(n, k)
+			}
 		})
 	}
 
+	// Seqs are per kernel: a kernel's devices come before any node
+	// resources on it, and its nodes follow in id order.
 	for i := range nodeCfgs {
+		if i < len(c.kernels) {
+			d, err := c.newDevices(seed, i, nodeCfgs)
+			if err != nil {
+				return nil, err
+			}
+			c.devs = append(c.devs, d)
+		}
 		n, err := newNode(c, i, len(nodeCfgs), seed, nodeCfgs[i])
 		if err != nil {
 			return nil, err
@@ -409,25 +364,37 @@ func newCluster(seed int64, nodeCfgs []Config, opts clusterOpts) (*cluster, erro
 	return c, nil
 }
 
-// invalidate drops every other node's copy of key before writer modifies
-// the page (write-invalidate coherence). Nodes are visited in id order for
-// determinism. Under PDES the invalidation travels as a message, and the
-// coordinator hands it to the peers that hold the page
-// (pdesState.invalidate); either way the node that held the page counts
-// the hand-off.
-func (c *cluster) invalidate(writer int, key storage.PageKey) {
-	if c.stride == 1 {
-		return
+// newDevices builds kernel k's device set. The first node on the kernel,
+// node k, supplies the device parameters, and the NVEM store exists when
+// any node on the kernel uses NVEM. The disk units draw from one stream,
+// suffixed /n<k> only when the cluster runs several kernels.
+func (c *cluster) newDevices(seed int64, k int, nodeCfgs []Config) (devices, error) {
+	s, cfg := c.kernels[k], nodeCfgs[k]
+	stream := "disk-units"
+	if len(c.kernels) > 1 {
+		stream = fmt.Sprintf("%s/n%d", stream, k)
 	}
-	if c.pdes != nil {
-		c.pdes.sendInvalidate(c.nodes[writer], key)
-		return
-	}
-	for _, n := range c.nodes {
-		if n.id != writer {
-			n.invalidate(key)
+	unitRnd := rng.NewStream(seed, stream)
+	var d devices
+	for i := range cfg.DiskUnits {
+		u, err := storage.NewDiskUnit(s, cfg.DiskUnits[i], unitRnd)
+		if err != nil {
+			return d, err
 		}
+		d.units = append(d.units, u)
 	}
+	usesNVEM := false
+	for i := k; i < len(nodeCfgs); i += len(c.kernels) {
+		usesNVEM = usesNVEM || nodeCfgs[i].Buffer.UsesNVEM()
+	}
+	if usesNVEM {
+		nvem, err := storage.NewNVEM(s, cfg.NVEMServers, cfg.NVEMDelay)
+		if err != nil {
+			return d, err
+		}
+		d.nvem = nvem
+	}
+	return d, nil
 }
 
 // invalidate drops the node's copy of key for a remote writer, counting
@@ -441,29 +408,37 @@ func (e *node) invalidate(key storage.PageKey) {
 	}
 }
 
-// reroute picks the surviving node the next rerouted arrival runs on,
-// round-robin over the running nodes for balance. It returns nil when no
-// node is running (the cluster is unavailable).
-func (c *cluster) reroute() *node {
+// rerouteTarget takes the reconnect decision for an arrival that hit the
+// down node e and returns the survivor to run it on, or nil when the
+// arrival is lost. Survivors take rerouted arrivals round-robin, for
+// balance. The arrival is dropped when no node is running (the cluster is
+// unavailable) or the survivor's input queue is full. It is shed when the
+// admission controller is on and that queue already holds QueueFactor ×
+// MPL waiting transactions: the survivors keep serving their own load
+// instead of queueing rerouted overflow behind it. Losses count against e
+// and the arrival's class.
+func (c *cluster) rerouteTarget(e *node, typ int) *node {
+	var target *node
 	for range c.nodes {
 		n := c.nodes[c.rr]
 		c.rr = (c.rr + 1) % c.stride
 		if n.phase == nodeRunning {
-			return n
+			target = n
+			break
 		}
 	}
-	return nil
-}
-
-// shedReroute is the admission-control rule: a rerouted arrival aimed at
-// target is shed when the controller is enabled and target's input queue
-// already holds QueueFactor × MPL waiting transactions. Arrivals a running
-// node receives for itself are never shed — only rerouted overflow is.
-func (c *cluster) shedReroute(target *node) bool {
-	if !c.admission.Enabled {
-		return false
+	switch {
+	case target == nil:
+		e.drop(typ)
+	case c.admission.Enabled &&
+		float64(target.mpl.QueueLen()) >= c.admission.QueueFactor*float64(target.cfg.MPL):
+		e.shedArrival(typ)
+	case target.mpl.QueueLen() >= target.cfg.MaxQueue:
+		e.drop(typ)
+	default:
+		return target
 	}
-	return float64(target.mpl.QueueLen()) >= c.admission.QueueFactor*float64(target.cfg.MPL)
+	return nil
 }
 
 // timelineBuckets is the padded timeline length: the full window
@@ -504,62 +479,44 @@ func (c *cluster) finish() {
 	for _, n := range c.nodes {
 		n.stopArrivals = true
 	}
-	if c.pdes != nil {
-		for _, k := range c.pdes.kernels {
-			k.Shutdown()
-		}
-		return
+	for _, k := range c.kernels {
+		k.Shutdown()
 	}
-	c.s.Shutdown()
 }
 
-// attachShared adds the shared-device reports (disk units, NVEM
-// utilization) to a result: the single node's result in a one-node run,
-// the aggregate in a cluster run. Under PDES each node owns private
-// devices, so the report sums the per-node unit counters and averages the
-// utilizations (the nodes share one measurement window).
+// attachShared adds the device reports (disk units, NVEM utilization) to
+// a result: the single node's result in a one-node run, the aggregate in a
+// cluster run. Each unit's counters sum over the device sets and its
+// utilizations average over them (the kernels share one measurement
+// window); one device set reports its own values exactly.
 func (c *cluster) attachShared(res *Result) {
 	cfg := c.nodes[0].cfg
-	if c.pdes != nil {
-		for i := range cfg.DiskUnits {
-			rep := UnitReport{
-				Name: cfg.DiskUnits[i].Name,
-				Type: cfg.DiskUnits[i].Type,
-			}
-			for _, n := range c.nodes {
-				u := n.units[i]
-				rep.Stats = addUnitStats(rep.Stats, u.Stats())
-				rep.DiskUtilization += u.DiskUtilization()
-				rep.CtrlUtilization += u.ControllerUtilization()
-			}
-			rep.DiskUtilization /= float64(len(c.nodes))
-			rep.CtrlUtilization /= float64(len(c.nodes))
-			res.Units = append(res.Units, rep)
+	sets := float64(len(c.devs))
+	for i := range cfg.DiskUnits {
+		rep := UnitReport{
+			Name: cfg.DiskUnits[i].Name,
+			Type: cfg.DiskUnits[i].Type,
 		}
-		var util float64
-		withNVEM := 0
-		for _, n := range c.nodes {
-			if n.nvem != nil {
-				util += n.nvem.Utilization()
-				withNVEM++
-			}
+		for _, d := range c.devs {
+			u := d.units[i]
+			rep.Stats = addUnitStats(rep.Stats, u.Stats())
+			rep.DiskUtilization += u.DiskUtilization()
+			rep.CtrlUtilization += u.ControllerUtilization()
 		}
-		if withNVEM > 0 {
-			res.NVEMUtil = util / float64(withNVEM)
-		}
-		return
+		rep.DiskUtilization /= sets
+		rep.CtrlUtilization /= sets
+		res.Units = append(res.Units, rep)
 	}
-	for i, u := range c.units {
-		res.Units = append(res.Units, UnitReport{
-			Name:            cfg.DiskUnits[i].Name,
-			Type:            cfg.DiskUnits[i].Type,
-			Stats:           u.Stats(),
-			DiskUtilization: u.DiskUtilization(),
-			CtrlUtilization: u.ControllerUtilization(),
-		})
+	var util float64
+	withNVEM := 0
+	for _, d := range c.devs {
+		if d.nvem != nil {
+			util += d.nvem.Utilization()
+			withNVEM++
+		}
 	}
-	if c.nvem != nil {
-		res.NVEMUtil = c.nvem.Utilization()
+	if withNVEM > 0 {
+		res.NVEMUtil = util / float64(withNVEM)
 	}
 }
 

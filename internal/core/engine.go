@@ -130,11 +130,10 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// newNode wires one transaction system into the cluster's kernel. stream
-// names carry a node suffix only in multi-node runs, so single-node runs
-// draw the exact random sequences of the original engine. Under PDES the
-// node gets its own kernel and its own storage devices instead of the
-// cluster's shared ones.
+// newNode wires one transaction system onto its kernel, kernel id mod
+// len(c.kernels), and that kernel's devices. Stream names carry a node
+// suffix only in multi-node runs, so single-node runs draw the exact
+// random sequences of the original engine.
 func newNode(c *cluster, id, numNodes int, seed int64, cfg Config) (*node, error) {
 	suffix := func(base string) string {
 		if numNodes == 1 {
@@ -142,13 +141,14 @@ func newNode(c *cluster, id, numNodes int, seed int64, cfg Config) (*node, error
 		}
 		return fmt.Sprintf("%s/n%d", base, id)
 	}
+	k := id % len(c.kernels)
 	n := &node{
 		c:        c,
 		id:       id,
 		cfg:      cfg,
-		s:        c.s,
-		nvem:     c.nvem,
-		units:    c.units,
+		s:        c.kernels[k],
+		nvem:     c.devs[k].nvem,
+		units:    c.devs[k].units,
 		waiting:  make(map[cc.TxnID]func()),
 		active:   make(map[cc.TxnID]*txRun),
 		resp:     stats.NewSummary("response", true),
@@ -161,50 +161,10 @@ func newNode(c *cluster, id, numNodes int, seed int64, cfg Config) (*node, error
 	if numNodes > 1 {
 		n.nameSuffix = fmt.Sprintf("/n%d", id)
 	}
-	if c.pdes != nil {
-		n.s = c.pdes.kernels[id]
-		n.inbox = newPDESInbox(n)
-		unitRnd := rng.NewStream(seed, suffix("disk-units"))
-		n.units = nil
-		for i := range cfg.DiskUnits {
-			u, err := storage.NewDiskUnit(n.s, cfg.DiskUnits[i], unitRnd)
-			if err != nil {
-				return nil, err
-			}
-			n.units = append(n.units, u)
-		}
-		if cfg.Buffer.UsesNVEM() {
-			nvem, err := storage.NewNVEM(n.s, cfg.NVEMServers, cfg.NVEMDelay)
-			if err != nil {
-				return nil, err
-			}
-			n.nvem = nvem
-		}
-	}
 	n.cpu = n.s.NewResource(suffix("cpu"), cfg.NumCPU)
 	n.mpl = n.s.NewResource(suffix("mpl"), cfg.MPL)
-
-	names := make([]string, len(cfg.Partitions))
-	for i := range cfg.Partitions {
-		names[i] = cfg.Partitions[i].Name
-	}
-	var bm *buffer.Manager
-	var err error
-	if c.pdes != nil && c.shared != nil {
-		// Parallel shared cache: the node reaches it only through the
-		// lookahead interconnect; the coordinator applies the operations at
-		// barriers (pdes.go).
-		bm, err = buffer.NewRemote(cfg.Buffer, names, n.units, n.nvem, n, c.shared,
-			&pdesNVEMBus{pd: c.pdes, e: n})
-	} else {
-		bm, err = buffer.NewShared(cfg.Buffer, names, n.units, n.nvem, n, c.shared)
-	}
-	if err != nil {
+	if err := c.net.attach(n); err != nil {
 		return nil, err
-	}
-	n.bm = bm
-	if c.pdes != nil && c.pdes.residency != nil {
-		bm.Track(c.pdes.residency, id, n.inbox.inserted)
 	}
 	if c.glocks == nil {
 		n.locks = cc.NewManager(n.onLockGrant)
@@ -228,6 +188,17 @@ func newNode(c *cluster, id, numNodes int, seed int64, cfg Config) (*node, error
 		}
 	}
 	return n, nil
+}
+
+// newBuffer builds the node's buffer manager on its devices. The cluster's
+// shared NVEM cache, if any, is reached over bus, or directly when bus is
+// nil.
+func (e *node) newBuffer(bus buffer.RemoteNVEMCache) (*buffer.Manager, error) {
+	names := make([]string, len(e.cfg.Partitions))
+	for i := range e.cfg.Partitions {
+		names[i] = e.cfg.Partitions[i].Name
+	}
+	return buffer.NewShared(e.cfg.Buffer, names, e.units, e.nvem, e, e.c.shared, bus)
 }
 
 // classAcc is one transaction class's measurement-window accounting.
@@ -383,27 +354,31 @@ func (e *node) Sim() *sim.Sim { return e.s }
 
 // --- lock integration ---
 
+// onLockGrant resumes a queued request the node's local lock manager
+// granted. Grants of the global manager wake their waiter through the
+// interconnect (newCluster).
 func (e *node) onLockGrant(txn cc.TxnID) {
+	if k := e.waiter(txn); k != nil {
+		e.s.Schedule(0, k)
+	}
+}
+
+// waiter removes and returns the continuation of txn's queued lock
+// request; nil when none is queued (a crash killed the transaction).
+func (e *node) waiter(txn cc.TxnID) func() {
 	k, ok := e.waiting[txn]
-	if !ok {
-		return
+	if ok {
+		delete(e.waiting, txn)
 	}
-	delete(e.waiting, txn)
-	if pd := e.c.pdes; pd != nil && e.c.glocks != nil {
-		// Global grants fire while a release message is applied at a
-		// barrier; the waiter resumes at that message's arrival instant.
-		e.inbox.deliver(pd.msgTime, k)
-		return
-	}
-	e.s.Schedule(0, k)
+	return k
 }
 
 // requestLock requests the next access's lock and continues through
 // onLocked with the outcome: false on deadlock (the caller must abort). On
 // a conflict the continuation is deferred until the lock manager grants
 // the queued request. Under global locking the request first pays the
-// message pathlength and round trip to the cluster-wide lock manager
-// (states txLockMsg/txLockSent).
+// message pathlength (state txLockMsg) and then travels to the
+// cluster-wide lock manager over the interconnect.
 func (t *txRun) requestLock() {
 	e := t.e
 	acc := &t.tx.Accesses[t.i]
@@ -427,50 +402,40 @@ func (t *txRun) requestLock() {
 		e.cpuBurst(t.p, e.c.instrLockMsg, t.resume)
 		return
 	}
-	t.onVerdict(e.locks.Acquire(t.txn, g, mode))
-}
-
-// sendLockRequest runs after the request message's CPU pathlength: the
-// request departs for the cluster-wide lock manager.
-func (t *txRun) sendLockRequest() {
-	e := t.e
-	if pd := e.c.pdes; pd != nil {
-		// The request crosses the node boundary as a PDES message; the
-		// verdict materializes one round trip (LockMsgDelayMS) later,
-		// delivered at a barrier (pdes.go).
-		pd.sendLockReq(t)
-		return
+	if ok, decided := t.verdict(e.locks.Acquire(t.txn, g, mode), t.p.Now()); decided {
+		t.onLocked(ok)
 	}
-	t.state = txLockSent
-	t.p.Hold(e.c.lockMsgDelay, t.resume)
 }
 
-// deliverLockRequest lands the request at the global lock manager after
-// the round trip.
-func (t *txRun) deliverLockRequest() {
+// landLockRequest lands t's global lock request at the cluster-wide lock
+// manager at instant at and reads the verdict like verdict. A crash while
+// the request was in flight killed the transaction and purged it from the
+// active table; its request must not reach the manager, where nobody would
+// ever release it, and is left undecided.
+func (t *txRun) landLockRequest(at sim.Time) (ok, decided bool) {
 	e := t.e
-	// A crash while the request message was in flight killed the
-	// transaction and purged it from the active table; the request must
-	// not reach the global lock manager, where nobody would ever release
-	// it.
 	if e.c.trackActive {
 		if _, alive := e.active[t.txn]; !alive {
-			return
+			return false, false
 		}
 	}
-	t.onVerdict(e.c.glocks.AcquireFrom(e.id, t.txn, t.g, t.mode))
+	return t.verdict(e.c.glocks.AcquireFrom(e.id, t.txn, t.g, t.mode), at)
 }
 
-// onVerdict continues after the lock manager's verdict.
-func (t *txRun) onVerdict(res cc.Result) {
+// verdict reads a lock manager's verdict on t's request, reached at
+// instant at. A granted request is decided ok, a deadlock decided not ok
+// (t must abort). A queued request is undecided: t waits for the grant,
+// and the wait counts from at.
+func (t *txRun) verdict(res cc.Result, at sim.Time) (ok, decided bool) {
 	switch res {
 	case cc.Granted:
-		t.onLocked(true)
+		return true, true
 	case cc.Wait:
-		t.waitStart = t.p.Now()
+		t.waitStart = at
 		t.e.waiting[t.txn] = t.granted
+		return false, false
 	default: // cc.Deadlock
-		t.onLocked(false)
+		return false, true
 	}
 }
 
@@ -489,16 +454,11 @@ func (t *txRun) onGranted() {
 	t.onLocked(true)
 }
 
-// releaseLocks releases the transaction's locks at the local or global
-// lock manager. Under PDES the global release is a one-way message: the
-// locks drop when it lands at the manager, one lookahead later.
+// releaseLocks releases the transaction's locks at the local lock
+// manager, or over the interconnect at the global one.
 func (e *node) releaseLocks(txn cc.TxnID) {
 	if e.c.glocks != nil {
-		if pd := e.c.pdes; pd != nil {
-			pd.sendLockRelease(e, txn)
-			return
-		}
-		e.c.glocks.ReleaseAllFrom(e.id, txn)
+		e.c.net.lockRelease(e, txn)
 		return
 	}
 	e.locks.ReleaseAll(txn)
@@ -581,59 +541,40 @@ func (e *node) spawnTerminals(typeIdx int) {
 	}
 }
 
-// admitArrival routes one arrival: run it locally, or — while this node is
-// down — reroute it to a surviving node (clients reconnect); with nobody
-// running the arrival is lost, the cluster is unavailable.
+// admitArrival routes one arrival: run it locally, drop it when the input
+// queue is full, or — while this node is down — reroute it to a surviving
+// node (clients reconnect).
 func (e *node) admitArrival(tx workload.Tx) {
-	if e.phase == nodeRunning {
-		// Dropped arrivals count only inside the measurement window,
-		// like commits and aborts.
-		if e.mpl.QueueLen() >= e.cfg.MaxQueue {
-			if e.warm {
-				e.dropped++
-				if c := e.classOf(tx.Type); c != nil {
-					c.dropped++
-				}
-			}
-			return
-		}
-		e.startTx(tx, nil)
-		return
-	}
-	if pd := e.c.pdes; pd != nil {
-		// The reconnect decision reads cluster-wide state (survivor
-		// phases, queue lengths); under PDES it is taken at the next
-		// barrier, one message latency later.
-		pd.sendReroute(e, tx)
-		return
-	}
-	target := e.c.reroute()
 	switch {
-	case target == nil:
-		if e.warm {
-			e.dropped++
-			if c := e.classOf(tx.Type); c != nil {
-				c.dropped++
-			}
-		}
-	case e.c.shedReroute(target):
-		// The admission controller sheds rerouted overflow instead of
-		// queueing it behind the survivor's backlog.
-		if e.warm {
-			e.shed++
-			if c := e.classOf(tx.Type); c != nil {
-				c.shed++
-			}
-		}
-	case target.mpl.QueueLen() >= target.cfg.MaxQueue:
-		if e.warm {
-			e.dropped++
-			if c := e.classOf(tx.Type); c != nil {
-				c.dropped++
-			}
-		}
+	case e.phase != nodeRunning:
+		e.c.net.reroute(e, tx)
+	case e.mpl.QueueLen() >= e.cfg.MaxQueue:
+		e.drop(tx.Type)
 	default:
-		target.startTx(tx, nil)
+		e.startTx(tx, nil)
+	}
+}
+
+// drop counts an arrival of type typ lost to a full input queue or an
+// unavailable cluster. Like commits and aborts, lost arrivals count only
+// inside the measurement window.
+func (e *node) drop(typ int) {
+	if e.warm {
+		e.dropped++
+		if c := e.classOf(typ); c != nil {
+			c.dropped++
+		}
+	}
+}
+
+// shedArrival counts a rerouted arrival of type typ the admission
+// controller shed.
+func (e *node) shedArrival(typ int) {
+	if e.warm {
+		e.shed++
+		if c := e.classOf(typ); c != nil {
+			c.shed++
+		}
 	}
 }
 
@@ -780,9 +721,11 @@ func (t *txRun) dispatch() {
 	case txFinish:
 		t.finish()
 	case txLockMsg:
-		t.sendLockRequest()
+		t.e.c.net.lockRequest(t)
 	case txLockSent:
-		t.deliverLockRequest()
+		if ok, decided := t.landLockRequest(t.p.Now()); decided {
+			t.onLocked(ok)
+		}
 	case txAborted:
 		t.finishAbort()
 	default:
@@ -834,8 +777,8 @@ func (t *txRun) onLocked(ok bool) {
 	}
 	acc := &t.tx.Accesses[t.i]
 	key := storage.PageKey{Partition: acc.Partition, Page: acc.Page}
-	if acc.Write {
-		t.e.c.invalidate(t.e.id, key)
+	if acc.Write && t.e.c.stride > 1 {
+		t.e.c.net.invalidate(t.e, key)
 	}
 	t.start = t.p.Now()
 	t.state = txFixed

@@ -79,11 +79,10 @@ type pdesMsg struct {
 	seq    uint64
 	arrive sim.Time
 
-	// Lock traffic.
-	t    *txRun // requesting transaction
-	txn  cc.TxnID
-	g    cc.Granule
-	mode cc.Mode
+	// Lock traffic: the requesting transaction, whose pending request
+	// (t.g, t.mode) stays fixed until its verdict, or the releasing one.
+	t   *txRun
+	txn cc.TxnID
 
 	// Coherence / shared-cache traffic.
 	key   storage.PageKey
@@ -94,11 +93,11 @@ type pdesMsg struct {
 	tx workload.Tx
 }
 
-// pdesState is the coordinator of a parallel cluster run: the per-node
-// kernels, the in-flight messages and the worker pool.
+// pdesState is the coordinator of a parallel cluster run and the
+// interconnect of its nodes: the in-flight messages, the residency table
+// and the worker pool over the per-node kernels.
 type pdesState struct {
 	c         *cluster
-	kernels   []*sim.Sim
 	lookahead sim.Time
 	workers   int
 
@@ -143,33 +142,79 @@ type pdesState struct {
 // runs.
 var pdesBroadcast = false
 
-// newPDES builds the per-node kernels and (for Workers > 1) the persistent
-// worker pool. lookahead must be positive — it is the resolved message
-// latency floor of the cluster.
-func newPDES(c *cluster, numNodes int, lookahead sim.Time, workers int) *pdesState {
+// newPDES builds the parallel engine for the nodes nodeCfgs describes: one
+// kernel per node, the message latencies and the lookahead, the residency
+// table and (for Workers > 1) the persistent worker pool. The cluster's
+// shared NVEM cache, if any, must already exist.
+func newPDES(c *cluster, nodeCfgs []Config, opts clusterOpts) *pdesState {
+	numNodes := len(nodeCfgs)
+	workers := opts.pdes.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > numNodes {
 		workers = numNodes
 	}
+	// Lock traffic, invalidations and reroutes travel at the lock-message
+	// latency. With a shared NVEM cache, coherence traffic instead travels
+	// at the NVEM access latency, and the barrier horizon is the smaller
+	// of the two (no message may arrive inside the window that sent it).
+	lockDelay := sim.Time(opts.lockMsgDelay)
 	pd := &pdesState{
 		c:         c,
-		lookahead: lookahead,
-		lockDelay: lookahead,
-		cohDelay:  lookahead,
+		lookahead: lockDelay,
+		lockDelay: lockDelay,
+		cohDelay:  lockDelay,
 		workers:   workers,
-		kernels:   make([]*sim.Sim, numNodes),
 		outboxes:  make([][]pdesMsg, numNodes),
 		seqs:      make([]uint64, numNodes),
 	}
-	for i := range pd.kernels {
-		pd.kernels[i] = sim.New()
+	if c.shared != nil {
+		pd.cohDelay = sim.Time(opts.nvemAccessDelay)
+		pd.lookahead = min(lockDelay, pd.cohDelay)
+	}
+	c.kernels = make([]*sim.Sim, numNodes)
+	for i := range c.kernels {
+		c.kernels[i] = sim.New()
+	}
+	if !pdesBroadcast {
+		// The residency table covers every frame Invalidate looks in: main
+		// memory, plus the private NVEM cache when there is no shared one.
+		frames := 0
+		for i := range nodeCfgs {
+			f := nodeCfgs[i].Buffer.BufferSize
+			if c.shared == nil {
+				f += nodeCfgs[i].Buffer.NVEMCacheSize
+			}
+			frames = max(frames, f)
+		}
+		pd.residency = buffer.NewResidency(numNodes, frames)
 	}
 	if pd.workers > 1 {
-		pd.barrier = newPDESBarrier(pd.kernels, pd.workers)
+		pd.barrier = newPDESBarrier(c.kernels, pd.workers)
 	}
 	return pd
+}
+
+// attach gives node n its inbox and builds its buffer manager: a shared
+// NVEM cache is reached only over the lookahead interconnect, and the
+// coordinator applies its operations at barriers. The residency table
+// tracks the pages the manager holds.
+func (pd *pdesState) attach(n *node) error {
+	n.inbox = newPDESInbox(n)
+	var bus buffer.RemoteNVEMCache
+	if pd.c.shared != nil {
+		bus = &pdesNVEMBus{pd: pd, e: n}
+	}
+	bm, err := n.newBuffer(bus)
+	if err != nil {
+		return err
+	}
+	n.bm = bm
+	if pd.residency != nil {
+		bm.Track(pd.residency, n.id, n.inbox.inserted)
+	}
+	return nil
 }
 
 // stop shuts the worker pool down (idempotent).
@@ -209,7 +254,7 @@ func (pd *pdesState) runWindow(w sim.Time) {
 		pd.barrier.runWindow(w)
 		return
 	}
-	for _, k := range pd.kernels {
+	for _, k := range pd.c.kernels {
 		k.Run(w)
 	}
 }
@@ -225,43 +270,36 @@ func (pd *pdesState) send(m pdesMsg) {
 	pd.pending.Add(1)
 }
 
-// sendLockReq ships t's pending lock request to the global lock manager;
-// the verdict materializes at the message's arrival.
-func (pd *pdesState) sendLockReq(t *txRun) {
+// lockRequest ships t's pending lock request to the global lock manager;
+// the verdict materializes one round trip (LockMsgDelayMS) later, at the
+// message's arrival.
+func (pd *pdesState) lockRequest(t *txRun) {
 	e := t.e
-	pd.send(pdesMsg{kind: pdesLockReq, from: e.id, arrive: e.s.Now() + pd.lockDelay,
-		t: t, txn: t.txn, g: t.g, mode: t.mode})
+	pd.send(pdesMsg{kind: pdesLockReq, from: e.id, arrive: e.s.Now() + pd.lockDelay, t: t})
 }
 
-// sendLockRelease ships a one-way release of every lock txn holds.
-func (pd *pdesState) sendLockRelease(e *node, txn cc.TxnID) {
+// lockRelease ships a one-way release of every lock txn holds: the locks
+// drop when it lands at the manager.
+func (pd *pdesState) lockRelease(e *node, txn cc.TxnID) {
 	pd.send(pdesMsg{kind: pdesLockRelease, from: e.id, arrive: e.s.Now() + pd.lockDelay, txn: txn})
 }
 
-// sendInvalidate ships a write-invalidation of key; the coordinator applies
-// it to the peers at the next barrier (invalidate).
-func (pd *pdesState) sendInvalidate(e *node, key storage.PageKey) {
+// lockGrant wakes a waiter the global manager granted while a release
+// message was applied at a barrier: it resumes at that message's arrival
+// instant.
+func (pd *pdesState) lockGrant(e *node, k func()) { e.inbox.deliver(pd.msgTime, k) }
+
+// invalidate ships a write-invalidation of key; the coordinator applies it
+// to the peers at the next barrier (applyInvalidate).
+func (pd *pdesState) invalidate(e *node, key storage.PageKey) {
 	pd.send(pdesMsg{kind: pdesInvalidate, from: e.id, arrive: e.s.Now() + pd.cohDelay, key: key})
 }
 
-// sendReroute ships an arrival that hit a non-running node to the
-// coordinator; the reconnect decision needs cluster-wide state (survivor
-// phases, queue lengths) and is taken at the barrier.
-func (pd *pdesState) sendReroute(e *node, tx workload.Tx) {
+// reroute ships an arrival that hit a non-running node to the coordinator;
+// the reconnect decision needs cluster-wide state (survivor phases, queue
+// lengths) and is taken at the barrier.
+func (pd *pdesState) reroute(e *node, tx workload.Tx) {
 	pd.send(pdesMsg{kind: pdesReroute, from: e.id, arrive: e.s.Now() + pd.lockDelay, tx: tx})
-}
-
-// sendNVEMProbe ships a shared-NVEM-cache lookup; the verdict (and, under
-// NOFORCE, the promoted copy's dirty bit) materializes at the message's
-// arrival on the requesting node.
-func (pd *pdesState) sendNVEMProbe(e *node, key storage.PageKey, nk func(hit, dirty bool)) {
-	pd.send(pdesMsg{kind: pdesNVEMProbe, from: e.id, arrive: e.s.Now() + pd.cohDelay, key: key, nk: nk})
-}
-
-// sendNVEMPut ships a one-way page insert into the shared NVEM cache
-// (victim migration, FORCE destage, or a coherence hand-off).
-func (pd *pdesState) sendNVEMPut(e *node, key storage.PageKey, dirty bool) {
-	pd.send(pdesMsg{kind: pdesNVEMPut, from: e.id, arrive: e.s.Now() + pd.cohDelay, key: key, dirty: dirty})
 }
 
 // deliver merges every outbox and applies the batch in (arrive, from, seq)
@@ -310,54 +348,22 @@ func (pd *pdesState) dispatch(m *pdesMsg) {
 	pd.msgTime = m.arrive
 	switch m.kind {
 	case pdesLockReq:
-		e := c.nodes[m.from]
-		if c.trackActive {
-			// The sender crashed while the request was in flight: the
-			// transaction is dead and its locks already released; the
-			// request must not reach the manager (see acquireLock).
-			if _, alive := e.active[m.txn]; !alive {
-				return
-			}
-		}
-		switch c.glocks.AcquireFrom(m.from, m.txn, m.g, m.mode) {
-		case cc.Granted:
-			e.inbox.verdict(m.arrive, m.t, true)
-		case cc.Wait:
-			// Registered here, not via a kernel event: a release in the
-			// same batch may grant this transaction before its kernel
-			// runs again, and the grant must find the waiter. The wait
-			// counts from the request's arrival.
-			m.t.waitStart = m.arrive
-			e.waiting[m.txn] = m.t.granted
-		default: // cc.Deadlock
-			e.inbox.verdict(m.arrive, m.t, false)
+		// A queued request registers as a waiter here, not via a kernel
+		// event: a release in the same batch may grant it before its
+		// kernel runs again, and the grant must find the waiter.
+		if ok, decided := m.t.landLockRequest(m.arrive); decided {
+			m.t.e.inbox.verdict(m.arrive, m.t, ok)
 		}
 	case pdesLockRelease:
-		// Grant cascades fire c.glocks' callback synchronously; the PDES
-		// branch of onLockGrant timestamps them with msgTime.
+		// Grant cascades fire c.glocks' callback synchronously, and
+		// lockGrant timestamps them with msgTime.
 		c.glocks.ReleaseAllFrom(m.from, m.txn)
 	case pdesInvalidate:
-		pd.invalidate(m)
+		pd.applyInvalidate(m)
 	case pdesReroute:
-		// Same decision chain as the coupled rerouter (admitArrival),
-		// taken at the barrier where survivor state is coherent. Drops
-		// and sheds count against the node whose arrival it was.
-		e := c.nodes[m.from]
-		target := c.reroute()
-		switch {
-		case target == nil:
-			if e.warm {
-				e.dropped++
-			}
-		case c.shedReroute(target):
-			if e.warm {
-				e.shed++
-			}
-		case target.mpl.QueueLen() >= target.cfg.MaxQueue:
-			if e.warm {
-				e.dropped++
-			}
-		default:
+		// The decision is taken at the barrier, where survivor state is
+		// coherent.
+		if target := c.rerouteTarget(c.nodes[m.from], m.tx.Type); target != nil {
 			target.inbox.deliver(m.arrive, target.newTx(m.tx, nil).begin)
 		}
 	case pdesNVEMProbe:
@@ -378,8 +384,8 @@ func (pd *pdesState) dispatch(m *pdesMsg) {
 	}
 }
 
-// invalidate applies a write-invalidation: each peer that holds the page
-// now gets the invalidation as a kernel event; every other peer only
+// applyInvalidate applies a write-invalidation: each peer that holds the
+// page now gets the invalidation as a kernel event; every other peer only
 // reserves the kernel slot the event would take, and the slot becomes an
 // event if the page enters the peer's buffer before the slot comes up
 // (pdesInbox.inserted). An invalidation that finds no copy changes nothing
@@ -387,7 +393,7 @@ func (pd *pdesState) dispatch(m *pdesMsg) {
 // (at, seq), so the kernels fire the same effective events as under a
 // broadcast. A zero residency count proves a peer lacks the page; a
 // nonzero one is confirmed by Holds.
-func (pd *pdesState) invalidate(m *pdesMsg) {
+func (pd *pdesState) applyInvalidate(m *pdesMsg) {
 	var row []uint16
 	if pd.residency != nil {
 		row = pd.residency.Row(m.key)
@@ -410,12 +416,17 @@ type pdesNVEMBus struct {
 	e  *node
 }
 
+// Probe ships a shared-NVEM-cache lookup; the verdict (and, under
+// NOFORCE, the promoted copy's dirty bit) materializes at the message's
+// arrival on the requesting node.
 func (b *pdesNVEMBus) Probe(key storage.PageKey, k func(hit, dirty bool)) {
-	b.pd.sendNVEMProbe(b.e, key, k)
+	b.pd.send(pdesMsg{kind: pdesNVEMProbe, from: b.e.id, arrive: b.e.s.Now() + b.pd.cohDelay, key: key, nk: k})
 }
 
+// Put ships a one-way page insert into the shared NVEM cache (victim
+// migration, FORCE destage, or a coherence hand-off).
 func (b *pdesNVEMBus) Put(key storage.PageKey, dirty bool) {
-	b.pd.sendNVEMPut(b.e, key, dirty)
+	b.pd.send(pdesMsg{kind: pdesNVEMPut, from: b.e.id, arrive: b.e.s.Now() + b.pd.cohDelay, key: key, dirty: dirty})
 }
 
 // pdesInbox is one node's end of barrier delivery. The coordinator turns a

@@ -265,10 +265,8 @@ func quietPDES(t *testing.T, nodes int) (c *cluster, window func(), busy func() 
 		globalLocks:     true,
 		instrLockMsg:    DefaultInstrLockMsg,
 		lockMsgDelay:    DefaultLockMsgDelayMS,
-		pdes:            cfg.PDES,
-		pdesLookahead:   DefaultLockMsgDelayMS,
-		pdesLockDelay:   DefaultLockMsgDelayMS,
 		nvemAccessDelay: cfg.NVEMAccessDelayMS,
+		pdes:            cfg.PDES,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +274,7 @@ func quietPDES(t *testing.T, nodes int) (c *cluster, window func(), busy func() 
 	for _, n := range c.nodes {
 		n.stopArrivals = true // the test's traffic is the only traffic
 	}
-	pd := c.pdes
+	pd := c.net.(*pdesState)
 	now := sim.Time(0)
 	window = func() {
 		pd.deliver()
@@ -284,7 +282,7 @@ func quietPDES(t *testing.T, nodes int) (c *cluster, window func(), busy func() 
 		pd.runWindow(now)
 	}
 	busy = func() bool {
-		for _, k := range pd.kernels {
+		for _, k := range c.kernels {
 			if k.Pending() > 0 {
 				return true
 			}
@@ -321,7 +319,7 @@ func lateRecords(c *cluster) int {
 // event.
 func TestPDESBarrierDeliveryZeroAlloc(t *testing.T) {
 	c, window, busy := quietPDES(t, 4)
-	pd := c.pdes
+	pd := c.net.(*pdesState)
 
 	// Transactions x (node 1) and y (node 2) contend for two granules. Both
 	// are marked dead, so their verdicts resume into nothing and the cycle
@@ -332,7 +330,7 @@ func TestPDESBarrierDeliveryZeroAlloc(t *testing.T) {
 	g1, g2 := cc.Granule{ID: 1}, cc.Granule{ID: 2}
 	request := func(tx *txRun, g cc.Granule) {
 		tx.g, tx.mode = g, cc.Write
-		pd.sendLockReq(tx)
+		pd.lockRequest(tx)
 	}
 	// Node 3 fixes two pages through the shared cache, then node 0 writes
 	// both: the written page is handed off into the shared cache and hits
@@ -359,15 +357,15 @@ func TestPDESBarrierDeliveryZeroAlloc(t *testing.T) {
 		request(x, g2) // queues behind y
 		request(y, g1) // closes the wait-for cycle: deadlock
 		window()
-		pd.sendLockRelease(c.nodes[2], y.txn) // grants x's queued request
+		pd.lockRelease(c.nodes[2], y.txn) // grants x's queued request
 		window()
-		pd.sendLockRelease(c.nodes[1], x.txn)
+		pd.lockRelease(c.nodes[1], x.txn)
 		for fixes < 2 {
 			window()
 		}
-		pd.sendInvalidate(c.nodes[0], hot)
-		pd.sendInvalidate(c.nodes[0], cold)
-		pd.sendInvalidate(c.nodes[0], late)
+		pd.invalidate(c.nodes[0], hot)
+		pd.invalidate(c.nodes[0], cold)
+		pd.invalidate(c.nodes[0], late)
 		window() // the barrier reserves slots; the invalidations land later
 		n2.bm.Fix(p2, late, false, fixed)
 		for busy() {
@@ -414,7 +412,7 @@ func TestPDESLateInsertInvalidated(t *testing.T) {
 
 		// Sent at 0, the invalidation lands at 0.15; the barrier at 0 finds
 		// no holder. Node 1 fixes the page at 0.05, between the two.
-		c.pdes.sendInvalidate(c.nodes[0], page)
+		c.net.invalidate(c.nodes[0], page)
 		p := n1.s.NewProcess("reader")
 		n1.s.Schedule(0.05, func() { n1.bm.Fix(p, page, false, func() {}) })
 		window()
@@ -442,7 +440,7 @@ func TestPDESInsertAfterSlotCreatesNoEvent(t *testing.T) {
 	c, window, busy := quietPDES(t, 3)
 	n1 := c.nodes[1]
 	page := storage.PageKey{Partition: 0, Page: 7}
-	c.pdes.sendInvalidate(c.nodes[0], page) // lands at 0.15
+	c.net.invalidate(c.nodes[0], page) // lands at 0.15
 	window()
 	window() // both kernels now stand at 0.2
 	if watched(n1) != 1 {
@@ -555,7 +553,7 @@ func TestPDESResidencyMatchesRecount(t *testing.T) {
 			t.Fatalf("node %d holds %d MM and %d NVEM pages; the recount is vacuous",
 				n.id, n.bm.MMLen(), n.bm.NVEMCacheLen())
 		}
-		if err := n.bm.VerifyResidency(c.pdes.residency, n.id); err != nil {
+		if err := n.bm.VerifyResidency(c.net.(*pdesState).residency, n.id); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -67,24 +67,12 @@ func (c *cluster) phases() []phaseStep {
 	return steps
 }
 
-// runPhases executes the schedule: every event up to each boundary fires
-// before the boundary's transition runs (events exactly at the boundary
-// included), exactly like the former monolithic warmup→measure flow.
-// Under PDES the parallel coordinator advances the per-node kernels in
-// lookahead windows between the same boundaries (pdes.go).
-func (c *cluster) runPhases() {
-	steps := c.phases()
-	if c.pdes != nil {
-		c.pdes.run(steps)
-		return
-	}
-	for _, st := range steps {
-		c.s.Run(st.at)
-		if st.run != nil {
-			st.run()
-		}
-	}
-}
+// runPhases executes the schedule on the interconnect: every event up to
+// each boundary fires before the boundary's transition runs (events
+// exactly at the boundary included). The coupled engine runs its kernel
+// to each boundary; the parallel coordinator advances the per-node
+// kernels in lookahead windows between the same boundaries (pdes.go).
+func (c *cluster) runPhases() { c.net.run(c.phases()) }
 
 // openWindow starts the measurement window on every node and baselines
 // the cluster-wide counters.

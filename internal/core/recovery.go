@@ -104,7 +104,7 @@ func MeasureRestart(cfg Config, rebootMS float64) (*Result, error) {
 	n.stopArrivals = true
 	n.bm.StopCheckpoints()
 	n.crashNow(rebootMS)
-	c.s.RunAll()
+	n.s.RunAll()
 	res.Restart = n.restartReport()
 	c.finish()
 	return res, nil

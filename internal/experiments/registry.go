@@ -5,6 +5,8 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 // Experiment is one reproducible unit of the paper's evaluation.
@@ -14,332 +16,81 @@ type Experiment struct {
 	Run   func(o Options) (string, error)
 }
 
+// renderer is a figure or table an experiment produces.
+type renderer interface{ Render() string }
+
+// one, two and three adapt an experiment function that returns that many
+// renderers to Experiment.Run: the output is their renderings in order,
+// joined by "\n".
+func one[A renderer](f func(Options) (A, error)) func(Options) (string, error) {
+	return func(o Options) (string, error) {
+		a, err := f(o)
+		if err != nil {
+			return "", err
+		}
+		return a.Render(), nil
+	}
+}
+
+func two[A, B renderer](f func(Options) (A, B, error)) func(Options) (string, error) {
+	return func(o Options) (string, error) {
+		a, b, err := f(o)
+		if err != nil {
+			return "", err
+		}
+		return a.Render() + "\n" + b.Render(), nil
+	}
+}
+
+func three[A, B, C renderer](f func(Options) (A, B, C, error)) func(Options) (string, error) {
+	return func(o Options) (string, error) {
+		a, b, c, err := f(o)
+		if err != nil {
+			return "", err
+		}
+		return a.Render() + "\n" + b.Render() + "\n" + c.Render(), nil
+	}
+}
+
+// table42 binds Table42's update strategy.
+func table42(force bool) func(Options) (*stats.Table, error) {
+	return func(o Options) (*stats.Table, error) { return Table42(o, force) }
+}
+
 // All returns every experiment, sorted by name.
 func All() []Experiment {
 	exps := []Experiment{
-		{
-			Name:  "fig4.1",
-			Title: "Influence of log file allocation (Debit-Credit, NOFORCE)",
-			Run: func(o Options) (string, error) {
-				fig, err := Fig41(o)
-				if err != nil {
-					return "", err
-				}
-				return fig.Render(), nil
-			},
-		},
-		{
-			Name:  "fig4.2",
-			Title: "Impact of database allocation (Debit-Credit, NOFORCE)",
-			Run: func(o Options) (string, error) {
-				fig, err := Fig42(o)
-				if err != nil {
-					return "", err
-				}
-				return fig.Render(), nil
-			},
-		},
-		{
-			Name:  "fig4.3",
-			Title: "FORCE vs. NOFORCE update strategy (Debit-Credit)",
-			Run: func(o Options) (string, error) {
-				fig, err := Fig43(o)
-				if err != nil {
-					return "", err
-				}
-				return fig.Render(), nil
-			},
-		},
-		{
-			Name:  "fig4.4",
-			Title: "Impact of caching for different main-memory buffer sizes (NOFORCE, 500 TPS)",
-			Run: func(o Options) (string, error) {
-				fig, err := Fig44(o)
-				if err != nil {
-					return "", err
-				}
-				return fig.Render(), nil
-			},
-		},
-		{
-			Name:  "table4.2a",
-			Title: "MM and 2nd-level cache hit ratios, NOFORCE",
-			Run: func(o Options) (string, error) {
-				tbl, err := Table42(o, false)
-				if err != nil {
-					return "", err
-				}
-				return tbl.Render(), nil
-			},
-		},
-		{
-			Name:  "table4.2b",
-			Title: "MM and 2nd-level cache hit ratios, FORCE",
-			Run: func(o Options) (string, error) {
-				tbl, err := Table42(o, true)
-				if err != nil {
-					return "", err
-				}
-				return tbl.Render(), nil
-			},
-		},
-		{
-			Name:  "fig4.5",
-			Title: "Impact of 2nd-level buffer size (NOFORCE, 500 TPS, MM=500)",
-			Run: func(o Options) (string, error) {
-				resp, hits, err := Fig45(o)
-				if err != nil {
-					return "", err
-				}
-				return resp.Render() + "\n" + hits.Render(), nil
-			},
-		},
-		{
-			Name:  "fig4.6",
-			Title: "Main-memory buffer size for the real-life trace workload",
-			Run: func(o Options) (string, error) {
-				fig, err := Fig46(o)
-				if err != nil {
-					return "", err
-				}
-				return fig.Render(), nil
-			},
-		},
-		{
-			Name:  "fig4.7",
-			Title: "2nd-level buffer size for the real-life trace workload",
-			Run: func(o Options) (string, error) {
-				fig, err := Fig47(o)
-				if err != nil {
-					return "", err
-				}
-				return fig.Render(), nil
-			},
-		},
-		{
-			Name:  "fig4.8",
-			Title: "Page- vs. object-locking under lock contention",
-			Run: func(o Options) (string, error) {
-				fig, err := Fig48(o)
-				if err != nil {
-					return "", err
-				}
-				return fig.Render(), nil
-			},
-		},
-		{
-			Name:  "table2.1",
-			Title: "Storage prices / access times and cost-effectiveness",
-			Run:   Table21,
-		},
-		{
-			Name:  "ablation.group-commit",
-			Title: "Group commit vs. NV memory on a single log disk",
-			Run: func(o Options) (string, error) {
-				fig, err := AblationGroupCommit(o)
-				if err != nil {
-					return "", err
-				}
-				return fig.Render(), nil
-			},
-		},
-		{
-			Name:  "ablation.async-replacement",
-			Title: "Asynchronous buffer replacement vs. write buffer",
-			Run: func(o Options) (string, error) {
-				fig, err := AblationAsyncReplacement(o)
-				if err != nil {
-					return "", err
-				}
-				return fig.Render(), nil
-			},
-		},
-		{
-			Name:  "ablation.migration-modes",
-			Title: "NVEM cache migration modes on the trace workload",
-			Run: func(o Options) (string, error) {
-				fig, err := AblationMigrationModes(o)
-				if err != nil {
-					return "", err
-				}
-				return fig.Render(), nil
-			},
-		},
-		{
-			Name:  "ablation.destage-policy",
-			Title: "Immediate vs. deferred NVEM→disk propagation under FORCE",
-			Run:   AblationDestagePolicy,
-		},
-		{
-			Name:  "ablation.clustering",
-			Title: "BRANCH/TELLER clustering vs. separate record types",
-			Run:   AblationClustering,
-		},
-		{
-			Name:  "recovery.restart",
-			Title: "Restart time after a crash vs. log/database placement",
-			Run: func(o Options) (string, error) {
-				tbl, err := RecoveryRestart(o)
-				if err != nil {
-					return "", err
-				}
-				return tbl.Render(), nil
-			},
-		},
-		{
-			Name:  "recovery.checkpoint",
-			Title: "Fuzzy-checkpoint interval: runtime overhead vs. restart time",
-			Run: func(o Options) (string, error) {
-				resp, restart, err := RecoveryCheckpoint(o)
-				if err != nil {
-					return "", err
-				}
-				return resp.Render() + "\n" + restart.Render(), nil
-			},
-		},
-		{
-			Name:  "recovery.availability",
-			Title: "Cluster throughput dip and ramp-back around a node crash (shared vs. private NVEM)",
-			Run: func(o Options) (string, error) {
-				fig, tbl, err := RecoveryAvailability(o)
-				if err != nil {
-					return "", err
-				}
-				return fig.Render() + "\n" + tbl.Render(), nil
-			},
-		},
-		{
-			Name:  "workload.burstiness",
-			Title: "Response time vs. MMPP burst coefficient at fixed mean TPS",
-			Run: func(o Options) (string, error) {
-				resp, p95, err := WorkloadBurstiness(o)
-				if err != nil {
-					return "", err
-				}
-				return resp.Render() + "\n" + p95.Render(), nil
-			},
-		},
-		{
-			Name:  "workload.spike-crash",
-			Title: "Crash-coincident load spike: recovery-aware admission control on vs. off",
-			Run: func(o Options) (string, error) {
-				fig, tbl, err := WorkloadSpikeCrash(o)
-				if err != nil {
-					return "", err
-				}
-				return fig.Render() + "\n" + tbl.Render(), nil
-			},
-		},
-		{
-			Name:  "workload.diurnal",
-			Title: "Diurnal (sinusoidal) rate modulation over a long window",
-			Run: func(o Options) (string, error) {
-				resp, p95, err := WorkloadDiurnal(o)
-				if err != nil {
-					return "", err
-				}
-				return resp.Render() + "\n" + p95.Render(), nil
-			},
-		},
-		{
-			Name:  "workload.skew",
-			Title: "Access skew (Zipf / hot-spot) vs. NVEM second-level cache size",
-			Run: func(o Options) (string, error) {
-				resp, hits, err := WorkloadSkew(o)
-				if err != nil {
-					return "", err
-				}
-				return resp.Render() + "\n" + hits.Render(), nil
-			},
-		},
-		{
-			Name:  "workload.multiclass",
-			Title: "Multi-class mix: batch scans vs. short updates sharing the buffer",
-			Run: func(o Options) (string, error) {
-				fig, tbl, err := WorkloadMulticlass(o)
-				if err != nil {
-					return "", err
-				}
-				return fig.Render() + "\n" + tbl.Render(), nil
-			},
-		},
-		{
-			Name:  "workload.closedloop",
-			Title: "Closed-loop terminals: response-time knee vs. terminal count",
-			Run: func(o Options) (string, error) {
-				resp, tput, wait, err := WorkloadClosedLoop(o)
-				if err != nil {
-					return "", err
-				}
-				return resp.Render() + "\n" + tput.Render() + "\n" + wait.Render(), nil
-			},
-		},
-		{
-			Name:  "workload.replay",
-			Title: "Recorded rate-timeline replay vs. Poisson at equal mean rate",
-			Run: func(o Options) (string, error) {
-				tbl, err := WorkloadReplay(o)
-				if err != nil {
-					return "", err
-				}
-				return tbl.Render(), nil
-			},
-		},
-		{
-			Name:  "cluster.scaleout",
-			Title: "Multi-node scale-out at fixed aggregate load (shared NVEM vs. disk-only)",
-			Run: func(o Options) (string, error) {
-				resp, hits, err := ClusterScaleout(o)
-				if err != nil {
-					return "", err
-				}
-				return resp.Render() + "\n" + hits.Render(), nil
-			},
-		},
-		{
-			Name:  "cluster.scaleout64",
-			Title: "64-node scale-up under the conservative parallel engine (PDES)",
-			Run: func(o Options) (string, error) {
-				resp, tput, err := ClusterScaleout64(o)
-				if err != nil {
-					return "", err
-				}
-				return resp.Render() + "\n" + tput.Render(), nil
-			},
-		},
-		{
-			Name:  "cluster.scaleout256",
-			Title: "256-node scale-up under PDES: shared vs. private NVEM cache coherence",
-			Run: func(o Options) (string, error) {
-				resp, tput, err := ClusterScaleout256(o)
-				if err != nil {
-					return "", err
-				}
-				return resp.Render() + "\n" + tput.Render(), nil
-			},
-		},
-		{
-			Name:  "cluster.allocation",
-			Title: "Shared vs. private NVEM caches on a 4-node data-sharing cluster",
-			Run: func(o Options) (string, error) {
-				fig, err := ClusterAllocation(o)
-				if err != nil {
-					return "", err
-				}
-				return fig.Render(), nil
-			},
-		},
-		{
-			Name:  "cluster.locking",
-			Title: "Global vs. local locking under contention (2-node data sharing)",
-			Run: func(o Options) (string, error) {
-				resp, msgs, err := ClusterLocking(o)
-				if err != nil {
-					return "", err
-				}
-				return resp.Render() + "\n" + msgs.Render(), nil
-			},
-		},
+		{"fig4.1", "Influence of log file allocation (Debit-Credit, NOFORCE)", one(Fig41)},
+		{"fig4.2", "Impact of database allocation (Debit-Credit, NOFORCE)", one(Fig42)},
+		{"fig4.3", "FORCE vs. NOFORCE update strategy (Debit-Credit)", one(Fig43)},
+		{"fig4.4", "Impact of caching for different main-memory buffer sizes (NOFORCE, 500 TPS)", one(Fig44)},
+		{"table4.2a", "MM and 2nd-level cache hit ratios, NOFORCE", one(table42(false))},
+		{"table4.2b", "MM and 2nd-level cache hit ratios, FORCE", one(table42(true))},
+		{"fig4.5", "Impact of 2nd-level buffer size (NOFORCE, 500 TPS, MM=500)", two(Fig45)},
+		{"fig4.6", "Main-memory buffer size for the real-life trace workload", one(Fig46)},
+		{"fig4.7", "2nd-level buffer size for the real-life trace workload", one(Fig47)},
+		{"fig4.8", "Page- vs. object-locking under lock contention", one(Fig48)},
+		{"table2.1", "Storage prices / access times and cost-effectiveness", Table21},
+		{"ablation.group-commit", "Group commit vs. NV memory on a single log disk", one(AblationGroupCommit)},
+		{"ablation.async-replacement", "Asynchronous buffer replacement vs. write buffer", one(AblationAsyncReplacement)},
+		{"ablation.migration-modes", "NVEM cache migration modes on the trace workload", one(AblationMigrationModes)},
+		{"ablation.destage-policy", "Immediate vs. deferred NVEM→disk propagation under FORCE", AblationDestagePolicy},
+		{"ablation.clustering", "BRANCH/TELLER clustering vs. separate record types", AblationClustering},
+		{"recovery.restart", "Restart time after a crash vs. log/database placement", one(RecoveryRestart)},
+		{"recovery.checkpoint", "Fuzzy-checkpoint interval: runtime overhead vs. restart time", two(RecoveryCheckpoint)},
+		{"recovery.availability", "Cluster throughput dip and ramp-back around a node crash (shared vs. private NVEM)", two(RecoveryAvailability)},
+		{"workload.burstiness", "Response time vs. MMPP burst coefficient at fixed mean TPS", two(WorkloadBurstiness)},
+		{"workload.spike-crash", "Crash-coincident load spike: recovery-aware admission control on vs. off", two(WorkloadSpikeCrash)},
+		{"workload.diurnal", "Diurnal (sinusoidal) rate modulation over a long window", two(WorkloadDiurnal)},
+		{"workload.skew", "Access skew (Zipf / hot-spot) vs. NVEM second-level cache size", two(WorkloadSkew)},
+		{"workload.multiclass", "Multi-class mix: batch scans vs. short updates sharing the buffer", two(WorkloadMulticlass)},
+		{"workload.closedloop", "Closed-loop terminals: response-time knee vs. terminal count", three(WorkloadClosedLoop)},
+		{"workload.replay", "Recorded rate-timeline replay vs. Poisson at equal mean rate", one(WorkloadReplay)},
+		{"cluster.scaleout", "Multi-node scale-out at fixed aggregate load (shared NVEM vs. disk-only)", two(ClusterScaleout)},
+		{"cluster.scaleout64", "64-node scale-up under the conservative parallel engine (PDES)", two(ClusterScaleout64)},
+		{"cluster.scaleout256", "256-node scale-up under PDES: shared vs. private NVEM cache coherence", two(ClusterScaleout256)},
+		{"cluster.allocation", "Shared vs. private NVEM caches on a 4-node data-sharing cluster", one(ClusterAllocation)},
+		{"cluster.locking", "Global vs. local locking under contention (2-node data sharing)", two(ClusterLocking)},
 	}
 	sort.Slice(exps, func(i, j int) bool { return exps[i].Name < exps[j].Name })
 	return exps

@@ -65,14 +65,24 @@ const (
 	viaReserve           // Deliver, or Reserve + DeliverReserved
 )
 
-// propRun drives one randomized program on a fresh kernel and checks all
-// three properties.
-func propRun(t *testing.T, seed int64, kind QueueKind, mode propMode) propTrace {
+// queueKinds are the two event queues a kernel runs on: the calendar queue
+// New builds, and the binary heap it is checked against.
+var queueKinds = []struct {
+	name string
+	new  func() *Sim
+}{
+	{"calendar", New},
+	{"heap", func() *Sim { return &Sim{events: &eventHeap{}} }},
+}
+
+// propRun drives one randomized program on a fresh kernel from newSim and
+// checks all three properties.
+func propRun(t *testing.T, seed int64, newSim func() *Sim, mode propMode) propTrace {
 	t.Helper()
 	rnd := rand.New(rand.NewSource(seed))
 	// pick draws the reservation choices, leaving rnd's program intact.
 	pick := rand.New(rand.NewSource(-seed))
-	s := NewWithQueue(kind)
+	s := newSim()
 	res := s.NewResource("dev", 1+rnd.Intn(3))
 
 	tr := propTrace{dropped: map[int]bool{}, filled: map[int]bool{}}
@@ -247,23 +257,23 @@ func propRun(t *testing.T, seed int64, kind QueueKind, mode propMode) propTrace 
 func TestKernelProperties(t *testing.T) {
 	appended, fellBack, dropped, filled, tied := 0, 0, 0, 0, 0
 	for seed := int64(1); seed <= 100; seed++ {
-		for _, kind := range []QueueKind{QueueCalendar, QueueHeap} {
-			sched := propRun(t, seed, kind, viaSchedule)
-			lane := propRun(t, seed, kind, viaLane)
+		for _, q := range queueKinds {
+			sched := propRun(t, seed, q.new, viaSchedule)
+			lane := propRun(t, seed, q.new, viaLane)
 			if !slices.Equal(lane.fired, sched.fired) {
-				t.Fatalf("seed %d, queue %d: Deliver and Schedule fired different sequences", seed, kind)
+				t.Fatalf("seed %d, %s queue: Deliver and Schedule fired different sequences", seed, q.name)
 			}
 			if !slices.Equal(lane.pending, sched.pending) {
-				t.Fatalf("seed %d, queue %d: Pending after each cut %v with Deliver, %v with Schedule",
-					seed, kind, lane.pending, sched.pending)
+				t.Fatalf("seed %d, %s queue: Pending after each cut %v with Deliver, %v with Schedule",
+					seed, q.name, lane.pending, sched.pending)
 			}
 			appended += lane.appended
 			fellBack += lane.fellBack
 
-			res := propRun(t, seed, kind, viaReserve)
+			res := propRun(t, seed, q.new, viaReserve)
 			want := slices.DeleteFunc(slices.Clone(lane.fired), func(r trackRec) bool { return res.dropped[r.idx] })
 			if !slices.Equal(res.fired, want) {
-				t.Fatalf("seed %d, queue %d: reserved slots fired differently from Deliver", seed, kind)
+				t.Fatalf("seed %d, %s queue: reserved slots fired differently from Deliver", seed, q.name)
 			}
 			dropped += len(res.dropped)
 			filled += len(res.filled)
@@ -465,32 +475,32 @@ func TestCalendarDrainRefill(t *testing.T) {
 // late or because the queue drained early. Before the fix the drained path
 // left Now() at the last event's timestamp, under-counting window lengths.
 func TestRunDrainedClockAdvances(t *testing.T) {
-	for _, kind := range []QueueKind{QueueCalendar, QueueHeap} {
-		s := NewWithQueue(kind)
+	for _, q := range queueKinds {
+		s := q.new()
 		fired := 0
 		s.Schedule(3, func() { fired++ })
 
 		// Queue drains before until: the clock must still advance to until.
 		if got := s.Run(10); got != 10 || s.Now() != 10 {
-			t.Fatalf("kind %d: Run(10) on a draining queue: returned %v, Now()=%v, want 10", kind, got, s.Now())
+			t.Fatalf("%s queue: Run(10) on a draining queue: returned %v, Now()=%v, want 10", q.name, got, s.Now())
 		}
 		if fired != 1 {
-			t.Fatalf("kind %d: event fired %d times, want 1", kind, fired)
+			t.Fatalf("%s queue: event fired %d times, want 1", q.name, fired)
 		}
 
 		// The clock never moves backwards: a shorter Run on an empty queue
 		// keeps the later timestamp.
 		if got := s.Run(5); got != 10 || s.Now() != 10 {
-			t.Fatalf("kind %d: Run(5) after t=10: returned %v, Now()=%v, want 10", kind, got, s.Now())
+			t.Fatalf("%s queue: Run(5) after t=10: returned %v, Now()=%v, want 10", q.name, got, s.Now())
 		}
 
 		// Early exit (next event after until) still lands exactly on until.
 		s.Schedule(7, func() { fired++ })
 		if got := s.Run(12); got != 12 || s.Now() != 12 || fired != 1 {
-			t.Fatalf("kind %d: Run(12) with event at 17: returned %v, Now()=%v, fired=%d", kind, got, s.Now(), fired)
+			t.Fatalf("%s queue: Run(12) with event at 17: returned %v, Now()=%v, fired=%d", q.name, got, s.Now(), fired)
 		}
 		if got := s.RunAll(); got != 17 || fired != 2 {
-			t.Fatalf("kind %d: RunAll: returned %v, fired=%d", kind, got, fired)
+			t.Fatalf("%s queue: RunAll: returned %v, fired=%d", q.name, got, fired)
 		}
 	}
 }

@@ -38,9 +38,11 @@ type Sim struct {
 	nextPID int
 }
 
-// eventQueue is the pending-event set behind a Sim. Both implementations
-// order strictly by (at, seq), which is the kernel's determinism contract:
-// any two queues fed the same pushes produce the same pop sequence.
+// eventQueue is the pending-event set behind a Sim: the calendar queue,
+// or the plain binary heap that serves as its overflow band and as the
+// reference implementation the tests check it against. Both order strictly
+// by (at, seq), which is the kernel's determinism contract: any two queues
+// fed the same pushes produce the same pop sequence.
 type eventQueue interface {
 	Len() int
 	Push(event)
@@ -51,31 +53,9 @@ type eventQueue interface {
 	Clear()
 }
 
-// QueueKind selects the event-queue implementation backing a Sim.
-type QueueKind int
-
-const (
-	// QueueCalendar is the default: a calendar queue with O(1) amortized
-	// operations and a heap-backed far-future overflow band.
-	QueueCalendar QueueKind = iota
-	// QueueHeap is the plain binary heap — O(log n), kept as the
-	// reference implementation for differential tests.
-	QueueHeap
-)
-
 // New creates an empty simulation at time zero, backed by the calendar
 // queue.
-func New() *Sim { return NewWithQueue(QueueCalendar) }
-
-// NewWithQueue creates an empty simulation at time zero backed by the given
-// event-queue implementation. Both kinds honor the same (at, seq) ordering
-// contract, so the choice affects performance only.
-func NewWithQueue(kind QueueKind) *Sim {
-	if kind == QueueHeap {
-		return &Sim{events: &eventHeap{}}
-	}
-	return &Sim{events: newCalQueue()}
-}
+func New() *Sim { return &Sim{events: newCalQueue()} }
 
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
