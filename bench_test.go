@@ -457,6 +457,38 @@ func BenchmarkLockManager(b *testing.B) {
 	}
 }
 
+// BenchmarkLockManagerLargeTx measures one transaction that takes 1,024
+// distinct page locks across several partitions, in shuffled order, and then
+// releases them all: the shape of the real-life trace's long queries, where
+// a request's cost must not grow with the number of locks already held. The
+// warm-up transaction builds the lock table and freelists, so a
+// one-iteration run measures the recycled steady state the alloc gate pins.
+func BenchmarkLockManagerLargeTx(b *testing.B) {
+	b.ReportAllocs()
+	const locks = 1024
+	gs := make([]cc.Granule, locks)
+	for i := range gs {
+		gs[i] = cc.Granule{Partition: i % 13, ID: int64(i)}
+	}
+	s := rng.NewStream(1, "bench-large-tx")
+	for i := len(gs) - 1; i > 0; i-- {
+		j := s.Intn(i + 1)
+		gs[i], gs[j] = gs[j], gs[i]
+	}
+	m := cc.NewManager(nil)
+	tx := func(txn cc.TxnID) {
+		for _, g := range gs {
+			m.Acquire(txn, g, cc.Read)
+		}
+		m.ReleaseAll(txn)
+	}
+	tx(-1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx(cc.TxnID(i))
+	}
+}
+
 // BenchmarkLRU measures the cache structure under a skewed access mix.
 func BenchmarkLRU(b *testing.B) {
 	c := lru.New[int64, bool](2000)

@@ -6,7 +6,11 @@
 // partition by the engine.
 package cc
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // TxnID identifies a transaction for locking purposes.
 type TxnID int64
@@ -87,25 +91,27 @@ func (e *lockEntry) compatible(txn TxnID, mode Mode) bool {
 	return true
 }
 
-// holds reports whether txn is among the entry's holders.
-func (e *lockEntry) holds(txn TxnID) bool {
+// heldMode returns txn's hold on the entry, if any.
+func (e *lockEntry) heldMode(txn TxnID) (Mode, bool) {
 	for _, h := range e.holders {
 		if h.txn == txn {
-			return true
+			return h.mode, true
 		}
 	}
-	return false
+	return 0, false
 }
 
-// setHolder grants or upgrades txn's hold on the entry.
-func (e *lockEntry) setHolder(txn TxnID, mode Mode) {
+// setHolder grants or upgrades txn's hold on the entry and reports whether
+// the hold is new (false for an upgrade).
+func (e *lockEntry) setHolder(txn TxnID, mode Mode) bool {
 	for i := range e.holders {
 		if e.holders[i].txn == txn {
 			e.holders[i].mode = mode
-			return
+			return false
 		}
 	}
 	e.holders = append(e.holders, holder{txn: txn, mode: mode})
+	return true
 }
 
 // removeHolder drops txn from the entry's holders, preserving order.
@@ -149,18 +155,18 @@ func (s Stats) Add(o Stats) Stats {
 	}
 }
 
-// heldLock records one lock a transaction holds, in acquisition order.
-type heldLock struct {
-	g    Granule
-	mode Mode
-}
-
 // Manager is the lock manager. It is engine-agnostic: when a queued request
 // is eventually granted, the onGrant callback fires (the engine uses it to
 // resume the waiting transaction's continuation).
+//
+// A request finds the caller's hold through the granule's entry, whose
+// holder set is small, so its cost does not grow with the transaction's
+// lock count. The per-transaction lists in held name the granules a
+// transaction holds, in acquisition order; they are read only at
+// ReleaseAll. A hold's mode lives in the entry alone.
 type Manager struct {
 	locks   map[Granule]*lockEntry
-	held    map[TxnID][]heldLock
+	held    map[TxnID][]Granule
 	pending map[TxnID]Granule
 	onGrant func(TxnID)
 	stats   Stats
@@ -173,7 +179,7 @@ type Manager struct {
 	// freeing poisons (under poolPoison), popping resets — see DESIGN.md
 	// §13.
 	freeEntries []*lockEntry
-	freeHeld    [][]heldLock
+	freeHeld    [][]Granule
 
 	// Reusable scratch for wouldDeadlock's wait-for-graph search.
 	dlVisited map[TxnID]bool
@@ -196,7 +202,7 @@ func SetPoolPoison(on bool) { poolPoison = on }
 func NewManager(onGrant func(TxnID)) *Manager {
 	return &Manager{
 		locks:   make(map[Granule]*lockEntry),
-		held:    make(map[TxnID][]heldLock),
+		held:    make(map[TxnID][]Granule),
 		pending: make(map[TxnID]Granule),
 		onGrant: onGrant,
 	}
@@ -205,22 +211,16 @@ func NewManager(onGrant func(TxnID)) *Manager {
 // Stats returns a copy of the counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// heldMode returns txn's hold on g, if any.
-func (m *Manager) heldMode(txn TxnID, g Granule) (Mode, bool) {
-	for _, h := range m.held[txn] {
-		if h.g == g {
-			return h.mode, true
-		}
-	}
-	return 0, false
-}
-
 // HeldCount returns how many locks txn currently holds.
 func (m *Manager) HeldCount(txn TxnID) int { return len(m.held[txn]) }
 
 // Holds reports whether txn holds g in at least the given mode.
 func (m *Manager) Holds(txn TxnID, g Granule, mode Mode) bool {
-	held, ok := m.heldMode(txn, g)
+	e := m.locks[g]
+	if e == nil {
+		return false
+	}
+	held, ok := e.heldMode(txn)
 	return ok && (held == Write || mode == Read)
 }
 
@@ -240,15 +240,14 @@ func (m *Manager) Acquire(txn TxnID, g Granule, mode Mode) Result {
 		panic(fmt.Sprintf("cc: txn %d acquiring while already waiting", txn))
 	}
 
-	held, holdsIt := m.heldMode(txn, g)
-	if holdsIt && (held == Write || mode == Read) {
-		return Granted // already sufficient
-	}
-
 	e := m.locks[g]
 	if e == nil {
 		e = m.newEntry()
 		m.locks[g] = e
+	}
+	held, holdsIt := e.heldMode(txn)
+	if holdsIt && (held == Write || mode == Read) {
+		return Granted // already sufficient
 	}
 
 	upgrade := holdsIt && held == Read && mode == Write
@@ -325,14 +324,10 @@ func (m *Manager) freeEntry(e *lockEntry) {
 
 // grant records txn as holding g in mode.
 func (m *Manager) grant(txn TxnID, g Granule, e *lockEntry, mode Mode) {
-	e.setHolder(txn, mode)
-	locks := m.held[txn]
-	for i := range locks {
-		if locks[i].g == g {
-			locks[i].mode = mode
-			return
-		}
+	if !e.setHolder(txn, mode) {
+		return // an upgrade: g is already on txn's list
 	}
+	locks := m.held[txn]
 	if locks == nil {
 		// First lock of the transaction: reuse a released list.
 		if n := len(m.freeHeld); n > 0 {
@@ -341,7 +336,7 @@ func (m *Manager) grant(txn TxnID, g Granule, e *lockEntry, mode Mode) {
 			m.freeHeld = m.freeHeld[:n-1]
 		}
 	}
-	m.held[txn] = append(locks, heldLock{g: g, mode: mode})
+	m.held[txn] = append(locks, g)
 }
 
 // ReleaseAll releases every lock txn holds (commit phase 2 or abort) and
@@ -358,23 +353,18 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 	}
 	locks := m.held[txn]
 	delete(m.held, txn)
-	// Insertion sort into granule order: lock sets are small (a handful of
-	// granules), and this avoids the sort.Slice allocation per commit.
-	for i := 1; i < len(locks); i++ {
-		for j := i; j > 0 && granuleLess(locks[j].g, locks[j-1].g); j-- {
-			locks[j], locks[j-1] = locks[j-1], locks[j]
-		}
-	}
-	for _, h := range locks {
-		e := m.locks[h.g]
+	// The list holds each granule once, so any sort yields the same order.
+	slices.SortFunc(locks, compareGranules)
+	for _, g := range locks {
+		e := m.locks[g]
 		e.removeHolder(txn)
-		m.dispatch(h.g, e)
+		m.dispatch(g, e)
 	}
 	if cap(locks) > 0 {
 		if poolPoison {
 			l := locks[:cap(locks)]
 			for i := range l {
-				l[i] = heldLock{g: Granule{Partition: -1, ID: -1}, mode: ^Mode(0)}
+				l[i] = Granule{Partition: -1, ID: -1}
 			}
 			locks = l
 		}
@@ -382,13 +372,13 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 	}
 }
 
-// granuleLess orders granules by (Partition, ID) — the deterministic lock
-// release order.
-func granuleLess(a, b Granule) bool {
-	if a.Partition != b.Partition {
-		return a.Partition < b.Partition
+// compareGranules orders granules by (Partition, ID) — the deterministic
+// lock release order.
+func compareGranules(a, b Granule) int {
+	if c := cmp.Compare(a.Partition, b.Partition); c != 0 {
+		return c
 	}
-	return a.ID < b.ID
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // removeWaiter deletes txn's queued request on g and re-dispatches (removing

@@ -3,6 +3,8 @@ package cc
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 // TestWriteGrantOrderFCFS: conflicting write requests on one granule are
@@ -179,5 +181,129 @@ func TestStatsAccumulate(t *testing.T) {
 	s := m.Stats()
 	if s.Requests != 3 || s.Upgrades != 1 || s.Conflicts != 1 {
 		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestReleaseOrderLargeLockSet: one transaction takes up to 2,000 granules
+// across several partitions in random order, re-requesting some and
+// upgrading some from Read to Write, and every granule gets one queued
+// waiter. Before release, Holds and HeldCount must agree with a recount of
+// what was requested; at release, the waiters must be granted in
+// (Partition, ID) order, one per granule.
+func TestReleaseOrderLargeLockSet(t *testing.T) {
+	s := rng.NewStream(1, "cc-large-lock-set")
+	sizes := []int{1, 2, 2000}
+	for range 4 {
+		sizes = append(sizes, 1+s.Intn(2000))
+	}
+	for _, n := range sizes {
+		var granted []TxnID
+		m := NewManager(func(txn TxnID) { granted = append(granted, txn) })
+		const holder = TxnID(1)
+
+		// n distinct granules over five partitions, in random order.
+		gs := make([]Granule, 0, n)
+		seen := make(map[Granule]bool, n)
+		for len(gs) < n {
+			gr := g(s.Intn(5), s.Int63n(1<<40))
+			if !seen[gr] {
+				seen[gr] = true
+				gs = append(gs, gr)
+			}
+		}
+		// Each granule is requested once, a fifth of them twice; the
+		// requests run shuffled, so a second request may re-request the
+		// same mode, ask for less, or upgrade Read to Write.
+		type req struct {
+			k    int
+			mode Mode
+		}
+		var reqs []req
+		for k := range gs {
+			reqs = append(reqs, req{k, Mode(s.Intn(2))})
+			if s.Bool(0.2) {
+				reqs = append(reqs, req{k, Mode(s.Intn(2))})
+			}
+		}
+		for i := len(reqs) - 1; i > 0; i-- {
+			j := s.Intn(i + 1)
+			reqs[i], reqs[j] = reqs[j], reqs[i]
+		}
+		want := make([]Mode, n)
+		taken := make([]bool, n)
+		var upgrades int64
+		for _, r := range reqs {
+			if res := m.Acquire(holder, gs[r.k], r.mode); res != Granted {
+				t.Fatalf("n=%d: uncontended request %v, want Granted", n, res)
+			}
+			if taken[r.k] && want[r.k] == Read && r.mode == Write {
+				upgrades++
+			}
+			if !taken[r.k] || r.mode == Write {
+				want[r.k] = r.mode
+			}
+			taken[r.k] = true
+		}
+		if got := m.Stats().Upgrades; got != upgrades {
+			t.Fatalf("n=%d: %d upgrades counted, want %d", n, got, upgrades)
+		}
+
+		// One conflicting waiter per granule: a reader behind a writer, a
+		// writer behind a reader or writer.
+		waiterOf := make(map[TxnID]int, n)
+		waiterMode := make([]Mode, n)
+		for k, gr := range gs {
+			w := TxnID(2 + k)
+			waiterMode[k] = Write
+			if want[k] == Write && s.Bool(0.5) {
+				waiterMode[k] = Read
+			}
+			if res := m.Acquire(w, gr, waiterMode[k]); res != Wait {
+				t.Fatalf("n=%d: conflicting waiter %v, want Wait", n, res)
+			}
+			waiterOf[w] = k
+		}
+
+		if got := m.HeldCount(holder); got != n {
+			t.Fatalf("n=%d: HeldCount = %d", n, got)
+		}
+		for k, gr := range gs {
+			if !m.Holds(holder, gr, Read) || m.Holds(holder, gr, Write) != (want[k] == Write) {
+				t.Fatalf("n=%d: Holds(%+v) disagrees with requested mode %v", n, gr, want[k])
+			}
+			if m.Holds(TxnID(2+k), gr, Read) {
+				t.Fatalf("n=%d: queued waiter holds %+v before release", n, gr)
+			}
+		}
+		if m.Holds(holder, g(5, 0), Read) {
+			t.Fatalf("n=%d: Holds reports a granule never requested", n)
+		}
+
+		m.ReleaseAll(holder)
+		if len(granted) != n {
+			t.Fatalf("n=%d: %d waiters granted, want %d", n, len(granted), n)
+		}
+		for i, w := range granted {
+			k := waiterOf[w]
+			if !m.Holds(w, gs[k], waiterMode[k]) {
+				t.Fatalf("n=%d: waiter %d granted but does not hold %+v", n, w, gs[k])
+			}
+			if i == 0 {
+				continue
+			}
+			prev, cur := gs[waiterOf[granted[i-1]]], gs[k]
+			if prev.Partition > cur.Partition || (prev.Partition == cur.Partition && prev.ID >= cur.ID) {
+				t.Fatalf("n=%d: grant %d on %+v follows %+v", n, i, cur, prev)
+			}
+		}
+		if m.HeldCount(holder) != 0 {
+			t.Fatalf("n=%d: holder keeps locks after ReleaseAll", n)
+		}
+		for k := range gs {
+			m.ReleaseAll(TxnID(2 + k))
+		}
+		if len(m.locks) != 0 {
+			t.Fatalf("n=%d: %d lock entries leaked", n, len(m.locks))
+		}
 	}
 }

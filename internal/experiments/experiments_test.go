@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cc"
+	"repro/internal/workload"
 )
 
 var quick = Options{Quick: true}
@@ -307,5 +310,49 @@ func TestTraceSetupValidates(t *testing.T) {
 	}
 	if len(cfg.Partitions) != 13 {
 		t.Fatalf("trace config has %d partitions, want 13 files", len(cfg.Partitions))
+	}
+}
+
+// TestTraceSetupBuildsIndependentSources: concurrent Builds share one
+// validated trace, but each replays it from the start at its own position.
+func TestTraceSetupBuildsIndependentSources(t *testing.T) {
+	const draws = 50
+	setup := TraceSetup{MMBuffer: 100, DB: DBSpec{Kind: DBRegular}, Log: LogSpec{Kind: LogDisk}}
+	var wg sync.WaitGroup
+	seqs := make([][]workload.Tx, 2)
+	errs := make([]error, len(seqs))
+	for i := range seqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cfg, err := setup.Build(quick)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			for range draws {
+				seqs[i] = append(seqs[i], cfg.Generator.Next(0, nil))
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(seqs[0], seqs[1]) {
+		t.Fatal("concurrent Builds replayed different transaction sequences")
+	}
+	txs := realLifeTrace().Txs
+	for k, tx := range seqs[0] {
+		if tx.Type != txs[k].Type || len(tx.Accesses) != len(txs[k].Refs) {
+			t.Fatalf("draw %d does not replay trace transaction %d", k, k)
+		}
+		for j, r := range txs[k].Refs {
+			if a := tx.Accesses[j]; a.Partition != r.File || a.Page != r.Page || a.Write != r.Write {
+				t.Fatalf("draw %d access %d = %+v, trace has %+v", k, j, a, r)
+			}
+		}
 	}
 }

@@ -13,15 +13,34 @@ import (
 )
 
 // The real-life trace is deterministic per seed and read-only once built;
-// share it across runs.
+// share it across runs. Its replay source is built and validated with it,
+// once per process; each run replays a rewound copy.
 var (
 	traceOnce   sync.Once
 	sharedTrace *trace.Trace
+	traceSource *trace.Source
+	traceErr    error
 )
 
+func loadRealLife() {
+	traceOnce.Do(func() {
+		sharedTrace = trace.GenerateRealLife(42)
+		traceSource, traceErr = trace.NewSource(sharedTrace, traceRate)
+	})
+}
+
 func realLifeTrace() *trace.Trace {
-	traceOnce.Do(func() { sharedTrace = trace.GenerateRealLife(42) })
+	loadRealLife()
 	return sharedTrace
+}
+
+// realLifeSource returns a fresh replay of the real-life trace at traceRate.
+func realLifeSource() (*trace.Source, error) {
+	loadRealLife()
+	if traceErr != nil {
+		return nil, traceErr
+	}
+	return traceSource.Rewound(), nil
 }
 
 // traceRate is the replay arrival rate for the trace experiments. The paper
@@ -40,7 +59,7 @@ type TraceSetup struct {
 
 // Build assembles the engine configuration for a trace replay.
 func (s TraceSetup) Build(o Options) (core.Config, error) {
-	src, err := trace.NewSource(realLifeTrace(), traceRate)
+	src, err := realLifeSource()
 	if err != nil {
 		return core.Config{}, err
 	}

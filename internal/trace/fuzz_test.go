@@ -10,7 +10,9 @@ import (
 // FuzzTraceRead fuzzes the line-oriented trace parser. Read must never
 // panic and never allocate proportionally to header-declared counts, and
 // every input it accepts must satisfy the trace invariants and round-trip
-// byte-stably through Write → Read.
+// byte-stably through Write → Read. A replay source over an accepted trace
+// must rewind: a rewound copy of an advanced source replays what a fresh
+// source does.
 func FuzzTraceRead(f *testing.F) {
 	// A well-formed trace with every section present.
 	full := strings.Join([]string{
@@ -64,6 +66,23 @@ func FuzzTraceRead(f *testing.F) {
 		}
 		if !reflect.DeepEqual(tr, tr2) {
 			t.Fatalf("round-trip mismatch:\nfirst:  %+v\nsecond: %+v", tr, tr2)
+		}
+		if len(tr.Txs) == 0 {
+			return // no source replays an empty trace
+		}
+		advanced, err := NewSource(tr, 1)
+		if err != nil {
+			t.Fatalf("NewSource rejected an accepted trace: %v", err)
+		}
+		for range len(tr.Txs) + 1 {
+			advanced.Next(0, nil)
+		}
+		rewound := advanced.Rewound()
+		fresh, _ := NewSource(tr, 1)
+		for i := range 2 * len(tr.Txs) {
+			if got, want := rewound.Next(0, nil), fresh.Next(0, nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("rewound draw %d = %+v, fresh source = %+v", i, got, want)
+			}
 		}
 	})
 }

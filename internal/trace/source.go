@@ -67,6 +67,20 @@ func NewSourceByType(tr *Trace, rates []float64) (*Source, error) {
 	return &Source{tr: tr, rates: rates, byType: byType, posTyp: make([]int, len(rates))}, nil
 }
 
+// Rewound returns a source over the same trace and rates whose streams
+// start again at their first transaction. A Source exists only for a trace
+// that passed Validate, so the copy skips that walk; runs that replay one
+// trace can each take a rewound copy of a single validated source. The
+// copies share the read-only trace and advance independently.
+func (s *Source) Rewound() *Source {
+	r := *s
+	r.next = 0
+	if s.posTyp != nil {
+		r.posTyp = make([]int, len(s.posTyp))
+	}
+	return &r
+}
+
 // Partitions derives the database partitions for the engine: one per trace
 // file, page-granular (block factor 1, so object ids equal page ids).
 func (s *Source) Partitions() []workload.Partition {

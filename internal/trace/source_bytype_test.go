@@ -48,6 +48,28 @@ func TestSourceByTypeReplaysPerType(t *testing.T) {
 	if tx.Type != 1 || tx.Accesses[0].Page != 2 || !tx.Accesses[0].Write {
 		t.Fatalf("type-1 draw = %+v", tx)
 	}
+	// A rewound copy restarts every type's stream; the original and the
+	// copy then advance independently.
+	rew := src.Rewound()
+	if name, rate := rew.TypeInfo(1); rew.NumTypes() != 2 || name != "update" || rate != 10 {
+		t.Fatalf("rewound type 1 = %q %v of %d types", name, rate, rew.NumTypes())
+	}
+	draws := []struct {
+		src        *Source
+		typ        int
+		wantPage   int64
+		sourceName string
+	}{
+		{rew, 0, 1, "rewound"}, {rew, 1, 2, "rewound"}, {rew, 0, 3, "rewound"},
+		{src, 0, 3, "original"}, {src, 1, 4, "original"},
+		{rew, 1, 4, "rewound"}, {rew, 0, 5, "rewound"},
+	}
+	for k, d := range draws {
+		if tx := d.src.Next(d.typ, s); tx.Type != d.typ || tx.Accesses[0].Page != d.wantPage {
+			t.Fatalf("draw %d from the %s source's type-%d stream: got page %d, want %d",
+				k, d.sourceName, d.typ, tx.Accesses[0].Page, d.wantPage)
+		}
+	}
 }
 
 func TestSourceByTypeValidation(t *testing.T) {
