@@ -145,13 +145,17 @@ func BenchmarkClusterScaleout(b *testing.B) {
 	}
 }
 
-// BenchmarkPDESScaleout measures the parallel engine's barrier fast path:
-// one 64-node PDES cluster (the cluster.scaleout64 private-NVEM point,
+// BenchmarkPDESScaleout measures the parallel engine's coordinator: one
+// 64-node PDES cluster (the cluster.scaleout64 private-NVEM point,
 // shortened windows) run serially (Workers = 1) and with an 8-worker pool,
 // reporting the wall-clock speedup. The reports of both runs must match —
-// the speedup is free of any modeling change by construction. The speedup
-// metric is gated by scripts/bench_check.sh with a floor scaled to the
-// host's core count (a single-core runner cannot speed anything up).
+// the speedup is free of any modeling change by construction. About 9.5
+// of the 64 kernels are busy in a window, below the fan-out rule
+// (DESIGN.md §12), so nearly every window of the 8-worker run stays on
+// the coordinator: the speedup measures what an unused pool costs a thin
+// cluster, about 1.0, and a pool that fans thin windows out or spins shows
+// up as a collapse. The metric is gated by scripts/bench_check.sh with a
+// floor scaled to the host's core count.
 func BenchmarkPDESScaleout(b *testing.B) {
 	point := func(workers int) experiments.ClusterSetup {
 		return experiments.ClusterSetup{Nodes: 64, AggregateRate: 50 * 64,

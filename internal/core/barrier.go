@@ -15,18 +15,20 @@ import (
 )
 
 // pdesBarrier is the low-overhead window barrier of the parallel engine:
-// a persistent pool of workers that advance the per-node kernels to each
-// window horizon, synchronized by an epoch counter instead of per-window
+// a persistent pool of workers that advance the window's busy kernels to
+// its horizon, synchronized by an epoch counter instead of per-window
 // channel round trips.
 //
-// The coordinator publishes a window by resetting the claim counter and
-// bumping the epoch; workers observe the new epoch (spinning briefly, then
-// parking), dynamically claim kernels off the shared atomic counter, and
-// the last one out wakes the coordinator. Dynamic claiming replaces the
-// old static stride assignment, so a drained or crashed node's near-empty
-// kernel cannot idle a whole stride of the pool — legal because each
-// kernel is still run by exactly one goroutine per window, and the window
-// schedule itself never depends on which goroutine ran which kernel.
+// The coordinator publishes a window by storing its busy kernels,
+// resetting the claim counter and bumping the epoch; workers observe the
+// new epoch (spinning briefly, then parking), dynamically claim kernels
+// off the shared atomic counter, and the last one out wakes the
+// coordinator. Only the kernels with an event in the window are claimed:
+// the coordinator has already landed the idle ones on the horizon.
+// Dynamic claiming lets a worker that drew a light kernel take the next
+// one instead of idling behind a heavy one — legal because each kernel is
+// still run by exactly one goroutine per window, and the window schedule
+// itself never depends on which goroutine ran which kernel.
 //
 // Parking uses the Dekker pattern: a worker flags itself parked, re-checks
 // the epoch, and only then blocks on its wake channel; the coordinator
@@ -40,11 +42,11 @@ import (
 // window n+1's (possibly different) claimer through the release/acquire
 // chain live.Add(-1) → live.Load → epoch.Add → epoch.Load.
 type pdesBarrier struct {
+	// kernels and window are the busy kernels and the horizon of the
+	// published window; written by the coordinator strictly before the
+	// epoch bump that publishes them.
 	kernels []*sim.Sim
-
-	// window is the horizon of the published window; written by the
-	// coordinator strictly before the epoch bump that publishes it.
-	window sim.Time
+	window  sim.Time
 	// quit is set (before the final epoch bump) to shut the pool down.
 	quit    bool
 	stopped bool
@@ -67,9 +69,8 @@ type pdesBarrier struct {
 
 // newPDESBarrier starts workers-1 pool goroutines; the coordinator itself
 // is the remaining claimer, so `workers` goroutines drain every window.
-func newPDESBarrier(kernels []*sim.Sim, workers int) *pdesBarrier {
+func newPDESBarrier(workers int) *pdesBarrier {
 	b := &pdesBarrier{
-		kernels:   kernels,
 		parked:    make([]atomic.Bool, workers-1),
 		wake:      make([]chan struct{}, workers-1),
 		coordWake: make(chan struct{}, 1),
@@ -84,10 +85,10 @@ func newPDESBarrier(kernels []*sim.Sim, workers int) *pdesBarrier {
 	return b
 }
 
-// runWindow advances every kernel to w using the whole pool, returning
-// once all kernels sit exactly at w.
-func (b *pdesBarrier) runWindow(w sim.Time) {
-	b.window = w
+// runWindow advances kernels to w using the whole pool, returning once
+// all of them sit exactly at w.
+func (b *pdesBarrier) runWindow(w sim.Time, kernels []*sim.Sim) {
+	b.kernels, b.window = kernels, w
 	b.claim.Store(0)
 	b.live.Store(int64(len(b.wake)) + 1)
 	b.epoch.Add(1)

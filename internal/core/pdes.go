@@ -29,8 +29,10 @@ import (
 // during the last window (single-threaded, sorted by (arrive, sender,
 // sender-sequence) so the schedule is independent of the worker count),
 // each taking effect on its destination kernel at its arrival instant, then
-// let every kernel run the window in parallel (the spin-then-park barrier
-// in barrier.go).
+// run the window on the kernels that have an event in it. The others only
+// land their clocks on the window's end. A window with enough busy kernels
+// fans out to the worker pool (the spin-then-park barrier in barrier.go);
+// a thin one runs inline on the coordinator.
 //
 // Determinism contract: a PDES run's per-node Results are identical for
 // every Workers value, because cross-node state is only touched at
@@ -132,8 +134,28 @@ type pdesState struct {
 	// pdesBroadcast test hook.
 	residency *buffer.Residency
 
+	// now is the instant every kernel stands at between windows.
+	now sim.Time
+
+	// ordinal counts the invalidations applied so far. Invalidation n
+	// owns one seq on every kernel, and a kernel takes the seqs it owes
+	// only before its next seq use (pdesInbox.sync), so a peer without the
+	// page costs nothing at the barrier. invals is the shared log of the
+	// applied invalidations whose landing has not passed, in ordinal
+	// order: a peer that inserts the page before the landing finds its
+	// slot there (pdesInbox.inserted).
+	ordinal uint64
+	invals  fifo[appliedInval]
+
+	busy    []*sim.Sim   // the current window's busy kernels, reused
 	barrier *pdesBarrier // non-nil when workers > 1
 }
+
+// pdesFanOut is the fewest busy kernels a window needs to fan out to the
+// worker pool; a thinner window runs inline on the coordinator, where
+// handing it to the pool would cost more than its kernels' work. DESIGN.md
+// §12 gives the busy-kernel distribution it is picked from.
+const pdesFanOut = 24
 
 // pdesBroadcast, when true, builds PDES clusters without a residency
 // table, so every peer counts as a holder of every page and each
@@ -141,6 +163,12 @@ type pdesState struct {
 // test compares the holder filter against; never enable it in production
 // runs.
 var pdesBroadcast = false
+
+// pdesForceFanOut, when true, fans every window out to the worker pool,
+// however few kernels are busy, so the worker-count tests cover the
+// barrier on clusters whose windows would run inline; never enable it in
+// production runs.
+var pdesForceFanOut = false
 
 // newPDES builds the parallel engine for the nodes nodeCfgs describes: one
 // kernel per node, the message latencies and the lookahead, the residency
@@ -191,7 +219,7 @@ func newPDES(c *cluster, nodeCfgs []Config, opts clusterOpts) *pdesState {
 		pd.residency = buffer.NewResidency(numNodes, frames)
 	}
 	if pd.workers > 1 {
-		pd.barrier = newPDESBarrier(c.kernels, pd.workers)
+		pd.barrier = newPDESBarrier(pd.workers)
 	}
 	return pd
 }
@@ -201,7 +229,7 @@ func newPDES(c *cluster, nodeCfgs []Config, opts clusterOpts) *pdesState {
 // coordinator applies its operations at barriers. The residency table
 // tracks the pages the manager holds.
 func (pd *pdesState) attach(n *node) error {
-	n.inbox = newPDESInbox(n)
+	n.inbox = newPDESInbox(pd, n)
 	var bus buffer.RemoteNVEMCache
 	if pd.c.shared != nil {
 		bus = &pdesNVEMBus{pd: pd, e: n}
@@ -227,36 +255,51 @@ func (pd *pdesState) stop() {
 // run drives the phase schedule: windows of one lookahead, a message
 // barrier before each. Phase transitions (window snapshot, crash
 // injection) run on the coordinator at their exact boundary — every kernel
-// sits precisely at the boundary then, because sim.Run lands the clock on
-// its horizon even when a kernel drains early.
+// sits precisely at the boundary then, because sim.Run and sim.Land put
+// the clock on the horizon even when a kernel drains early. A transition
+// may schedule on any kernel, so each first takes the seqs it owes.
 func (pd *pdesState) run(steps []phaseStep) {
-	now := sim.Time(0)
 	for _, st := range steps {
-		for now < st.at {
-			w := now + pd.lookahead
+		for pd.now < st.at {
+			w := pd.now + pd.lookahead
 			if w > st.at {
 				w = st.at
 			}
 			pd.deliver()
 			pd.runWindow(w)
-			now = w
 		}
 		if st.run != nil {
+			for _, n := range pd.c.nodes {
+				n.inbox.sync()
+			}
 			st.run()
 		}
 	}
 	pd.stop()
 }
 
-// runWindow advances every kernel to w.
+// runWindow advances every kernel to w. A kernel with no event at or
+// before w lands on w; the busy ones take the seqs they owe and run,
+// inline when they are few (pdesFanOut), else on the worker pool.
 func (pd *pdesState) runWindow(w sim.Time) {
-	if pd.barrier != nil {
-		pd.barrier.runWindow(w)
-		return
+	busy := pd.busy[:0]
+	for i, k := range pd.c.kernels {
+		if k.Idle(w) {
+			k.Land(w)
+			continue
+		}
+		pd.c.nodes[i].inbox.sync()
+		busy = append(busy, k)
 	}
-	for _, k := range pd.c.kernels {
-		k.Run(w)
+	if pd.barrier != nil && (len(busy) >= pdesFanOut || pdesForceFanOut) {
+		pd.barrier.runWindow(w, busy)
+	} else {
+		for _, k := range busy {
+			k.Run(w)
+		}
 	}
+	pd.busy = busy
+	pd.now = w
 }
 
 // send queues one message from its sender's logical process. Called only
@@ -313,6 +356,11 @@ func (pd *pdesState) reroute(e *node, tx workload.Tx) {
 // equals arrival order, batch after batch; the payload FIFOs of pdesInbox
 // rely on it. When no node sent anything the merge is skipped outright.
 func (pd *pdesState) deliver() {
+	// Every kernel stands at now, so each logged invalidation landing at
+	// or before it has passed everywhere.
+	for q := &pd.invals; q.head < len(q.items) && q.items[q.head].at <= pd.now; {
+		q.pop()
+	}
 	if pd.pending.Load() == 0 {
 		return
 	}
@@ -380,33 +428,49 @@ func (pd *pdesState) dispatch(m *pdesMsg) {
 		// One-way insert; an evicted deferred-dirty frame destages on the
 		// sender's (quiescent) kernel, mirroring the coupled mode where
 		// whoever's Put triggers the eviction pays the destage.
-		c.nodes[m.from].bm.ApplySharedPut(m.key, m.dirty)
+		e := c.nodes[m.from]
+		e.inbox.sync()
+		e.bm.ApplySharedPut(m.key, m.dirty)
 	}
 }
 
-// applyInvalidate applies a write-invalidation: each peer that holds the
-// page now gets the invalidation as a kernel event; every other peer only
-// reserves the kernel slot the event would take, and the slot becomes an
-// event if the page enters the peer's buffer before the slot comes up
+// applyInvalidate applies a write-invalidation as ordinal n, landing at
+// at on every kernel. Each peer that holds the page now gets the
+// invalidation as a kernel event, in the seq n owns on its kernel. A zero
+// residency count proves a peer lacks the page; a nonzero one is confirmed
+// by Holds. Every other peer, the sender included, is not touched: it
+// takes its seq for n when it next uses one, and the log entry turns that
+// slot into an event if the page enters its buffer before the landing
 // (pdesInbox.inserted). An invalidation that finds no copy changes nothing
-// but the kernel clock, and the reserved seq keeps every other event's
-// (at, seq), so the kernels fire the same effective events as under a
-// broadcast. A zero residency count proves a peer lacks the page; a
-// nonzero one is confirmed by Holds.
+// but the kernel clock, and the seq n owns keeps every other event's place
+// in the (at, seq) order, so the kernels fire the same effective events as
+// under a broadcast.
 func (pd *pdesState) applyInvalidate(m *pdesMsg) {
-	var row []uint16
-	if pd.residency != nil {
-		row = pd.residency.Row(m.key)
-	}
-	for i, n := range pd.c.nodes {
-		switch {
-		case i == m.from:
-		case row == nil || (row[i] != 0 && n.bm.Holds(m.key)):
-			n.inbox.invalidate(m.arrive, m.key)
-		default:
-			n.inbox.reserve(m.arrive, m.key)
+	pd.ordinal++
+	n, at := pd.ordinal, landing(pd.now, m.arrive)
+	if pd.residency == nil {
+		for _, peer := range pd.c.nodes {
+			if peer.id != m.from {
+				peer.inbox.invalidate(n, at, m.key)
+			}
+		}
+	} else {
+		// Only the row's counts are read for a peer without the page.
+		for i, count := range pd.residency.Row(m.key) {
+			if count != 0 && i != m.from && pd.c.nodes[i].bm.Holds(m.key) {
+				pd.c.nodes[i].inbox.invalidate(n, at, m.key)
+			}
 		}
 	}
+	pd.invals.push(appliedInval{n: n, at: at, key: m.key, from: m.from})
+}
+
+// logFloor is the lowest ordinal the shared log may still hold.
+func (pd *pdesState) logFloor() uint64 {
+	if q := &pd.invals; q.head < len(q.items) {
+		return q.items[q.head].n
+	}
+	return pd.ordinal + 1
 }
 
 // pdesNVEMBus routes one node's shared-NVEM-cache operations over the
@@ -444,16 +508,20 @@ func (b *pdesNVEMBus) Put(key storage.PageKey, dirty bool) {
 // seq — the order the kernel fires it in. Each payload carries the instant
 // it was delivered for, and firing it at any other instant panics.
 type pdesInbox struct {
-	e *node
-	s *sim.Sim // e's kernel
+	pd *pdesState
+	e  *node
+	s  *sim.Sim // e's kernel
 
-	// watch lists the slots reserved for invalidations of pages the node
-	// did not hold at the barrier, in delivery order; lateFree recycles
-	// the records of those that became events. They lead the struct
-	// because the coordinator touches them for nearly every peer of every
-	// write.
-	watch    fifo[reservedInval]
-	lateFree *lateInval
+	// synced is the last ordinal whose seq the kernel has taken. spans
+	// map the ordinals the shared log may still hold to their seqs; an
+	// ordinal no span covers took the seq of its delivery to this node,
+	// which held the page.
+	synced uint64
+	spans  fifo[ordinalSpan]
+
+	// lates lists the late invalidations delivered and not yet fired;
+	// lateFree recycles their records.
+	lates, lateFree *lateInval
 
 	verdicts fifo[lockVerdict]
 	invals   fifo[pageInval]
@@ -476,24 +544,32 @@ type pageInval struct {
 	key storage.PageKey
 }
 
-// reservedInval is a watched kernel slot: where an invalidation of key
-// would fire had the node held the page at the barrier.
-type reservedInval struct {
-	at  sim.Time
-	seq uint64
-	key storage.PageKey
+// appliedInval is an entry of the shared log: invalidation n of key,
+// sent by node from and landing at at on every kernel.
+type appliedInval struct {
+	n    uint64
+	at   sim.Time
+	key  storage.PageKey
+	from int
 }
 
-// lateInval is a reserved slot that became an event because its page
+// ordinalSpan maps the ordinals first..last to the kernel's consecutive
+// seqs from seq on, taken by one Reserve.
+type ordinalSpan struct {
+	first, last, seq uint64
+}
+
+// lateInval is an invalidation slot that became an event because its page
 // entered the node's buffer before the slot came up. Such events fire
 // outside the invals FIFO's order, so each carries its own payload: a
 // record pooled on the inbox's freelist with its fire method bound once.
 type lateInval struct {
 	in   *pdesInbox
+	n    uint64
 	at   sim.Time
 	key  storage.PageKey
 	fire func()
-	next *lateInval // freelist link
+	next *lateInval // pending-list or freelist link
 }
 
 // probeReply carries a shared-NVEM-cache verdict back to the prober.
@@ -503,102 +579,130 @@ type probeReply struct {
 	k          func(hit, dirty bool)
 }
 
-func newPDESInbox(e *node) *pdesInbox {
-	in := &pdesInbox{e: e, s: e.s}
+func newPDESInbox(pd *pdesState, e *node) *pdesInbox {
+	in := &pdesInbox{pd: pd, e: e, s: e.s}
 	in.fireVerdict = in.onVerdict
 	in.fireInval = in.onInval
 	in.fireReply = in.onReply
 	return in
 }
 
-// landing is the kernel instant a message arriving at arrive takes effect:
-// now + (arrive − now), the instant Schedule(arrive−now) yields. It equals
-// arrive once now ≥ arrive/2 makes the subtraction exact; in a run's first
-// windows it may differ in the last bit, and the golden outputs pin the
-// Schedule rounding.
-func (in *pdesInbox) landing(arrive sim.Time) sim.Time {
-	now := in.s.Now()
-	return now + (arrive - now)
+// landing is the kernel instant a message arriving at arrive takes effect
+// on a kernel standing at now: now + (arrive − now), the instant
+// Schedule(arrive−now) yields. It equals arrive once now ≥ arrive/2 makes
+// the subtraction exact; in a run's first windows it may differ in the
+// last bit, and the golden outputs pin the Schedule rounding. Every kernel
+// stands at the same instant at a barrier, so the landing is the same on
+// each.
+func landing(now, arrive sim.Time) sim.Time { return now + (arrive - now) }
+
+// sync takes the seqs of the invalidations applied since the kernel last
+// took one, so that its next seq follows them as it would have had each
+// been delivered to this node. Every seq use outside the node's own
+// events comes after a sync: a barrier delivery to the node, a destage a
+// shared-cache put starts on it, the start of a window it runs, a phase
+// transition.
+func (in *pdesInbox) sync() { in.syncTo(in.pd.ordinal) }
+
+// syncTo takes the seqs of ordinals synced+1..n, dropping the spans the
+// shared log no longer needs.
+func (in *pdesInbox) syncTo(n uint64) {
+	if n <= in.synced {
+		return
+	}
+	for q, floor := &in.spans, in.pd.logFloor(); q.head < len(q.items) && q.items[q.head].last < floor; {
+		q.pop()
+	}
+	in.spans.push(ordinalSpan{first: in.synced + 1, last: n, seq: in.s.Reserve(n - in.synced)})
+	in.synced = n
+}
+
+// seqOf returns the seq ordinal n took on the kernel, or false when n's
+// seq went to its delivery (the node held the page at the barrier).
+func (in *pdesInbox) seqOf(n uint64) (uint64, bool) {
+	for q, i := &in.spans, in.spans.head; i < len(q.items); i++ {
+		if sp := &q.items[i]; sp.first <= n && n <= sp.last {
+			return sp.seq + (n - sp.first), true
+		}
+	}
+	return 0, false
 }
 
 // deliver hands fn to the node's kernel for a message arriving at arrive.
 func (in *pdesInbox) deliver(arrive sim.Time, fn func()) {
-	in.s.Deliver(in.landing(arrive), fn)
+	in.sync()
+	in.s.Deliver(landing(in.s.Now(), arrive), fn)
 }
 
 // verdict delivers the global lock manager's verdict on t's request.
 func (in *pdesInbox) verdict(arrive sim.Time, t *txRun, ok bool) {
-	at := in.landing(arrive)
+	in.sync()
+	at := landing(in.s.Now(), arrive)
 	in.verdicts.push(lockVerdict{at: at, t: t, ok: ok})
 	in.s.Deliver(at, in.fireVerdict)
 }
 
-// invalidate delivers a peer's write-invalidation of key.
-func (in *pdesInbox) invalidate(arrive sim.Time, key storage.PageKey) {
-	at := in.landing(arrive)
+// invalidate delivers invalidation n of key, which lands at at, to a node
+// that holds the page: the event takes the seq n owns on the kernel.
+func (in *pdesInbox) invalidate(n uint64, at sim.Time, key storage.PageKey) {
+	in.syncTo(n - 1)
 	in.invals.push(pageInval{at: at, key: key})
 	in.s.Deliver(at, in.fireInval)
-}
-
-// reserve takes the kernel slot of a peer's write-invalidation of key that
-// finds the node without the page, and watches it.
-func (in *pdesInbox) reserve(arrive sim.Time, key storage.PageKey) {
-	in.expire()
-	in.watch.push(reservedInval{at: in.landing(arrive), seq: in.s.Reserve(), key: key})
-}
-
-// expire drops the watched slots that have passed. Slots are watched in
-// the order they were reserved, which is (at, seq) order, so the passed
-// ones lead the list.
-func (in *pdesInbox) expire() {
-	w, s := &in.watch, in.s
-	for w.head < len(w.items) && s.Passed(w.items[w.head].at, w.items[w.head].seq) {
-		w.pop()
-	}
+	in.synced = n
 }
 
 // inserted is the buffer manager's insert notification: key entered main
-// memory or the private NVEM cache. Every watched slot of key that has not
-// passed becomes the invalidation event it stood for. Each match is
+// memory or the private NVEM cache. Every logged invalidation of key from
+// a peer whose slot on this kernel has not passed, and that the node did
+// not get as a holder, becomes the event it stood for. Each entry is
 // checked on its own: in a run's first windows a landing instant may
-// differ from its arrival in the last bit (landing), so correctness does
-// not rest on the list's order, only expiry's efficiency does.
+// differ from its arrival in the last bit (landing), so the log's order
+// bounds only how long an entry stays.
 func (in *pdesInbox) inserted(key storage.PageKey) {
-	in.expire()
-	w, s := &in.watch, in.s
-	for i := w.head; i < len(w.items); {
-		r := w.items[i]
-		if r.key != key {
-			i++
-			continue
-		}
-		if !s.Passed(r.at, r.seq) {
+	q := &in.pd.invals
+	for i := q.head; i < len(q.items); i++ {
+		if r := &q.items[i]; r.key == key && r.from != in.e.id {
 			in.late(r)
 		}
-		n := copy(w.items[i:], w.items[i+1:])
-		w.items[i+n] = reservedInval{}
-		w.items = w.items[:i+n]
 	}
 }
 
-// late turns the watched slot r into an event on a pooled record.
-func (in *pdesInbox) late(r reservedInval) {
+// late turns r's slot on this kernel into an event on a pooled record,
+// unless the slot has passed, went to a delivery, or is already filled.
+// Inside the node's events the kernel owes no seqs; a caller outside them
+// may find it owing, so late takes them first.
+func (in *pdesInbox) late(r *appliedInval) {
+	in.sync()
+	seq, reserved := in.seqOf(r.n)
+	if !reserved || in.s.Passed(r.at, seq) {
+		return
+	}
+	for l := in.lates; l != nil; l = l.next {
+		if l.n == r.n {
+			return
+		}
+	}
 	l := in.lateFree
 	if l == nil {
 		l = &lateInval{in: in}
 		l.fire = l.onFire
 	} else {
 		in.lateFree = l.next
-		l.next = nil
 	}
-	l.at, l.key = r.at, r.key
-	in.s.DeliverReserved(r.at, r.seq, l.fire)
+	l.n, l.at, l.key = r.n, r.at, r.key
+	l.next, in.lates = in.lates, l
+	in.s.DeliverReserved(r.at, seq, l.fire)
 }
 
 func (l *lateInval) onFire() {
 	in, at, key := l.in, l.at, l.key
+	p := &in.lates
+	for *p != l {
+		p = &(*p).next
+	}
+	*p = l.next
 	if poolPoison {
-		l.at, l.key = -1, storage.PageKey{Partition: -1, Page: -1}
+		l.n, l.at, l.key = 0, -1, storage.PageKey{Partition: -1, Page: -1}
 	}
 	l.next = in.lateFree
 	in.lateFree = l
@@ -608,7 +712,8 @@ func (l *lateInval) onFire() {
 
 // reply delivers a shared-cache probe's verdict to the prober's k.
 func (in *pdesInbox) reply(arrive sim.Time, hit, dirty bool, k func(hit, dirty bool)) {
-	at := in.landing(arrive)
+	in.sync()
+	at := landing(in.s.Now(), arrive)
 	in.replies.push(probeReply{at: at, hit: hit, dirty: dirty, k: k})
 	in.s.Deliver(at, in.fireReply)
 }

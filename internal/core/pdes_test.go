@@ -55,11 +55,26 @@ func runPDES(t *testing.T, cfg ClusterConfig) *ClusterResult {
 	return res
 }
 
+// fanOutModes are the fan-out rules each multi-worker case runs under:
+// the default, which keeps thin windows on the coordinator, and
+// pdesForceFanOut, which sends every window through the barrier.
+var fanOutModes = []bool{false, true}
+
+// runPDESFanOut executes one PDES cluster run, fanning every window out
+// to the worker pool when force is set.
+func runPDESFanOut(t *testing.T, cfg ClusterConfig, force bool) *ClusterResult {
+	t.Helper()
+	pdesForceFanOut = force
+	defer func() { pdesForceFanOut = false }()
+	return runPDES(t, cfg)
+}
+
 // TestPDESWorkerCountInvariant is the parallel engine's determinism pin: a
 // serial coordinator (Workers = 1) and a parallel one must produce
 // identical per-node Results — cross-node state is only touched at
 // barriers, in (arrive, sender, seq) order, independent of which goroutine
-// ran which kernel.
+// ran which kernel. Each parallel run is made twice, with the default
+// fan-out rule and with every window fanned out.
 func TestPDESWorkerCountInvariant(t *testing.T) {
 	serial := runPDES(t, pdesCluster(t, 3, 300, 1))
 	if serial.Cluster.Commits == 0 {
@@ -69,15 +84,17 @@ func TestPDESWorkerCountInvariant(t *testing.T) {
 		t.Fatal("global locking under PDES produced no messages")
 	}
 	for _, workers := range []int{2, 4, 0} {
-		parallel := runPDES(t, pdesCluster(t, 3, 300, workers))
-		for i := range serial.Nodes {
-			if !reflect.DeepEqual(serial.Nodes[i], parallel.Nodes[i]) {
-				t.Fatalf("workers=%d: node %d diverged from the serial run:\n%+v\nvs\n%+v",
-					workers, i, parallel.Nodes[i], serial.Nodes[i])
+		for _, force := range fanOutModes {
+			parallel := runPDESFanOut(t, pdesCluster(t, 3, 300, workers), force)
+			for i := range serial.Nodes {
+				if !reflect.DeepEqual(serial.Nodes[i], parallel.Nodes[i]) {
+					t.Fatalf("workers=%d, forced fan-out %v: node %d diverged from the serial run:\n%+v\nvs\n%+v",
+						workers, force, i, parallel.Nodes[i], serial.Nodes[i])
+				}
 			}
-		}
-		if got, want := parallel.Report(), serial.Report(); got != want {
-			t.Fatalf("workers=%d: report diverged:\n%s\nvs\n%s", workers, got, want)
+			if got, want := parallel.Report(), serial.Report(); got != want {
+				t.Fatalf("workers=%d, forced fan-out %v: report diverged:\n%s\nvs\n%s", workers, force, got, want)
+			}
 		}
 	}
 }
@@ -100,15 +117,17 @@ func TestPDESFailureWorkerCountInvariant(t *testing.T) {
 	if serial.Cluster.Restart == nil {
 		t.Fatal("crash injected but no restart report")
 	}
-	parallel := runPDES(t, build(4))
-	for i := range serial.Nodes {
-		if !reflect.DeepEqual(serial.Nodes[i], parallel.Nodes[i]) {
-			t.Fatalf("node %d diverged across worker counts:\n%+v\nvs\n%+v",
-				i, parallel.Nodes[i], serial.Nodes[i])
+	for _, force := range fanOutModes {
+		parallel := runPDESFanOut(t, build(4), force)
+		for i := range serial.Nodes {
+			if !reflect.DeepEqual(serial.Nodes[i], parallel.Nodes[i]) {
+				t.Fatalf("forced fan-out %v: node %d diverged across worker counts:\n%+v\nvs\n%+v",
+					force, i, parallel.Nodes[i], serial.Nodes[i])
+			}
 		}
-	}
-	if got, want := parallel.Report(), serial.Report(); got != want {
-		t.Fatalf("failure-run report diverged:\n%s\nvs\n%s", got, want)
+		if got, want := parallel.Report(), serial.Report(); got != want {
+			t.Fatalf("forced fan-out %v: failure-run report diverged:\n%s\nvs\n%s", force, got, want)
+		}
 	}
 	// The crashed node's outage must be visible: its arrivals rerouted to
 	// the survivors, so it commits strictly less than either of them.
@@ -194,15 +213,17 @@ func TestPDESSharedNVEMWorkerCountInvariant(t *testing.T) {
 		t.Fatal("write-invalidate coherence under PDES recorded no invalidations")
 	}
 	for _, workers := range []int{2, 4, 0} {
-		parallel := runPDES(t, pdesSharedCluster(t, 3, 300, workers))
-		for i := range serial.Nodes {
-			if !reflect.DeepEqual(serial.Nodes[i], parallel.Nodes[i]) {
-				t.Fatalf("workers=%d: node %d diverged from the serial run:\n%+v\nvs\n%+v",
-					workers, i, parallel.Nodes[i], serial.Nodes[i])
+		for _, force := range fanOutModes {
+			parallel := runPDESFanOut(t, pdesSharedCluster(t, 3, 300, workers), force)
+			for i := range serial.Nodes {
+				if !reflect.DeepEqual(serial.Nodes[i], parallel.Nodes[i]) {
+					t.Fatalf("workers=%d, forced fan-out %v: node %d diverged from the serial run:\n%+v\nvs\n%+v",
+						workers, force, i, parallel.Nodes[i], serial.Nodes[i])
+				}
 			}
-		}
-		if got, want := parallel.Report(), serial.Report(); got != want {
-			t.Fatalf("workers=%d: report diverged:\n%s\nvs\n%s", workers, got, want)
+			if got, want := parallel.Report(), serial.Report(); got != want {
+				t.Fatalf("workers=%d, forced fan-out %v: report diverged:\n%s\nvs\n%s", workers, force, got, want)
+			}
 		}
 	}
 }
@@ -292,8 +313,38 @@ func quietPDES(t *testing.T, nodes int) (c *cluster, window func(), busy func() 
 	return c, window, busy
 }
 
-// watched is the number of slots node n watches.
-func watched(n *node) int { return len(n.inbox.watch.items) - n.inbox.watch.head }
+// watched is the number of slots node n watches: logged invalidations
+// from its peers that it did not get as a holder and has not filled, whose
+// slot on its kernel has not passed. It first takes the seqs the kernel
+// owes, as a phase transition would.
+func watched(n *node) int {
+	in := n.inbox
+	in.sync()
+	k := 0
+	for _, r := range in.pd.invals.items[in.pd.invals.head:] {
+		if seq, ok := in.seqOf(r.n); r.from != n.id && ok && !in.s.Passed(r.at, seq) && pendingLate(n, r.n) == nil {
+			k++
+		}
+	}
+	return k
+}
+
+// logged is the number of invalidations in the shared log.
+func logged(c *cluster) int {
+	q := &c.net.(*pdesState).invals
+	return len(q.items) - q.head
+}
+
+// pendingLate returns node n's late invalidation of ordinal o that is
+// delivered and has not fired, or nil.
+func pendingLate(n *node, o uint64) *lateInval {
+	for l := n.inbox.lates; l != nil; l = l.next {
+		if l.n == o {
+			return l
+		}
+	}
+	return nil
+}
 
 // lateRecords counts the late-invalidation records on every node's
 // freelist: nonzero once a reserved slot has become an event and fired.
@@ -387,10 +438,14 @@ func TestPDESBarrierDeliveryZeroAlloc(t *testing.T) {
 		t.Fatalf("late invalidations: node 2 counted %d in %d cycles, holds the page %v, %d records pooled",
 			n2.invalidations, cycles, n2.bm.Holds(late), lateRecords(c))
 	}
-	// Node 1 never inserts, so its slots expire only as the next cycle's
-	// reservations append behind them: at most one cycle's three stay.
-	if n1 := c.nodes[1]; cap(n1.inbox.watch.items) == 0 || watched(n1) > 3 {
-		t.Fatalf("node 1 reserved no slots, or kept %d, more than one cycle's", watched(n1))
+	// Node 1 never inserts. It takes its seqs for each cycle's three
+	// invalidations when it next syncs, and its spans and the shared log
+	// drop them once they land: at most one cycle's three stay.
+	n1 := c.nodes[1]
+	if spans := len(n1.inbox.spans.items) - n1.inbox.spans.head; cap(n1.inbox.spans.items) == 0 ||
+		spans > 3 || logged(c) > 3 {
+		t.Fatalf("node 1 took no seqs for invalidations, or kept %d spans and the log %d entries, more than one cycle's",
+			spans, logged(c))
 	}
 	if allocs != 0 {
 		t.Fatalf("warm barrier delivery cycle allocates %.2f/op, want 0", allocs)
@@ -434,8 +489,8 @@ func TestPDESLateInsertInvalidated(t *testing.T) {
 }
 
 // TestPDESInsertAfterSlotCreatesNoEvent: a peer that fixes the page only
-// after the reserved slot has passed keeps its copy, and no event is
-// created for the slot.
+// after its slot has passed keeps its copy, and no event is created for
+// the slot.
 func TestPDESInsertAfterSlotCreatesNoEvent(t *testing.T) {
 	c, window, busy := quietPDES(t, 3)
 	n1 := c.nodes[1]
@@ -443,18 +498,53 @@ func TestPDESInsertAfterSlotCreatesNoEvent(t *testing.T) {
 	c.net.invalidate(c.nodes[0], page) // lands at 0.15
 	window()
 	window() // both kernels now stand at 0.2
-	if watched(n1) != 1 {
-		t.Fatalf("node 1 watches %d slots, want 1", watched(n1))
+	// The log still holds the invalidation, and node 1 has a slot for it
+	// that has passed.
+	w := watched(n1)
+	seq, ok := n1.inbox.seqOf(1)
+	if logged(c) != 1 || !ok || !n1.s.Passed(n1.inbox.pd.invals.items[0].at, seq) || w != 0 {
+		t.Fatalf("log holds %d invalidations, node 1 has a slot %v, watches %d; want 1, a passed slot, 0",
+			logged(c), ok, w)
 	}
 	n1.bm.Fix(n1.s.NewProcess("reader"), page, false, func() {})
-	if watched(n1) != 0 {
-		t.Fatalf("the insert left %d passed slots watched", watched(n1))
+	if n1.inbox.lates != nil {
+		t.Fatal("the insert turned a passed slot into an event")
+	}
+	window()
+	if logged(c) != 0 {
+		t.Fatalf("the barrier at 0.2 kept %d landed invalidations logged", logged(c))
 	}
 	for busy() {
 		window()
 	}
 	if !n1.bm.Holds(page) || n1.invalidations != 0 || lateRecords(c) != 0 {
 		t.Fatalf("node 1 holds the page %v, counted %d invalidations, %d late records; want true, 0, 0",
+			n1.bm.Holds(page), n1.invalidations, lateRecords(c))
+	}
+}
+
+// TestPDESLateSlotFilledOnce: a peer that inserts the page, loses it and
+// inserts it again before the invalidation lands gets one event for its
+// slot, not one per insert.
+func TestPDESLateSlotFilledOnce(t *testing.T) {
+	c, window, busy := quietPDES(t, 3)
+	n1 := c.nodes[1]
+	page := storage.PageKey{Partition: 0, Page: 7}
+	c.net.invalidate(c.nodes[0], page) // lands at 0.15
+	p := n1.s.NewProcess("reader")
+	fix := func() { n1.bm.Fix(p, page, false, func() {}) }
+	n1.s.Schedule(0.05, fix)
+	n1.s.Schedule(0.06, func() { n1.bm.Invalidate(page) })
+	n1.s.Schedule(0.07, fix)
+	window()
+	if l := pendingLate(n1, 1); l == nil || l.next != nil {
+		t.Fatal("two inserts before the landing did not leave exactly one late event pending")
+	}
+	for busy() {
+		window()
+	}
+	if n1.bm.Holds(page) || n1.invalidations != 1 || lateRecords(c) != 1 {
+		t.Fatalf("node 1 holds the page %v, counted %d invalidations, %d late records; want false, 1, 1",
 			n1.bm.Holds(page), n1.invalidations, lateRecords(c))
 	}
 }
@@ -495,11 +585,12 @@ func filterScenarios(t *testing.T) []filterScenario {
 // TestPDESInvalidationFilterExact checks the holder filter against the
 // broadcast it replaces: with the pdesBroadcast hook every peer counts as
 // a holder, so the same code delivers each invalidation to every peer. The
-// filtered runs, at 1, 2 and 4 workers, must render the broadcast's report
-// byte for byte and match it node for node, and must have turned reserved
-// slots into events.
+// filtered runs, at 1, 2 and 4 workers, the parallel ones with the default
+// fan-out rule and with every window fanned out, must render the
+// broadcast's report byte for byte and match it node for node, and must
+// have turned invalidation slots into events.
 func TestPDESInvalidationFilterExact(t *testing.T) {
-	defer func() { pdesBroadcast = false }()
+	defer func() { pdesBroadcast, pdesForceFanOut = false, false }()
 	for _, sc := range filterScenarios(t) {
 		pdesBroadcast = true
 		_, want, err := runCluster(sc.build(1))
@@ -512,25 +603,128 @@ func TestPDESInvalidationFilterExact(t *testing.T) {
 		}
 		late := 0
 		for _, workers := range []int{1, 2, 4} {
-			c, got, err := runCluster(sc.build(workers))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g, w := got.Report(), want.Report(); g != w {
-				t.Fatalf("%s, %d workers: the filtered report differs from the broadcast:\n%s\nvs\n%s",
-					sc.name, workers, g, w)
-			}
-			for i := range want.Nodes {
-				if !reflect.DeepEqual(got.Nodes[i], want.Nodes[i]) {
-					t.Fatalf("%s, %d workers: node %d differs from the broadcast:\n%+v\nvs\n%+v",
-						sc.name, workers, i, got.Nodes[i], want.Nodes[i])
+			for _, force := range fanOutModes {
+				if force && workers == 1 {
+					continue // one worker has no pool to fan out to
 				}
+				pdesForceFanOut = force
+				c, got, err := runCluster(sc.build(workers))
+				pdesForceFanOut = false
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, w := got.Report(), want.Report(); g != w {
+					t.Fatalf("%s, %d workers, forced fan-out %v: the filtered report differs from the broadcast:\n%s\nvs\n%s",
+						sc.name, workers, force, g, w)
+				}
+				for i := range want.Nodes {
+					if !reflect.DeepEqual(got.Nodes[i], want.Nodes[i]) {
+						t.Fatalf("%s, %d workers, forced fan-out %v: node %d differs from the broadcast:\n%+v\nvs\n%+v",
+							sc.name, workers, force, i, got.Nodes[i], want.Nodes[i])
+					}
+				}
+				late += lateRecords(c)
 			}
-			late += lateRecords(c)
 		}
 		if late == 0 {
-			t.Fatalf("%s: no reserved slot became an event; the late-insert path went untested", sc.name)
+			t.Fatalf("%s: no invalidation slot became an event; the late-insert path went untested", sc.name)
 		}
+	}
+}
+
+// TestPDESOrdinalTie pins the ordinal mapping where seqs alone decide the
+// order: two peers' invalidations of two pages and a lock grant land at
+// the same instant on node 2, which inserts both pages after the barrier
+// that applied them, so both invalidations reach it through late slots
+// that tie with the grant. The batch orders the grant between the two
+// invalidations, so it must fire between them — seeing page a dropped and
+// page b still held — as it does under the broadcast. Node 0 sends one of
+// the invalidations and receives the other, as a holder, in the same
+// batch.
+func TestPDESOrdinalTie(t *testing.T) {
+	defer func() { pdesBroadcast = false }()
+	run := func(broadcast bool) string {
+		pdesBroadcast = broadcast
+		c, window, busy := quietPDES(t, 4)
+		pdesBroadcast = false
+		pd := c.net.(*pdesState)
+		n0, n1, n2, n3 := c.nodes[0], c.nodes[1], c.nodes[2], c.nodes[3]
+		a, b := storage.PageKey{Partition: 0, Page: 11}, storage.PageKey{Partition: 0, Page: 12}
+		fix := func(n *node, at sim.Time, keys ...storage.PageKey) {
+			p := n.s.NewProcess("fixer")
+			n.s.Schedule(at, func() {
+				for _, k := range keys {
+					n.bm.Fix(p, k, false, func() {})
+				}
+			})
+		}
+		fix(n0, 0.01, b)
+
+		// Node 1's transaction holds granule g; node 2's waits for it.
+		g := cc.Granule{ID: 9}
+		holder, waiter := n1.newTxn(), n2.newTxn()
+		if c.glocks.AcquireFrom(1, holder, g, cc.Write) != cc.Granted ||
+			c.glocks.AcquireFrom(2, waiter, g, cc.Write) != cc.Wait {
+			t.Fatal("granule g was not held by node 1 and awaited by node 2")
+		}
+		seen := "the grant never fired"
+		n2.waiting[waiter] = func() {
+			seen = fmt.Sprintf("grant at %v: node 2 holds a %v, b %v", n2.s.Now(), n2.bm.Holds(a), n2.bm.Holds(b))
+		}
+		// Sent at 0.22 and 0.27, all three messages arrive at 0.37 and
+		// are applied at the barrier at 0.3 in the order a, release, b.
+		n0.s.Schedule(0.22, func() { pd.invalidate(n0, a) })
+		n3.s.Schedule(0.22, func() { pd.invalidate(n3, b) })
+		n1.s.Schedule(0.27, func() { pd.lockRelease(n1, holder) })
+		fix(n2, 0.33, a, b)
+		for busy() {
+			window()
+		}
+		if !broadcast && lateRecords(c) != 2 {
+			t.Fatalf("%d late records pooled, want 2", lateRecords(c))
+		}
+		return fmt.Sprintf("%s; invalidations %d %d %d %d; node 0 holds b %v; node 2 %+v",
+			seen, n0.invalidations, n1.invalidations, n2.invalidations, n3.invalidations,
+			n0.bm.Holds(b), n2.bm.Stats())
+	}
+	want := run(true)
+	if !strings.HasPrefix(want, "grant at 0.37: node 2 holds a false, b true; invalidations 1 0 2 0; node 0 holds b false") {
+		t.Fatalf("the broadcast run did not order the tie as sent: %s", want)
+	}
+	if got := run(false); got != want {
+		t.Fatalf("the filtered run differs from the broadcast:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestPDESFanOutRule pins the default fan-out rule (pdesFanOut): no
+// window of a 4-node run leaves the coordinator, and most windows of a
+// 256-node run cross the barrier. The barrier's epoch counts the windows
+// it ran, plus one for the stop.
+func TestPDESFanOutRule(t *testing.T) {
+	fanned := func(cfg ClusterConfig) (fanned, windows int) {
+		t.Helper()
+		c, _, err := runCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pd := c.net.(*pdesState)
+		for now, steps := sim.Time(0), c.phases(); len(steps) > 0; steps = steps[1:] {
+			for ; now < steps[0].at; windows++ {
+				now = min(now+pd.lookahead, steps[0].at)
+			}
+		}
+		return int(pd.barrier.epoch.Load()) - 1, windows
+	}
+	if f, w := fanned(pdesSharedCluster(t, 4, 400, 4)); f != 0 {
+		t.Fatalf("4 nodes: %d of %d windows fanned out, want none", f, w)
+	}
+	cfg := pdesSharedCluster(t, 256, 256*50, 2)
+	cfg.Base.WarmupMS = 100
+	cfg.Base.MeasureMS = 200
+	if f, w := fanned(cfg); f < w/2 {
+		t.Fatalf("256 nodes: %d of %d windows fanned out, want most", f, w)
+	} else {
+		t.Logf("256 nodes: %d of %d windows fanned out", f, w)
 	}
 }
 
@@ -563,7 +757,7 @@ func TestPDESResidencyMatchesRecount(t *testing.T) {
 // the one it was delivered for panics instead of acting on another event.
 func TestPDESPayloadGuard(t *testing.T) {
 	e := &node{id: 1, s: sim.New()}
-	in := newPDESInbox(e)
+	in := newPDESInbox(nil, e)
 	in.invals.push(pageInval{at: 5})
 	e.s.Deliver(6, in.fireInval)
 	defer func() {

@@ -49,7 +49,9 @@ type ClusterSetup struct {
 	// run the cluster under the conservative PDES engine, one kernel and
 	// private storage per node. Combining PDES with SharedNVEM requires a
 	// positive NVEMAccessDelayMS — the modeled interconnect latency that
-	// gives shared-cache coherence its lookahead.
+	// gives shared-cache coherence its lookahead. PDESWorkers 0 means
+	// GOMAXPROCS, or 1 for a grid job that runs beside others: the grid
+	// already keeps the cores busy. Results do not depend on it.
 	PDES              bool
 	PDESWorkers       int
 	NVEMAccessDelayMS float64
@@ -175,6 +177,9 @@ func (s ClusterSetup) Build(o Options) (core.ClusterConfig, error) {
 		TimelineBucketMS:  s.TimelineBucketMS,
 		Admission:         s.Admission,
 		PDES:              core.PDESConfig{Enabled: s.PDES, Workers: s.PDESWorkers},
+	}
+	if cfg.PDES.Workers == 0 && o.concurrent {
+		cfg.PDES.Workers = 1
 	}
 	if s.CrashAtMS > 0 {
 		cfg.Failure = core.FailureConfig{
@@ -366,9 +371,9 @@ func (o Options) pdes256NodeCounts() []float64 {
 // frames, coherence travelling as NVEMAccessDelayMS interconnect
 // messages) against private 500-frame caches. Windows are scaled down —
 // at 256 nodes one short window already aggregates hundreds of thousands
-// of transactions — and PDESWorkers is pinned so the rendered output is
-// reproducible on any host (worker-count invariance is pinned separately
-// by TestPDESWorkerCountInvariant256).
+// of transactions. The output does not depend on the PDES worker count
+// (TestScaleout256WorkerInvariance, TestPDESWorkerCountInvariant256), so
+// it is left to the harness.
 func ClusterScaleout256(o Options) (*stats.Figure, *stats.Figure, error) {
 	resp := &stats.Figure{
 		Title:  "PDES scale-up to 256 nodes (Debit-Credit, shared vs. private NVEM cache)",
@@ -402,7 +407,7 @@ func ClusterScaleout256(o Options) (*stats.Figure, *stats.Figure, error) {
 				sc, nodes := schemes[si], int(resp.X[xi])
 				res, err := ClusterSetup{Nodes: nodes, AggregateRate: 50 * float64(nodes),
 					MMBuffer: 500, SharedNVEM: sc.shared, PrivateNVEM: sc.private,
-					GlobalLocks: true, PDES: true, PDESWorkers: 4,
+					GlobalLocks: true, PDES: true,
 					NVEMAccessDelayMS: 0.15, WindowScale: 0.2,
 					DBControllers: 2, DBDisks: 12, LogControllers: 1, LogDisks: 2}.Run(o)
 				if err != nil {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"testing"
+
+	"repro/internal/core"
 )
 
 // scaleout256Point is the cluster.scaleout256 shared-NVEM point at 256
@@ -16,10 +18,11 @@ func scaleout256Point(workers int) ClusterSetup {
 }
 
 // TestScaleout256WorkerInvariance pins the cluster.scaleout256 golden's
-// independence from PDESWorkers: the experiment bakes Workers = 4 into
-// its setup, and this test proves any other supported worker count would
-// have rendered the identical result — the golden is a property of the
-// model, not of the host's parallelism.
+// independence from PDESWorkers: the experiment leaves the worker count to
+// the harness, which runs grid jobs beside each other on one worker each,
+// and this test proves any other supported worker count renders the
+// identical result — the golden is a property of the model, not of the
+// host's parallelism.
 func TestScaleout256WorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node sweep")
@@ -40,6 +43,39 @@ func TestScaleout256WorkerInvariance(t *testing.T) {
 		if got := run(workers); got != base {
 			t.Fatalf("PDESWorkers=%d diverged from the serial run:\n%s\nvs\n%s",
 				workers, got, base)
+		}
+	}
+}
+
+// TestGridJobsRunPDESOnOneWorker: a grid that runs several jobs at once
+// gives each PDES run left at the default worker count one worker, since
+// the grid already keeps the cores busy. A grid that runs one job at a
+// time, or a setup that names its worker count, keeps the count.
+func TestGridJobsRunPDESOnOneWorker(t *testing.T) {
+	for _, tc := range []struct{ parallelism, workers, want int }{
+		{2, 0, 1},
+		{1, 0, 0},
+		{2, 3, 3},
+	} {
+		g := newGrid(Options{Quick: true, Parallelism: tc.parallelism}, 1, 2)
+		got := make([]int, 2)
+		for col := range got {
+			g.add(0, col, func(o Options) (*core.Result, error) {
+				cfg, err := ClusterSetup{Nodes: 2, AggregateRate: 100, GlobalLocks: true,
+					PDES: true, PDESWorkers: tc.workers}.Build(o)
+				if err != nil {
+					return nil, err
+				}
+				got[col] = cfg.PDES.Workers
+				return &core.Result{}, nil
+			})
+		}
+		if _, err := g.run(); err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != tc.want || got[1] != tc.want {
+			t.Fatalf("parallelism %d, PDESWorkers %d: jobs ran with %v workers, want %d",
+				tc.parallelism, tc.workers, got, tc.want)
 		}
 	}
 }

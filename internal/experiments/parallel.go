@@ -129,10 +129,13 @@ func (g *grid) run() ([][]cell, error) {
 	results := make([]*core.Result, len(specs))
 	errs := make([]error, len(specs))
 	base := g.o.seed()
-	runPool(g.o.parallelism(), len(specs), func(k int) {
+	workers := g.o.parallelism()
+	concurrent := min(workers, len(specs)) > 1
+	runPool(workers, len(specs), func(k int) {
 		sp := specs[k]
 		o := g.o
 		o.Seed = rng.Derive(base, sp.rep)
+		o.concurrent = concurrent
 		results[k], errs[k] = g.jobs[sp.cellIdx](o)
 	})
 	for k := range errs {

@@ -32,6 +32,11 @@ type Options struct {
 	// inside one experiment. 0 means GOMAXPROCS. Rendered output is
 	// byte-identical for every value, including 1.
 	Parallelism int
+
+	// concurrent marks the Options a grid job runs with while the grid runs
+	// several jobs at once. The jobs then own the cores, so a PDES run left
+	// at the default worker count runs its windows on one (ClusterSetup).
+	concurrent bool
 }
 
 func (o Options) seed() int64 {

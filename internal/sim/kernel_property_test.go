@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -125,7 +126,7 @@ func propRun(t *testing.T, seed int64, newSim func() *Sim, mode propMode) propTr
 		if mode == viaReserve {
 			switch pick.Intn(4) {
 			case 0: // filled at once
-				s.DeliverReserved(at, s.Reserve(), fn)
+				s.DeliverReserved(at, s.Reserve(1), fn)
 				tr.filled[rec] = true
 				return
 			case 1, 2: // filled by an earlier event, scheduled ahead of the
@@ -133,12 +134,12 @@ func propRun(t *testing.T, seed int64, newSim func() *Sim, mode propMode) propTr
 				var seq uint64
 				u := Time(pick.Intn(int(d/0.5)+1)) * 0.5
 				s.Schedule(u, func() { s.DeliverReserved(at, seq, fn) })
-				seq = s.Reserve()
+				seq = s.Reserve(1)
 				tr.filled[rec] = true
 				return
 			default:
 				if inert {
-					s.Reserve() // never filled
+					s.Reserve(1) // never filled
 					tr.dropped[rec] = true
 					return
 				}
@@ -299,7 +300,7 @@ func TestDeliverReservedPassedPanics(t *testing.T) {
 		s := New()
 		s.Schedule(2, func() {})
 		// Both slots take seqs above the event that fires at 2.
-		early, atHorizon := s.Reserve(), s.Reserve()
+		early, atHorizon := s.Reserve(1), s.Reserve(1)
 		if later {
 			s.Schedule(5, func() {})
 		}
@@ -323,7 +324,7 @@ func TestDeliverReservedPassedPanics(t *testing.T) {
 		}
 		// A slot reserved after Run returned, at the horizon itself, is live.
 		fired := false
-		s.DeliverReserved(3, s.Reserve(), func() { fired = true })
+		s.DeliverReserved(3, s.Reserve(1), func() { fired = true })
 		s.Run(4)
 		if !fired {
 			t.Fatalf("later event %v: a slot reserved at the horizon after Run returned did not fire", later)
@@ -338,7 +339,7 @@ func TestDeliverReservedPassedPanics(t *testing.T) {
 func TestReservedSlotEqualInstant(t *testing.T) {
 	s := New()
 	var order []string
-	before := s.Reserve()
+	before := s.Reserve(1)
 	s.Schedule(1, func() {
 		order = append(order, "first")
 		if !s.Passed(1, before) {
@@ -353,7 +354,7 @@ func TestReservedSlotEqualInstant(t *testing.T) {
 			s.DeliverReserved(1, before, func() { order = append(order, "before") })
 		}()
 	})
-	after := s.Reserve()
+	after := s.Reserve(1)
 	s.Schedule(1, func() { order = append(order, "last") })
 	s.Schedule(0.5, func() {
 		if s.Passed(1, after) {
@@ -558,5 +559,160 @@ func TestKernelShutdownCancelsEverything(t *testing.T) {
 		if firedLate {
 			t.Fatalf("seed %d: continuation fired after the t=%v shutdown", seed, cut)
 		}
+	}
+}
+
+// earliest returns the instant of the kernel's earliest pending event.
+func earliest(s *Sim) (Time, bool) {
+	at, ok := Time(0), false
+	if s.laneHead < len(s.lane) {
+		at, ok = s.lane[s.laneHead].at, true
+	}
+	if s.events.Len() > 0 {
+		if q := s.events.Peek().at; !ok || q < at {
+			at = q
+		}
+		ok = true
+	}
+	return at, ok
+}
+
+// landTrace is what one landRun observed: the fired events as
+// "instant/index", Now() after every Run or Land, and Passed for every
+// reserved slot at the same points.
+type landTrace struct {
+	fired  []string
+	now    []Time
+	passed []bool
+	landed int // Run calls that became Land
+}
+
+// landRun drives one random program of Schedule, Deliver, Reserve,
+// DeliverReserved, Resource.Use, Run and RunAll, ending in Shutdown, on a
+// fresh kernel from newSim, and checks after every step, inside events
+// included, that the kernel's next-event bound does not exceed its
+// earliest pending instant. With land set, each Run(w) on a kernel that
+// is Idle(w) becomes Land(w).
+func landRun(t *testing.T, seed int64, newSim func() *Sim, land bool) landTrace {
+	t.Helper()
+	rnd := rand.New(rand.NewSource(seed))
+	s := newSim()
+	res, user := s.NewResource("dev", 1+rnd.Intn(2)), s.NewProcess("user")
+	var tr landTrace
+	type slot struct {
+		at     Time
+		seq    uint64
+		filled bool
+	}
+	var slots []*slot
+	check := func() {
+		if at, ok := earliest(s); ok && s.next > at {
+			t.Fatalf("seed %d: next-event bound %v above the earliest pending instant %v", seed, s.next, at)
+		}
+	}
+	delay := func() Time { return Time(rnd.Intn(6)) * 0.5 }
+	idx := 0
+	var push func(depth int)
+	event := func(depth int) func() {
+		id := idx
+		idx++
+		return func() {
+			tr.fired = append(tr.fired, fmt.Sprintf("%v/%d", s.Now(), id))
+			if depth > 0 && rnd.Intn(2) == 0 {
+				push(depth - 1)
+				check()
+			}
+		}
+	}
+	push = func(depth int) {
+		switch rnd.Intn(5) {
+		case 0:
+			s.Schedule(delay(), event(depth))
+		case 4: // a server hold, queued behind the others when all are busy
+			res.Use(user, delay(), event(depth))
+		case 1:
+			s.Deliver(s.Now()+delay(), event(depth))
+		case 2: // a run of slots at one future instant
+			at, n := s.Now()+delay(), uint64(rnd.Intn(3))
+			for seq := s.Reserve(n); n > 0; seq, n = seq+1, n-1 {
+				slots = append(slots, &slot{at: at, seq: seq})
+			}
+		default: // fill a live slot, if there is one
+			var live []*slot
+			for _, sl := range slots {
+				if !sl.filled && !s.Passed(sl.at, sl.seq) {
+					live = append(live, sl)
+				}
+			}
+			if len(live) > 0 {
+				sl := live[rnd.Intn(len(live))]
+				sl.filled = true
+				s.DeliverReserved(sl.at, sl.seq, event(depth))
+			}
+		}
+	}
+	for step := 0; step < 150; step++ {
+		switch r := rnd.Intn(20); {
+		case r < 11:
+			push(2)
+		case r < 19:
+			w := s.Now() + Time(rnd.Intn(5))*0.25
+			if land && s.Idle(w) {
+				s.Land(w)
+				tr.landed++
+			} else {
+				s.Run(w)
+			}
+			tr.now = append(tr.now, s.Now())
+			for _, sl := range slots {
+				tr.passed = append(tr.passed, s.Passed(sl.at, sl.seq))
+			}
+		default:
+			s.RunAll()
+		}
+		check()
+	}
+	s.Shutdown()
+	if !s.Idle(math.MaxFloat64) {
+		t.Fatalf("seed %d: a shut-down kernel is not idle", seed)
+	}
+	return tr
+}
+
+// TestKernelIdleLand is the contract the PDES coordinator's idle-kernel
+// skip rests on. Over random programs on both queue kinds, resource holds
+// and their hand-offs included, the cached
+// next-event bound never exceeds the earliest pending instant, and a
+// program that lands every idle kernel instead of running it reads the
+// same Now(), the same Passed for every reserved slot, and fires the same
+// events in the same order. Idle and Land allocate nothing.
+func TestKernelIdleLand(t *testing.T) {
+	landed := 0
+	for seed := int64(1); seed <= 200; seed++ {
+		for _, q := range queueKinds {
+			run := landRun(t, seed, q.new, false)
+			land := landRun(t, seed, q.new, true)
+			if !slices.Equal(land.fired, run.fired) {
+				t.Fatalf("seed %d, %s queue: Land fired %v, Run %v", seed, q.name, land.fired, run.fired)
+			}
+			if !slices.Equal(land.now, run.now) || !slices.Equal(land.passed, run.passed) {
+				t.Fatalf("seed %d, %s queue: Land and Run left different clocks or passed slots", seed, q.name)
+			}
+			landed += land.landed
+		}
+	}
+	if landed == 0 {
+		t.Fatal("no program found an idle kernel to land")
+	}
+
+	s := New()
+	s.Schedule(2, func() {})
+	s.Run(1)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if s.Idle(1.5) {
+			s.Land(1.5)
+		}
+	}); allocs != 0 || s.Now() != 1.5 {
+		t.Fatalf("Idle and Land allocate %.1f per call and left the clock at %v; want 0 and 1.5", allocs, s.Now())
 	}
 }

@@ -167,6 +167,7 @@ func (r *Resource) Use(p *Process, dt Time, k func()) {
 	r.acquires++
 	if r.busy < r.capacity && r.QueueLen() == 0 {
 		r.busy++
+		r.sim.lower(r.sim.now + dt)
 		r.sim.scheduleRelease(r, dt, k)
 		return
 	}

@@ -12,7 +12,10 @@
 // from explicitly seeded generators outside this package.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is simulated time. TPSIM models express it in milliseconds.
 type Time = float64
@@ -28,6 +31,15 @@ type Sim struct {
 	// seq < firing. While an event fires it is that event's seq; once Run
 	// returns it is one past the last seq handed out.
 	firing uint64
+	// next is a lower bound on the earliest pending instant: no event is
+	// pending before it. Run, RunAll and Shutdown set it exactly when they
+	// return, so Idle costs one comparison. A push made outside Run lowers
+	// it. A push made inside Run need not, since it lands at or after the
+	// event firing, which lies at or after the bound Run started with:
+	// scheduleRelease relies on this to stay small enough to inline, and
+	// Resource.Use, its one caller that may run outside Run, lowers the
+	// bound itself.
+	next Time
 
 	// lane is the ordered delivery lane Deliver appends to: events in
 	// nondecreasing (at, seq) order, live from laneHead on. Run merges its
@@ -55,7 +67,7 @@ type eventQueue interface {
 
 // New creates an empty simulation at time zero, backed by the calendar
 // queue.
-func New() *Sim { return &Sim{events: newCalQueue()} }
+func New() *Sim { return &Sim{events: newCalQueue(), next: math.Inf(1)} }
 
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
@@ -72,7 +84,20 @@ func (s *Sim) Schedule(delay Time, fn func()) {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
 	s.seq++
-	s.events.Push(event{at: s.now + delay, seq: s.seq, fn: fn})
+	s.push(event{at: s.now + delay, seq: s.seq, fn: fn})
+}
+
+// push adds ev to the calendar queue and lowers the next-event bound.
+func (s *Sim) push(ev event) {
+	s.lower(ev.at)
+	s.events.Push(ev)
+}
+
+// lower lowers the next-event bound to at.
+func (s *Sim) lower(at Time) {
+	if at < s.next {
+		s.next = at
+	}
 }
 
 // Deliver runs fn in kernel context at the instant at, which must not lie
@@ -99,9 +124,10 @@ func (s *Sim) Deliver(at Time, fn func()) {
 	s.seq++
 	ev := event{at: at, seq: s.seq, fn: fn}
 	if n := len(s.lane); n > s.laneHead && at < s.lane[n-1].at {
-		s.events.Push(ev)
+		s.push(ev)
 		return
 	}
+	s.lower(at)
 	if s.laneHead > 0 && len(s.lane) == cap(s.lane) {
 		// Slide the live events over the spent head slots instead of
 		// growing the backing array.
@@ -112,15 +138,17 @@ func (s *Sim) Deliver(at Time, fn func()) {
 	s.lane = append(s.lane, ev)
 }
 
-// Reserve takes the kernel's next seq, as Schedule and Deliver do, and
-// schedules nothing. Together with an instant at ≥ Now() the seq names a
-// slot (at, seq): DeliverReserved can fill it later, and the event then
-// fires exactly where Deliver(at, fn) in Reserve's place would have put
-// it. A slot never filled costs nothing, and every other event keeps the
-// seq it would have had.
-func (s *Sim) Reserve() uint64 {
-	s.seq++
-	return s.seq
+// Reserve takes the kernel's next n seqs, as n calls of Schedule or
+// Deliver would, schedules nothing and returns the first of them. Together
+// with an instant at ≥ Now() each seq names a slot (at, seq):
+// DeliverReserved can fill it later, and the event then fires exactly
+// where Deliver(at, fn) in the seq's place would have put it. A slot never
+// filled costs nothing, and every other event keeps its place in the
+// (at, seq) order. Reserve(0) takes nothing.
+func (s *Sim) Reserve(n uint64) uint64 {
+	first := s.seq + 1
+	s.seq += n
+	return first
 }
 
 // Passed reports whether the slot (at, seq) has passed: the kernel has
@@ -142,7 +170,7 @@ func (s *Sim) DeliverReserved(at Time, seq uint64, fn func()) {
 		panic(fmt.Sprintf("sim: reserved slot (%v, %d) has passed or was never reserved (now %v, next seq %d)",
 			at, seq, s.now, s.seq+1))
 	}
-	s.events.Push(event{at: at, seq: seq, fn: fn})
+	s.push(event{at: at, seq: seq, fn: fn})
 }
 
 // laneFirst reports whether the lane head precedes the queue head in
@@ -167,10 +195,26 @@ func (s *Sim) popLane() event {
 }
 
 // scheduleRelease schedules fn at now+delay with r released first at fire
-// time — the allocation-free backbone of Resource.Use.
+// time — the allocation-free backbone of Resource.Use. It leaves the
+// next-event bound alone (see next): Use lowers it, because Use may run
+// outside Run.
 func (s *Sim) scheduleRelease(r *Resource, delay Time, fn func()) {
 	s.seq++
 	s.events.Push(event{at: s.now + delay, seq: s.seq, fn: fn, release: r})
+}
+
+// Idle reports whether no event is pending at or before w: Run(w) would
+// fire nothing, and Land(w) may stand in for it. It reads the next-event
+// bound, which may lie below the earliest pending instant until the next
+// Run returns, so Idle may answer false for a kernel with nothing to do
+// but never true for one with work.
+func (s *Sim) Idle(w Time) bool { return s.next > w }
+
+// Land does what Run(w) does on an idle kernel (Idle(w)), without looking
+// at the queue: the clock lands on w, and every slot reserved so far at or
+// before w has passed. w must not lie before Now().
+func (s *Sim) Land(w Time) {
+	s.now, s.firing = w, s.seq+1
 }
 
 // Run executes events until none are pending or the next event would fire
@@ -183,16 +227,16 @@ func (s *Sim) Run(until Time) Time {
 	for {
 		var ev event
 		if s.laneHead < len(s.lane) && s.laneFirst() {
-			if s.lane[s.laneHead].at > until {
-				return s.stop(until)
+			if at := s.lane[s.laneHead].at; at > until {
+				return s.stop(until, at)
 			}
 			ev = s.popLane()
 		} else {
 			if s.events.Len() == 0 {
 				break
 			}
-			if s.events.Peek().at > until {
-				return s.stop(until)
+			if at := s.events.Peek().at; at > until {
+				return s.stop(until, at)
 			}
 			ev = s.events.Pop()
 		}
@@ -205,15 +249,15 @@ func (s *Sim) Run(until Time) Time {
 	if s.now < until {
 		s.now = until
 	}
-	s.firing = s.seq + 1
+	s.firing, s.next = s.seq+1, math.Inf(1)
 	return s.now
 }
 
-// stop lands the clock on until when the next event lies past it. Every
-// slot reserved so far at until has passed: had it been filled, it would
-// have fired before Run returned.
-func (s *Sim) stop(until Time) Time {
-	s.now, s.firing = until, s.seq+1
+// stop lands the clock on until when the next event, at next, lies past
+// it. Every slot reserved so far at until has passed: had it been filled,
+// it would have fired before Run returned.
+func (s *Sim) stop(until, next Time) Time {
+	s.now, s.firing, s.next = until, s.seq+1, next
 	return s.now
 }
 
@@ -227,7 +271,7 @@ func (s *Sim) RunAll() Time {
 		case s.events.Len() > 0:
 			ev = s.events.Pop()
 		default:
-			s.firing = s.seq + 1
+			s.firing, s.next = s.seq+1, math.Inf(1)
 			return s.now
 		}
 		s.now, s.firing = ev.at, ev.seq
@@ -244,4 +288,5 @@ func (s *Sim) RunAll() Time {
 func (s *Sim) Shutdown() {
 	s.events.Clear()
 	s.lane, s.laneHead = nil, 0
+	s.next = math.Inf(1)
 }
