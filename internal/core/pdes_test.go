@@ -61,12 +61,50 @@ func runPDES(t *testing.T, cfg ClusterConfig) *ClusterResult {
 var fanOutModes = []bool{false, true}
 
 // runPDESFanOut executes one PDES cluster run, fanning every window out
-// to the worker pool when force is set.
+// to the worker pool when force is set (checkFanOut).
 func runPDESFanOut(t *testing.T, cfg ClusterConfig, force bool) *ClusterResult {
 	t.Helper()
 	pdesForceFanOut = force
 	defer func() { pdesForceFanOut = false }()
-	return runPDES(t, cfg)
+	c, res, err := runCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFanOut(t, c, force)
+	return res
+}
+
+// fannedOut reports how many windows of the finished PDES cluster c the
+// worker pool ran, and how many windows the run had. The barrier's epoch
+// counts the windows it ran, plus one for the stop.
+func fannedOut(c *cluster) (fanned, windows int) {
+	pd := c.net.(*pdesState)
+	for now, steps := sim.Time(0), c.phases(); len(steps) > 0; steps = steps[1:] {
+		for ; now < steps[0].at; windows++ {
+			now = min(now+pd.lookahead, steps[0].at)
+		}
+	}
+	if pd.barrier != nil {
+		fanned = int(pd.barrier.epoch.Load()) - 1
+	}
+	return fanned, windows
+}
+
+// checkFanOut logs how many windows of the finished cluster c crossed the
+// barrier and, when every window was forced out, fails unless all of them
+// did — so a forced run cannot silently stay on the coordinator.
+func checkFanOut(t *testing.T, c *cluster, force bool) {
+	t.Helper()
+	pd := c.net.(*pdesState)
+	if pd.barrier == nil {
+		return // one worker: there is no pool
+	}
+	f, w := fannedOut(c)
+	if force && f != w {
+		t.Fatalf("%d workers, forced fan-out: %d of %d windows crossed the barrier", pd.workers, f, w)
+	}
+	t.Logf("%d nodes, %d workers, forced fan-out %v: %d of %d windows crossed the barrier",
+		len(c.nodes), pd.workers, force, f, w)
 }
 
 // TestPDESWorkerCountInvariant is the parallel engine's determinism pin: a
@@ -142,6 +180,10 @@ func TestPDESFailureWorkerCountInvariant(t *testing.T) {
 // TestPDESWorkerCountInvariant256 pins the determinism contract at the
 // scale the barrier fast path exists for: 256 kernels, every supported
 // worker count, short windows so the pin stays cheap enough for -race CI.
+// At 10 TPS per node few kernels are busy in a window, so under the
+// default rule nearly every window stays on the coordinator; each
+// parallel run is therefore made twice, with the default rule and with
+// every window fanned out.
 func TestPDESWorkerCountInvariant256(t *testing.T) {
 	build := func(workers int) ClusterConfig {
 		cfg := pdesCluster(t, 256, 2560, workers)
@@ -154,15 +196,17 @@ func TestPDESWorkerCountInvariant256(t *testing.T) {
 		t.Fatal("256-node PDES run produced no commits")
 	}
 	for _, workers := range []int{2, 4, 8} {
-		parallel := runPDES(t, build(workers))
-		for i := range serial.Nodes {
-			if !reflect.DeepEqual(serial.Nodes[i], parallel.Nodes[i]) {
-				t.Fatalf("workers=%d: node %d diverged from the serial run:\n%+v\nvs\n%+v",
-					workers, i, parallel.Nodes[i], serial.Nodes[i])
+		for _, force := range fanOutModes {
+			parallel := runPDESFanOut(t, build(workers), force)
+			for i := range serial.Nodes {
+				if !reflect.DeepEqual(serial.Nodes[i], parallel.Nodes[i]) {
+					t.Fatalf("workers=%d, forced fan-out %v: node %d diverged from the serial run:\n%+v\nvs\n%+v",
+						workers, force, i, parallel.Nodes[i], serial.Nodes[i])
+				}
 			}
-		}
-		if got, want := parallel.Report(), serial.Report(); got != want {
-			t.Fatalf("workers=%d: report diverged:\n%s\nvs\n%s", workers, got, want)
+			if got, want := parallel.Report(), serial.Report(); got != want {
+				t.Fatalf("workers=%d, forced fan-out %v: report diverged:\n%s\nvs\n%s", workers, force, got, want)
+			}
 		}
 	}
 }
@@ -171,7 +215,9 @@ func TestPDESWorkerCountInvariant256(t *testing.T) {
 // detector: a mid-window crash with rerouted arrivals and redo recovery,
 // replayed serially and on the full 8-worker barrier pool. Divergence or
 // a data race here means the fast-path barrier broke the contract under
-// the hardest schedule at full scale.
+// the hardest schedule at full scale. Its windows are too thin for the
+// default fan-out rule, so the 8-worker run is made with the default rule
+// and with every window fanned out.
 func TestPDESCrash256(t *testing.T) {
 	build := func(workers int) ClusterConfig {
 		cfg := pdesCluster(t, 256, 2560, workers)
@@ -185,15 +231,17 @@ func TestPDESCrash256(t *testing.T) {
 	if serial.Cluster.Restart == nil {
 		t.Fatal("crash injected but no restart report")
 	}
-	parallel := runPDES(t, build(8))
-	for i := range serial.Nodes {
-		if !reflect.DeepEqual(serial.Nodes[i], parallel.Nodes[i]) {
-			t.Fatalf("node %d diverged across worker counts:\n%+v\nvs\n%+v",
-				i, parallel.Nodes[i], serial.Nodes[i])
+	for _, force := range fanOutModes {
+		parallel := runPDESFanOut(t, build(8), force)
+		for i := range serial.Nodes {
+			if !reflect.DeepEqual(serial.Nodes[i], parallel.Nodes[i]) {
+				t.Fatalf("forced fan-out %v: node %d diverged across worker counts:\n%+v\nvs\n%+v",
+					force, i, parallel.Nodes[i], serial.Nodes[i])
+			}
 		}
-	}
-	if got, want := parallel.Report(), serial.Report(); got != want {
-		t.Fatalf("256-node crash report diverged:\n%s\nvs\n%s", got, want)
+		if got, want := parallel.Report(), serial.Report(); got != want {
+			t.Fatalf("forced fan-out %v: 256-node crash report diverged:\n%s\nvs\n%s", force, got, want)
+		}
 	}
 }
 
@@ -613,6 +661,7 @@ func TestPDESInvalidationFilterExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				checkFanOut(t, c, force)
 				if g, w := got.Report(), want.Report(); g != w {
 					t.Fatalf("%s, %d workers, forced fan-out %v: the filtered report differs from the broadcast:\n%s\nvs\n%s",
 						sc.name, workers, force, g, w)
@@ -698,8 +747,7 @@ func TestPDESOrdinalTie(t *testing.T) {
 
 // TestPDESFanOutRule pins the default fan-out rule (pdesFanOut): no
 // window of a 4-node run leaves the coordinator, and most windows of a
-// 256-node run cross the barrier. The barrier's epoch counts the windows
-// it ran, plus one for the stop.
+// 256-node run at 50 TPS per node cross the barrier.
 func TestPDESFanOutRule(t *testing.T) {
 	fanned := func(cfg ClusterConfig) (fanned, windows int) {
 		t.Helper()
@@ -707,13 +755,7 @@ func TestPDESFanOutRule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pd := c.net.(*pdesState)
-		for now, steps := sim.Time(0), c.phases(); len(steps) > 0; steps = steps[1:] {
-			for ; now < steps[0].at; windows++ {
-				now = min(now+pd.lookahead, steps[0].at)
-			}
-		}
-		return int(pd.barrier.epoch.Load()) - 1, windows
+		return fannedOut(c)
 	}
 	if f, w := fanned(pdesSharedCluster(t, 4, 400, 4)); f != 0 {
 		t.Fatalf("4 nodes: %d of %d windows fanned out, want none", f, w)
