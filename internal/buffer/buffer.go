@@ -83,34 +83,8 @@ type Stats struct {
 	CkptWrites  int64 // dirty pages flushed by checkpoints
 }
 
-// Sub returns s-o field-wise; the engine reports measurement-window
-// deltas with it. Keep Sub and Add in sync when adding counters.
-func (s Stats) Sub(o Stats) Stats {
-	return Stats{
-		Fixes:           s.Fixes - o.Fixes,
-		MMHits:          s.MMHits - o.MMHits,
-		ResidentFixes:   s.ResidentFixes - o.ResidentFixes,
-		NVEMCacheHits:   s.NVEMCacheHits - o.NVEMCacheHits,
-		NVEMReads:       s.NVEMReads - o.NVEMReads,
-		DeviceReads:     s.DeviceReads - o.DeviceReads,
-		VictimWrites:    s.VictimWrites - o.VictimWrites,
-		VictimAsync:     s.VictimAsync - o.VictimAsync,
-		VictimToWB:      s.VictimToWB - o.VictimToWB,
-		VictimToNVEM:    s.VictimToNVEM - o.VictimToNVEM,
-		CleanDrops:      s.CleanDrops - o.CleanDrops,
-		WBFullSync:      s.WBFullSync - o.WBFullSync,
-		AsyncDiskWrites: s.AsyncDiskWrites - o.AsyncDiskWrites,
-		NVEMEvictWrites: s.NVEMEvictWrites - o.NVEMEvictWrites,
-		ForceWrites:     s.ForceWrites - o.ForceWrites,
-		LogWrites:       s.LogWrites - o.LogWrites,
-		GroupCommits:    s.GroupCommits - o.GroupCommits,
-		Checkpoints:     s.Checkpoints - o.Checkpoints,
-		CkptWrites:      s.CkptWrites - o.CkptWrites,
-	}
-}
-
 // Add returns s+o field-wise; cluster aggregation sums per-node stats
-// with it.
+// with it. Keep it in sync when adding counters.
 func (s Stats) Add(o Stats) Stats {
 	return Stats{
 		Fixes:           s.Fixes + o.Fixes,
@@ -624,6 +598,13 @@ func NewShared(cfg Config, partitionNames []string, units []*storage.DiskUnit,
 // Stats returns a copy of the global counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
+// ResetStats zeroes the global and per-partition counters, so they cover
+// a measurement window opened now.
+func (m *Manager) ResetStats() {
+	m.stats = Stats{}
+	clear(m.partStats)
+}
+
 // PartitionStats returns a copy of the per-partition counters.
 func (m *Manager) PartitionStats() []PartitionStats {
 	out := make([]PartitionStats, len(m.partStats))
@@ -1012,21 +993,4 @@ func (m *Manager) writeLogPage(p *sim.Process, k func()) {
 		op.state = lgIO
 		m.host.IOOverhead(p, op.step)
 	}
-}
-
-// HitRatioMM returns the overall main-memory hit ratio.
-func (m *Manager) HitRatioMM() float64 {
-	if m.stats.Fixes == 0 {
-		return 0
-	}
-	return float64(m.stats.MMHits) / float64(m.stats.Fixes)
-}
-
-// HitRatioNVEM returns NVEM-cache hits as a fraction of all fixes (the
-// "additional hit ratio" of Tables 4.2a/b).
-func (m *Manager) HitRatioNVEM() float64 {
-	if m.stats.Fixes == 0 {
-		return 0
-	}
-	return float64(m.stats.NVEMCacheHits) / float64(m.stats.Fixes)
 }

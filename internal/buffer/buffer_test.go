@@ -129,8 +129,9 @@ func TestMMHitMiss(t *testing.T) {
 	if st.Fixes != 3 || st.MMHits != 1 || st.DeviceReads != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if hr := r.m.HitRatioMM(); hr != 1.0/3.0 {
-		t.Fatalf("hit ratio = %v", hr)
+	r.m.ResetStats()
+	if st, ps := r.m.Stats(), r.m.PartitionStats(); st != (Stats{}) || ps[0] != (PartitionStats{}) {
+		t.Fatalf("after reset: stats %+v, partition %+v; want zero", st, ps[0])
 	}
 }
 

@@ -50,14 +50,12 @@ func (g *Global) ReleaseAllFrom(node int, txn TxnID) {
 // Stats returns the shared lock table's counters.
 func (g *Global) Stats() Stats { return g.m.Stats() }
 
+// ResetStats zeroes the lock table's counters and every node's message
+// count, so they cover a measurement window opened now.
+func (g *Global) ResetStats() {
+	g.m.ResetStats()
+	clear(g.msgs)
+}
+
 // Messages returns the messages node has sent so far.
 func (g *Global) Messages(node int) int64 { return g.msgs[node] }
-
-// TotalMessages returns the cluster-wide message count.
-func (g *Global) TotalMessages() int64 {
-	var total int64
-	for _, m := range g.msgs {
-		total += m
-	}
-	return total
-}

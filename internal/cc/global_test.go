@@ -26,13 +26,17 @@ func TestGlobalMessageAccounting(t *testing.T) {
 	if g.Messages(0) != 3 {
 		t.Fatalf("messages(0) = %d after release, want 3", g.Messages(0))
 	}
-	if g.TotalMessages() != 5 {
-		t.Fatalf("total messages = %d, want 5", g.TotalMessages())
+	if total := g.Messages(0) + g.Messages(1); total != 5 {
+		t.Fatalf("total messages = %d, want 5", total)
 	}
 	if st := g.Stats(); st.Requests != 2 || st.Conflicts != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	g.ReleaseAllFrom(1, 2)
+	g.ResetStats()
+	if g.Messages(0) != 0 || g.Messages(1) != 0 || g.Stats() != (Stats{}) {
+		t.Fatalf("after reset: messages %d/%d, stats %+v; want all zero", g.Messages(0), g.Messages(1), g.Stats())
+	}
 }
 
 func TestGlobalRejectsZeroNodes(t *testing.T) {

@@ -133,19 +133,8 @@ type Stats struct {
 	Upgrades  int64
 }
 
-// Sub returns s-o field-wise; the engine reports measurement-window
-// deltas with it. Keep Sub and Add in sync when adding counters.
-func (s Stats) Sub(o Stats) Stats {
-	return Stats{
-		Requests:  s.Requests - o.Requests,
-		Conflicts: s.Conflicts - o.Conflicts,
-		Deadlocks: s.Deadlocks - o.Deadlocks,
-		Upgrades:  s.Upgrades - o.Upgrades,
-	}
-}
-
 // Add returns s+o field-wise; cluster aggregation sums per-node stats
-// with it.
+// with it. Keep it in sync when adding counters.
 func (s Stats) Add(o Stats) Stats {
 	return Stats{
 		Requests:  s.Requests + o.Requests,
@@ -210,6 +199,10 @@ func NewManager(onGrant func(TxnID)) *Manager {
 
 // Stats returns a copy of the counters.
 func (m *Manager) Stats() Stats { return m.stats }
+
+// ResetStats zeroes the counters, so they cover a measurement window
+// opened now.
+func (m *Manager) ResetStats() { m.stats = Stats{} }
 
 // HeldCount returns how many locks txn currently holds.
 func (m *Manager) HeldCount(txn TxnID) int { return len(m.held[txn]) }

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"math"
 
 	"repro/internal/buffer"
 	"repro/internal/cc"
@@ -221,17 +220,27 @@ func runCluster(cfg ClusterConfig) (*cluster, *ClusterResult, error) {
 		return nil, nil, err
 	}
 	c.runPhases()
+	// Sum the node tallies in node-id order; survivors skip the crashed node.
+	window := c.window()
+	var sum, survivors tally
 	out := &ClusterResult{}
 	for _, n := range c.nodes {
-		out.Nodes = append(out.Nodes, n.collect())
+		t := n.collect()
+		out.Nodes = append(out.Nodes, t.result(window))
+		sum.add(t)
+		if cfg.Failure.Enabled && n.id != cfg.Failure.Node {
+			survivors.add(t)
+		}
 	}
-	out.Cluster = c.aggregate(out.Nodes)
+	if c.glocks != nil {
+		sum.locks = c.glocks.Stats()
+	}
+	out.Cluster = sum.result(window)
 	c.attachShared(out.Cluster)
-	c.attachTimeline(out.Cluster)
 	if cfg.Failure.Enabled {
 		out.Cluster.Restart = c.nodes[cfg.Failure.Node].restartReport()
 		out.Cluster.CrashedTimeline = out.Nodes[cfg.Failure.Node].Timeline
-		out.Cluster.SurvivorRespMean = survivorRespMean(out.Nodes, cfg.Failure.Node)
+		out.Cluster.SurvivorRespMean = survivors.result(window).RespMean
 	}
 	c.finish()
 	return c, out, nil
@@ -279,7 +288,6 @@ type cluster struct {
 	glocks       *cc.Global // non-nil: cluster-wide lock manager
 	instrLockMsg float64
 	lockMsgDelay float64
-	baseGlobal   cc.Stats
 
 	shared *buffer.SharedNVEMCache // non-nil: coherent shared NVEM cache
 
@@ -401,9 +409,9 @@ func (c *cluster) newDevices(seed int64, k int, nodeCfgs []Config) (devices, err
 // the surrendered copy and whether it was handed off dirty.
 func (e *node) invalidate(key storage.PageKey) {
 	if had, dirty := e.bm.Invalidate(key); had {
-		e.invalidations++
+		e.win.invalidations++
 		if dirty {
-			e.dirtyHandoffs++
+			e.win.dirtyHandoffs++
 		}
 	}
 }
@@ -441,37 +449,10 @@ func (c *cluster) rerouteTarget(e *node, typ int) *node {
 	return nil
 }
 
-// timelineBuckets is the padded timeline length: the full window
-// including a trailing partial bucket, so every run of one configuration
-// reports the same number of buckets regardless of where its last
-// commit landed.
-func (c *cluster) timelineBuckets(recorded int) int {
-	buckets := int(math.Ceil(c.measure / c.timelineBucketMS))
-	if buckets < recorded {
-		buckets = recorded
-	}
-	return buckets
-}
-
-// attachTimeline sums the per-node commit timelines into the aggregate
-// result.
-func (c *cluster) attachTimeline(res *Result) {
-	if c.timelineBucketMS <= 0 {
-		return
-	}
-	longest := 0
-	for _, n := range c.nodes {
-		if len(n.timeline) > longest {
-			longest = len(n.timeline)
-		}
-	}
-	res.TimelineBucketMS = c.timelineBucketMS
-	res.Timeline = make([]int64, c.timelineBuckets(longest))
-	for _, n := range c.nodes {
-		for i, v := range n.timeline {
-			res.Timeline[i] += v
-		}
-	}
+// window is the length of the measurement window so far; every node's
+// kernel stands at the same instant between phases.
+func (c *cluster) window() sim.Time {
+	return c.nodes[0].s.Now() - c.nodes[0].warmStartTime
 }
 
 // finish stops the arrival streams and abandons all pending work.
@@ -531,121 +512,4 @@ func addUnitStats(a, b storage.DiskUnitStats) storage.DiskUnitStats {
 	a.Destages += b.Destages
 	a.DiskAccesses += b.DiskAccesses
 	return a
-}
-
-// survivorRespMean is the commit-weighted mean response time over every
-// node except the crashed one — the metric the admission controller is
-// judged on: did shedding rerouted overflow keep the survivors responsive?
-func survivorRespMean(nodes []*Result, crashed int) float64 {
-	var w, sum float64
-	for i, r := range nodes {
-		if i == crashed {
-			continue
-		}
-		w += float64(r.Commits)
-		sum += float64(r.Commits) * r.RespMean
-	}
-	if w == 0 {
-		return 0
-	}
-	return sum / w
-}
-
-// aggregate folds per-node window metrics into the cluster-wide result:
-// counters sum, time metrics are commit-weighted means, utilization is
-// CPU-weighted, and hit ratios are recomputed from the summed counters.
-func (c *cluster) aggregate(nodes []*Result) *Result {
-	agg := &Result{}
-	var commits float64
-	var cpuBusy, cpuCap float64
-	window := c.nodes[0].s.Now() - c.nodes[0].warmStartTime
-	for i, r := range nodes {
-		n := c.nodes[i]
-		agg.OfferedTPS += r.OfferedTPS
-		agg.Commits += r.Commits
-		agg.Aborts += r.Aborts
-		agg.Dropped += r.Dropped
-		agg.Shed += r.Shed
-		agg.Throughput += r.Throughput
-		agg.LockMsgs += r.LockMsgs
-		agg.Saturated = agg.Saturated || r.Saturated
-		agg.Terminals += r.Terminals
-		if r.ThinkMS > 0 {
-			agg.ThinkMS = r.ThinkMS
-		}
-		// Terminal-weighted: the aggregate is total waiting terminals over
-		// total terminals.
-		agg.TerminalWaitFrac += float64(r.Terminals) * r.TerminalWaitFrac
-		for ci, cr := range r.Classes {
-			if ci == len(agg.Classes) {
-				agg.Classes = append(agg.Classes, ClassReport{Name: cr.Name})
-			}
-			ac := &agg.Classes[ci]
-			ac.Commits += cr.Commits
-			ac.Aborts += cr.Aborts
-			ac.Dropped += cr.Dropped
-			ac.Shed += cr.Shed
-			ac.RespMean += float64(cr.Commits) * cr.RespMean
-			if cr.RespP95 > ac.RespP95 {
-				ac.RespP95 = cr.RespP95
-			}
-		}
-		w := float64(r.Commits)
-		commits += w
-		agg.RespMean += w * r.RespMean
-		// Percentiles do not average; the worst node's p95 bounds the
-		// cluster-wide p95 from above (exact for homogeneous nodes).
-		if r.RespP95 > agg.RespP95 {
-			agg.RespP95 = r.RespP95
-		}
-		agg.LockWaitMean += w * r.LockWaitMean
-		agg.IOWaitMean += w * r.IOWaitMean
-		cpuBusy += (n.cpu.BusyIntegral() - n.baseCPUBusy)
-		cpuCap += float64(n.cfg.NumCPU)
-		agg.Buffer = agg.Buffer.Add(r.Buffer)
-		agg.Locks = agg.Locks.Add(r.Locks)
-		for pi, p := range r.Partitions {
-			if pi == len(agg.Partitions) {
-				agg.Partitions = append(agg.Partitions, PartitionReport{Name: p.Name})
-			}
-			agg.Partitions[pi].Fixes += p.Fixes
-			agg.Partitions[pi].MMHits += p.MMHits
-			agg.Partitions[pi].NVEMHits += p.NVEMHits
-		}
-	}
-	if commits > 0 {
-		agg.RespMean /= commits
-		agg.LockWaitMean /= commits
-		agg.IOWaitMean /= commits
-	}
-	if agg.Terminals > 0 {
-		agg.TerminalWaitFrac /= float64(agg.Terminals)
-	}
-	for i := range agg.Classes {
-		if ac := &agg.Classes[i]; ac.Commits > 0 {
-			ac.RespMean /= float64(ac.Commits)
-		}
-	}
-	if window > 0 && cpuCap > 0 {
-		agg.CPUUtil = cpuBusy / (cpuCap * window)
-	}
-	if agg.Buffer.Fixes > 0 {
-		agg.MMHitPct = 100 * float64(agg.Buffer.MMHits) / float64(agg.Buffer.Fixes)
-		agg.NVEMAddHitPct = 100 * float64(agg.Buffer.NVEMCacheHits) / float64(agg.Buffer.Fixes)
-	}
-	for i := range agg.Partitions {
-		p := &agg.Partitions[i]
-		if p.Fixes > 0 {
-			p.MMHitPct = 100 * float64(p.MMHits) / float64(p.Fixes)
-			p.NVEMHitPct = 100 * float64(p.NVEMHits) / float64(p.Fixes)
-		}
-	}
-	if c.glocks != nil {
-		agg.Locks = c.glocks.Stats().Sub(c.baseGlobal)
-	}
-	for _, n := range c.nodes {
-		agg.Invalidations += n.invalidations - n.baseInval
-		agg.DirtyHandoffs += n.dirtyHandoffs - n.baseHandoffs
-	}
-	return agg
 }

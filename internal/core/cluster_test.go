@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/buffer"
 	"repro/internal/workload"
 )
 
@@ -83,14 +85,8 @@ func TestSingleNodeClusterMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := res.Cluster.String(), single.String(); got != want {
-		t.Fatalf("one-node cluster diverged from Run:\n%s\nvs\n%s", got, want)
-	}
-	if res.Cluster.Commits != single.Commits || res.Cluster.Dropped != single.Dropped {
-		t.Fatalf("counter mismatch: %+v vs %+v", res.Cluster, single)
-	}
-	if res.Cluster.Buffer != single.Buffer {
-		t.Fatalf("buffer stats mismatch:\n%+v\nvs\n%+v", res.Cluster.Buffer, single.Buffer)
+	if !reflect.DeepEqual(res.Cluster, single) {
+		t.Fatalf("one-node cluster diverged from Run:\n%+v\nvs\n%+v", res.Cluster, single)
 	}
 	if len(res.Nodes) != 1 {
 		t.Fatalf("%d node results, want 1", len(res.Nodes))
@@ -137,19 +133,62 @@ func TestClusterSharedNVEMAndCoherence(t *testing.T) {
 	if agg.LockMsgs == 0 {
 		t.Fatal("global locking produced no messages")
 	}
-	var commits, msgs int64
+	// Counts sum exactly; the time means are commit-weighted and CPU
+	// utilization CPU-weighted (every node has the same CPUs), up to
+	// float rounding.
+	var sum Result
+	var buf buffer.Stats
+	parts := make([]PartitionReport, len(agg.Partitions))
+	var resp, lockWait, ioWait, cpu float64
 	for _, n := range res.Nodes {
-		commits += n.Commits
-		msgs += n.LockMsgs
 		if n.Commits == 0 {
 			t.Fatalf("idle node in a balanced cluster: %+v", n)
 		}
+		sum.Commits += n.Commits
+		sum.Aborts += n.Aborts
+		sum.Dropped += n.Dropped
+		sum.Shed += n.Shed
+		sum.LockMsgs += n.LockMsgs
+		sum.Invalidations += n.Invalidations
+		sum.DirtyHandoffs += n.DirtyHandoffs
+		buf = buf.Add(n.Buffer)
+		for i, p := range n.Partitions {
+			parts[i].Fixes += p.Fixes
+			parts[i].MMHits += p.MMHits
+			parts[i].NVEMHits += p.NVEMHits
+		}
+		w := float64(n.Commits)
+		resp += w * n.RespMean
+		lockWait += w * n.LockWaitMean
+		ioWait += w * n.IOWaitMean
+		cpu += n.CPUUtil
 	}
-	if commits != agg.Commits {
-		t.Fatalf("node commits sum %d != aggregate %d", commits, agg.Commits)
+	if sum.Commits != agg.Commits || sum.Aborts != agg.Aborts || sum.Dropped != agg.Dropped ||
+		sum.Shed != agg.Shed || sum.LockMsgs != agg.LockMsgs ||
+		sum.Invalidations != agg.Invalidations || sum.DirtyHandoffs != agg.DirtyHandoffs {
+		t.Fatalf("node counts do not sum to the aggregate: nodes %+v, aggregate %+v", sum, agg)
 	}
-	if msgs != agg.LockMsgs {
-		t.Fatalf("node lock messages sum %d != aggregate %d", msgs, agg.LockMsgs)
+	if buf != agg.Buffer {
+		t.Fatalf("node buffer stats sum %+v != aggregate %+v", buf, agg.Buffer)
+	}
+	for i, p := range agg.Partitions {
+		if parts[i].Fixes != p.Fixes || parts[i].MMHits != p.MMHits || parts[i].NVEMHits != p.NVEMHits {
+			t.Fatalf("partition %s: node sums %+v != aggregate %+v", p.Name, parts[i], p)
+		}
+	}
+	commits := float64(agg.Commits)
+	for _, m := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"RespMean", agg.RespMean, resp / commits},
+		{"LockWaitMean", agg.LockWaitMean, lockWait / commits},
+		{"IOWaitMean", agg.IOWaitMean, ioWait / commits},
+		{"CPUUtil", agg.CPUUtil, cpu / float64(len(res.Nodes))},
+	} {
+		if m.want == 0 || math.Abs(m.got-m.want) > 1e-12*math.Abs(m.want) {
+			t.Fatalf("aggregate %s = %v, node-weighted mean %v", m.name, m.got, m.want)
+		}
 	}
 	// Throughput must still track the aggregate offered load.
 	if math.Abs(agg.Throughput-300) > 25 {

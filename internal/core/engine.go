@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/buffer"
 	"repro/internal/cc"
@@ -33,13 +34,6 @@ type node struct {
 	waiting map[cc.TxnID]func()
 	inbox   *pdesInbox // barrier deliveries of the PDES coordinator; nil otherwise
 
-	// Coherence counters of pages this node surrendered to a remote
-	// writer (whole run; baselined at the warmup snapshot).
-	invalidations int64
-	dirtyHandoffs int64
-	baseInval     int64
-	baseHandoffs  int64
-
 	// Lifecycle (phase.go, recovery.go). active tracks in-flight
 	// transactions only when the cluster may crash a node (trackActive),
 	// so failure-free runs pay nothing on the transaction hot path.
@@ -67,38 +61,16 @@ type node struct {
 
 	nextTxn int64
 
-	// Measurement. Counters guarded by warm (or baselined at snapshot)
-	// cover exactly the measurement window; see DESIGN.md for the
-	// measurement-window contract.
-	warm         bool
-	resp         *stats.Summary
-	lockWait     *stats.Summary
-	ioWait       *stats.Summary
-	commits      int64
-	aborts       int64
-	dropped      int64
-	shed         int64
-	stopArrivals bool
-	// Per-class window accounting, allocated only for multi-class
-	// generators (nil otherwise) and indexed by Tx.Type. The scalar
-	// counters above stay the source of truth for aggregates.
-	classes []classAcc
-	// Closed-loop arrivals (ArrivalClosedLoop): terminals drive arrivals
-	// from completions, and saturation is read off the MPL queue integral
-	// instead of drops (a closed loop never drops).
-	closedLoop    bool
-	terminals     int
-	baseQueueInt  float64
-	baseBuf       buffer.Stats
-	basePart      []buffer.PartitionStats
-	baseLocks     cc.Stats
-	baseCPUBusy   float64
-	baseLockMsgs  int64
+	// Measurement. win is the window tally, guarded by warm or zeroed at
+	// snapshot (DESIGN.md, measurement-window contract). resp and
+	// classResp keep response times for the percentiles; classResp, like
+	// win.classes, exists only for multi-class generators, by Tx.Type.
+	warm          bool
 	warmStartTime sim.Time
-
-	// timeline counts this node's commits per TimelineBucketMS bucket
-	// over the measurement window (availability runs only).
-	timeline []int64
+	win           tally
+	resp          *stats.Summary
+	classResp     []*stats.Summary
+	stopArrivals  bool
 
 	// Freelists of the transaction hot path: finished txRun records (their
 	// processes and pre-bound continuations ride along) and host operations
@@ -124,7 +96,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	c.runPhases()
-	res := c.nodes[0].collect()
+	res := c.nodes[0].collect().result(c.window())
 	c.attachShared(res)
 	c.finish()
 	return res, nil
@@ -143,20 +115,19 @@ func newNode(c *cluster, id, numNodes int, seed int64, cfg Config) (*node, error
 	}
 	k := id % len(c.kernels)
 	n := &node{
-		c:        c,
-		id:       id,
-		cfg:      cfg,
-		s:        c.kernels[k],
-		nvem:     c.devs[k].nvem,
-		units:    c.devs[k].units,
-		waiting:  make(map[cc.TxnID]func()),
-		active:   make(map[cc.TxnID]*txRun),
-		resp:     stats.NewSummary("response", true),
-		lockWait: stats.NewSummary("lock-wait", false),
-		ioWait:   stats.NewSummary("io-wait", false),
-		cpuRnd:   rng.NewStream(seed, suffix("cpu")),
-		genRnd:   rng.NewStream(seed, suffix("workload")),
-		arrRnd:   rng.NewStream(seed, suffix("arrivals")),
+		c:       c,
+		id:      id,
+		cfg:     cfg,
+		s:       c.kernels[k],
+		nvem:    c.devs[k].nvem,
+		units:   c.devs[k].units,
+		waiting: make(map[cc.TxnID]func()),
+		active:  make(map[cc.TxnID]*txRun),
+		win:     tally{cpus: cfg.NumCPU, timelineBucketMS: c.timelineBucketMS},
+		resp:    stats.NewSummary("response", true),
+		cpuRnd:  rng.NewStream(seed, suffix("cpu")),
+		genRnd:  rng.NewStream(seed, suffix("workload")),
+		arrRnd:  rng.NewStream(seed, suffix("arrivals")),
 	}
 	if numNodes > 1 {
 		n.nameSuffix = fmt.Sprintf("/n%d", id)
@@ -174,15 +145,19 @@ func newNode(c *cluster, id, numNodes int, seed int64, cfg Config) (*node, error
 	// node — single-type generators keep the exact scalar path (and byte-
 	// identical reports).
 	if nt := cfg.Generator.NumTypes(); nt > 1 {
-		n.classes = make([]classAcc, nt)
-		for i := range n.classes {
+		n.win.classes = make([]classTally, nt)
+		n.classResp = make([]*stats.Summary, nt)
+		for i := range n.win.classes {
 			name, _ := cfg.Generator.TypeInfo(i)
-			n.classes[i] = classAcc{name: name, resp: stats.NewSummary("resp-"+name, true)}
+			n.win.classes[i].name = name
+			n.classResp[i] = stats.NewSummary("resp-"+name, true)
 		}
 	}
 
 	// Arrival processes, one per transaction type.
 	for i := 0; i < cfg.Generator.NumTypes(); i++ {
+		_, rate := cfg.Generator.TypeInfo(i)
+		n.win.offeredTPS += rate
 		if err := n.spawnArrivals(i); err != nil {
 			return nil, err
 		}
@@ -201,24 +176,15 @@ func (e *node) newBuffer(bus buffer.RemoteNVEMCache) (*buffer.Manager, error) {
 	return buffer.NewShared(e.cfg.Buffer, names, e.units, e.nvem, e, e.c.shared, bus)
 }
 
-// classAcc is one transaction class's measurement-window accounting.
-type classAcc struct {
-	name    string
-	commits int64
-	aborts  int64
-	dropped int64
-	shed    int64
-	resp    *stats.Summary
-}
-
-// classOf returns the class slot for a transaction type, or nil on a
-// single-class node (or a type index outside the generator's declared
-// range, which trace replay in common-rate mode produces).
-func (e *node) classOf(typeIdx int) *classAcc {
-	if e.classes == nil || typeIdx < 0 || typeIdx >= len(e.classes) {
+// classOf returns the window tally's class slot for a transaction type,
+// or nil on a single-class node (or for a type index outside the
+// generator's declared range, which trace replay in common-rate mode
+// produces).
+func (e *node) classOf(typeIdx int) *classTally {
+	if typeIdx < 0 || typeIdx >= len(e.win.classes) {
 		return nil
 	}
-	return &e.classes[typeIdx]
+	return &e.win.classes[typeIdx]
 }
 
 // procName appends the node's cluster suffix to a diagnostic name, the
@@ -449,7 +415,7 @@ func (t *txRun) onGranted() {
 		if start < e.warmStartTime {
 			start = e.warmStartTime
 		}
-		e.lockWait.Add(t.p.Now() - start)
+		e.win.lockWaitSum += t.p.Now() - start
 	}
 	t.onLocked(true)
 }
@@ -514,8 +480,8 @@ func (e *node) spawnArrivals(typeIdx int) error {
 // the run.
 func (e *node) spawnTerminals(typeIdx int) {
 	spec := &e.cfg.Arrival
-	e.closedLoop = true
-	e.terminals += spec.Terminals
+	e.win.terminals += spec.Terminals
+	e.win.thinkMS = spec.ThinkMS
 	for ti := 0; ti < spec.Terminals; ti++ {
 		e.s.Spawn(fmt.Sprintf("terminal-%d-%d", typeIdx, ti), 0, func(p *sim.Process) {
 			var think func()
@@ -560,7 +526,7 @@ func (e *node) admitArrival(tx workload.Tx) {
 // inside the measurement window.
 func (e *node) drop(typ int) {
 	if e.warm {
-		e.dropped++
+		e.win.dropped++
 		if c := e.classOf(typ); c != nil {
 			c.dropped++
 		}
@@ -571,7 +537,7 @@ func (e *node) drop(typ int) {
 // controller shed.
 func (e *node) shedArrival(typ int) {
 	if e.warm {
-		e.shed++
+		e.win.shed++
 		if c := e.classOf(typ); c != nil {
 			c.shed++
 		}
@@ -804,7 +770,7 @@ func (t *txRun) onFixed() {
 // global locking the release message's pathlength is charged first.
 func (t *txRun) abort() {
 	if t.e.warm {
-		t.e.aborts++
+		t.e.win.aborts++
 		if c := t.e.classOf(t.tx.Type); c != nil {
 			c.aborts++
 		}
@@ -866,13 +832,16 @@ func (t *txRun) finish() {
 		delete(e.active, t.txn)
 	}
 	if e.warm {
-		e.commits++
-		e.resp.Add(t.p.Now() - t.arrival)
-		e.ioWait.Add(t.fixTime)
+		rt := t.p.Now() - t.arrival
+		e.win.commits++
+		e.win.respSum += rt
+		e.win.ioWaitSum += t.fixTime
+		e.resp.Add(rt)
 		e.recordCommit(t.p.Now())
 		if c := e.classOf(t.tx.Type); c != nil {
 			c.commits++
-			c.resp.Add(t.p.Now() - t.arrival)
+			c.respSum += rt
+			e.classResp[t.tx.Type].Add(rt)
 		}
 	}
 	e.mpl.Release()
@@ -893,10 +862,10 @@ func (e *node) recordCommit(now sim.Time) {
 	if idx < 0 {
 		return
 	}
-	for len(e.timeline) <= idx {
-		e.timeline = append(e.timeline, 0)
+	for len(e.win.timeline) <= idx {
+		e.win.timeline = append(e.win.timeline, 0)
 	}
-	e.timeline[idx]++
+	e.win.timeline[idx]++
 }
 
 // modifiedPages returns the distinct pages the transaction wrote, in
@@ -925,53 +894,32 @@ outer:
 // --- measurement ---
 
 // snapshot opens the measurement window: counters guarded by warm start
-// accumulating, and cumulative statistics (buffer, partition, lock, CPU
-// busy integral, lock messages, peak input queue) are baselined so collect
-// can report window deltas.
+// accumulating, and the counters the node's components keep — buffer,
+// partition and lock stats, lock messages (cluster.openWindow), the CPU
+// busy and MPL queue integrals, the MPL queue's peak and the coherence
+// counts — restart from zero, so collect reads window values directly.
 func (e *node) snapshot() {
 	e.warm = true
 	e.warmStartTime = e.s.Now()
-	e.baseBuf = e.bm.Stats()
-	e.basePart = e.bm.PartitionStats()
+	e.bm.ResetStats()
 	if e.locks != nil {
-		e.baseLocks = e.locks.Stats()
+		e.locks.ResetStats()
 	}
-	if e.c.glocks != nil {
-		e.baseLockMsgs = e.c.glocks.Messages(e.id)
-	}
-	e.baseCPUBusy = e.cpu.BusyIntegral()
-	e.baseInval = e.invalidations
-	e.baseHandoffs = e.dirtyHandoffs
-	e.baseQueueInt = e.mpl.QueueIntegral()
-	e.mpl.ResetPeakQueueLen()
+	e.cpu.ResetStats()
+	e.mpl.ResetStats()
+	e.win.invalidations, e.win.dirtyHandoffs = 0, 0
 }
 
-// collect reports the node's measurement-window metrics. Shared-device
-// reports (disk units, NVEM utilization) are attached by the cluster.
-func (e *node) collect() *Result {
-	window := e.s.Now() - e.warmStartTime
-	res := &Result{
-		Commits: e.commits,
-		Aborts:  e.aborts,
-		Dropped: e.dropped,
-		Shed:    e.shed,
+// collect completes the node's window tally from its components'
+// counters, once, when the window closes. Shared-device reports (disk
+// units, NVEM utilization) are the cluster's (attachShared).
+func (e *node) collect() *tally {
+	t := &e.win
+	t.respP95 = e.resp.Percentile(0.95)
+	for i := range t.classes {
+		t.classes[i].respP95 = e.classResp[i].Percentile(0.95)
 	}
-	for i := 0; i < e.cfg.Generator.NumTypes(); i++ {
-		_, rate := e.cfg.Generator.TypeInfo(i)
-		res.OfferedTPS += rate
-	}
-	if window > 0 {
-		res.Throughput = float64(e.commits) / (window / 1000)
-		res.CPUUtil = (e.cpu.BusyIntegral() - e.baseCPUBusy) / (float64(e.cfg.NumCPU) * window)
-	}
-	res.RespMean = e.resp.Mean()
-	if e.resp.N() > 0 {
-		res.RespP95 = e.resp.Percentile(0.95)
-	}
-	if e.commits > 0 {
-		res.LockWaitMean = e.lockWait.Sum() / float64(e.commits)
-		res.IOWaitMean = e.ioWait.Sum() / float64(e.commits)
-	}
+	t.cpuBusy = e.cpu.BusyIntegral()
 	// Saturation over the measured window. Open loop: drops are
 	// window-only, and the peak queue length (not the instantaneous
 	// end-of-run length, which a single lucky drain can hide) marks
@@ -988,71 +936,32 @@ func (e *node) collect() *Result {
 	// population queues behind the MPL, response time is dominated by the
 	// queue and adding terminals only adds waiting — the closed-loop
 	// meaning of "offered load exceeds capacity".
-	if e.closedLoop {
-		res.Terminals = e.terminals
-		res.ThinkMS = e.cfg.Arrival.ThinkMS
-		if window > 0 && e.terminals > 0 {
-			meanQueue := (e.mpl.QueueIntegral() - e.baseQueueInt) / window
-			if meanQueue < 0 {
-				meanQueue = 0
-			}
-			res.TerminalWaitFrac = meanQueue / float64(e.terminals)
-		}
-		res.Saturated = res.TerminalWaitFrac >= 0.5
+	if t.terminals > 0 {
+		t.mplQueue = e.mpl.QueueIntegral()
+		t.saturated = t.terminalWaitFrac(e.c.window()) >= 0.5
 	} else {
-		peakQueue := e.mpl.PeakQueueLen()
-		if e.peakBeforeCrash > peakQueue {
-			peakQueue = e.peakBeforeCrash
-		}
-		res.Saturated = e.dropped > 0 || peakQueue >= (e.cfg.MaxQueue+1)/2
+		peakQueue := max(e.mpl.PeakQueueLen(), e.peakBeforeCrash)
+		t.saturated = t.dropped > 0 || peakQueue >= (e.cfg.MaxQueue+1)/2
 	}
 
-	for i := range e.classes {
-		c := &e.classes[i]
-		cr := ClassReport{
-			Name:    c.name,
-			Commits: c.commits,
-			Aborts:  c.aborts,
-			Dropped: c.dropped,
-			Shed:    c.shed,
-		}
-		cr.RespMean = c.resp.Mean()
-		if c.resp.N() > 0 {
-			cr.RespP95 = c.resp.Percentile(0.95)
-		}
-		res.Classes = append(res.Classes, cr)
+	t.buffer = e.bm.Stats()
+	for i, p := range e.bm.PartitionStats() {
+		t.parts = append(t.parts, PartitionReport{Name: e.cfg.Partitions[i].Name,
+			Fixes: p.Fixes, MMHits: p.MMHits, NVEMHits: p.NVEMHits})
 	}
-
-	res.Buffer = e.bm.Stats().Sub(e.baseBuf)
 	if e.locks != nil {
-		res.Locks = e.locks.Stats().Sub(e.baseLocks)
+		t.locks = e.locks.Stats()
 	}
 	if e.c.glocks != nil {
-		res.LockMsgs = e.c.glocks.Messages(e.id) - e.baseLockMsgs
+		t.lockMsgs = e.c.glocks.Messages(e.id)
 	}
-	if res.Buffer.Fixes > 0 {
-		res.MMHitPct = 100 * float64(res.Buffer.MMHits) / float64(res.Buffer.Fixes)
-		res.NVEMAddHitPct = 100 * float64(res.Buffer.NVEMCacheHits) / float64(res.Buffer.Fixes)
-	}
-	parts := e.bm.PartitionStats()
-	for i := range parts {
-		d := buffer.PartitionStats{
-			Fixes:    parts[i].Fixes - e.basePart[i].Fixes,
-			MMHits:   parts[i].MMHits - e.basePart[i].MMHits,
-			NVEMHits: parts[i].NVEMHits - e.basePart[i].NVEMHits,
+	if t.timelineBucketMS > 0 {
+		// Pad to the full window, a trailing partial bucket included, so
+		// every run of one configuration reports the same number of
+		// buckets wherever its last commit landed.
+		for len(t.timeline) < int(math.Ceil(e.c.measure/t.timelineBucketMS)) {
+			t.timeline = append(t.timeline, 0)
 		}
-		pr := PartitionReport{Name: e.cfg.Partitions[i].Name, Fixes: d.Fixes,
-			MMHits: d.MMHits, NVEMHits: d.NVEMHits}
-		if d.Fixes > 0 {
-			pr.MMHitPct = 100 * float64(d.MMHits) / float64(d.Fixes)
-			pr.NVEMHitPct = 100 * float64(d.NVEMHits) / float64(d.Fixes)
-		}
-		res.Partitions = append(res.Partitions, pr)
 	}
-	if e.c.timelineBucketMS > 0 {
-		res.TimelineBucketMS = e.c.timelineBucketMS
-		res.Timeline = make([]int64, e.c.timelineBuckets(len(e.timeline)))
-		copy(res.Timeline, e.timeline)
-	}
-	return res
+	return t
 }

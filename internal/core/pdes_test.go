@@ -478,13 +478,13 @@ func TestPDESBarrierDeliveryZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, cycle)
 	locks, buf := c.glocks.Stats(), n3.bm.Stats()
 	if locks.Conflicts == 0 || locks.Deadlocks == 0 || buf.NVEMCacheHits == 0 ||
-		buf.DeviceReads == 0 || n3.dirtyHandoffs == 0 {
+		buf.DeviceReads == 0 || n3.win.dirtyHandoffs == 0 {
 		t.Fatalf("cycle skipped a delivery path: locks %+v, buffer %+v, dirty hand-offs %d",
-			locks, buf, n3.dirtyHandoffs)
+			locks, buf, n3.win.dirtyHandoffs)
 	}
-	if n2.invalidations != int64(cycles) || n2.bm.Holds(late) || lateRecords(c) != 1 {
+	if n2.win.invalidations != int64(cycles) || n2.bm.Holds(late) || lateRecords(c) != 1 {
 		t.Fatalf("late invalidations: node 2 counted %d in %d cycles, holds the page %v, %d records pooled",
-			n2.invalidations, cycles, n2.bm.Holds(late), lateRecords(c))
+			n2.win.invalidations, cycles, n2.bm.Holds(late), lateRecords(c))
 	}
 	// Node 1 never inserts. It takes its seqs for each cycle's three
 	// invalidations when it next syncs, and its spans and the shared log
@@ -526,9 +526,9 @@ func TestPDESLateInsertInvalidated(t *testing.T) {
 		for busy() {
 			window()
 		}
-		if n1.bm.Holds(page) || n1.invalidations != 1 || n2.invalidations != 0 {
+		if n1.bm.Holds(page) || n1.win.invalidations != 1 || n2.win.invalidations != 0 {
 			t.Fatalf("broadcast=%v: node 1 holds the page %v and counted %d invalidations, node 2 %d; want false, 1, 0",
-				broadcast, n1.bm.Holds(page), n1.invalidations, n2.invalidations)
+				broadcast, n1.bm.Holds(page), n1.win.invalidations, n2.win.invalidations)
 		}
 		if !broadcast && lateRecords(c) != 1 {
 			t.Fatalf("%d late records pooled, want 1", lateRecords(c))
@@ -565,9 +565,9 @@ func TestPDESInsertAfterSlotCreatesNoEvent(t *testing.T) {
 	for busy() {
 		window()
 	}
-	if !n1.bm.Holds(page) || n1.invalidations != 0 || lateRecords(c) != 0 {
+	if !n1.bm.Holds(page) || n1.win.invalidations != 0 || lateRecords(c) != 0 {
 		t.Fatalf("node 1 holds the page %v, counted %d invalidations, %d late records; want true, 0, 0",
-			n1.bm.Holds(page), n1.invalidations, lateRecords(c))
+			n1.bm.Holds(page), n1.win.invalidations, lateRecords(c))
 	}
 }
 
@@ -591,9 +591,9 @@ func TestPDESLateSlotFilledOnce(t *testing.T) {
 	for busy() {
 		window()
 	}
-	if n1.bm.Holds(page) || n1.invalidations != 1 || lateRecords(c) != 1 {
+	if n1.bm.Holds(page) || n1.win.invalidations != 1 || lateRecords(c) != 1 {
 		t.Fatalf("node 1 holds the page %v, counted %d invalidations, %d late records; want false, 1, 1",
-			n1.bm.Holds(page), n1.invalidations, lateRecords(c))
+			n1.bm.Holds(page), n1.win.invalidations, lateRecords(c))
 	}
 }
 
@@ -733,7 +733,7 @@ func TestPDESOrdinalTie(t *testing.T) {
 			t.Fatalf("%d late records pooled, want 2", lateRecords(c))
 		}
 		return fmt.Sprintf("%s; invalidations %d %d %d %d; node 0 holds b %v; node 2 %+v",
-			seen, n0.invalidations, n1.invalidations, n2.invalidations, n3.invalidations,
+			seen, n0.win.invalidations, n1.win.invalidations, n2.win.invalidations, n3.win.invalidations,
 			n0.bm.Holds(b), n2.bm.Stats())
 	}
 	want := run(true)

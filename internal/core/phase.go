@@ -74,14 +74,14 @@ func (c *cluster) phases() []phaseStep {
 // kernels in lookahead windows between the same boundaries (pdes.go).
 func (c *cluster) runPhases() { c.net.run(c.phases()) }
 
-// openWindow starts the measurement window on every node and baselines
-// the cluster-wide counters.
+// openWindow starts the measurement window on every node and zeroes the
+// cluster-wide lock counters.
 func (c *cluster) openWindow() {
 	for _, n := range c.nodes {
 		n.snapshot()
 	}
 	if c.glocks != nil {
-		c.baseGlobal = c.glocks.Stats()
+		c.glocks.ResetStats()
 	}
 }
 

@@ -85,9 +85,9 @@ func TestTxRunFreelistRecycles(t *testing.T) {
 	if head := e.freeTx; head.txn != -1 || head.i != -1 || !head.dead {
 		t.Fatalf("freed txRun not poisoned: txn=%d i=%d dead=%v", head.txn, head.i, head.dead)
 	}
-	res := c.nodes[0].collect()
+	win := e.collect()
 	c.finish()
-	if res.Commits == 0 {
+	if win.commits == 0 {
 		t.Fatal("run committed nothing; freelist assertion is vacuous")
 	}
 }

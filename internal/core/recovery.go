@@ -96,7 +96,7 @@ func MeasureRestart(cfg Config, rebootMS float64) (*Result, error) {
 	}
 	c.runPhases()
 	n := c.nodes[0]
-	res := n.collect()
+	res := n.collect().result(c.window())
 	c.attachShared(res)
 	// Quiesce everything that regenerates events, crash, and drain the
 	// kernel: only the reboot timer, the redo scan and leftover

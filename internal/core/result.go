@@ -87,12 +87,12 @@ type Result struct {
 
 	// Data-sharing cluster metrics (zero for single-node runs).
 	LockMsgs      int64 // messages to the global lock manager (window)
-	Invalidations int64 // MM copies invalidated by remote writers (window; aggregate only)
-	DirtyHandoffs int64 // invalidations that handed off a dirty copy (window; aggregate only)
+	Invalidations int64 // MM copies invalidated by remote writers (window)
+	DirtyHandoffs int64 // invalidations that handed off a dirty copy (window)
 
-	// SurvivorRespMean is the commit-weighted mean response time over the
-	// non-crashed nodes (set on the cluster aggregate of a
-	// failure-injection run) — the admission controller's target metric.
+	// SurvivorRespMean is the mean response time over the non-crashed
+	// nodes' commits (set on the cluster aggregate of a failure-injection
+	// run) — the admission controller's target metric.
 	SurvivorRespMean float64
 
 	// Crash recovery (nil/empty without failure injection or restart

@@ -23,14 +23,16 @@ type Resource struct {
 	pendHead int
 	wake     func()
 
-	// Time-integrated statistics.
+	// Statistics cover [since, now]: since is the instant the resource was
+	// created or its statistics were last reset.
+	since      Time
 	lastChange Time
 	busyInt    float64 // ∫ busy dt
 	queueInt   float64 // ∫ len(queue) dt
 	acquires   int64
 	waits      int64 // acquires that had to queue
 	waitInt    float64
-	peakQueue  int // max queue length since creation or ResetPeakQueueLen
+	peakQueue  int // max queue length
 }
 
 // waiter is one queued acquisition. A plain Acquire stores fire; a timed
@@ -48,7 +50,7 @@ func (s *Sim) NewResource(name string, capacity int) *Resource {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sim: resource %q capacity %d", name, capacity))
 	}
-	r := &Resource{sim: s, name: name, capacity: capacity, lastChange: s.now}
+	r := &Resource{sim: s, name: name, capacity: capacity, since: s.now, lastChange: s.now}
 	r.wake = r.fireWake
 	return r
 }
@@ -175,45 +177,56 @@ func (r *Resource) Use(p *Process, dt Time, k func()) {
 	r.push(waiter{k: k, dt: dt, start: r.sim.now})
 }
 
+// ResetStats restarts every statistic at the current instant, so they
+// cover a measurement window opened now: the integrals, the acquire and
+// wait counts and the wait time start from zero, the peak from the
+// current queue length, and Utilization and MeanQueueLen average from
+// now on.
+func (r *Resource) ResetStats() {
+	r.integrate()
+	r.since = r.sim.now
+	r.busyInt, r.queueInt, r.waitInt = 0, 0, 0
+	r.acquires, r.waits = 0, 0
+	r.peakQueue = r.QueueLen()
+}
+
 // PeakQueueLen returns the maximum wait-queue length observed since the
-// resource was created or the peak was last reset.
+// resource was created or its statistics were last reset.
 func (r *Resource) PeakQueueLen() int { return r.peakQueue }
 
-// ResetPeakQueueLen restarts peak tracking from the current queue length,
-// so callers can observe the peak over a measurement window.
-func (r *Resource) ResetPeakQueueLen() { r.peakQueue = r.QueueLen() }
-
-// BusyIntegral returns ∫ busy dt over [0, now]; callers can snapshot it to
-// compute utilization over a measurement window.
+// BusyIntegral returns ∫ busy dt since the resource was created or its
+// statistics were last reset.
 func (r *Resource) BusyIntegral() float64 {
 	r.integrate()
 	return r.busyInt
 }
 
-// QueueIntegral returns ∫ len(queue) dt over [0, now]; callers can snapshot
-// it to compute the mean wait-queue length over a measurement window (the
-// closed-loop saturation rule does).
+// QueueIntegral returns ∫ len(queue) dt since the resource was created or
+// its statistics were last reset (the closed-loop saturation rule reads
+// it).
 func (r *Resource) QueueIntegral() float64 {
 	r.integrate()
 	return r.queueInt
 }
 
-// Utilization returns the mean fraction of servers busy over [0, now].
+// Utilization returns the mean fraction of servers busy since the resource
+// was created or its statistics were last reset.
 func (r *Resource) Utilization() float64 {
 	r.integrate()
-	if r.sim.now <= 0 {
+	if r.sim.now <= r.since {
 		return 0
 	}
-	return r.busyInt / (float64(r.capacity) * r.sim.now)
+	return r.busyInt / (float64(r.capacity) * (r.sim.now - r.since))
 }
 
-// MeanQueueLen returns the time-averaged wait-queue length over [0, now].
+// MeanQueueLen returns the time-averaged wait-queue length since the
+// resource was created or its statistics were last reset.
 func (r *Resource) MeanQueueLen() float64 {
 	r.integrate()
-	if r.sim.now <= 0 {
+	if r.sim.now <= r.since {
 		return 0
 	}
-	return r.queueInt / r.sim.now
+	return r.queueInt / (r.sim.now - r.since)
 }
 
 // Acquires returns the number of Acquire calls so far.

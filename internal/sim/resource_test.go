@@ -187,11 +187,14 @@ func TestResourceInvariants(t *testing.T) {
 }
 
 // TestPeakQueueLen: the peak wait-queue length is tracked across both
-// Acquire and Use queueing, and ResetPeakQueueLen restarts tracking from
-// the current queue.
+// Acquire and Use queueing, and ResetStats restarts every statistic at the
+// reset instant: the integrals and counts from zero, the averages over the
+// time since the reset, and the peak from the current queue length.
 func TestPeakQueueLen(t *testing.T) {
 	s := New()
 	r := s.NewResource("r", 1)
+	// Four 10 ms jobs at 0: busy over [0,40), queue 3, 2, 1, 0 over the
+	// four 10 ms slots.
 	for i := 0; i < 4; i++ {
 		r.Use(nil, 10, func() {})
 	}
@@ -202,13 +205,29 @@ func TestPeakQueueLen(t *testing.T) {
 	if got := r.QueueLen(); got != 2 {
 		t.Fatalf("queue = %d, want 2", got)
 	}
-	r.ResetPeakQueueLen()
+	if busy, queue := r.BusyIntegral(), r.QueueIntegral(); busy != 15 || queue != 40 {
+		t.Fatalf("integrals at 15 = %v busy, %v queue; want 15, 40", busy, queue)
+	}
+	r.ResetStats()
 	if got := r.PeakQueueLen(); got != 2 {
 		t.Fatalf("peak after reset = %d, want current queue 2", got)
+	}
+	if r.BusyIntegral() != 0 || r.QueueIntegral() != 0 || r.Acquires() != 0 || r.Waits() != 0 ||
+		r.MeanWait() != 0 || r.Utilization() != 0 || r.MeanQueueLen() != 0 {
+		t.Fatalf("statistics survived the reset: busy %v, queue %v, acquires %d, waits %d, wait %v, util %v, mean queue %v",
+			r.BusyIntegral(), r.QueueIntegral(), r.Acquires(), r.Waits(), r.MeanWait(), r.Utilization(), r.MeanQueueLen())
 	}
 	s.RunAll()
 	if got := r.PeakQueueLen(); got != 2 {
 		t.Fatalf("peak = %d after drain, want 2 (no growth past reset)", got)
+	}
+	// Over [15,40]: busy throughout, queue 2 over [15,20) and 1 over
+	// [20,30).
+	if busy, queue := r.BusyIntegral(), r.QueueIntegral(); busy != 25 || queue != 20 {
+		t.Fatalf("integrals since the reset = %v busy, %v queue; want 25, 20", busy, queue)
+	}
+	if util, mean := r.Utilization(), r.MeanQueueLen(); util != 1 || math.Abs(mean-0.8) > 1e-12 {
+		t.Fatalf("utilization %v, mean queue %v since the reset; want 1, 0.8", util, mean)
 	}
 }
 
