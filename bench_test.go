@@ -401,25 +401,25 @@ func BenchmarkKernelHeap10M(b *testing.B) {
 }
 
 // BenchmarkSimResource measures acquire/hold/release cycles. A warmup pass
-// populates the queue-entry freelist and the calendar queue's buckets so a
-// one-iteration run (the CI snapshot) measures the steady state, not
-// first-touch pool growth.
+// populates the queue-entry freelist and the calendar queue's buckets, and
+// the timed pass's process and cycle closure are built before the timer
+// starts, so a one-iteration run (the CI snapshot) measures the steady
+// state, not first-touch pool growth or set-up.
 func BenchmarkSimResource(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()
 	r := s.NewResource("dev", 2)
 	spawnCycles := func(n int) {
-		s.Spawn("user", 0, func(p *sim.Process) {
-			i := 0
-			var cycle func()
-			cycle = func() {
-				if i < n {
-					i++
-					r.Use(p, 0.5, cycle)
-				}
+		p := s.NewProcess("user")
+		i := 0
+		var cycle func()
+		cycle = func() {
+			if i < n {
+				i++
+				r.Use(p, 0.5, cycle)
 			}
-			cycle()
-		})
+		}
+		s.Schedule(0, cycle)
 	}
 	spawnCycles(64)
 	s.RunAll()
@@ -497,7 +497,10 @@ func BenchmarkLockManagerLargeTx(b *testing.B) {
 
 // BenchmarkLRU measures the cache structure under a skewed access mix.
 func BenchmarkLRU(b *testing.B) {
-	c := lru.New[int64, bool](2000)
+	c := lru.New[int64, bool](2000, func(k int64) uint64 {
+		h := uint64(k) * 0x9e3779b97f4a7c15
+		return h ^ h>>29
+	})
 	s := rng.NewStream(1, "bench")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -570,7 +570,7 @@ func NewShared(cfg Config, partitionNames []string, units []*storage.DiskUnit,
 		host:         host,
 		units:        units,
 		nvem:         nvem,
-		mm:           lru.New[storage.PageKey, frame](cfg.BufferSize),
+		mm:           lru.New[storage.PageKey, frame](cfg.BufferSize, storage.PageHash),
 		logPartition: len(cfg.Partitions),
 		partStats:    make([]PartitionStats, len(cfg.Partitions)),
 		sim:          host.Sim(),
@@ -587,7 +587,7 @@ func NewShared(cfg Config, partitionNames []string, units []*storage.DiskUnit,
 		m.nvemCache = shared.cache
 		m.sharedNVEM = true
 	case cfg.NVEMCacheSize > 0:
-		m.nvemCache = lru.New[storage.PageKey, nvemFrame](cfg.NVEMCacheSize)
+		m.nvemCache = lru.New[storage.PageKey, nvemFrame](cfg.NVEMCacheSize, storage.PageHash)
 	}
 	if cfg.CheckpointIntervalMS > 0 {
 		m.startCheckpointDaemon()
@@ -843,8 +843,7 @@ func (m *Manager) reserveFrame() (victim storage.PageKey, dirty, haveVictim bool
 	if !ok {
 		return storage.PageKey{}, false, false // capacity > 0; defensive
 	}
-	f, _ := m.mm.Peek(victim)
-	m.mm.Remove(victim)
+	f, _ := m.mm.Remove(victim)
 	return victim, f.dirty, true
 }
 

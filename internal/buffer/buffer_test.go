@@ -71,7 +71,7 @@ func writeLogB(b *sim.BlockingProcess, m *Manager) {
 
 // newRig builds a one-partition, one-disk-unit setup with the given buffer
 // configuration applied to partition 0 and the log on the same unit.
-func newRig(t *testing.T, cfg Config) *rig {
+func newRig(t testing.TB, cfg Config) *rig {
 	t.Helper()
 	s := sim.New()
 	unitCfg := storage.DiskUnitConfig{

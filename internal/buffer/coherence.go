@@ -31,7 +31,7 @@ func NewSharedNVEMCache(frames int) (*SharedNVEMCache, error) {
 	if frames <= 0 {
 		return nil, fmt.Errorf("buffer: shared NVEM cache size %d", frames)
 	}
-	return &SharedNVEMCache{cache: lru.New[storage.PageKey, nvemFrame](frames)}, nil
+	return &SharedNVEMCache{cache: lru.New[storage.PageKey, nvemFrame](frames, storage.PageHash)}, nil
 }
 
 // Len returns the number of occupied shared-cache frames.
@@ -54,13 +54,7 @@ func NewResidency(nodes, frames int) *Residency {
 	if frames > math.MaxUint16 {
 		return nil
 	}
-	return &Residency{t: lru.NewTally[storage.PageKey](4*frames, nodes, pageHash)}
-}
-
-// pageHash spreads page keys over the residency slots.
-func pageHash(k storage.PageKey) uint64 {
-	h := (uint64(k.Page) ^ uint64(k.Partition)<<48) * 0x9e3779b97f4a7c15
-	return h ^ h>>29
+	return &Residency{t: lru.NewTally[storage.PageKey](4*frames, nodes, storage.PageHash)}
 }
 
 // Row returns the counts of key's slot, one per node.
@@ -129,8 +123,7 @@ func (m *Manager) Holds(key storage.PageKey) bool {
 func (m *Manager) Invalidate(key storage.PageKey) (had, dirty bool) {
 	f, ok := m.mm.Peek(key)
 	if m.nvemCache != nil && !m.sharedNVEM {
-		if cf, inCache := m.nvemCache.Peek(key); inCache {
-			m.nvemCache.Remove(key)
+		if cf, inCache := m.nvemCache.Remove(key); inCache {
 			if cf.dirty && !(ok && f.dirty) {
 				// Deferred destage left the current version here (no
 				// newer dirty main-memory copy exists); it must reach

@@ -10,6 +10,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+
+	"repro/internal/hashtab"
 )
 
 // TxnID identifies a transaction for locking purposes.
@@ -48,6 +50,13 @@ type Granule struct {
 	ID        int64
 }
 
+// granuleHash places granules in the lock table, mixing them as
+// storage.PageHash mixes page keys.
+func granuleHash(g Granule) uint64 {
+	h := (uint64(g.ID) ^ uint64(g.Partition)<<48) * 0x9e3779b97f4a7c15
+	return h ^ h>>29
+}
+
 // Result is the outcome of an Acquire call.
 type Result uint8
 
@@ -75,8 +84,21 @@ type holder struct {
 
 // lockEntry is the state of one granule's lock.
 type lockEntry struct {
+	granule Granule
 	holders []holder
 	queue   []request
+}
+
+// granuleOf returns e's granule, its key in the lock table.
+func granuleOf(e *lockEntry) Granule { return e.granule }
+
+// compareEntries orders entries by granule, (Partition, ID) — the
+// deterministic lock release order.
+func compareEntries(a, b *lockEntry) int {
+	if c := cmp.Compare(a.granule.Partition, b.granule.Partition); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.granule.ID, b.granule.ID)
 }
 
 func (e *lockEntry) compatible(txn TxnID, mode Mode) bool {
@@ -150,13 +172,15 @@ func (s Stats) Add(o Stats) Stats {
 //
 // A request finds the caller's hold through the granule's entry, whose
 // holder set is small, so its cost does not grow with the transaction's
-// lock count. The per-transaction lists in held name the granules a
+// lock count. The per-transaction lists in held point at the entries a
 // transaction holds, in acquisition order; they are read only at
-// ReleaseAll. A hold's mode lives in the entry alone.
+// ReleaseAll, which needs no lookup to release them. A hold's mode lives
+// in the entry alone. A waiting transaction's entry in pending stays valid
+// while it waits: an entry with a queued request is never freed.
 type Manager struct {
-	locks   map[Granule]*lockEntry
-	held    map[TxnID][]Granule
-	pending map[TxnID]Granule
+	locks   *hashtab.Table[Granule, *lockEntry]
+	held    map[TxnID][]*lockEntry
+	pending map[TxnID]*lockEntry
 	onGrant func(TxnID)
 	stats   Stats
 
@@ -168,7 +192,7 @@ type Manager struct {
 	// freeing poisons (under poolPoison), popping resets — see DESIGN.md
 	// §13.
 	freeEntries []*lockEntry
-	freeHeld    [][]Granule
+	freeHeld    [][]*lockEntry
 
 	// Reusable scratch for wouldDeadlock's wait-for-graph search.
 	dlVisited map[TxnID]bool
@@ -190,9 +214,9 @@ func SetPoolPoison(on bool) { poolPoison = on }
 // ever waits (e.g. single-user tests).
 func NewManager(onGrant func(TxnID)) *Manager {
 	return &Manager{
-		locks:   make(map[Granule]*lockEntry),
-		held:    make(map[TxnID][]Granule),
-		pending: make(map[TxnID]Granule),
+		locks:   hashtab.New(0, granuleHash, granuleOf),
+		held:    make(map[TxnID][]*lockEntry),
+		pending: make(map[TxnID]*lockEntry),
 		onGrant: onGrant,
 	}
 }
@@ -209,7 +233,7 @@ func (m *Manager) HeldCount(txn TxnID) int { return len(m.held[txn]) }
 
 // Holds reports whether txn holds g in at least the given mode.
 func (m *Manager) Holds(txn TxnID, g Granule, mode Mode) bool {
-	e := m.locks[g]
+	e, _ := m.locks.Get(g)
 	if e == nil {
 		return false
 	}
@@ -233,11 +257,11 @@ func (m *Manager) Acquire(txn TxnID, g Granule, mode Mode) Result {
 		panic(fmt.Sprintf("cc: txn %d acquiring while already waiting", txn))
 	}
 
-	e := m.locks[g]
-	if e == nil {
-		e = m.newEntry()
-		m.locks[g] = e
+	slot, found := m.locks.Insert(g)
+	if !found {
+		*slot = m.newEntry(g)
 	}
+	e := *slot
 	held, holdsIt := e.heldMode(txn)
 	if holdsIt && (held == Write || mode == Read) {
 		return Granted // already sufficient
@@ -251,14 +275,14 @@ func (m *Manager) Acquire(txn TxnID, g Granule, mode Mode) Result {
 	if e.compatible(txn, mode) && (len(e.queue) == 0 || upgrade) {
 		// Upgrades may bypass the queue: the upgrader already holds Read,
 		// so queued conflicting requests cannot run anyway.
-		m.grant(txn, g, e, mode)
+		m.grant(txn, e, mode)
 		return Granted
 	}
 
 	// Denied: deadlock check before queueing (section 3.2: "deadlock checks
 	// are performed for every denied lock request").
 	m.stats.Conflicts++
-	if m.wouldDeadlock(txn, g, e, upgrade) {
+	if m.wouldDeadlock(txn, e, upgrade) {
 		m.stats.Deadlocks++
 		return Deadlock
 	}
@@ -276,31 +300,34 @@ func (m *Manager) Acquire(txn TxnID, g Granule, mode Mode) Result {
 	} else {
 		e.queue = append(e.queue, req)
 	}
-	m.pending[txn] = g
+	m.pending[txn] = e
 	return Wait
 }
 
 // newEntry pops a recycled granule record off the freelist (resetting it
-// per the pool contract) or allocates a fresh one.
-func (m *Manager) newEntry() *lockEntry {
+// per the pool contract) or allocates a fresh one, for granule g.
+func (m *Manager) newEntry(g Granule) *lockEntry {
 	n := len(m.freeEntries)
 	if n == 0 {
-		return &lockEntry{}
+		return &lockEntry{granule: g}
 	}
 	e := m.freeEntries[n-1]
 	m.freeEntries[n-1] = nil
 	m.freeEntries = m.freeEntries[:n-1]
+	e.granule = g
 	e.holders = e.holders[:0]
 	e.queue = e.queue[:0]
 	return e
 }
 
 // freeEntry returns an emptied granule record to the freelist. Under
-// poolPoison the backing arrays are filled with sentinel garbage beyond
-// the (zero) length, so a deleted reset line in newEntry is caught by the
-// pool-contract tests rather than leaking stale holders.
+// poolPoison its granule and the backing arrays beyond their (zero)
+// length are filled with sentinel garbage, so a deleted reset line in
+// newEntry is caught by the pool-contract tests rather than leaking a
+// stale granule or stale holders.
 func (m *Manager) freeEntry(e *lockEntry) {
 	if poolPoison {
+		e.granule = Granule{Partition: -1, ID: -1}
 		h := e.holders[:cap(e.holders)]
 		for i := range h {
 			h[i] = holder{txn: -1, mode: ^Mode(0)}
@@ -315,10 +342,10 @@ func (m *Manager) freeEntry(e *lockEntry) {
 	m.freeEntries = append(m.freeEntries, e)
 }
 
-// grant records txn as holding g in mode.
-func (m *Manager) grant(txn TxnID, g Granule, e *lockEntry, mode Mode) {
+// grant records txn as holding e's granule in mode.
+func (m *Manager) grant(txn TxnID, e *lockEntry, mode Mode) {
 	if !e.setHolder(txn, mode) {
-		return // an upgrade: g is already on txn's list
+		return // an upgrade: e is already on txn's list
 	}
 	locks := m.held[txn]
 	if locks == nil {
@@ -329,7 +356,7 @@ func (m *Manager) grant(txn TxnID, g Granule, e *lockEntry, mode Mode) {
 			m.freeHeld = m.freeHeld[:n-1]
 		}
 	}
-	m.held[txn] = append(locks, g)
+	m.held[txn] = append(locks, e)
 }
 
 // ReleaseAll releases every lock txn holds (commit phase 2 or abort) and
@@ -341,59 +368,41 @@ func (m *Manager) grant(txn TxnID, g Granule, e *lockEntry, mode Mode) {
 // randomized order would make whole simulation runs nondeterministic under
 // contention.
 func (m *Manager) ReleaseAll(txn TxnID) {
-	if g, waiting := m.pending[txn]; waiting {
-		m.removeWaiter(txn, g)
+	if e, waiting := m.pending[txn]; waiting {
+		m.removeWaiter(txn, e)
 	}
 	locks := m.held[txn]
 	delete(m.held, txn)
 	// The list holds each granule once, so any sort yields the same order.
-	slices.SortFunc(locks, compareGranules)
-	for _, g := range locks {
-		e := m.locks[g]
+	slices.SortFunc(locks, compareEntries)
+	for _, e := range locks {
 		e.removeHolder(txn)
-		m.dispatch(g, e)
+		m.dispatch(e)
 	}
 	if cap(locks) > 0 {
-		if poolPoison {
-			l := locks[:cap(locks)]
-			for i := range l {
-				l[i] = Granule{Partition: -1, ID: -1}
-			}
-			locks = l
-		}
+		// A recycled list keeps no pointers: the entries just released may
+		// be freed and reused for other granules.
+		clear(locks)
 		m.freeHeld = append(m.freeHeld, locks[:0])
 	}
 }
 
-// compareGranules orders granules by (Partition, ID) — the deterministic
-// lock release order.
-func compareGranules(a, b Granule) int {
-	if c := cmp.Compare(a.Partition, b.Partition); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.ID, b.ID)
-}
-
-// removeWaiter deletes txn's queued request on g and re-dispatches (removing
+// removeWaiter deletes txn's queued request on e and re-dispatches (removing
 // a waiter can unblock requests behind it).
-func (m *Manager) removeWaiter(txn TxnID, g Granule) {
+func (m *Manager) removeWaiter(txn TxnID, e *lockEntry) {
 	delete(m.pending, txn)
-	e := m.locks[g]
-	if e == nil {
-		return
-	}
 	for i := range e.queue {
 		if e.queue[i].txn == txn {
 			e.queue = append(e.queue[:i], e.queue[i+1:]...)
 			break
 		}
 	}
-	m.dispatch(g, e)
+	m.dispatch(e)
 }
 
 // dispatch grants queued requests from the head while they are compatible,
 // firing onGrant for each, and garbage-collects empty entries.
-func (m *Manager) dispatch(g Granule, e *lockEntry) {
+func (m *Manager) dispatch(e *lockEntry) {
 	for len(e.queue) > 0 {
 		head := e.queue[0]
 		if head.upgrade {
@@ -410,21 +419,21 @@ func (m *Manager) dispatch(g Granule, e *lockEntry) {
 		e.queue[len(e.queue)-1] = request{}
 		e.queue = e.queue[:len(e.queue)-1]
 		delete(m.pending, head.txn)
-		m.grant(head.txn, g, e, head.mode)
+		m.grant(head.txn, e, head.mode)
 		if m.onGrant != nil {
 			m.onGrant(head.txn)
 		}
 	}
 	if len(e.holders) == 0 && len(e.queue) == 0 {
-		delete(m.locks, g)
+		m.locks.Delete(e.granule)
 		m.freeEntry(e)
 	}
 }
 
-// wouldDeadlock reports whether txn waiting on e (for granule g) would close
-// a cycle in the wait-for graph. The requester waits for the lock's current
-// holders and, unless it is an upgrade, for every already-queued waiter.
-func (m *Manager) wouldDeadlock(txn TxnID, g Granule, e *lockEntry, upgrade bool) bool {
+// wouldDeadlock reports whether txn waiting on e would close a cycle in the
+// wait-for graph. The requester waits for the lock's current holders and,
+// unless it is an upgrade, for every already-queued waiter.
+func (m *Manager) wouldDeadlock(txn TxnID, e *lockEntry, upgrade bool) bool {
 	// Iterative depth-first search over "t waits for u" edges looking for
 	// txn, on scratch reused across calls (a deadlock check runs on every
 	// denied request, so per-check allocation would dominate contended
@@ -461,12 +470,8 @@ func (m *Manager) wouldDeadlock(txn TxnID, g Granule, e *lockEntry, upgrade bool
 			continue
 		}
 		m.dlVisited[t] = true
-		wg, waiting := m.pending[t]
+		we, waiting := m.pending[t]
 		if !waiting {
-			continue
-		}
-		we := m.locks[wg]
-		if we == nil {
 			continue
 		}
 		for _, h := range we.holders {

@@ -302,8 +302,8 @@ func TestReleaseOrderLargeLockSet(t *testing.T) {
 		for k := range gs {
 			m.ReleaseAll(TxnID(2 + k))
 		}
-		if len(m.locks) != 0 {
-			t.Fatalf("n=%d: %d lock entries leaked", n, len(m.locks))
+		if m.lockEntries() != 0 {
+			t.Fatalf("n=%d: %d lock entries leaked", n, m.lockEntries())
 		}
 	}
 }

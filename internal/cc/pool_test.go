@@ -4,9 +4,12 @@ import "testing"
 
 // TestLockEntryPoolResetContract pins the freelist reset contract: a
 // recycled granule record and a recycled held-lock list must present fully
-// clean state to their next user. poolPoison fills freed backing arrays
-// with sentinel garbage, so if any reset line in newEntry or the freeHeld
-// pop is deleted, the stale holders/queue/locks become visible here.
+// clean state to their next user. poolPoison overwrites a freed record's
+// granule and fills its backing arrays with sentinel garbage, so if any
+// reset line in newEntry is deleted, the stale granule, holders or queue
+// become visible here. A released held-lock list is cleared whether or not
+// poisoning is on: it must keep no pointer to an entry that may be freed
+// and reused for another granule.
 func TestLockEntryPoolResetContract(t *testing.T) {
 	poolPoison = true
 	defer func() { poolPoison = false }()
@@ -25,8 +28,22 @@ func TestLockEntryPoolResetContract(t *testing.T) {
 	if len(m.freeEntries) == 0 {
 		t.Fatal("emptied entry was not returned to the freelist")
 	}
+	freed := m.freeEntries[len(m.freeEntries)-1]
+	if freed.granule != (Granule{Partition: -1, ID: -1}) {
+		t.Fatalf("freed entry keeps its granule %+v", freed.granule)
+	}
+	if m.entry(g) != nil || m.lockEntries() != 0 {
+		t.Fatalf("emptied entry still in the lock table (%d entries)", m.lockEntries())
+	}
 	if len(m.freeHeld) == 0 {
 		t.Fatal("released held-lock lists were not returned to the freelist")
+	}
+	for i, l := range m.freeHeld {
+		for j, e := range l[:cap(l)] {
+			if e != nil {
+				t.Fatalf("recycled held list %d keeps a pointer to %+v in slot %d", i, e.granule, j)
+			}
+		}
 	}
 
 	// Recycle onto a different granule for a different transaction.
@@ -34,7 +51,10 @@ func TestLockEntryPoolResetContract(t *testing.T) {
 	if r := m.Acquire(7, g2, Write); r != Granted {
 		t.Fatalf("acquire on recycled entry: %v, want Granted", r)
 	}
-	e := m.locks[g2]
+	e := m.entry(g2)
+	if e != freed || e.granule != g2 {
+		t.Fatalf("recycled entry %p carries granule %+v, want %p with %+v", e, e.granule, freed, g2)
+	}
 	if len(e.holders) != 1 || e.holders[0] != (holder{txn: 7, mode: Write}) {
 		t.Fatalf("recycled entry carries stale holders: %+v", e.holders)
 	}
@@ -53,6 +73,9 @@ func TestLockEntryPoolResetContract(t *testing.T) {
 		t.Fatal("queued reader not granted after recycled writer released")
 	}
 	m.ReleaseAll(8)
+	if m.lockEntries() != 0 {
+		t.Fatalf("%d lock entries leaked", m.lockEntries())
+	}
 }
 
 // TestLockManagerSteadyStateZeroAlloc pins the headline discipline: once

@@ -5,6 +5,8 @@
 // least recently accessed unmodified page", section 3.3).
 package lru
 
+import "repro/internal/hashtab"
+
 // node is a doubly-linked-list element. index 0 is a sentinel.
 type node[K comparable, V any] struct {
 	key        K
@@ -16,8 +18,8 @@ type node[K comparable, V any] struct {
 // zero value is not usable; call New.
 type Cache[K comparable, V any] struct {
 	capacity int
-	nodes    []node[K, V] // nodes[0] is the sentinel of the circular list
-	index    map[K]int
+	nodes    []node[K, V]             // nodes[0] is the sentinel of the circular list
+	index    *hashtab.Table[K, int32] // node numbers by their nodes' keys
 	free     []int
 
 	// Membership tracking (Track): every resident key counts once in
@@ -100,24 +102,31 @@ func (c *Cache[K, V]) Track(t *Tally[K], col int, onInsert func(K)) {
 	}
 }
 
-// New creates an LRU cache holding at most capacity entries. capacity must
-// be positive.
-func New[K comparable, V any](capacity int) *Cache[K, V] {
+// New creates an LRU cache holding at most capacity entries. Its index
+// places key k by hash(k), which must spread its low bits well. capacity
+// must be positive.
+func New[K comparable, V any](capacity int, hash func(K) uint64) *Cache[K, V] {
 	if capacity <= 0 {
 		panic("lru: non-positive capacity")
 	}
+	// Put adds a key before it evicts, so a full cache briefly holds one
+	// node and one indexed key more than its capacity. Sized for that, the
+	// node array and the index never grow.
 	c := &Cache[K, V]{
 		capacity: capacity,
-		nodes:    make([]node[K, V], 1, capacity+1),
-		index:    make(map[K]int, capacity),
+		nodes:    make([]node[K, V], 1, capacity+2),
 	}
+	c.index = hashtab.New(capacity+1, hash, c.keyOf)
 	c.nodes[0].prev = 0
 	c.nodes[0].next = 0
 	return c
 }
 
+// keyOf returns the key of node i.
+func (c *Cache[K, V]) keyOf(i int32) K { return c.nodes[i].key }
+
 // Len returns the number of cached entries.
-func (c *Cache[K, V]) Len() int { return len(c.index) }
+func (c *Cache[K, V]) Len() int { return c.index.Len() }
 
 // Cap returns the capacity.
 func (c *Cache[K, V]) Cap() int { return c.capacity }
@@ -140,19 +149,19 @@ func (c *Cache[K, V]) pushFront(i int) {
 
 // Get returns the value for k and marks it most recently used.
 func (c *Cache[K, V]) Get(k K) (V, bool) {
-	i, ok := c.index[k]
+	i, ok := c.index.Get(k)
 	if !ok {
 		var zero V
 		return zero, false
 	}
-	c.unlink(i)
-	c.pushFront(i)
+	c.unlink(int(i))
+	c.pushFront(int(i))
 	return c.nodes[i].value, true
 }
 
 // Peek returns the value for k without affecting recency.
 func (c *Cache[K, V]) Peek(k K) (V, bool) {
-	i, ok := c.index[k]
+	i, ok := c.index.Get(k)
 	if !ok {
 		var zero V
 		return zero, false
@@ -162,18 +171,18 @@ func (c *Cache[K, V]) Peek(k K) (V, bool) {
 
 // Touch marks k most recently used if present.
 func (c *Cache[K, V]) Touch(k K) bool {
-	i, ok := c.index[k]
+	i, ok := c.index.Get(k)
 	if !ok {
 		return false
 	}
-	c.unlink(i)
-	c.pushFront(i)
+	c.unlink(int(i))
+	c.pushFront(int(i))
 	return true
 }
 
 // Update replaces the value for k (keeping its recency) if present.
 func (c *Cache[K, V]) Update(k K, v V) bool {
-	i, ok := c.index[k]
+	i, ok := c.index.Get(k)
 	if !ok {
 		return false
 	}
@@ -185,18 +194,13 @@ func (c *Cache[K, V]) Update(k K, v V) bool {
 // replaced. If the cache is full, the least recently used entry is evicted
 // and returned with evicted=true.
 func (c *Cache[K, V]) Put(k K, v V) (evictedK K, evictedV V, evicted bool) {
-	if i, ok := c.index[k]; ok {
+	slot, found := c.index.Insert(k)
+	if found {
+		i := int(*slot)
 		c.nodes[i].value = v
 		c.unlink(i)
 		c.pushFront(i)
 		return
-	}
-	if len(c.index) >= c.capacity {
-		tail := c.nodes[0].prev
-		evictedK = c.nodes[tail].key
-		evictedV = c.nodes[tail].value
-		evicted = true
-		c.removeIndex(tail)
 	}
 	var i int
 	if len(c.free) > 0 {
@@ -208,7 +212,15 @@ func (c *Cache[K, V]) Put(k K, v V) (evictedK K, evictedV V, evicted bool) {
 	}
 	c.nodes[i].key = k
 	c.nodes[i].value = v
-	c.index[k] = i
+	*slot = int32(i)
+	if c.index.Len() > c.capacity {
+		tail := c.nodes[0].prev
+		evictedK = c.nodes[tail].key
+		evictedV = c.nodes[tail].value
+		evicted = true
+		c.index.Delete(evictedK)
+		c.release(tail)
+	}
 	c.pushFront(i)
 	if c.tally != nil {
 		c.tally.add(c.col, k)
@@ -217,9 +229,9 @@ func (c *Cache[K, V]) Put(k K, v V) (evictedK K, evictedV V, evicted bool) {
 	return
 }
 
-func (c *Cache[K, V]) removeIndex(i int) {
+// release frees node i, whose key has left the index.
+func (c *Cache[K, V]) release(i int) {
 	c.unlink(i)
-	delete(c.index, c.nodes[i].key)
 	if c.tally != nil {
 		c.tally.sub(c.col, c.nodes[i].key)
 	}
@@ -232,13 +244,13 @@ func (c *Cache[K, V]) removeIndex(i int) {
 
 // Remove deletes k, returning its value.
 func (c *Cache[K, V]) Remove(k K) (V, bool) {
-	i, ok := c.index[k]
+	i, ok := c.index.Delete(k)
 	if !ok {
 		var zero V
 		return zero, false
 	}
 	v := c.nodes[i].value
-	c.removeIndex(i)
+	c.release(int(i))
 	return v, true
 }
 
@@ -247,7 +259,8 @@ func (c *Cache[K, V]) Remove(k K) (V, bool) {
 func (c *Cache[K, V]) Clear() {
 	for i := c.nodes[0].next; i != 0; {
 		next := c.nodes[i].next
-		c.removeIndex(i)
+		c.index.Delete(c.nodes[i].key)
+		c.release(i)
 		i = next
 	}
 }

@@ -6,8 +6,15 @@ import (
 	"testing/quick"
 )
 
+// hashOf is the test caches' index hash: a multiplicative mix that spreads
+// small integer keys over the index.
+func hashOf[K ~int | ~uint8 | ~uint16](k K) uint64 {
+	h := uint64(k) * 0x9e3779b97f4a7c15
+	return h ^ h>>29
+}
+
 func TestBasicPutGet(t *testing.T) {
-	c := New[int, string](2)
+	c := New[int, string](2, hashOf[int])
 	c.Put(1, "a")
 	c.Put(2, "b")
 	if v, ok := c.Get(1); !ok || v != "a" {
@@ -19,7 +26,7 @@ func TestBasicPutGet(t *testing.T) {
 }
 
 func TestEvictsLRU(t *testing.T) {
-	c := New[int, string](2)
+	c := New[int, string](2, hashOf[int])
 	c.Put(1, "a")
 	c.Put(2, "b")
 	ek, ev, evicted := c.Put(3, "c")
@@ -32,7 +39,7 @@ func TestEvictsLRU(t *testing.T) {
 }
 
 func TestGetRefreshesRecency(t *testing.T) {
-	c := New[int, string](2)
+	c := New[int, string](2, hashOf[int])
 	c.Put(1, "a")
 	c.Put(2, "b")
 	c.Get(1) // 2 is now LRU
@@ -43,7 +50,7 @@ func TestGetRefreshesRecency(t *testing.T) {
 }
 
 func TestPeekDoesNotRefresh(t *testing.T) {
-	c := New[int, string](2)
+	c := New[int, string](2, hashOf[int])
 	c.Put(1, "a")
 	c.Put(2, "b")
 	c.Peek(1) // recency unchanged: 1 is still LRU
@@ -54,7 +61,7 @@ func TestPeekDoesNotRefresh(t *testing.T) {
 }
 
 func TestTouch(t *testing.T) {
-	c := New[int, string](2)
+	c := New[int, string](2, hashOf[int])
 	c.Put(1, "a")
 	c.Put(2, "b")
 	if !c.Touch(1) {
@@ -70,7 +77,7 @@ func TestTouch(t *testing.T) {
 }
 
 func TestUpdate(t *testing.T) {
-	c := New[int, string](2)
+	c := New[int, string](2, hashOf[int])
 	c.Put(1, "a")
 	if !c.Update(1, "a2") {
 		t.Fatal("update failed")
@@ -84,7 +91,7 @@ func TestUpdate(t *testing.T) {
 }
 
 func TestPutExistingReplaces(t *testing.T) {
-	c := New[int, string](2)
+	c := New[int, string](2, hashOf[int])
 	c.Put(1, "a")
 	c.Put(2, "b")
 	_, _, evicted := c.Put(1, "a2")
@@ -97,7 +104,7 @@ func TestPutExistingReplaces(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	c := New[int, string](2)
+	c := New[int, string](2, hashOf[int])
 	c.Put(1, "a")
 	if v, ok := c.Remove(1); !ok || v != "a" {
 		t.Fatalf("remove = %q %v", v, ok)
@@ -117,7 +124,7 @@ func TestRemove(t *testing.T) {
 }
 
 func TestFindOldest(t *testing.T) {
-	c := New[int, bool](4)
+	c := New[int, bool](4, hashOf[int])
 	c.Put(1, true)  // dirty
 	c.Put(2, false) // clean
 	c.Put(3, true)
@@ -138,14 +145,14 @@ func TestFindOldest(t *testing.T) {
 }
 
 func TestOldestEmpty(t *testing.T) {
-	c := New[int, int](1)
+	c := New[int, int](1, hashOf[int])
 	if _, ok := c.Oldest(); ok {
 		t.Fatal("oldest on empty cache")
 	}
 }
 
 func TestEachOrder(t *testing.T) {
-	c := New[int, int](3)
+	c := New[int, int](3, hashOf[int])
 	c.Put(1, 0)
 	c.Put(2, 0)
 	c.Put(3, 0)
@@ -172,11 +179,11 @@ func TestCapacityOnePanicsZero(t *testing.T) {
 			t.Fatal("expected panic for capacity 0")
 		}
 	}()
-	New[int, int](0)
+	New[int, int](0, hashOf[int])
 }
 
 func TestCapacityOne(t *testing.T) {
-	c := New[int, int](1)
+	c := New[int, int](1, hashOf[int])
 	c.Put(1, 10)
 	ek, _, evicted := c.Put(2, 20)
 	if !evicted || ek != 1 {
@@ -195,7 +202,7 @@ func TestMatchesReferenceModel(t *testing.T) {
 		Key  uint8
 	}
 	f := func(ops []op) bool {
-		c := New[uint8, int](4)
+		c := New[uint8, int](4, hashOf[uint8])
 		// Reference: slice ordered MRU first.
 		type entry struct {
 			k uint8
@@ -285,7 +292,7 @@ func TestTallyMatchesRecount(t *testing.T) {
 	}
 	f := func(ops []op) bool {
 		tally := NewTally[uint16](slots, 2, func(k uint16) uint64 { return uint64(k) * 7 })
-		caches := []*Cache[uint16, int]{New[uint16, int](5), New[uint16, int](3), New[uint16, int](4)}
+		caches := []*Cache[uint16, int]{New[uint16, int](5, hashOf[uint16]), New[uint16, int](3, hashOf[uint16]), New[uint16, int](4, hashOf[uint16])}
 		cols := []int{0, 0, 1}
 		var notified []uint16
 		for i, c := range caches {
@@ -353,7 +360,7 @@ func TestTallyMatchesRecount(t *testing.T) {
 // TestTrackTwicePanics: a cache counts into one column only.
 func TestTrackTwicePanics(t *testing.T) {
 	tally := NewTally[int](4, 1, func(k int) uint64 { return uint64(k) })
-	c := New[int, int](2)
+	c := New[int, int](2, hashOf[int])
 	c.Track(tally, 0, func(int) {})
 	defer func() {
 		if recover() == nil {

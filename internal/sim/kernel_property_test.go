@@ -716,3 +716,83 @@ func TestKernelIdleLand(t *testing.T) {
 		t.Fatalf("Idle and Land allocate %.1f per call and left the clock at %v; want 0 and 1.5", allocs, s.Now())
 	}
 }
+
+// TestZeroDelayBurstSkipsQueue pins the zero-delay route: a burst of
+// 10,000 zero-delay events at one instant, as a fuzzy checkpoint schedules
+// one write per dirty frame, goes through the ordered lane and never into
+// the event queue. Events at the same instant that must take the queue —
+// scheduled earlier, or filled into reserved slots in the middle of the
+// burst — stay in their places: everything fires in seq order.
+func TestZeroDelayBurstSkipsQueue(t *testing.T) {
+	const burst, early = 10_000, 3
+	for _, q := range queueKinds {
+		t.Run(q.name, func(t *testing.T) {
+			s := q.new()
+			var fired []uint64
+			queued := 0 // events in the queue that fire at the burst's instant
+			// checkQueue fails once the queue holds more than those events.
+			checkQueue := func() {
+				if n := s.events.Len(); n > queued {
+					t.Fatalf("%d events in the queue, want at most the %d queued ones", n, queued)
+				}
+			}
+			record := func(seq uint64) func() {
+				return func() {
+					checkQueue()
+					fired = append(fired, seq)
+				}
+			}
+			s.Schedule(5, func() {
+				for i := 0; i < burst; i++ {
+					if i%100 == 50 {
+						seq := s.Reserve(1)
+						s.DeliverReserved(s.Now(), seq, record(seq))
+						queued++
+						continue
+					}
+					s.Schedule(0, record(s.seq+1))
+				}
+				checkQueue()
+			})
+			for i := 0; i < early; i++ {
+				s.Schedule(5, record(s.seq+1))
+				queued++
+			}
+			s.RunAll()
+			if len(fired) != burst+early {
+				t.Fatalf("%d events fired, want %d", len(fired), burst+early)
+			}
+			for i := 1; i < len(fired); i++ {
+				if fired[i] < fired[i-1] {
+					t.Fatalf("event %d fired seq %d after seq %d", i, fired[i], fired[i-1])
+				}
+			}
+			if s.Now() != 5 {
+				t.Fatalf("clock at %v after the burst, want 5", s.Now())
+			}
+		})
+	}
+}
+
+// TestZeroDelayBehindLaterDelivery pins the fallback: on a kernel whose
+// lane holds a later delivery, as a PDES node's lane may, a zero-delay
+// event goes to the queue and still fires before that delivery.
+func TestZeroDelayBehindLaterDelivery(t *testing.T) {
+	for _, q := range queueKinds {
+		t.Run(q.name, func(t *testing.T) {
+			s := q.new()
+			var order []string
+			s.Schedule(1, func() {
+				s.Deliver(2, func() { order = append(order, "delivered") })
+				s.Schedule(0, func() { order = append(order, "zero") })
+				if s.events.Len() != 1 {
+					t.Fatalf("queue holds %d events, want the zero-delay one", s.events.Len())
+				}
+			})
+			s.RunAll()
+			if got := fmt.Sprint(order); got != "[zero delivered]" {
+				t.Fatalf("fired %s, want [zero delivered]", got)
+			}
+		})
+	}
+}

@@ -79,7 +79,16 @@ func (s *Sim) Pending() int { return s.events.Len() + len(s.lane) - s.laneHead }
 // Schedule runs fn in kernel context at now+delay. delay must be
 // non-negative. fn must not block; activity that takes simulated time is
 // expressed by scheduling a continuation for the remainder.
+//
+// A zero delay goes through Deliver(Now(), fn), which by its contract fires
+// fn exactly where the calendar queue would. The ordered lane takes it in
+// O(1) and spares the queue a burst of events at one instant, such as the
+// one write per dirty frame that a fuzzy checkpoint schedules.
 func (s *Sim) Schedule(delay Time, fn func()) {
+	if delay == 0 {
+		s.Deliver(s.now, fn)
+		return
+	}
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
@@ -104,9 +113,10 @@ func (s *Sim) lower(at Time) {
 // before Now. The event takes the kernel's next seq, as Schedule does, so
 // Deliver(at, fn) fires exactly where Schedule(at-Now(), fn) would when the
 // two agree on at. It is the entry point for a caller that hands the kernel
-// events already sorted by time: while at is nondecreasing the event is
-// appended to an ordered lane in O(1), and Run merges the lane head with
-// the queue head, so the calendar queue's push, scan and pop are skipped.
+// events already sorted by time, and for Schedule's zero-delay events:
+// while at is nondecreasing the event is appended to an ordered lane in
+// O(1), and Run merges the lane head with the queue head, so the calendar
+// queue's push, scan and pop are skipped.
 //
 // An at below the lane's tail goes to the calendar queue instead. The PDES
 // cluster engine relies on this fallback: it delivers lock traffic

@@ -22,6 +22,13 @@ type PageKey struct {
 	Page      int64
 }
 
+// PageHash is the one hash of page keys: it places pages in the LRU
+// caches' indexes and in the cluster's residency tally.
+func PageHash(k PageKey) uint64 {
+	h := (uint64(k.Page) ^ uint64(k.Partition)<<48) * 0x9e3779b97f4a7c15
+	return h ^ h>>29
+}
+
 // DiskUnitType selects the disk-unit variant (parameter DiskUnitType of
 // Table 3.4).
 type DiskUnitType uint8
@@ -284,7 +291,7 @@ func NewDiskUnit(s *sim.Sim, cfg DiskUnitConfig, rnd *rng.Stream) (*DiskUnit, er
 		u.disks = s.NewResource(cfg.Name+"/disk", cfg.NumDisks)
 	}
 	if cfg.Type == VolatileCache || cfg.Type == NVCache {
-		u.cache = lru.New[PageKey, cacheFrame](cfg.CacheSize)
+		u.cache = lru.New[PageKey, cacheFrame](cfg.CacheSize, PageHash)
 	}
 	return u, nil
 }
@@ -416,7 +423,7 @@ func (u *DiskUnit) startDestage(key PageKey) {
 // restart scan depends on).
 func (u *DiskUnit) CrashVolatile() {
 	if u.cfg.Type == VolatileCache {
-		u.cache = lru.New[PageKey, cacheFrame](u.cfg.CacheSize)
+		u.cache = lru.New[PageKey, cacheFrame](u.cfg.CacheSize, PageHash)
 	}
 }
 

@@ -6,7 +6,7 @@
 # noisy; real regressions on these stressors dwarf 30%).
 #
 # Allocation gate: for the pooled transaction path (EngineDebitCredit*,
-# LockManager*, PDESScaleout) allocs/op is additionally gated two-sided at
+# LockManager*, LRU, PDESScaleout) allocs/op is additionally gated two-sided at
 # ±20% against the same baseline. Allocation counts are deterministic, so
 # a breach in either direction is a real change: above means the zero-alloc
 # discipline regressed; below means the baseline is stale and should be
@@ -26,13 +26,13 @@
 #   SPEEDUP_FLOOR=3.0 ./scripts/bench_check.sh  # override the scaled floor
 set -eu
 cd "$(dirname "$0")/.."
-benches="${BENCH:-BenchmarkKernelHeap10M BenchmarkPDESScaleout BenchmarkEngineDebitCreditDisk BenchmarkEngineDebitCreditNVEM BenchmarkLockManager BenchmarkLockManagerLargeTx}"
+benches="${BENCH:-BenchmarkKernelHeap10M BenchmarkPDESScaleout BenchmarkEngineDebitCreditDisk BenchmarkEngineDebitCreditNVEM BenchmarkLockManager BenchmarkLockManagerLargeTx BenchmarkLRU}"
 tolerance="${TOLERANCE:-30}" # percent slower than baseline that still passes
 alloc_tolerance="${ALLOC_TOLERANCE:-20}" # percent allocs/op drift, either way
-alloc_benches="BenchmarkEngineDebitCreditDisk BenchmarkEngineDebitCreditNVEM BenchmarkLockManager BenchmarkLockManagerLargeTx BenchmarkPDESScaleout"
-# Benches whose ns/op is gated. The LockManager benches are alloc-gated
-# only: a single micro-scale iteration is scheduler noise, not a drift
-# signal.
+alloc_benches="BenchmarkEngineDebitCreditDisk BenchmarkEngineDebitCreditNVEM BenchmarkLockManager BenchmarkLockManagerLargeTx BenchmarkLRU BenchmarkPDESScaleout"
+# Benches whose ns/op is gated. The LockManager and LRU benches are
+# alloc-gated only: a single micro-scale iteration is scheduler noise, not
+# a drift signal.
 ns_benches="BenchmarkKernelHeap10M BenchmarkPDESScaleout BenchmarkEngineDebitCreditDisk BenchmarkEngineDebitCreditNVEM"
 
 baseline=$(ls BENCH_*.json | sort | tail -n 1)
