@@ -338,29 +338,27 @@ func BenchmarkRecoveryAvailability(b *testing.B) {
 // --- substrate micro-benchmarks ---
 
 // BenchmarkSimKernel measures raw event throughput of the DES kernel: one
-// Hold → continuation cycle per iteration. The continuation is bound and a
-// warmup chain run before the timer starts, so the timed region measures
-// pure pop/push cycles — zero allocations per operation even at
+// Schedule → continuation cycle per iteration. The continuation is bound
+// and a warmup chain run before the timer starts, so the timed region
+// measures pure pop/push cycles — zero allocations per operation even at
 // -benchtime=1x (closure construction and ring-slot capacity growth are
 // one-time setup costs, not per-event costs).
 func BenchmarkSimKernel(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()
-	var p *sim.Process
 	n, limit := 0, 0
 	var tick func()
 	tick = func() {
 		if n < limit {
 			n++
-			p.Hold(1, tick)
+			s.Schedule(1, tick)
 		}
 	}
-	p = s.Spawn("ticker", 0, func(*sim.Process) {})
 	limit = 256 // warm every calendar-ring slot's capacity
-	p.Hold(1, tick)
+	s.Schedule(1, tick)
 	s.RunAll()
 	n, limit = 0, b.N
-	p.Hold(1, tick)
+	s.Schedule(1, tick)
 	b.ResetTimer()
 	s.RunAll()
 }
@@ -382,18 +380,16 @@ func BenchmarkKernelHeap10M(b *testing.B) {
 		s := sim.New()
 		rnd := rng.NewStream(1, "heap-bench")
 		for t := 0; t < timers; t++ {
-			s.Spawn("timer", rnd.Float64(), func(p *sim.Process) {
-				n := 0
-				var tick func()
-				tick = func() {
-					n++
-					if n < perTimer {
-						// Jittered holds keep the heap genuinely unordered.
-						p.Hold(0.5+rnd.Float64(), tick)
-					}
+			n := 0
+			var tick func()
+			tick = func() {
+				n++
+				if n < perTimer {
+					// Jittered delays keep the heap genuinely unordered.
+					s.Schedule(0.5+rnd.Float64(), tick)
 				}
-				tick()
-			})
+			}
+			s.Schedule(rnd.Float64(), tick)
 		}
 		s.RunAll()
 	}
@@ -402,21 +398,20 @@ func BenchmarkKernelHeap10M(b *testing.B) {
 
 // BenchmarkSimResource measures acquire/hold/release cycles. A warmup pass
 // populates the queue-entry freelist and the calendar queue's buckets, and
-// the timed pass's process and cycle closure are built before the timer
-// starts, so a one-iteration run (the CI snapshot) measures the steady
-// state, not first-touch pool growth or set-up.
+// the timed pass's cycle closure is built before the timer starts, so a
+// one-iteration run (the CI snapshot) measures the steady state, not
+// first-touch pool growth or set-up.
 func BenchmarkSimResource(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()
 	r := s.NewResource("dev", 2)
 	spawnCycles := func(n int) {
-		p := s.NewProcess("user")
 		i := 0
 		var cycle func()
 		cycle = func() {
 			if i < n {
 				i++
-				r.Use(p, 0.5, cycle)
+				r.Use(0.5, cycle)
 			}
 		}
 		s.Schedule(0, cycle)
@@ -434,7 +429,7 @@ func BenchmarkSimResource(b *testing.B) {
 func BenchmarkSimBlockingShim(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()
-	s.SpawnBlocking("ticker", 0, func(bp *sim.BlockingProcess) {
+	s.SpawnBlocking(0, func(bp *sim.BlockingProcess) {
 		for i := 0; i < b.N; i++ {
 			bp.Hold(1)
 		}

@@ -101,6 +101,7 @@ var simScope = []string{
 	// Reporting/aggregation paths: these render the golden bytes, so
 	// map-order and float-order rules matter just as much here.
 	"internal/trace", "internal/stats", "internal/costmodel", "internal/lru",
+	"internal/hashtab",
 }
 
 // inSimScope reports whether pkgPath is one of the simulation packages.

@@ -1,9 +1,14 @@
 package analysis
 
 import (
+	"go/ast"
+	"go/parser"
 	"go/token"
+	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -15,6 +20,7 @@ func TestScopes(t *testing.T) {
 		"repro/internal/recovery", "repro/internal/experiments",
 		"repro/internal/trace", "repro/internal/stats",
 		"repro/internal/costmodel", "repro/internal/lru",
+		"repro/internal/hashtab",
 	}
 	for _, p := range simPkgs {
 		if !inSimScope(p) {
@@ -49,6 +55,72 @@ func TestScopes(t *testing.T) {
 	// into barrier.go (which carries a file-scoped //detlint:allow instead).
 	if rawgoSeam("internal/core/pdes.go") {
 		t.Error("pdes.go must no longer be a concurrency seam")
+	}
+}
+
+// TestRawgoSeamsStillConcurrent: every whitelisted seam still holds a go
+// statement or a multi-case select. A seam whose concurrency has gone
+// would let a goroutine added there later pass lint unexamined.
+func TestRawgoSeamsStillConcurrent(t *testing.T) {
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rel := range rawgoSeams {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(l.ModuleRoot, filepath.FromSlash(rel)), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		concurrent := false
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch st := n.(type) {
+			case *ast.GoStmt:
+				concurrent = true
+			case *ast.SelectStmt:
+				concurrent = concurrent || len(st.Body.List) > 1
+			}
+			return !concurrent
+		})
+		if !concurrent {
+			t.Errorf("rawgo seam %s has no go statement or multi-case select; drop it from rawgoSeams", rel)
+		}
+	}
+}
+
+// TestSimScopeCoversSimulationImports: every internal package that the
+// engine or the experiment harness imports, directly or transitively, runs
+// inside the simulation, so the full contract must be in force there. The
+// one exception is internal/rng, the sanctioned randomness source.
+func TestSimScopeCoversSimulationImports(t *testing.T) {
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots, err := l.Load("internal/core", "internal/experiments")
+	if err != nil {
+		t.Fatal(err)
+	}
+	internal := l.ModulePath + "/internal/"
+	seen := map[string]bool{}
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		if seen[p.Path()] {
+			return
+		}
+		seen[p.Path()] = true
+		for _, imp := range p.Imports() {
+			if strings.HasPrefix(imp.Path(), internal) {
+				visit(imp)
+			}
+		}
+	}
+	for _, p := range roots {
+		visit(p.Types)
+	}
+	for _, path := range slices.Sorted(maps.Keys(seen)) {
+		if path != internal+"rng" && !inSimScope(path) {
+			t.Errorf("%s is reached from internal/core or internal/experiments but is not in simScope", path)
+		}
 	}
 }
 

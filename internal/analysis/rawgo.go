@@ -18,7 +18,6 @@ import (
 // goroutines — all raw concurrency moved behind the barrier seam.
 var rawgoSeams = []string{
 	"internal/experiments/parallel.go", // replication/grid worker pool
-	"internal/buffer/checkpoint.go",    // async checkpoint flush writers
 }
 
 // RawgoAnalyzer confines raw concurrency to the whitelisted seams.

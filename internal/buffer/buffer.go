@@ -13,28 +13,23 @@ import (
 )
 
 // Host is the buffer manager's view of the computing module. The engine
-// implements it: CPU overhead per I/O (InstrIO), the CPU-synchronous NVEM
-// page transfer (InstrNVEM + NVEM delay with the CPU held), and spawning of
-// asynchronous writer processes. All delay-charging methods are
-// continuation-style: they run k once the charged simulated time has
-// elapsed.
+// implements it: CPU overhead per I/O (InstrIO) and the CPU-synchronous
+// NVEM page transfer (InstrNVEM + NVEM delay with the CPU held). All
+// delay-charging methods are continuation-style: they run k once the
+// charged simulated time has elapsed.
 type Host interface {
-	// IOOverhead charges the CPU overhead of one I/O to process p, then
-	// runs k.
-	IOOverhead(p *sim.Process, k func())
+	// IOOverhead charges the CPU overhead of one I/O, then runs k.
+	IOOverhead(k func())
 	// SyncDeviceIO charges the I/O overhead and runs the device access dev
 	// with the CPU held (AccessMode=synchronous, Table 3.3); dev must call
 	// its argument when the device completes, after which the CPU is
 	// released and k runs.
-	SyncDeviceIO(p *sim.Process, dev func(done func()), k func())
+	SyncDeviceIO(dev func(done func()), k func())
 	// NVEMTransfer performs one page transfer between main memory and NVEM
 	// with the CPU held (synchronous access, section 2), then runs k.
-	NVEMTransfer(p *sim.Process, k func())
-	// SpawnAsync starts a background process (asynchronous disk updates).
-	SpawnAsync(name string, fn func(p *sim.Process))
+	NVEMTransfer(k func())
 	// Sim returns the simulation the module runs in. The manager schedules
-	// its pooled asynchronous operations on it directly — a fresh spawned
-	// process per background write would defeat the pooling.
+	// its pooled operations and the checkpoint daemon on it.
 	Sim() *sim.Sim
 }
 
@@ -221,14 +216,9 @@ const (
 // at allocation and the state field selects the next stage, replacing the
 // per-call closure chains: event order, RNG-draw order and statistics
 // order are identical to the closure formulation. probe, bound alongside
-// step in remote mode, takes a remote shared-cache probe's verdict. proc
-// is the op's own process identity for background work (created lazily,
-// reused for the op's whole pooled lifetime); p is the foreground caller's
-// process.
+// step in remote mode, takes a remote shared-cache probe's verdict.
 type bufOp struct {
 	m           *Manager
-	p           *sim.Process
-	proc        *sim.Process
 	key         storage.PageKey
 	victim      storage.PageKey
 	k           func()
@@ -262,19 +252,9 @@ func (m *Manager) getOp() *bufOp {
 	return op
 }
 
-// getAsyncOp is getOp plus the op's own background process identity.
-func (m *Manager) getAsyncOp() *bufOp {
-	op := m.getOp()
-	if op.proc == nil {
-		op.proc = m.sim.NewProcess("bm-async")
-	}
-	return op
-}
-
 // putOp returns a finished op to the freelist, dropping its references.
-// proc intentionally survives: it is the op's identity, not request state.
 func (m *Manager) putOp(op *bufOp) {
-	op.p, op.k, op.ps, op.keys, op.waiters = nil, nil, nil, nil, nil
+	op.k, op.ps, op.keys, op.waiters = nil, nil, nil, nil
 	if poolPoison {
 		op.key = storage.PageKey{Partition: -1, Page: -1}
 		op.victim = storage.PageKey{Partition: -1, Page: -1}
@@ -297,7 +277,7 @@ func (op *bufOp) run() {
 		case a.NVEMResident:
 			m.stats.NVEMReads++
 			op.state = fxDone
-			m.host.NVEMTransfer(op.p, op.step)
+			m.host.NVEMTransfer(op.step)
 		case a.NVEMCache && m.remote != nil:
 			// The shared cache sits across the interconnect: its verdict
 			// arrives NVEMAccessDelayMS later and resumes the fix in
@@ -307,7 +287,7 @@ func (op *bufOp) run() {
 			m.stats.NVEMCacheHits++
 			op.ps.NVEMHits++
 			op.state = fxNVEMTouch
-			m.host.NVEMTransfer(op.p, op.step)
+			m.host.NVEMTransfer(op.step)
 		default:
 			m.stats.DeviceReads++
 			op.readPage()
@@ -329,10 +309,10 @@ func (op *bufOp) run() {
 		op.run()
 	case fxReadIO:
 		op.state = fxDone
-		m.unitOf(op.key.Partition).Read(op.p, op.key, op.step)
+		m.unitOf(op.key.Partition).Read(op.key, op.step)
 	case fxVictimIO:
 		op.state = fxFetch
-		m.unitOf(op.victim.Partition).Write(op.p, op.victim, op.step)
+		m.unitOf(op.victim.Partition).Write(op.victim, op.step)
 	case fxDone:
 		k := op.k
 		m.putOp(op)
@@ -358,23 +338,23 @@ func (op *bufOp) run() {
 			switch {
 			case a.NVEMResident:
 				op.state = fcAfter
-				m.host.NVEMTransfer(op.p, op.step)
+				m.host.NVEMTransfer(op.step)
 			case a.NVEMCache && (m.nvemCache != nil || m.remote != nil):
 				// Force into the NVEM cache; MM copy stays (replication).
 				// Deferred destage pays off exactly here: re-forced pages
 				// overwrite their dirty NVEM copy without another disk write.
 				op.state = fcNVEM
-				m.host.NVEMTransfer(op.p, op.step)
+				m.host.NVEMTransfer(op.step)
 			case a.NVEMWriteBuffer:
 				op.state = fcAfter
-				m.writeViaWB(op.p, key, op.step)
+				m.writeViaWB(key, op.step)
 			default:
 				if a.SyncAccess {
 					op.state = fcAfter
-					m.devicePartitionWrite(op.p, key, op.step)
+					m.syncDeviceIO(key, true, op.step)
 				} else {
 					op.state = fcWriteIO
-					m.host.IOOverhead(op.p, op.step)
+					m.host.IOOverhead(op.step)
 				}
 			}
 			return
@@ -391,16 +371,16 @@ func (op *bufOp) run() {
 		op.run()
 	case fcWriteIO:
 		op.state = fcAfter
-		m.unitOf(op.key.Partition).Write(op.p, op.key, op.step)
+		m.unitOf(op.key.Partition).Write(op.key, op.step)
 	case fcAfter:
 		m.mm.Update(op.key, frame{dirty: false})
 		op.state = fcLoop
 		op.run()
 
 	case wbFull:
-		p, key, k := op.p, op.key, op.k
+		key, k := op.key, op.k
 		m.putOp(op)
-		m.deviceWriteFor(p, key, k)
+		m.deviceUnitFor(key).Write(key, k)
 	case wbStored:
 		key, k := op.key, op.k
 		m.putOp(op)
@@ -408,23 +388,23 @@ func (op *bufOp) run() {
 		k()
 
 	case lgIO:
-		p, key, k := op.p, op.key, op.k
+		key, k := op.key, op.k
 		m.putOp(op)
-		m.units[m.cfg.Log.DiskUnit].Write(p, key, k)
+		m.units[m.cfg.Log.DiskUnit].Write(key, k)
 
 	case axEvict:
 		op.state = axWriteStart
-		m.host.NVEMTransfer(op.proc, op.step)
+		m.host.NVEMTransfer(op.step)
 	case axWriteStart:
 		m.stats.AsyncDiskWrites++
 		op.state = axWrite
-		m.host.IOOverhead(op.proc, op.step)
+		m.host.IOOverhead(op.step)
 	case axWrite:
 		op.state = axDone
-		m.deviceUnitFor(op.key).Write(op.proc, op.key, op.step)
+		m.deviceUnitFor(op.key).Write(op.key, op.step)
 	case axHandoff:
 		op.state = axDone
-		m.host.NVEMTransfer(op.proc, op.step)
+		m.host.NVEMTransfer(op.step)
 	case axDone:
 		if op.wb {
 			m.wbInUse--
@@ -439,22 +419,22 @@ func (op *bufOp) run() {
 			op.run()
 		case a.NVEMResident:
 			op.state = ckDone
-			m.host.NVEMTransfer(op.proc, op.step)
+			m.host.NVEMTransfer(op.step)
 		case a.NVEMWriteBuffer:
 			op.state = ckDone
-			m.writeViaWB(op.proc, op.key, op.step)
+			m.writeViaWB(op.key, op.step)
 		default:
 			if a.SyncAccess {
 				op.state = ckDone
-				m.devicePartitionWrite(op.proc, op.key, op.step)
+				m.syncDeviceIO(op.key, true, op.step)
 			} else {
 				op.state = ckWriteIO
-				m.host.IOOverhead(op.proc, op.step)
+				m.host.IOOverhead(op.step)
 			}
 		}
 	case ckWriteIO:
 		op.state = ckDone
-		m.unitOf(op.key.Partition).Write(op.proc, op.key, op.step)
+		m.unitOf(op.key.Partition).Write(op.key, op.step)
 	case ckDone:
 		gen := op.gen
 		m.putOp(op)
@@ -468,14 +448,14 @@ func (op *bufOp) run() {
 
 	case gcOpen:
 		op.state = gcFlush
-		op.proc.Hold(m.cfg.GroupCommitWaitMS, op.step)
+		m.sim.Schedule(m.cfg.GroupCommitWaitMS, op.step)
 	case gcFlush:
 		op.waiters = m.gcWaiters
 		m.gcWaiters = nil
 		m.stats.GroupCommits++
 		// One I/O carries the whole group's log data.
 		op.state = gcDone
-		m.writeLogPage(op.proc, op.step)
+		m.writeLogPage(op.step)
 	case gcDone:
 		ws := op.waiters
 		op.waiters = nil
@@ -510,7 +490,7 @@ func (op *bufOp) onProbe(hit, dirty bool) {
 		m.stats.NVEMCacheHits++
 		op.ps.NVEMHits++
 		op.state = fxDone
-		m.host.NVEMTransfer(op.p, op.step)
+		m.host.NVEMTransfer(op.step)
 		return
 	}
 	m.stats.DeviceReads++
@@ -522,19 +502,19 @@ func (op *bufOp) readPage() {
 	m := op.m
 	if m.alloc(op.key.Partition).SyncAccess {
 		op.state = fxDone
-		m.deviceRead(op.p, op.key, op.step)
+		m.syncDeviceIO(op.key, false, op.step)
 		return
 	}
 	op.state = fxReadIO
-	m.host.IOOverhead(op.p, op.step)
+	m.host.IOOverhead(op.step)
 }
 
 // asyncWrite starts a pooled background disk update of key: one +0 event
-// (matching the process spawn it replaces), the per-I/O CPU overhead, then
-// the device write. wb marks a write-buffer destage, whose completion
+// (its slot in the event order is pinned by the goldens), the per-I/O CPU
+// overhead, then the device write. wb marks a write-buffer destage, whose completion
 // releases the buffered frame.
 func (m *Manager) asyncWrite(key storage.PageKey, wb bool) {
-	op := m.getAsyncOp()
+	op := m.getOp()
 	op.key, op.wb = key, wb
 	op.state = axWriteStart
 	m.sim.Schedule(0, op.step)
@@ -639,14 +619,14 @@ func (m *Manager) unitOf(partition int) *storage.DiskUnit {
 	return m.units[m.alloc(partition).DiskUnit]
 }
 
-// Fix brings the page into the main-memory buffer on behalf of process p
-// and marks it dirty if write is set, then runs k. It delays p for whatever
-// the storage hierarchy charges: nothing on an MM hit, an NVEM transfer on
+// Fix brings the page into the main-memory buffer and marks it dirty if
+// write is set, then runs k. It delays k for whatever the storage
+// hierarchy charges: nothing on an MM hit, an NVEM transfer on
 // an NVEM hit, or a device read (plus a possible synchronous victim
 // write-back) on a full miss. TPSIM replaces synchronously — asynchronous
 // replacement is exactly the optimization the paper shows NV memory makes
 // unnecessary (footnote 3).
-func (m *Manager) Fix(p *sim.Process, key storage.PageKey, write bool, k func()) {
+func (m *Manager) Fix(key storage.PageKey, write bool, k func()) {
 	m.stats.Fixes++
 	ps := &m.partStats[key.Partition]
 	ps.Fixes++
@@ -698,7 +678,7 @@ func (m *Manager) Fix(p *sim.Process, key storage.PageKey, write bool, k func())
 	victim, victimDirty, haveVictim := m.reserveFrame()
 	m.mm.Put(key, frame{dirty: write || nvemDirty})
 	op := m.getOp()
-	op.p, op.key, op.k, op.ps = p, key, k, ps
+	op.key, op.k, op.ps = key, k, ps
 	op.nvemHit = nvemHit
 	op.state = fxFetch
 	if haveVictim {
@@ -730,7 +710,7 @@ func (m *Manager) disposeVictimOp(op *bufOp) {
 		if migrate {
 			m.stats.VictimToNVEM++
 			op.state = fxMigrated
-			m.host.NVEMTransfer(op.p, op.step)
+			m.host.NVEMTransfer(op.step)
 			return
 		}
 	}
@@ -746,9 +726,9 @@ func (m *Manager) disposeVictimOp(op *bufOp) {
 	switch {
 	case a.NVEMResident:
 		// Write the page back to its NVEM home (synchronous, fast).
-		m.host.NVEMTransfer(op.p, op.step)
+		m.host.NVEMTransfer(op.step)
 	case a.NVEMWriteBuffer:
-		m.writeViaWB(op.p, key, op.step)
+		m.writeViaWB(key, op.step)
 	case m.cfg.AsyncReplacement:
 		// Footnote 3's software optimization: the replacement write happens
 		// in the background; only the read delays the transaction.
@@ -760,10 +740,10 @@ func (m *Manager) disposeVictimOp(op *bufOp) {
 		// for it either way; SyncAccess additionally holds the CPU).
 		m.stats.VictimWrites++
 		if m.alloc(key.Partition).SyncAccess {
-			m.devicePartitionWrite(op.p, key, op.step)
+			m.syncDeviceIO(key, true, op.step)
 		} else {
 			op.state = fxVictimIO
-			m.host.IOOverhead(op.p, op.step)
+			m.host.IOOverhead(op.step)
 		}
 	}
 }
@@ -796,26 +776,18 @@ func (m *Manager) ApplySharedPut(key storage.PageKey, dirty bool) {
 	m.putNVEMInto(m.remoteShared.cache, key, dirty)
 }
 
-// deviceRead reads a page from its partition's disk-unit, honouring the
-// partition's access mode (synchronous access keeps the CPU busy).
-func (m *Manager) deviceRead(p *sim.Process, key storage.PageKey, k func()) {
+// syncDeviceIO reads or writes a page on its partition's disk-unit with
+// the CPU held for the whole access (a partition with SyncAccess), then
+// runs k.
+func (m *Manager) syncDeviceIO(key storage.PageKey, write bool, k func()) {
 	unit := m.unitOf(key.Partition)
-	if m.alloc(key.Partition).SyncAccess {
-		m.host.SyncDeviceIO(p, func(done func()) { unit.Read(p, key, done) }, k)
-		return
-	}
-	m.host.IOOverhead(p, func() { unit.Read(p, key, k) })
-}
-
-// devicePartitionWrite writes a page to its partition's disk-unit,
-// honouring the partition's access mode.
-func (m *Manager) devicePartitionWrite(p *sim.Process, key storage.PageKey, k func()) {
-	unit := m.unitOf(key.Partition)
-	if m.alloc(key.Partition).SyncAccess {
-		m.host.SyncDeviceIO(p, func(done func()) { unit.Write(p, key, done) }, k)
-		return
-	}
-	m.host.IOOverhead(p, func() { unit.Write(p, key, k) })
+	m.host.SyncDeviceIO(func(done func()) {
+		if write {
+			unit.Write(key, done)
+		} else {
+			unit.Read(key, done)
+		}
+	}, k)
 }
 
 // nvemCacheHas probes the NVEM cache without touching recency (recency is
@@ -882,7 +854,7 @@ func (m *Manager) putNVEMInto(c *lru.Cache[storage.PageKey, nvemFrame], key stor
 // system), then the asynchronous disk write.
 func (m *Manager) destageFromNVEM(key storage.PageKey) {
 	m.stats.NVEMEvictWrites++
-	op := m.getAsyncOp()
+	op := m.getOp()
 	op.key, op.wb = key, false
 	op.state = axEvict
 	m.sim.Schedule(0, op.step)
@@ -893,20 +865,20 @@ func (m *Manager) destageFromNVEM(key storage.PageKey) {
 // asynchronously. When every write-buffer frame is still awaiting its disk
 // update, the write falls back to a synchronous device write (the same
 // saturation behaviour as a full non-volatile disk cache).
-func (m *Manager) writeViaWB(p *sim.Process, key storage.PageKey, k func()) {
+func (m *Manager) writeViaWB(key storage.PageKey, k func()) {
 	op := m.getOp()
-	op.p, op.key, op.k = p, key, k
+	op.key, op.k = key, k
 	if m.wbInUse >= m.cfg.NVEMWriteBufferSize {
 		m.stats.WBFullSync++
 		m.stats.VictimWrites++
 		op.state = wbFull
-		m.host.IOOverhead(p, op.step)
+		m.host.IOOverhead(op.step)
 		return
 	}
 	m.wbInUse++
 	m.stats.VictimToWB++
 	op.state = wbStored
-	m.host.NVEMTransfer(p, op.step)
+	m.host.NVEMTransfer(op.step)
 }
 
 // deviceUnitFor resolves the disk-unit for a page, treating the log
@@ -916,10 +888,6 @@ func (m *Manager) deviceUnitFor(key storage.PageKey) *storage.DiskUnit {
 		return m.units[m.cfg.Log.DiskUnit]
 	}
 	return m.unitOf(key.Partition)
-}
-
-func (m *Manager) deviceWriteFor(p *sim.Process, key storage.PageKey, k func()) {
-	m.deviceUnitFor(key).Write(p, key, k)
 }
 
 // startAsyncWrite begins the immediate asynchronous disk update for a
@@ -934,13 +902,13 @@ func (m *Manager) startAsyncWrite(key storage.PageKey) {
 // NVEM cache is accepted, section 3.2). Pages already replaced from the
 // buffer were written out at replacement and are skipped. k runs once every
 // force write has completed.
-func (m *Manager) ForcePages(p *sim.Process, keys []storage.PageKey, k func()) {
+func (m *Manager) ForcePages(keys []storage.PageKey, k func()) {
 	if !m.cfg.Force {
 		k()
 		return
 	}
 	op := m.getOp()
-	op.p, op.k, op.keys, op.i = p, k, keys, 0
+	op.k, op.keys, op.i = k, keys, 0
 	op.state = fcLoop
 	op.run()
 }
@@ -949,13 +917,13 @@ func (m *Manager) ForcePages(p *sim.Process, keys []storage.PageKey, k func()) {
 // (section 3.2), appended sequentially and routed by the log allocation,
 // with k running once the write is durable. Under group commit the caller
 // joins the open group and k waits for the group's single shared log write.
-func (m *Manager) WriteLog(p *sim.Process, k func()) {
+func (m *Manager) WriteLog(k func()) {
 	if !m.cfg.Logging {
 		k()
 		return
 	}
 	if !m.cfg.GroupCommit {
-		m.writeLogPage(p, k)
+		m.writeLogPage(k)
 		return
 	}
 	if m.gcWaiters == nil {
@@ -967,29 +935,29 @@ func (m *Manager) WriteLog(p *sim.Process, k func()) {
 	}
 	m.gcWaiters = append(m.gcWaiters, k)
 	if len(m.gcWaiters) == 1 {
-		// Group leader: open the group (one +0 event, matching the process
-		// spawn it replaces) and flush it after the group window.
-		op := m.getAsyncOp()
+		// Group leader: open the group (one +0 event, whose slot in the
+		// event order the goldens pin) and flush it after the group window.
+		op := m.getOp()
 		op.state = gcOpen
 		m.sim.Schedule(0, op.step)
 	}
 }
 
 // writeLogPage performs one physical log page write, then k.
-func (m *Manager) writeLogPage(p *sim.Process, k func()) {
+func (m *Manager) writeLogPage(k func()) {
 	m.stats.LogWrites++
 	m.logSinceCkpt++
 	key := storage.PageKey{Partition: m.logPartition, Page: m.logNext}
 	m.logNext++
 	switch {
 	case m.cfg.Log.NVEMResident:
-		m.host.NVEMTransfer(p, k)
+		m.host.NVEMTransfer(k)
 	case m.cfg.Log.NVEMWriteBuffer:
-		m.writeViaWB(p, key, k)
+		m.writeViaWB(key, k)
 	default:
 		op := m.getOp()
-		op.p, op.key, op.k = p, key, k
+		op.key, op.k = key, k
 		op.state = lgIO
-		m.host.IOOverhead(p, op.step)
+		m.host.IOOverhead(op.step)
 	}
 }

@@ -18,27 +18,23 @@ type testHost struct {
 	nvemCalls int
 }
 
-func (h *testHost) IOOverhead(_ *sim.Process, k func()) {
+func (h *testHost) IOOverhead(k func()) {
 	h.ioCalls++
 	k()
 }
 
-func (h *testHost) SyncDeviceIO(p *sim.Process, dev func(done func()), k func()) {
+func (h *testHost) SyncDeviceIO(dev func(done func()), k func()) {
 	h.syncCalls++
 	dev(k)
 }
 
-func (h *testHost) NVEMTransfer(p *sim.Process, k func()) {
+func (h *testHost) NVEMTransfer(k func()) {
 	h.nvemCalls++
 	if h.nvem != nil {
-		h.nvem.Access(p, k)
+		h.nvem.Access(k)
 		return
 	}
 	k()
-}
-
-func (h *testHost) SpawnAsync(name string, fn func(p *sim.Process)) {
-	h.s.Spawn(name, 0, fn)
 }
 
 func (h *testHost) Sim() *sim.Sim { return h.s }
@@ -58,15 +54,15 @@ func key(part int, page int64) storage.PageKey {
 // fixB, forceB and writeLogB drive the manager's continuation API
 // blocking-style from test scripts.
 func fixB(b *sim.BlockingProcess, m *Manager, k storage.PageKey, write bool) {
-	b.Await(func(done func()) { m.Fix(b.Proc(), k, write, done) })
+	b.Await(func(done func()) { m.Fix(k, write, done) })
 }
 
 func forceB(b *sim.BlockingProcess, m *Manager, keys ...storage.PageKey) {
-	b.Await(func(done func()) { m.ForcePages(b.Proc(), keys, done) })
+	b.Await(func(done func()) { m.ForcePages(keys, done) })
 }
 
 func writeLogB(b *sim.BlockingProcess, m *Manager) {
-	b.Await(func(done func()) { m.WriteLog(b.Proc(), done) })
+	b.Await(func(done func()) { m.WriteLog(done) })
 }
 
 // newRig builds a one-partition, one-disk-unit setup with the given buffer
@@ -105,7 +101,7 @@ func newRig(t testing.TB, cfg Config) *rig {
 // drive runs fn as a blocking-style simulation process and completes all
 // events.
 func (r *rig) drive(fn func(b *sim.BlockingProcess)) {
-	r.s.SpawnBlocking("driver", 0, fn)
+	r.s.SpawnBlocking(0, fn)
 	r.s.RunAll()
 }
 
@@ -427,7 +423,7 @@ func TestWriteBufferFullFallsBackSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SpawnBlocking("driver", 0, func(b *sim.BlockingProcess) {
+	s.SpawnBlocking(0, func(b *sim.BlockingProcess) {
 		fixB(b, m, key(0, 1), true)
 		fixB(b, m, key(0, 2), true)
 		fixB(b, m, key(0, 3), true) // victim 1 → WB (now full, destage stuck)

@@ -65,36 +65,37 @@ func (m *Manager) ResumeCheckpoints() {
 	}
 }
 
-// startCheckpointDaemon spawns the fuzzy-checkpoint process on a fixed
-// cadence: a checkpoint begins at every multiple of CheckpointIntervalMS
-// (skipping beats a long flush overran — checkpoints never overlap), so
-// the redo log length at any instant is bounded by the interval plus one
-// flush, independent of how long earlier flushes took.
+// startCheckpointDaemon starts the fuzzy-checkpoint daemon, one +0 event
+// from now, on a fixed cadence: a checkpoint begins at every multiple of
+// CheckpointIntervalMS (skipping beats a long flush overran — checkpoints
+// never overlap), so the redo log length at any instant is bounded by the
+// interval plus one flush, independent of how long earlier flushes took.
 func (m *Manager) startCheckpointDaemon() {
 	gen := m.ckptGen
-	m.host.SpawnAsync("checkpoint", func(p *sim.Process) {
-		interval := m.cfg.CheckpointIntervalMS
-		next := p.Now() + interval
-		var tick func()
-		tick = func() {
-			if m.ckptGen != gen {
-				return
-			}
-			m.fuzzyCheckpoint(p, gen, func() {
-				now := p.Now()
-				for next <= now {
-					next += interval
-				}
-				p.Hold(next-now, tick)
-			})
+	interval := m.cfg.CheckpointIntervalMS
+	var next sim.Time
+	var tick func()
+	tick = func() {
+		if m.ckptGen != gen {
+			return
 		}
-		p.Hold(interval, tick)
+		m.fuzzyCheckpoint(gen, func() {
+			now := m.sim.Now()
+			for next <= now {
+				next += interval
+			}
+			m.sim.Schedule(next-now, tick)
+		})
+	}
+	m.sim.Schedule(0, func() {
+		next = m.sim.Now() + interval
+		m.sim.Schedule(interval, tick)
 	})
 }
 
 // fuzzyCheckpoint flushes every dirty main-memory frame without blocking
 // transactions: the flush set is fixed at checkpoint begin and written by
-// concurrent asynchronous writer processes (the devices serialize them),
+// concurrent pooled asynchronous writes (the devices serialize them),
 // so pages re-modified during the flush stay dirty for the next
 // checkpoint and transactions only feel the extra device load. Once all
 // writes and the checkpoint log record are durable the redo log length
@@ -102,7 +103,7 @@ func (m *Manager) startCheckpointDaemon() {
 // writes already issued complete (in-flight I/O survives), but the gen
 // fence stops every later continuation, so no checkpoint record is
 // written and the redo log length stays for the recovery snapshot.
-func (m *Manager) fuzzyCheckpoint(p *sim.Process, gen int, k func()) {
+func (m *Manager) fuzzyCheckpoint(gen int, k func()) {
 	m.stats.Checkpoints++
 	m.ckptKeys = m.appendDirtyKeys(m.ckptKeys[:0])
 	keys := m.ckptKeys
@@ -118,7 +119,7 @@ func (m *Manager) fuzzyCheckpoint(p *sim.Process, gen int, k func()) {
 			k()
 		}
 		if m.cfg.Logging {
-			m.writeLogPage(p, done) // checkpoint record
+			m.writeLogPage(done) // checkpoint record
 			return
 		}
 		done()
@@ -127,14 +128,15 @@ func (m *Manager) fuzzyCheckpoint(p *sim.Process, gen int, k func()) {
 		finish()
 		return
 	}
-	// One pooled flush op per page (each a +0 event, matching the writer
-	// processes they replace); the flush set is the recycled scratch, which
-	// is safe to reuse next checkpoint because every op copied its key.
+	// One pooled flush op per page (each a +0 event, whose slot in the
+	// event order the goldens pin); the flush set is the recycled scratch,
+	// which is safe to reuse next checkpoint because every op copied its
+	// key.
 	m.ckptRemaining = len(keys)
 	m.ckptFinish = finish
 	for _, key := range keys {
 		m.stats.CkptWrites++
-		op := m.getAsyncOp()
+		op := m.getOp()
 		op.key, op.gen = key, gen
 		op.state = ckFlush
 		m.sim.Schedule(0, op.step)
@@ -158,7 +160,7 @@ func (m *Manager) Crash() {
 // otherwise — then resets the since-checkpoint counter and runs k. This
 // is the device-dependent log scan of a restart: its duration is what
 // separates NVEM, SSD and disk log placements.
-func (m *Manager) RecoveryScan(p *sim.Process, n int64, k func()) {
+func (m *Manager) RecoveryScan(n int64, k func()) {
 	var i int64
 	var step func()
 	step = func() {
@@ -170,11 +172,11 @@ func (m *Manager) RecoveryScan(p *sim.Process, n int64, k func()) {
 		key := storage.PageKey{Partition: m.logPartition, Page: m.logNext - n + i}
 		i++
 		if m.cfg.Log.NVEMResident {
-			m.host.NVEMTransfer(p, step)
+			m.host.NVEMTransfer(step)
 			return
 		}
-		m.host.IOOverhead(p, func() {
-			m.units[m.cfg.Log.DiskUnit].Read(p, key, step)
+		m.host.IOOverhead(func() {
+			m.units[m.cfg.Log.DiskUnit].Read(key, step)
 		})
 	}
 	step()

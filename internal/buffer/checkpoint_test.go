@@ -64,6 +64,60 @@ func TestCheckpointFlushesDirtyPages(t *testing.T) {
 	}
 }
 
+// TestCheckpointFlushRoutes: a checkpoint flushes a dirty page through
+// its partition's allocation — an NVEM transfer for an NVEM-resident page,
+// the NVEM write buffer (whose background destage charges an I/O
+// overhead), the CPU-held device write of a synchronous partition, or the
+// I/O overhead then the device write — and the page ends clean. A written
+// MM-resident page never enters the buffer, so there is nothing to flush.
+// In every case the checkpoint completes and logs its record, one more
+// I/O overhead on the disk log.
+func TestCheckpointFlushRoutes(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		alloc          PartitionAlloc
+		flushed        int64
+		io, sync, nvem int
+	}{
+		{"mm-resident", PartitionAlloc{MMResident: true}, 0, 1, 0, 0},
+		{"nvem-resident", PartitionAlloc{NVEMResident: true}, 1, 1, 0, 1},
+		{"write-buffer", PartitionAlloc{NVEMWriteBuffer: true}, 1, 2, 0, 1},
+		{"sync-access", PartitionAlloc{SyncAccess: true}, 1, 1, 1, 0},
+		{"disk", PartitionAlloc{}, 1, 2, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ckptCfg(1000)
+			cfg.Partitions[0] = tc.alloc
+			cfg.NVEMWriteBufferSize = 1
+			r := newRig(t, cfg)
+			var before testHost
+			var dirtyBefore, dirtyAfter int
+			var logAfter int64
+			r.drive(func(b *sim.BlockingProcess) {
+				fixB(b, r.m, key(0, 1), true)
+				writeLogB(b, r.m)
+				before, dirtyBefore = *r.host, r.m.DirtyPages()
+				b.Hold(1900 - b.Now()) // across the checkpoint at 1000, short of the next
+				dirtyAfter, logAfter = r.m.DirtyPages(), r.m.LogSinceCkpt()
+				r.m.StopCheckpoints()
+			})
+			if dirtyBefore != int(tc.flushed) {
+				t.Fatalf("dirty pages before the checkpoint = %d, want %d", dirtyBefore, tc.flushed)
+			}
+			io, sync, nvem := r.host.ioCalls-before.ioCalls, r.host.syncCalls-before.syncCalls, r.host.nvemCalls-before.nvemCalls
+			if io != tc.io || sync != tc.sync || nvem != tc.nvem {
+				t.Errorf("checkpoint host calls: io %d, sync %d, nvem %d; want %d, %d, %d", io, sync, nvem, tc.io, tc.sync, tc.nvem)
+			}
+			if st := r.m.Stats(); st.Checkpoints != 1 || st.CkptWrites != tc.flushed {
+				t.Errorf("checkpoints %d, flushed pages %d; want 1, %d", st.Checkpoints, st.CkptWrites, tc.flushed)
+			}
+			if dirtyAfter != 0 || logAfter != 0 {
+				t.Errorf("after the checkpoint: dirty %d, log since checkpoint %d; want 0, 0", dirtyAfter, logAfter)
+			}
+		})
+	}
+}
+
 // TestCheckpointDirtyKeysOrder: DirtyKeys reports MRU→LRU order.
 func TestCheckpointDirtyKeysOrder(t *testing.T) {
 	cfg := ckptCfg(0) // no daemon; bookkeeping only
@@ -133,7 +187,7 @@ func TestRecoveryScanDeviceVsNVEM(t *testing.T) {
 	var scanned bool
 	r.drive(func(b *sim.BlockingProcess) {
 		b.Await(func(done func()) {
-			r.m.RecoveryScan(b.Proc(), 5, func() { scanned = true; done() })
+			r.m.RecoveryScan(5, func() { scanned = true; done() })
 		})
 	})
 	if !scanned {
@@ -148,7 +202,7 @@ func TestRecoveryScanDeviceVsNVEM(t *testing.T) {
 	rn := newRig(t, cfg)
 	rn.drive(func(b *sim.BlockingProcess) {
 		b.Await(func(done func()) {
-			rn.m.RecoveryScan(b.Proc(), 5, done)
+			rn.m.RecoveryScan(5, done)
 		})
 	})
 	if rn.host.nvemCalls != 5 {

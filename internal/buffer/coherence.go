@@ -161,7 +161,7 @@ func (m *Manager) Invalidate(key storage.PageKey) (had, dirty bool) {
 // background on a pooled op: one +0 event, then the CPU-synchronous
 // transfer.
 func (m *Manager) handoff() {
-	op := m.getAsyncOp()
+	op := m.getOp()
 	op.wb = false
 	op.state = axHandoff
 	m.sim.Schedule(0, op.step)

@@ -52,7 +52,7 @@ func twoNodeRig(t *testing.T, bufferSize, sharedFrames int) (s *sim.Sim, a, b *M
 // cache must be hittable by node B.
 func TestSharedNVEMCacheCrossNodeHit(t *testing.T) {
 	s, a, b, _ := twoNodeRig(t, 1, 10)
-	s.SpawnBlocking("driver", 0, func(bp *sim.BlockingProcess) {
+	s.SpawnBlocking(0, func(bp *sim.BlockingProcess) {
 		fixB(bp, a, key(0, 1), false) // A reads page 1
 		fixB(bp, a, key(0, 2), false) // evicts page 1 into the shared cache
 		fixB(bp, b, key(0, 1), false) // B must hit it there
@@ -73,7 +73,7 @@ func TestSharedNVEMCacheCrossNodeHit(t *testing.T) {
 // next local fix misses.
 func TestInvalidateCleanCopy(t *testing.T) {
 	s, a, _, _ := twoNodeRig(t, 2, 10)
-	s.SpawnBlocking("driver", 0, func(bp *sim.BlockingProcess) {
+	s.SpawnBlocking(0, func(bp *sim.BlockingProcess) {
 		fixB(bp, a, key(0, 1), false)
 	})
 	s.RunAll()
@@ -126,7 +126,7 @@ func TestInvalidatePrivateNVEMCacheCopy(t *testing.T) {
 // can hit it instead of reading a stale disk copy.
 func TestInvalidateDirtyHandoff(t *testing.T) {
 	s, a, b, _ := twoNodeRig(t, 2, 10)
-	s.SpawnBlocking("driver", 0, func(bp *sim.BlockingProcess) {
+	s.SpawnBlocking(0, func(bp *sim.BlockingProcess) {
 		fixB(bp, a, key(0, 1), true) // A modifies page 1
 	})
 	s.RunAll()
@@ -134,7 +134,7 @@ func TestInvalidateDirtyHandoff(t *testing.T) {
 	if !had || !dirty {
 		t.Fatalf("Invalidate = (%v, %v), want (true, true)", had, dirty)
 	}
-	s.SpawnBlocking("driver2", 0, func(bp *sim.BlockingProcess) {
+	s.SpawnBlocking(0, func(bp *sim.BlockingProcess) {
 		fixB(bp, b, key(0, 1), true) // B picks the page up from the shared cache
 	})
 	s.RunAll()
@@ -198,7 +198,7 @@ func TestResidencySkipsSharedCache(t *testing.T) {
 	s, a, _, shared := twoNodeRig(t, 1, 10)
 	res := NewResidency(2, 1)
 	a.Track(res, 0, func(storage.PageKey) {})
-	s.SpawnBlocking("fixer", 0, func(bp *sim.BlockingProcess) {
+	s.SpawnBlocking(0, func(bp *sim.BlockingProcess) {
 		fixB(bp, a, key(0, 1), false)
 		fixB(bp, a, key(0, 2), false) // page 1 moves into the shared cache
 	})

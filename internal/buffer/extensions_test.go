@@ -15,8 +15,8 @@ func TestGroupCommitBatchesLogWrites(t *testing.T) {
 	done := 0
 	// Five transactions commit within one group window.
 	for i := 0; i < 5; i++ {
-		r.s.Spawn("committer", sim.Time(i), func(p *sim.Process) {
-			r.m.WriteLog(p, func() { done++ })
+		r.s.Schedule(sim.Time(i), func() {
+			r.m.WriteLog(func() { done++ })
 		})
 	}
 	r.s.RunAll()
@@ -42,8 +42,8 @@ func TestGroupCommitSeparateWindows(t *testing.T) {
 	r := newRig(t, cfg)
 	var finish []sim.Time
 	for _, at := range []sim.Time{0, 100} { // far apart: two groups
-		r.s.Spawn("committer", at, func(p *sim.Process) {
-			r.m.WriteLog(p, func() { finish = append(finish, p.Now()) })
+		r.s.Schedule(at, func() {
+			r.m.WriteLog(func() { finish = append(finish, r.s.Now()) })
 		})
 	}
 	r.s.RunAll()

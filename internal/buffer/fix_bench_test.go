@@ -56,11 +56,10 @@ var fixPaths = []struct {
 func warmFix(tb testing.TB, i int) (*rig, func()) {
 	fp := fixPaths[i]
 	r := newRig(tb, fp.cfg())
-	p := r.s.NewProcess("fixer")
 	noop := func() {}
 	var n int64
 	step := func() {
-		r.m.Fix(p, key(0, 1+n%fp.pages), fp.write, noop)
+		r.m.Fix(key(0, 1+n%fp.pages), fp.write, noop)
 		r.s.RunAll()
 		n++
 	}

@@ -88,8 +88,8 @@ func TestGroupCommitWaiterBufferRecycled(t *testing.T) {
 	commits := 0
 	group := func() {
 		for i := 0; i < 3; i++ {
-			r.s.Spawn("txn", 0, func(p *sim.Process) {
-				r.m.WriteLog(p, func() { commits++ })
+			r.s.Schedule(0, func() {
+				r.m.WriteLog(func() { commits++ })
 			})
 		}
 		r.s.RunAll()
@@ -117,12 +117,11 @@ func TestBufferSteadyStateZeroAlloc(t *testing.T) {
 	cfg := baseCfg()
 	cfg.BufferSize = 2
 	r := newRig(t, cfg)
-	p := r.s.NewProcess("driver")
 	noop := func() {}
 	cycle := func() {
 		for pg := int64(1); pg <= 4; pg++ {
-			r.m.Fix(p, key(0, pg), true, noop)
-			r.m.WriteLog(p, noop)
+			r.m.Fix(key(0, pg), true, noop)
+			r.m.WriteLog(noop)
 			r.s.RunAll()
 		}
 	}
@@ -146,11 +145,10 @@ func TestRemoteFixSteadyStateZeroAlloc(t *testing.T) {
 		Partitions:    []PartitionAlloc{{DiskUnit: 0, NVEMCache: true, NVEMCacheMode: MigrateAll}},
 	}
 	r := newRemoteRig(t, cfg, 3)
-	p := r.s.NewProcess("driver")
 	noop := func() {}
 	cycle := func() {
 		for pg := int64(1); pg <= 5; pg++ {
-			r.m.Fix(p, key(0, pg), pg == 4, noop)
+			r.m.Fix(key(0, pg), pg == 4, noop)
 			r.s.RunAll()
 		}
 		r.m.Invalidate(key(0, 4)) // dirty: handed off into the shared cache

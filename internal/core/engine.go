@@ -187,10 +187,6 @@ func (e *node) classOf(typeIdx int) *classTally {
 	return &e.win.classes[typeIdx]
 }
 
-// procName appends the node's cluster suffix to a diagnostic name, the
-// same scheme newNode's stream naming uses.
-func (e *node) procName(base string) string { return base + e.nameSuffix }
-
 // newTxn allocates a cluster-unique transaction id: node ids interleave,
 // so id mod the node count recovers the owner (the global lock manager's
 // grant routing relies on this). With one node this degenerates to the
@@ -211,12 +207,12 @@ func (e *node) instrTime(meanInstr float64) sim.Time {
 // cpuBurst runs an exponentially distributed instruction burst on a CPU,
 // then k. The burst length is drawn when the burst is issued (before any
 // CPU queueing), matching the paper's open queueing model.
-func (e *node) cpuBurst(p *sim.Process, meanInstr float64, k func()) {
-	e.cpu.Use(p, e.instrTime(meanInstr), k)
+func (e *node) cpuBurst(meanInstr float64, k func()) {
+	e.cpu.Use(e.instrTime(meanInstr), k)
 }
 
 // IOOverhead implements buffer.Host: the CPU pathlength of one I/O.
-func (e *node) IOOverhead(p *sim.Process, k func()) { e.cpuBurst(p, e.cfg.InstrIO, k) }
+func (e *node) IOOverhead(k func()) { e.cpuBurst(e.cfg.InstrIO, k) }
 
 // hostOp stages.
 const (
@@ -228,18 +224,16 @@ const (
 )
 
 // hostOp is one CPU-synchronous host operation — an NVEM page transfer or
-// a synchronous device I/O — pooled per node. The acquire callback and the
-// step continuation are bound once at allocation; the instruction-time
-// draws happen exactly where the closure formulation drew them (after the
-// CPU is acquired), so the random sequences are unchanged.
+// a synchronous device I/O — pooled per node. The step continuation is
+// bound once at allocation and serves the CPU grant too; the
+// instruction-time draws happen exactly where the closure formulation drew
+// them (after the CPU is acquired), so the random sequences are unchanged.
 type hostOp struct {
 	e     *node
-	p     *sim.Process
 	k     func()
 	dev   func(done func())
 	state uint8
 	step  func()
-	acq   func(sim.Time)
 	next  *hostOp
 }
 
@@ -248,7 +242,6 @@ func (e *node) getHostOp() *hostOp {
 	if op == nil {
 		op = &hostOp{e: e}
 		op.step = op.run
-		op.acq = func(sim.Time) { op.run() }
 		return op
 	}
 	e.freeHost = op.next
@@ -257,7 +250,7 @@ func (e *node) getHostOp() *hostOp {
 }
 
 func (e *node) putHostOp(op *hostOp) {
-	op.p, op.k, op.dev = nil, nil, nil
+	op.k, op.dev = nil, nil
 	if poolPoison {
 		op.state = 0xff
 	}
@@ -271,13 +264,13 @@ func (op *hostOp) run() {
 	switch op.state {
 	case hoNVAcq:
 		op.state = hoNVAccess
-		op.p.Hold(e.instrTime(e.cfg.InstrNVEM), op.step)
+		e.s.Schedule(e.instrTime(e.cfg.InstrNVEM), op.step)
 	case hoNVAccess:
 		op.state = hoDone
-		e.nvem.Access(op.p, op.step)
+		e.nvem.Access(op.step)
 	case hoIOAcq:
 		op.state = hoDev
-		op.p.Hold(e.instrTime(e.cfg.InstrIO), op.step)
+		e.s.Schedule(e.instrTime(e.cfg.InstrIO), op.step)
 	case hoDev:
 		op.state = hoDone
 		op.dev(op.step)
@@ -293,26 +286,21 @@ func (op *hostOp) run() {
 
 // SyncDeviceIO implements buffer.Host: the whole device access runs with
 // the CPU held (AccessMode=synchronous, Table 3.3).
-func (e *node) SyncDeviceIO(p *sim.Process, dev func(done func()), k func()) {
+func (e *node) SyncDeviceIO(dev func(done func()), k func()) {
 	op := e.getHostOp()
-	op.p, op.k, op.dev = p, k, dev
+	op.k, op.dev = k, dev
 	op.state = hoIOAcq
-	e.cpu.Acquire(p, op.acq)
+	e.cpu.Acquire(op.step)
 }
 
 // NVEMTransfer implements buffer.Host: a synchronous NVEM page transfer —
 // the CPU stays busy for the instruction overhead AND the transfer itself
 // (a process switch would cost more than the 50µs delay, section 2).
-func (e *node) NVEMTransfer(p *sim.Process, k func()) {
+func (e *node) NVEMTransfer(k func()) {
 	op := e.getHostOp()
-	op.p, op.k = p, k
+	op.k = k
 	op.state = hoNVAcq
-	e.cpu.Acquire(p, op.acq)
-}
-
-// SpawnAsync implements buffer.Host.
-func (e *node) SpawnAsync(name string, fn func(p *sim.Process)) {
-	e.s.Spawn(name, 0, fn)
+	e.cpu.Acquire(op.step)
 }
 
 // Sim implements buffer.Host.
@@ -365,10 +353,10 @@ func (t *txRun) requestLock() {
 	if e.c.glocks != nil {
 		t.g, t.mode = g, mode
 		t.state = txLockMsg
-		e.cpuBurst(t.p, e.c.instrLockMsg, t.resume)
+		e.cpuBurst(e.c.instrLockMsg, t.resume)
 		return
 	}
-	if ok, decided := t.verdict(e.locks.Acquire(t.txn, g, mode), t.p.Now()); decided {
+	if ok, decided := t.verdict(e.locks.Acquire(t.txn, g, mode), e.s.Now()); decided {
 		t.onLocked(ok)
 	}
 }
@@ -415,7 +403,7 @@ func (t *txRun) onGranted() {
 		if start < e.warmStartTime {
 			start = e.warmStartTime
 		}
-		e.win.lockWaitSum += t.p.Now() - start
+		e.win.lockWaitSum += e.s.Now() - start
 	}
 	t.onLocked(true)
 }
@@ -450,23 +438,21 @@ func (e *node) spawnArrivals(typeIdx int) error {
 	if err != nil {
 		return err
 	}
-	e.s.Spawn(fmt.Sprintf("arrivals-%d", typeIdx), 0, func(p *sim.Process) {
-		// arrive is the one closure the whole arrival stream reuses: each
-		// firing admits a transaction and schedules itself after the gap
-		// the arrival process draws.
-		var arrive func()
-		arrive = func() {
-			if e.stopArrivals {
-				return
-			}
-			tx := e.cfg.Generator.Next(typeIdx, e.genRnd)
-			if len(tx.Accesses) > 0 {
-				e.admitArrival(tx)
-			}
-			p.Hold(proc.NextGapMS(p.Now(), e.arrRnd), arrive)
+	// arrive is the one closure the whole arrival stream reuses: each
+	// firing admits a transaction and schedules itself after the gap the
+	// arrival process draws. The first gap is drawn in a +0 event.
+	var arrive func()
+	arrive = func() {
+		if e.stopArrivals {
+			return
 		}
-		p.Hold(proc.NextGapMS(p.Now(), e.arrRnd), arrive)
-	})
+		tx := e.cfg.Generator.Next(typeIdx, e.genRnd)
+		if len(tx.Accesses) > 0 {
+			e.admitArrival(tx)
+		}
+		e.s.Schedule(proc.NextGapMS(e.s.Now(), e.arrRnd), arrive)
+	}
+	e.s.Schedule(0, func() { e.s.Schedule(proc.NextGapMS(e.s.Now(), e.arrRnd), arrive) })
 	return nil
 }
 
@@ -483,27 +469,25 @@ func (e *node) spawnTerminals(typeIdx int) {
 	e.win.terminals += spec.Terminals
 	e.win.thinkMS = spec.ThinkMS
 	for ti := 0; ti < spec.Terminals; ti++ {
-		e.s.Spawn(fmt.Sprintf("terminal-%d-%d", typeIdx, ti), 0, func(p *sim.Process) {
-			var think func()
-			submit := func() {
-				if e.stopArrivals {
-					return
-				}
-				tx := e.cfg.Generator.Next(typeIdx, e.genRnd)
-				if len(tx.Accesses) == 0 {
-					think()
-					return
-				}
-				e.startTx(tx, think)
+		var think func()
+		submit := func() {
+			if e.stopArrivals {
+				return
 			}
-			think = func() {
-				if e.stopArrivals {
-					return
-				}
-				p.Hold(e.arrRnd.Exp(spec.ThinkMS), submit)
+			tx := e.cfg.Generator.Next(typeIdx, e.genRnd)
+			if len(tx.Accesses) == 0 {
+				think()
+				return
 			}
-			think()
-		})
+			e.startTx(tx, think)
+		}
+		think = func() {
+			if e.stopArrivals {
+				return
+			}
+			e.s.Schedule(e.arrRnd.Exp(spec.ThinkMS), submit)
+		}
+		e.s.Schedule(0, think)
 	}
 }
 
@@ -562,13 +546,12 @@ const (
 )
 
 // txRun is one transaction's resumable state machine. Its continuations are
-// bound once at spawn (instead of allocating fresh closures per access and
-// per commit phase) and advance it through MPL admission, lock acquisition,
+// bound once at allocation (instead of allocating fresh closures per access
+// and per commit phase) and advance it through MPL admission, lock acquisition,
 // page fixes and the two commit phases, restarting on deadlock aborts
 // (access invariance: the restarted transaction repeats the same accesses).
 type txRun struct {
 	e       *node
-	p       *sim.Process
 	tx      workload.Tx
 	txn     cc.TxnID
 	arrival sim.Time
@@ -597,23 +580,23 @@ type txRun struct {
 	// until the commit's force writes finish, rebuilt per commit.
 	mod []storage.PageKey
 
-	// Pre-bound continuations and the record's process identity, bound
-	// once when the record is first allocated and reused across its whole
-	// pooled lifetime.
+	// Pre-bound continuations, bound once when the record is first
+	// allocated and reused across its whole pooled lifetime: a method
+	// value allocates each time it is taken.
 	begin    func()
-	admitted func(sim.Time)
+	admitted func()
 	resume   func()
 	granted  func()
 	next     *txRun // freelist link
 }
 
 // getTx pops a recycled transaction record (resetting the per-transaction
-// state its last run left behind) or allocates one with its process and
-// continuations bound.
+// state its last run left behind) or allocates one with its continuations
+// bound.
 func (e *node) getTx() *txRun {
 	t := e.freeTx
 	if t == nil {
-		t = &txRun{e: e, p: e.s.NewProcess("tx")}
+		t = &txRun{e: e}
 		t.begin = t.onBegin
 		t.admitted = t.onAdmitted
 		t.resume = t.dispatch
@@ -648,8 +631,8 @@ func (e *node) putTx(t *txRun) {
 }
 
 // startTx launches one transaction on a pooled record: one +0 kernel
-// event, exactly like the process spawn it replaces. done (when non-nil)
-// runs after the transaction commits and frees its MPL slot.
+// event, whose slot in the event order the goldens pin. done (when
+// non-nil) runs after the transaction commits and frees its MPL slot.
 func (e *node) startTx(tx workload.Tx, done func()) {
 	e.s.Schedule(0, e.newTx(tx, done).begin)
 }
@@ -665,8 +648,8 @@ func (e *node) newTx(tx workload.Tx, done func()) *txRun {
 
 // onBegin runs at the transaction's arrival instant: request admission.
 func (t *txRun) onBegin() {
-	t.arrival = t.p.Now()
-	t.e.mpl.Acquire(t.p, t.admitted)
+	t.arrival = t.e.s.Now()
+	t.e.mpl.Acquire(t.admitted)
 }
 
 // dispatch resumes the state the transaction parked in. A transaction
@@ -689,7 +672,7 @@ func (t *txRun) dispatch() {
 	case txLockMsg:
 		t.e.c.net.lockRequest(t)
 	case txLockSent:
-		if ok, decided := t.landLockRequest(t.p.Now()); decided {
+		if ok, decided := t.landLockRequest(t.e.s.Now()); decided {
 			t.onLocked(ok)
 		}
 	case txAborted:
@@ -700,7 +683,7 @@ func (t *txRun) dispatch() {
 }
 
 // onAdmitted starts the first attempt once an MPL slot is granted.
-func (t *txRun) onAdmitted(sim.Time) {
+func (t *txRun) onAdmitted() {
 	if t.dead {
 		return
 	}
@@ -717,14 +700,14 @@ func (t *txRun) beginAttempt() {
 	if t.e.c.trackActive {
 		t.e.active[t.txn] = t
 	}
-	t.e.cpuBurst(t.p, t.e.cfg.InstrBOT, t.resume)
+	t.e.cpuBurst(t.e.cfg.InstrBOT, t.resume)
 }
 
 // doStep processes the next access, or enters commit once all are done.
 func (t *txRun) doStep() {
 	if t.i == len(t.tx.Accesses) {
 		t.state = txPhase1
-		t.e.cpuBurst(t.p, t.e.cfg.InstrEOT, t.resume)
+		t.e.cpuBurst(t.e.cfg.InstrEOT, t.resume)
 		return
 	}
 	t.requestLock()
@@ -746,9 +729,9 @@ func (t *txRun) onLocked(ok bool) {
 	if acc.Write && t.e.c.stride > 1 {
 		t.e.c.net.invalidate(t.e, key)
 	}
-	t.start = t.p.Now()
+	t.start = t.e.s.Now()
 	t.state = txFixed
-	t.e.bm.Fix(t.p, key, acc.Write, t.resume)
+	t.e.bm.Fix(key, acc.Write, t.resume)
 }
 
 // onFixed accounts the fix delay and runs the per-access CPU burst. A fix
@@ -759,11 +742,11 @@ func (t *txRun) onFixed() {
 		if start < t.e.warmStartTime {
 			start = t.e.warmStartTime
 		}
-		t.fixTime += t.p.Now() - start
+		t.fixTime += t.e.s.Now() - start
 	}
 	t.i++
 	t.state = txStep
-	t.e.cpuBurst(t.p, t.e.cfg.InstrOR, t.resume)
+	t.e.cpuBurst(t.e.cfg.InstrOR, t.resume)
 }
 
 // abort releases everything and retries the whole transaction. Under
@@ -780,7 +763,7 @@ func (t *txRun) abort() {
 		// transaction was still registered as active); dispatch's dead
 		// check drops the continuation then.
 		t.state = txAborted
-		t.e.cpuBurst(t.p, t.e.c.instrLockMsg, t.resume)
+		t.e.cpuBurst(t.e.c.instrLockMsg, t.resume)
 		return
 	}
 	t.finishAbort()
@@ -803,14 +786,14 @@ func (t *txRun) doCommitPhase1() {
 		return
 	}
 	t.state = txLogged
-	t.e.bm.WriteLog(t.p, t.resume)
+	t.e.bm.WriteLog(t.resume)
 }
 
 // onLogged forces modified pages under FORCE, then finishes.
 func (t *txRun) onLogged() {
 	if t.e.cfg.Buffer.Force {
 		t.state = txFinish
-		t.e.bm.ForcePages(t.p, t.modifiedPages(), t.resume)
+		t.e.bm.ForcePages(t.modifiedPages(), t.resume)
 		return
 	}
 	t.finish()
@@ -824,7 +807,7 @@ func (t *txRun) finish() {
 	if e.c.glocks != nil && !t.relPaid {
 		t.relPaid = true
 		t.state = txFinish
-		e.cpuBurst(t.p, e.c.instrLockMsg, t.resume)
+		e.cpuBurst(e.c.instrLockMsg, t.resume)
 		return
 	}
 	e.releaseLocks(t.txn)
@@ -832,12 +815,12 @@ func (t *txRun) finish() {
 		delete(e.active, t.txn)
 	}
 	if e.warm {
-		rt := t.p.Now() - t.arrival
+		rt := e.s.Now() - t.arrival
 		e.win.commits++
 		e.win.respSum += rt
 		e.win.ioWaitSum += t.fixTime
 		e.resp.Add(rt)
-		e.recordCommit(t.p.Now())
+		e.recordCommit(e.s.Now())
 		if c := e.classOf(t.tx.Type); c != nil {
 			c.commits++
 			c.respSum += rt

@@ -67,11 +67,11 @@ func (d direct) attach(n *node) error {
 	return err
 }
 
-// lockRequest holds the requester's process for the round trip; the
-// request then lands at the manager (dispatch's txLockSent).
+// lockRequest delays the requester for the round trip; the request then
+// lands at the manager (dispatch's txLockSent).
 func (d direct) lockRequest(t *txRun) {
 	t.state = txLockSent
-	t.p.Hold(d.c.lockMsgDelay, t.resume)
+	t.e.s.Schedule(d.c.lockMsgDelay, t.resume)
 }
 
 func (d direct) lockRelease(e *node, txn cc.TxnID) { d.c.glocks.ReleaseAllFrom(e.id, txn) }

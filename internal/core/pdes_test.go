@@ -437,7 +437,6 @@ func TestPDESBarrierDeliveryZeroAlloc(t *testing.T) {
 	// also writes a third page no one holds, and node 2 fixes it while that
 	// invalidation is in flight.
 	n2, n3 := c.nodes[2], c.nodes[3]
-	p2, p3 := n2.s.NewProcess("late reader"), n3.s.NewProcess("fixer")
 	fixes := 0
 	fixed := func() { fixes++ }
 	hot := storage.PageKey{Partition: 0, Page: 1}
@@ -450,8 +449,8 @@ func TestPDESBarrierDeliveryZeroAlloc(t *testing.T) {
 		request(x, g1)
 		request(y, g2)
 		fixes = 0
-		n3.bm.Fix(p3, hot, true, fixed)
-		n3.bm.Fix(p3, cold, false, fixed)
+		n3.bm.Fix(hot, true, fixed)
+		n3.bm.Fix(cold, false, fixed)
 		window()
 		request(x, g2) // queues behind y
 		request(y, g1) // closes the wait-for cycle: deadlock
@@ -466,7 +465,7 @@ func TestPDESBarrierDeliveryZeroAlloc(t *testing.T) {
 		pd.invalidate(c.nodes[0], cold)
 		pd.invalidate(c.nodes[0], late)
 		window() // the barrier reserves slots; the invalidations land later
-		n2.bm.Fix(p2, late, false, fixed)
+		n2.bm.Fix(late, false, fixed)
 		for busy() {
 			window()
 		}
@@ -516,8 +515,7 @@ func TestPDESLateInsertInvalidated(t *testing.T) {
 		// Sent at 0, the invalidation lands at 0.15; the barrier at 0 finds
 		// no holder. Node 1 fixes the page at 0.05, between the two.
 		c.net.invalidate(c.nodes[0], page)
-		p := n1.s.NewProcess("reader")
-		n1.s.Schedule(0.05, func() { n1.bm.Fix(p, page, false, func() {}) })
+		n1.s.Schedule(0.05, func() { n1.bm.Fix(page, false, func() {}) })
 		window()
 		if !broadcast && (watched(n1) != 0 || watched(n2) != 1) {
 			t.Fatalf("at 0.1 nodes 1 and 2 watch %d and %d slots, want 0 (the insert filled it) and 1",
@@ -554,7 +552,7 @@ func TestPDESInsertAfterSlotCreatesNoEvent(t *testing.T) {
 		t.Fatalf("log holds %d invalidations, node 1 has a slot %v, watches %d; want 1, a passed slot, 0",
 			logged(c), ok, w)
 	}
-	n1.bm.Fix(n1.s.NewProcess("reader"), page, false, func() {})
+	n1.bm.Fix(page, false, func() {})
 	if n1.inbox.lates != nil {
 		t.Fatal("the insert turned a passed slot into an event")
 	}
@@ -579,8 +577,7 @@ func TestPDESLateSlotFilledOnce(t *testing.T) {
 	n1 := c.nodes[1]
 	page := storage.PageKey{Partition: 0, Page: 7}
 	c.net.invalidate(c.nodes[0], page) // lands at 0.15
-	p := n1.s.NewProcess("reader")
-	fix := func() { n1.bm.Fix(p, page, false, func() {}) }
+	fix := func() { n1.bm.Fix(page, false, func() {}) }
 	n1.s.Schedule(0.05, fix)
 	n1.s.Schedule(0.06, func() { n1.bm.Invalidate(page) })
 	n1.s.Schedule(0.07, fix)
@@ -700,10 +697,9 @@ func TestPDESOrdinalTie(t *testing.T) {
 		n0, n1, n2, n3 := c.nodes[0], c.nodes[1], c.nodes[2], c.nodes[3]
 		a, b := storage.PageKey{Partition: 0, Page: 11}, storage.PageKey{Partition: 0, Page: 12}
 		fix := func(n *node, at sim.Time, keys ...storage.PageKey) {
-			p := n.s.NewProcess("fixer")
 			n.s.Schedule(at, func() {
 				for _, k := range keys {
-					n.bm.Fix(p, k, false, func() {})
+					n.bm.Fix(k, false, func() {})
 				}
 			})
 		}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/recovery"
-	"repro/internal/sim"
 )
 
 // This file implements the crash–recovery side of the node lifecycle:
@@ -154,7 +153,7 @@ func (e *node) crashNow(rebootMS float64) {
 	if p := e.mpl.PeakQueueLen(); p > e.peakBeforeCrash {
 		e.peakBeforeCrash = p
 	}
-	e.mpl = e.s.NewResource(e.procName("mpl"), e.cfg.MPL)
+	e.mpl = e.s.NewResource("mpl"+e.nameSuffix, e.cfg.MPL)
 
 	e.bm.StopCheckpoints() // a crashed node cannot checkpoint
 	e.bm.Crash()
@@ -184,17 +183,17 @@ func (e *node) estimateRestart() float64 {
 // the remaining cold-buffer rewarm is paid by regular transactions.
 func (e *node) startRecovery() {
 	e.phase = nodeRecovering
-	e.s.Spawn(e.procName("recovery"), 0, func(p *sim.Process) {
-		scanStart := p.Now()
-		e.bm.RecoveryScan(p, e.snapAtCrash.LogPages, func() {
-			e.logScanMS = p.Now() - scanStart
-			redoStart := p.Now()
+	e.s.Schedule(0, func() {
+		scanStart := e.s.Now()
+		e.bm.RecoveryScan(e.snapAtCrash.LogPages, func() {
+			e.logScanMS = e.s.Now() - scanStart
+			redoStart := e.s.Now()
 			i := 0
 			var redo func()
 			redo = func() {
 				if i == len(e.redoKeys) {
-					e.redoMS = p.Now() - redoStart
-					e.recoveredAt = p.Now()
+					e.redoMS = e.s.Now() - redoStart
+					e.recoveredAt = e.s.Now()
 					e.phase = nodeRunning
 					// Rejoined: checkpointing resumes (not on a quiesced
 					// node — a draining restart measurement must end).
@@ -205,7 +204,7 @@ func (e *node) startRecovery() {
 				}
 				key := e.redoKeys[i]
 				i++
-				e.bm.Fix(p, key, true, redo)
+				e.bm.Fix(key, true, redo)
 			}
 			redo()
 		})

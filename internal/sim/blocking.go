@@ -8,7 +8,7 @@ package sim
 // that exactly one of the kernel or the body executes at any instant, so
 // determinism is preserved. None of the simulator's hot paths use it.
 type BlockingProcess struct {
-	p *Process
+	s *Sim
 
 	// Strict hand-off pair: toBody resumes the body goroutine, toKernel
 	// returns control to the kernel. Both are unbuffered, so every transfer
@@ -17,16 +17,17 @@ type BlockingProcess struct {
 	toKernel chan struct{}
 }
 
-// SpawnBlocking creates a process whose body runs blocking-style on its own
-// goroutine, starting after delay. The body must run to completion before
-// the simulation is abandoned; a body suspended forever (e.g. awaiting a
-// continuation that never fires) leaks its goroutine.
-func (s *Sim) SpawnBlocking(name string, delay Time, body func(b *BlockingProcess)) *Process {
+// SpawnBlocking starts body blocking-style on its own goroutine, after
+// delay. The body must run to completion before the simulation is
+// abandoned; a body suspended forever (e.g. awaiting a continuation that
+// never fires) leaks its goroutine.
+func (s *Sim) SpawnBlocking(delay Time, body func(b *BlockingProcess)) {
 	b := &BlockingProcess{
+		s:        s,
 		toBody:   make(chan struct{}),
 		toKernel: make(chan struct{}),
 	}
-	b.p = s.Spawn(name, delay, func(p *Process) {
+	s.Schedule(delay, func() {
 		//detlint:allow rawgo strict hand-off shim: unbuffered channel pair guarantees exactly one of kernel/body runs at any instant, so scheduling order cannot vary
 		go func() {
 			<-b.toBody
@@ -35,7 +36,6 @@ func (s *Sim) SpawnBlocking(name string, delay Time, body func(b *BlockingProces
 		}()
 		b.resumeBody()
 	})
-	return b.p
 }
 
 // resumeBody hands control to the body goroutine and blocks the kernel until
@@ -45,15 +45,8 @@ func (b *BlockingProcess) resumeBody() {
 	<-b.toKernel
 }
 
-// Proc returns the underlying kernel process, for passing to continuation
-// APIs inside Await.
-func (b *BlockingProcess) Proc() *Process { return b.p }
-
 // Now returns the current simulated time.
-func (b *BlockingProcess) Now() Time { return b.p.sim.now }
-
-// Sim returns the simulation the process belongs to.
-func (b *BlockingProcess) Sim() *Sim { return b.p.sim }
+func (b *BlockingProcess) Now() Time { return b.s.now }
 
 // Await runs one continuation-style operation and blocks the body until the
 // operation's continuation fires. op must arrange for done to be called
@@ -84,23 +77,10 @@ func (b *BlockingProcess) Await(op func(done func())) {
 
 // Hold suspends the body for dt simulated time units.
 func (b *BlockingProcess) Hold(dt Time) {
-	b.Await(func(done func()) { b.p.Hold(dt, done) })
-}
-
-// Acquire obtains one server of r blocking-style and returns the time spent
-// waiting.
-func (b *BlockingProcess) Acquire(r *Resource) Time {
-	var waited Time
-	b.Await(func(done func()) {
-		r.Acquire(b.p, func(w Time) {
-			waited = w
-			done()
-		})
-	})
-	return waited
+	b.Await(func(done func()) { b.s.Schedule(dt, done) })
 }
 
 // Use acquires a server of r, holds it for dt, and releases it.
 func (b *BlockingProcess) Use(r *Resource, dt Time) {
-	b.Await(func(done func()) { r.Use(b.p, dt, done) })
+	b.Await(func(done func()) { r.Use(dt, done) })
 }

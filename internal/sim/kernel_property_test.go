@@ -10,8 +10,9 @@ import (
 )
 
 // This file is the continuation kernel's executable contract: randomized
-// programs of schedule/hold/passivate/activate/resource operations are run
-// against three properties the rest of the simulator relies on.
+// programs of schedule, continuation-chain, stored-continuation and
+// resource operations are run against three properties the rest of the
+// simulator relies on.
 //
 //  1. Time monotonicity — events fire in non-decreasing simulated time.
 //  2. Deterministic FIFO at equal timestamps — events scheduled for the
@@ -164,40 +165,38 @@ func propRun(t *testing.T, seed int64, newSim func() *Sim, mode propMode) propTr
 		switch rnd.Intn(4) {
 		case 0: // plain scheduled event, possibly scheduling more work
 			schedule(delay(), func() { op(budget - 1) }, budget == 1)
-		case 1: // process with a random Hold chain
+		case 1: // a random chain of continuations, each scheduling the next
 			hops := 1 + rnd.Intn(3)
-			s.Spawn("chain", delay(), func(p *Process) {
-				var hop func()
-				hop = func() {
-					if hops == 0 {
-						op(budget - 1)
-						return
-					}
-					hops--
-					d := delay()
-					p.Hold(d, track(d, hop))
+			var hop func()
+			hop = func() {
+				if hops == 0 {
+					op(budget - 1)
+					return
 				}
-				hop()
-			})
-		case 2: // passivate now, activate from a strictly later scheduling
+				hops--
+				d := delay()
+				s.Schedule(d, track(d, hop))
+			}
+			s.Schedule(delay(), hop)
+		case 2: // one event stores a continuation, a strictly later one
+			// schedules it at +0
 			d := delay()
-			proc := s.Spawn("sleeper", d, func(p *Process) {
-				p.Passivate(func() { op(budget - 1) })
-			})
+			var stored func()
+			s.Schedule(d, func() { stored = func() { op(budget - 1) } })
 			ad := delay()
 			s.Schedule(d+ad, func() {
-				if !proc.Passive() {
-					return // already activated (possible via nested ops? defensive)
+				if stored == nil {
+					t.Fatalf("seed %d: the waking event at %v fired before the storing one", seed, s.Now())
 				}
 				wake := delay()
-				s.Activate(proc, 0)
-				// The activation consumed the stored continuation; re-track a
+				s.Schedule(0, stored)
+				// The wake-up consumed the stored continuation; re-track a
 				// plain event to keep exercising collisions at this instant.
 				schedule(wake, nil, true)
 			})
 		default: // resource usage: untracked interleaved load
-			s.Spawn("user", delay(), func(p *Process) {
-				res.Use(p, delay(), func() {
+			s.Schedule(delay(), func() {
+				res.Use(delay(), func() {
 					if res.Busy() > res.Capacity() {
 						t.Fatalf("seed %d: busy %d > capacity %d", seed, res.Busy(), res.Capacity())
 					}
@@ -508,7 +507,7 @@ func TestRunDrainedClockAdvances(t *testing.T) {
 
 // TestKernelShutdownCancelsEverything is the cancellation side of the
 // contract: Shutdown at an arbitrary cut point drops every pending
-// continuation — suspended processes, queued resource waiters, scheduled
+// continuation — chained continuations, queued resource waiters, scheduled
 // events — and nothing fires afterwards.
 func TestKernelShutdownCancelsEverything(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
@@ -533,16 +532,16 @@ func TestKernelShutdownCancelsEverything(t *testing.T) {
 					}
 				})
 			case 2:
-				s.Spawn("holder", d, func(p *Process) {
-					p.Hold(5, func() {
+				s.Schedule(d, func() {
+					s.Schedule(5, func() {
 						if s.Now() > cut {
 							firedLate = true
 						}
 					})
 				})
 			default:
-				s.Spawn("user", d, func(p *Process) {
-					res.Use(p, 3, func() {
+				s.Schedule(d, func() {
+					res.Use(3, func() {
 						if s.Now() > cut {
 							firedLate = true
 						}
@@ -597,7 +596,7 @@ func landRun(t *testing.T, seed int64, newSim func() *Sim, land bool) landTrace 
 	t.Helper()
 	rnd := rand.New(rand.NewSource(seed))
 	s := newSim()
-	res, user := s.NewResource("dev", 1+rnd.Intn(2)), s.NewProcess("user")
+	res := s.NewResource("dev", 1+rnd.Intn(2))
 	var tr landTrace
 	type slot struct {
 		at     Time
@@ -629,7 +628,7 @@ func landRun(t *testing.T, seed int64, newSim func() *Sim, land bool) landTrace 
 		case 0:
 			s.Schedule(delay(), event(depth))
 		case 4: // a server hold, queued behind the others when all are busy
-			res.Use(user, delay(), event(depth))
+			res.Use(delay(), event(depth))
 		case 1:
 			s.Deliver(s.Now()+delay(), event(depth))
 		case 2: // a run of slots at one future instant

@@ -4,7 +4,7 @@ import "fmt"
 
 // Resource models a pool of identical servers with a FIFO wait queue —
 // the building block for CPUs, disk controllers, disk arms and NVEM ports.
-// A process acquires one server, holds it for its service time, and releases
+// A caller acquires one server, holds it for its service time, and releases
 // it. Utilization and queueing statistics are integrated over time.
 type Resource struct {
 	sim      *Sim
@@ -39,9 +39,9 @@ type Resource struct {
 // Use stores (k, dt) instead so the queued path needs no wrapper closure —
 // on wake the kernel schedules k at +dt with the release riding the event.
 type waiter struct {
-	fire  func(waited Time) // Acquire continuation; nil for Use waiters
-	k     func()            // Use completion
-	dt    Time              // Use service time
+	fire  func() // Acquire continuation; nil for Use waiters
+	k     func() // Use completion
+	dt    Time   // Use service time
 	start Time
 }
 
@@ -116,25 +116,24 @@ func (r *Resource) fireWake() {
 		r.pend = r.pend[:0]
 		r.pendHead = 0
 	}
-	waited := r.sim.now - next.start
-	r.waitInt += waited
+	r.waitInt += r.sim.now - next.start
 	if next.fire != nil {
-		next.fire(waited)
+		next.fire()
 		return
 	}
 	r.sim.scheduleRelease(r, next.dt, next.k)
 }
 
-// Acquire obtains one server for process p. If a server is free and nobody
-// queues ahead, k runs immediately (in the caller's event) with a zero wait;
-// otherwise the request queues FCFS and k runs when Release transfers a
-// server slot, with the time spent waiting.
-func (r *Resource) Acquire(p *Process, k func(waited Time)) {
+// Acquire obtains one server. If a server is free and nobody queues ahead,
+// k runs immediately (in the caller's event); otherwise the request queues
+// FCFS and k runs when Release transfers a server slot. The holder must
+// call Release.
+func (r *Resource) Acquire(k func()) {
 	r.integrate()
 	r.acquires++
 	if r.busy < r.capacity && r.QueueLen() == 0 {
 		r.busy++
-		k(0)
+		k()
 		return
 	}
 	r.waits++
@@ -161,7 +160,7 @@ func (r *Resource) Release() {
 // Use acquires a server, holds it for service time dt, releases it, and then
 // runs k. The uncontended path allocates nothing: the release rides on the
 // scheduled event itself.
-func (r *Resource) Use(p *Process, dt Time, k func()) {
+func (r *Resource) Use(dt Time, k func()) {
 	if dt < 0 {
 		panic(fmt.Sprintf("sim: negative hold %v", dt))
 	}

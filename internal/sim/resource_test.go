@@ -10,8 +10,8 @@ func TestResourceSingleServerSerializes(t *testing.T) {
 	r := s.NewResource("cpu", 1)
 	var finish []Time
 	for i := 0; i < 3; i++ {
-		s.Spawn("job", 0, func(p *Process) {
-			r.Use(p, 10, func() { finish = append(finish, p.Now()) })
+		s.Schedule(0, func() {
+			r.Use(10, func() { finish = append(finish, s.Now()) })
 		})
 	}
 	s.RunAll()
@@ -31,8 +31,8 @@ func TestResourceMultiServerParallel(t *testing.T) {
 	r := s.NewResource("cpus", 3)
 	var finish []Time
 	for i := 0; i < 3; i++ {
-		s.Spawn("job", 0, func(p *Process) {
-			r.Use(p, 10, func() { finish = append(finish, p.Now()) })
+		s.Schedule(0, func() {
+			r.Use(10, func() { finish = append(finish, s.Now()) })
 		})
 	}
 	s.RunAll()
@@ -52,8 +52,8 @@ func TestResourceFCFS(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		s.Spawn("job", Time(i), func(p *Process) {
-			r.Use(p, 100, func() { order = append(order, i) })
+		s.Schedule(Time(i), func() {
+			r.Use(100, func() { order = append(order, i) })
 		})
 	}
 	s.RunAll()
@@ -70,8 +70,8 @@ func TestResourceFCFS(t *testing.T) {
 func TestResourceUtilization(t *testing.T) {
 	s := New()
 	r := s.NewResource("dev", 1)
-	s.Spawn("job", 0, func(p *Process) { r.Use(p, 25, func() {}) })
-	s.Spawn("spacer", 0, func(p *Process) { p.Hold(100, func() {}) })
+	s.Schedule(0, func() { r.Use(25, func() {}) })
+	s.Schedule(0, func() { s.Schedule(100, func() {}) })
 	s.RunAll()
 	if got := r.Utilization(); math.Abs(got-0.25) > 1e-9 {
 		t.Fatalf("utilization = %v, want 0.25", got)
@@ -82,11 +82,12 @@ func TestResourceWaitAccounting(t *testing.T) {
 	s := New()
 	r := s.NewResource("dev", 1)
 	var waited Time = -1
-	s.Spawn("first", 0, func(p *Process) { r.Use(p, 10, func() {}) })
-	s.Spawn("second", 0, func(p *Process) {
-		r.Acquire(p, func(w Time) {
-			waited = w
-			p.Hold(5, func() { r.Release() })
+	s.Schedule(0, func() { r.Use(10, func() {}) })
+	s.Schedule(0, func() {
+		start := s.Now()
+		r.Acquire(func() {
+			waited = s.Now() - start
+			s.Schedule(5, r.Release)
 		})
 	})
 	s.RunAll()
@@ -106,9 +107,9 @@ func TestResourceSlotTransfer(t *testing.T) {
 	// (no window where the slot looks free).
 	s := New()
 	r := s.NewResource("dev", 1)
-	s.Spawn("a", 0, func(p *Process) { r.Use(p, 10, func() {}) })
-	s.Spawn("b", 0, func(p *Process) { r.Use(p, 10, func() {}) })
-	s.Spawn("watcher", 10, func(p *Process) {
+	s.Schedule(0, func() { r.Use(10, func() {}) })
+	s.Schedule(0, func() { r.Use(10, func() {}) })
+	s.Schedule(10, func() {
 		if r.Busy() != 1 {
 			t.Errorf("busy = %d at handover instant, want 1", r.Busy())
 		}
@@ -146,7 +147,7 @@ func TestResourceMeanQueueLen(t *testing.T) {
 	// Three jobs arrive at t=0; service 10 each. Queue length is 2 during
 	// [0,10), 1 during [10,20), 0 during [20,30): integral = 30 over 30.
 	for i := 0; i < 3; i++ {
-		s.Spawn("job", 0, func(p *Process) { r.Use(p, 10, func() {}) })
+		s.Schedule(0, func() { r.Use(10, func() {}) })
 	}
 	s.RunAll()
 	if got := r.MeanQueueLen(); math.Abs(got-1.0) > 1e-9 {
@@ -162,12 +163,12 @@ func TestResourceInvariants(t *testing.T) {
 	done := 0
 	violated := false
 	for i := 0; i < 200; i++ {
-		s.Spawn("job", Time(i%17), func(p *Process) {
-			r.Acquire(p, func(Time) {
+		s.Schedule(Time(i%17), func() {
+			r.Acquire(func() {
 				if r.Busy() > r.Capacity() {
 					violated = true
 				}
-				p.Hold(3, func() {
+				s.Schedule(3, func() {
 					r.Release()
 					done++
 				})
@@ -196,7 +197,7 @@ func TestPeakQueueLen(t *testing.T) {
 	// Four 10 ms jobs at 0: busy over [0,40), queue 3, 2, 1, 0 over the
 	// four 10 ms slots.
 	for i := 0; i < 4; i++ {
-		r.Use(nil, 10, func() {})
+		r.Use(10, func() {})
 	}
 	if got := r.PeakQueueLen(); got != 3 {
 		t.Fatalf("peak = %d, want 3", got)
@@ -239,20 +240,18 @@ func TestPeakQueueLen(t *testing.T) {
 func TestResourceContendedZeroAlloc(t *testing.T) {
 	s := New()
 	r := s.NewResource("dev", 1)
-	p := s.Spawn("driver", 0, func(*Process) {})
-	s.RunAll()
 	noop := func() {}
-	onAcq := func(Time) { r.Release() }
+	onAcq := func() { r.Release() }
 	allocs := testing.AllocsPerRun(50, func() {
 		// Three users on a single server: two queue behind the first, so
 		// every Release exercises the slot-transfer wake. Zero-length
 		// holds keep the events inside the current calendar bucket — the
 		// measurement is the resource path, not ring-slot warmup.
-		r.Use(p, 0, noop)
-		r.Use(p, 0, noop)
-		r.Use(p, 0, noop)
+		r.Use(0, noop)
+		r.Use(0, noop)
+		r.Use(0, noop)
 		// A plain Acquire that queues behind the last Use.
-		r.Acquire(p, onAcq)
+		r.Acquire(onAcq)
 		s.RunAll()
 	})
 	if allocs != 0 {

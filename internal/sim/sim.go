@@ -1,11 +1,14 @@
-// Package sim provides a deterministic process-oriented discrete-event
-// simulation kernel. It replaces the DeNet simulation language the paper's
-// TPSIM system was written in.
+// Package sim provides a deterministic discrete-event simulation kernel
+// that runs continuations. It replaces the DeNet simulation language the
+// paper's TPSIM system was written in.
 //
-// The kernel is continuation-based: every blocking operation (Hold, resource
-// acquisition, passivation) returns control to the scheduler by enqueuing a
-// continuation on the time-ordered event heap instead of parking a
-// goroutine. Everything runs on the kernel's own stack, so there are no
+// The kernel knows events, not processes: an activity that takes
+// simulated time (a delay, a resource service) schedules a continuation on
+// the time-ordered event queue and returns, instead of parking a
+// goroutine. The model's processes are the callers' pooled state machines
+// — a transaction, a host operation, a buffer operation, a disk I/O — each
+// of which advances by handing one pre-bound continuation to Schedule or
+// Resource.Use. Everything runs on the kernel's own stack, so there are no
 // channel hand-offs, no context switches and no cross-goroutine panic
 // plumbing on the hot path. Simulations are fully deterministic — events
 // with equal timestamps fire in scheduling order, and all randomness comes
@@ -46,8 +49,6 @@ type Sim struct {
 	// head with the queue's.
 	lane     []event
 	laneHead int
-
-	nextPID int
 }
 
 // eventQueue is the pending-event set behind a Sim: the calendar queue,
@@ -72,8 +73,8 @@ func New() *Sim { return &Sim{events: newCalQueue(), next: math.Inf(1)} }
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
 
-// Pending reports the number of scheduled events (including process
-// continuations and deliveries).
+// Pending reports the number of scheduled events (including resource
+// wake-ups and deliveries).
 func (s *Sim) Pending() int { return s.events.Len() + len(s.lane) - s.laneHead }
 
 // Schedule runs fn in kernel context at now+delay. delay must be
@@ -292,8 +293,8 @@ func (s *Sim) RunAll() Time {
 	}
 }
 
-// Shutdown drops all pending events: suspended processes, queued
-// continuations and deliveries are abandoned where they stand. After
+// Shutdown drops all pending events: scheduled continuations, resource
+// wake-ups and deliveries are abandoned where they stand. After
 // Shutdown the simulation can be inspected but no longer advanced.
 func (s *Sim) Shutdown() {
 	s.events.Clear()

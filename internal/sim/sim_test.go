@@ -61,15 +61,17 @@ func TestDeliverBeforeNowPanics(t *testing.T) {
 	s.Deliver(4, func() {})
 }
 
+// TestProcessHold: a process is a chain of continuations, each of which
+// schedules the next one a delay later.
 func TestProcessHold(t *testing.T) {
 	s := New()
 	var marks []Time
-	s.Spawn("holder", 0, func(p *Process) {
-		marks = append(marks, p.Now())
-		p.Hold(10, func() {
-			marks = append(marks, p.Now())
-			p.Hold(5, func() {
-				marks = append(marks, p.Now())
+	s.Schedule(0, func() {
+		marks = append(marks, s.Now())
+		s.Schedule(10, func() {
+			marks = append(marks, s.Now())
+			s.Schedule(5, func() {
+				marks = append(marks, s.Now())
 			})
 		})
 	})
@@ -85,9 +87,11 @@ func TestProcessHold(t *testing.T) {
 	}
 }
 
+// TestNegativeHoldPanics: a negative service time on a resource is a bug.
 func TestNegativeHoldPanics(t *testing.T) {
 	s := New()
-	s.Spawn("bad", 0, func(p *Process) { p.Hold(-1, func() {}) })
+	r := s.NewResource("dev", 1)
+	s.Schedule(0, func() { r.Use(-1, func() {}) })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for negative hold")
@@ -99,55 +103,11 @@ func TestNegativeHoldPanics(t *testing.T) {
 func TestSpawnDelay(t *testing.T) {
 	s := New()
 	var started Time = -1
-	s.Spawn("late", 7, func(p *Process) { started = p.Now() })
+	s.Schedule(7, func() { started = s.Now() })
 	s.RunAll()
 	if started != 7 {
 		t.Fatalf("started = %v, want 7", started)
 	}
-}
-
-func TestPassivateActivate(t *testing.T) {
-	s := New()
-	var woke Time = -1
-	sleeper := s.Spawn("sleeper", 0, func(p *Process) {
-		p.Passivate(func() { woke = p.Now() })
-	})
-	s.Spawn("waker", 5, func(p *Process) {
-		s.Activate(sleeper, 2)
-	})
-	s.RunAll()
-	if woke != 7 {
-		t.Fatalf("woke = %v, want 7", woke)
-	}
-	if sleeper.Passive() {
-		t.Fatal("sleeper still passive after activation")
-	}
-}
-
-func TestActivateNonPassivePanics(t *testing.T) {
-	s := New()
-	p := s.Spawn("idle", 0, func(p *Process) { p.Hold(100, func() {}) })
-	s.Run(50) // p is now holding (continuation scheduled), not passive
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic activating a non-passive process")
-		}
-	}()
-	s.Activate(p, 0)
-}
-
-func TestDoublePassivatePanics(t *testing.T) {
-	s := New()
-	s.Spawn("greedy", 0, func(p *Process) {
-		p.Passivate(func() {})
-		p.Passivate(func() {})
-	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on second Passivate")
-		}
-	}()
-	s.RunAll()
 }
 
 func TestEqualTimeProcessesRunInSpawnOrder(t *testing.T) {
@@ -155,7 +115,7 @@ func TestEqualTimeProcessesRunInSpawnOrder(t *testing.T) {
 	var order []string
 	for _, name := range []string{"a", "b", "c", "d"} {
 		name := name
-		s.Spawn(name, 1, func(p *Process) { order = append(order, name) })
+		s.Schedule(1, func() { order = append(order, name) })
 	}
 	s.RunAll()
 	if got := strings.Join(order, ""); got != "abcd" {
@@ -167,8 +127,8 @@ func TestShutdownDropsPendingEvents(t *testing.T) {
 	s := New()
 	fired := 0
 	for i := 0; i < 5; i++ {
-		s.Spawn("p", 0, func(p *Process) {
-			p.Hold(100, func() { fired++ })
+		s.Schedule(0, func() {
+			s.Schedule(100, func() { fired++ })
 		})
 	}
 	s.Run(10)
@@ -187,15 +147,15 @@ func TestShutdownDropsPendingEvents(t *testing.T) {
 
 func TestShutdownWithNeverStartedProcess(t *testing.T) {
 	s := New()
-	s.Spawn("never", 1000, func(p *Process) { t.Error("body must not run") })
-	s.Run(1) // before first activation
+	s.Schedule(1000, func() { t.Error("body must not run") })
+	s.Run(1) // before the first event
 	s.Shutdown()
 	s.RunAll()
 }
 
 func TestProcessPanicSurfacesInRun(t *testing.T) {
 	s := New()
-	s.Spawn("bomb", 1, func(p *Process) { panic("boom") })
+	s.Schedule(1, func() { panic("boom") })
 	defer func() {
 		r := recover()
 		if r == nil || !strings.Contains(fmt.Sprint(r), "boom") {
@@ -213,22 +173,21 @@ func TestDeterminism(t *testing.T) {
 		s := New()
 		for i := 0; i < 10; i++ {
 			i := i
-			s.Spawn(fmt.Sprintf("w%d", i), Time(i%3), func(p *Process) {
-				j := 0
-				var step func()
-				step = func() {
-					if j >= 4 {
-						return
-					}
-					d := Time((i*7+j*3)%5) + 0.5
-					j++
-					p.Hold(d, func() {
-						log = append(log, fmt.Sprintf("%s@%.1f", p.Name(), p.Now()))
-						step()
-					})
+			name := fmt.Sprintf("w%d", i)
+			j := 0
+			var step func()
+			step = func() {
+				if j >= 4 {
+					return
 				}
-				step()
-			})
+				d := Time((i*7+j*3)%5) + 0.5
+				j++
+				s.Schedule(d, func() {
+					log = append(log, fmt.Sprintf("%s@%.1f", name, s.Now()))
+					step()
+				})
+			}
+			s.Schedule(Time(i%3), step)
 		}
 		s.RunAll()
 		return strings.Join(log, ",")
@@ -239,26 +198,13 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestProcessIdentity(t *testing.T) {
-	s := New()
-	p := s.Spawn("named", 0, func(p *Process) {})
-	if p.Name() != "named" || p.ID() != 1 || p.Sim() != s {
-		t.Fatalf("identity wrong: %q %d", p.Name(), p.ID())
-	}
-	q := s.Spawn("second", 0, func(p *Process) {})
-	if q.ID() != 2 {
-		t.Fatalf("second id = %d", q.ID())
-	}
-	s.RunAll()
-}
-
 func TestNestedSpawn(t *testing.T) {
 	s := New()
 	var childTime Time = -1
-	s.Spawn("parent", 0, func(p *Process) {
-		p.Hold(3, func() {
-			s.Spawn("child", 2, func(c *Process) { childTime = c.Now() })
-			p.Hold(10, func() {})
+	s.Schedule(0, func() {
+		s.Schedule(3, func() {
+			s.Schedule(2, func() { childTime = s.Now() })
+			s.Schedule(10, func() {})
 		})
 	})
 	s.RunAll()
@@ -272,7 +218,7 @@ func TestNestedSpawn(t *testing.T) {
 func TestBlockingProcessHold(t *testing.T) {
 	s := New()
 	var marks []Time
-	s.SpawnBlocking("holder", 0, func(b *BlockingProcess) {
+	s.SpawnBlocking(0, func(b *BlockingProcess) {
 		marks = append(marks, b.Now())
 		b.Hold(10)
 		marks = append(marks, b.Now())
@@ -291,7 +237,7 @@ func TestBlockingProcessSynchronousAwait(t *testing.T) {
 	// the body inline, without consuming a heap event.
 	s := New()
 	ran := false
-	s.SpawnBlocking("sync", 0, func(b *BlockingProcess) {
+	s.SpawnBlocking(0, func(b *BlockingProcess) {
 		b.Await(func(done func()) { done() })
 		ran = true
 		if b.Now() != 0 {
@@ -309,14 +255,14 @@ func TestBlockingProcessInterleavesDeterministically(t *testing.T) {
 	// equal-time events fire in scheduling order regardless of style.
 	s := New()
 	var order []string
-	s.SpawnBlocking("b", 1, func(b *BlockingProcess) {
+	s.SpawnBlocking(1, func(b *BlockingProcess) {
 		order = append(order, "b0")
 		b.Hold(1)
 		order = append(order, "b1")
 	})
-	s.Spawn("c", 1, func(p *Process) {
+	s.Schedule(1, func() {
 		order = append(order, "c0")
-		p.Hold(1, func() { order = append(order, "c1") })
+		s.Schedule(1, func() { order = append(order, "c1") })
 	})
 	s.RunAll()
 	if got := strings.Join(order, ","); got != "b0,c0,b1,c1" {
@@ -329,7 +275,7 @@ func TestBlockingProcessResource(t *testing.T) {
 	r := s.NewResource("dev", 1)
 	var finish []Time
 	for i := 0; i < 3; i++ {
-		s.SpawnBlocking("job", 0, func(b *BlockingProcess) {
+		s.SpawnBlocking(0, func(b *BlockingProcess) {
 			b.Use(r, 10)
 			finish = append(finish, b.Now())
 		})

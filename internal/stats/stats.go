@@ -1,5 +1,5 @@
 // Package stats provides the measurement substrate for TPSIM: streaming
-// summaries (Welford), counters and ratios, percentile tracking, and
+// summaries (Welford), percentile tracking, confidence intervals, and
 // tabular series formatting used by the experiment harness to print
 // paper-style rows.
 package stats
@@ -200,50 +200,4 @@ func (s *Summary) Percentile(p float64) float64 {
 func (s *Summary) String() string {
 	return fmt.Sprintf("%s: n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f",
 		s.name, s.n, s.Mean(), s.StdDev(), s.Min(), s.Max())
-}
-
-// Ratio tracks hits over trials, the metric behind every hit-ratio table in
-// the paper.
-type Ratio struct {
-	Hits   int64
-	Trials int64
-}
-
-// Observe records one trial.
-func (r *Ratio) Observe(hit bool) {
-	r.Trials++
-	if hit {
-		r.Hits++
-	}
-}
-
-// Value returns hits/trials (0 when no trials).
-func (r *Ratio) Value() float64 {
-	if r.Trials == 0 {
-		return 0
-	}
-	return float64(r.Hits) / float64(r.Trials)
-}
-
-// Percent returns the ratio as a percentage.
-func (r *Ratio) Percent() float64 { return 100 * r.Value() }
-
-// Counter is a named monotone event counter.
-type Counter struct {
-	Name  string
-	Count int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Count++ }
-
-// Add adds n.
-func (c *Counter) Add(n int64) { c.Count += n }
-
-// Rate returns count per unit of elapsed time.
-func (c *Counter) Rate(elapsed float64) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.Count) / elapsed
 }

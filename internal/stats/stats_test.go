@@ -112,34 +112,6 @@ func TestCI95ShrinksWithN(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	var r Ratio
-	if r.Value() != 0 {
-		t.Fatal("empty ratio must be 0")
-	}
-	for i := 0; i < 10; i++ {
-		r.Observe(i < 7)
-	}
-	if math.Abs(r.Value()-0.7) > 1e-12 || math.Abs(r.Percent()-70) > 1e-9 {
-		t.Fatalf("ratio = %v", r.Value())
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := Counter{Name: "ios"}
-	c.Inc()
-	c.Add(9)
-	if c.Count != 10 {
-		t.Fatalf("count = %d", c.Count)
-	}
-	if got := c.Rate(5); got != 2 {
-		t.Fatalf("rate = %v", got)
-	}
-	if got := c.Rate(0); got != 0 {
-		t.Fatalf("rate at zero elapsed = %v", got)
-	}
-}
-
 func TestFigureRender(t *testing.T) {
 	f := Figure{Title: "Fig X", XLabel: "TPS", YLabel: "ms", X: []float64{10, 100, 700}}
 	if err := f.AddSeries("disk", []float64{40.1, 41.2, 80.9}); err != nil {

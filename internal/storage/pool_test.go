@@ -19,7 +19,7 @@ func TestDiskOpPoolResetContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SpawnBlocking("driver", 0, func(b *sim.BlockingProcess) {
+	s.SpawnBlocking(0, func(b *sim.BlockingProcess) {
 		bWrite(b, u, key(0, 1))
 		bRead(b, u, key(0, 2))
 	})
@@ -33,7 +33,7 @@ func TestDiskOpPoolResetContract(t *testing.T) {
 
 	// Recycle the poisoned ops and verify they serve like fresh ones.
 	done := 0
-	s.SpawnBlocking("driver2", 0, func(b *sim.BlockingProcess) {
+	s.SpawnBlocking(0, func(b *sim.BlockingProcess) {
 		bRead(b, u, key(0, 3))
 		bWrite(b, u, key(0, 4))
 		done = 2
@@ -57,11 +57,10 @@ func TestDiskUnitSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := s.NewProcess("driver")
 	noop := func() {}
 	cycle := func() {
-		u.Write(p, key(0, 1), noop)
-		u.Read(p, key(0, 2), noop)
+		u.Write(key(0, 1), noop)
+		u.Read(key(0, 2), noop)
 		s.RunAll()
 	}
 	for i := 0; i < 500; i++ {

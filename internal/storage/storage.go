@@ -169,7 +169,6 @@ const (
 // the same event positions.
 type diskOp struct {
 	u     *DiskUnit
-	p     *sim.Process
 	key   PageKey
 	k     func()
 	state uint8
@@ -193,7 +192,7 @@ func (u *DiskUnit) getOp() *diskOp {
 
 // putOp returns a finished op to the freelist, dropping its references.
 func (u *DiskUnit) putOp(op *diskOp) {
-	op.p, op.k = nil, nil
+	op.k = nil
 	if poolPoison {
 		op.key = PageKey{Partition: -1, Page: -1}
 		op.state, op.after = 0xff, 0xff
@@ -205,11 +204,11 @@ func (u *DiskUnit) putOp(op *diskOp) {
 // pass starts an I/O with a controller pass: controller service plus the
 // page transmission, then the after stage (the channel-oriented interface
 // the closure-based controllerPass used to model).
-func (u *DiskUnit) pass(p *sim.Process, key PageKey, k func(), after uint8) {
+func (u *DiskUnit) pass(key PageKey, k func(), after uint8) {
 	op := u.getOp()
-	op.p, op.key, op.k = p, key, k
+	op.key, op.k = key, k
 	op.state, op.after = opPass, after
-	u.controllers.Use(p, u.rnd.Exp(u.cfg.ContrDelay), op.step)
+	u.controllers.Use(u.rnd.Exp(u.cfg.ContrDelay), op.step)
 }
 
 // run advances the op by one stage; it is the op's single pre-bound
@@ -220,7 +219,7 @@ func (op *diskOp) run() {
 	case opPass:
 		op.state = op.after
 		if u.cfg.TransDelay > 0 {
-			op.p.Hold(u.cfg.TransDelay, op.step)
+			u.sim.Schedule(u.cfg.TransDelay, op.step)
 			return
 		}
 		op.run()
@@ -231,14 +230,14 @@ func (op *diskOp) run() {
 	case opDisk:
 		// The caller's continuation rides the disk grant directly; the op
 		// itself is done once the access is issued.
-		p, k := op.p, op.k
+		k := op.k
 		u.putOp(op)
 		u.stats.DiskAccesses++
-		u.disks.Use(p, u.rnd.Exp(u.cfg.DiskDelay), k)
+		u.disks.Use(u.rnd.Exp(u.cfg.DiskDelay), k)
 	case opInsert:
 		op.state = opInsertDone
 		u.stats.DiskAccesses++
-		u.disks.Use(op.p, u.rnd.Exp(u.cfg.DiskDelay), op.step)
+		u.disks.Use(u.rnd.Exp(u.cfg.DiskDelay), op.step)
 	case opInsertDone:
 		if !u.cfg.WriteBufferOnly {
 			u.insertClean(op.key)
@@ -251,10 +250,10 @@ func (op *diskOp) run() {
 			u.stats.WriteHits++
 			u.cache.Put(op.key, cacheFrame{dirty: false}) // refresh copy + LRU
 		}
-		p, k := op.p, op.k
+		k := op.k
 		u.putOp(op)
 		u.stats.DiskAccesses++
-		u.disks.Use(p, u.rnd.Exp(u.cfg.DiskDelay), k)
+		u.disks.Use(u.rnd.Exp(u.cfg.DiskDelay), k)
 	case opNVStore:
 		key, k := op.key, op.k
 		u.cache.Put(key, cacheFrame{dirty: true})
@@ -264,7 +263,7 @@ func (op *diskOp) run() {
 	case opDestage:
 		op.state = opDestDone
 		u.stats.DiskAccesses++
-		u.disks.Use(nil, u.rnd.Exp(u.cfg.DiskDelay), op.step)
+		u.disks.Use(u.rnd.Exp(u.cfg.DiskDelay), op.step)
 	case opDestDone:
 		// The frame becomes clean once the disk copy is current (it may
 		// have been evicted... only clean frames are evictable, and this
@@ -313,27 +312,27 @@ func (u *DiskUnit) DiskUtilization() float64 {
 	return u.disks.Utilization()
 }
 
-// Read performs a read I/O for key, delaying p for the device delay before
-// running k. For cache units a read hit avoids the disk access; after a read
+// Read performs a read I/O for key and runs k once the device delay has
+// elapsed. For cache units a read hit avoids the disk access; after a read
 // miss the page is stored in the cache (possibly evicting; non-volatile
 // caches only evict clean frames for read allocation, skipping allocation
 // when all frames are dirty).
-func (u *DiskUnit) Read(p *sim.Process, key PageKey, k func()) {
+func (u *DiskUnit) Read(key PageKey, k func()) {
 	u.stats.Reads++
 	switch u.cfg.Type {
 	case SSD:
-		u.pass(p, key, k, opFinish)
+		u.pass(key, k, opFinish)
 	case Regular:
-		u.pass(p, key, k, opDisk)
+		u.pass(key, k, opDisk)
 	case VolatileCache, NVCache:
 		if !u.cfg.WriteBufferOnly {
 			if _, hit := u.cache.Get(key); hit {
 				u.stats.ReadHits++
-				u.pass(p, key, k, opFinish)
+				u.pass(key, k, opFinish)
 				return
 			}
 		}
-		u.pass(p, key, k, opInsert)
+		u.pass(key, k, opInsert)
 	}
 }
 
@@ -354,8 +353,8 @@ func (u *DiskUnit) insertClean(key PageKey) {
 	u.cache.Put(key, cacheFrame{dirty: false})
 }
 
-// Write performs a write I/O for key, delaying p until the unit signals
-// completion before running k:
+// Write performs a write I/O for key and runs k once the unit signals
+// completion:
 //
 //   - Regular: controller + disk access.
 //   - SSD: controller only (data lives in semiconductor memory).
@@ -366,26 +365,26 @@ func (u *DiskUnit) insertClean(key PageKey) {
 //     copy updated asynchronously. On a write miss the least recently used
 //     clean frame is replaced; if every frame is dirty the write goes
 //     synchronously to disk.
-func (u *DiskUnit) Write(p *sim.Process, key PageKey, k func()) {
+func (u *DiskUnit) Write(key PageKey, k func()) {
 	u.stats.Writes++
 	switch u.cfg.Type {
 	case SSD:
-		u.pass(p, key, k, opFinish)
+		u.pass(key, k, opFinish)
 	case Regular:
-		u.pass(p, key, k, opDisk)
+		u.pass(key, k, opDisk)
 	case VolatileCache:
-		u.pass(p, key, k, opVolWrite)
+		u.pass(key, k, opVolWrite)
 	case NVCache:
-		u.writeNV(p, key, k)
+		u.writeNV(key, k)
 	}
 }
 
 // writeNV implements the non-volatile cache write path.
-func (u *DiskUnit) writeNV(p *sim.Process, key PageKey, k func()) {
+func (u *DiskUnit) writeNV(key PageKey, k func()) {
 	if _, hit := u.cache.Peek(key); hit {
 		// Write hit: always satisfiable — no replacement needed.
 		u.stats.WriteHits++
-		u.pass(p, key, k, opNVStore)
+		u.pass(key, k, opNVStore)
 		return
 	}
 	// Write miss: need a frame; replace the LRU clean page.
@@ -394,24 +393,24 @@ func (u *DiskUnit) writeNV(p *sim.Process, key PageKey, k func()) {
 		if !ok {
 			// All cached pages have destages in flight: go directly to disk.
 			u.stats.SyncDiskWrites++
-			u.pass(p, key, k, opDisk)
+			u.pass(key, k, opDisk)
 			return
 		}
 		u.cache.Remove(victim)
 	}
-	u.pass(p, key, k, opNVStore)
+	u.pass(key, k, opNVStore)
 }
 
 // startDestage immediately starts the asynchronous disk update for a
 // modified page stored in the non-volatile cache ("we immediately start the
 // disk update when a modified page is stored in the disk cache"). The
-// destage rides a pooled op through a +0 event, just like the spawned
-// process it replaces, so the event order is unchanged.
+// destage rides a pooled op through a +0 event, whose slot in the event
+// order the goldens pin.
 func (u *DiskUnit) startDestage(key PageKey) {
 	u.stats.CacheWrites++
 	u.stats.Destages++
 	op := u.getOp()
-	op.p, op.key, op.k = nil, key, nil
+	op.key, op.k = key, nil
 	op.state, op.after = opDestage, opDestage
 	u.sim.Schedule(0, op.step)
 }
@@ -472,9 +471,9 @@ func NewNVEM(s *sim.Sim, servers int, delay float64) (*NVEM, error) {
 }
 
 // Access performs one page transfer (read or write — symmetric), then k.
-func (n *NVEM) Access(p *sim.Process, k func()) {
+func (n *NVEM) Access(k func()) {
 	n.count++
-	n.res.Use(p, n.delay, k)
+	n.res.Use(n.delay, k)
 }
 
 // Accesses returns the number of page transfers so far.

@@ -19,11 +19,11 @@ func testStream() *rng.Stream { return rng.NewStream(1, "storage-test") }
 // bRead and bWrite drive the continuation-style device API blocking-style
 // from test scripts.
 func bRead(b *sim.BlockingProcess, u *DiskUnit, k PageKey) {
-	b.Await(func(done func()) { u.Read(b.Proc(), k, done) })
+	b.Await(func(done func()) { u.Read(k, done) })
 }
 
 func bWrite(b *sim.BlockingProcess, u *DiskUnit, k PageKey) {
-	b.Await(func(done func()) { u.Write(b.Proc(), k, done) })
+	b.Await(func(done func()) { u.Write(k, done) })
 }
 
 func regularCfg() DiskUnitConfig {
@@ -73,7 +73,7 @@ func TestRegularDiskTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	var elapsed sim.Time
-	s.SpawnBlocking("reader", 0, func(b *sim.BlockingProcess) {
+	s.SpawnBlocking(0, func(b *sim.BlockingProcess) {
 		start := b.Now()
 		bRead(b, u, key(0, 1))
 		elapsed = b.Now() - start
@@ -96,7 +96,7 @@ func TestRegularMeanAccessTime(t *testing.T) {
 	u, _ := NewDiskUnit(s, regularCfg(), testStream())
 	total := sim.Time(0)
 	const n = 2000
-	s.SpawnBlocking("reader", 0, func(b *sim.BlockingProcess) {
+	s.SpawnBlocking(0, func(b *sim.BlockingProcess) {
 		for i := 0; i < n; i++ {
 			start := b.Now()
 			bRead(b, u, key(0, int64(i)))
@@ -117,7 +117,7 @@ func TestSSDMeanAccessTime(t *testing.T) {
 	u, _ := NewDiskUnit(s, cfg, testStream())
 	total := sim.Time(0)
 	const n = 2000
-	s.SpawnBlocking("rw", 0, func(b *sim.BlockingProcess) {
+	s.SpawnBlocking(0, func(b *sim.BlockingProcess) {
 		for i := 0; i < n; i++ {
 			start := b.Now()
 			if i%2 == 0 {
@@ -144,7 +144,7 @@ func TestVolatileCacheReadHit(t *testing.T) {
 	cfg.Type = VolatileCache
 	cfg.CacheSize = 10
 	u, _ := NewDiskUnit(s, cfg, testStream())
-	s.SpawnBlocking("reader", 0, func(b *sim.BlockingProcess) {
+	s.SpawnBlocking(0, func(b *sim.BlockingProcess) {
 		bRead(b, u, key(0, 1)) // miss: disk access + allocate
 		bRead(b, u, key(0, 1)) // hit
 	})
@@ -161,7 +161,7 @@ func TestVolatileCacheWriteAlwaysHitsDisk(t *testing.T) {
 	cfg.Type = VolatileCache
 	cfg.CacheSize = 10
 	u, _ := NewDiskUnit(s, cfg, testStream())
-	s.SpawnBlocking("writer", 0, func(b *sim.BlockingProcess) {
+	s.SpawnBlocking(0, func(b *sim.BlockingProcess) {
 		bWrite(b, u, key(0, 1)) // write miss: disk access, no allocation
 		bRead(b, u, key(0, 1))  // still a miss (write misses don't allocate)
 		bWrite(b, u, key(0, 1)) // write hit: refresh, still disk access
@@ -186,7 +186,7 @@ func TestNVCacheWriteSatisfiedInCache(t *testing.T) {
 	cfg.CacheSize = 10
 	u, _ := NewDiskUnit(s, cfg, testStream())
 	var writeDelay sim.Time
-	s.SpawnBlocking("writer", 0, func(b *sim.BlockingProcess) {
+	s.SpawnBlocking(0, func(b *sim.BlockingProcess) {
 		start := b.Now()
 		bWrite(b, u, key(0, 1)) // write miss, allocated, async destage
 		writeDelay = b.Now() - start
@@ -217,7 +217,7 @@ func TestNVCacheAllDirtyFallsBackToDisk(t *testing.T) {
 	cfg.DiskDelay = 1000 // destages take forever: frames stay dirty
 	u, _ := NewDiskUnit(s, cfg, testStream())
 	var thirdDelay sim.Time
-	s.SpawnBlocking("writer", 0, func(b *sim.BlockingProcess) {
+	s.SpawnBlocking(0, func(b *sim.BlockingProcess) {
 		bWrite(b, u, key(0, 1))
 		bWrite(b, u, key(0, 2))
 		start := b.Now()
@@ -242,7 +242,7 @@ func TestNVCacheWriteHitAlwaysPossible(t *testing.T) {
 	cfg.DiskDelay = 1000
 	u, _ := NewDiskUnit(s, cfg, testStream())
 	delays := []sim.Time{}
-	s.SpawnBlocking("writer", 0, func(b *sim.BlockingProcess) {
+	s.SpawnBlocking(0, func(b *sim.BlockingProcess) {
 		for i := 0; i < 3; i++ {
 			start := b.Now()
 			bWrite(b, u, key(0, 1)) // rewrite same page: always a write hit
@@ -299,7 +299,7 @@ func TestWriteBufferOnlyNoReadCaching(t *testing.T) {
 	cfg.CacheSize = 100
 	cfg.WriteBufferOnly = true
 	u, _ := NewDiskUnit(s, cfg, testStream())
-	s.SpawnBlocking("log", 0, func(b *sim.BlockingProcess) {
+	s.SpawnBlocking(0, func(b *sim.BlockingProcess) {
 		bWrite(b, u, key(9, 1)) // buffered
 		bRead(b, u, key(9, 2))
 		bRead(b, u, key(9, 2)) // must miss: write-buffer mode has no read LRU
@@ -323,8 +323,8 @@ func TestDiskQueueing(t *testing.T) {
 	done := 0
 	for i := 0; i < 10; i++ {
 		i := i
-		s.Spawn("reader", 0, func(p *sim.Process) {
-			u.Read(p, key(0, int64(i)), func() { done++ })
+		s.Schedule(0, func() {
+			u.Read(key(0, int64(i)), func() { done++ })
 		})
 	}
 	end := s.RunAll()
@@ -347,7 +347,7 @@ func TestMultipleDisksParallel(t *testing.T) {
 	u, _ := NewDiskUnit(s, cfg, testStream())
 	for i := 0; i < 10; i++ {
 		i := i
-		s.Spawn("reader", 0, func(p *sim.Process) { u.Read(p, key(0, int64(i)), func() {}) })
+		s.Schedule(0, func() { u.Read(key(0, int64(i)), func() {}) })
 	}
 	end := s.RunAll()
 	if end > 120 {
@@ -362,10 +362,10 @@ func TestNVEM(t *testing.T) {
 		t.Fatal(err)
 	}
 	var elapsed sim.Time
-	s.Spawn("cm", 0, func(p *sim.Process) {
-		start := p.Now()
-		n.Access(p, func() {
-			n.Access(p, func() { elapsed = p.Now() - start })
+	s.Schedule(0, func() {
+		start := s.Now()
+		n.Access(func() {
+			n.Access(func() { elapsed = s.Now() - start })
 		})
 	})
 	s.RunAll()
@@ -393,8 +393,8 @@ func TestNVEMQueueing(t *testing.T) {
 	n, _ := NewNVEM(s, 1, 1)
 	var last sim.Time
 	for i := 0; i < 2; i++ {
-		s.Spawn("cm", 0, func(p *sim.Process) {
-			n.Access(p, func() { last = p.Now() })
+		s.Schedule(0, func() {
+			n.Access(func() { last = s.Now() })
 		})
 	}
 	s.RunAll()
@@ -415,7 +415,7 @@ func TestCrashVolatile(t *testing.T) {
 	nv.Type = NVCache
 	nv.CacheSize = 10
 	nu, _ := NewDiskUnit(s, nv, testStream())
-	s.SpawnBlocking("loader", 0, func(b *sim.BlockingProcess) {
+	s.SpawnBlocking(0, func(b *sim.BlockingProcess) {
 		bRead(b, vu, key(0, 1))
 		bRead(b, nu, key(0, 1))
 	})
