@@ -132,3 +132,64 @@ func checkCorpusFiles(t *testing.T) {
 			filepath.Join(dir, ent.Name()), strings.TrimSuffix(ent.Name(), ".txt"))
 	}
 }
+
+// replicatedGolden lists the experiments whose replicated output
+// (Replications 2) is pinned under testdata/golden-reps2/. Together they
+// cover every way the render layer reports a replication mean ± CI: CI
+// series on two figures (fig4.5), table cells (recovery.restart), commit
+// timelines (recovery.availability), per-class tables
+// (workload.multiclass), a figure and a table from one grid
+// (workload.closedloop) and fmtMeanCI text (table2.1,
+// ablation.destage-policy).
+var replicatedGolden = []string{
+	"fig4.5", "table2.1", "recovery.restart", "recovery.availability",
+	"workload.multiclass", "workload.closedloop", "ablation.destage-policy",
+}
+
+// TestGoldenReplicated locks the replicated output of replicatedGolden to
+// byte-exact files, the way TestGoldenOutputs locks the single-run corpus.
+// Regenerate with:
+//
+//	go test ./internal/experiments -run TestGoldenReplicated -update
+func TestGoldenReplicated(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replicated simulation runs")
+	}
+	o := Options{Quick: true, Seed: 3, Replications: 2, Parallelism: 2}
+	dir := filepath.Join("testdata", "golden-reps2")
+	if *updateGolden {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range replicatedGolden {
+		t.Run(name, func(t *testing.T) {
+			e, err := ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := e.Run(o)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !strings.Contains(out, "±") {
+				t.Errorf("%s: replicated output carries no ±:\n%s", name, out)
+			}
+			path := filepath.Join(dir, name+".txt")
+			if *updateGolden {
+				if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden file (run with -update to create): %v", err)
+			}
+			if string(want) != out {
+				t.Errorf("%s output diverged from golden file %s\n--- got ---\n%s\n--- want ---\n%s",
+					name, path, out, want)
+			}
+		})
+	}
+}
