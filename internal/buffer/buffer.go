@@ -414,9 +414,6 @@ func (op *bufOp) run() {
 	case ckFlush:
 		a := m.alloc(op.key.Partition)
 		switch {
-		case a.MMResident:
-			op.state = ckDone
-			op.run()
 		case a.NVEMResident:
 			op.state = ckDone
 			m.host.NVEMTransfer(op.step)

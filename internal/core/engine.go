@@ -124,7 +124,7 @@ func newNode(c *cluster, id, numNodes int, seed int64, cfg Config) (*node, error
 		waiting: make(map[cc.TxnID]func()),
 		active:  make(map[cc.TxnID]*txRun),
 		win:     tally{cpus: cfg.NumCPU, timelineBucketMS: c.timelineBucketMS},
-		resp:    stats.NewSummary("response", true),
+		resp:    stats.NewSummary(),
 		cpuRnd:  rng.NewStream(seed, suffix("cpu")),
 		genRnd:  rng.NewStream(seed, suffix("workload")),
 		arrRnd:  rng.NewStream(seed, suffix("arrivals")),
@@ -150,7 +150,7 @@ func newNode(c *cluster, id, numNodes int, seed int64, cfg Config) (*node, error
 		for i := range n.win.classes {
 			name, _ := cfg.Generator.TypeInfo(i)
 			n.win.classes[i].name = name
-			n.classResp[i] = stats.NewSummary("resp-"+name, true)
+			n.classResp[i] = stats.NewSummary()
 		}
 	}
 

@@ -60,8 +60,8 @@ type RestartReport struct {
 
 	// Snapshot is the crash-time recovery state; EstimateMS is the
 	// analytic restart-time formula priced from the device parameters
-	// (recovery.Snapshot.EstimateMS), reported for cross-checking the
-	// simulated scan.
+	// (node.estimateRestart), reported for cross-checking the simulated
+	// scan.
 	Snapshot   recovery.Snapshot
 	EstimateMS float64
 }

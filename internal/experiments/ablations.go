@@ -7,7 +7,6 @@ import (
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/stats"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -34,11 +33,7 @@ func AblationGroupCommit(o Options) (*stats.Figure, error) {
 		}},
 		{"log-nvem-no-group-commit", nil}, // built from the NVEM log scheme
 	}
-	labels := make([]string, len(variants))
-	for i, v := range variants {
-		labels[i] = v.label
-	}
-	err := sweepFigure(o, fig, labels, func(si, xi int, o Options) (*core.Result, error) {
+	cells, err := sweep(o, len(variants), len(fig.X), func(si, xi int, o Options) (*core.Result, error) {
 		v, rate := variants[si], fig.X[xi]
 		setup := DCSetup{Rate: rate, DB: DBSpec{Kind: DBRegular},
 			Log: LogSpec{Kind: LogDisk, Disks: 1}}
@@ -57,8 +52,12 @@ func AblationGroupCommit(o Options) (*stats.Figure, error) {
 			return nil, fmt.Errorf("ablation group-commit %s @%v: %w", v.label, rate, err)
 		}
 		return res, nil
-	}, respMean)
+	})
 	if err != nil {
+		return nil, err
+	}
+	labels := labelsOf(len(variants), func(i int) string { return variants[i].label })
+	if err := plot(fig, labels, cells, respMean); err != nil {
 		return nil, err
 	}
 	return fig, nil
@@ -85,11 +84,7 @@ func AblationAsyncReplacement(o Options) (*stats.Figure, error) {
 		{"disk-async-replacement", DBSpec{Kind: DBRegular}, LogSpec{Kind: LogDisk}, true},
 		{"disk-cache-write-buffer", DBSpec{Kind: DBDiskCacheWB, Size: 500}, LogSpec{Kind: LogDiskWB, Size: 500}, false},
 	}
-	labels := make([]string, len(variants))
-	for i, v := range variants {
-		labels[i] = v.label
-	}
-	err := sweepFigure(o, fig, labels, func(si, xi int, o Options) (*core.Result, error) {
+	cells, err := sweep(o, len(variants), len(fig.X), func(si, xi int, o Options) (*core.Result, error) {
 		v, rate := variants[si], fig.X[xi]
 		cfg, err := DCSetup{Rate: rate, DB: v.db, Log: v.log}.Build(o)
 		if err != nil {
@@ -101,8 +96,12 @@ func AblationAsyncReplacement(o Options) (*stats.Figure, error) {
 			return nil, fmt.Errorf("ablation async-replacement %s @%v: %w", v.label, rate, err)
 		}
 		return res, nil
-	}, respMean)
+	})
 	if err != nil {
+		return nil, err
+	}
+	labels := labelsOf(len(variants), func(i int) string { return variants[i].label })
+	if err := plot(fig, labels, cells, respMean); err != nil {
 		return nil, err
 	}
 	return fig, nil
@@ -119,34 +118,28 @@ func AblationMigrationModes(o Options) (*stats.Figure, error) {
 		X:      []float64{0, 1, 2},
 	}
 	modes := []buffer.MigrateMode{buffer.MigrateAll, buffer.MigrateModified, buffer.MigrateUnmodified}
-	g := newGrid(o, 1, len(modes))
-	for xi, mode := range modes {
-		g.add(0, xi, func(o Options) (*core.Result, error) {
-			cfg, err := TraceSetup{MMBuffer: 1000,
-				DB: DBSpec{Kind: DBNVEMCache, Size: 2000}, Log: LogSpec{Kind: LogNVEM}}.Build(o)
-			if err != nil {
-				return nil, err
-			}
-			for i := range cfg.Buffer.Partitions {
-				cfg.Buffer.Partitions[i].NVEMCacheMode = mode
-			}
-			res, err := core.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("ablation migration mode %v: %w", mode, err)
-			}
-			return res, nil
-		})
-	}
-	cells, err := g.run()
+	cells, err := sweep(o, 1, len(modes), func(_, xi int, o Options) (*core.Result, error) {
+		cfg, err := TraceSetup{MMBuffer: 1000,
+			DB: DBSpec{Kind: DBNVEMCache, Size: 2000}, Log: LogSpec{Kind: LogNVEM}}.Build(o)
+		if err != nil {
+			return nil, err
+		}
+		for i := range cfg.Buffer.Partitions {
+			cfg.Buffer.Partitions[i].NVEMCacheMode = modes[xi]
+		}
+		res, err := core.Run(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("ablation migration mode %v: %w", modes[xi], err)
+		}
+		return res, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	hits, hitCI := seriesOf(cells[0], nvemAddHitPct)
-	resp, respCI := seriesOf(cells[0], respMean)
-	if err := fig.AddSeriesCI("nvem-add-hit-pct", hits, hitCI); err != nil {
+	if err := addSeries(fig, "nvem-add-hit-pct", cells[0], nvemAddHitPct); err != nil {
 		return nil, err
 	}
-	if err := fig.AddSeriesCI("resp-ms", resp, respCI); err != nil {
+	if err := addSeries(fig, "resp-ms", cells[0], respMean); err != nil {
 		return nil, err
 	}
 	return fig, nil
@@ -170,46 +163,34 @@ func lockConflicts(r *core.Result) float64 { return float64(r.Locks.Conflicts) }
 func AblationClustering(o Options) (string, error) {
 	out := "Ablation A5: BRANCH/TELLER clustering (Debit-Credit, 500 TPS, disk-based)\n"
 	variants := []bool{true, false}
-	g := newGrid(o, len(variants), 1)
-	for vi, clustered := range variants {
-		g.add(vi, 0, func(o Options) (*core.Result, error) {
-			dcc := workload.DefaultDebitCreditConfig(500)
-			dcc.ClusterBranchTeller = clustered
-			gen, err := workload.NewDebitCredit(dcc)
-			if err != nil {
-				return nil, err
-			}
-			cfg := core.Defaults()
-			cfg.Seed = o.seed()
-			cfg.WarmupMS, cfg.MeasureMS = o.windows()
-			cfg.Partitions = gen.Partitions()
-			cfg.Generator = gen
-			cfg.CCModes = make([]cc.Granularity, len(cfg.Partitions))
-			for i := range cfg.CCModes {
-				cfg.CCModes[i] = cc.PageLevel
-			}
-			cfg.CCModes[gen.HistoryPartition()] = cc.NoCC
-			cfg.DiskUnits = []storage.DiskUnitConfig{
-				{Name: "db", Type: storage.Regular, NumControllers: 12,
-					ContrDelay: core.DefaultContrDelay, TransDelay: core.DefaultTransDelay,
-					NumDisks: 96, DiskDelay: core.DefaultDBDiskDelay},
-				{Name: "log", Type: storage.Regular, NumControllers: 2,
-					ContrDelay: core.DefaultContrDelay, TransDelay: core.DefaultTransDelay,
-					NumDisks: 8, DiskDelay: core.DefaultLogDiskDelay},
-			}
-			cfg.Buffer = buffer.Config{BufferSize: 2000, Logging: true,
-				Log: buffer.LogAlloc{DiskUnit: 1}}
-			for range cfg.Partitions {
-				cfg.Buffer.Partitions = append(cfg.Buffer.Partitions, buffer.PartitionAlloc{DiskUnit: 0})
-			}
-			res, err := core.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("ablation clustering=%v: %w", clustered, err)
-			}
-			return res, nil
-		})
-	}
-	cells, err := g.run()
+	cells, err := sweep(o, len(variants), 1, func(vi, _ int, o Options) (*core.Result, error) {
+		clustered := variants[vi]
+		dcc := workload.DefaultDebitCreditConfig(500)
+		dcc.ClusterBranchTeller = clustered
+		gen, err := workload.NewDebitCredit(dcc)
+		if err != nil {
+			return nil, err
+		}
+		cfg := o.baseConfig()
+		cfg.Partitions = gen.Partitions()
+		cfg.Generator = gen
+		cfg.CCModes = make([]cc.Granularity, len(cfg.Partitions))
+		for i := range cfg.CCModes {
+			cfg.CCModes[i] = cc.PageLevel
+		}
+		cfg.CCModes[gen.HistoryPartition()] = cc.NoCC
+		cfg.DiskUnits = diskUnits(12, 96, 2, 8)
+		cfg.Buffer = buffer.Config{BufferSize: 2000, Logging: true,
+			Log: buffer.LogAlloc{DiskUnit: 1}}
+		for range cfg.Partitions {
+			cfg.Buffer.Partitions = append(cfg.Buffer.Partitions, buffer.PartitionAlloc{DiskUnit: 0})
+		}
+		res, err := core.Run(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("ablation clustering=%v: %w", clustered, err)
+		}
+		return res, nil
+	})
 	if err != nil {
 		return "", err
 	}
@@ -235,23 +216,19 @@ func AblationClustering(o Options) (string, error) {
 func AblationDestagePolicy(o Options) (string, error) {
 	out := "Ablation A4: NVEM destage policy under FORCE (Debit-Credit, 500 TPS, NVEM cache 1000)\n"
 	variants := []bool{false, true}
-	g := newGrid(o, len(variants), 1)
-	for vi, deferred := range variants {
-		g.add(vi, 0, func(o Options) (*core.Result, error) {
-			cfg, err := DCSetup{Rate: 500, Force: true, MMBuffer: 2000,
-				DB: DBSpec{Kind: DBNVEMCache, Size: 1000}, Log: LogSpec{Kind: LogNVEM}}.Build(o)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Buffer.NVEMDeferredDestage = deferred
-			res, err := core.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("ablation destage deferred=%v: %w", deferred, err)
-			}
-			return res, nil
-		})
-	}
-	cells, err := g.run()
+	cells, err := sweep(o, len(variants), 1, func(vi, _ int, o Options) (*core.Result, error) {
+		cfg, err := DCSetup{Rate: 500, Force: true, MMBuffer: 2000,
+			DB: DBSpec{Kind: DBNVEMCache, Size: 1000}, Log: LogSpec{Kind: LogNVEM}}.Build(o)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Buffer.NVEMDeferredDestage = variants[vi]
+		res, err := core.Run(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("ablation destage deferred=%v: %w", variants[vi], err)
+		}
+		return res, nil
+	})
 	if err != nil {
 		return "", err
 	}

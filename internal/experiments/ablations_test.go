@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestGroupCommitRescuesSingleLogDisk: with group commit, one log disk
@@ -23,7 +25,7 @@ func TestGroupCommitRescuesSingleLogDisk(t *testing.T) {
 	}
 	cfg.Buffer.GroupCommit = true
 	cfg.Buffer.GroupCommitWaitMS = 5
-	grouped, err := runEngine(cfg)
+	grouped, err := core.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestAsyncReplacementNarrowsGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Buffer.AsyncReplacement = true
-	async, err := runEngine(cfg)
+	async, err := core.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestDeferredDestageReducesForceWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Buffer.NVEMDeferredDestage = deferred
-		res, err := runEngine(cfg)
+		res, err := core.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

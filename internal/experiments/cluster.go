@@ -7,7 +7,6 @@ import (
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/stats"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -80,9 +79,7 @@ func (s ClusterSetup) Build(o Options) (core.ClusterConfig, error) {
 	}
 	perNodeRate := s.AggregateRate / float64(s.Nodes)
 
-	base := core.Defaults()
-	base.Seed = o.seed()
-	base.WarmupMS, base.MeasureMS = o.windows()
+	base := o.baseConfig()
 	if s.WindowScale > 0 {
 		base.WarmupMS *= s.WindowScale
 		base.MeasureMS *= s.WindowScale
@@ -145,27 +142,8 @@ func (s ClusterSetup) Build(o Options) (core.ClusterConfig, error) {
 	bufCfg.CheckpointIntervalMS = s.CheckpointMS
 	base.Buffer = bufCfg
 
-	dbc, dbd, lgc, lgd := 12, 96, 2, 8
-	if s.DBControllers > 0 {
-		dbc = s.DBControllers
-	}
-	if s.DBDisks > 0 {
-		dbd = s.DBDisks
-	}
-	if s.LogControllers > 0 {
-		lgc = s.LogControllers
-	}
-	if s.LogDisks > 0 {
-		lgd = s.LogDisks
-	}
-	base.DiskUnits = []storage.DiskUnitConfig{
-		{Name: "db", Type: storage.Regular, NumControllers: dbc,
-			ContrDelay: core.DefaultContrDelay, TransDelay: core.DefaultTransDelay,
-			NumDisks: dbd, DiskDelay: core.DefaultDBDiskDelay},
-		{Name: "log", Type: storage.Regular, NumControllers: lgc,
-			ContrDelay: core.DefaultContrDelay, TransDelay: core.DefaultTransDelay,
-			NumDisks: lgd, DiskDelay: core.DefaultLogDiskDelay},
-	}
+	base.DiskUnits = diskUnits(orDefault(s.DBControllers, 12), orDefault(s.DBDisks, 96),
+		orDefault(s.LogControllers, 2), orDefault(s.LogDisks, 8))
 
 	cfg := core.ClusterConfig{
 		Base:              base,
@@ -232,49 +210,34 @@ func ClusterScaleout(o Options) (*stats.Figure, *stats.Figure, error) {
 		YLabel: "hit ratio [%]",
 		X:      o.nodeCounts(),
 	}
-	type scheme struct {
+	schemes := []struct {
 		label  string
 		shared int
-	}
-	schemes := []scheme{
+	}{
 		{"shared-nvem", 2000},
 		{"disk-only", 0},
 	}
-	labels := make([]string, len(schemes))
-	for i, sc := range schemes {
-		labels[i] = sc.label
-	}
-	g := newGrid(o, len(schemes), len(resp.X))
-	for si := range schemes {
-		for xi := range resp.X {
-			si, xi := si, xi
-			g.add(si, xi, func(o Options) (*core.Result, error) {
-				sc, nodes := schemes[si], int(resp.X[xi])
-				res, err := ClusterSetup{Nodes: nodes, AggregateRate: 400,
-					SharedNVEM: sc.shared, GlobalLocks: true}.Run(o)
-				if err != nil {
-					return nil, fmt.Errorf("cluster.scaleout %s @%d: %w", sc.label, nodes, err)
-				}
-				return res, nil
-			})
+	cells, err := sweep(o, len(schemes), len(resp.X), func(si, xi int, o Options) (*core.Result, error) {
+		sc, nodes := schemes[si], int(resp.X[xi])
+		res, err := ClusterSetup{Nodes: nodes, AggregateRate: 400,
+			SharedNVEM: sc.shared, GlobalLocks: true}.Run(o)
+		if err != nil {
+			return nil, fmt.Errorf("cluster.scaleout %s @%d: %w", sc.label, nodes, err)
 		}
-	}
-	cells, err := g.run()
+		return res, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	for si, label := range labels {
-		points, cis := seriesOf(cells[si], respMean)
-		if err := resp.AddSeriesCI(label, points, cis); err != nil {
+	for si, sc := range schemes {
+		if err := addSeries(resp, sc.label, cells[si], respMean); err != nil {
 			return nil, nil, err
 		}
-		mm, mmCI := seriesOf(cells[si], mmHitPct)
-		if err := hits.AddSeriesCI(label+":mm", mm, mmCI); err != nil {
+		if err := addSeries(hits, sc.label+":mm", cells[si], mmHitPct); err != nil {
 			return nil, nil, err
 		}
 	}
-	nvemPts, nvemCI := seriesOf(cells[0], nvemAddHitPct)
-	if err := hits.AddSeriesCI("shared-nvem:nvem", nvemPts, nvemCI); err != nil {
+	if err := addSeries(hits, "shared-nvem:nvem", cells[0], nvemAddHitPct); err != nil {
 		return nil, nil, err
 	}
 	return resp, hits, nil
@@ -311,48 +274,33 @@ func ClusterScaleout64(o Options) (*stats.Figure, *stats.Figure, error) {
 		YLabel: "committed TPS",
 		X:      o.pdesNodeCounts(),
 	}
-	type scheme struct {
+	schemes := []struct {
 		label   string
 		private int
-	}
-	schemes := []scheme{
+	}{
 		{"private-nvem", 500},
 		{"disk-only", 0},
 	}
-	labels := make([]string, len(schemes))
-	for i, sc := range schemes {
-		labels[i] = sc.label
-	}
-	g := newGrid(o, len(schemes), len(resp.X))
-	for si := range schemes {
-		for xi := range resp.X {
-			si, xi := si, xi
-			g.add(si, xi, func(o Options) (*core.Result, error) {
-				sc, nodes := schemes[si], int(resp.X[xi])
-				res, err := ClusterSetup{Nodes: nodes, AggregateRate: 50 * float64(nodes),
-					MMBuffer: 500, PrivateNVEM: sc.private, GlobalLocks: true,
-					PDES:          true,
-					DBControllers: 2, DBDisks: 12, LogControllers: 1, LogDisks: 2}.Run(o)
-				if err != nil {
-					return nil, fmt.Errorf("cluster.scaleout64 %s @%d: %w", sc.label, nodes, err)
-				}
-				return res, nil
-			})
+	cells, err := sweep(o, len(schemes), len(resp.X), func(si, xi int, o Options) (*core.Result, error) {
+		sc, nodes := schemes[si], int(resp.X[xi])
+		res, err := ClusterSetup{Nodes: nodes, AggregateRate: 50 * float64(nodes),
+			MMBuffer: 500, PrivateNVEM: sc.private, GlobalLocks: true,
+			PDES:          true,
+			DBControllers: 2, DBDisks: 12, LogControllers: 1, LogDisks: 2}.Run(o)
+		if err != nil {
+			return nil, fmt.Errorf("cluster.scaleout64 %s @%d: %w", sc.label, nodes, err)
 		}
-	}
-	cells, err := g.run()
+		return res, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	for si, label := range labels {
-		points, cis := seriesOf(cells[si], respMean)
-		if err := resp.AddSeriesCI(label, points, cis); err != nil {
-			return nil, nil, err
-		}
-		tp, tpCI := seriesOf(cells[si], throughput)
-		if err := tput.AddSeriesCI(label, tp, tpCI); err != nil {
-			return nil, nil, err
-		}
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	if err := plot(resp, labels, cells, respMean); err != nil {
+		return nil, nil, err
+	}
+	if err := plot(tput, labels, cells, throughput); err != nil {
+		return nil, nil, err
 	}
 	return resp, tput, nil
 }
@@ -387,49 +335,34 @@ func ClusterScaleout256(o Options) (*stats.Figure, *stats.Figure, error) {
 		YLabel: "committed TPS",
 		X:      o.pdes256NodeCounts(),
 	}
-	type scheme struct {
+	schemes := []struct {
 		label           string
 		shared, private int
-	}
-	schemes := []scheme{
+	}{
 		{"shared-nvem", 2000, 0},
 		{"private-nvem", 0, 500},
 	}
-	labels := make([]string, len(schemes))
-	for i, sc := range schemes {
-		labels[i] = sc.label
-	}
-	g := newGrid(o, len(schemes), len(resp.X))
-	for si := range schemes {
-		for xi := range resp.X {
-			si, xi := si, xi
-			g.add(si, xi, func(o Options) (*core.Result, error) {
-				sc, nodes := schemes[si], int(resp.X[xi])
-				res, err := ClusterSetup{Nodes: nodes, AggregateRate: 50 * float64(nodes),
-					MMBuffer: 500, SharedNVEM: sc.shared, PrivateNVEM: sc.private,
-					GlobalLocks: true, PDES: true,
-					NVEMAccessDelayMS: 0.15, WindowScale: 0.2,
-					DBControllers: 2, DBDisks: 12, LogControllers: 1, LogDisks: 2}.Run(o)
-				if err != nil {
-					return nil, fmt.Errorf("cluster.scaleout256 %s @%d: %w", sc.label, nodes, err)
-				}
-				return res, nil
-			})
+	cells, err := sweep(o, len(schemes), len(resp.X), func(si, xi int, o Options) (*core.Result, error) {
+		sc, nodes := schemes[si], int(resp.X[xi])
+		res, err := ClusterSetup{Nodes: nodes, AggregateRate: 50 * float64(nodes),
+			MMBuffer: 500, SharedNVEM: sc.shared, PrivateNVEM: sc.private,
+			GlobalLocks: true, PDES: true,
+			NVEMAccessDelayMS: 0.15, WindowScale: 0.2,
+			DBControllers: 2, DBDisks: 12, LogControllers: 1, LogDisks: 2}.Run(o)
+		if err != nil {
+			return nil, fmt.Errorf("cluster.scaleout256 %s @%d: %w", sc.label, nodes, err)
 		}
-	}
-	cells, err := g.run()
+		return res, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	for si, label := range labels {
-		points, cis := seriesOf(cells[si], respMean)
-		if err := resp.AddSeriesCI(label, points, cis); err != nil {
-			return nil, nil, err
-		}
-		tp, tpCI := seriesOf(cells[si], throughput)
-		if err := tput.AddSeriesCI(label, tp, tpCI); err != nil {
-			return nil, nil, err
-		}
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	if err := plot(resp, labels, cells, respMean); err != nil {
+		return nil, nil, err
+	}
+	if err := plot(tput, labels, cells, throughput); err != nil {
+		return nil, nil, err
 	}
 	return resp, tput, nil
 }
@@ -446,20 +379,15 @@ func ClusterAllocation(o Options) (*stats.Figure, error) {
 		X:      o.rates(),
 	}
 	const nodes = 4
-	type scheme struct {
+	schemes := []struct {
 		label           string
 		shared, private int
-	}
-	schemes := []scheme{
+	}{
 		{"shared-nvem-cache", 2000, 0},
 		{"private-nvem-caches", 0, 2000 / nodes},
 		{"disk-only", 0, 0},
 	}
-	labels := make([]string, len(schemes))
-	for i, sc := range schemes {
-		labels[i] = sc.label
-	}
-	err := sweepFigure(o, fig, labels, func(si, xi int, o Options) (*core.Result, error) {
+	cells, err := sweep(o, len(schemes), len(fig.X), func(si, xi int, o Options) (*core.Result, error) {
 		sc, rate := schemes[si], fig.X[xi]
 		res, err := ClusterSetup{Nodes: nodes, AggregateRate: rate,
 			SharedNVEM: sc.shared, PrivateNVEM: sc.private, GlobalLocks: true}.Run(o)
@@ -467,8 +395,12 @@ func ClusterAllocation(o Options) (*stats.Figure, error) {
 			return nil, fmt.Errorf("cluster.allocation %s @%v: %w", sc.label, rate, err)
 		}
 		return res, nil
-	}, respMean)
+	})
 	if err != nil {
+		return nil, err
+	}
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	if err := plot(fig, labels, cells, respMean); err != nil {
 		return nil, err
 	}
 	return fig, nil
@@ -500,49 +432,35 @@ func ClusterLocking(o Options) (*stats.Figure, *stats.Figure, error) {
 		YLabel: "messages per committed tx",
 		X:      o.rates(),
 	}
-	type scheme struct {
+	schemes := []struct {
 		label  string
 		global bool
 		gran   cc.Granularity
-	}
-	schemes := []scheme{
+	}{
 		{"local:page-locks", false, cc.PageLevel},
 		{"global:page-locks", true, cc.PageLevel},
 		{"global:object-locks", true, cc.ObjectLevel},
 	}
-	labels := make([]string, len(schemes))
-	for i, sc := range schemes {
-		labels[i] = sc.label
-	}
-	g := newGrid(o, len(schemes), len(resp.X))
-	for si := range schemes {
-		for xi := range resp.X {
-			si, xi := si, xi
-			g.add(si, xi, func(o Options) (*core.Result, error) {
-				sc, rate := schemes[si], resp.X[xi]
-				res, err := ClusterSetup{Nodes: 2, AggregateRate: rate,
-					GlobalLocks: sc.global, Contention: true, Granularity: sc.gran}.Run(o)
-				if err != nil {
-					return nil, fmt.Errorf("cluster.locking %s @%v: %w", sc.label, rate, err)
-				}
-				return res, nil
-			})
+	cells, err := sweep(o, len(schemes), len(resp.X), func(si, xi int, o Options) (*core.Result, error) {
+		sc, rate := schemes[si], resp.X[xi]
+		res, err := ClusterSetup{Nodes: 2, AggregateRate: rate,
+			GlobalLocks: sc.global, Contention: true, Granularity: sc.gran}.Run(o)
+		if err != nil {
+			return nil, fmt.Errorf("cluster.locking %s @%v: %w", sc.label, rate, err)
 		}
-	}
-	cells, err := g.run()
+		return res, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	for si, label := range labels {
-		points, cis := seriesOf(cells[si], respMean)
-		if err := resp.AddSeriesCI(label, points, cis); err != nil {
+	for si, sc := range schemes {
+		if err := addSeries(resp, sc.label, cells[si], respMean); err != nil {
 			return nil, nil, err
 		}
-		if !schemes[si].global {
+		if !sc.global {
 			continue
 		}
-		m, mCI := seriesOf(cells[si], lockMsgsPerTx)
-		if err := msgs.AddSeriesCI(label, m, mCI); err != nil {
+		if err := addSeries(msgs, sc.label, cells[si], lockMsgsPerTx); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -57,10 +57,9 @@ func TestGridJobsRunPDESOnOneWorker(t *testing.T) {
 		{1, 0, 0},
 		{2, 3, 3},
 	} {
-		g := newGrid(Options{Quick: true, Parallelism: tc.parallelism}, 1, 2)
 		got := make([]int, 2)
-		for col := range got {
-			g.add(0, col, func(o Options) (*core.Result, error) {
+		_, err := sweep(Options{Quick: true, Parallelism: tc.parallelism}, 1, 2,
+			func(_, col int, o Options) (*core.Result, error) {
 				cfg, err := ClusterSetup{Nodes: 2, AggregateRate: 100, GlobalLocks: true,
 					PDES: true, PDESWorkers: tc.workers}.Build(o)
 				if err != nil {
@@ -69,8 +68,7 @@ func TestGridJobsRunPDESOnOneWorker(t *testing.T) {
 				got[col] = cfg.PDES.Workers
 				return &core.Result{}, nil
 			})
-		}
-		if _, err := g.run(); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
 		if got[0] != tc.want || got[1] != tc.want {

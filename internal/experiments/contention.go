@@ -7,7 +7,6 @@ import (
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/stats"
-	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -87,22 +86,13 @@ func (s ContentionSetup) Build(o Options) (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	cfg := core.Defaults()
-	cfg.Seed = o.seed()
-	cfg.WarmupMS, cfg.MeasureMS = o.windows()
+	cfg := o.baseConfig()
 	cfg.Partitions = model.Partitions
 	cfg.Generator = gen
 	cfg.CCModes = []cc.Granularity{s.Granularity, s.Granularity}
 	applyContentionPathlength(&cfg)
 
-	cfg.DiskUnits = []storage.DiskUnitConfig{
-		{Name: "db", Type: storage.Regular, NumControllers: 12,
-			ContrDelay: core.DefaultContrDelay, TransDelay: core.DefaultTransDelay,
-			NumDisks: 96, DiskDelay: core.DefaultDBDiskDelay},
-		{Name: "log", Type: storage.Regular, NumControllers: 2,
-			ContrDelay: core.DefaultContrDelay, TransDelay: core.DefaultTransDelay,
-			NumDisks: 8, DiskDelay: core.DefaultLogDiskDelay},
-	}
+	cfg.DiskUnits = diskUnits(12, 96, 2, 8)
 	cfg.Buffer = buffer.Config{
 		BufferSize: 2000,
 		Logging:    true,
@@ -124,13 +114,7 @@ func (s ContentionSetup) Build(o Options) (core.Config, error) {
 }
 
 // Run builds and executes the setup.
-func (s ContentionSetup) Run(o Options) (*core.Result, error) {
-	cfg, err := s.Build(o)
-	if err != nil {
-		return nil, err
-	}
-	return core.Run(cfg)
-}
+func (s ContentionSetup) Run(o Options) (*core.Result, error) { return runBuilt(s.Build(o)) }
 
 // Fig48 reproduces Fig 4.8: page- vs. object-level locking for the three
 // allocation strategies. Under page locking the disk-based and mixed
@@ -155,19 +139,19 @@ func Fig48(o Options) (*stats.Figure, error) {
 		{"mixed:object-locks", ContMixed, cc.ObjectLevel},
 		{"nvem:page-locks", ContNVEM, cc.PageLevel},
 	}
-	labels := make([]string, len(schemes))
-	for i, sc := range schemes {
-		labels[i] = sc.label
-	}
-	err := sweepFigure(o, fig, labels, func(si, xi int, o Options) (*core.Result, error) {
+	cells, err := sweep(o, len(schemes), len(fig.X), func(si, xi int, o Options) (*core.Result, error) {
 		sc, rate := schemes[si], fig.X[xi]
 		res, err := ContentionSetup{Rate: rate, Alloc: sc.alloc, Granularity: sc.gran}.Run(o)
 		if err != nil {
 			return nil, fmt.Errorf("fig4.8 %s @%v: %w", sc.label, rate, err)
 		}
 		return res, nil
-	}, respMean)
+	})
 	if err != nil {
+		return nil, err
+	}
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	if err := plot(fig, labels, cells, respMean); err != nil {
 		return nil, err
 	}
 	return fig, nil

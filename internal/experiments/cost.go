@@ -33,32 +33,29 @@ func Table21(o Options) (string, error) {
 
 	b.WriteString(fmt.Sprintf("Cost-effectiveness of the Fig 4.2 allocation schemes (Debit-Credit, %.0f TPS):\n\n", rate))
 	schemes := dbSchemes42()
-	g := newGrid(o, len(schemes), 1)
-	for si, sc := range schemes {
-		g.add(si, 0, func(o Options) (*core.Result, error) {
-			res, err := DCSetup{Rate: rate, DB: sc.DB, Log: sc.Log}.Run(o)
-			if err != nil {
-				return nil, fmt.Errorf("table2.1 %s: %w", sc.Label, err)
-			}
-			return res, nil
-		})
-	}
-	cells, err := g.run()
+	cells, err := sweep(o, len(schemes), 1, func(si, _ int, o Options) (*core.Result, error) {
+		sc := schemes[si]
+		res, err := DCSetup{Rate: rate, DB: sc.db, Log: sc.log}.Run(o)
+		if err != nil {
+			return nil, fmt.Errorf("table2.1 %s: %w", sc.label, err)
+		}
+		return res, nil
+	})
 	if err != nil {
 		return "", err
 	}
 	for si, sc := range schemes {
-		br := costmodel.Breakdown{Label: sc.Label}
+		br := costmodel.Breakdown{Label: sc.label}
 		br.AddPages("main-memory buffer", costmodel.MainMemory, mmBufPages)
-		switch sc.DB.Kind {
+		switch sc.db.Kind {
 		case DBRegular:
 			br.Add("database on disk", costmodel.Disk, dbMB)
 		case DBDiskCacheWB:
 			br.Add("database on disk", costmodel.Disk, dbMB)
-			br.AddPages("nv disk-cache write buffer", costmodel.DiskCache, int64(2*sc.DB.Size))
+			br.AddPages("nv disk-cache write buffer", costmodel.DiskCache, int64(2*sc.db.Size))
 		case DBNVEMWB:
 			br.Add("database on disk", costmodel.Disk, dbMB)
-			br.AddPages("NVEM write buffer", costmodel.ExtendedMemory, int64(sc.DB.Size))
+			br.AddPages("NVEM write buffer", costmodel.ExtendedMemory, int64(sc.db.Size))
 		case DBSSD:
 			br.Add("database on SSD", costmodel.SolidStateDisk, dbMB)
 		case DBNVEMResident:
@@ -97,17 +94,13 @@ const downtimeCostPerMin = 10_000.0
 // restart time is the outage.
 func downtimeCost(o Options, b *strings.Builder) error {
 	schemes := availSchemes()
-	g := newGrid(o, len(schemes), 1)
-	for si, sc := range schemes {
-		g.add(si, 0, func(o Options) (*core.Result, error) {
-			res, err := availSetup(sc, 0).Run(o)
-			if err != nil {
-				return nil, fmt.Errorf("table2.1 downtime %s: %w", sc.label, err)
-			}
-			return res, nil
-		})
-	}
-	cells, err := g.run()
+	cells, err := sweep(o, len(schemes), 1, func(si, _ int, o Options) (*core.Result, error) {
+		res, err := availSetup(schemes[si], 0).Run(o)
+		if err != nil {
+			return nil, fmt.Errorf("table2.1 downtime %s: %w", schemes[si].label, err)
+		}
+		return res, nil
+	})
 	if err != nil {
 		return err
 	}

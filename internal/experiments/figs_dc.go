@@ -7,6 +7,19 @@ import (
 	"repro/internal/stats"
 )
 
+// dcScheme is one labelled database and log allocation of a Debit-Credit
+// experiment.
+type dcScheme struct {
+	label string
+	db    DBSpec
+	log   LogSpec
+}
+
+// dcLabels returns the schemes' labels in order.
+func dcLabels(schemes []dcScheme) []string {
+	return labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+}
+
 // Fig41 reproduces Fig 4.1: influence of log file allocation on Debit-Credit
 // response time (NOFORCE). Four allocations: a single log disk, a single log
 // disk with a 500-page non-volatile cache write buffer, SSD, and NVEM.
@@ -26,19 +39,19 @@ func Fig41(o Options) (*stats.Figure, error) {
 		{"log-ssd", LogSpec{Kind: LogSSD}},
 		{"log-nvem", LogSpec{Kind: LogNVEM}},
 	}
-	labels := make([]string, len(schemes))
-	for i, sc := range schemes {
-		labels[i] = sc.label
-	}
-	err := sweepFigure(o, fig, labels, func(si, xi int, o Options) (*core.Result, error) {
+	cells, err := sweep(o, len(schemes), len(fig.X), func(si, xi int, o Options) (*core.Result, error) {
 		sc, rate := schemes[si], fig.X[xi]
 		res, err := DCSetup{Rate: rate, DB: DBSpec{Kind: DBRegular}, Log: sc.log}.Run(o)
 		if err != nil {
 			return nil, fmt.Errorf("fig4.1 %s @%v: %w", sc.label, rate, err)
 		}
 		return res, nil
-	}, respMean)
+	})
 	if err != nil {
+		return nil, err
+	}
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	if err := plot(fig, labels, cells, respMean); err != nil {
 		return nil, err
 	}
 	return fig, nil
@@ -47,16 +60,8 @@ func Fig41(o Options) (*stats.Figure, error) {
 // dbSchemes42 are the six database allocations of Fig 4.2. Database
 // partitions and log use the same device type to emphasize the relative
 // differences (section 4.3).
-func dbSchemes42() []struct {
-	Label string
-	DB    DBSpec
-	Log   LogSpec
-} {
-	return []struct {
-		Label string
-		DB    DBSpec
-		Log   LogSpec
-	}{
+func dbSchemes42() []dcScheme {
+	return []dcScheme{
 		{"disk", DBSpec{Kind: DBRegular}, LogSpec{Kind: LogDisk}},
 		{"disk-cache-wb", DBSpec{Kind: DBDiskCacheWB, Size: 500}, LogSpec{Kind: LogDiskWB, Size: 500}},
 		{"nvem-wb", DBSpec{Kind: DBNVEMWB, Size: 1000}, LogSpec{Kind: LogNVEMWB}},
@@ -76,19 +81,18 @@ func Fig42(o Options) (*stats.Figure, error) {
 		X:      o.rates(),
 	}
 	schemes := dbSchemes42()
-	labels := make([]string, len(schemes))
-	for i, sc := range schemes {
-		labels[i] = sc.Label
-	}
-	err := sweepFigure(o, fig, labels, func(si, xi int, o Options) (*core.Result, error) {
+	cells, err := sweep(o, len(schemes), len(fig.X), func(si, xi int, o Options) (*core.Result, error) {
 		sc, rate := schemes[si], fig.X[xi]
-		res, err := DCSetup{Rate: rate, DB: sc.DB, Log: sc.Log}.Run(o)
+		res, err := DCSetup{Rate: rate, DB: sc.db, Log: sc.log}.Run(o)
 		if err != nil {
-			return nil, fmt.Errorf("fig4.2 %s @%v: %w", sc.Label, rate, err)
+			return nil, fmt.Errorf("fig4.2 %s @%v: %w", sc.label, rate, err)
 		}
 		return res, nil
-	}, respMean)
+	})
 	if err != nil {
+		return nil, err
+	}
+	if err := plot(fig, dcLabels(schemes), cells, respMean); err != nil {
 		return nil, err
 	}
 	return fig, nil
@@ -103,44 +107,31 @@ func Fig43(o Options) (*stats.Figure, error) {
 		YLabel: "mean response time [ms]",
 		X:      o.rates(),
 	}
-	schemes := []struct {
-		label string
-		db    DBSpec
-		log   LogSpec
-	}{
+	schemes := []dcScheme{
 		{"disk", DBSpec{Kind: DBRegular}, LogSpec{Kind: LogDisk}},
 		{"disk-cache-wb", DBSpec{Kind: DBDiskCacheWB, Size: 500}, LogSpec{Kind: LogDiskWB, Size: 500}},
 		{"nvem-resident", DBSpec{Kind: DBNVEMResident}, LogSpec{Kind: LogNVEM}},
 	}
-	type variant struct {
-		label string
-		force bool
-		db    DBSpec
-		log   LogSpec
-	}
-	var variants []variant
-	for _, sc := range schemes {
-		for _, force := range []bool{true, false} {
-			name := "NOFORCE"
-			if force {
-				name = "FORCE"
-			}
-			variants = append(variants, variant{name + ":" + sc.label, force, sc.db, sc.log})
+	// Row 2i runs scheme i under FORCE, row 2i+1 under NOFORCE.
+	force := func(row int) bool { return row%2 == 0 }
+	labels := labelsOf(2*len(schemes), func(row int) string {
+		if force(row) {
+			return "FORCE:" + schemes[row/2].label
 		}
-	}
-	labels := make([]string, len(variants))
-	for i, v := range variants {
-		labels[i] = v.label
-	}
-	err := sweepFigure(o, fig, labels, func(si, xi int, o Options) (*core.Result, error) {
-		v, rate := variants[si], fig.X[xi]
-		res, err := DCSetup{Rate: rate, Force: v.force, DB: v.db, Log: v.log}.Run(o)
+		return "NOFORCE:" + schemes[row/2].label
+	})
+	cells, err := sweep(o, len(labels), len(fig.X), func(row, xi int, o Options) (*core.Result, error) {
+		sc, rate := schemes[row/2], fig.X[xi]
+		res, err := DCSetup{Rate: rate, Force: force(row), DB: sc.db, Log: sc.log}.Run(o)
 		if err != nil {
-			return nil, fmt.Errorf("fig4.3 %s @%v: %w", v.label, rate, err)
+			return nil, fmt.Errorf("fig4.3 %s @%v: %w", labels[row], rate, err)
 		}
 		return res, nil
-	}, respMean)
+	})
 	if err != nil {
+		return nil, err
+	}
+	if err := plot(fig, labels, cells, respMean); err != nil {
 		return nil, err
 	}
 	return fig, nil
@@ -149,16 +140,8 @@ func Fig43(o Options) (*stats.Figure, error) {
 // cachingSchemes are the second-level-cache configurations of Fig 4.4 and
 // Tables 4.2a/b. In configurations with non-volatile disk caches or NVEM,
 // those storage types are also used for logging (section 4.5).
-func cachingSchemes() []struct {
-	Label string
-	DB    DBSpec
-	Log   LogSpec
-} {
-	return []struct {
-		Label string
-		DB    DBSpec
-		Log   LogSpec
-	}{
+func cachingSchemes() []dcScheme {
+	return []dcScheme{
 		{"mm-only", DBSpec{Kind: DBRegular}, LogSpec{Kind: LogDisk}},
 		{"vol-cache-1000", DBSpec{Kind: DBVolCache, Size: 1000}, LogSpec{Kind: LogDisk}},
 		{"wb-in-nv-cache", DBSpec{Kind: DBDiskCacheWB, Size: 500}, LogSpec{Kind: LogDiskWB, Size: 500}},
@@ -168,40 +151,36 @@ func cachingSchemes() []struct {
 	}
 }
 
-// fig44Sizes is the main-memory buffer sweep of Fig 4.4.
-func (o Options) mmSizes() []int {
+// mmSizes is the main-memory buffer sweep of Fig 4.4 and Tables 4.2a/b.
+func (o Options) mmSizes() []float64 {
 	if o.Quick {
-		return []int{500, 2000}
+		return []float64{500, 2000}
 	}
-	return []int{200, 500, 1000, 2000, 5000}
+	return []float64{200, 500, 1000, 2000, 5000}
 }
 
 // Fig44 reproduces Fig 4.4: impact of caching for different main-memory
 // buffer sizes (NOFORCE, 500 TPS).
 func Fig44(o Options) (*stats.Figure, error) {
-	sizes := o.mmSizes()
 	fig := &stats.Figure{
 		Title:  "Fig 4.4: Impact of caching vs. main memory buffer size (NOFORCE, 500 TPS)",
 		XLabel: "MM buffer [pages]",
 		YLabel: "mean response time [ms]",
-	}
-	for _, s := range sizes {
-		fig.X = append(fig.X, float64(s))
+		X:      o.mmSizes(),
 	}
 	schemes := cachingSchemes()
-	labels := make([]string, len(schemes))
-	for i, sc := range schemes {
-		labels[i] = sc.Label
-	}
-	err := sweepFigure(o, fig, labels, func(si, xi int, o Options) (*core.Result, error) {
-		sc, mm := schemes[si], sizes[xi]
-		res, err := DCSetup{Rate: 500, MMBuffer: mm, DB: sc.DB, Log: sc.Log}.Run(o)
+	cells, err := sweep(o, len(schemes), len(fig.X), func(si, xi int, o Options) (*core.Result, error) {
+		sc, mm := schemes[si], int(fig.X[xi])
+		res, err := DCSetup{Rate: 500, MMBuffer: mm, DB: sc.db, Log: sc.log}.Run(o)
 		if err != nil {
-			return nil, fmt.Errorf("fig4.4 %s mm=%d: %w", sc.Label, mm, err)
+			return nil, fmt.Errorf("fig4.4 %s mm=%d: %w", sc.label, mm, err)
 		}
 		return res, nil
-	}, respMean)
+	})
 	if err != nil {
+		return nil, err
+	}
+	if err := plot(fig, dcLabels(schemes), cells, respMean); err != nil {
 		return nil, err
 	}
 	return fig, nil
@@ -213,52 +192,34 @@ func Fig44(o Options) (*stats.Figure, error) {
 // the remaining rows are the ADDITIONAL hits in each second-level cache.
 func Table42(o Options, force bool) (*stats.Table, error) {
 	sizes := o.mmSizes()
-	cols := make([]string, len(sizes))
-	for i, s := range sizes {
-		cols[i] = fmt.Sprint(s)
-	}
 	variant, name := "a", "NOFORCE"
 	if force {
 		variant, name = "b", "FORCE"
 	}
-	rows := []string{"main memory", "vol. disk cache 1000", "nv disk cache 1000", "NVEM cache 1000"}
+	rows := []dcScheme{
+		{"main memory", DBSpec{Kind: DBRegular}, LogSpec{Kind: LogDisk}},
+		{"vol. disk cache 1000", DBSpec{Kind: DBVolCache, Size: 1000}, LogSpec{Kind: LogDisk}},
+		{"nv disk cache 1000", DBSpec{Kind: DBNVCache, Size: 1000}, LogSpec{Kind: LogDiskWB, Size: 500}},
+		{"NVEM cache 1000", DBSpec{Kind: DBNVEMCache, Size: 1000}, LogSpec{Kind: LogNVEM}},
+	}
 	if !force {
-		rows = append(rows, "NVEM cache 500")
+		rows = append(rows, dcScheme{"NVEM cache 500", DBSpec{Kind: DBNVEMCache, Size: 500}, LogSpec{Kind: LogNVEM}})
 	}
 	tbl := stats.NewTable(
 		fmt.Sprintf("Table 4.2%s: MM and 2nd-level cache hit ratios in %% (%s, 500 TPS)", variant, name),
-		"cache \\ MM size", rows, cols)
-
-	type rowSpec struct {
-		db  DBSpec
-		log LogSpec
-	}
-	specs := []rowSpec{
-		{DBSpec{Kind: DBRegular}, LogSpec{Kind: LogDisk}},
-		{DBSpec{Kind: DBVolCache, Size: 1000}, LogSpec{Kind: LogDisk}},
-		{DBSpec{Kind: DBNVCache, Size: 1000}, LogSpec{Kind: LogDiskWB, Size: 500}},
-		{DBSpec{Kind: DBNVEMCache, Size: 1000}, LogSpec{Kind: LogNVEM}},
-	}
-	if !force {
-		specs = append(specs, rowSpec{DBSpec{Kind: DBNVEMCache, Size: 500}, LogSpec{Kind: LogNVEM}})
-	}
-	g := newGrid(o, len(specs), len(sizes))
-	for r, spec := range specs {
-		for c, mm := range sizes {
-			g.add(r, c, func(o Options) (*core.Result, error) {
-				res, err := DCSetup{Rate: 500, Force: force, MMBuffer: mm, DB: spec.db, Log: spec.log}.Run(o)
-				if err != nil {
-					return nil, fmt.Errorf("table4.2%s row %d mm=%d: %w", variant, r, mm, err)
-				}
-				return res, nil
-			})
+		"cache \\ MM size", dcLabels(rows), labelsOf(len(sizes), func(i int) string { return fmt.Sprint(sizes[i]) }))
+	cells, err := sweep(o, len(rows), len(sizes), func(r, c int, o Options) (*core.Result, error) {
+		spec, mm := rows[r], int(sizes[c])
+		res, err := DCSetup{Rate: 500, Force: force, MMBuffer: mm, DB: spec.db, Log: spec.log}.Run(o)
+		if err != nil {
+			return nil, fmt.Errorf("table4.2%s row %d mm=%d: %w", variant, r, mm, err)
 		}
-	}
-	cells, err := g.run()
+		return res, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	for r, spec := range specs {
+	for r, spec := range rows {
 		// Row 0 is the main-memory hit ratio; the remaining rows are the
 		// ADDITIONAL second-level hits: NVEM cache hits from the buffer
 		// manager, disk-cache read hits from the unit (as a fraction of
@@ -272,43 +233,35 @@ func Table42(o Options, force bool) (*stats.Table, error) {
 			metric = unitReadHitPct
 		}
 		for c := range sizes {
-			mean, ci := cells[r][c].meanCI(metric)
-			if o.reps() > 1 {
-				tbl.SetCI(r, c, mean, ci)
-			} else {
-				tbl.Set(r, c, mean)
-			}
+			setCell(tbl, r, c, cells[r][c], metric)
 		}
 	}
 	return tbl, nil
 }
 
-// fig45Sizes is the second-level cache sweep of Fig 4.5.
-func (o Options) secondLevelSizes() []int {
+// secondLevelSizes is the second-level cache sweep of Fig 4.5.
+func (o Options) secondLevelSizes() []float64 {
 	if o.Quick {
-		return []int{500, 2000}
+		return []float64{500, 2000}
 	}
-	return []int{200, 500, 1000, 2000, 5000}
+	return []float64{200, 500, 1000, 2000, 5000}
 }
 
 // Fig45 reproduces Fig 4.5: impact of the 2nd-level buffer size (NOFORCE,
 // 500 TPS, 500-page main-memory buffer): response times and additional hit
 // ratios per cache type.
 func Fig45(o Options) (*stats.Figure, *stats.Figure, error) {
-	sizes := o.secondLevelSizes()
 	respFig := &stats.Figure{
 		Title:  "Fig 4.5a: Response time vs. 2nd-level cache size (NOFORCE, 500 TPS, MM=500)",
 		XLabel: "2nd-level size [pages]",
 		YLabel: "mean response time [ms]",
+		X:      o.secondLevelSizes(),
 	}
 	hitFig := &stats.Figure{
 		Title:  "Fig 4.5b: Additional 2nd-level hit ratio vs. cache size (in % of all fixes)",
 		XLabel: "2nd-level size [pages]",
 		YLabel: "hit ratio [%]",
-	}
-	for _, s := range sizes {
-		respFig.X = append(respFig.X, float64(s))
-		hitFig.X = append(hitFig.X, float64(s))
+		X:      respFig.X,
 	}
 	schemes := []struct {
 		label string
@@ -319,37 +272,30 @@ func Fig45(o Options) (*stats.Figure, *stats.Figure, error) {
 		{"nv-disk-cache", DBNVCache, LogSpec{Kind: LogDiskWB, Size: 500}},
 		{"nvem-cache", DBNVEMCache, LogSpec{Kind: LogNVEM}},
 	}
-	g := newGrid(o, len(schemes), len(sizes))
-	for si, sc := range schemes {
-		for xi, size := range sizes {
-			g.add(si, xi, func(o Options) (*core.Result, error) {
-				res, err := DCSetup{
-					Rate: 500, MMBuffer: 500,
-					DB:  DBSpec{Kind: sc.kind, Size: size},
-					Log: sc.log,
-				}.Run(o)
-				if err != nil {
-					return nil, fmt.Errorf("fig4.5 %s size=%d: %w", sc.label, size, err)
-				}
-				return res, nil
-			})
+	cells, err := sweep(o, len(schemes), len(respFig.X), func(si, xi int, o Options) (*core.Result, error) {
+		sc, size := schemes[si], int(respFig.X[xi])
+		res, err := DCSetup{
+			Rate: 500, MMBuffer: 500,
+			DB:  DBSpec{Kind: sc.kind, Size: size},
+			Log: sc.log,
+		}.Run(o)
+		if err != nil {
+			return nil, fmt.Errorf("fig4.5 %s size=%d: %w", sc.label, size, err)
 		}
-	}
-	cells, err := g.run()
+		return res, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 	for si, sc := range schemes {
-		resp, respCI := seriesOf(cells[si], respMean)
 		hitMetric := unitReadHitPct
 		if sc.kind == DBNVEMCache {
 			hitMetric = nvemAddHitPct
 		}
-		hits, hitCI := seriesOf(cells[si], hitMetric)
-		if err := respFig.AddSeriesCI(sc.label, resp, respCI); err != nil {
+		if err := addSeries(respFig, sc.label, cells[si], respMean); err != nil {
 			return nil, nil, err
 		}
-		if err := hitFig.AddSeriesCI(sc.label, hits, hitCI); err != nil {
+		if err := addSeries(hitFig, sc.label, cells[si], hitMetric); err != nil {
 			return nil, nil, err
 		}
 	}

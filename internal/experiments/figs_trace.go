@@ -63,9 +63,7 @@ func (s TraceSetup) Build(o Options) (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	cfg := core.Defaults()
-	cfg.Seed = o.seed()
-	cfg.WarmupMS, cfg.MeasureMS = o.windows()
+	cfg := o.baseConfig()
 	cfg.Partitions = src.Partitions()
 	cfg.Generator = src
 	cfg.CCModes = make([]cc.Granularity, len(cfg.Partitions))
@@ -73,12 +71,11 @@ func (s TraceSetup) Build(o Options) (core.Config, error) {
 		cfg.CCModes[i] = cc.PageLevel
 	}
 
-	dbUnit := storage.DiskUnitConfig{
-		Name: "db", Type: storage.Regular,
-		NumControllers: 12, ContrDelay: core.DefaultContrDelay,
-		TransDelay: core.DefaultTransDelay,
-		NumDisks:   96, DiskDelay: core.DefaultDBDiskDelay,
+	if s.Log.Disks == 0 {
+		s.Log.Disks = 4
 	}
+	cfg.DiskUnits = diskUnits(12, 96, 2, s.Log.Disks)
+	dbUnit, logUnit := &cfg.DiskUnits[0], &cfg.DiskUnits[1]
 	part := buffer.PartitionAlloc{DiskUnit: 0}
 	bufCfg := buffer.Config{
 		BufferSize: s.MMBuffer,
@@ -109,15 +106,6 @@ func (s TraceSetup) Build(o Options) (core.Config, error) {
 		bufCfg.Partitions = append(bufCfg.Partitions, part)
 	}
 
-	if s.Log.Disks == 0 {
-		s.Log.Disks = 4
-	}
-	logUnit := storage.DiskUnitConfig{
-		Name: "log", Type: storage.Regular,
-		NumControllers: 2, ContrDelay: core.DefaultContrDelay,
-		TransDelay: core.DefaultTransDelay,
-		NumDisks:   s.Log.Disks, DiskDelay: core.DefaultLogDiskDelay,
-	}
 	switch s.Log.Kind {
 	case LogDisk:
 		bufCfg.Log = buffer.LogAlloc{DiskUnit: 1}
@@ -132,45 +120,31 @@ func (s TraceSetup) Build(o Options) (core.Config, error) {
 		return core.Config{}, fmt.Errorf("experiments: trace log kind %d unsupported", s.Log.Kind)
 	}
 
-	cfg.DiskUnits = []storage.DiskUnitConfig{dbUnit, logUnit}
 	cfg.Buffer = bufCfg
 	return cfg, nil
 }
 
 // Run builds and executes the setup.
-func (s TraceSetup) Run(o Options) (*core.Result, error) {
-	cfg, err := s.Build(o)
-	if err != nil {
-		return nil, err
-	}
-	return core.Run(cfg)
-}
+func (s TraceSetup) Run(o Options) (*core.Result, error) { return runBuilt(s.Build(o)) }
 
-func (o Options) traceMMSizes() []int {
+func (o Options) traceMMSizes() []float64 {
 	if o.Quick {
-		return []int{500, 2000}
+		return []float64{500, 2000}
 	}
-	return []int{100, 200, 500, 1000, 2000}
+	return []float64{100, 200, 500, 1000, 2000}
 }
 
 // Fig46 reproduces Fig 4.6: impact of the main-memory buffer size for the
 // real-life workload, with fixed 2000-page second-level caches, plus the
 // complete SSD and NVEM allocations.
 func Fig46(o Options) (*stats.Figure, error) {
-	sizes := o.traceMMSizes()
 	fig := &stats.Figure{
 		Title:  "Fig 4.6: Main memory buffer size, real-life trace (NOFORCE, 2nd-level 2000 pages)",
 		XLabel: "MM buffer [pages]",
 		YLabel: "mean response time [ms]",
+		X:      o.traceMMSizes(),
 	}
-	for _, s := range sizes {
-		fig.X = append(fig.X, float64(s))
-	}
-	schemes := []struct {
-		label string
-		db    DBSpec
-		log   LogSpec
-	}{
+	schemes := []dcScheme{
 		{"mm-only", DBSpec{Kind: DBRegular}, LogSpec{Kind: LogDisk}},
 		{"vol-disk-cache-2000", DBSpec{Kind: DBVolCache, Size: 2000}, LogSpec{Kind: LogDisk}},
 		{"nv-disk-cache-2000", DBSpec{Kind: DBNVCache, Size: 2000}, LogSpec{Kind: LogDiskWB, Size: 500}},
@@ -178,43 +152,39 @@ func Fig46(o Options) (*stats.Figure, error) {
 		{"ssd", DBSpec{Kind: DBSSD}, LogSpec{Kind: LogDiskWB, Size: 500}},
 		{"nvem-resident", DBSpec{Kind: DBNVEMResident}, LogSpec{Kind: LogNVEM}},
 	}
-	labels := make([]string, len(schemes))
-	for i, sc := range schemes {
-		labels[i] = sc.label
-	}
-	err := sweepFigure(o, fig, labels, func(si, xi int, o Options) (*core.Result, error) {
-		sc, mm := schemes[si], sizes[xi]
+	cells, err := sweep(o, len(schemes), len(fig.X), func(si, xi int, o Options) (*core.Result, error) {
+		sc, mm := schemes[si], int(fig.X[xi])
 		res, err := TraceSetup{MMBuffer: mm, DB: sc.db, Log: sc.log}.Run(o)
 		if err != nil {
 			return nil, fmt.Errorf("fig4.6 %s mm=%d: %w", sc.label, mm, err)
 		}
 		return res, nil
-	}, respMean)
+	})
 	if err != nil {
+		return nil, err
+	}
+	if err := plot(fig, dcLabels(schemes), cells, respMean); err != nil {
 		return nil, err
 	}
 	return fig, nil
 }
 
-func (o Options) traceSecondSizes() []int {
+func (o Options) traceSecondSizes() []float64 {
 	if o.Quick {
-		return []int{0, 2000}
+		return []float64{0, 2000}
 	}
-	return []int{0, 500, 1000, 2000, 5000}
+	return []float64{0, 500, 1000, 2000, 5000}
 }
 
 // Fig47 reproduces Fig 4.7: impact of the 2nd-level buffer size for the
 // real-life workload (1000-page main-memory buffer). Size 0 is main-memory
 // caching only.
 func Fig47(o Options) (*stats.Figure, error) {
-	sizes := o.traceSecondSizes()
 	fig := &stats.Figure{
 		Title:  "Fig 4.7: 2nd-level buffer size, real-life trace (NOFORCE, MM=1000)",
 		XLabel: "2nd-level size [pages]",
 		YLabel: "mean response time [ms]",
-	}
-	for _, s := range sizes {
-		fig.X = append(fig.X, float64(s))
+		X:      o.traceSecondSizes(),
 	}
 	schemes := []struct {
 		label string
@@ -225,12 +195,8 @@ func Fig47(o Options) (*stats.Figure, error) {
 		{"nv-disk-cache", DBNVCache, LogSpec{Kind: LogDiskWB, Size: 500}},
 		{"nvem-cache", DBNVEMCache, LogSpec{Kind: LogNVEM}},
 	}
-	labels := make([]string, len(schemes))
-	for i, sc := range schemes {
-		labels[i] = sc.label
-	}
-	err := sweepFigure(o, fig, labels, func(si, xi int, o Options) (*core.Result, error) {
-		sc, size := schemes[si], sizes[xi]
+	cells, err := sweep(o, len(schemes), len(fig.X), func(si, xi int, o Options) (*core.Result, error) {
+		sc, size := schemes[si], int(fig.X[xi])
 		setup := TraceSetup{MMBuffer: 1000, Log: sc.log}
 		if size == 0 {
 			setup.DB = DBSpec{Kind: DBRegular}
@@ -243,8 +209,12 @@ func Fig47(o Options) (*stats.Figure, error) {
 			return nil, fmt.Errorf("fig4.7 %s size=%d: %w", sc.label, size, err)
 		}
 		return res, nil
-	}, respMean)
+	})
 	if err != nil {
+		return nil, err
+	}
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	if err := plot(fig, labels, cells, respMean); err != nil {
 		return nil, err
 	}
 	return fig, nil

@@ -80,124 +80,135 @@ func (c cell) meanCI(metric func(*core.Result) float64) (mean, ci float64) {
 	return stats.MeanCI95Seq(len(c.results), func(i int) float64 { return metric(c.results[i]) })
 }
 
+// replicated reports whether the cell holds more than one run.
+func (c cell) replicated() bool { return len(c.results) > 1 }
+
 // fmtMeanCI renders the replication mean with the given verb, appending
 // "±ci" when the cell holds more than one run. With a single replication the
 // output matches formatting the raw result directly.
 func (c cell) fmtMeanCI(format string, metric func(*core.Result) float64) string {
 	mean, ci := c.meanCI(metric)
-	if len(c.results) <= 1 {
+	if !c.replicated() {
 		return fmt.Sprintf(format, mean)
 	}
 	return fmt.Sprintf(format+"±"+format, mean, ci)
 }
 
-// grid runs a rows×cols matrix of simulation points, each replicated
-// o.reps() times, on o.parallelism() workers.
-type grid struct {
-	o          Options
-	rows, cols int
-	jobs       []func(Options) (*core.Result, error)
-}
-
-// newGrid allocates an empty grid of the given shape.
-func newGrid(o Options, rows, cols int) *grid {
-	return &grid{o: o, rows: rows, cols: cols,
-		jobs: make([]func(Options) (*core.Result, error), rows*cols)}
-}
-
-// add registers the simulation at (row, col). job receives Options carrying
-// the derived seed of its replication and must build and execute one run.
-func (g *grid) add(row, col int, job func(Options) (*core.Result, error)) {
-	g.jobs[row*g.cols+col] = job
-}
-
-// run executes every registered point × replication and returns the cells
-// indexed [row][col]. On failure it returns the error of the lowest-indexed
-// failing run (deterministic regardless of scheduling).
-func (g *grid) run() ([][]cell, error) {
-	reps := g.o.reps()
-	type spec struct{ cellIdx, rep int }
-	specs := make([]spec, 0, len(g.jobs)*reps)
-	for i, job := range g.jobs {
-		if job == nil {
-			continue
-		}
-		for r := 0; r < reps; r++ {
-			specs = append(specs, spec{i, r})
-		}
-	}
-	results := make([]*core.Result, len(specs))
-	errs := make([]error, len(specs))
-	base := g.o.seed()
-	workers := g.o.parallelism()
-	concurrent := min(workers, len(specs)) > 1
-	runPool(workers, len(specs), func(k int) {
-		sp := specs[k]
-		o := g.o
-		o.Seed = rng.Derive(base, sp.rep)
-		o.concurrent = concurrent
-		results[k], errs[k] = g.jobs[sp.cellIdx](o)
+// sweep runs a rows×cols grid of simulation points, each replicated
+// o.reps() times, on o.parallelism() workers, and returns the cells indexed
+// [row][col]. run(r, c, o) builds and executes point (r, c); o carries the
+// derived seed of its replication. Runs are claimed cell-major (all
+// replications of a point are consecutive). On failure sweep returns the
+// error of the lowest-indexed failing run, whatever the scheduling.
+func sweep(o Options, rows, cols int, run func(r, c int, o Options) (*core.Result, error)) ([][]cell, error) {
+	reps := o.reps()
+	n := rows * cols * reps
+	results := make([]*core.Result, n)
+	errs := make([]error, n)
+	base := o.seed()
+	workers := o.parallelism()
+	concurrent := min(workers, n) > 1
+	runPool(workers, n, func(k int) {
+		idx, rep := k/reps, k%reps
+		ro := o
+		ro.Seed = rng.Derive(base, rep)
+		ro.concurrent = concurrent
+		results[k], errs[k] = run(idx/cols, idx%cols, ro)
 	})
-	for k := range errs {
-		if errs[k] != nil {
-			return nil, errs[k]
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	cells := make([][]cell, g.rows)
+	// Every cell's results are a contiguous, capacity-capped window of the
+	// one per-sweep result slice — no per-cell slices.
+	cells := make([][]cell, rows)
 	for r := range cells {
-		cells[r] = make([]cell, g.cols)
-	}
-	// specs is cell-major (all replications of a point are consecutive), so
-	// every cell's results are a contiguous, capacity-capped window of the
-	// one per-grid accumulation buffer — no per-cell slices.
-	for k := 0; k < len(specs); k += reps {
-		idx := specs[k].cellIdx
-		cells[idx/g.cols][idx%g.cols].results = results[k : k+reps : k+reps]
+		cells[r] = make([]cell, cols)
+		for c := range cells[r] {
+			k := (r*cols + c) * reps
+			cells[r][c].results = results[k : k+reps : k+reps]
+		}
 	}
 	return cells, nil
 }
 
-// seriesOf maps one grid row to y-points under metric. The second return
-// holds the 95%-confidence half-widths, nil when the row is unreplicated.
-func seriesOf(row []cell, metric func(*core.Result) float64) (points, cis []float64) {
-	points = make([]float64, len(row))
-	cis = make([]float64, len(row))
-	replicated := false
-	for i, c := range row {
-		points[i], cis[i] = c.meanCI(metric)
-		if len(c.results) > 1 {
-			replicated = true
-		}
+// labelsOf returns label(i) for each of n rows.
+func labelsOf(n int, label func(i int) string) []string {
+	labels := make([]string, n)
+	for i := range labels {
+		labels[i] = label(i)
+	}
+	return labels
+}
+
+// addPoints adds an n-point series to fig: at(i) gives point i's
+// replication mean and 95%-confidence half-width. The half-widths render
+// only when the points are replicated.
+func addPoints(fig *stats.Figure, label string, n int, replicated bool, at func(i int) (mean, ci float64)) error {
+	points, cis := make([]float64, n), make([]float64, n)
+	for i := range points {
+		points[i], cis[i] = at(i)
 	}
 	if !replicated {
 		cis = nil
 	}
-	return points, cis
+	return fig.AddSeriesCI(label, points, cis)
 }
 
-// sweepFigure fills fig with one series per label: run(si, xi, o) executes
-// the simulation of series si at x index xi, and metric maps each run to its
-// y value. All points (× replications) run on the shared pool.
-func sweepFigure(o Options, fig *stats.Figure, labels []string,
-	run func(si, xi int, o Options) (*core.Result, error),
-	metric func(*core.Result) float64) error {
-	g := newGrid(o, len(labels), len(fig.X))
-	for si := range labels {
-		for xi := range fig.X {
-			g.add(si, xi, func(o Options) (*core.Result, error) { return run(si, xi, o) })
-		}
-	}
-	cells, err := g.run()
-	if err != nil {
-		return err
-	}
-	for si, label := range labels {
-		points, cis := seriesOf(cells[si], metric)
-		if err := fig.AddSeriesCI(label, points, cis); err != nil {
+// addSeries adds one row of cells to fig as a series of metric.
+func addSeries(fig *stats.Figure, label string, row []cell, metric func(*core.Result) float64) error {
+	return addPoints(fig, label, len(row), row[0].replicated(), func(i int) (float64, float64) {
+		return row[i].meanCI(metric)
+	})
+}
+
+// plot adds every row of cells to fig as a series of metric, row r under
+// labels[r].
+func plot(fig *stats.Figure, labels []string, cells [][]cell, metric func(*core.Result) float64) error {
+	for r, label := range labels {
+		if err := addSeries(fig, label, cells[r], metric); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// addTimelines adds c's two commit timelines to fig, one point per x
+// bucket: the cluster-wide one as label:cluster and the crashed node's own
+// as label:node0.
+func addTimelines(fig *stats.Figure, label string, c cell) error {
+	for _, tl := range []struct {
+		suffix string
+		of     func(*core.Result) []int64
+	}{
+		{"cluster", func(r *core.Result) []int64 { return r.Timeline }},
+		{"node0", func(r *core.Result) []int64 { return r.CrashedTimeline }},
+	} {
+		err := addPoints(fig, label+":"+tl.suffix, len(fig.X), c.replicated(), func(b int) (float64, float64) {
+			return c.meanCI(func(r *core.Result) float64 {
+				if t := tl.of(r); b < len(t) {
+					return float64(t[b])
+				}
+				return 0
+			})
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// setCell fills table cell (r, col) with c's replication mean of metric,
+// with ± its 95%-confidence half-width only when c is replicated.
+func setCell(tbl *stats.Table, r, col int, c cell, metric func(*core.Result) float64) {
+	mean, ci := c.meanCI(metric)
+	if c.replicated() {
+		tbl.SetCI(r, col, mean, ci)
+	} else {
+		tbl.Set(r, col, mean)
+	}
 }
 
 // Shared metric extractors.

@@ -45,18 +45,12 @@ func TestGridSeedDerivation(t *testing.T) {
 		o := Options{Seed: 11, Quick: true, Replications: 3, Parallelism: workers}
 		var mu sync.Mutex
 		seen := map[int64]int{}
-		g := newGrid(o, 2, 2)
-		for r := 0; r < 2; r++ {
-			for c := 0; c < 2; c++ {
-				g.add(r, c, func(o Options) (*core.Result, error) {
-					mu.Lock()
-					seen[o.Seed]++
-					mu.Unlock()
-					return &core.Result{Commits: o.Seed}, nil
-				})
-			}
-		}
-		cells, err := g.run()
+		cells, err := sweep(o, 2, 2, func(_, _ int, o Options) (*core.Result, error) {
+			mu.Lock()
+			seen[o.Seed]++
+			mu.Unlock()
+			return &core.Result{Commits: o.Seed}, nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,16 +78,12 @@ func TestGridSeedDerivation(t *testing.T) {
 // failure regardless of scheduling.
 func TestGridFirstErrorDeterministic(t *testing.T) {
 	o := Options{Quick: true, Parallelism: 8}
-	g := newGrid(o, 1, 3)
-	for c := 0; c < 3; c++ {
-		g.add(0, c, func(Options) (*core.Result, error) {
-			if c >= 1 {
-				return nil, errors.New("boom-" + string(rune('0'+c)))
-			}
-			return &core.Result{}, nil
-		})
-	}
-	_, err := g.run()
+	_, err := sweep(o, 1, 3, func(_, c int, _ Options) (*core.Result, error) {
+		if c >= 1 {
+			return nil, errors.New("boom-" + string(rune('0'+c)))
+		}
+		return &core.Result{}, nil
+	})
 	if err == nil || err.Error() != "boom-1" {
 		t.Fatalf("got error %v, want boom-1", err)
 	}

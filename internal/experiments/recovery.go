@@ -106,37 +106,24 @@ func RecoveryRestart(o Options) (*stats.Table, error) {
 	metrics := []func(*core.Result) float64{
 		restartMS, logScanMS, redoMS, restartEstimateMS, restartLogPages, restartRedoPages,
 	}
-	labels := make([]string, len(rows))
-	for i, r := range rows {
-		labels[i] = r.label
-	}
 	tbl := stats.NewTable(
 		fmt.Sprintf("Restart time by log/database placement (Debit-Credit %d TPS, NOFORCE, ckpt %.0fs)",
 			rate, defaultCkptIntervalMS/1000.0),
-		"placement", labels, cols)
+		"placement", labelsOf(len(rows), func(i int) string { return rows[i].label }), cols)
 
-	g := newGrid(o, len(rows), 1)
-	for r, spec := range rows {
-		g.add(r, 0, func(o Options) (*core.Result, error) {
-			res, err := RecoverySetup{DC: spec.dc, CheckpointMS: defaultCkptIntervalMS, RebootMS: 500}.Run(o)
-			if err != nil {
-				return nil, fmt.Errorf("recovery.restart %s: %w", spec.label, err)
-			}
-			return res, nil
-		})
-	}
-	cells, err := g.run()
+	cells, err := sweep(o, len(rows), 1, func(r, _ int, o Options) (*core.Result, error) {
+		res, err := RecoverySetup{DC: rows[r].dc, CheckpointMS: defaultCkptIntervalMS, RebootMS: 500}.Run(o)
+		if err != nil {
+			return nil, fmt.Errorf("recovery.restart %s: %w", rows[r].label, err)
+		}
+		return res, nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	for r := range rows {
 		for c, metric := range metrics {
-			mean, ci := cells[r][0].meanCI(metric)
-			if o.reps() > 1 {
-				tbl.SetCI(r, c, mean, ci)
-			} else {
-				tbl.Set(r, c, mean)
-			}
+			setCell(tbl, r, c, cells[r][0], metric)
 		}
 	}
 	return tbl, nil
@@ -168,62 +155,36 @@ func RecoveryCheckpoint(o Options) (*stats.Figure, *stats.Figure, error) {
 		YLabel: "restart time [ms]",
 		X:      o.ckptIntervals(),
 	}
-	type scheme struct {
+	schemes := []struct {
 		label string
 		log   LogSpec
-	}
-	schemes := []scheme{
+	}{
 		{"log-disk", LogSpec{Kind: LogDisk}},
 		{"log-nvem", LogSpec{Kind: LogNVEM}},
 	}
-	labels := make([]string, len(schemes))
-	for i, sc := range schemes {
-		labels[i] = sc.label
-	}
-	g := newGrid(o, len(schemes), len(resp.X))
-	for si := range schemes {
-		for xi := range resp.X {
-			si, xi := si, xi
-			g.add(si, xi, func(o Options) (*core.Result, error) {
-				sc, interval := schemes[si], resp.X[xi]
-				res, err := RecoverySetup{
-					DC:           DCSetup{Rate: 200, DB: DBSpec{Kind: DBRegular}, Log: sc.log},
-					CheckpointMS: interval,
-					RebootMS:     500,
-				}.Run(o)
-				if err != nil {
-					return nil, fmt.Errorf("recovery.checkpoint %s @%v: %w", sc.label, interval, err)
-				}
-				return res, nil
-			})
+	cells, err := sweep(o, len(schemes), len(resp.X), func(si, xi int, o Options) (*core.Result, error) {
+		sc, interval := schemes[si], resp.X[xi]
+		res, err := RecoverySetup{
+			DC:           DCSetup{Rate: 200, DB: DBSpec{Kind: DBRegular}, Log: sc.log},
+			CheckpointMS: interval,
+			RebootMS:     500,
+		}.Run(o)
+		if err != nil {
+			return nil, fmt.Errorf("recovery.checkpoint %s @%v: %w", sc.label, interval, err)
 		}
-	}
-	cells, err := g.run()
+		return res, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	for si, label := range labels {
-		points, cis := seriesOf(cells[si], respMean)
-		if err := resp.AddSeriesCI(label, points, cis); err != nil {
-			return nil, nil, err
-		}
-		r, rCI := seriesOf(cells[si], restartMS)
-		if err := restart.AddSeriesCI(label, r, rCI); err != nil {
-			return nil, nil, err
-		}
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	if err := plot(resp, labels, cells, respMean); err != nil {
+		return nil, nil, err
+	}
+	if err := plot(restart, labels, cells, restartMS); err != nil {
+		return nil, nil, err
 	}
 	return resp, restart, nil
-}
-
-// bucketMetric extracts one timeline bucket as a grid metric.
-func bucketMetric(timeline func(*core.Result) []int64, b int) func(*core.Result) float64 {
-	return func(r *core.Result) float64 {
-		tl := timeline(r)
-		if b >= len(tl) {
-			return 0
-		}
-		return float64(tl[b])
-	}
 }
 
 // The recovery.availability scenario, shared with table2.1's downtime-cost
@@ -294,56 +255,27 @@ func RecoveryAvailability(o Options) (*stats.Figure, *stats.Table, error) {
 		X:      x,
 	}
 	schemes := availSchemes()
-	labels := make([]string, len(schemes))
-	for i, sc := range schemes {
-		labels[i] = sc.label
-	}
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
 	tbl := stats.NewTable("Restart breakdown", "scheme", labels,
 		[]string{"restart-ms", "log-scan-ms", "redo-ms", "log-pages", "redo-pages"})
 
-	g := newGrid(o, len(schemes), 1)
-	for si, sc := range schemes {
-		g.add(si, 0, func(o Options) (*core.Result, error) {
-			res, err := availSetup(sc, bucketMS).Run(o)
-			if err != nil {
-				return nil, fmt.Errorf("recovery.availability %s: %w", sc.label, err)
-			}
-			return res, nil
-		})
-	}
-	cells, err := g.run()
+	cells, err := sweep(o, len(schemes), 1, func(si, _ int, o Options) (*core.Result, error) {
+		res, err := availSetup(schemes[si], bucketMS).Run(o)
+		if err != nil {
+			return nil, fmt.Errorf("recovery.availability %s: %w", schemes[si].label, err)
+		}
+		return res, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	series := []struct {
-		suffix   string
-		timeline func(*core.Result) []int64
-	}{
-		{"cluster", func(r *core.Result) []int64 { return r.Timeline }},
-		{"node0", func(r *core.Result) []int64 { return r.CrashedTimeline }},
-	}
+	metrics := []func(*core.Result) float64{restartMS, logScanMS, redoMS, restartLogPages, restartRedoPages}
 	for si, label := range labels {
-		for _, sr := range series {
-			points := make([]float64, buckets)
-			cis := make([]float64, buckets)
-			for b := range points {
-				points[b], cis[b] = cells[si][0].meanCI(bucketMetric(sr.timeline, b))
-			}
-			if len(cells[si][0].results) <= 1 {
-				cis = nil
-			}
-			if err := fig.AddSeriesCI(label+":"+sr.suffix, points, cis); err != nil {
-				return nil, nil, err
-			}
+		if err := addTimelines(fig, label, cells[si][0]); err != nil {
+			return nil, nil, err
 		}
-		metrics := []func(*core.Result) float64{restartMS, logScanMS, redoMS, restartLogPages, restartRedoPages}
 		for c, metric := range metrics {
-			mean, ci := cells[si][0].meanCI(metric)
-			if o.reps() > 1 {
-				tbl.SetCI(si, c, mean, ci)
-			} else {
-				tbl.Set(si, c, mean)
-			}
+			setCell(tbl, si, c, cells[si][0], metric)
 		}
 	}
 	return fig, tbl, nil

@@ -122,6 +122,36 @@ type DCSetup struct {
 	MeasureScale float64
 }
 
+// baseConfig returns the engine defaults of Table 4.1 with o's seed and
+// measurement windows.
+func (o Options) baseConfig() core.Config {
+	cfg := core.Defaults()
+	cfg.Seed = o.seed()
+	cfg.WarmupMS, cfg.MeasureMS = o.windows()
+	return cfg
+}
+
+// diskUnits returns the regular-disk farm of Table 4.1: unit 0 holds the
+// database, unit 1 the log, each with the given controller and disk counts.
+func diskUnits(dbCtrl, dbDisks, logCtrl, logDisks int) []storage.DiskUnitConfig {
+	return []storage.DiskUnitConfig{
+		{Name: "db", Type: storage.Regular, NumControllers: dbCtrl,
+			ContrDelay: core.DefaultContrDelay, TransDelay: core.DefaultTransDelay,
+			NumDisks: dbDisks, DiskDelay: core.DefaultDBDiskDelay},
+		{Name: "log", Type: storage.Regular, NumControllers: logCtrl,
+			ContrDelay: core.DefaultContrDelay, TransDelay: core.DefaultTransDelay,
+			NumDisks: logDisks, DiskDelay: core.DefaultLogDiskDelay},
+	}
+}
+
+// runBuilt executes a configuration a single-node setup's Build returned.
+func runBuilt(cfg core.Config, err error) (*core.Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return core.Run(cfg)
+}
+
 // Build assembles the engine configuration for the setup.
 func (s DCSetup) Build(o Options) (core.Config, error) {
 	dcCfg := workload.DefaultDebitCreditConfig(s.Rate)
@@ -130,9 +160,7 @@ func (s DCSetup) Build(o Options) (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	cfg := core.Defaults()
-	cfg.Seed = o.seed()
-	cfg.WarmupMS, cfg.MeasureMS = o.windows()
+	cfg := o.baseConfig()
 	if s.MeasureScale > 0 {
 		cfg.MeasureMS *= s.MeasureScale
 	}
@@ -148,12 +176,8 @@ func (s DCSetup) Build(o Options) (core.Config, error) {
 		s.Log.Disks = 8 // "sufficient to avoid bottlenecks"
 	}
 
-	dbUnit := storage.DiskUnitConfig{
-		Name: "db", Type: storage.Regular,
-		NumControllers: 12, ContrDelay: core.DefaultContrDelay,
-		TransDelay: core.DefaultTransDelay,
-		NumDisks:   96, DiskDelay: core.DefaultDBDiskDelay,
-	}
+	cfg.DiskUnits = diskUnits(12, 96, 2, s.Log.Disks)
+	dbUnit, logUnit := &cfg.DiskUnits[0], &cfg.DiskUnits[1]
 	part := buffer.PartitionAlloc{DiskUnit: 0}
 	bufCfg := buffer.Config{
 		BufferSize: s.MMBuffer,
@@ -193,12 +217,6 @@ func (s DCSetup) Build(o Options) (core.Config, error) {
 	}
 	bufCfg.Partitions = []buffer.PartitionAlloc{part, part, part}
 
-	logUnit := storage.DiskUnitConfig{
-		Name: "log", Type: storage.Regular,
-		NumControllers: 2, ContrDelay: core.DefaultContrDelay,
-		TransDelay: core.DefaultTransDelay,
-		NumDisks:   s.Log.Disks, DiskDelay: core.DefaultLogDiskDelay,
-	}
 	switch s.Log.Kind {
 	case LogDisk:
 	case LogDiskWB:
@@ -223,19 +241,12 @@ func (s DCSetup) Build(o Options) (core.Config, error) {
 		bufCfg.Log = buffer.LogAlloc{DiskUnit: 1}
 	}
 
-	cfg.DiskUnits = []storage.DiskUnitConfig{dbUnit, logUnit}
 	cfg.Buffer = bufCfg
 	return cfg, nil
 }
 
 // Run builds and executes the setup.
-func (s DCSetup) Run(o Options) (*core.Result, error) {
-	cfg, err := s.Build(o)
-	if err != nil {
-		return nil, err
-	}
-	return core.Run(cfg)
-}
+func (s DCSetup) Run(o Options) (*core.Result, error) { return runBuilt(s.Build(o)) }
 
 func orDefault(v, def int) int {
 	if v == 0 {

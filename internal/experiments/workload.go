@@ -61,48 +61,29 @@ func WorkloadBurstiness(o Options) (*stats.Figure, *stats.Figure, error) {
 		YLabel: "p95 response time [ms]",
 		X:      o.burstFactors(),
 	}
-	type scheme struct {
-		label string
-		db    DBSpec
-		log   LogSpec
-	}
-	schemes := []scheme{
+	schemes := []dcScheme{
 		{"disk", DBSpec{Kind: DBRegular}, LogSpec{Kind: LogDisk}},
 		{"log-nvem", DBSpec{Kind: DBRegular}, LogSpec{Kind: LogNVEM}},
 		{"db+log-nvem", DBSpec{Kind: DBNVEMResident}, LogSpec{Kind: LogNVEM}},
 	}
-	labels := make([]string, len(schemes))
-	for i, sc := range schemes {
-		labels[i] = sc.label
-	}
-	g := newGrid(o, len(schemes), len(resp.X))
-	for si := range schemes {
-		for xi := range resp.X {
-			si, xi := si, xi
-			g.add(si, xi, func(o Options) (*core.Result, error) {
-				sc, factor := schemes[si], resp.X[xi]
-				res, err := DCSetup{Rate: rate, DB: sc.db, Log: sc.log,
-					Arrival: burstSpec(factor)}.Run(o)
-				if err != nil {
-					return nil, fmt.Errorf("workload.burstiness %s @%v: %w", sc.label, factor, err)
-				}
-				return res, nil
-			})
+	cells, err := sweep(o, len(schemes), len(resp.X), func(si, xi int, o Options) (*core.Result, error) {
+		sc, factor := schemes[si], resp.X[xi]
+		res, err := DCSetup{Rate: rate, DB: sc.db, Log: sc.log,
+			Arrival: burstSpec(factor)}.Run(o)
+		if err != nil {
+			return nil, fmt.Errorf("workload.burstiness %s @%v: %w", sc.label, factor, err)
 		}
-	}
-	cells, err := g.run()
+		return res, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	for si, label := range labels {
-		points, cis := seriesOf(cells[si], respMean)
-		if err := resp.AddSeriesCI(label, points, cis); err != nil {
-			return nil, nil, err
-		}
-		tail, tailCI := seriesOf(cells[si], respP95)
-		if err := p95.AddSeriesCI(label, tail, tailCI); err != nil {
-			return nil, nil, err
-		}
+	labels := dcLabels(schemes)
+	if err := plot(resp, labels, cells, respMean); err != nil {
+		return nil, nil, err
+	}
+	if err := plot(p95, labels, cells, respP95); err != nil {
+		return nil, nil, err
 	}
 	return resp, p95, nil
 }
@@ -179,24 +160,17 @@ func WorkloadSpikeCrash(o Options) (*stats.Figure, *stats.Table, error) {
 		{"admission-off", false},
 		{"admission-on", true},
 	}
-	labels := make([]string, len(schemes))
-	for i, sc := range schemes {
-		labels[i] = sc.label
-	}
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
 	tbl := stats.NewTable("Admission control during the spike-crash window", "scheme", labels,
 		[]string{"survivor-resp-ms", "resp-ms", "shed", "dropped", "commits", "restart-ms"})
 
-	g := newGrid(o, len(schemes), 1)
-	for si, sc := range schemes {
-		g.add(si, 0, func(o Options) (*core.Result, error) {
-			res, err := spikeCrashSetup(sc.admission).Run(o)
-			if err != nil {
-				return nil, fmt.Errorf("workload.spike-crash %s: %w", sc.label, err)
-			}
-			return res, nil
-		})
-	}
-	cells, err := g.run()
+	cells, err := sweep(o, len(schemes), 1, func(si, _ int, o Options) (*core.Result, error) {
+		res, err := spikeCrashSetup(schemes[si].admission).Run(o)
+		if err != nil {
+			return nil, fmt.Errorf("workload.spike-crash %s: %w", schemes[si].label, err)
+		}
+		return res, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -204,32 +178,11 @@ func WorkloadSpikeCrash(o Options) (*stats.Figure, *stats.Table, error) {
 		survivorRespMean, respMean, shedCount, droppedCount, commitCount, restartMS,
 	}
 	for si, label := range labels {
-		for _, sr := range []struct {
-			suffix   string
-			timeline func(*core.Result) []int64
-		}{
-			{"cluster", func(r *core.Result) []int64 { return r.Timeline }},
-			{"node0", func(r *core.Result) []int64 { return r.CrashedTimeline }},
-		} {
-			points := make([]float64, buckets)
-			cis := make([]float64, buckets)
-			for b := range points {
-				points[b], cis[b] = cells[si][0].meanCI(bucketMetric(sr.timeline, b))
-			}
-			if len(cells[si][0].results) <= 1 {
-				cis = nil
-			}
-			if err := fig.AddSeriesCI(label+":"+sr.suffix, points, cis); err != nil {
-				return nil, nil, err
-			}
+		if err := addTimelines(fig, label, cells[si][0]); err != nil {
+			return nil, nil, err
 		}
 		for c, metric := range metrics {
-			mean, ci := cells[si][0].meanCI(metric)
-			if o.reps() > 1 {
-				tbl.SetCI(si, c, mean, ci)
-			} else {
-				tbl.Set(si, c, mean)
-			}
+			setCell(tbl, si, c, cells[si][0], metric)
 		}
 	}
 	return fig, tbl, nil
@@ -272,52 +225,37 @@ func WorkloadDiurnal(o Options) (*stats.Figure, *stats.Figure, error) {
 		YLabel: "p95 response time [ms]",
 		X:      o.diurnalAmplitudes(),
 	}
-	type scheme struct {
+	schemes := []struct {
 		label string
 		log   LogSpec
-	}
-	schemes := []scheme{
+	}{
 		{"log-single-disk", LogSpec{Kind: LogDisk, Disks: 1}},
 		{"log-disks", LogSpec{Kind: LogDisk}},
 		{"log-nvem", LogSpec{Kind: LogNVEM}},
 	}
-	labels := make([]string, len(schemes))
-	for i, sc := range schemes {
-		labels[i] = sc.label
-	}
-	g := newGrid(o, len(schemes), len(resp.X))
-	for si := range schemes {
-		for xi := range resp.X {
-			si, xi := si, xi
-			g.add(si, xi, func(o Options) (*core.Result, error) {
-				sc, amp := schemes[si], resp.X[xi]
-				res, err := DCSetup{Rate: rate, DB: DBSpec{Kind: DBRegular}, Log: sc.log,
-					MeasureScale: measureScale,
-					Arrival: workload.ArrivalSpec{
-						Kind:      workload.ArrivalDiurnal,
-						Amplitude: amp,
-						PeriodMS:  periodMS,
-					}}.Run(o)
-				if err != nil {
-					return nil, fmt.Errorf("workload.diurnal %s @%v: %w", sc.label, amp, err)
-				}
-				return res, nil
-			})
+	cells, err := sweep(o, len(schemes), len(resp.X), func(si, xi int, o Options) (*core.Result, error) {
+		sc, amp := schemes[si], resp.X[xi]
+		res, err := DCSetup{Rate: rate, DB: DBSpec{Kind: DBRegular}, Log: sc.log,
+			MeasureScale: measureScale,
+			Arrival: workload.ArrivalSpec{
+				Kind:      workload.ArrivalDiurnal,
+				Amplitude: amp,
+				PeriodMS:  periodMS,
+			}}.Run(o)
+		if err != nil {
+			return nil, fmt.Errorf("workload.diurnal %s @%v: %w", sc.label, amp, err)
 		}
-	}
-	cells, err := g.run()
+		return res, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	for si, label := range labels {
-		points, cis := seriesOf(cells[si], respMean)
-		if err := resp.AddSeriesCI(label, points, cis); err != nil {
-			return nil, nil, err
-		}
-		tail, tailCI := seriesOf(cells[si], respP95)
-		if err := p95.AddSeriesCI(label, tail, tailCI); err != nil {
-			return nil, nil, err
-		}
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	if err := plot(resp, labels, cells, respMean); err != nil {
+		return nil, nil, err
+	}
+	if err := plot(p95, labels, cells, respP95); err != nil {
+		return nil, nil, err
 	}
 	return resp, p95, nil
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/stats"
-	"repro/internal/storage"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -37,11 +36,11 @@ const (
 	skewTheta    = 0.95
 )
 
-func (o Options) skewNVEMSizes() []int {
+func (o Options) skewNVEMSizes() []float64 {
 	if o.Quick {
-		return []int{125, 500, 2000}
+		return []float64{125, 500, 2000}
 	}
-	return []int{125, 250, 500, 1000, 2000}
+	return []float64{125, 250, 500, 1000, 2000}
 }
 
 // WorkloadSkew sweeps the NVEM second-level cache size under three
@@ -52,15 +51,12 @@ func (o Options) skewNVEMSizes() []int {
 // pages, so response time falls off a knee once the cache grows past the
 // hot set; Zipf sits in between.
 func WorkloadSkew(o Options) (*stats.Figure, *stats.Figure, error) {
-	sizes := o.skewNVEMSizes()
 	resp := &stats.Figure{
 		Title: fmt.Sprintf("Access skew vs. NVEM cache size (Debit-Credit %d TPS, MM=%d)",
 			skewRate, skewMMBuffer),
 		XLabel: "NVEM cache [pages]",
 		YLabel: "mean response time [ms]",
-	}
-	for _, s := range sizes {
-		resp.X = append(resp.X, float64(s))
+		X:      o.skewNVEMSizes(),
 	}
 	hits := &stats.Figure{
 		Title:  "Access skew: additional NVEM cache hits",
@@ -77,40 +73,26 @@ func WorkloadSkew(o Options) (*stats.Figure, *stats.Figure, error) {
 		{"hotspot-90/0.01", workload.AccessSpec{Kind: workload.AccessHotSpot,
 			HotAccessFrac: skewHotFrac, HotDataFrac: skewHotData}},
 	}
-	labels := make([]string, len(schemes))
-	for i, sc := range schemes {
-		labels[i] = sc.label
-	}
-	g := newGrid(o, len(schemes), len(sizes))
-	for si := range schemes {
-		for xi := range sizes {
-			si, xi := si, xi
-			g.add(si, xi, func(o Options) (*core.Result, error) {
-				sc, size := schemes[si], sizes[xi]
-				res, err := DCSetup{Rate: skewRate, MMBuffer: skewMMBuffer,
-					DB:   DBSpec{Kind: DBNVEMCache, Size: size},
-					Log:  LogSpec{Kind: LogNVEM},
-					Skew: sc.skew}.Run(o)
-				if err != nil {
-					return nil, fmt.Errorf("workload.skew %s nvem=%d: %w", sc.label, size, err)
-				}
-				return res, nil
-			})
+	cells, err := sweep(o, len(schemes), len(resp.X), func(si, xi int, o Options) (*core.Result, error) {
+		sc, size := schemes[si], int(resp.X[xi])
+		res, err := DCSetup{Rate: skewRate, MMBuffer: skewMMBuffer,
+			DB:   DBSpec{Kind: DBNVEMCache, Size: size},
+			Log:  LogSpec{Kind: LogNVEM},
+			Skew: sc.skew}.Run(o)
+		if err != nil {
+			return nil, fmt.Errorf("workload.skew %s nvem=%d: %w", sc.label, size, err)
 		}
-	}
-	cells, err := g.run()
+		return res, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	for si, label := range labels {
-		points, cis := seriesOf(cells[si], respMean)
-		if err := resp.AddSeriesCI(label, points, cis); err != nil {
-			return nil, nil, err
-		}
-		h, hCI := seriesOf(cells[si], func(r *core.Result) float64 { return r.NVEMAddHitPct })
-		if err := hits.AddSeriesCI(label, h, hCI); err != nil {
-			return nil, nil, err
-		}
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	if err := plot(resp, labels, cells, respMean); err != nil {
+		return nil, nil, err
+	}
+	if err := plot(hits, labels, cells, nvemAddHitPct); err != nil {
+		return nil, nil, err
 	}
 	return resp, hits, nil
 }
@@ -153,9 +135,7 @@ func (s MixSetup) Build(o Options) (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	cfg := core.Defaults()
-	cfg.Seed = o.seed()
-	cfg.WarmupMS, cfg.MeasureMS = o.windows()
+	cfg := o.baseConfig()
 	cfg.Partitions = model.Partitions
 	cfg.Generator = gen
 	cfg.CCModes = []cc.Granularity{cc.PageLevel, cc.PageLevel}
@@ -164,14 +144,7 @@ func (s MixSetup) Build(o Options) (core.Config, error) {
 	// short classes queue behind in-progress scans.
 	cfg.NumCPU = 1
 
-	cfg.DiskUnits = []storage.DiskUnitConfig{
-		{Name: "db", Type: storage.Regular, NumControllers: 12,
-			ContrDelay: core.DefaultContrDelay, TransDelay: core.DefaultTransDelay,
-			NumDisks: 96, DiskDelay: core.DefaultDBDiskDelay},
-		{Name: "log", Type: storage.Regular, NumControllers: 2,
-			ContrDelay: core.DefaultContrDelay, TransDelay: core.DefaultTransDelay,
-			NumDisks: 8, DiskDelay: core.DefaultLogDiskDelay},
-	}
+	cfg.DiskUnits = diskUnits(12, 96, 2, 8)
 	cfg.Buffer = buffer.Config{
 		BufferSize: 2000,
 		Logging:    true,
@@ -182,13 +155,7 @@ func (s MixSetup) Build(o Options) (core.Config, error) {
 }
 
 // Run builds and executes the setup.
-func (s MixSetup) Run(o Options) (*core.Result, error) {
-	cfg, err := s.Build(o)
-	if err != nil {
-		return nil, err
-	}
-	return core.Run(cfg)
-}
+func (s MixSetup) Run(o Options) (*core.Result, error) { return runBuilt(s.Build(o)) }
 
 // classMetric maps a run to a per-class metric, 0 when the class is absent.
 func classMetric(name string, f func(core.ClassReport) float64) func(*core.Result) float64 {
@@ -218,27 +185,20 @@ func WorkloadMulticlass(o Options) (*stats.Figure, *stats.Table, error) {
 		X:      scanRates,
 	}
 	classes := []string{"short-update", "read-mostly", "batch-scan"}
-	g := newGrid(o, 1, len(scanRates))
-	for xi := range scanRates {
-		xi := xi
-		g.add(0, xi, func(o Options) (*core.Result, error) {
-			res, err := MixSetup{UpdateTPS: mixUpdateTPS, ReadTPS: mixReadTPS,
-				ScanTPS: scanRates[xi]}.Run(o)
-			if err != nil {
-				return nil, fmt.Errorf("workload.multiclass scan=%v: %w", scanRates[xi], err)
-			}
-			return res, nil
-		})
-	}
-	cells, err := g.run()
+	cells, err := sweep(o, 1, len(scanRates), func(_, xi int, o Options) (*core.Result, error) {
+		res, err := MixSetup{UpdateTPS: mixUpdateTPS, ReadTPS: mixReadTPS,
+			ScanTPS: scanRates[xi]}.Run(o)
+		if err != nil {
+			return nil, fmt.Errorf("workload.multiclass scan=%v: %w", scanRates[xi], err)
+		}
+		return res, nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 	for _, name := range classes {
-		points, cis := seriesOf(cells[0], classMetric(name, func(c core.ClassReport) float64 {
-			return c.RespMean
-		}))
-		if err := fig.AddSeriesCI(name, points, cis); err != nil {
+		metric := classMetric(name, func(c core.ClassReport) float64 { return c.RespMean })
+		if err := addSeries(fig, name, cells[0], metric); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -257,12 +217,7 @@ func WorkloadMulticlass(o Options) (*stats.Figure, *stats.Table, error) {
 	last := cells[0][len(scanRates)-1]
 	for r, name := range classes {
 		for c, metric := range metrics {
-			mean, ci := last.meanCI(classMetric(name, metric))
-			if o.reps() > 1 {
-				tbl.SetCI(r, c, mean, ci)
-			} else {
-				tbl.Set(r, c, mean)
-			}
+			setCell(tbl, r, c, last, classMetric(name, metric))
 		}
 	}
 	return fig, tbl, nil
@@ -270,11 +225,11 @@ func WorkloadMulticlass(o Options) (*stats.Figure, *stats.Table, error) {
 
 // --- workload.closedloop -------------------------------------------------
 
-func (o Options) terminalCounts() []int {
+func (o Options) terminalCounts() []float64 {
 	if o.Quick {
-		return []int{16, 64, 256}
+		return []float64{16, 64, 256}
 	}
-	return []int{8, 16, 32, 64, 128, 256}
+	return []float64{8, 16, 32, 64, 128, 256}
 }
 
 // thinkTimesMS are the closed-loop think-time series: the short think time
@@ -295,14 +250,11 @@ const closedLoopMPL = 50
 // with the new terminal-wait saturation signal crossing its threshold at
 // the same point. With 500 ms think the same terminals stay subcritical.
 func WorkloadClosedLoop(o Options) (*stats.Figure, *stats.Figure, *stats.Table, error) {
-	counts := o.terminalCounts()
 	resp := &stats.Figure{
 		Title:  "Closed-loop terminals: response time (Debit-Credit, disk-based, NOFORCE)",
 		XLabel: "terminals",
 		YLabel: "mean response time [ms]",
-	}
-	for _, n := range counts {
-		resp.X = append(resp.X, float64(n))
+		X:      o.terminalCounts(),
 	}
 	tput := &stats.Figure{
 		Title:  "Closed-loop terminals: throughput",
@@ -310,63 +262,39 @@ func WorkloadClosedLoop(o Options) (*stats.Figure, *stats.Figure, *stats.Table, 
 		YLabel: "committed TPS",
 		X:      resp.X,
 	}
-	labels := make([]string, len(thinkTimesMS))
-	colLabels := make([]string, len(counts))
-	for i, z := range thinkTimesMS {
-		labels[i] = fmt.Sprintf("think-%.0fms", z)
-	}
-	for i, n := range counts {
-		colLabels[i] = fmt.Sprintf("N=%d", n)
-	}
-	g := newGrid(o, len(thinkTimesMS), len(counts))
-	for si := range thinkTimesMS {
-		for xi := range counts {
-			si, xi := si, xi
-			g.add(si, xi, func(o Options) (*core.Result, error) {
-				cfg, err := DCSetup{
-					DB:  DBSpec{Kind: DBRegular},
-					Log: LogSpec{Kind: LogDisk},
-					Arrival: workload.ArrivalSpec{
-						Kind:      workload.ArrivalClosedLoop,
-						Terminals: counts[xi],
-						ThinkMS:   thinkTimesMS[si],
-					}}.Build(o)
-				if err == nil {
-					cfg.MPL = closedLoopMPL
-					var res *core.Result
-					if res, err = runEngine(cfg); err == nil {
-						return res, nil
-					}
-				}
-				return nil, fmt.Errorf("workload.closedloop %s N=%d: %w",
-					labels[si], counts[xi], err)
-			})
+	labels := labelsOf(len(thinkTimesMS), func(i int) string { return fmt.Sprintf("think-%.0fms", thinkTimesMS[i]) })
+	cells, err := sweep(o, len(thinkTimesMS), len(resp.X), func(si, xi int, o Options) (*core.Result, error) {
+		cfg, err := DCSetup{
+			DB:  DBSpec{Kind: DBRegular},
+			Log: LogSpec{Kind: LogDisk},
+			Arrival: workload.ArrivalSpec{
+				Kind:      workload.ArrivalClosedLoop,
+				Terminals: int(resp.X[xi]),
+				ThinkMS:   thinkTimesMS[si],
+			}}.Build(o)
+		if err == nil {
+			cfg.MPL = closedLoopMPL
+			var res *core.Result
+			if res, err = core.Run(cfg); err == nil {
+				return res, nil
+			}
 		}
-	}
-	cells, err := g.run()
+		return nil, fmt.Errorf("workload.closedloop %s N=%v: %w", labels[si], resp.X[xi], err)
+	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	wait := stats.NewTable("Fraction of terminals waiting for an MPL slot",
-		"think time", labels, colLabels)
-	for si, label := range labels {
-		points, cis := seriesOf(cells[si], respMean)
-		if err := resp.AddSeriesCI(label, points, cis); err != nil {
-			return nil, nil, nil, err
-		}
-		tp, tpCI := seriesOf(cells[si], throughput)
-		if err := tput.AddSeriesCI(label, tp, tpCI); err != nil {
-			return nil, nil, nil, err
-		}
-		for xi := range counts {
-			mean, ci := cells[si][xi].meanCI(func(r *core.Result) float64 {
-				return r.TerminalWaitFrac
-			})
-			if o.reps() > 1 {
-				wait.SetCI(si, xi, mean, ci)
-			} else {
-				wait.Set(si, xi, mean)
-			}
+	if err := plot(resp, labels, cells, respMean); err != nil {
+		return nil, nil, nil, err
+	}
+	if err := plot(tput, labels, cells, throughput); err != nil {
+		return nil, nil, nil, err
+	}
+	wait := stats.NewTable("Fraction of terminals waiting for an MPL slot", "think time", labels,
+		labelsOf(len(resp.X), func(i int) string { return fmt.Sprintf("N=%v", resp.X[i]) }))
+	for si := range labels {
+		for xi := range resp.X {
+			setCell(wait, si, xi, cells[si][xi], func(r *core.Result) float64 { return r.TerminalWaitFrac })
 		}
 	}
 	return resp, tput, wait, nil
@@ -406,42 +334,28 @@ func WorkloadReplay(o Options) (*stats.Table, error) {
 			RateMultipliers: mult,
 		}},
 	}
-	labels := make([]string, len(arrivals))
-	for i, a := range arrivals {
-		labels[i] = a.label
-	}
 	tbl := stats.NewTable(
 		fmt.Sprintf("Recorded rate timeline vs. Poisson at %.0f TPS mean (Debit-Credit, disk-based, %d buckets x %.0f ms)",
 			replayRate, replayBuckets, replayBucketMS),
-		"arrivals", labels,
+		"arrivals", labelsOf(len(arrivals), func(i int) string { return arrivals[i].label }),
 		[]string{"resp-ms", "p95-ms", "commits", "dropped"})
-	g := newGrid(o, len(arrivals), 1)
-	for si, a := range arrivals {
-		si, a := si, a
-		g.add(si, 0, func(o Options) (*core.Result, error) {
-			res, err := DCSetup{Rate: replayRate,
-				DB:      DBSpec{Kind: DBRegular},
-				Log:     LogSpec{Kind: LogDisk},
-				Arrival: a.spec}.Run(o)
-			if err != nil {
-				return nil, fmt.Errorf("workload.replay %s: %w", a.label, err)
-			}
-			return res, nil
-		})
-	}
-	cells, err := g.run()
+	cells, err := sweep(o, len(arrivals), 1, func(si, _ int, o Options) (*core.Result, error) {
+		res, err := DCSetup{Rate: replayRate,
+			DB:      DBSpec{Kind: DBRegular},
+			Log:     LogSpec{Kind: LogDisk},
+			Arrival: arrivals[si].spec}.Run(o)
+		if err != nil {
+			return nil, fmt.Errorf("workload.replay %s: %w", arrivals[si].label, err)
+		}
+		return res, nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	metrics := []func(*core.Result) float64{respMean, respP95, commitCount, droppedCount}
 	for si := range arrivals {
 		for c, metric := range metrics {
-			mean, ci := cells[si][0].meanCI(metric)
-			if o.reps() > 1 {
-				tbl.SetCI(si, c, mean, ci)
-			} else {
-				tbl.Set(si, c, mean)
-			}
+			setCell(tbl, si, c, cells[si][0], metric)
 		}
 	}
 	return tbl, nil

@@ -8,12 +8,14 @@
 // re-reads the pages whose only current version was in the lost buffer.
 //
 // The package is the pure model: it captures the crash-time state
-// (Snapshot), knows which tiers survive (CacheSurvives), and prices the
-// restart from the device parameters (LogReadMS, RedoReadMS,
-// Snapshot.EstimateMS). The simulated restart — the same scan and redo
-// I/O executed through the real device models — lives in internal/core,
-// which reports both so the analytic formula can be cross-checked
-// against the event-driven run.
+// (Snapshot) and prices one page of the restart from the device
+// parameters (DeviceReadMS, LogReadMS, RedoReadMS). internal/core sums
+// those prices into the analytic restart estimate (the log scan plus one
+// redo read per lost dirty page, priced by its partition), decides which
+// caches survive the crash (storage.DiskUnit.CrashVolatile), and runs the
+// simulated restart — the same scan and redo I/O executed through the
+// real device models — reporting both so the estimate can be
+// cross-checked against the event-driven run.
 package recovery
 
 import (
@@ -35,36 +37,6 @@ type Snapshot struct {
 	// after the node rejoins (it is not part of restart time; the
 	// throughput ramp-back pays for it).
 	Resident int
-}
-
-// Times parameterizes the analytic restart-time formula with the
-// device-dependent per-page delays.
-type Times struct {
-	// RebootMS is the fixed failure-detection plus system-restart delay
-	// before the redo scan can begin.
-	RebootMS float64
-	// LogReadMS is the sequential per-page read time of the log device.
-	LogReadMS float64
-	// RedoReadMS is the per-page read time of the database device(s) the
-	// redo pass re-reads modified pages from.
-	RedoReadMS float64
-}
-
-// EstimateMS is the analytic restart-time formula (DESIGN.md section 7):
-//
-//	restart = reboot + LogPages·logRead + RedoPages·redoRead
-//
-// It prices the same work the simulated restart executes, minus queueing
-// (the restarting node scans alone, so contention is usually nil).
-func (s Snapshot) EstimateMS(t Times) float64 {
-	return t.RebootMS + float64(s.LogPages)*t.LogReadMS + float64(s.RedoPages)*t.RedoReadMS
-}
-
-// CacheSurvives reports whether a disk-unit type keeps its cache content
-// across a crash: only volatile controller caches lose their pages.
-// (Disk media, SSD store and non-volatile caches always survive.)
-func CacheSurvives(t storage.DiskUnitType) bool {
-	return t != storage.VolatileCache
 }
 
 // DeviceReadMS returns the expected per-page read time of a disk-unit

@@ -20,18 +20,6 @@ var (
 		NumControllers: 12, ContrDelay: 1.0, TransDelay: 0.4, NumDisks: 96, DiskDelay: 15.0}
 )
 
-func TestEstimateMSFormula(t *testing.T) {
-	s := Snapshot{LogPages: 100, RedoPages: 10}
-	got := s.EstimateMS(Times{RebootMS: 500, LogReadMS: 2, RedoReadMS: 16.4})
-	want := 500 + 100*2.0 + 10*16.4
-	if got != want {
-		t.Fatalf("EstimateMS = %v, want %v", got, want)
-	}
-	if e := (Snapshot{}).EstimateMS(Times{RebootMS: 7}); e != 7 {
-		t.Fatalf("empty snapshot estimate = %v, want reboot only", e)
-	}
-}
-
 // TestLogReadOrdering pins the device ordering the paper's recovery
 // argument depends on: an NVEM-resident log scans faster than an SSD
 // log, which scans faster than a magnetic-disk log.
@@ -83,21 +71,5 @@ func TestRedoReadMS(t *testing.T) {
 	withCache := buffer.PartitionAlloc{DiskUnit: 0, NVEMCache: true}
 	if got, want := RedoReadMS(withCache, units, nvemDelay), 16.4; got != want {
 		t.Fatalf("nvem-cached redo = %v, want %v", got, want)
-	}
-}
-
-func TestCacheSurvives(t *testing.T) {
-	for _, tc := range []struct {
-		typ  storage.DiskUnitType
-		want bool
-	}{
-		{storage.Regular, true},
-		{storage.VolatileCache, false},
-		{storage.NVCache, true},
-		{storage.SSD, true},
-	} {
-		if got := CacheSurvives(tc.typ); got != tc.want {
-			t.Errorf("CacheSurvives(%v) = %v, want %v", tc.typ, got, tc.want)
-		}
 	}
 }

@@ -6,6 +6,11 @@ import (
 	"testing"
 )
 
+// meanCI95 runs MeanCI95Seq over a slice.
+func meanCI95(values []float64) (mean, half float64) {
+	return MeanCI95Seq(len(values), func(i int) float64 { return values[i] })
+}
+
 func TestMeanCI95(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -21,9 +26,9 @@ func TestMeanCI95(t *testing.T) {
 		{"five", []float64{1, 2, 3, 4, 5}, 3, 2.776 * math.Sqrt(2.5) / math.Sqrt(5)},
 	}
 	for _, c := range cases {
-		mean, ci := MeanCI95(c.values)
+		mean, ci := meanCI95(c.values)
 		if math.Abs(mean-c.mean) > 1e-9 || math.Abs(ci-c.ci) > 1e-9 {
-			t.Errorf("%s: MeanCI95 = (%v, %v), want (%v, %v)", c.name, mean, ci, c.mean, c.ci)
+			t.Errorf("%s: MeanCI95Seq = (%v, %v), want (%v, %v)", c.name, mean, ci, c.mean, c.ci)
 		}
 	}
 }
@@ -35,23 +40,11 @@ func TestMeanCI95LargeSampleUsesNormal(t *testing.T) {
 	for i := range values {
 		values[i] = float64(i % 2) // sd ≈ 0.5025
 	}
-	mean, ci := MeanCI95(values)
+	mean, ci := meanCI95(values)
 	sd := math.Sqrt(100.0 / 4.0 / 99.0 * 100.0 / 100.0) // sample sd of alternating 0/1
 	want := 1.96 * sd / 10
 	if math.Abs(mean-0.5) > 1e-9 || math.Abs(ci-want) > 1e-6 {
-		t.Errorf("MeanCI95 = (%v, %v), want (0.5, %v)", mean, ci, want)
-	}
-}
-
-func TestMeanCI95MatchesSummaryMean(t *testing.T) {
-	values := []float64{3.1, 4.1, 5.9, 2.6, 5.3}
-	s := NewSummary("x", false)
-	for _, v := range values {
-		s.Add(v)
-	}
-	mean, _ := MeanCI95(values)
-	if math.Abs(mean-s.Mean()) > 1e-12 {
-		t.Errorf("MeanCI95 mean %v != Summary mean %v", mean, s.Mean())
+		t.Errorf("MeanCI95Seq = (%v, %v), want (0.5, %v)", mean, ci, want)
 	}
 }
 
@@ -60,7 +53,7 @@ func TestFigureRenderWithCI(t *testing.T) {
 	if err := fig.AddSeriesCI("a", []float64{10, 20}, []float64{0.5, 1.25}); err != nil {
 		t.Fatal(err)
 	}
-	if err := fig.AddSeries("b", []float64{3, 4}); err != nil {
+	if err := fig.AddSeriesCI("b", []float64{3, 4}, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := fig.Render()

@@ -4,69 +4,47 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
+// TestSummaryBasics: percentiles see every added observation in value
+// order, whatever the order they were added in.
 func TestSummaryBasics(t *testing.T) {
-	s := NewSummary("resp", false)
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
+	s := NewSummary()
+	for _, v := range []float64{9, 4, 5, 2, 7, 4, 5, 4} {
 		s.Add(v)
 	}
-	if s.N() != 8 {
-		t.Fatalf("n = %d", s.N())
+	if got := s.Percentile(0); got != 2 {
+		t.Fatalf("p0 = %v", got)
 	}
-	if math.Abs(s.Mean()-5) > 1e-12 {
-		t.Fatalf("mean = %v", s.Mean())
+	if got := s.Percentile(1); got != 9 {
+		t.Fatalf("p100 = %v", got)
 	}
-	// Sample variance of that classic set is 32/7.
-	if math.Abs(s.Var()-32.0/7.0) > 1e-9 {
-		t.Fatalf("var = %v", s.Var())
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
-	}
-	if s.Sum() != 40 {
-		t.Fatalf("sum = %v", s.Sum())
+	if got := s.Percentile(0.5); got != 4.5 {
+		t.Fatalf("median = %v", got)
 	}
 }
 
 func TestSummaryEmpty(t *testing.T) {
-	s := NewSummary("empty", false)
-	if s.Mean() != 0 || s.Var() != 0 || s.Min() != 0 || s.Max() != 0 || s.CI95() != 0 {
-		t.Fatal("empty summary must be all zeros")
+	s := NewSummary()
+	for _, p := range []float64{0, 0.5, 0.95, 1} {
+		if got := s.Percentile(p); got != 0 {
+			t.Fatalf("empty summary p%v = %v, want 0", p, got)
+		}
 	}
 }
 
 func TestSummarySingleValue(t *testing.T) {
-	s := NewSummary("one", false)
+	s := NewSummary()
 	s.Add(42)
-	if s.Mean() != 42 || s.Var() != 0 || s.StdDev() != 0 {
-		t.Fatalf("single-value summary wrong: %v", s)
-	}
-}
-
-// Property: Welford mean matches direct sum/count for any input.
-func TestWelfordMatchesDirect(t *testing.T) {
-	f := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
+	for _, p := range []float64{0, 0.5, 0.95, 1} {
+		if got := s.Percentile(p); got != 42 {
+			t.Fatalf("single-value summary p%v = %v, want 42", p, got)
 		}
-		s := NewSummary("q", false)
-		sum := 0.0
-		for _, v := range raw {
-			s.Add(float64(v))
-			sum += float64(v)
-		}
-		direct := sum / float64(len(raw))
-		return math.Abs(s.Mean()-direct) < 1e-6*(1+math.Abs(direct))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestPercentiles(t *testing.T) {
-	s := NewSummary("p", true)
+	s := NewSummary()
 	for i := 1; i <= 100; i++ {
 		s.Add(float64(i))
 	}
@@ -84,40 +62,24 @@ func TestPercentiles(t *testing.T) {
 	}
 }
 
-func TestPercentileWithoutKeepPanics(t *testing.T) {
-	s := NewSummary("nokeep", false)
-	s.Add(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	s.Percentile(0.5)
-}
-
+// TestCI95ShrinksWithN: the confidence half-width of MeanCI95Seq narrows as
+// the same spread of values is observed more often.
 func TestCI95ShrinksWithN(t *testing.T) {
-	small := NewSummary("s", false)
-	big := NewSummary("b", false)
 	vals := []float64{1, 2, 3, 4, 5}
-	for _, v := range vals {
-		small.Add(v)
-	}
-	for i := 0; i < 100; i++ {
-		for _, v := range vals {
-			big.Add(v)
-		}
-	}
-	if big.CI95() >= small.CI95() {
-		t.Fatalf("CI did not shrink: small=%v big=%v", small.CI95(), big.CI95())
+	at := func(i int) float64 { return vals[i%len(vals)] }
+	_, small := MeanCI95Seq(len(vals), at)
+	_, big := MeanCI95Seq(100*len(vals), at)
+	if big >= small {
+		t.Fatalf("CI did not shrink: small=%v big=%v", small, big)
 	}
 }
 
 func TestFigureRender(t *testing.T) {
 	f := Figure{Title: "Fig X", XLabel: "TPS", YLabel: "ms", X: []float64{10, 100, 700}}
-	if err := f.AddSeries("disk", []float64{40.1, 41.2, 80.9}); err != nil {
+	if err := f.AddSeriesCI("disk", []float64{40.1, 41.2, 80.9}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.AddSeries("NVEM", []float64{5.1, 5.2, 9.3}); err != nil {
+	if err := f.AddSeriesCI("NVEM", []float64{5.1, 5.2, 9.3}, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := f.Render()
@@ -134,7 +96,7 @@ func TestFigureRender(t *testing.T) {
 
 func TestFigureSeriesLengthMismatch(t *testing.T) {
 	f := Figure{Title: "t", XLabel: "x", X: []float64{1, 2}}
-	if err := f.AddSeries("bad", []float64{1}); err == nil {
+	if err := f.AddSeriesCI("bad", []float64{1}, nil); err == nil {
 		t.Fatal("length mismatch must error")
 	}
 }

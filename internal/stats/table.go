@@ -25,13 +25,9 @@ type Figure struct {
 	Series []Series
 }
 
-// AddSeries appends a curve. The number of points must match the x-axis.
-func (f *Figure) AddSeries(label string, points []float64) error {
-	return f.AddSeriesCI(label, points, nil)
-}
-
 // AddSeriesCI appends a curve with per-point 95%-confidence half-widths
-// from replicated runs. A nil ci is a single-run series.
+// from replicated runs. A nil ci is a single-run series. The number of
+// points must match the x-axis.
 func (f *Figure) AddSeriesCI(label string, points, ci []float64) error {
 	if len(points) != len(f.X) {
 		return fmt.Errorf("stats: series %q has %d points, axis has %d", label, len(points), len(f.X))

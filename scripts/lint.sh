@@ -3,6 +3,12 @@
 # determinism-contract analyzer, DESIGN.md section 11). CI runs this
 # verbatim; run it locally before pushing. Any diagnostic fails.
 #
+# go vet runs twice: over the root module, and over bench/, a module of
+# its own that compiles against internal/experiments and internal/core.
+# Neither the root's ./... nor the tier-1 tests reach bench/, so without
+# the second run a local lint pass cannot see a change that breaks the
+# benchmark's build.
+#
 # The final step is the gate's self-test: detlint must still *catch* the
 # committed seeded-violation fixture. A lint run that passes because the
 # analyzer broke is worse than no lint run, so a clean tree alone is not
@@ -18,6 +24,7 @@ fi
 
 echo "== go vet =="
 go vet ./...
+(cd bench && go vet ./...)
 
 echo "== detlint (determinism contract) =="
 go run ./cmd/detlint ./...
