@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -364,18 +365,22 @@ func (fc *fileConfig) assemble() (tpsim.Config, error) {
 	if fc.Seed != 0 {
 		cfg.Seed = fc.Seed
 	}
-	setIfPos(&cfg.MPL, fc.MPL)
-	setIfPos(&cfg.NumCPU, fc.NumCPU)
-	setIfPosF(&cfg.MIPS, fc.MIPS)
-	setIfPosF(&cfg.InstrBOT, fc.InstrBOT)
-	setIfPosF(&cfg.InstrOR, fc.InstrOR)
-	setIfPosF(&cfg.InstrEOT, fc.InstrEOT)
-	setIfPosF(&cfg.InstrIO, fc.InstrIO)
-	setIfPosF(&cfg.InstrNVEM, fc.InstrNVEM)
-	setIfPosF(&cfg.WarmupMS, fc.WarmupMS)
-	setIfPosF(&cfg.MeasureMS, fc.MeasureMS)
-	setIfPos(&cfg.NVEMServers, fc.NVEMServers)
-	setIfPosF(&cfg.NVEMDelay, fc.NVEMDelayMS)
+	if err := errors.Join(
+		setIfPos(&cfg.MPL, "mpl", fc.MPL),
+		setIfPos(&cfg.NumCPU, "numCPU", fc.NumCPU),
+		setIfPos(&cfg.MIPS, "mips", fc.MIPS),
+		setIfPos(&cfg.InstrBOT, "instrBOT", fc.InstrBOT),
+		setIfPos(&cfg.InstrOR, "instrOR", fc.InstrOR),
+		setIfPos(&cfg.InstrEOT, "instrEOT", fc.InstrEOT),
+		setIfPos(&cfg.InstrIO, "instrIO", fc.InstrIO),
+		setIfPos(&cfg.InstrNVEM, "instrNVEM", fc.InstrNVEM),
+		setIfPos(&cfg.WarmupMS, "warmupMS", fc.WarmupMS),
+		setIfPos(&cfg.MeasureMS, "measureMS", fc.MeasureMS),
+		setIfPos(&cfg.NVEMServers, "nvemServers", fc.NVEMServers),
+		setIfPos(&cfg.NVEMDelay, "nvemDelayMS", fc.NVEMDelayMS),
+	); err != nil {
+		return cfg, err
+	}
 
 	if err := fc.workload(&cfg); err != nil {
 		return cfg, err
@@ -578,14 +583,14 @@ func (fc *fileConfig) workload(cfg *tpsim.Config) error {
 	return nil
 }
 
-func setIfPos(dst *int, v int) {
+// setIfPos overrides the default *dst with the file's value v of field
+// name: 0 keeps the default, and a negative value is an error.
+func setIfPos[T int | float64](dst *T, name string, v T) error {
+	if v < 0 {
+		return fmt.Errorf("%s = %v: must not be negative (0 keeps the default)", name, v)
+	}
 	if v > 0 {
 		*dst = v
 	}
-}
-
-func setIfPosF(dst *float64, v float64) {
-	if v > 0 {
-		*dst = v
-	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -40,6 +41,16 @@ func TestLoadRejectsBadValues(t *testing.T) {
 		"bad wl kind":   `{"workload":{"kind":"quantum","rate":10}}`,
 		"bad mode":      `{"workload":{"kind":"debitcredit","rate":10},"diskUnits":[{"name":"d","numControllers":1,"contrDelayMS":1,"numDisks":1,"diskDelayMS":15}],"buffer":{"bufferSize":100,"partitions":[{"nvemCacheMode":"sideways"},{},{}],"log":{}}}`,
 		"mismatch":      `{"workload":{"kind":"debitcredit","rate":10},"diskUnits":[{"name":"d","numControllers":1,"contrDelayMS":1,"numDisks":1,"diskDelayMS":15}],"buffer":{"bufferSize":100,"partitions":[{}],"log":{}}}`,
+	}
+	// A negative engine parameter is an error; 0 keeps the default.
+	const rest = `"workload":{"kind":"debitcredit","rate":10},"diskUnits":[{"name":"d","numControllers":1,"contrDelayMS":1,"numDisks":1,"diskDelayMS":15}],"buffer":{"bufferSize":100,"partitions":[{},{},{}],"log":{}}}`
+	if cfg, _, err := load(strings.NewReader(`{"mpl":0,"measureMS":0,` + rest)); err != nil ||
+		cfg.MPL != tpsim.Defaults().MPL || cfg.MeasureMS != tpsim.Defaults().MeasureMS {
+		t.Fatalf("zero values did not keep the defaults: err %v", err)
+	}
+	for _, field := range []string{"mpl", "numCPU", "mips", "instrBOT", "instrOR", "instrEOT", "instrIO",
+		"instrNVEM", "warmupMS", "measureMS", "nvemServers", "nvemDelayMS"} {
+		cases["negative "+field] = fmt.Sprintf(`{"%s":-1,%s`, field, rest)
 	}
 	for name, in := range cases {
 		if _, _, err := load(strings.NewReader(in)); err == nil {

@@ -198,24 +198,7 @@ func runCluster(cfg ClusterConfig) (*cluster, *ClusterResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	nodeCfgs := make([]Config, cfg.NumNodes)
-	for i := range nodeCfgs {
-		nodeCfgs[i] = cfg.Base
-		nodeCfgs[i].Generator = cfg.Generators[i]
-	}
-	opts := clusterOpts{
-		sharedNVEM:       cfg.SharedNVEMCache,
-		globalLocks:      cfg.GlobalLocks,
-		instrLockMsg:     cmp.Or(cfg.InstrLockMsg, DefaultInstrLockMsg),
-		lockMsgDelay:     cmp.Or(cfg.LockMsgDelayMS, DefaultLockMsgDelayMS),
-		nvemAccessDelay:  cfg.NVEMAccessDelayMS,
-		failure:          cfg.Failure,
-		trackActive:      cfg.Failure.Enabled,
-		timelineBucketMS: cfg.TimelineBucketMS,
-		admission:        cfg.Admission,
-		pdes:             cfg.PDES,
-	}
-	c, err := newCluster(cfg.Base.Seed, nodeCfgs, opts)
+	c, err := newCluster(cfg, cfg.Failure.Enabled)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -246,32 +229,9 @@ func runCluster(cfg ClusterConfig) (*cluster, *ClusterResult, error) {
 	return c, out, nil
 }
 
-// clusterOpts are the cluster-level switches of an internal build.
-type clusterOpts struct {
-	sharedNVEM   bool
-	globalLocks  bool
-	instrLockMsg float64
-
-	// lockMsgDelay is the model's inter-node message latency: the round
-	// trip of a global lock request, and under PDES the travel time of
-	// every lock, invalidation and reroute message even when locking is
-	// local. nvemAccessDelay is the shared-NVEM-cache access latency,
-	// which only the parallel engine models.
-	lockMsgDelay    float64
-	nvemAccessDelay float64
-
-	// failure injects a crash boundary into the phase schedule;
-	// trackActive makes nodes register in-flight transactions so a crash
-	// can kill them (also set by MeasureRestart, which crashes after the
-	// window). timelineBucketMS enables the commit timeline. admission
-	// sheds rerouted arrivals above the survivor-capacity threshold.
-	failure          FailureConfig
-	trackActive      bool
-	timelineBucketMS float64
-	admission        AdmissionConfig
-
-	// pdes picks the conservative parallel engine over the coupled one.
-	pdes PDESConfig
+// oneNode describes a single-system run as a cluster of one node.
+func oneNode(cfg Config) ClusterConfig {
+	return ClusterConfig{Base: cfg, NumNodes: 1, Generators: []workload.Generator{cfg.Generator}}
 }
 
 // cluster wires N nodes onto one or more simulation kernels through the
@@ -279,29 +239,26 @@ type clusterOpts struct {
 // kernel, the parallel engine gives each node its own (pdes.go). Each
 // kernel has its own device set.
 type cluster struct {
+	// cfg is the run's description with the message costs and the
+	// admission threshold defaulted. cfg.LockMsgDelayMS is the model's
+	// inter-node message latency: the round trip of a global lock request,
+	// and under PDES the travel time of every lock, invalidation and
+	// reroute message even when locking is local.
+	cfg ClusterConfig
+
 	net     interconnect
 	kernels []*sim.Sim // node i runs on kernels[i mod len(kernels)]
 	devs    []devices  // devs[k]: kernel k's storage
-	nodes   []*node
-	stride  int // node count; txn ids are k*stride+nodeID
+	nodes   []*node    // txn ids are k*NumNodes+nodeID
 
-	glocks       *cc.Global // non-nil: cluster-wide lock manager
-	instrLockMsg float64
-	lockMsgDelay float64
-
+	glocks *cc.Global              // non-nil: cluster-wide lock manager
 	shared *buffer.SharedNVEMCache // non-nil: coherent shared NVEM cache
 
-	warmup, measure float64
-
-	// Lifecycle / recovery (phase.go, recovery.go).
-	failure     FailureConfig
+	// trackActive makes nodes register in-flight transactions so a crash
+	// can kill them: set by failure injection and by MeasureRestart, which
+	// crashes after the window.
 	trackActive bool
-	admission   AdmissionConfig
 	rr          int // round-robin cursor of the arrival rerouter
-
-	// Commit-timeline bucket width (availability runs); each node
-	// records its own buckets.
-	timelineBucketMS float64
 }
 
 // devices is one kernel's storage: the disk units and the NVEM store (nil
@@ -312,41 +269,28 @@ type devices struct {
 }
 
 // newCluster builds the interconnect with its kernels, each kernel's
-// devices and every node. nodeCfgs[0] supplies the cluster-wide
-// parameters (windows, shared-cache size); callers guarantee all node
-// configurations agree on them.
-func newCluster(seed int64, nodeCfgs []Config, opts clusterOpts) (*cluster, error) {
-	shared := nodeCfgs[0]
-	c := &cluster{
-		stride:           len(nodeCfgs),
-		instrLockMsg:     opts.instrLockMsg,
-		lockMsgDelay:     opts.lockMsgDelay,
-		warmup:           shared.WarmupMS,
-		measure:          shared.MeasureMS,
-		failure:          opts.failure,
-		trackActive:      opts.trackActive,
-		timelineBucketMS: opts.timelineBucketMS,
-		admission:        opts.admission,
-	}
-	if c.admission.QueueFactor == 0 {
-		c.admission.QueueFactor = DefaultAdmissionQueueFactor
-	}
+// devices and every node; node i runs cfg.Base with generator i.
+func newCluster(cfg ClusterConfig, trackActive bool) (*cluster, error) {
+	cfg.InstrLockMsg = cmp.Or(cfg.InstrLockMsg, DefaultInstrLockMsg)
+	cfg.LockMsgDelayMS = cmp.Or(cfg.LockMsgDelayMS, DefaultLockMsgDelayMS)
+	cfg.Admission.QueueFactor = cmp.Or(cfg.Admission.QueueFactor, DefaultAdmissionQueueFactor)
+	c := &cluster{cfg: cfg, trackActive: trackActive}
 
-	if opts.sharedNVEM {
-		sc, err := buffer.NewSharedNVEMCache(shared.Buffer.NVEMCacheSize)
+	if cfg.SharedNVEMCache {
+		sc, err := buffer.NewSharedNVEMCache(cfg.Base.Buffer.NVEMCacheSize)
 		if err != nil {
 			return nil, err
 		}
 		c.shared = sc
 	}
-	if opts.pdes.Enabled {
-		c.net = newPDES(c, nodeCfgs, opts)
+	if cfg.PDES.Enabled {
+		c.net = newPDES(c)
 	} else {
 		c.net = newDirect(c)
 	}
-	if opts.globalLocks {
-		c.glocks = cc.NewGlobal(len(nodeCfgs), func(txn cc.TxnID) {
-			n := c.nodes[int(int64(txn)%int64(c.stride))]
+	if cfg.GlobalLocks {
+		c.glocks = cc.NewGlobal(cfg.NumNodes, func(txn cc.TxnID) {
+			n := c.nodes[int(int64(txn)%int64(cfg.NumNodes))]
 			if k := n.waiter(txn); k != nil {
 				c.net.lockGrant(n, k)
 			}
@@ -355,15 +299,15 @@ func newCluster(seed int64, nodeCfgs []Config, opts clusterOpts) (*cluster, erro
 
 	// Seqs are per kernel: a kernel's devices come before any node
 	// resources on it, and its nodes follow in id order.
-	for i := range nodeCfgs {
+	for i := range cfg.NumNodes {
 		if i < len(c.kernels) {
-			d, err := c.newDevices(seed, i, nodeCfgs)
+			d, err := c.newDevices(i)
 			if err != nil {
 				return nil, err
 			}
 			c.devs = append(c.devs, d)
 		}
-		n, err := newNode(c, i, len(nodeCfgs), seed, nodeCfgs[i])
+		n, err := newNode(c, i)
 		if err != nil {
 			return nil, err
 		}
@@ -372,17 +316,17 @@ func newCluster(seed int64, nodeCfgs []Config, opts clusterOpts) (*cluster, erro
 	return c, nil
 }
 
-// newDevices builds kernel k's device set. The first node on the kernel,
-// node k, supplies the device parameters, and the NVEM store exists when
-// any node on the kernel uses NVEM. The disk units draw from one stream,
-// suffixed /n<k> only when the cluster runs several kernels.
-func (c *cluster) newDevices(seed int64, k int, nodeCfgs []Config) (devices, error) {
-	s, cfg := c.kernels[k], nodeCfgs[k]
+// newDevices builds kernel k's device set from Base: its disk units, and
+// the NVEM store when the buffer configuration uses NVEM. The disk units
+// draw from one stream, suffixed /n<k> only when the cluster runs several
+// kernels.
+func (c *cluster) newDevices(k int) (devices, error) {
+	s, cfg := c.kernels[k], &c.cfg.Base
 	stream := "disk-units"
 	if len(c.kernels) > 1 {
 		stream = fmt.Sprintf("%s/n%d", stream, k)
 	}
-	unitRnd := rng.NewStream(seed, stream)
+	unitRnd := rng.NewStream(cfg.Seed, stream)
 	var d devices
 	for i := range cfg.DiskUnits {
 		u, err := storage.NewDiskUnit(s, cfg.DiskUnits[i], unitRnd)
@@ -391,11 +335,7 @@ func (c *cluster) newDevices(seed int64, k int, nodeCfgs []Config) (devices, err
 		}
 		d.units = append(d.units, u)
 	}
-	usesNVEM := false
-	for i := k; i < len(nodeCfgs); i += len(c.kernels) {
-		usesNVEM = usesNVEM || nodeCfgs[i].Buffer.UsesNVEM()
-	}
-	if usesNVEM {
+	if cfg.Buffer.UsesNVEM() {
 		nvem, err := storage.NewNVEM(s, cfg.NVEMServers, cfg.NVEMDelay)
 		if err != nil {
 			return d, err
@@ -429,7 +369,7 @@ func (c *cluster) rerouteTarget(e *node, typ int) *node {
 	var target *node
 	for range c.nodes {
 		n := c.nodes[c.rr]
-		c.rr = (c.rr + 1) % c.stride
+		c.rr = (c.rr + 1) % len(c.nodes)
 		if n.phase == nodeRunning {
 			target = n
 			break
@@ -438,8 +378,8 @@ func (c *cluster) rerouteTarget(e *node, typ int) *node {
 	switch {
 	case target == nil:
 		e.drop(typ)
-	case c.admission.Enabled &&
-		float64(target.mpl.QueueLen()) >= c.admission.QueueFactor*float64(target.cfg.MPL):
+	case c.cfg.Admission.Enabled &&
+		float64(target.mpl.QueueLen()) >= c.cfg.Admission.QueueFactor*float64(target.cfg.MPL):
 		e.shedArrival(typ)
 	case target.mpl.QueueLen() >= target.cfg.MaxQueue:
 		e.drop(typ)
@@ -471,7 +411,7 @@ func (c *cluster) finish() {
 // utilizations average over them (the kernels share one measurement
 // window); one device set reports its own values exactly.
 func (c *cluster) attachShared(res *Result) {
-	cfg := c.nodes[0].cfg
+	cfg := &c.cfg.Base
 	sets := float64(len(c.devs))
 	for i := range cfg.DiskUnits {
 		rep := UnitReport{

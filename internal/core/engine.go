@@ -91,7 +91,7 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c, err := newCluster(cfg.Seed, []Config{cfg}, clusterOpts{})
+	c, err := newCluster(oneNode(cfg), false)
 	if err != nil {
 		return nil, err
 	}
@@ -102,13 +102,15 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// newNode wires one transaction system onto its kernel, kernel id mod
-// len(c.kernels), and that kernel's devices. Stream names carry a node
-// suffix only in multi-node runs, so single-node runs draw the exact
+// newNode builds node id from Base and generator id, on its kernel, kernel
+// id mod len(c.kernels), and that kernel's devices. Stream names carry a
+// node suffix only in multi-node runs, so single-node runs draw the exact
 // random sequences of the original engine.
-func newNode(c *cluster, id, numNodes int, seed int64, cfg Config) (*node, error) {
+func newNode(c *cluster, id int) (*node, error) {
+	cfg := c.cfg.Base
+	cfg.Generator = c.cfg.Generators[id]
 	suffix := func(base string) string {
-		if numNodes == 1 {
+		if c.cfg.NumNodes == 1 {
 			return base
 		}
 		return fmt.Sprintf("%s/n%d", base, id)
@@ -123,13 +125,13 @@ func newNode(c *cluster, id, numNodes int, seed int64, cfg Config) (*node, error
 		units:   c.devs[k].units,
 		waiting: make(map[cc.TxnID]func()),
 		active:  make(map[cc.TxnID]*txRun),
-		win:     tally{cpus: cfg.NumCPU, timelineBucketMS: c.timelineBucketMS},
+		win:     tally{cpus: cfg.NumCPU, timelineBucketMS: c.cfg.TimelineBucketMS},
 		resp:    stats.NewSummary(),
-		cpuRnd:  rng.NewStream(seed, suffix("cpu")),
-		genRnd:  rng.NewStream(seed, suffix("workload")),
-		arrRnd:  rng.NewStream(seed, suffix("arrivals")),
+		cpuRnd:  rng.NewStream(cfg.Seed, suffix("cpu")),
+		genRnd:  rng.NewStream(cfg.Seed, suffix("workload")),
+		arrRnd:  rng.NewStream(cfg.Seed, suffix("arrivals")),
 	}
-	if numNodes > 1 {
+	if c.cfg.NumNodes > 1 {
 		n.nameSuffix = fmt.Sprintf("/n%d", id)
 	}
 	n.cpu = n.s.NewResource(suffix("cpu"), cfg.NumCPU)
@@ -193,7 +195,7 @@ func (e *node) classOf(typeIdx int) *classTally {
 // plain 1, 2, 3, ... sequence.
 func (e *node) newTxn() cc.TxnID {
 	e.nextTxn++
-	return cc.TxnID(e.nextTxn*int64(e.c.stride) + int64(e.id))
+	return cc.TxnID(e.nextTxn*int64(e.c.cfg.NumNodes) + int64(e.id))
 }
 
 // --- buffer.Host implementation ---
@@ -353,7 +355,7 @@ func (t *txRun) requestLock() {
 	if e.c.glocks != nil {
 		t.g, t.mode = g, mode
 		t.state = txLockMsg
-		e.cpuBurst(e.c.instrLockMsg, t.resume)
+		e.cpuBurst(e.c.cfg.InstrLockMsg, t.resume)
 		return
 	}
 	if ok, decided := t.verdict(e.locks.Acquire(t.txn, g, mode), e.s.Now()); decided {
@@ -726,7 +728,7 @@ func (t *txRun) onLocked(ok bool) {
 	}
 	acc := &t.tx.Accesses[t.i]
 	key := storage.PageKey{Partition: acc.Partition, Page: acc.Page}
-	if acc.Write && t.e.c.stride > 1 {
+	if acc.Write && t.e.c.cfg.NumNodes > 1 {
 		t.e.c.net.invalidate(t.e, key)
 	}
 	t.start = t.e.s.Now()
@@ -763,7 +765,7 @@ func (t *txRun) abort() {
 		// transaction was still registered as active); dispatch's dead
 		// check drops the continuation then.
 		t.state = txAborted
-		t.e.cpuBurst(t.e.c.instrLockMsg, t.resume)
+		t.e.cpuBurst(t.e.c.cfg.InstrLockMsg, t.resume)
 		return
 	}
 	t.finishAbort()
@@ -807,7 +809,7 @@ func (t *txRun) finish() {
 	if e.c.glocks != nil && !t.relPaid {
 		t.relPaid = true
 		t.state = txFinish
-		e.cpuBurst(e.c.instrLockMsg, t.resume)
+		e.cpuBurst(e.c.cfg.InstrLockMsg, t.resume)
 		return
 	}
 	e.releaseLocks(t.txn)
@@ -838,10 +840,10 @@ func (t *txRun) finish() {
 // recordCommit adds one committed transaction to the node's availability
 // timeline (no-op unless the cluster configured a bucket width).
 func (e *node) recordCommit(now sim.Time) {
-	if e.c.timelineBucketMS <= 0 {
+	if e.c.cfg.TimelineBucketMS <= 0 {
 		return
 	}
-	idx := int((now - e.warmStartTime) / e.c.timelineBucketMS)
+	idx := int((now - e.warmStartTime) / e.c.cfg.TimelineBucketMS)
 	if idx < 0 {
 		return
 	}
@@ -942,7 +944,7 @@ func (e *node) collect() *tally {
 		// Pad to the full window, a trailing partial bucket included, so
 		// every run of one configuration reports the same number of
 		// buckets wherever its last commit landed.
-		for len(t.timeline) < int(math.Ceil(e.c.measure/t.timelineBucketMS)) {
+		for len(t.timeline) < int(math.Ceil(e.c.cfg.Base.MeasureMS/t.timelineBucketMS)) {
 			t.timeline = append(t.timeline, 0)
 		}
 	}

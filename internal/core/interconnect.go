@@ -71,7 +71,7 @@ func (d direct) attach(n *node) error {
 // lands at the manager (dispatch's txLockSent).
 func (d direct) lockRequest(t *txRun) {
 	t.state = txLockSent
-	t.e.s.Schedule(d.c.lockMsgDelay, t.resume)
+	t.e.s.Schedule(d.c.cfg.LockMsgDelayMS, t.resume)
 }
 
 func (d direct) lockRelease(e *node, txn cc.TxnID) { d.c.glocks.ReleaseAllFrom(e.id, txn) }

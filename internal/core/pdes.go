@@ -26,13 +26,13 @@ import (
 // [T, T+lookahead] without seeing its peers, because anything a peer sends
 // during that window arrives strictly after T+lookahead's window began. The
 // coordinator therefore alternates two steps: apply every message sent
-// during the last window (single-threaded, sorted by (arrive, sender,
-// sender-sequence) so the schedule is independent of the worker count),
-// each taking effect on its destination kernel at its arrival instant, then
-// run the window on the kernels that have an event in it. The others only
-// land their clocks on the window's end. A window with enough busy kernels
-// fans out to the worker pool (the spin-then-park barrier in barrier.go);
-// a thin one runs inline on the coordinator.
+// during the last window (single-threaded, in (arrive, sender, send order)
+// so the schedule is independent of the worker count), each taking effect
+// on its destination kernel at its arrival instant, then run the window on
+// the kernels that have an event in it. The others only land their clocks
+// on the window's end. A window with enough busy kernels fans out to the
+// worker pool (the spin-then-park barrier in barrier.go); a thin one runs
+// inline on the coordinator.
 //
 // Determinism contract: a PDES run's per-node Results are identical for
 // every Workers value, because cross-node state is only touched at
@@ -73,12 +73,10 @@ const (
 
 // pdesMsg is one cross-node event in flight: sent by node from's logical
 // process during a window and applied by the coordinator at the next
-// barrier, taking effect at its arrival instant. seq is a per-sender
-// sequence number; (arrive, from, seq) totally orders every batch.
+// barrier, taking effect at its arrival instant.
 type pdesMsg struct {
 	kind   pdesMsgKind
 	from   int
-	seq    uint64
 	arrive sim.Time
 
 	// Lock traffic: the requesting transaction, whose pending request
@@ -111,11 +109,10 @@ type pdesState struct {
 	lockDelay sim.Time
 	cohDelay  sim.Time
 
-	// outboxes[i] collects node i's messages during a window; only node
-	// i's logical process appends, so windows need no message locking.
-	// Slices are reused across windows.
+	// outboxes[i] collects node i's messages during a window, in send
+	// order; only node i's logical process appends, so windows need no
+	// message locking. Slices are reused across windows.
 	outboxes [][]pdesMsg
-	seqs     []uint64
 	batch    []pdesMsg // reusable merge buffer, coordinator-only
 
 	// pending counts queued messages across all outboxes, so an empty
@@ -170,13 +167,13 @@ var pdesBroadcast = false
 // production runs.
 var pdesForceFanOut = false
 
-// newPDES builds the parallel engine for the nodes nodeCfgs describes: one
-// kernel per node, the message latencies and the lookahead, the residency
-// table and (for Workers > 1) the persistent worker pool. The cluster's
-// shared NVEM cache, if any, must already exist.
-func newPDES(c *cluster, nodeCfgs []Config, opts clusterOpts) *pdesState {
-	numNodes := len(nodeCfgs)
-	workers := opts.pdes.Workers
+// newPDES builds the parallel engine for the cluster's nodes: one kernel
+// per node, the message latencies and the lookahead, the residency table
+// and (for Workers > 1) the persistent worker pool. The cluster's shared
+// NVEM cache, if any, must already exist.
+func newPDES(c *cluster) *pdesState {
+	numNodes := c.cfg.NumNodes
+	workers := c.cfg.PDES.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -187,7 +184,7 @@ func newPDES(c *cluster, nodeCfgs []Config, opts clusterOpts) *pdesState {
 	// latency. With a shared NVEM cache, coherence traffic instead travels
 	// at the NVEM access latency, and the barrier horizon is the smaller
 	// of the two (no message may arrive inside the window that sent it).
-	lockDelay := sim.Time(opts.lockMsgDelay)
+	lockDelay := sim.Time(c.cfg.LockMsgDelayMS)
 	pd := &pdesState{
 		c:         c,
 		lookahead: lockDelay,
@@ -195,10 +192,9 @@ func newPDES(c *cluster, nodeCfgs []Config, opts clusterOpts) *pdesState {
 		cohDelay:  lockDelay,
 		workers:   workers,
 		outboxes:  make([][]pdesMsg, numNodes),
-		seqs:      make([]uint64, numNodes),
 	}
 	if c.shared != nil {
-		pd.cohDelay = sim.Time(opts.nvemAccessDelay)
+		pd.cohDelay = sim.Time(c.cfg.NVEMAccessDelayMS)
 		pd.lookahead = min(lockDelay, pd.cohDelay)
 	}
 	c.kernels = make([]*sim.Sim, numNodes)
@@ -208,13 +204,9 @@ func newPDES(c *cluster, nodeCfgs []Config, opts clusterOpts) *pdesState {
 	if !pdesBroadcast {
 		// The residency table covers every frame Invalidate looks in: main
 		// memory, plus the private NVEM cache when there is no shared one.
-		frames := 0
-		for i := range nodeCfgs {
-			f := nodeCfgs[i].Buffer.BufferSize
-			if c.shared == nil {
-				f += nodeCfgs[i].Buffer.NVEMCacheSize
-			}
-			frames = max(frames, f)
+		frames := c.cfg.Base.Buffer.BufferSize
+		if c.shared == nil {
+			frames += c.cfg.Base.Buffer.NVEMCacheSize
 		}
 		pd.residency = buffer.NewResidency(numNodes, frames)
 	}
@@ -229,7 +221,7 @@ func newPDES(c *cluster, nodeCfgs []Config, opts clusterOpts) *pdesState {
 // coordinator applies its operations at barriers. The residency table
 // tracks the pages the manager holds.
 func (pd *pdesState) attach(n *node) error {
-	n.inbox = newPDESInbox(pd, n)
+	n.inbox = &pdesInbox{pd: pd, e: n, s: n.s}
 	var bus buffer.RemoteNVEMCache
 	if pd.c.shared != nil {
 		bus = &pdesNVEMBus{pd: pd, e: n}
@@ -304,11 +296,9 @@ func (pd *pdesState) runWindow(w sim.Time) {
 
 // send queues one message from its sender's logical process. Called only
 // from the sending node's kernel (or from the coordinator at a barrier,
-// e.g. crash-time lock releases — outbox and sequence slots are per-node
-// either way, so only the pending count needs an atomic).
+// e.g. crash-time lock releases — outboxes are per-node either way, so
+// only the pending count needs an atomic).
 func (pd *pdesState) send(m pdesMsg) {
-	pd.seqs[m.from]++
-	m.seq = pd.seqs[m.from]
 	pd.outboxes[m.from] = append(pd.outboxes[m.from], m)
 	pd.pending.Add(1)
 }
@@ -345,16 +335,16 @@ func (pd *pdesState) reroute(e *node, tx workload.Tx) {
 	pd.send(pdesMsg{kind: pdesReroute, from: e.id, arrive: e.s.Now() + pd.lockDelay, tx: tx})
 }
 
-// deliver merges every outbox and applies the batch in (arrive, from, seq)
-// order, a total order, so the schedule does not depend on which worker
-// ran which kernel. A batch holds what was sent during the last window,
-// and its arrivals need not fall inside the window about to run: a message
-// class may travel longer than the lookahead — coherence traffic when
-// NVEMAccessDelayMS exceeds LockMsgDelayMS, lock traffic in the reverse
-// case — and then takes effect windows later. What does hold is that each
-// class travels at a single delay, so within a class application order
-// equals arrival order, batch after batch; the payload FIFOs of pdesInbox
-// rely on it. When no node sent anything the merge is skipped outright.
+// deliver merges every outbox and applies the batch in (arrive, sender,
+// send order), a total order, so the schedule does not depend on which
+// worker ran which kernel. The outboxes are appended in node-id order,
+// each in send order, so a stable sort on arrival yields it. A batch holds
+// what was sent during the last window, and its arrivals need not fall
+// inside the window about to run: a message class may travel longer than
+// the lookahead — coherence traffic when NVEMAccessDelayMS exceeds
+// LockMsgDelayMS, lock traffic in the reverse case — and then takes effect
+// windows later. When no node sent anything the merge is skipped
+// outright.
 func (pd *pdesState) deliver() {
 	// Every kernel stands at now, so each logged invalidation landing at
 	// or before it has passed everywhere.
@@ -370,23 +360,12 @@ func (pd *pdesState) deliver() {
 		batch = append(batch, pd.outboxes[i]...)
 		pd.outboxes[i] = pd.outboxes[i][:0]
 	}
-	slices.SortFunc(batch, byArrival)
+	slices.SortStableFunc(batch, func(a, b pdesMsg) int { return cmp.Compare(a.arrive, b.arrive) })
 	for i := range batch {
 		pd.dispatch(&batch[i])
 	}
 	clear(batch) // drop payload references before reuse
 	pd.batch = batch[:0]
-}
-
-// byArrival orders messages by (arrive, from, seq).
-func byArrival(a, b pdesMsg) int {
-	if c := cmp.Compare(a.arrive, b.arrive); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.from, b.from); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.seq, b.seq)
 }
 
 // dispatch applies one message on the coordinator. Effects on a node's
@@ -493,20 +472,14 @@ func (b *pdesNVEMBus) Put(key storage.PageKey, dirty bool) {
 	b.pd.send(pdesMsg{kind: pdesNVEMPut, from: b.e.id, arrive: b.e.s.Now() + b.pd.cohDelay, key: key, dirty: dirty})
 }
 
-// pdesInbox is one node's end of barrier delivery. The coordinator turns a
-// message into a typed payload, appends it to the node's FIFO for its kind
-// and hands the kernel the kind's fire method, bound once per node,
-// through the ordered delivery lane (sim.Deliver), so a barrier allocates
-// nothing. Continuations that carry no payload — the grant of a queued
-// lock request, the start of a rerouted arrival — are delivered as they
-// are.
-//
-// A kind's payloads fire in the order they were pushed. Each kind travels
-// at a single delay (lock verdicts at LockMsgDelayMS, invalidations and
-// probe replies at NVEMAccessDelayMS) and batches apply in arrival order,
-// so a kind is delivered with nondecreasing arrival time and increasing
-// seq — the order the kernel fires it in. Each payload carries the instant
-// it was delivered for, and firing it at any other instant panics.
+// pdesInbox is one node's end of barrier delivery. A delivery that carries
+// a payload — a lock verdict, an invalidation, a shared-NVEM probe reply —
+// travels on a pooled record whose fire method is bound once, and the
+// kernel gets that method through the ordered delivery lane (sim.Deliver),
+// so a barrier allocates nothing. Each record carries its own payload, so
+// deliveries may fire in any order. Continuations that carry no payload —
+// the grant of a queued lock request, the start of a rerouted arrival —
+// are delivered as they are.
 type pdesInbox struct {
 	pd *pdesState
 	e  *node
@@ -520,28 +493,10 @@ type pdesInbox struct {
 	spans  fifo[ordinalSpan]
 
 	// lates lists the late invalidations delivered and not yet fired;
-	// lateFree recycles their records.
-	lates, lateFree *lateInval
-
-	verdicts fifo[lockVerdict]
-	invals   fifo[pageInval]
-	replies  fifo[probeReply]
-
-	fireVerdict, fireInval, fireReply func()
-}
-
-// lockVerdict resumes a lock request the global manager granted (ok) or
-// refused as a deadlock.
-type lockVerdict struct {
-	at sim.Time
-	t  *txRun
-	ok bool
-}
-
-// pageInval drops the node's copy of a page a peer is about to write.
-type pageInval struct {
-	at  sim.Time
-	key storage.PageKey
+	// free recycles every delivery record. fills counts the reserved slots
+	// that became events, for the tests of the late path.
+	lates, free *delivery
+	fills       int
 }
 
 // appliedInval is an entry of the shared log: invalidation n of key,
@@ -559,32 +514,29 @@ type ordinalSpan struct {
 	first, last, seq uint64
 }
 
-// lateInval is an invalidation slot that became an event because its page
-// entered the node's buffer before the slot came up. Such events fire
-// outside the invals FIFO's order, so each carries its own payload: a
-// record pooled on the inbox's freelist with its fire method bound once.
-type lateInval struct {
-	in   *pdesInbox
-	n    uint64
-	at   sim.Time
-	key  storage.PageKey
-	fire func()
-	next *lateInval // pending-list or freelist link
-}
+// deliveryKind says what a delivery record carries.
+type deliveryKind uint8
 
-// probeReply carries a shared-NVEM-cache verdict back to the prober.
-type probeReply struct {
-	at         sim.Time
-	hit, dirty bool
-	k          func(hit, dirty bool)
-}
+const (
+	dlvVerdict deliveryKind = iota // t's lock verdict: granted (ok) or deadlock
+	dlvInval                       // key's invalidation, to a holder
+	dlvLate                        // invalidation n of key, in its reserved slot
+	dlvReply                       // a probe's hit (ok) and dirty bit, to k
+)
 
-func newPDESInbox(pd *pdesState, e *node) *pdesInbox {
-	in := &pdesInbox{pd: pd, e: e, s: e.s}
-	in.fireVerdict = in.onVerdict
-	in.fireInval = in.onInval
-	in.fireReply = in.onReply
-	return in
+// delivery is one barrier delivery with a payload, pooled on its inbox's
+// freelist with fire bound once. A late invalidation also sits on the
+// inbox's pending list until it fires.
+type delivery struct {
+	in        *pdesInbox
+	kind      deliveryKind
+	t         *txRun
+	k         func(hit, dirty bool)
+	n         uint64
+	key       storage.PageKey
+	ok, dirty bool
+	fire      func()
+	next      *delivery // pending-list or freelist link
 }
 
 // landing is the kernel instant a message arriving at arrive takes effect
@@ -634,20 +586,41 @@ func (in *pdesInbox) deliver(arrive sim.Time, fn func()) {
 	in.s.Deliver(landing(in.s.Now(), arrive), fn)
 }
 
+// get takes a delivery record of kind off the freelist, or allocates one
+// with its fire method bound.
+func (in *pdesInbox) get(kind deliveryKind) *delivery {
+	d := in.free
+	if d == nil {
+		d = &delivery{in: in}
+		d.fire = d.onFire
+	} else {
+		in.free = d.next
+	}
+	d.kind = kind
+	return d
+}
+
 // verdict delivers the global lock manager's verdict on t's request.
 func (in *pdesInbox) verdict(arrive sim.Time, t *txRun, ok bool) {
-	in.sync()
-	at := landing(in.s.Now(), arrive)
-	in.verdicts.push(lockVerdict{at: at, t: t, ok: ok})
-	in.s.Deliver(at, in.fireVerdict)
+	d := in.get(dlvVerdict)
+	d.t, d.ok = t, ok
+	in.deliver(arrive, d.fire)
+}
+
+// reply delivers a shared-cache probe's verdict to the prober's k.
+func (in *pdesInbox) reply(arrive sim.Time, hit, dirty bool, k func(hit, dirty bool)) {
+	d := in.get(dlvReply)
+	d.k, d.ok, d.dirty = k, hit, dirty
+	in.deliver(arrive, d.fire)
 }
 
 // invalidate delivers invalidation n of key, which lands at at, to a node
 // that holds the page: the event takes the seq n owns on the kernel.
 func (in *pdesInbox) invalidate(n uint64, at sim.Time, key storage.PageKey) {
 	in.syncTo(n - 1)
-	in.invals.push(pageInval{at: at, key: key})
-	in.s.Deliver(at, in.fireInval)
+	d := in.get(dlvInval)
+	d.key = key
+	in.s.Deliver(at, d.fire)
 	in.synced = n
 }
 
@@ -677,76 +650,47 @@ func (in *pdesInbox) late(r *appliedInval) {
 	if !reserved || in.s.Passed(r.at, seq) {
 		return
 	}
-	for l := in.lates; l != nil; l = l.next {
-		if l.n == r.n {
+	for d := in.lates; d != nil; d = d.next {
+		if d.n == r.n {
 			return
 		}
 	}
-	l := in.lateFree
-	if l == nil {
-		l = &lateInval{in: in}
-		l.fire = l.onFire
-	} else {
-		in.lateFree = l.next
-	}
-	l.n, l.at, l.key = r.n, r.at, r.key
-	l.next, in.lates = in.lates, l
-	in.s.DeliverReserved(r.at, seq, l.fire)
+	d := in.get(dlvLate)
+	d.n, d.key = r.n, r.key
+	d.next, in.lates = in.lates, d
+	in.fills++
+	in.s.DeliverReserved(r.at, seq, d.fire)
 }
 
-func (l *lateInval) onFire() {
-	in, at, key := l.in, l.at, l.key
-	p := &in.lates
-	for *p != l {
-		p = &(*p).next
+// onFire returns the record to the freelist, off the pending list if it
+// is a late invalidation, and then acts on its payload: the action may
+// take the record again (a probe reply's fix inserts a page, which can
+// fill a late slot).
+func (d *delivery) onFire() {
+	in, kind, t, k, key, ok, dirty := d.in, d.kind, d.t, d.k, d.key, d.ok, d.dirty
+	if kind == dlvLate {
+		p := &in.lates
+		for *p != d {
+			p = &(*p).next
+		}
+		*p = d.next
 	}
-	*p = l.next
+	d.t, d.k = nil, nil
 	if poolPoison {
-		l.n, l.at, l.key = 0, -1, storage.PageKey{Partition: -1, Page: -1}
+		d.kind, d.n, d.key, d.ok, d.dirty = 0xff, 0, storage.PageKey{Partition: -1, Page: -1}, true, true
 	}
-	l.next = in.lateFree
-	in.lateFree = l
-	in.check(at, "late invalidation")
-	in.e.invalidate(key)
-}
-
-// reply delivers a shared-cache probe's verdict to the prober's k.
-func (in *pdesInbox) reply(arrive sim.Time, hit, dirty bool, k func(hit, dirty bool)) {
-	in.sync()
-	at := landing(in.s.Now(), arrive)
-	in.replies.push(probeReply{at: at, hit: hit, dirty: dirty, k: k})
-	in.s.Deliver(at, in.fireReply)
-}
-
-func (in *pdesInbox) onVerdict() {
-	v := in.verdicts.pop()
-	in.check(v.at, "lock verdict")
-	v.t.onLocked(v.ok)
-}
-
-func (in *pdesInbox) onInval() {
-	v := in.invals.pop()
-	in.check(v.at, "invalidation")
-	in.e.invalidate(v.key)
-}
-
-func (in *pdesInbox) onReply() {
-	v := in.replies.pop()
-	in.check(v.at, "probe reply")
-	v.k(v.hit, v.dirty)
-}
-
-// check panics unless a popped payload fires at the instant it was
-// delivered for: a mismatch means the FIFO argument above broke and the
-// payload belongs to another event.
-func (in *pdesInbox) check(at sim.Time, kind string) {
-	if now := in.s.Now(); now != at {
-		panic(fmt.Sprintf("core: node %d fired a %s due at %v at %v: barrier payloads out of FIFO order",
-			in.e.id, kind, at, now))
+	d.next, in.free = in.free, d
+	switch kind {
+	case dlvVerdict:
+		t.onLocked(ok)
+	case dlvReply:
+		k(ok, dirty)
+	default:
+		in.e.invalidate(key)
 	}
 }
 
-// fifo is a first-in first-out queue of one payload kind. Its backing
+// fifo is a first-in first-out queue. Its backing
 // array is reused once drained and compacted when full, so a warm run
 // enqueues without allocating.
 type fifo[T any] struct {

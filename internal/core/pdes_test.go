@@ -110,7 +110,7 @@ func checkFanOut(t *testing.T, c *cluster, force bool) {
 // TestPDESWorkerCountInvariant is the parallel engine's determinism pin: a
 // serial coordinator (Workers = 1) and a parallel one must produce
 // identical per-node Results — cross-node state is only touched at
-// barriers, in (arrive, sender, seq) order, independent of which goroutine
+// barriers, in (arrive, sender, send order), independent of which goroutine
 // ran which kernel. Each parallel run is made twice, with the default
 // fan-out rule and with every window fanned out.
 func TestPDESWorkerCountInvariant(t *testing.T) {
@@ -323,20 +323,7 @@ func TestPDESValidate(t *testing.T) {
 // busy reports whether any kernel or outbox still holds work.
 func quietPDES(t *testing.T, nodes int) (c *cluster, window func(), busy func() bool) {
 	t.Helper()
-	cfg := pdesSharedCluster(t, nodes, 100*float64(nodes), 1)
-	nodeCfgs := make([]Config, cfg.NumNodes)
-	for i := range nodeCfgs {
-		nodeCfgs[i] = cfg.Base
-		nodeCfgs[i].Generator = cfg.Generators[i]
-	}
-	c, err := newCluster(cfg.Base.Seed, nodeCfgs, clusterOpts{
-		sharedNVEM:      true,
-		globalLocks:     true,
-		instrLockMsg:    DefaultInstrLockMsg,
-		lockMsgDelay:    DefaultLockMsgDelayMS,
-		nvemAccessDelay: cfg.NVEMAccessDelayMS,
-		pdes:            cfg.PDES,
-	})
+	c, err := newCluster(pdesSharedCluster(t, nodes, 100*float64(nodes), 1), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +372,7 @@ func logged(c *cluster) int {
 
 // pendingLate returns node n's late invalidation of ordinal o that is
 // delivered and has not fired, or nil.
-func pendingLate(n *node, o uint64) *lateInval {
+func pendingLate(n *node, o uint64) *delivery {
 	for l := n.inbox.lates; l != nil; l = l.next {
 		if l.n == o {
 			return l
@@ -394,14 +381,12 @@ func pendingLate(n *node, o uint64) *lateInval {
 	return nil
 }
 
-// lateRecords counts the late-invalidation records on every node's
-// freelist: nonzero once a reserved slot has become an event and fired.
+// lateRecords counts the late-invalidation records delivered on every
+// node: one per reserved slot a late insert turned into an event.
 func lateRecords(c *cluster) int {
 	k := 0
 	for _, n := range c.nodes {
-		for l := n.inbox.lateFree; l != nil; l = l.next {
-			k++
-		}
+		k += n.inbox.fills
 	}
 	return k
 }
@@ -481,8 +466,8 @@ func TestPDESBarrierDeliveryZeroAlloc(t *testing.T) {
 		t.Fatalf("cycle skipped a delivery path: locks %+v, buffer %+v, dirty hand-offs %d",
 			locks, buf, n3.win.dirtyHandoffs)
 	}
-	if n2.win.invalidations != int64(cycles) || n2.bm.Holds(late) || lateRecords(c) != 1 {
-		t.Fatalf("late invalidations: node 2 counted %d in %d cycles, holds the page %v, %d records pooled",
+	if n2.win.invalidations != int64(cycles) || n2.bm.Holds(late) || lateRecords(c) != cycles {
+		t.Fatalf("late invalidations: node 2 counted %d in %d cycles, holds the page %v, %d late records delivered",
 			n2.win.invalidations, cycles, n2.bm.Holds(late), lateRecords(c))
 	}
 	// Node 1 never inserts. It takes its seqs for each cycle's three
@@ -529,7 +514,7 @@ func TestPDESLateInsertInvalidated(t *testing.T) {
 				broadcast, n1.bm.Holds(page), n1.win.invalidations, n2.win.invalidations)
 		}
 		if !broadcast && lateRecords(c) != 1 {
-			t.Fatalf("%d late records pooled, want 1", lateRecords(c))
+			t.Fatalf("%d late records delivered, want 1", lateRecords(c))
 		}
 	}
 }
@@ -726,7 +711,7 @@ func TestPDESOrdinalTie(t *testing.T) {
 			window()
 		}
 		if !broadcast && lateRecords(c) != 2 {
-			t.Fatalf("%d late records pooled, want 2", lateRecords(c))
+			t.Fatalf("%d late records delivered, want 2", lateRecords(c))
 		}
 		return fmt.Sprintf("%s; invalidations %d %d %d %d; node 0 holds b %v; node 2 %+v",
 			seen, n0.win.invalidations, n1.win.invalidations, n2.win.invalidations, n3.win.invalidations,
@@ -791,17 +776,52 @@ func TestPDESResidencyMatchesRecount(t *testing.T) {
 	}
 }
 
-// TestPDESPayloadGuard: a barrier payload fired at any instant other than
-// the one it was delivered for panics instead of acting on another event.
-func TestPDESPayloadGuard(t *testing.T) {
-	e := &node{id: 1, s: sim.New()}
-	in := newPDESInbox(nil, e)
-	in.invals.push(pageInval{at: 5})
-	e.s.Deliver(6, in.fireInval)
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "out of FIFO order") {
-			t.Fatalf("recover = %v, want the out-of-FIFO-order panic", r)
+// TestPDESBatchOrder pins the order one barrier applies its batch in:
+// arrival first, then sender id, then send order. Each node sends
+// invalidations at two instants, several per event, so the batch holds
+// ties both across senders and within one; node 1 also sends one from the
+// coordinator between windows, as a crash-time release is, which ties with
+// the messages its kernel sent at the window's end and follows them. The
+// shared log lists the applied invalidations in the batch order.
+func TestPDESBatchOrder(t *testing.T) {
+	c, window, _ := quietPDES(t, 3)
+	pd := c.net.(*pdesState)
+	type sent struct {
+		from int
+		page int64
+	}
+	var early, late []sent // arriving at 0.2 and at 0.25, in the order they must apply
+	for _, n := range c.nodes {
+		for _, at := range []sim.Time{0.1, 0.05} { // scheduled out of time order
+			var pages []int64
+			for k := range 3 {
+				pages = append(pages, int64(100*n.id+10*int(at*100)+3-k)) // descending within an event
+			}
+			n.s.Schedule(at, func() {
+				for _, p := range pages {
+					pd.invalidate(n, storage.PageKey{Page: p})
+				}
+			})
+			for _, p := range pages {
+				if at == 0.05 {
+					early = append(early, sent{n.id, p})
+				} else {
+					late = append(late, sent{n.id, p})
+				}
+			}
 		}
-	}()
-	e.s.RunAll()
+	}
+	window() // runs [0, 0.1]; every message is still in its outbox
+	pd.invalidate(c.nodes[1], storage.PageKey{Page: 1})
+	want := append(early, late[:6]...)
+	want = append(want, sent{1, 1})
+	want = append(want, late[6:]...)
+	window() // the barrier at 0.1 applies the batch
+	var got []sent
+	for _, r := range pd.invals.items[pd.invals.head:] {
+		got = append(got, sent{r.from, r.key.Page})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the barrier applied\n%v\nwant\n%v", got, want)
+	}
 }

@@ -42,9 +42,8 @@ func (p nodePhase) String() string {
 // phaseStep is one boundary of the run schedule: advance simulated time
 // to at, then run the transition.
 type phaseStep struct {
-	name string
-	at   sim.Time
-	run  func()
+	at  sim.Time
+	run func()
 }
 
 // phases builds the run schedule: the measurement-window snapshot at the
@@ -52,17 +51,12 @@ type phaseStep struct {
 // end-of-run boundary. Steps are sorted by time (stable, so equal-time
 // steps keep their declaration order).
 func (c *cluster) phases() []phaseStep {
-	steps := []phaseStep{
-		{name: "measure", at: c.warmup, run: c.openWindow},
+	warmup, failure := c.cfg.Base.WarmupMS, &c.cfg.Failure
+	steps := []phaseStep{{at: warmup, run: c.openWindow}}
+	if failure.Enabled {
+		steps = append(steps, phaseStep{at: warmup + failure.CrashAtMS, run: c.injectCrash})
 	}
-	if c.failure.Enabled {
-		steps = append(steps, phaseStep{
-			name: "crash",
-			at:   c.warmup + c.failure.CrashAtMS,
-			run:  c.injectCrash,
-		})
-	}
-	steps = append(steps, phaseStep{name: "end", at: c.warmup + c.measure})
+	steps = append(steps, phaseStep{at: warmup + c.cfg.Base.MeasureMS})
 	sort.SliceStable(steps, func(i, j int) bool { return steps[i].at < steps[j].at })
 	return steps
 }
@@ -87,5 +81,5 @@ func (c *cluster) openWindow() {
 
 // injectCrash fails the configured node at the current instant.
 func (c *cluster) injectCrash() {
-	c.nodes[c.failure.Node].crashNow(c.failure.RebootMS)
+	c.nodes[c.cfg.Failure.Node].crashNow(c.cfg.Failure.RebootMS)
 }

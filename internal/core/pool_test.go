@@ -14,9 +14,9 @@ import (
 // and requires byte-identical reports. Poison fills freed records with
 // sentinel garbage, so any reset line deleted from any reuse path makes
 // the poisoned run's report diverge (or panic on a sentinel state). The
-// PDES shared-NVEM cluster adds barrier delivery, the remote fix, the
-// coherence hand-off and the late-invalidation records to the single-node
-// engine's paths.
+// PDES shared-NVEM cluster adds the barrier delivery records, late
+// invalidations included, the remote fix and the coherence hand-off to the
+// single-node engine's paths.
 func TestPoolPoisonInvariance(t *testing.T) {
 	runs := []struct {
 		name string
@@ -35,7 +35,7 @@ func TestPoolPoisonInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 			if lateRecords(c) == 0 {
-				t.Fatal("PDES run recycled no late-invalidation record")
+				t.Fatal("PDES run delivered no late-invalidation record")
 			}
 			return res.Report()
 		}},
@@ -73,7 +73,7 @@ func TestTxRunFreelistRecycles(t *testing.T) {
 
 	cfg := dcConfig(t, 150)
 	cfg.WarmupMS, cfg.MeasureMS = 1000, 1000
-	c, err := newCluster(cfg.Seed, []Config{cfg}, clusterOpts{})
+	c, err := newCluster(oneNode(cfg), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func MeasureRestart(cfg Config, rebootMS float64) (*Result, error) {
 	if rebootMS < 0 {
 		return nil, fmt.Errorf("core: rebootMS = %v", rebootMS)
 	}
-	c, err := newCluster(cfg.Seed, []Config{cfg}, clusterOpts{trackActive: true})
+	c, err := newCluster(oneNode(cfg), true)
 	if err != nil {
 		return nil, err
 	}

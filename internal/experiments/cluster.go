@@ -88,15 +88,16 @@ func (s ClusterSetup) Build(o Options) (core.ClusterConfig, error) {
 
 	gens := make([]workload.Generator, s.Nodes)
 	if s.Contention {
-		model := contentionModel(perNodeRate)
 		for i := range gens {
 			gen, err := workload.NewSynthetic(contentionModel(perNodeRate))
 			if err != nil {
 				return core.ClusterConfig{}, err
 			}
 			gens[i] = gen
+			if i == 0 {
+				base.Partitions = gen.Model().Partitions
+			}
 		}
-		base.Partitions = model.Partitions
 		base.CCModes = []cc.Granularity{s.Granularity, s.Granularity}
 		applyContentionPathlength(&base)
 	} else {

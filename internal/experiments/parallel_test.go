@@ -92,7 +92,8 @@ func TestGridFirstErrorDeterministic(t *testing.T) {
 // TestDeterministicAcrossParallelism is the determinism regression gate:
 // every experiment in the registry renders byte-identical output between a
 // serial run and an oversubscribed parallel run at the same seed (which also
-// covers run-to-run determinism, since the two runs share nothing).
+// covers run-to-run determinism, since the two runs share nothing). The
+// experiments run side by side, so a serial pass does not leave cores idle.
 func TestDeterministicAcrossParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry sweep")
@@ -101,6 +102,7 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 	parallel := Options{Quick: true, Seed: 7, Parallelism: wideParallelism()}
 	for _, e := range All() {
 		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
 			a, err := e.Run(serial)
 			if err != nil {
 				t.Fatal(err)
