@@ -10,6 +10,7 @@
 package tpsim_test
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -338,11 +339,11 @@ func BenchmarkRecoveryAvailability(b *testing.B) {
 // --- substrate micro-benchmarks ---
 
 // BenchmarkSimKernel measures raw event throughput of the DES kernel: one
-// Schedule → continuation cycle per iteration. The continuation is bound
-// and a warmup chain run before the timer starts, so the timed region
-// measures pure pop/push cycles — zero allocations per operation even at
-// -benchtime=1x (closure construction and ring-slot capacity growth are
-// one-time setup costs, not per-event costs).
+// Schedule → continuation cycle per iteration, with one event pending. The
+// continuation is bound and a warmup chain run before the timer starts, so
+// the timed region measures pure pop/push cycles — zero allocations per
+// operation even at -benchtime=1x (closure construction and the queue's
+// first slice growth are one-time setup costs, not per-event costs).
 func BenchmarkSimKernel(b *testing.B) {
 	b.ReportAllocs()
 	s := sim.New()
@@ -354,7 +355,7 @@ func BenchmarkSimKernel(b *testing.B) {
 			s.Schedule(1, tick)
 		}
 	}
-	limit = 256 // warm every calendar-ring slot's capacity
+	limit = 256 // warm the event queue's storage
 	s.Schedule(1, tick)
 	s.RunAll()
 	n, limit = 0, b.N
@@ -363,12 +364,12 @@ func BenchmarkSimKernel(b *testing.B) {
 	s.RunAll()
 }
 
-// BenchmarkKernelHeap10M pushes the event heap past 10^7 events in one
-// kernel run with a resident population of 1024 concurrent timers, so the
-// heap's up/down sifts work at realistic depth instead of the near-empty
-// heap BenchmarkSimKernel exercises. One iteration is one full run; the
-// events/op metric pins the volume so ns/op tracks per-event cost across
-// the BENCH_* trajectory.
+// BenchmarkKernelHeap10M pushes the kernel past 10^7 events in one run
+// with a resident population of 1024 concurrent timers, past the sorted
+// slice's limit, so the event queue works in its calendar queue throughout
+// instead of the near-empty queue BenchmarkSimKernel exercises. One
+// iteration is one full run; the events/op metric pins the volume so ns/op
+// tracks per-event cost across the BENCH_* trajectory.
 func BenchmarkKernelHeap10M(b *testing.B) {
 	b.ReportAllocs()
 	const (
@@ -396,9 +397,50 @@ func BenchmarkKernelHeap10M(b *testing.B) {
 	b.ReportMetric(totalEvents, "events/op")
 }
 
+// BenchmarkKernelHold measures the kernel at the populations the
+// workloads run with: n timers each reschedule themselves a jittered delay
+// later, so n events are pending at every pop. One op is one event.
+// BenchmarkSimKernel holds one pending event and BenchmarkKernelHeap10M
+// 1,024; the bench workloads hold a few dozen. A warm-up pass sizes the
+// queue first, and the timer stops before the last n events drain, so a
+// one-iteration run measures the steady state and allocates nothing.
+func BenchmarkKernelHold(b *testing.B) {
+	for _, n := range []int{8, 32, 128, 1024} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			s := sim.New()
+			rnd := rng.NewStream(1, "hold-bench")
+			left := 0
+			var tick func()
+			tick = func() {
+				if left == 0 {
+					return
+				}
+				if left--; left == 0 {
+					b.StopTimer()
+				}
+				s.Schedule(0.5+rnd.Float64(), tick)
+			}
+			start := func(events int) {
+				left = events
+				for t := 0; t < n; t++ {
+					s.Schedule(rnd.Float64(), tick)
+				}
+			}
+			start(64 * n)
+			s.RunAll() // stops the timer as its last event reschedules
+			start(b.N)
+			b.ResetTimer()
+			b.StartTimer()
+			s.RunAll()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+		})
+	}
+}
+
 // BenchmarkSimResource measures acquire/hold/release cycles. A warmup pass
-// populates the queue-entry freelist and the calendar queue's buckets, and
-// the timed pass's cycle closure is built before the timer starts, so a
+// populates the queue-entry freelist and the event queue's slice, and the
+// timed pass's cycle closure is built before the timer starts, so a
 // one-iteration run (the CI snapshot) measures the steady state, not
 // first-touch pool growth or set-up.
 func BenchmarkSimResource(b *testing.B) {

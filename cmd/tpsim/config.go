@@ -500,11 +500,11 @@ func (fc *fileConfig) workload(cfg *tpsim.Config) error {
 	switch w.Kind {
 	case "debitcredit", "":
 		dcc := tpsim.DefaultDebitCreditConfig(w.Rate)
-		if w.Branches > 0 {
-			dcc.NumBranches = w.Branches
-		}
-		if w.Accounts > 0 {
-			dcc.NumAccounts = w.Accounts
+		if err := errors.Join(
+			setIfPos(&dcc.NumBranches, "workload.branches", w.Branches),
+			setIfPos(&dcc.NumAccounts, "workload.accounts", w.Accounts),
+		); err != nil {
+			return err
 		}
 		if w.Uncluster {
 			dcc.ClusterBranchTeller = false
@@ -585,7 +585,7 @@ func (fc *fileConfig) workload(cfg *tpsim.Config) error {
 
 // setIfPos overrides the default *dst with the file's value v of field
 // name: 0 keeps the default, and a negative value is an error.
-func setIfPos[T int | float64](dst *T, name string, v T) error {
+func setIfPos[T int | int64 | float64](dst *T, name string, v T) error {
 	if v < 0 {
 		return fmt.Errorf("%s = %v: must not be negative (0 keeps the default)", name, v)
 	}

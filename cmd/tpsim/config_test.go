@@ -48,9 +48,17 @@ func TestLoadRejectsBadValues(t *testing.T) {
 		cfg.MPL != tpsim.Defaults().MPL || cfg.MeasureMS != tpsim.Defaults().MeasureMS {
 		t.Fatalf("zero values did not keep the defaults: err %v", err)
 	}
+	zeroWorkload := strings.Replace(`{`+rest, `"rate":10`, `"rate":10,"branches":0,"accounts":0`, 1)
+	if cfg, _, err := load(strings.NewReader(zeroWorkload)); err != nil ||
+		cfg.Partitions[0].NumObjects != tpsim.DefaultDebitCreditConfig(10).NumAccounts {
+		t.Fatalf("zero branches and accounts did not keep the defaults: err %v", err)
+	}
 	for _, field := range []string{"mpl", "numCPU", "mips", "instrBOT", "instrOR", "instrEOT", "instrIO",
 		"instrNVEM", "warmupMS", "measureMS", "nvemServers", "nvemDelayMS"} {
 		cases["negative "+field] = fmt.Sprintf(`{"%s":-1,%s`, field, rest)
+	}
+	for _, field := range []string{"branches", "accounts"} {
+		cases["negative workload."+field] = strings.Replace(`{`+rest, `"rate":10`, `"rate":10,"`+field+`":-5`, 1)
 	}
 	for name, in := range cases {
 		if _, _, err := load(strings.NewReader(in)); err == nil {

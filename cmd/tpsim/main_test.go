@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // runCmd executes run() capturing both streams.
@@ -44,6 +45,38 @@ func TestRunUsageAndErrors(t *testing.T) {
 	}
 	if code, _, _ := runCmd(t, "-config", bad); code != 1 {
 		t.Fatalf("bad config: code=%d, want 1", code)
+	}
+}
+
+// TestRunFarFutureArrivals: at 1e-300 TPS the first arrival lies about
+// 1e303 ms out, far past the run's windows, and the run still returns and
+// reports no commits. The kernel's calendar queue used to clamp such an
+// event's bucket id to math.MaxInt64, overflow its window end and scan
+// empty buckets forever. The run gets its own goroutine, so a hang fails
+// here instead of stalling the test binary until its timeout.
+func TestRunFarFutureArrivals(t *testing.T) {
+	cfg := strings.Replace(exampleConfig, `"rate": 200`, `"rate": 1e-300`, 1)
+	path := filepath.Join(t.TempDir(), "far.json")
+	if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		code        int
+		out, stderr string
+	}
+	done := make(chan result, 1)
+	go func() {
+		var out, errb bytes.Buffer
+		code := run([]string{"-config", path}, &out, &errb)
+		done <- result{code, out.String(), errb.String()}
+	}()
+	select {
+	case r := <-done:
+		if r.code != 0 || !strings.Contains(r.out, "(0 commits,") {
+			t.Fatalf("code=%d stderr=%s\n%s", r.code, r.stderr, r.out)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("a run whose only arrival lies 1e303 ms out did not return")
 	}
 }
 

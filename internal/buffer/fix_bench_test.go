@@ -52,7 +52,7 @@ var fixPaths = []struct {
 
 // warmFix builds the rig of fixPaths[i] and returns it with a step that
 // fixes the path's next page and runs the simulation to rest. The step has
-// run enough times to warm every freelist and the calendar queue.
+// run enough times to warm every freelist and the event queue.
 func warmFix(tb testing.TB, i int) (*rig, func()) {
 	fp := fixPaths[i]
 	r := newRig(tb, fp.cfg())

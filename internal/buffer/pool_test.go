@@ -109,7 +109,7 @@ func TestGroupCommitWaiterBufferRecycled(t *testing.T) {
 }
 
 // TestBufferSteadyStateZeroAlloc pins the headline discipline: once the
-// freelists and the kernel's calendar queue are warm, the miss/write-back/
+// freelists and the kernel's event queue are warm, the miss/write-back/
 // log cycle — fix with dirty victim, device read, log write — allocates
 // nothing. The rig's delays are deterministic, so this is a stable bound,
 // not a flaky one.

@@ -455,7 +455,7 @@ func TestPDESBarrierDeliveryZeroAlloc(t *testing.T) {
 			window()
 		}
 	}
-	// Warm every freelist, FIFO, lane and calendar-queue bucket first.
+	// Warm every freelist, FIFO, lane and event queue first.
 	for i := 0; i < 300; i++ {
 		cycle()
 	}

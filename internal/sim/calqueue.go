@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // calQueue is a calendar queue (Brown, CACM 1988): a power-of-two ring of
 // time buckets of equal width, scanned in time order, with a binary-heap
 // overflow band for events beyond the ring's window. For the simulator's
@@ -52,10 +50,14 @@ const (
 	calInitNB    = 64   // initial ring size
 	calMinWidth  = 1e-9 // width floor against zero-gap degenerate programs
 	calCheckMask = 1023 // width checked every 1024 pops
-	// calMaxBidF guards the at/width → int64 conversion: anything mapping
-	// this far out is clamped to a single huge bid, which always lands in
-	// (and correctly drains from) the overflow band.
-	calMaxBidF = float64(1) * (1 << 62)
+	// calMaxBid guards the at/width → int64 conversion: anything mapping
+	// this far out is clamped to this one bid. It lies far enough below
+	// math.MaxInt64 that the end of a window reaching it, curBid+nb, cannot
+	// overflow, so clamped events drain from the overflow band like any
+	// other; and clamping keeps bid nondecreasing in at, so they share one
+	// bucket, whose scan pops them in (at, seq) order.
+	calMaxBid  = int64(1) << 62
+	calMaxBidF = float64(calMaxBid)
 )
 
 func newCalQueue() *calQueue {
@@ -73,7 +75,7 @@ func (q *calQueue) Len() int { return q.inWin + q.overflow.Len() }
 func (q *calQueue) bidOf(at Time) int64 {
 	f := at / q.width
 	if f >= calMaxBidF {
-		return math.MaxInt64
+		return calMaxBid
 	}
 	return int64(f)
 }

@@ -67,14 +67,15 @@ const (
 	viaReserve           // Deliver, or Reserve + DeliverReserved
 )
 
-// queueKinds are the two event queues a kernel runs on: the calendar queue
-// New builds, and the binary heap it is checked against.
+// queueKinds are the two representations a kernel's queue starts in: the
+// sorted slice New builds, and the calendar queue a large population moves
+// to (newCalendarSim).
 var queueKinds = []struct {
 	name string
 	new  func() *Sim
 }{
-	{"calendar", New},
-	{"heap", func() *Sim { return &Sim{events: &eventHeap{}} }},
+	{"sorted", New},
+	{"calendar", newCalendarSim},
 }
 
 // propRun drives one randomized program on a fresh kernel from newSim and
@@ -364,72 +365,6 @@ func TestReservedSlotEqualInstant(t *testing.T) {
 	s.RunAll()
 	if got := fmt.Sprint(order); got != "[first after last]" {
 		t.Fatalf("fired %s, want [first after last]", got)
-	}
-}
-
-// TestQueueDifferential runs randomized event programs through the binary
-// heap and the calendar queue and demands identical (time, seq) pop
-// sequences. Programs interleave pushes and pops, mix dense near-term
-// timestamps with a far-future band (exercising the calendar queue's
-// overflow heap and window advances), and include heavy timestamp ties.
-func TestQueueDifferential(t *testing.T) {
-	for seed := int64(1); seed <= 60; seed++ {
-		rnd := rand.New(rand.NewSource(seed))
-		heap := &eventHeap{}
-		cal := newCalQueue()
-		var seq uint64
-		now := Time(0)
-
-		push := func() {
-			var at Time
-			switch rnd.Intn(10) {
-			case 0: // far-future band → calendar overflow
-				at = now + 1_000 + Time(rnd.Intn(100_000))
-			case 1, 2: // tie with the current instant
-				at = now
-			default: // dense near band, quantized for more ties
-				at = now + Time(rnd.Intn(40))*0.25
-			}
-			seq++
-			ev := event{at: at, seq: seq}
-			heap.Push(ev)
-			cal.Push(ev)
-		}
-		pop := func() {
-			if heap.Len() == 0 {
-				return
-			}
-			if pa, pb := heap.Peek(), cal.Peek(); pa.at != pb.at || pa.seq != pb.seq {
-				t.Fatalf("seed %d: peek diverged: heap (at=%v seq=%d), cal (at=%v seq=%d)",
-					seed, pa.at, pa.seq, pb.at, pb.seq)
-			}
-			a, b := heap.Pop(), cal.Pop()
-			if a.at != b.at || a.seq != b.seq {
-				t.Fatalf("seed %d: pop diverged: heap (at=%v seq=%d), cal (at=%v seq=%d)",
-					seed, a.at, a.seq, b.at, b.seq)
-			}
-			if a.at < now {
-				t.Fatalf("seed %d: time ran backwards: %v after %v", seed, a.at, now)
-			}
-			now = a.at
-		}
-
-		for i := 0; i < 3000; i++ {
-			if rnd.Intn(5) < 3 {
-				push()
-			} else {
-				pop()
-			}
-			if heap.Len() != cal.Len() {
-				t.Fatalf("seed %d: length diverged: heap %d, cal %d", seed, heap.Len(), cal.Len())
-			}
-		}
-		for heap.Len() > 0 {
-			pop()
-		}
-		if cal.Len() != 0 {
-			t.Fatalf("seed %d: calendar queue not drained: %d left", seed, cal.Len())
-		}
 	}
 }
 

@@ -161,7 +161,7 @@ func (r *Resource) Release() {
 // runs k. The uncontended path allocates nothing: the release rides on the
 // scheduled event itself.
 func (r *Resource) Use(dt Time, k func()) {
-	if dt < 0 {
+	if !(dt >= 0) { // negative or NaN
 		panic(fmt.Sprintf("sim: negative hold %v", dt))
 	}
 	r.integrate()

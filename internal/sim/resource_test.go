@@ -245,8 +245,9 @@ func TestResourceContendedZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() {
 		// Three users on a single server: two queue behind the first, so
 		// every Release exercises the slot-transfer wake. Zero-length
-		// holds keep the events inside the current calendar bucket — the
-		// measurement is the resource path, not ring-slot warmup.
+		// holds keep the events at one instant, so the event queue never
+		// grows past its first use — the measurement is the resource path,
+		// not queue warmup.
 		r.Use(0, noop)
 		r.Use(0, noop)
 		r.Use(0, noop)

@@ -51,24 +51,8 @@ type Sim struct {
 	laneHead int
 }
 
-// eventQueue is the pending-event set behind a Sim: the calendar queue,
-// or the plain binary heap that serves as its overflow band and as the
-// reference implementation the tests check it against. Both order strictly
-// by (at, seq), which is the kernel's determinism contract: any two queues
-// fed the same pushes produce the same pop sequence.
-type eventQueue interface {
-	Len() int
-	Push(event)
-	// Peek and Pop return the (at, seq)-minimum; they must not be called
-	// on an empty queue.
-	Peek() event
-	Pop() event
-	Clear()
-}
-
-// New creates an empty simulation at time zero, backed by the calendar
-// queue.
-func New() *Sim { return &Sim{events: newCalQueue(), next: math.Inf(1)} }
+// New creates an empty simulation at time zero.
+func New() *Sim { return &Sim{next: math.Inf(1)} }
 
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
@@ -78,11 +62,12 @@ func (s *Sim) Now() Time { return s.now }
 func (s *Sim) Pending() int { return s.events.Len() + len(s.lane) - s.laneHead }
 
 // Schedule runs fn in kernel context at now+delay. delay must be
-// non-negative. fn must not block; activity that takes simulated time is
-// expressed by scheduling a continuation for the remainder.
+// non-negative: a negative or NaN delay panics. fn must not block;
+// activity that takes simulated time is expressed by scheduling a
+// continuation for the remainder.
 //
 // A zero delay goes through Deliver(Now(), fn), which by its contract fires
-// fn exactly where the calendar queue would. The ordered lane takes it in
+// fn exactly where the event queue would. The ordered lane takes it in
 // O(1) and spares the queue a burst of events at one instant, such as the
 // one write per dirty frame that a fuzzy checkpoint schedules.
 func (s *Sim) Schedule(delay Time, fn func()) {
@@ -90,14 +75,14 @@ func (s *Sim) Schedule(delay Time, fn func()) {
 		s.Deliver(s.now, fn)
 		return
 	}
-	if delay < 0 {
+	if !(delay > 0) { // negative or NaN: NaN fails every comparison
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
 	s.seq++
 	s.push(event{at: s.now + delay, seq: s.seq, fn: fn})
 }
 
-// push adds ev to the calendar queue and lowers the next-event bound.
+// push adds ev to the event queue and lowers the next-event bound.
 func (s *Sim) push(ev event) {
 	s.lower(ev.at)
 	s.events.Push(ev)
@@ -111,15 +96,15 @@ func (s *Sim) lower(at Time) {
 }
 
 // Deliver runs fn in kernel context at the instant at, which must not lie
-// before Now. The event takes the kernel's next seq, as Schedule does, so
-// Deliver(at, fn) fires exactly where Schedule(at-Now(), fn) would when the
-// two agree on at. It is the entry point for a caller that hands the kernel
+// before Now or be NaN. The event takes the kernel's next seq, as Schedule
+// does, so Deliver(at, fn) fires exactly where Schedule(at-Now(), fn) would
+// when the two agree on at. It is the entry point for a caller that hands the kernel
 // events already sorted by time, and for Schedule's zero-delay events:
 // while at is nondecreasing the event is appended to an ordered lane in
-// O(1), and Run merges the lane head with the queue head, so the calendar
-// queue's push, scan and pop are skipped.
+// O(1), and Run merges the lane head with the queue head, so the event
+// queue's insert and pop are skipped.
 //
-// An at below the lane's tail goes to the calendar queue instead. The PDES
+// An at below the lane's tail goes to the event queue instead. The PDES
 // cluster engine relies on this fallback: it delivers lock traffic
 // (LockMsgDelayMS) and coherence traffic (NVEMAccessDelayMS) through one
 // lane per node, and where the coherence delay is the longer one — pdes-64
@@ -129,7 +114,7 @@ func (s *Sim) lower(at Time) {
 // arrivals, the verdicts would fire late, after the clock had passed them:
 // without the fallback, cluster.scaleout256's golden output changes.
 func (s *Sim) Deliver(at Time, fn func()) {
-	if at < s.now {
+	if !(at >= s.now) { // before now, or NaN
 		panic(fmt.Sprintf("sim: delivery at %v before now %v", at, s.now))
 	}
 	s.seq++
@@ -172,12 +157,12 @@ func (s *Sim) Passed(at Time, seq uint64) bool {
 }
 
 // DeliverReserved runs fn in kernel context in the slot (at, seq), whose
-// seq Reserve handed out. The event goes to the calendar queue, which
-// orders by (at, seq) whatever the push time, so it fires in the slot's
-// place among the events scheduled before and after the reservation. It
-// panics if the slot has passed.
+// seq Reserve handed out. The event goes to the event queue, which orders
+// by (at, seq) whatever the push time, so it fires in the slot's place
+// among the events scheduled before and after the reservation. It panics
+// if the slot has passed or at is NaN.
 func (s *Sim) DeliverReserved(at Time, seq uint64, fn func()) {
-	if seq > s.seq || s.Passed(at, seq) {
+	if seq > s.seq || math.IsNaN(at) || s.Passed(at, seq) {
 		panic(fmt.Sprintf("sim: reserved slot (%v, %d) has passed or was never reserved (now %v, next seq %d)",
 			at, seq, s.now, s.seq+1))
 	}

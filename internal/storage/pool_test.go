@@ -48,7 +48,7 @@ func TestDiskOpPoolResetContract(t *testing.T) {
 }
 
 // TestDiskUnitSteadyStateZeroAlloc pins the pooled access path: once the
-// freelist and the kernel's calendar queue are warm, read/write cycles on
+// freelist and the kernel's event queue are warm, read/write cycles on
 // a regular unit allocate nothing. Delays are deterministic, so the bound
 // is stable.
 func TestDiskUnitSteadyStateZeroAlloc(t *testing.T) {
