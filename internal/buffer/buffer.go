@@ -6,6 +6,7 @@ package buffer
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/lru"
 	"repro/internal/sim"
@@ -129,6 +130,11 @@ type Manager struct {
 	units []*storage.DiskUnit
 	nvem  *storage.NVEM
 
+	// allocs places every page: the partitions' allocations, then a last
+	// row, logPartition, made from the log's. It is the manager's own copy,
+	// so the row never lands in a slice the caller shares.
+	allocs []PartitionAlloc
+
 	mm         *lru.Cache[storage.PageKey, frame]
 	nvemCache  *lru.Cache[storage.PageKey, nvemFrame]
 	sharedNVEM bool // the NVEM cache is the cluster-shared one, not private
@@ -184,26 +190,20 @@ func SetPoolPoison(on bool) { poolPoison = on }
 // issue sites set the state (and any successor via the documented flow)
 // before handing step to a host, device or kernel continuation slot.
 const (
-	fxFetch      uint8 = iota // victim disposed: fetch (or remote-probe) the page
+	ioIssue      uint8 = iota // I/O overhead charged: read or write io, continue in then
+	opDone                    // fix or log write complete: run the caller's continuation
+	fxFetch                   // victim disposed: fetch (or remote-probe) the page
 	fxMigrated                // victim's NVEM transfer done: insert, then fetch
 	fxNVEMTouch               // NVEM-hit transfer done: FORCE recency, then done
-	fxReadIO                  // I/O overhead charged: issue the device read
-	fxVictimIO                // I/O overhead charged: issue the victim write
-	fxDone                    // fix complete: run the caller's continuation
 	fcLoop                    // force next eligible page of the commit set
 	fcNVEM                    // force transfer done: insert into the NVEM cache
-	fcWriteIO                 // I/O overhead charged: issue the force write
 	fcAfter                   // one force write durable: clean the frame, loop
-	wbFull                    // write-buffer full: issue the synchronous write
 	wbStored                  // page absorbed in the write buffer: start destage
-	lgIO                      // I/O overhead charged: issue the log page write
 	axEvict                   // NVEM-evict destage: page passes through MM first
 	axWriteStart              // async disk update: charge the I/O overhead
-	axWrite                   // overhead charged: issue the async device write
 	axHandoff                 // coherence hand-off: charge the NVEM transfer
 	axDone                    // background op done: release WB frame if any
-	ckFlush                   // checkpoint flush of one page: route by allocation
-	ckWriteIO                 // overhead charged: issue the checkpoint write
+	ckFlush                   // checkpoint flush of one page: write it home
 	ckDone                    // one checkpoint page durable: count down
 	gcOpen                    // group opened: wait out the group-commit window
 	gcFlush                   // window over: write the group's single log page
@@ -218,9 +218,15 @@ const (
 // order are identical to the closure formulation. probe, bound alongside
 // step in remote mode, takes a remote shared-cache probe's verdict.
 type bufOp struct {
-	m           *Manager
-	key         storage.PageKey
-	victim      storage.PageKey
+	m   *Manager
+	key storage.PageKey
+	// io is the page of the access in flight: the victim being disposed
+	// of, a page on its way home, or the page being read. write gives the
+	// direction of the device access ioIssue makes, and then the state
+	// after that access or after the write buffer absorbs the page.
+	io          storage.PageKey
+	write       bool
+	then        uint8
 	k           func()
 	ps          *PartitionStats
 	keys        []storage.PageKey // ForcePages commit set (caller-owned)
@@ -257,10 +263,10 @@ func (m *Manager) putOp(op *bufOp) {
 	op.k, op.ps, op.keys, op.waiters = nil, nil, nil, nil
 	if poolPoison {
 		op.key = storage.PageKey{Partition: -1, Page: -1}
-		op.victim = storage.PageKey{Partition: -1, Page: -1}
+		op.io = storage.PageKey{Partition: -1, Page: -1}
 		op.i, op.gen = -1, -1
-		op.nvemHit, op.victimDirty, op.wb = true, true, true
-		op.state = 0xff
+		op.nvemHit, op.victimDirty, op.wb, op.write = true, true, true, true
+		op.state, op.then = 0xff, 0xff
 	}
 	op.next = m.freeOps
 	m.freeOps = op
@@ -271,12 +277,25 @@ func (m *Manager) putOp(op *bufOp) {
 func (op *bufOp) run() {
 	m := op.m
 	switch op.state {
+	case ioIssue:
+		op.state = op.then
+		u := m.unitOf(op.io.Partition)
+		if op.write {
+			u.Write(op.io, op.step)
+		} else {
+			u.Read(op.io, op.step)
+		}
+	case opDone:
+		k := op.k
+		m.putOp(op)
+		k()
+
 	case fxFetch:
 		a := m.alloc(op.key.Partition)
 		switch {
 		case a.NVEMResident:
 			m.stats.NVEMReads++
-			op.state = fxDone
+			op.state = opDone
 			m.host.NVEMTransfer(op.step)
 		case a.NVEMCache && m.remote != nil:
 			// The shared cache sits across the interconnect: its verdict
@@ -289,13 +308,12 @@ func (op *bufOp) run() {
 			op.state = fxNVEMTouch
 			m.host.NVEMTransfer(op.step)
 		default:
-			m.stats.DeviceReads++
 			op.readPage()
 		}
 	case fxMigrated:
-		m.insertNVEM(op.victim, op.victimDirty)
+		m.insertNVEM(op.io, op.victimDirty)
 		if op.victimDirty && !m.cfg.NVEMDeferredDestage {
-			m.startAsyncWrite(op.victim)
+			m.asyncWrite(op.io, false)
 		}
 		op.state = fxFetch
 		op.run()
@@ -305,18 +323,8 @@ func (op *bufOp) run() {
 			// NVEM copy, refresh its recency.
 			m.nvemCache.Touch(op.key)
 		}
-		op.state = fxDone
+		op.state = opDone
 		op.run()
-	case fxReadIO:
-		op.state = fxDone
-		m.unitOf(op.key.Partition).Read(op.key, op.step)
-	case fxVictimIO:
-		op.state = fxFetch
-		m.unitOf(op.victim.Partition).Write(op.victim, op.step)
-	case fxDone:
-		k := op.k
-		m.putOp(op)
-		k()
 
 	case fcLoop:
 		for op.i < len(op.keys) {
@@ -335,73 +343,42 @@ func (op *bufOp) run() {
 			}
 			m.stats.ForceWrites++
 			op.key = key
-			switch {
-			case a.NVEMResident:
-				op.state = fcAfter
-				m.host.NVEMTransfer(op.step)
-			case a.NVEMCache && (m.nvemCache != nil || m.remote != nil):
+			if a.NVEMCache {
 				// Force into the NVEM cache; MM copy stays (replication).
 				// Deferred destage pays off exactly here: re-forced pages
 				// overwrite their dirty NVEM copy without another disk write.
 				op.state = fcNVEM
 				m.host.NVEMTransfer(op.step)
-			case a.NVEMWriteBuffer:
-				op.state = fcAfter
-				m.writeViaWB(key, op.step)
-			default:
-				if a.SyncAccess {
-					op.state = fcAfter
-					m.syncDeviceIO(key, true, op.step)
-				} else {
-					op.state = fcWriteIO
-					m.host.IOOverhead(op.step)
-				}
+			} else {
+				op.writeHome(key, fcAfter)
 			}
 			return
 		}
-		k := op.k
-		m.putOp(op)
-		k()
+		op.state = opDone
+		op.run()
 	case fcNVEM:
 		m.insertNVEM(op.key, true)
 		if !m.cfg.NVEMDeferredDestage {
-			m.startAsyncWrite(op.key)
+			m.asyncWrite(op.key, false)
 		}
 		op.state = fcAfter
 		op.run()
-	case fcWriteIO:
-		op.state = fcAfter
-		m.unitOf(op.key.Partition).Write(op.key, op.step)
 	case fcAfter:
 		m.mm.Update(op.key, frame{dirty: false})
 		op.state = fcLoop
 		op.run()
 
-	case wbFull:
-		key, k := op.key, op.k
-		m.putOp(op)
-		m.deviceUnitFor(key).Write(key, k)
 	case wbStored:
-		key, k := op.key, op.k
-		m.putOp(op)
-		m.asyncWrite(key, true)
-		k()
-
-	case lgIO:
-		key, k := op.key, op.k
-		m.putOp(op)
-		m.units[m.cfg.Log.DiskUnit].Write(key, k)
+		m.asyncWrite(op.io, true)
+		op.state = op.then
+		op.run()
 
 	case axEvict:
 		op.state = axWriteStart
 		m.host.NVEMTransfer(op.step)
 	case axWriteStart:
 		m.stats.AsyncDiskWrites++
-		op.state = axWrite
-		m.host.IOOverhead(op.step)
-	case axWrite:
-		op.state = axDone
-		m.deviceUnitFor(op.key).Write(op.key, op.step)
+		op.issueIO(op.key, true, axDone)
 	case axHandoff:
 		op.state = axDone
 		m.host.NVEMTransfer(op.step)
@@ -412,26 +389,7 @@ func (op *bufOp) run() {
 		m.putOp(op)
 
 	case ckFlush:
-		a := m.alloc(op.key.Partition)
-		switch {
-		case a.NVEMResident:
-			op.state = ckDone
-			m.host.NVEMTransfer(op.step)
-		case a.NVEMWriteBuffer:
-			op.state = ckDone
-			m.writeViaWB(op.key, op.step)
-		default:
-			if a.SyncAccess {
-				op.state = ckDone
-				m.syncDeviceIO(op.key, true, op.step)
-			} else {
-				op.state = ckWriteIO
-				m.host.IOOverhead(op.step)
-			}
-		}
-	case ckWriteIO:
-		op.state = ckDone
-		m.unitOf(op.key.Partition).Write(op.key, op.step)
+		op.writeHome(op.key, ckDone)
 	case ckDone:
 		gen := op.gen
 		m.putOp(op)
@@ -451,8 +409,7 @@ func (op *bufOp) run() {
 		m.gcWaiters = nil
 		m.stats.GroupCommits++
 		// One I/O carries the whole group's log data.
-		op.state = gcDone
-		m.writeLogPage(op.step)
+		op.writeLogPage(gcDone)
 	case gcDone:
 		ws := op.waiters
 		op.waiters = nil
@@ -470,6 +427,61 @@ func (op *bufOp) run() {
 	}
 }
 
+// writeHome sends the write of key to its home by allocation and
+// continues in state next once the write stops delaying the op: an NVEM
+// transfer for an NVEM-resident page; the NVEM write buffer, which absorbs
+// the page and updates its disk copy in the background or, when every
+// frame still awaits its disk update, falls back to a device write (the
+// saturation behaviour of a full non-volatile disk cache); otherwise the
+// disk unit.
+func (op *bufOp) writeHome(key storage.PageKey, next uint8) {
+	m := op.m
+	a := m.alloc(key.Partition)
+	switch {
+	case a.NVEMResident:
+		op.state = next
+		m.host.NVEMTransfer(op.step)
+	case a.NVEMWriteBuffer && m.wbInUse < m.cfg.NVEMWriteBufferSize:
+		m.wbInUse++
+		op.io, op.then = key, next
+		op.state = wbStored
+		m.host.NVEMTransfer(op.step)
+	case a.NVEMWriteBuffer:
+		m.stats.WBFullSync++
+		op.issueIO(key, true, next)
+	default:
+		op.deviceIO(key, true, next)
+	}
+}
+
+// deviceIO reads or writes key on its disk unit and continues in state
+// next: with the CPU held for the whole access for a partition with
+// SyncAccess, otherwise after the I/O overhead.
+func (op *bufOp) deviceIO(key storage.PageKey, write bool, next uint8) {
+	m := op.m
+	if !m.alloc(key.Partition).SyncAccess {
+		op.issueIO(key, write, next)
+		return
+	}
+	unit := m.unitOf(key.Partition)
+	op.state = next
+	m.host.SyncDeviceIO(func(done func()) {
+		if write {
+			unit.Write(key, done)
+		} else {
+			unit.Read(key, done)
+		}
+	}, op.step)
+}
+
+// issueIO charges the I/O overhead; ioIssue then reads or writes key on
+// its disk unit and continues in state next.
+func (op *bufOp) issueIO(key storage.PageKey, write bool, next uint8) {
+	op.io, op.write, op.then = key, write, next
+	op.state = ioIssue
+	op.m.host.IOOverhead(op.step)
+}
+
 // onProbe resumes a remote fix with the shared cache's verdict. Under
 // NOFORCE a hit promotes the copy's deferred-destage modification with the
 // page; if the frame was replaced while the probe was in flight the page
@@ -480,30 +492,23 @@ func (op *bufOp) onProbe(hit, dirty bool) {
 		if _, ok := m.mm.Peek(op.key); ok {
 			m.mm.Update(op.key, frame{dirty: true})
 		} else {
-			m.startAsyncWrite(op.key)
+			m.asyncWrite(op.key, false)
 		}
 	}
 	if hit {
 		m.stats.NVEMCacheHits++
 		op.ps.NVEMHits++
-		op.state = fxDone
+		op.state = opDone
 		m.host.NVEMTransfer(op.step)
 		return
 	}
-	m.stats.DeviceReads++
 	op.readPage()
 }
 
-// readPage issues the missed page's device read; fxDone continues.
+// readPage reads the missed page from its disk unit; opDone continues.
 func (op *bufOp) readPage() {
-	m := op.m
-	if m.alloc(op.key.Partition).SyncAccess {
-		op.state = fxDone
-		m.syncDeviceIO(op.key, false, op.step)
-		return
-	}
-	op.state = fxReadIO
-	m.host.IOOverhead(op.step)
+	op.m.stats.DeviceReads++
+	op.deviceIO(op.key, false, opDone)
 }
 
 // asyncWrite starts a pooled background disk update of key: one +0 event
@@ -542,11 +547,16 @@ func NewShared(cfg Config, partitionNames []string, units []*storage.DiskUnit,
 	if cfg.UsesNVEM() && nvem == nil {
 		return nil, fmt.Errorf("buffer: configuration uses NVEM but no NVEM store given")
 	}
+	// Clip makes append copy: cluster nodes share cfg.Partitions.
+	allocs := append(slices.Clip(cfg.Partitions), PartitionAlloc{
+		NVEMResident: cfg.Log.NVEMResident, DiskUnit: cfg.Log.DiskUnit, NVEMWriteBuffer: cfg.Log.NVEMWriteBuffer,
+	})
 	m := &Manager{
 		cfg:          cfg,
 		host:         host,
 		units:        units,
 		nvem:         nvem,
+		allocs:       allocs,
 		mm:           lru.New[storage.PageKey, frame](cfg.BufferSize, storage.PageHash),
 		logPartition: len(cfg.Partitions),
 		partStats:    make([]PartitionStats, len(cfg.Partitions)),
@@ -604,14 +614,10 @@ func (m *Manager) NVEMCacheLen() int {
 	return m.nvemCache.Len()
 }
 
-// WriteBufferInUse returns the pages currently buffered in the NVEM write
-// buffer awaiting their disk update.
-func (m *Manager) WriteBufferInUse() int { return m.wbInUse }
+// alloc returns the partition's allocation, the log's for logPartition.
+func (m *Manager) alloc(partition int) *PartitionAlloc { return &m.allocs[partition] }
 
-// alloc returns the partition's allocation.
-func (m *Manager) alloc(partition int) *PartitionAlloc { return &m.cfg.Partitions[partition] }
-
-// unitOf returns the disk-unit backing the partition.
+// unitOf returns the disk-unit backing the partition or the log.
 func (m *Manager) unitOf(partition int) *storage.DiskUnit {
 	return m.units[m.alloc(partition).DiskUnit]
 }
@@ -655,8 +661,10 @@ func (m *Manager) Fix(key storage.PageKey, write bool, k func()) {
 	// the interconnect (remote mode, no local nvemCache) is probed from
 	// fxFetch instead, once the victim is disposed: the probe travels as a
 	// message and its verdict resumes the fix (onProbe).
-	nvemHit := a.NVEMCache && m.nvemCache != nil && m.nvemCacheHas(key)
-	nvemDirty := false
+	nvemHit, nvemDirty := false, false
+	if a.NVEMCache && m.nvemCache != nil {
+		_, nvemHit = m.nvemCache.Peek(key) // FORCE refreshes recency in fxNVEMTouch
+	}
 	if nvemHit && !m.cfg.Force {
 		// NOFORCE: a page lives in at most one of MM and NVEM. Under
 		// deferred destage a dirty NVEM copy promotes to a dirty MM frame
@@ -679,28 +687,28 @@ func (m *Manager) Fix(key storage.PageKey, write bool, k func()) {
 	op.nvemHit = nvemHit
 	op.state = fxFetch
 	if haveVictim {
-		op.victim, op.victimDirty = victim, victimDirty
+		op.io, op.victimDirty = victim, victimDirty
 		m.disposeVictimOp(op)
 		return
 	}
 	op.run()
 }
 
-// disposeVictimOp routes op.victim according to its partition's
-// allocation: into the NVEM cache, through the NVEM write buffer, or
-// synchronously to the device; op continues at op.state — fxFetch — once
-// the victim stops delaying the fixer. A page migrating into the NVEM
-// cache under immediate propagation (the paper's simple scheme, section
-// 3.2) starts its disk write right away and asynchronously, so NVEM frames
-// are always replaceable without delay — eviction is a drop. Under
-// deferred destage the page stays dirty in NVEM and the disk write happens
-// only when NVEM evicts it (paying an extra NVEM→MM transfer then), saving
-// disk writes for re-modified pages.
+// disposeVictimOp routes the victim op.io according to its partition's
+// allocation: into the NVEM cache, dropped when clean, written in the
+// background under asynchronous replacement, or else written home; op
+// continues at fxFetch once the victim stops delaying the fixer. A page
+// migrating into the NVEM cache under immediate propagation (the paper's
+// simple scheme, section 3.2) starts its disk write right away and
+// asynchronously, so NVEM frames are always replaceable without delay —
+// eviction is a drop. Under deferred destage the page stays dirty in NVEM
+// and the disk write happens only when NVEM evicts it (paying an extra
+// NVEM→MM transfer then), saving disk writes for re-modified pages.
 func (m *Manager) disposeVictimOp(op *bufOp) {
-	key, dirty := op.victim, op.victimDirty
+	key, dirty := op.io, op.victimDirty
 	a := m.alloc(key.Partition)
 
-	if a.NVEMCache && (m.nvemCache != nil || m.remote != nil) {
+	if a.NVEMCache {
 		migrate := a.NVEMCacheMode == MigrateAll ||
 			(dirty && a.NVEMCacheMode == MigrateModified) ||
 			(!dirty && a.NVEMCacheMode == MigrateUnmodified)
@@ -722,27 +730,23 @@ func (m *Manager) disposeVictimOp(op *bufOp) {
 
 	switch {
 	case a.NVEMResident:
-		// Write the page back to its NVEM home (synchronous, fast).
-		m.host.NVEMTransfer(op.step)
-	case a.NVEMWriteBuffer:
-		m.writeViaWB(key, op.step)
-	case m.cfg.AsyncReplacement:
+		// Written back to its NVEM home (synchronous, fast).
+	case a.NVEMWriteBuffer && m.wbInUse < m.cfg.NVEMWriteBufferSize:
+		m.stats.VictimToWB++
+	case m.cfg.AsyncReplacement && !a.NVEMWriteBuffer:
 		// Footnote 3's software optimization: the replacement write happens
 		// in the background; only the read delays the transaction.
 		m.stats.VictimAsync++
 		m.asyncWrite(key, false)
 		op.run()
+		return
 	default:
-		// Device write before the read can proceed (the transaction waits
-		// for it either way; SyncAccess additionally holds the CPU).
+		// A device write before the read can proceed, to the disk or as
+		// the write buffer's fallback (the transaction waits for it either
+		// way; SyncAccess additionally holds the CPU).
 		m.stats.VictimWrites++
-		if m.alloc(key.Partition).SyncAccess {
-			m.syncDeviceIO(key, true, op.step)
-		} else {
-			op.state = fxVictimIO
-			m.host.IOOverhead(op.step)
-		}
 	}
+	op.writeHome(key, fxFetch)
 }
 
 // ApplySharedProbe resolves one remote Probe against the cluster-shared
@@ -771,27 +775,6 @@ func (m *Manager) ApplySharedProbe(key storage.PageKey) (hit, dirty bool) {
 // mode, where whoever's insert triggers the eviction pays the destage.
 func (m *Manager) ApplySharedPut(key storage.PageKey, dirty bool) {
 	m.putNVEMInto(m.remoteShared.cache, key, dirty)
-}
-
-// syncDeviceIO reads or writes a page on its partition's disk-unit with
-// the CPU held for the whole access (a partition with SyncAccess), then
-// runs k.
-func (m *Manager) syncDeviceIO(key storage.PageKey, write bool, k func()) {
-	unit := m.unitOf(key.Partition)
-	m.host.SyncDeviceIO(func(done func()) {
-		if write {
-			unit.Write(key, done)
-		} else {
-			unit.Read(key, done)
-		}
-	}, k)
-}
-
-// nvemCacheHas probes the NVEM cache without touching recency (recency is
-// handled by the caller depending on the update strategy).
-func (m *Manager) nvemCacheHas(key storage.PageKey) bool {
-	_, ok := m.nvemCache.Peek(key)
-	return ok
 }
 
 // reserveFrame removes a victim frame when the buffer is full, returning
@@ -823,17 +806,12 @@ func (m *Manager) insertNVEM(key storage.PageKey, dirty bool) {
 		m.remote.Put(key, dirty)
 		return
 	}
-	m.putNVEM(key, dirty)
-}
-
-// putNVEM inserts into the NVEM cache, destaging an evicted deferred-dirty
-// page in the background.
-func (m *Manager) putNVEM(key storage.PageKey, dirty bool) {
 	m.putNVEMInto(m.nvemCache, key, dirty)
 }
 
-// putNVEMInto is the insert body, shared between the node-local cache and
-// the coordinator-applied shared cache (ApplySharedPut).
+// putNVEMInto inserts into the node-local cache or, from ApplySharedPut,
+// the coordinator-applied shared cache, destaging an evicted
+// deferred-dirty page in the background.
 func (m *Manager) putNVEMInto(c *lru.Cache[storage.PageKey, nvemFrame], key storage.PageKey, dirty bool) {
 	if !m.cfg.NVEMDeferredDestage {
 		dirty = false // disk copy is (being made) current
@@ -855,42 +833,6 @@ func (m *Manager) destageFromNVEM(key storage.PageKey) {
 	op.key, op.wb = key, false
 	op.state = axEvict
 	m.sim.Schedule(0, op.step)
-}
-
-// writeViaWB absorbs a page write in the NVEM write buffer: the caller
-// continues after the NVEM transfer while the disk copy is updated
-// asynchronously. When every write-buffer frame is still awaiting its disk
-// update, the write falls back to a synchronous device write (the same
-// saturation behaviour as a full non-volatile disk cache).
-func (m *Manager) writeViaWB(key storage.PageKey, k func()) {
-	op := m.getOp()
-	op.key, op.k = key, k
-	if m.wbInUse >= m.cfg.NVEMWriteBufferSize {
-		m.stats.WBFullSync++
-		m.stats.VictimWrites++
-		op.state = wbFull
-		m.host.IOOverhead(op.step)
-		return
-	}
-	m.wbInUse++
-	m.stats.VictimToWB++
-	op.state = wbStored
-	m.host.NVEMTransfer(op.step)
-}
-
-// deviceUnitFor resolves the disk-unit for a page, treating the log
-// partition specially.
-func (m *Manager) deviceUnitFor(key storage.PageKey) *storage.DiskUnit {
-	if key.Partition == m.logPartition {
-		return m.units[m.cfg.Log.DiskUnit]
-	}
-	return m.unitOf(key.Partition)
-}
-
-// startAsyncWrite begins the immediate asynchronous disk update for a
-// modified page that entered the NVEM cache.
-func (m *Manager) startAsyncWrite(key storage.PageKey) {
-	m.asyncWrite(key, false)
 }
 
 // ForcePages implements commit phase 1 under FORCE: every page the
@@ -920,7 +862,7 @@ func (m *Manager) WriteLog(k func()) {
 		return
 	}
 	if !m.cfg.GroupCommit {
-		m.writeLogPage(k)
+		m.writeLog(k)
 		return
 	}
 	if m.gcWaiters == nil {
@@ -940,21 +882,20 @@ func (m *Manager) WriteLog(k func()) {
 	}
 }
 
-// writeLogPage performs one physical log page write, then k.
-func (m *Manager) writeLogPage(k func()) {
+// writeLog writes one log page on an op of its own, then runs k.
+func (m *Manager) writeLog(k func()) {
+	op := m.getOp()
+	op.k = k
+	op.writeLogPage(opDone)
+}
+
+// writeLogPage appends one physical log page, written home by the log
+// allocation, and continues in state next.
+func (op *bufOp) writeLogPage(next uint8) {
+	m := op.m
 	m.stats.LogWrites++
 	m.logSinceCkpt++
 	key := storage.PageKey{Partition: m.logPartition, Page: m.logNext}
 	m.logNext++
-	switch {
-	case m.cfg.Log.NVEMResident:
-		m.host.NVEMTransfer(k)
-	case m.cfg.Log.NVEMWriteBuffer:
-		m.writeViaWB(key, k)
-	default:
-		op := m.getOp()
-		op.key, op.k = key, k
-		op.state = lgIO
-		m.host.IOOverhead(op.step)
-	}
+	op.writeHome(key, next)
 }

@@ -69,12 +69,17 @@ func writeLogB(b *sim.BlockingProcess, m *Manager) {
 // configuration applied to partition 0 and the log on the same unit.
 func newRig(t testing.TB, cfg Config) *rig {
 	t.Helper()
-	s := sim.New()
-	unitCfg := storage.DiskUnitConfig{
+	return newRigOn(t, cfg, storage.DiskUnitConfig{
 		Name: "u0", Type: storage.Regular,
 		NumControllers: 4, ContrDelay: 1, TransDelay: 0.4,
 		NumDisks: 4, DiskDelay: 15,
-	}
+	})
+}
+
+// newRigOn is newRig on a disk unit built from unitCfg.
+func newRigOn(t testing.TB, cfg Config, unitCfg storage.DiskUnitConfig) *rig {
+	t.Helper()
+	s := sim.New()
 	unit, err := storage.NewDiskUnit(s, unitCfg, rng.NewStream(1, "unit"))
 	if err != nil {
 		t.Fatal(err)
@@ -399,7 +404,7 @@ func TestWriteBufferAbsorbsVictimWrites(t *testing.T) {
 	if st.AsyncDiskWrites != 1 {
 		t.Fatalf("async writes = %d", st.AsyncDiskWrites)
 	}
-	if r.m.WriteBufferInUse() != 0 {
+	if r.m.wbInUse != 0 {
 		t.Fatal("write buffer frame not freed after destage")
 	}
 }
@@ -626,5 +631,20 @@ func TestConfigValidation(t *testing.T) {
 		if err := mk(mutate); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
+	}
+}
+
+// TestLogRowIsPrivate: each manager keeps the log as the last row of its
+// own allocation table, never in the spare capacity of a Partitions slice
+// that cluster nodes share.
+func TestLogRowIsPrivate(t *testing.T) {
+	parts := make([]PartitionAlloc, 1, 2)
+	a := newRig(t, Config{BufferSize: 1, Partitions: parts, Log: LogAlloc{NVEMResident: true}}).m
+	b := newRig(t, Config{BufferSize: 1, Partitions: parts}).m
+	if !a.alloc(a.logPartition).NVEMResident || b.alloc(b.logPartition).NVEMResident {
+		t.Fatal("a manager's log row reads another manager's log allocation")
+	}
+	if parts[:2][1] != (PartitionAlloc{}) {
+		t.Fatalf("the shared Partitions slice's spare capacity holds %+v", parts[:2][1])
 	}
 }

@@ -38,18 +38,6 @@ func (m *Manager) appendDirtyKeys(out []storage.PageKey) []storage.PageKey {
 	return out
 }
 
-// DirtyPages counts the dirty main-memory frames.
-func (m *Manager) DirtyPages() int {
-	n := 0
-	m.mm.Each(func(_ storage.PageKey, f frame) bool {
-		if f.dirty {
-			n++
-		}
-		return true
-	})
-	return n
-}
-
 // StopCheckpoints makes the checkpoint daemon exit at its next tick: a
 // crashed node cannot checkpoint, and a drain-to-empty run (restart
 // measurement) must terminate.
@@ -114,15 +102,10 @@ func (m *Manager) fuzzyCheckpoint(gen int, k func()) {
 		if m.ckptGen != gen {
 			return
 		}
-		done := func() {
+		m.writeLog(func() { // the checkpoint record
 			m.logSinceCkpt = 0
 			k()
-		}
-		if m.cfg.Logging {
-			m.writeLogPage(done) // checkpoint record
-			return
-		}
-		done()
+		})
 	}
 	if len(keys) == 0 {
 		finish()
@@ -171,12 +154,12 @@ func (m *Manager) RecoveryScan(n int64, k func()) {
 		}
 		key := storage.PageKey{Partition: m.logPartition, Page: m.logNext - n + i}
 		i++
-		if m.cfg.Log.NVEMResident {
+		if m.alloc(m.logPartition).NVEMResident {
 			m.host.NVEMTransfer(step)
 			return
 		}
 		m.host.IOOverhead(func() {
-			m.units[m.cfg.Log.DiskUnit].Read(key, step)
+			m.unitOf(m.logPartition).Read(key, step)
 		})
 	}
 	step()

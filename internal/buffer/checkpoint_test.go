@@ -40,9 +40,9 @@ func TestCheckpointFlushesDirtyPages(t *testing.T) {
 			fixB(b, r.m, key(0, page), true)
 		}
 		writeLogB(b, r.m)
-		dirtyBefore, logBefore = r.m.DirtyPages(), r.m.LogSinceCkpt()
+		dirtyBefore, logBefore = len(r.m.DirtyKeys()), r.m.LogSinceCkpt()
 		b.Hold(600) // across the first checkpoint
-		dirtyAfter, logAfter = r.m.DirtyPages(), r.m.LogSinceCkpt()
+		dirtyAfter, logAfter = len(r.m.DirtyKeys()), r.m.LogSinceCkpt()
 		r.m.StopCheckpoints()
 	})
 	if dirtyBefore != 3 || logBefore != 1 {
@@ -96,9 +96,9 @@ func TestCheckpointFlushRoutes(t *testing.T) {
 			r.drive(func(b *sim.BlockingProcess) {
 				fixB(b, r.m, key(0, 1), true)
 				writeLogB(b, r.m)
-				before, dirtyBefore = *r.host, r.m.DirtyPages()
+				before, dirtyBefore = *r.host, len(r.m.DirtyKeys())
 				b.Hold(1900 - b.Now()) // across the checkpoint at 1000, short of the next
-				dirtyAfter, logAfter = r.m.DirtyPages(), r.m.LogSinceCkpt()
+				dirtyAfter, logAfter = len(r.m.DirtyKeys()), r.m.LogSinceCkpt()
 				r.m.StopCheckpoints()
 			})
 			if dirtyBefore != int(tc.flushed) {

@@ -34,9 +34,6 @@ func NewSharedNVEMCache(frames int) (*SharedNVEMCache, error) {
 	return &SharedNVEMCache{cache: lru.New[storage.PageKey, nvemFrame](frames, storage.PageHash)}, nil
 }
 
-// Len returns the number of occupied shared-cache frames.
-func (c *SharedNVEMCache) Len() int { return c.cache.Len() }
-
 // Residency is an exact count, per hash slot, of the pages each node of
 // a cluster holds where Invalidate finds them: in main memory, or in the
 // node's private NVEM cache. A zero count proves a node holds no page of
@@ -148,11 +145,11 @@ func (m *Manager) Invalidate(key storage.PageKey) (had, dirty bool) {
 	case a.NVEMCache && m.sharedNVEM:
 		m.insertNVEM(key, true)
 		if !m.cfg.NVEMDeferredDestage {
-			m.startAsyncWrite(key)
+			m.asyncWrite(key, false)
 		}
 		m.handoff()
 	default:
-		m.startAsyncWrite(key)
+		m.asyncWrite(key, false)
 	}
 	return true, true
 }

@@ -203,9 +203,9 @@ func TestResidencySkipsSharedCache(t *testing.T) {
 		fixB(bp, a, key(0, 2), false) // page 1 moves into the shared cache
 	})
 	s.RunAll()
-	if shared.Len() != 1 || a.Holds(key(0, 1)) || !a.Holds(key(0, 2)) {
+	if shared.cache.Len() != 1 || a.Holds(key(0, 1)) || !a.Holds(key(0, 2)) {
 		t.Fatalf("shared cache holds %d pages; node holds page 1 %v, page 2 %v; want 1, false, true",
-			shared.Len(), a.Holds(key(0, 1)), a.Holds(key(0, 2)))
+			shared.cache.Len(), a.Holds(key(0, 1)), a.Holds(key(0, 2)))
 	}
 	if err := a.VerifyResidency(res, 0); err != nil {
 		t.Fatal(err)

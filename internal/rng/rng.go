@@ -166,6 +166,3 @@ func (d *Discrete) Sample(s *Stream) int {
 	}
 	return lo
 }
-
-// Len returns the number of categories.
-func (d *Discrete) Len() int { return len(d.cum) }

@@ -247,11 +247,3 @@ func (q *calQueue) relayout(width Time, nb int) {
 		}
 	}
 }
-
-// Clear drops every pending event.
-func (q *calQueue) Clear() {
-	q.buckets = make([][]event, q.nb)
-	q.inWin = 0
-	q.overflow.Clear()
-	q.memo.valid = false
-}

@@ -23,9 +23,6 @@ type eventHeap struct {
 // Len reports the number of pending events.
 func (h *eventHeap) Len() int { return len(h.items) }
 
-// Clear drops every pending event.
-func (h *eventHeap) Clear() { h.items = nil }
-
 // Push inserts an event.
 func (h *eventHeap) Push(e event) {
 	h.items = append(h.items, e)

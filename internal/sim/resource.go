@@ -55,9 +55,6 @@ func (s *Sim) NewResource(name string, capacity int) *Resource {
 	return r
 }
 
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
-
 // Capacity returns the number of servers.
 func (r *Resource) Capacity() int { return r.capacity }
 

@@ -295,9 +295,6 @@ func NewDiskUnit(s *sim.Sim, cfg DiskUnitConfig, rnd *rng.Stream) (*DiskUnit, er
 	return u, nil
 }
 
-// Config returns the unit's configuration.
-func (u *DiskUnit) Config() DiskUnitConfig { return u.cfg }
-
 // Stats returns a copy of the unit's counters.
 func (u *DiskUnit) Stats() DiskUnitStats { return u.stats }
 
