@@ -1,0 +1,41 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+)
+
+// FuzzConfig feeds hostile configuration files through load and, when
+// load accepts one, through the engine's validation: each step returns or
+// fails with an error, never a panic. The target runs no simulation, since
+// the engine reserves its buffer frames up front and a fuzzed buffer size
+// would exhaust memory. It skips inputs that name a trace file, which load
+// would open whatever path it names, and clusters of more than 64 nodes,
+// for which load builds one generator per node before any validation.
+func FuzzConfig(f *testing.F) {
+	for _, c := range []string{exampleConfig, exampleClusterConfig, exampleWorkloadConfig,
+		exampleClosedLoopConfig, exampleSkewConfig} {
+		f.Add([]byte(c))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Decode as load does; a failed decode may have set fields too.
+		var fc fileConfig
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		_ = dec.Decode(&fc)
+		if fc.Workload.TraceFile != "" || fc.Cluster != nil && fc.Cluster.NumNodes > 64 {
+			t.Skip()
+		}
+		cfg, cluster, err := load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		// A rejection is as good an outcome as acceptance; a panic is not.
+		if cluster != nil {
+			_ = cluster.Validate()
+		} else {
+			_ = cfg.Validate()
+		}
+	})
+}

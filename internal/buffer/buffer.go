@@ -21,11 +21,10 @@ import (
 type Host interface {
 	// IOOverhead charges the CPU overhead of one I/O, then runs k.
 	IOOverhead(k func())
-	// SyncDeviceIO charges the I/O overhead and runs the device access dev
-	// with the CPU held (AccessMode=synchronous, Table 3.3); dev must call
-	// its argument when the device completes, after which the CPU is
-	// released and k runs.
-	SyncDeviceIO(dev func(done func()), k func())
+	// SyncDeviceIO charges the I/O overhead and reads or writes key on
+	// unit with the CPU held (AccessMode=synchronous, Table 3.3); once the
+	// device completes, the CPU is released and k runs.
+	SyncDeviceIO(unit *storage.DiskUnit, key storage.PageKey, write bool, k func())
 	// NVEMTransfer performs one page transfer between main memory and NVEM
 	// with the CPU held (synchronous access, section 2), then runs k.
 	NVEMTransfer(k func())
@@ -430,10 +429,10 @@ func (op *bufOp) run() {
 // writeHome sends the write of key to its home by allocation and
 // continues in state next once the write stops delaying the op: an NVEM
 // transfer for an NVEM-resident page; the NVEM write buffer, which absorbs
-// the page and updates its disk copy in the background or, when every
-// frame still awaits its disk update, falls back to a device write (the
-// saturation behaviour of a full non-volatile disk cache); otherwise the
-// disk unit.
+// the page and updates its disk copy in the background; otherwise, and
+// when every write-buffer frame still awaits its disk update (the
+// saturation behaviour of a full non-volatile disk cache), the disk unit
+// in the partition's access mode.
 func (op *bufOp) writeHome(key storage.PageKey, next uint8) {
 	m := op.m
 	a := m.alloc(key.Partition)
@@ -448,7 +447,7 @@ func (op *bufOp) writeHome(key storage.PageKey, next uint8) {
 		m.host.NVEMTransfer(op.step)
 	case a.NVEMWriteBuffer:
 		m.stats.WBFullSync++
-		op.issueIO(key, true, next)
+		fallthrough
 	default:
 		op.deviceIO(key, true, next)
 	}
@@ -463,15 +462,8 @@ func (op *bufOp) deviceIO(key storage.PageKey, write bool, next uint8) {
 		op.issueIO(key, write, next)
 		return
 	}
-	unit := m.unitOf(key.Partition)
 	op.state = next
-	m.host.SyncDeviceIO(func(done func()) {
-		if write {
-			unit.Write(key, done)
-		} else {
-			unit.Read(key, done)
-		}
-	}, op.step)
+	m.host.SyncDeviceIO(m.unitOf(key.Partition), key, write, op.step)
 }
 
 // issueIO charges the I/O overhead; ioIssue then reads or writes key on

@@ -23,9 +23,13 @@ func (h *testHost) IOOverhead(k func()) {
 	k()
 }
 
-func (h *testHost) SyncDeviceIO(dev func(done func()), k func()) {
+func (h *testHost) SyncDeviceIO(unit *storage.DiskUnit, key storage.PageKey, write bool, k func()) {
 	h.syncCalls++
-	dev(k)
+	if write {
+		unit.Write(key, k)
+	} else {
+		unit.Read(key, k)
+	}
 }
 
 func (h *testHost) NVEMTransfer(k func()) {

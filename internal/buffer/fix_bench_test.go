@@ -2,9 +2,10 @@ package buffer
 
 import "testing"
 
-// fixPaths are the three paths of a buffer fix that every simulated page
+// fixPaths are the paths of a buffer fix that every simulated page
 // reference takes one of: a main-memory hit, an NVEM-cache hit, and a miss
-// that writes a dirty victim back before it reads the page.
+// that writes a dirty victim back before it reads the page, with its
+// device accesses asynchronous or synchronous.
 var fixPaths = []struct {
 	name string
 	cfg  func() Config
@@ -48,6 +49,20 @@ var fixPaths = []struct {
 		write: true,
 		took:  func(st Stats, n int64) bool { return st.DeviceReads == n && st.VictimWrites == n },
 	},
+	{
+		// The same on a partition accessed synchronously: the host holds
+		// the CPU for both device accesses.
+		name: "miss-dirty-victim-sync",
+		cfg: func() Config {
+			cfg := baseCfg()
+			cfg.BufferSize = 2
+			cfg.Partitions[0].SyncAccess = true
+			return cfg
+		},
+		pages: 3,
+		write: true,
+		took:  func(st Stats, n int64) bool { return st.DeviceReads == n && st.VictimWrites == n },
+	},
 }
 
 // warmFix builds the rig of fixPaths[i] and returns it with a step that
@@ -69,7 +84,7 @@ func warmFix(tb testing.TB, i int) (*rig, func()) {
 	return r, step
 }
 
-// BenchmarkFix measures one buffer fix on each of its three paths,
+// BenchmarkFix measures one buffer fix on each of its paths,
 // including the simulated I/O the fix waits for.
 func BenchmarkFix(b *testing.B) {
 	for i, fp := range fixPaths {

@@ -14,9 +14,10 @@ var routeUnit = storage.DiskUnitConfig{
 }
 
 // routeHomes are the homes a write can have: NVEM, the NVEM write buffer
-// with a free frame or with every frame awaiting its destage, and the disk
-// unit accessed synchronously (CPU held) or not. The log allocation has no
-// access mode, so the sync-access home keeps the log on the plain disk.
+// with a free frame or with every frame awaiting its destage (its fallback
+// device write accessed either way), and the disk unit accessed
+// synchronously (CPU held) or not. The log allocation has no access mode,
+// so the sync-access homes keep the log as they would without it.
 var routeHomes = []struct {
 	name   string
 	part   PartitionAlloc
@@ -28,6 +29,8 @@ var routeHomes = []struct {
 	{"write-buffer-full", PartitionAlloc{NVEMWriteBuffer: true}, LogAlloc{NVEMWriteBuffer: true}, true},
 	{"sync-access", PartitionAlloc{SyncAccess: true}, LogAlloc{}, false},
 	{"disk", PartitionAlloc{}, LogAlloc{}, false},
+	{"write-buffer-full-sync-access", PartitionAlloc{NVEMWriteBuffer: true, SyncAccess: true},
+		LogAlloc{NVEMWriteBuffer: true}, true},
 }
 
 // routeCost is what one write costs, measured from its issue: the instant
@@ -66,6 +69,7 @@ var routeWriters = []struct {
 			{done: 2, drained: 2, io: 2, reads: 1, writes: 1},
 			{done: 2, drained: 2, sync: 2, reads: 1, writes: 1},
 			{done: 2, drained: 2, io: 2, reads: 1, writes: 1},
+			{done: 2, drained: 2, sync: 2, reads: 1, writes: 1},
 		},
 	},
 	{
@@ -80,6 +84,7 @@ var routeWriters = []struct {
 			{done: 1, drained: 1, io: 1, writes: 1},
 			{done: 1, drained: 1, sync: 1, writes: 1},
 			{done: 1, drained: 1, io: 1, writes: 1},
+			{done: 1, drained: 1, sync: 1, writes: 1},
 		},
 	},
 	{
@@ -95,6 +100,7 @@ var routeWriters = []struct {
 			{done: 2, drained: 2, io: 2, writes: 2},
 			{done: 2, drained: 2, io: 1, sync: 1, writes: 2},
 			{done: 2, drained: 2, io: 2, writes: 2},
+			{done: 2, drained: 2, io: 1, sync: 1, writes: 2},
 		},
 	},
 	{
@@ -106,6 +112,7 @@ var routeWriters = []struct {
 		want: []routeCost{
 			{done: 0.05, drained: 0.05, nvem: 1},
 			{done: 0.05, drained: 1.05, io: 1, nvem: 1, writes: 1},
+			{done: 1, drained: 1, io: 1, writes: 1},
 			{done: 1, drained: 1, io: 1, writes: 1},
 			{done: 1, drained: 1, io: 1, writes: 1},
 			{done: 1, drained: 1, io: 1, writes: 1},

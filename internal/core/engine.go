@@ -233,7 +233,9 @@ const (
 type hostOp struct {
 	e     *node
 	k     func()
-	dev   func(done func())
+	unit  *storage.DiskUnit // a synchronous device I/O's unit, page and direction
+	key   storage.PageKey
+	write bool
 	state uint8
 	step  func()
 	next  *hostOp
@@ -252,7 +254,7 @@ func (e *node) getHostOp() *hostOp {
 }
 
 func (e *node) putHostOp(op *hostOp) {
-	op.k, op.dev = nil, nil
+	op.k, op.unit = nil, nil
 	if poolPoison {
 		op.state = 0xff
 	}
@@ -275,7 +277,11 @@ func (op *hostOp) run() {
 		e.s.Schedule(e.instrTime(e.cfg.InstrIO), op.step)
 	case hoDev:
 		op.state = hoDone
-		op.dev(op.step)
+		if op.write {
+			op.unit.Write(op.key, op.step)
+		} else {
+			op.unit.Read(op.key, op.step)
+		}
 	case hoDone:
 		e.cpu.Release()
 		k := op.k
@@ -288,9 +294,9 @@ func (op *hostOp) run() {
 
 // SyncDeviceIO implements buffer.Host: the whole device access runs with
 // the CPU held (AccessMode=synchronous, Table 3.3).
-func (e *node) SyncDeviceIO(dev func(done func()), k func()) {
+func (e *node) SyncDeviceIO(unit *storage.DiskUnit, key storage.PageKey, write bool, k func()) {
 	op := e.getHostOp()
-	op.k, op.dev = k, dev
+	op.k, op.unit, op.key, op.write = k, unit, key, write
 	op.state = hoIOAcq
 	e.cpu.Acquire(op.step)
 }

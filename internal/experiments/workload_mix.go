@@ -18,7 +18,7 @@ import (
 // schemes: access skew vs. NVEM cache size (workload.skew), a TPC-C-style
 // multi-class mix sharing the buffer (workload.multiclass), closed-loop
 // terminals with think times (workload.closedloop), and a recorded rate
-// timeline replayed through the Replay arrival process (workload.replay).
+// timeline replayed through the replay arrival process (workload.replay).
 
 // --- workload.skew -------------------------------------------------------
 

@@ -84,11 +84,6 @@ func (s *Stream) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Uniform returns a uniform draw in [lo, hi).
-func (s *Stream) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.r.Float64()
-}
-
 // Bool returns true with probability p.
 func (s *Stream) Bool(p float64) bool {
 	if p <= 0 {

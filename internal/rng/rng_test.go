@@ -89,16 +89,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestUniformRange(t *testing.T) {
-	s := NewStream(6, "uni")
-	for i := 0; i < 10000; i++ {
-		v := s.Uniform(3, 7)
-		if v < 3 || v >= 7 {
-			t.Fatalf("Uniform out of range: %v", v)
-		}
-	}
-}
-
 func TestDiscreteFrequencies(t *testing.T) {
 	d := MustDiscrete([]float64{1, 2, 7})
 	s := NewStream(7, "disc")

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/rng"
+	"repro/internal/workload"
 )
 
 // RealLifeSpec describes the synthetic stand-in for the paper's real-life
@@ -89,30 +90,18 @@ func GenerateFromSpec(spec RealLifeSpec, seed int64) *Trace {
 	// generalized b/c rule, section 3.1): 81% of accesses go to the hottest
 	// 1% of pages, 9% to the next 9%, 10% to the remaining 90%. This yields
 	// the ~84% main-memory hit ratio at a 2000-page buffer the paper
-	// reports for its real-life trace (section 4.6).
-	pageIn := func(file int) int64 {
-		activeN := spec.ActivePages[file]
-		hot2 := int64(float64(activeN) * 0.01)
-		if hot2 < 1 {
-			hot2 = 1
-		}
-		hot1 := int64(float64(activeN) * 0.10)
-		if hot1 <= hot2 {
-			hot1 = hot2 + 1
-		}
-		if hot1 > activeN {
-			hot1 = activeN
-		}
-		u := s.Float64()
-		switch {
-		case u < 0.81:
-			return s.Int63n(hot2)
-		case u < 0.90 && hot1 > hot2:
-			return hot2 + s.Int63n(hot1-hot2)
-		case activeN > hot1:
-			return hot1 + s.Int63n(activeN-hot1)
-		default:
-			return s.Int63n(activeN)
+	// reports for its real-life trace (section 4.6). Each file draws
+	// through its own instance, which keeps its region's layout.
+	rule := []workload.Subpartition{
+		{SizeFrac: 0.01, AccessProb: 0.81},
+		{SizeFrac: 0.09, AccessProb: 0.09},
+		{SizeFrac: 0.90, AccessProb: 0.10},
+	}
+	skew := make([]workload.AccessDist, len(spec.ActivePages))
+	for f := range skew {
+		var err error
+		if skew[f], err = workload.SlicedAccess(rule); err != nil {
+			panic(err)
 		}
 	}
 
@@ -121,10 +110,7 @@ func GenerateFromSpec(spec RealLifeSpec, seed int64) *Trace {
 	adhocNext := spec.ActivePages[0]
 
 	for typeID, tt := range spec.Types {
-		bias, err := rng.NewDiscrete(tt.FileBias)
-		if err != nil {
-			panic("trace: bad file bias for type " + tt.Name)
-		}
+		bias := rng.MustDiscrete(tt.FileBias)
 		for c := 0; c < tt.Count; c++ {
 			n := int(tt.MeanSize + 0.5)
 			if !tt.FixedSize {
@@ -171,7 +157,7 @@ func GenerateFromSpec(spec RealLifeSpec, seed int64) *Trace {
 						// trace runs show (FORCE ≈ NOFORCE, section 4.6).
 						page = s.Int63n(spec.ActivePages[file])
 					} else {
-						page = pageIn(file)
+						page = skew[file].Draw(spec.ActivePages[file], s)
 					}
 					tx.Refs = append(tx.Refs, Ref{File: file, Page: page, Write: write})
 				}

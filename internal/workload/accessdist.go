@@ -40,7 +40,8 @@ const (
 	AccessZipf
 	// AccessHotSpot sends HotAccessFrac of the draws uniformly into the
 	// first HotDataFrac of the objects and the rest uniformly into the
-	// remainder (the classic "p% of accesses to q% of the data" rule).
+	// remainder (the classic "p% of accesses to q% of the data" rule): the
+	// two-slice b/c rule BCRule(HotAccessFrac, HotDataFrac).
 	AccessHotSpot
 )
 
@@ -109,7 +110,7 @@ func (a *AccessSpec) New() (AccessDist, error) {
 	case AccessZipf:
 		return &ZipfAccess{Theta: a.Theta}, nil
 	default: // AccessHotSpot
-		return &HotSpotAccess{AccessFrac: a.HotAccessFrac, DataFrac: a.HotDataFrac}, nil
+		return SlicedAccess(BCRule(a.HotAccessFrac, a.HotDataFrac))
 	}
 }
 
@@ -163,37 +164,75 @@ func (z *ZipfAccess) Draw(n int64, s *rng.Stream) int64 {
 	return obj
 }
 
-// HotSpotAccess implements the p/q rule: AccessFrac of the draws land
-// uniformly in the first DataFrac·n objects, the rest uniformly in the
-// remainder. The hot set is at least one object and at most n-1, so both
-// regions are always non-empty.
-type HotSpotAccess struct {
-	AccessFrac float64 // p: fraction of accesses into the hot set
-	DataFrac   float64 // q: fraction of objects forming the hot set
+// slicedAccess is the generalized b/c rule (section 3.1): it picks a
+// slice by the slices' access probabilities, then an object uniformly
+// inside that slice. The slices are laid out over the n objects of the
+// last draw and kept until n changes.
+type slicedAccess struct {
+	parts []Subpartition
+	pick  *rng.Discrete
+	n     int64   // the object count base and size are laid out for
+	base  []int64 // first object of each slice
+	size  []int64 // object count of each slice
 }
 
-// HotObjects returns the hot-set size for a partition of n objects.
-func (h *HotSpotAccess) HotObjects(n int64) int64 {
-	hot := int64(h.DataFrac * float64(n))
-	if hot < 1 {
-		hot = 1
+// SlicedAccess returns the generalized b/c rule over parts: slice k holds
+// parts[k].SizeFrac of the objects and receives parts[k].AccessProb of
+// the draws.
+func SlicedAccess(parts []Subpartition) (AccessDist, error) {
+	d, err := newSliced(parts)
+	if err != nil {
+		return nil, err
 	}
-	if hot > n-1 {
-		hot = n - 1
-	}
-	return hot
+	return d, nil
 }
 
-// Draw implements AccessDist.
-func (h *HotSpotAccess) Draw(n int64, s *rng.Stream) int64 {
+// newSliced is SlicedAccess for callers that lay the slices out up front.
+func newSliced(parts []Subpartition) (*slicedAccess, error) {
+	probs := make([]float64, len(parts))
+	for k, sp := range parts {
+		probs[k] = sp.AccessProb
+	}
+	pick, err := rng.NewDiscrete(probs)
+	if err != nil {
+		return nil, err
+	}
+	return &slicedAccess{parts: parts, pick: pick,
+		base: make([]int64, len(parts)), size: make([]int64, len(parts))}, nil
+}
+
+// layout lays the slices out over n objects: slice k gets
+// max(1, ⌊SizeFrac·n⌋) objects and the last absorbs the rounding drift.
+// It reports false when that leaves the last slice empty.
+func (d *slicedAccess) layout(n int64) bool {
+	var off int64
+	for k, sp := range d.parts {
+		d.base[k] = off
+		d.size[k] = max(1, int64(sp.SizeFrac*float64(n)))
+		off += d.size[k]
+	}
+	last := len(d.size) - 1
+	d.size[last] += n - off
+	d.n = 0
+	if d.size[last] < 1 {
+		return false
+	}
+	d.n = n
+	return true
+}
+
+// Draw implements AccessDist. One object (n ≤ 1) still draws the slice
+// and one Int63n(1), which keeps the draw count independent of n. Draw
+// panics when n leaves the last slice empty; NewSynthetic checks its
+// partitions up front.
+func (d *slicedAccess) Draw(n int64, s *rng.Stream) int64 {
+	k := d.pick.Sample(s)
 	if n <= 1 {
-		s.Bool(h.AccessFrac)
 		s.Int63n(1)
 		return 0
 	}
-	hot := h.HotObjects(n)
-	if s.Bool(h.AccessFrac) {
-		return s.Int63n(hot)
+	if n != d.n && !d.layout(n) {
+		panic(fmt.Sprintf("workload: %d objects are too few for %d slices", n, len(d.parts)))
 	}
-	return hot + s.Int63n(n-hot)
+	return d.base[k] + s.Int63n(d.size[k])
 }

@@ -218,29 +218,29 @@ func (a *ArrivalSpec) NewProcess(rate, originMS float64) (ArrivalProcess, error)
 			BurstMeanMS: burstMean,
 		}, nil
 	case ArrivalDiurnal:
-		return &Diurnal{
-			MeanGapMS: meanGap,
-			Amplitude: a.Amplitude,
-			PeriodMS:  a.PeriodMS,
-			PhaseRad:  a.PhaseRad,
-			OriginMS:  originMS,
-		}, nil
+		amp, period, phase := a.Amplitude, a.PeriodMS, a.PhaseRad
+		return &modulated{meanGap: meanGap, mult: func(now float64) float64 {
+			return 1 + amp*math.Sin(2*math.Pi*(now-originMS)/period+phase)
+		}}, nil
 	case ArrivalClosedLoop:
 		return nil, fmt.Errorf("workload: closed loop has no interarrival process (the engine drives arrivals from completions)")
 	case ArrivalReplay:
-		return &Replay{
-			MeanGapMS:   meanGap,
-			BucketMS:    a.RateBucketMS,
-			Multipliers: append([]float64(nil), a.RateMultipliers...),
-			OriginMS:    originMS,
-		}, nil
+		width, mults := a.RateBucketMS, append([]float64(nil), a.RateMultipliers...)
+		return &modulated{meanGap: meanGap, mult: func(now float64) float64 {
+			bucket := 0
+			if now > originMS {
+				bucket = int((now-originMS)/width) % len(mults)
+			}
+			return mults[bucket]
+		}}, nil
 	default: // ArrivalSpike
-		return &Spike{
-			MeanGapMS: meanGap,
-			Factor:    a.SpikeFactor,
-			StartMS:   originMS + a.SpikeAtMS,
-			EndMS:     originMS + a.SpikeAtMS + a.SpikeDurMS,
-		}, nil
+		factor, start, end := a.SpikeFactor, originMS+a.SpikeAtMS, originMS+a.SpikeAtMS+a.SpikeDurMS
+		return &modulated{meanGap: meanGap, mult: func(now float64) float64 {
+			if now >= start && now < end {
+				return factor
+			}
+			return 1
+		}}, nil
 	}
 }
 
@@ -303,62 +303,17 @@ func (m *MMPP) NextGapMS(now float64, s *rng.Stream) float64 {
 	}
 }
 
-// Diurnal modulates the arrival rate sinusoidally around the mean: a
-// compressed day/night cycle. Each gap is exponential at the rate holding
-// at the previous arrival (the standard slowly-varying approximation of an
-// inhomogeneous Poisson process; the sine averages out, so the long-run
-// mean rate is the configured one).
-type Diurnal struct {
-	MeanGapMS float64
-	Amplitude float64
-	PeriodMS  float64
-	PhaseRad  float64
-	OriginMS  float64
+// modulated is a Poisson process whose rate is the mean rate times a
+// multiplier of time: the diurnal sine, the spike window, or the replayed
+// timeline. Each gap is exponential at the rate holding at the previous
+// arrival (the standard slowly-varying approximation of an inhomogeneous
+// Poisson process).
+type modulated struct {
+	meanGap float64
+	mult    func(now float64) float64
 }
 
 // NextGapMS implements ArrivalProcess.
-func (d *Diurnal) NextGapMS(now float64, s *rng.Stream) float64 {
-	mod := 1 + d.Amplitude*math.Sin(2*math.Pi*(now-d.OriginMS)/d.PeriodMS+d.PhaseRad)
-	return s.Exp(d.MeanGapMS / mod)
-}
-
-// Spike multiplies the rate inside one scheduled window (absolute simulated
-// milliseconds, precomputed from the window-relative spec) and is Poisson
-// at the mean rate outside it.
-type Spike struct {
-	MeanGapMS float64
-	Factor    float64
-	StartMS   float64
-	EndMS     float64
-}
-
-// NextGapMS implements ArrivalProcess.
-func (sp *Spike) NextGapMS(now float64, s *rng.Stream) float64 {
-	gap := sp.MeanGapMS
-	if now >= sp.StartMS && now < sp.EndMS {
-		gap /= sp.Factor
-	}
-	return s.Exp(gap)
-}
-
-// Replay modulates a Poisson process by a recorded rate timeline:
-// piecewise-constant multipliers over BucketMS-wide buckets past OriginMS,
-// cycled once the timeline is exhausted (times before the origin — i.e.
-// warmup — use the first bucket). Like Diurnal, each gap is exponential at
-// the rate holding at the previous arrival, the slowly-varying
-// approximation of the inhomogeneous Poisson process.
-type Replay struct {
-	MeanGapMS   float64
-	BucketMS    float64
-	Multipliers []float64
-	OriginMS    float64
-}
-
-// NextGapMS implements ArrivalProcess.
-func (r *Replay) NextGapMS(now float64, s *rng.Stream) float64 {
-	bucket := 0
-	if now > r.OriginMS {
-		bucket = int((now-r.OriginMS)/r.BucketMS) % len(r.Multipliers)
-	}
-	return s.Exp(r.MeanGapMS / r.Multipliers[bucket])
+func (m *modulated) NextGapMS(now float64, s *rng.Stream) float64 {
+	return s.Exp(m.meanGap / m.mult(now))
 }

@@ -138,12 +138,23 @@ func TestSpikeWindowAnchored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, ok := ap.(*Spike)
-	if !ok {
-		t.Fatalf("got %T, want *Spike", ap)
-	}
-	if sp.StartMS != 9_000 || sp.EndMS != 11_000 {
-		t.Fatalf("spike window [%v, %v), want [9000, 11000)", sp.StartMS, sp.EndMS)
+	// The stream pairs draw identical exponentials, so the multiplier at
+	// each edge of the window is exactly observable in the gap.
+	mean := 1000.0 / 100
+	a := rng.NewStream(5, "arrivals")
+	b := rng.NewStream(5, "arrivals")
+	for _, tc := range []struct {
+		now  float64
+		mult float64
+	}{
+		{8_999.999, 1},
+		{9_000, 8},
+		{10_999.999, 8},
+		{11_000, 1},
+	} {
+		if got, want := ap.NextGapMS(tc.now, a), b.Exp(mean/tc.mult); got != want {
+			t.Errorf("t=%v: gap %v, want %v (multiplier %v)", tc.now, got, want, tc.mult)
+		}
 	}
 	s := rng.NewStream(5, "arrivals")
 	inside, outside := 0, 0
@@ -226,10 +237,6 @@ func TestReplayBucketsAnchored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok := ap.(*Replay)
-	if !ok {
-		t.Fatalf("got %T, want *Replay", ap)
-	}
 	mean := 1000.0 / 100
 	// The stream pairs draw identical exponentials, so the modulation is
 	// exactly observable as the ratio of the two gaps.
@@ -246,7 +253,7 @@ func TestReplayBucketsAnchored(t *testing.T) {
 		{12_100, 2},   // several cycles later
 		{13_999, 0.5}, // end of an odd bucket
 	} {
-		got := r.NextGapMS(tc.now, a)
+		got := ap.NextGapMS(tc.now, a)
 		want := b.Exp(mean / tc.mult)
 		if got != want {
 			t.Errorf("t=%v: gap %v, want %v (multiplier %v)", tc.now, got, want, tc.mult)

@@ -15,12 +15,9 @@ type Synthetic struct {
 	model *Model
 
 	refDist []*rng.Discrete // per tx type: partition choice
-	objDist []AccessDist    // per partition: object draw (Partition.Access)
-	spDist  []*rng.Discrete // per partition: subpartition choice (nil = uniform)
-	// spBase[p][k] is the first object of subpartition k of partition p;
-	// spSize[p][k] its object count.
-	spBase [][]int64
-	spSize [][]int64
+	// objDist is per partition the object draw: the subpartitions' b/c
+	// rule, or else Partition.Access.
+	objDist []AccessDist
 	// seqTail tracks the append position of sequential partitions, shared by
 	// all transaction types (like Debit-Credit's HISTORY end-of-file).
 	seqTail []int64
@@ -35,15 +32,24 @@ func NewSynthetic(m *Model) (*Synthetic, error) {
 		model:   m,
 		refDist: make([]*rng.Discrete, len(m.TxTypes)),
 		objDist: make([]AccessDist, len(m.Partitions)),
-		spDist:  make([]*rng.Discrete, len(m.Partitions)),
-		spBase:  make([][]int64, len(m.Partitions)),
-		spSize:  make([][]int64, len(m.Partitions)),
 		seqTail: make([]int64, len(m.Partitions)),
 	}
 	for p := range m.Partitions {
-		d, err := m.Partitions[p].Access.New()
+		part := &m.Partitions[p]
+		if len(part.Subpartitions) == 0 {
+			d, err := part.Access.New()
+			if err != nil {
+				return nil, err
+			}
+			g.objDist[p] = d
+			continue
+		}
+		d, err := newSliced(part.Subpartitions)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("workload: partition %q subpartitions: %w", part.Name, err)
+		}
+		if !d.layout(part.NumObjects) {
+			return nil, fmt.Errorf("workload: partition %q too small for its subpartitions", part.Name)
 		}
 		g.objDist[p] = d
 	}
@@ -53,39 +59,6 @@ func NewSynthetic(m *Model) (*Synthetic, error) {
 			return nil, fmt.Errorf("workload: type %q reference row: %w", m.TxTypes[i].Name, err)
 		}
 		g.refDist[i] = d
-	}
-	for p := range m.Partitions {
-		part := &m.Partitions[p]
-		if len(part.Subpartitions) == 0 {
-			continue
-		}
-		probs := make([]float64, len(part.Subpartitions))
-		base := make([]int64, len(part.Subpartitions))
-		size := make([]int64, len(part.Subpartitions))
-		var off int64
-		for k, sp := range part.Subpartitions {
-			probs[k] = sp.AccessProb
-			base[k] = off
-			size[k] = int64(sp.SizeFrac * float64(part.NumObjects))
-			if size[k] < 1 {
-				size[k] = 1
-			}
-			off += size[k]
-		}
-		// Absorb rounding drift into the last subpartition.
-		if off != part.NumObjects {
-			size[len(size)-1] += part.NumObjects - off
-			if size[len(size)-1] < 1 {
-				return nil, fmt.Errorf("workload: partition %q too small for its subpartitions", part.Name)
-			}
-		}
-		d, err := rng.NewDiscrete(probs)
-		if err != nil {
-			return nil, fmt.Errorf("workload: partition %q subpartitions: %w", part.Name, err)
-		}
-		g.spDist[p] = d
-		g.spBase[p] = base
-		g.spSize[p] = size
 	}
 	return g, nil
 }
@@ -102,8 +75,8 @@ func (g *Synthetic) TypeInfo(i int) (string, float64) {
 	return tt.Name, tt.ArrivalRate
 }
 
-// pickObject selects an object in partition p according to its subpartition
-// access probabilities (uniform when none are defined).
+// pickObject selects an object in partition p: the end of file of a
+// sequential partition, otherwise a draw of its object distribution.
 func (g *Synthetic) pickObject(p int, s *rng.Stream) int64 {
 	part := &g.model.Partitions[p]
 	if part.Sequential {
@@ -111,11 +84,7 @@ func (g *Synthetic) pickObject(p int, s *rng.Stream) int64 {
 		g.seqTail[p]++
 		return obj
 	}
-	if g.spDist[p] == nil {
-		return g.objDist[p].Draw(part.NumObjects, s)
-	}
-	k := g.spDist[p].Sample(s)
-	return g.spBase[p][k] + s.Int63n(g.spSize[p][k])
+	return g.objDist[p].Draw(part.NumObjects, s)
 }
 
 // size draws the number of object accesses for one transaction of type tt.
