@@ -465,21 +465,6 @@ func BenchmarkSimResource(b *testing.B) {
 	s.RunAll()
 }
 
-// BenchmarkSimBlockingShim measures the goroutine-backed compatibility shim
-// for comparison with BenchmarkSimKernel (the cost the continuation kernel
-// removed from the hot path).
-func BenchmarkSimBlockingShim(b *testing.B) {
-	b.ReportAllocs()
-	s := sim.New()
-	s.SpawnBlocking(0, func(bp *sim.BlockingProcess) {
-		for i := 0; i < b.N; i++ {
-			bp.Hold(1)
-		}
-	})
-	b.ResetTimer()
-	s.RunAll()
-}
-
 // BenchmarkLockManager measures uncontended acquire+release pairs. The
 // warmup cycle builds the lock-table entries and record freelists so a
 // one-iteration run measures the recycled steady state the alloc gate pins.

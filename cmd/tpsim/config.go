@@ -1,11 +1,13 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	tpsim "repro"
 	"repro/internal/trace"
@@ -41,7 +43,7 @@ type fileConfig struct {
 
 	// Cluster switches the run to a multi-node data-sharing simulation:
 	// numNodes transaction systems share the disk units and one global
-	// NVEM, and workload.rate becomes the aggregate rate split evenly
+	// NVEM, and every workload rate becomes an aggregate rate split evenly
 	// over the nodes. Absent (or numNodes <= 1 with no other cluster
 	// settings): a classic single-node run.
 	Cluster *clusterConfig `json:"cluster"`
@@ -139,16 +141,12 @@ func (a *accessConfig) assemble() (tpsim.AccessSpec, error) {
 		HotAccessFrac: a.HotAccessFrac,
 		HotDataFrac:   a.HotDataFrac,
 	}
-	switch a.Kind {
-	case "uniform", "":
-		spec.Kind = tpsim.AccessUniform
-	case "zipf":
-		spec.Kind = tpsim.AccessZipf
-	case "hotspot":
-		spec.Kind = tpsim.AccessHotSpot
-	default:
-		return spec, fmt.Errorf("unknown access kind %q", a.Kind)
+	kind, err := named("access kind", cmp.Or(a.Kind, "uniform"),
+		tpsim.AccessUniform, tpsim.AccessZipf, tpsim.AccessHotSpot)
+	if err != nil {
+		return spec, err
 	}
+	spec.Kind = kind
 	return spec, spec.Validate()
 }
 
@@ -217,22 +215,13 @@ func (a *arrivalConfig) assemble() (tpsim.ArrivalSpec, error) {
 		RateBucketMS:    a.RateBucketMS,
 		RateMultipliers: a.RateMultipliers,
 	}
-	switch a.Kind {
-	case "poisson", "":
-		spec.Kind = tpsim.ArrivalPoisson
-	case "mmpp":
-		spec.Kind = tpsim.ArrivalMMPP
-	case "diurnal":
-		spec.Kind = tpsim.ArrivalDiurnal
-	case "spike":
-		spec.Kind = tpsim.ArrivalSpike
-	case "closedloop":
-		spec.Kind = tpsim.ArrivalClosedLoop
-	case "replay":
-		spec.Kind = tpsim.ArrivalReplay
-	default:
-		return spec, fmt.Errorf("unknown arrival kind %q", a.Kind)
+	kind, err := named("arrival kind", cmp.Or(a.Kind, "poisson"),
+		tpsim.ArrivalPoisson, tpsim.ArrivalMMPP, tpsim.ArrivalDiurnal,
+		tpsim.ArrivalSpike, tpsim.ArrivalClosedLoop, tpsim.ArrivalReplay)
+	if err != nil {
+		return spec, err
 	}
+	spec.Kind = kind
 	return spec, spec.Validate()
 }
 
@@ -294,7 +283,7 @@ func load(r io.Reader) (tpsim.Config, *tpsim.ClusterConfig, error) {
 
 // assembleCluster builds the multi-node configuration: the base engine
 // configuration shared by every node plus one independent generator per
-// node, each fed an even share of the configured aggregate rate.
+// node, each fed an even share of the configured aggregate rates.
 func (fc *fileConfig) assembleCluster() (tpsim.Config, *tpsim.ClusterConfig, error) {
 	cl := fc.Cluster
 	if cl.NumNodes <= 0 {
@@ -302,13 +291,7 @@ func (fc *fileConfig) assembleCluster() (tpsim.Config, *tpsim.ClusterConfig, err
 	}
 	n := cl.NumNodes
 	per := *fc
-	per.Workload.Rate = fc.Workload.Rate / float64(n)
-	if len(fc.Workload.PerTypeRates) > 0 {
-		per.Workload.PerTypeRates = make([]float64, len(fc.Workload.PerTypeRates))
-		for i, rate := range fc.Workload.PerTypeRates {
-			per.Workload.PerTypeRates[i] = rate / float64(n)
-		}
-	}
+	per.Workload = fc.Workload.split(n)
 
 	base, err := per.assemble()
 	if err != nil {
@@ -399,21 +382,22 @@ func (fc *fileConfig) assemble() (tpsim.Config, error) {
 		if i < len(fc.CCModes) {
 			mode = fc.CCModes[i]
 		}
-		switch mode {
-		case "none":
-			cfg.CCModes[i] = tpsim.NoCC
-		case "page":
-			cfg.CCModes[i] = tpsim.PageLevel
-		case "object":
-			cfg.CCModes[i] = tpsim.ObjectLevel
-		default:
-			return cfg, fmt.Errorf("unknown cc mode %q", mode)
+		g, err := named("cc mode", mode, tpsim.NoCC, tpsim.PageLevel, tpsim.ObjectLevel)
+		if err != nil {
+			return cfg, err
 		}
+		cfg.CCModes[i] = g
 	}
 
 	for _, u := range fc.DiskUnits {
-		du := tpsim.DiskUnitConfig{
+		typ, err := named("disk unit type", cmp.Or(u.Type, "regular"),
+			tpsim.Regular, tpsim.VolatileCache, tpsim.NVCache, tpsim.SSD)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.DiskUnits = append(cfg.DiskUnits, tpsim.DiskUnitConfig{
 			Name:            u.Name,
+			Type:            typ,
 			NumControllers:  u.NumControllers,
 			ContrDelay:      u.ContrDelayMS,
 			TransDelay:      u.TransDelayMS,
@@ -421,20 +405,7 @@ func (fc *fileConfig) assemble() (tpsim.Config, error) {
 			DiskDelay:       u.DiskDelayMS,
 			CacheSize:       u.CacheSize,
 			WriteBufferOnly: u.WriteBufferOnly,
-		}
-		switch u.Type {
-		case "regular", "":
-			du.Type = tpsim.Regular
-		case "volatile-cache":
-			du.Type = tpsim.VolatileCache
-		case "nv-cache":
-			du.Type = tpsim.NVCache
-		case "ssd":
-			du.Type = tpsim.SSD
-		default:
-			return cfg, fmt.Errorf("unknown disk unit type %q", u.Type)
-		}
-		cfg.DiskUnits = append(cfg.DiskUnits, du)
+		})
 	}
 
 	logging := true
@@ -459,27 +430,46 @@ func (fc *fileConfig) assemble() (tpsim.Config, error) {
 			len(fc.Buffer.Partitions), len(cfg.Partitions))
 	}
 	for _, p := range fc.Buffer.Partitions {
-		alloc := tpsim.PartitionAlloc{
+		mode, err := named("nvemCacheMode", cmp.Or(p.NVEMCacheMode, "all"),
+			tpsim.MigrateAll, tpsim.MigrateModified, tpsim.MigrateUnmodified)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Buffer.Partitions = append(cfg.Buffer.Partitions, tpsim.PartitionAlloc{
 			MMResident:      p.MMResident,
 			NVEMResident:    p.NVEMResident,
 			DiskUnit:        p.DiskUnit,
 			SyncAccess:      p.SyncAccess,
 			NVEMCache:       p.NVEMCache,
+			NVEMCacheMode:   mode,
 			NVEMWriteBuffer: p.NVEMWriteBuffer,
-		}
-		switch p.NVEMCacheMode {
-		case "", "all":
-			alloc.NVEMCacheMode = tpsim.MigrateAll
-		case "modified":
-			alloc.NVEMCacheMode = tpsim.MigrateModified
-		case "unmodified":
-			alloc.NVEMCacheMode = tpsim.MigrateUnmodified
-		default:
-			return cfg, fmt.Errorf("unknown nvemCacheMode %q", p.NVEMCacheMode)
-		}
-		cfg.Buffer.Partitions = append(cfg.Buffer.Partitions, alloc)
+		})
 	}
 	return cfg, nil
+}
+
+// split returns one of n nodes' share of w: every rate it sets, divided
+// by n, in copies that leave w as it was.
+func (w workloadConfig) split(n int) workloadConfig {
+	d := float64(n)
+	w.Rate /= d
+	w.PerTypeRates = slices.Clone(w.PerTypeRates)
+	for i := range w.PerTypeRates {
+		w.PerTypeRates[i] /= d
+	}
+	w.Classes = slices.Clone(w.Classes)
+	for i := range w.Classes {
+		w.Classes[i].Rate /= d
+	}
+	if w.Synthetic != nil {
+		m := *w.Synthetic
+		m.TxTypes = slices.Clone(m.TxTypes)
+		for i := range m.TxTypes {
+			m.TxTypes[i].ArrivalRate /= d
+		}
+		w.Synthetic = &m
+	}
+	return w
 }
 
 func (fc *fileConfig) workload(cfg *tpsim.Config) error {
@@ -566,21 +556,37 @@ func (fc *fileConfig) workload(cfg *tpsim.Config) error {
 		if w.Synthetic == nil {
 			return fmt.Errorf("workload.kind synthetic requires workload.synthetic")
 		}
-		for i := range w.Synthetic.TxTypes {
-			if w.Synthetic.TxTypes[i].ArrivalRate == 0 {
-				w.Synthetic.TxTypes[i].ArrivalRate = w.Rate
+		// Each call builds its own model: a cluster's generators must not
+		// share one.
+		m := *w.Synthetic
+		m.TxTypes = slices.Clone(m.TxTypes)
+		for i := range m.TxTypes {
+			if m.TxTypes[i].ArrivalRate == 0 {
+				m.TxTypes[i].ArrivalRate = w.Rate
 			}
 		}
-		gen, err := tpsim.NewSynthetic(w.Synthetic)
+		gen, err := tpsim.NewSynthetic(&m)
 		if err != nil {
 			return err
 		}
-		cfg.Partitions = w.Synthetic.Partitions
+		cfg.Partitions = m.Partitions
 		cfg.Generator = gen
 	default:
 		return fmt.Errorf("unknown workload kind %q", w.Kind)
 	}
 	return nil
+}
+
+// named returns the one of values whose String() is name, the JSON name
+// of an enum value; any other name is an unknown what.
+func named[E fmt.Stringer](what, name string, values ...E) (E, error) {
+	for _, v := range values {
+		if v.String() == name {
+			return v, nil
+		}
+	}
+	var zero E
+	return zero, fmt.Errorf("unknown %s %q", what, name)
 }
 
 // setIfPos overrides the default *dst with the file's value v of field

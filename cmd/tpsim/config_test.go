@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -265,6 +266,41 @@ func TestClusterConfigRejectsBadValues(t *testing.T) {
 		}
 		if err := cluster.Validate(); err == nil {
 			t.Errorf("%s: Validate passed", name)
+		}
+	}
+}
+
+// TestClusterSplitsOfferedLoad: a cluster offers the configured rates in
+// aggregate, whatever the workload kind: summed over every node's
+// transaction types, the arrival rates add up to the file's.
+func TestClusterSplitsOfferedLoad(t *testing.T) {
+	const units = `"diskUnits":[{"name":"d","numControllers":1,"contrDelayMS":1,"numDisks":4,"diskDelayMS":15}]`
+	for name, tc := range map[string]struct {
+		workload, partitions string
+		want                 float64
+	}{
+		"debitcredit": {`{"kind":"debitcredit","rate":48}`, `[{},{},{}]`, 48},
+		"classes": {`{"kind":"classes","classes":[
+		  {"name":"a","rate":40,"size":4,"writeProb":0.5},{"name":"b","rate":8,"size":2}]}`, `[{},{}]`, 48},
+		"synthetic": {`{"kind":"synthetic","rate":8,"synthetic":{
+		  "Partitions":[{"Name":"p","NumObjects":1000,"BlockFactor":10}],
+		  "TxTypes":[{"Name":"set","ArrivalRate":40,"TxSize":5,"RefRow":[1]},{"Name":"dflt","TxSize":5,"RefRow":[1]}]}}`, `[{}]`, 48},
+	} {
+		in := `{"workload":` + tc.workload + `,` + units + `,"buffer":{"bufferSize":100,"partitions":` +
+			tc.partitions + `,"log":{}},"cluster":{"numNodes":4}}`
+		_, cluster, err := load(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		offered := 0.0
+		for _, g := range cluster.Generators {
+			for i := 0; i < g.NumTypes(); i++ {
+				_, rate := g.TypeInfo(i)
+				offered += rate
+			}
+		}
+		if math.Abs(offered-tc.want) > 1e-9 {
+			t.Errorf("%s: 4 nodes offer %v TPS, want %v", name, offered, tc.want)
 		}
 	}
 }

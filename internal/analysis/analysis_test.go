@@ -1,10 +1,12 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"maps"
 	"os"
 	"path/filepath"
@@ -87,6 +89,63 @@ func TestRawgoSeamsStillConcurrent(t *testing.T) {
 	}
 }
 
+// TestRawgoAllowedOnlyAtBarrier pins where a directive may excuse raw
+// concurrency: read as collectSuppressions reads them, the module's Go
+// files outside testdata carry one //detlint:allow rawgo, the file-scoped
+// one of internal/core/barrier.go. A goroutine shim cannot return to the
+// kernel behind a line-scoped allow.
+func TestRawgoAllowedOnlyAtBarrier(t *testing.T) {
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	err = filepath.WalkDir(l.ModuleRoot, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || path == l.ModuleRoot {
+			return err
+		}
+		if d.IsDir() {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir // another module, fixtures, or tool state
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(l.ModuleRoot, path)
+		f, err := parser.ParseFile(fset, filepath.ToSlash(rel), src, parser.ParseComments)
+		files = append(files, f)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup := collectSuppressions(fset, files, RuleNames())
+	var got []string
+	for file, rules := range sup.file {
+		if rules["rawgo"] {
+			got = append(got, file+" (file-scoped)")
+		}
+	}
+	for file, lines := range sup.line {
+		for line, rules := range lines {
+			if rules["rawgo"] && !lines[line-1]["rawgo"] { // a directive covers its line and the next
+				got = append(got, fmt.Sprintf("%s:%d", file, line))
+			}
+		}
+	}
+	slices.Sort(got)
+	if want := []string{"internal/core/barrier.go (file-scoped)"}; !slices.Equal(got, want) {
+		t.Errorf("//detlint:allow rawgo found at %v, want only %v", got, want)
+	}
+}
+
 // TestSimScopeCoversSimulationImports: every internal package that the
 // engine or the experiment harness imports, directly or transitively, runs
 // inside the simulation, so the full contract must be in force there. The
@@ -164,8 +223,8 @@ func TestDefaultScopeHonored(t *testing.T) {
 }
 
 // TestRealSeamsStayClean locks the whitelist + annotation story for the
-// real concurrency seams: the PDES engine, the experiment pool, and the
-// blocking shim all lint clean, while the same rules do fire on fixtures
+// real concurrency seams: the PDES engine, the experiment pool and the
+// kernel all lint clean, while the same rules do fire on fixtures
 // (proven by the fixture tests) — so a clean run is a checked negative,
 // not a skipped check.
 func TestRealSeamsStayClean(t *testing.T) {

@@ -514,16 +514,12 @@ func (m *Manager) asyncWrite(key storage.PageKey, wb bool) {
 	m.sim.Schedule(0, op.step)
 }
 
-// New builds a buffer manager. units must cover every DiskUnit index in the
-// configuration; nvem may be nil when cfg.UsesNVEM() is false.
-func New(cfg Config, partitionNames []string, units []*storage.DiskUnit, nvem *storage.NVEM, host Host) (*Manager, error) {
-	return NewShared(cfg, partitionNames, units, nvem, host, nil, nil)
-}
-
-// NewShared builds a cluster node's buffer manager whose NVEM second-level
-// cache is the cluster-shared cache instead of a private one. cfg still
-// validates as usual (cfg.NVEMCacheSize sizes the allocation check); the
-// shared cache's capacity wins. A nil shared is equivalent to New.
+// NewShared builds a buffer manager. units must cover every DiskUnit index
+// in the configuration; nvem may be nil when cfg.UsesNVEM() is false. With
+// a nil shared the NVEM second-level cache is private to the manager;
+// otherwise it is the cluster-shared cache, cfg still validates as usual
+// (cfg.NVEMCacheSize sizes the allocation check) and the shared cache's
+// capacity wins.
 //
 // With a nil bus the manager operates on the shared cache directly. With
 // a bus — the lookahead interconnect of a parallel (PDES) cluster — every
@@ -593,18 +589,6 @@ func (m *Manager) PartitionStats() []PartitionStats {
 
 // MMLen returns the number of occupied main-memory frames.
 func (m *Manager) MMLen() int { return m.mm.Len() }
-
-// NVEMCacheLen returns the number of occupied NVEM cache frames (the
-// cluster-shared cache's occupancy in shared or remote mode).
-func (m *Manager) NVEMCacheLen() int {
-	if m.remoteShared != nil {
-		return m.remoteShared.cache.Len()
-	}
-	if m.nvemCache == nil {
-		return 0
-	}
-	return m.nvemCache.Len()
-}
 
 // alloc returns the partition's allocation, the log's for logPartition.
 func (m *Manager) alloc(partition int) *PartitionAlloc { return &m.allocs[partition] }

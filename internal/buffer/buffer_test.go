@@ -55,19 +55,47 @@ func key(part int, page int64) storage.PageKey {
 	return storage.PageKey{Partition: part, Page: page}
 }
 
-// fixB, forceB and writeLogB drive the manager's continuation API
-// blocking-style from test scripts.
-func fixB(b *sim.BlockingProcess, m *Manager, k storage.PageKey, write bool) {
-	b.Await(func(done func()) { m.Fix(k, write, done) })
+// step is one operation of a test script: it starts the operation and
+// runs next when the operation completes.
+type step = func(next func())
+
+// seq chains steps into one: each step's continuation starts the next.
+func seq(steps ...step) step {
+	return func(next func()) {
+		if len(steps) == 0 {
+			next()
+			return
+		}
+		steps[0](func() { seq(steps[1:]...)(next) })
+	}
 }
 
-func forceB(b *sim.BlockingProcess, m *Manager, keys ...storage.PageKey) {
-	b.Await(func(done func()) { m.ForcePages(keys, done) })
+// script runs steps one after another from one s.Schedule(0, …).
+func script(s *sim.Sim, steps ...step) { s.Schedule(0, func() { seq(steps...)(func() {}) }) }
+
+// timed runs steps and adds the simulated time they take to *d.
+func timed(s *sim.Sim, d *sim.Time, steps ...step) step {
+	return func(next func()) {
+		start := s.Now()
+		seq(steps...)(func() { *d += s.Now() - start; next() })
+	}
 }
 
-func writeLogB(b *sim.BlockingProcess, m *Manager) {
-	b.Await(func(done func()) { m.WriteLog(done) })
+// do runs fn between two operations; hold waits dt of simulated time.
+func do(fn func()) step                 { return func(next func()) { fn(); next() } }
+func hold(s *sim.Sim, dt sim.Time) step { return func(next func()) { s.Schedule(dt, next) } }
+
+// fix, force and writeLog are steps that call the manager's Fix,
+// ForcePages and WriteLog.
+func fix(m *Manager, k storage.PageKey, write bool) step {
+	return func(next func()) { m.Fix(k, write, next) }
 }
+
+func force(m *Manager, keys ...storage.PageKey) step {
+	return func(next func()) { m.ForcePages(keys, next) }
+}
+
+func writeLog(m *Manager) step { return func(next func()) { m.WriteLog(next) } }
 
 // newRig builds a one-partition, one-disk-unit setup with the given buffer
 // configuration applied to partition 0 and the log on the same unit.
@@ -100,17 +128,16 @@ func newRigOn(t testing.TB, cfg Config, unitCfg storage.DiskUnitConfig) *rig {
 	for i := range names {
 		names[i] = "p"
 	}
-	m, err := New(cfg, names, []*storage.DiskUnit{unit}, nvem, host)
+	m, err := NewShared(cfg, names, []*storage.DiskUnit{unit}, nvem, host, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &rig{s: s, host: host, m: m, unit: unit}
 }
 
-// drive runs fn as a blocking-style simulation process and completes all
-// events.
-func (r *rig) drive(fn func(b *sim.BlockingProcess)) {
-	r.s.SpawnBlocking(0, fn)
+// drive runs steps as a script and completes all events.
+func (r *rig) drive(steps ...step) {
+	script(r.s, steps...)
 	r.s.RunAll()
 }
 
@@ -125,11 +152,11 @@ func baseCfg() Config {
 
 func TestMMHitMiss(t *testing.T) {
 	r := newRig(t, baseCfg())
-	r.drive(func(b *sim.BlockingProcess) {
-		fixB(b, r.m, key(0, 1), false) // miss
-		fixB(b, r.m, key(0, 1), false) // hit
-		fixB(b, r.m, key(0, 2), false) // miss
-	})
+	r.drive(
+		fix(r.m, key(0, 1), false), // miss
+		fix(r.m, key(0, 1), false), // hit
+		fix(r.m, key(0, 2), false), // miss
+	)
 	st := r.m.Stats()
 	if st.Fixes != 3 || st.MMHits != 1 || st.DeviceReads != 2 {
 		t.Fatalf("stats = %+v", st)
@@ -142,12 +169,11 @@ func TestMMHitMiss(t *testing.T) {
 
 func TestLRUReplacementCleanVictim(t *testing.T) {
 	r := newRig(t, baseCfg())
-	r.drive(func(b *sim.BlockingProcess) {
-		for page := int64(1); page <= 4; page++ { // buffer holds 3
-			fixB(b, r.m, key(0, page), false)
-		}
-		fixB(b, r.m, key(0, 1), false) // page 1 was evicted: miss again
-	})
+	var fixes []step
+	for page := int64(1); page <= 4; page++ { // buffer holds 3
+		fixes = append(fixes, fix(r.m, key(0, page), false))
+	}
+	r.drive(append(fixes, fix(r.m, key(0, 1), false))...) // page 1 was evicted: miss again
 	st := r.m.Stats()
 	if st.DeviceReads != 5 {
 		t.Fatalf("device reads = %d, want 5", st.DeviceReads)
@@ -161,25 +187,21 @@ func TestDirtyVictimSynchronousWriteBack(t *testing.T) {
 	r := newRig(t, baseCfg())
 	var dirtyMiss, cleanMiss sim.Time
 	const rounds = 200
-	r.drive(func(b *sim.BlockingProcess) {
-		// Dirty working set: every miss evicts a dirty page (sync write +
-		// read, ~32.8 ms average).
-		for i := int64(0); i < rounds; i++ {
-			start := b.Now()
-			fixB(b, r.m, key(0, i), true)
-			dirtyMiss += b.Now() - start
-		}
-		// Drain to clean by switching to read-only misses on fresh pages
-		// (every victim from here on was fixed read-only).
-		for i := int64(rounds); i < rounds+3; i++ {
-			fixB(b, r.m, key(0, i), false)
-		}
-		for i := int64(rounds + 3); i < 2*rounds; i++ {
-			start := b.Now()
-			fixB(b, r.m, key(0, i), false)
-			cleanMiss += b.Now() - start
-		}
-	})
+	var fixes []step
+	// Dirty working set: every miss evicts a dirty page (sync write +
+	// read, ~32.8 ms average).
+	for i := int64(0); i < rounds; i++ {
+		fixes = append(fixes, timed(r.s, &dirtyMiss, fix(r.m, key(0, i), true)))
+	}
+	// Drain to clean by switching to read-only misses on fresh pages
+	// (every victim from here on was fixed read-only).
+	for i := int64(rounds); i < rounds+3; i++ {
+		fixes = append(fixes, fix(r.m, key(0, i), false))
+	}
+	for i := int64(rounds + 3); i < 2*rounds; i++ {
+		fixes = append(fixes, timed(r.s, &cleanMiss, fix(r.m, key(0, i), false)))
+	}
+	r.drive(fixes...)
 	st := r.m.Stats()
 	if st.VictimWrites == 0 {
 		t.Fatal("no synchronous victim writes recorded")
@@ -197,11 +219,11 @@ func TestMMResidentAlwaysHits(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Partitions[0] = PartitionAlloc{MMResident: true}
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
-		for page := int64(0); page < 100; page++ {
-			fixB(b, r.m, key(0, page), true)
-		}
-	})
+	var fixes []step
+	for page := int64(0); page < 100; page++ {
+		fixes = append(fixes, fix(r.m, key(0, page), true))
+	}
+	r.drive(fixes...)
 	st := r.m.Stats()
 	if st.MMHits != 100 || st.DeviceReads != 0 || st.ResidentFixes != 100 {
 		t.Fatalf("stats = %+v", st)
@@ -216,14 +238,12 @@ func TestNVEMResidentPartition(t *testing.T) {
 	cfg.Partitions[0] = PartitionAlloc{NVEMResident: true}
 	r := newRig(t, cfg)
 	var elapsed sim.Time
-	r.drive(func(b *sim.BlockingProcess) {
-		start := b.Now()
-		fixB(b, r.m, key(0, 1), true)  // NVEM read, 0.05ms
-		fixB(b, r.m, key(0, 2), true)  // NVEM read
-		fixB(b, r.m, key(0, 3), true)  // NVEM read
-		fixB(b, r.m, key(0, 4), false) // evicts dirty 1: NVEM write + NVEM read
-		elapsed = b.Now() - start
-	})
+	r.drive(timed(r.s, &elapsed,
+		fix(r.m, key(0, 1), true),  // NVEM read, 0.05ms
+		fix(r.m, key(0, 2), true),  // NVEM read
+		fix(r.m, key(0, 3), true),  // NVEM read
+		fix(r.m, key(0, 4), false), // evicts dirty 1: NVEM write + NVEM read
+	))
 	st := r.m.Stats()
 	if st.NVEMReads != 4 || st.DeviceReads != 0 {
 		t.Fatalf("stats = %+v", st)
@@ -253,12 +273,12 @@ func nvemCacheCfg(mmSize, nvemSize int) Config {
 
 func TestNVEMCacheMigrationAndHit(t *testing.T) {
 	r := newRig(t, nvemCacheCfg(2, 2))
-	r.drive(func(b *sim.BlockingProcess) {
-		fixB(b, r.m, key(0, 1), true)
-		fixB(b, r.m, key(0, 2), false)
-		fixB(b, r.m, key(0, 3), false) // evicts 1 (dirty) → NVEM + async write
-		fixB(b, r.m, key(0, 1), false) // NVEM hit
-	})
+	r.drive(
+		fix(r.m, key(0, 1), true),
+		fix(r.m, key(0, 2), false),
+		fix(r.m, key(0, 3), false), // evicts 1 (dirty) → NVEM + async write
+		fix(r.m, key(0, 1), false), // NVEM hit
+	)
 	st := r.m.Stats()
 	// Two victims migrate under MigrateAll: dirty page 1 (when 3 is fixed)
 	// and clean page 2 (when 1 is promoted back).
@@ -278,18 +298,22 @@ func TestNVEMCacheMigrationAndHit(t *testing.T) {
 
 func TestNOFORCESingleCopyInvariant(t *testing.T) {
 	r := newRig(t, nvemCacheCfg(2, 4))
-	r.drive(func(b *sim.BlockingProcess) {
-		fixB(b, r.m, key(0, 1), false)
-		fixB(b, r.m, key(0, 2), false)
-		fixB(b, r.m, key(0, 3), false) // 1 → NVEM
-		if r.m.NVEMCacheLen() != 1 {
-			t.Errorf("NVEM len = %d, want 1", r.m.NVEMCacheLen())
-		}
-		fixB(b, r.m, key(0, 1), false) // NVEM hit: copy must leave NVEM
-		if r.m.NVEMCacheLen() != 1 {   // page 2 migrated down, page 1 left
-			t.Errorf("NVEM len = %d after promotion, want 1 (page 2)", r.m.NVEMCacheLen())
-		}
-	})
+	r.drive(
+		fix(r.m, key(0, 1), false),
+		fix(r.m, key(0, 2), false),
+		fix(r.m, key(0, 3), false), // 1 → NVEM
+		do(func() {
+			if r.m.NVEMCacheLen() != 1 {
+				t.Errorf("NVEM len = %d, want 1", r.m.NVEMCacheLen())
+			}
+		}),
+		fix(r.m, key(0, 1), false), // NVEM hit: copy must leave NVEM
+		do(func() {
+			if r.m.NVEMCacheLen() != 1 { // page 2 migrated down, page 1 left
+				t.Errorf("NVEM len = %d after promotion, want 1 (page 2)", r.m.NVEMCacheLen())
+			}
+		}),
+	)
 	if r.m.Stats().NVEMCacheHits != 1 {
 		t.Fatalf("stats = %+v", r.m.Stats())
 	}
@@ -326,11 +350,11 @@ func TestAggregateLRUEquivalence(t *testing.T) {
 			}
 		}
 		r := newRig(t, cfg)
-		r.drive(func(b *sim.BlockingProcess) {
-			for _, page := range refString {
-				fixB(b, r.m, key(0, page), false)
-			}
-		})
+		fixes := make([]step, len(refString))
+		for i, page := range refString {
+			fixes[i] = fix(r.m, key(0, page), false)
+		}
+		r.drive(fixes...)
 		st := r.m.Stats()
 		return st.MMHits + st.NVEMCacheHits
 	}
@@ -349,11 +373,11 @@ func TestMigrateModeModifiedOnly(t *testing.T) {
 	cfg := nvemCacheCfg(1, 4)
 	cfg.Partitions[0].NVEMCacheMode = MigrateModified
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
-		fixB(b, r.m, key(0, 1), true)  // dirty
-		fixB(b, r.m, key(0, 2), false) // evicts 1 → migrates (modified)
-		fixB(b, r.m, key(0, 3), false) // evicts 2 (clean) → dropped
-	})
+	r.drive(
+		fix(r.m, key(0, 1), true),  // dirty
+		fix(r.m, key(0, 2), false), // evicts 1 → migrates (modified)
+		fix(r.m, key(0, 3), false), // evicts 2 (clean) → dropped
+	)
 	st := r.m.Stats()
 	if st.VictimToNVEM != 1 || st.CleanDrops != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -364,11 +388,11 @@ func TestMigrateModeUnmodifiedOnly(t *testing.T) {
 	cfg := nvemCacheCfg(1, 4)
 	cfg.Partitions[0].NVEMCacheMode = MigrateUnmodified
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
-		fixB(b, r.m, key(0, 1), true)  // dirty
-		fixB(b, r.m, key(0, 2), false) // evicts dirty 1 → sync device write
-		fixB(b, r.m, key(0, 3), false) // evicts clean 2 → migrates
-	})
+	r.drive(
+		fix(r.m, key(0, 1), true),  // dirty
+		fix(r.m, key(0, 2), false), // evicts dirty 1 → sync device write
+		fix(r.m, key(0, 3), false), // evicts clean 2 → migrates
+	)
 	st := r.m.Stats()
 	if st.VictimToNVEM != 1 || st.VictimWrites != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -390,13 +414,11 @@ func wbCfg(wbSize int) Config {
 func TestWriteBufferAbsorbsVictimWrites(t *testing.T) {
 	r := newRig(t, wbCfg(10))
 	var missDelay sim.Time
-	r.drive(func(b *sim.BlockingProcess) {
-		fixB(b, r.m, key(0, 1), true)
-		fixB(b, r.m, key(0, 2), true)
-		start := b.Now()
-		fixB(b, r.m, key(0, 3), false) // dirty victim → write buffer
-		missDelay = b.Now() - start
-	})
+	r.drive(
+		fix(r.m, key(0, 1), true),
+		fix(r.m, key(0, 2), true),
+		timed(r.s, &missDelay, fix(r.m, key(0, 3), false)), // dirty victim → write buffer
+	)
 	st := r.m.Stats()
 	if st.VictimToWB != 1 || st.VictimWrites != 0 {
 		t.Fatalf("stats = %+v", st)
@@ -428,16 +450,16 @@ func TestWriteBufferFullFallsBackSync(t *testing.T) {
 	}
 	nvem, _ := storage.NewNVEM(s, 1, 0.05)
 	host := &testHost{s: s, nvem: nvem}
-	m, err := New(cfg, []string{"p"}, []*storage.DiskUnit{unit}, nvem, host)
+	m, err := NewShared(cfg, []string{"p"}, []*storage.DiskUnit{unit}, nvem, host, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SpawnBlocking(0, func(b *sim.BlockingProcess) {
-		fixB(b, m, key(0, 1), true)
-		fixB(b, m, key(0, 2), true)
-		fixB(b, m, key(0, 3), true) // victim 1 → WB (now full, destage stuck)
-		fixB(b, m, key(0, 4), true) // victim → WB full → sync write
-	})
+	script(s,
+		fix(m, key(0, 1), true),
+		fix(m, key(0, 2), true),
+		fix(m, key(0, 3), true), // victim 1 → WB (now full, destage stuck)
+		fix(m, key(0, 4), true), // victim → WB full → sync write
+	)
 	s.Run(1_000_000)
 	st := m.Stats()
 	if st.VictimToWB != 1 || st.WBFullSync != 1 {
@@ -451,11 +473,7 @@ func TestLogWriteNVEMResident(t *testing.T) {
 	cfg.Log = LogAlloc{NVEMResident: true}
 	r := newRig(t, cfg)
 	var logDelay sim.Time
-	r.drive(func(b *sim.BlockingProcess) {
-		start := b.Now()
-		writeLogB(b, r.m)
-		logDelay = b.Now() - start
-	})
+	r.drive(timed(r.s, &logDelay, writeLog(r.m)))
 	if r.m.Stats().LogWrites != 1 {
 		t.Fatal("log write not counted")
 	}
@@ -473,11 +491,7 @@ func TestLogWriteThroughWriteBuffer(t *testing.T) {
 	cfg.NVEMWriteBufferSize = 5
 	r := newRig(t, cfg)
 	var logDelay sim.Time
-	r.drive(func(b *sim.BlockingProcess) {
-		start := b.Now()
-		writeLogB(b, r.m)
-		logDelay = b.Now() - start
-	})
+	r.drive(timed(r.s, &logDelay, writeLog(r.m)))
 	if logDelay > 1 {
 		t.Fatalf("log delay = %v: WB log write must be at NVEM speed", logDelay)
 	}
@@ -489,11 +503,7 @@ func TestLogWriteThroughWriteBuffer(t *testing.T) {
 func TestLogWriteToDisk(t *testing.T) {
 	r := newRig(t, baseCfg())
 	var logDelay sim.Time
-	r.drive(func(b *sim.BlockingProcess) {
-		start := b.Now()
-		writeLogB(b, r.m)
-		logDelay = b.Now() - start
-	})
+	r.drive(timed(r.s, &logDelay, writeLog(r.m)))
 	if logDelay < 1 {
 		t.Fatalf("log delay = %v: disk log write must be synchronous", logDelay)
 	}
@@ -506,7 +516,7 @@ func TestLoggingDisabled(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Logging = false
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) { writeLogB(b, r.m) })
+	r.drive(writeLog(r.m))
 	if r.m.Stats().LogWrites != 0 {
 		t.Fatal("log write issued despite Logging=false")
 	}
@@ -517,14 +527,14 @@ func TestForcePagesWritesAndCleans(t *testing.T) {
 	cfg.Force = true
 	cfg.BufferSize = 10
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
-		fixB(b, r.m, key(0, 1), true)
-		fixB(b, r.m, key(0, 2), true)
-		forceB(b, r.m, key(0, 1), key(0, 2))
+	r.drive(
+		fix(r.m, key(0, 1), true),
+		fix(r.m, key(0, 2), true),
+		force(r.m, key(0, 1), key(0, 2)),
 		// Pages stay buffered and clean: next fix is a hit and a later
 		// eviction needs no write.
-		fixB(b, r.m, key(0, 1), false)
-	})
+		fix(r.m, key(0, 1), false),
+	)
 	st := r.m.Stats()
 	if st.ForceWrites != 2 {
 		t.Fatalf("force writes = %d", st.ForceWrites)
@@ -539,10 +549,10 @@ func TestForcePagesWritesAndCleans(t *testing.T) {
 
 func TestForceNoforceConfigIgnoresForcePages(t *testing.T) {
 	r := newRig(t, baseCfg()) // NOFORCE
-	r.drive(func(b *sim.BlockingProcess) {
-		fixB(b, r.m, key(0, 1), true)
-		forceB(b, r.m, key(0, 1))
-	})
+	r.drive(
+		fix(r.m, key(0, 1), true),
+		force(r.m, key(0, 1)),
+	)
 	if r.m.Stats().ForceWrites != 0 {
 		t.Fatal("NOFORCE must not force pages")
 	}
@@ -552,17 +562,15 @@ func TestForceWithNVEMCacheReplicates(t *testing.T) {
 	cfg := nvemCacheCfg(4, 4)
 	cfg.Force = true
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
-		fixB(b, r.m, key(0, 1), true)
-		forceB(b, r.m, key(0, 1))
-	})
+	r.drive(
+		fix(r.m, key(0, 1), true),
+		force(r.m, key(0, 1)),
+	)
 	// Page must now be in BOTH main memory and NVEM (replication).
 	if r.m.NVEMCacheLen() != 1 {
 		t.Fatalf("NVEM len = %d, want 1", r.m.NVEMCacheLen())
 	}
-	r.drive(func(b *sim.BlockingProcess) {
-		fixB(b, r.m, key(0, 1), false)
-	})
+	r.drive(fix(r.m, key(0, 1), false))
 	if r.m.Stats().MMHits != 1 {
 		t.Fatal("forced page must remain in main memory")
 	}
@@ -576,12 +584,12 @@ func TestForcePrefersCleanVictims(t *testing.T) {
 	cfg.Force = true
 	cfg.BufferSize = 3
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
-		fixB(b, r.m, key(0, 1), false) // clean, oldest
-		fixB(b, r.m, key(0, 2), true)  // dirty (uncommitted)
-		fixB(b, r.m, key(0, 3), true)  // dirty
-		fixB(b, r.m, key(0, 4), false) // victim should be clean page 1
-	})
+	r.drive(
+		fix(r.m, key(0, 1), false), // clean, oldest
+		fix(r.m, key(0, 2), true),  // dirty (uncommitted)
+		fix(r.m, key(0, 3), true),  // dirty
+		fix(r.m, key(0, 4), false), // victim should be clean page 1
+	)
 	st := r.m.Stats()
 	if st.VictimWrites != 0 {
 		t.Fatalf("victim writes = %d: FORCE should have found a clean victim", st.VictimWrites)
@@ -593,13 +601,13 @@ func TestForceSkipsAlreadyCleanAndEvicted(t *testing.T) {
 	cfg.Force = true
 	cfg.BufferSize = 10
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
-		fixB(b, r.m, key(0, 1), true)
-		forceB(b, r.m, key(0, 1))
+	r.drive(
+		fix(r.m, key(0, 1), true),
+		force(r.m, key(0, 1)),
 		// Second force of the same (now clean) page must be a no-op, as is
 		// forcing a page that was never buffered.
-		forceB(b, r.m, key(0, 1), key(0, 99))
-	})
+		force(r.m, key(0, 1), key(0, 99)),
+	)
 	if got := r.m.Stats().ForceWrites; got != 1 {
 		t.Fatalf("force writes = %d, want 1", got)
 	}
@@ -615,7 +623,7 @@ func TestConfigValidation(t *testing.T) {
 			Name: "u", Type: storage.Regular, NumControllers: 1, ContrDelay: 1,
 			TransDelay: 0.4, NumDisks: 1, DiskDelay: 15,
 		}, rng.NewStream(1, "u"))
-		_, err := New(cfg, names, []*storage.DiskUnit{unit}, nil, &testHost{s: s})
+		_, err := NewShared(cfg, names, []*storage.DiskUnit{unit}, nil, &testHost{s: s}, nil, nil)
 		return err
 	}
 	cases := map[string]func(*Config){

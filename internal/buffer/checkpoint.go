@@ -86,13 +86,13 @@ func (m *Manager) startCheckpointDaemon() {
 // concurrent pooled asynchronous writes (the devices serialize them),
 // so pages re-modified during the flush stay dirty for the next
 // checkpoint and transactions only feel the extra device load. Once all
-// writes and the checkpoint log record are durable the redo log length
-// resets, then k runs. A crash mid-flush abandons the checkpoint: device
-// writes already issued complete (in-flight I/O survives), but the gen
-// fence stops every later continuation, so no checkpoint record is
-// written and the redo log length stays for the recovery snapshot.
+// writes and the checkpoint log record are durable the checkpoint counts
+// as completed and the redo log length resets, then k runs. A crash
+// mid-flush abandons the checkpoint: device writes already issued complete
+// (in-flight I/O survives), but the gen fence stops every later
+// continuation, so no checkpoint record is written, the checkpoint is not
+// counted, and the redo log length stays for the recovery snapshot.
 func (m *Manager) fuzzyCheckpoint(gen int, k func()) {
-	m.stats.Checkpoints++
 	m.ckptKeys = m.appendDirtyKeys(m.ckptKeys[:0])
 	keys := m.ckptKeys
 	for _, key := range keys {
@@ -103,6 +103,7 @@ func (m *Manager) fuzzyCheckpoint(gen int, k func()) {
 			return
 		}
 		m.writeLog(func() { // the checkpoint record
+			m.stats.Checkpoints++
 			m.logSinceCkpt = 0
 			k()
 		})

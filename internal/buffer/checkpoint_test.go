@@ -1,10 +1,6 @@
 package buffer
 
-import (
-	"testing"
-
-	"repro/internal/sim"
-)
+import "testing"
 
 // ckptCfg is baseCfg with a large enough buffer and the checkpoint
 // daemon enabled.
@@ -29,22 +25,22 @@ func TestCheckpointValidation(t *testing.T) {
 
 // TestCheckpointFlushesDirtyPages: the daemon flushes the dirty frames,
 // counts the checkpoint, and resets the since-checkpoint log length.
-// Assertions happen outside the blocking body (a Fatalf inside it would
-// park the hand-off shim).
 func TestCheckpointFlushesDirtyPages(t *testing.T) {
 	r := newRig(t, ckptCfg(500))
 	var dirtyBefore, dirtyAfter int
 	var logBefore, logAfter int64
-	r.drive(func(b *sim.BlockingProcess) {
-		for page := int64(1); page <= 3; page++ {
-			fixB(b, r.m, key(0, page), true)
-		}
-		writeLogB(b, r.m)
-		dirtyBefore, logBefore = len(r.m.DirtyKeys()), r.m.LogSinceCkpt()
-		b.Hold(600) // across the first checkpoint
-		dirtyAfter, logAfter = len(r.m.DirtyKeys()), r.m.LogSinceCkpt()
-		r.m.StopCheckpoints()
-	})
+	r.drive(
+		fix(r.m, key(0, 1), true),
+		fix(r.m, key(0, 2), true),
+		fix(r.m, key(0, 3), true),
+		writeLog(r.m),
+		do(func() { dirtyBefore, logBefore = len(r.m.DirtyKeys()), r.m.LogSinceCkpt() }),
+		hold(r.s, 600), // across the first checkpoint
+		do(func() {
+			dirtyAfter, logAfter = len(r.m.DirtyKeys()), r.m.LogSinceCkpt()
+			r.m.StopCheckpoints()
+		}),
+	)
 	if dirtyBefore != 3 || logBefore != 1 {
 		t.Fatalf("before checkpoint: dirty=%d log=%d, want 3/1", dirtyBefore, logBefore)
 	}
@@ -93,14 +89,18 @@ func TestCheckpointFlushRoutes(t *testing.T) {
 			var before testHost
 			var dirtyBefore, dirtyAfter int
 			var logAfter int64
-			r.drive(func(b *sim.BlockingProcess) {
-				fixB(b, r.m, key(0, 1), true)
-				writeLogB(b, r.m)
-				before, dirtyBefore = *r.host, len(r.m.DirtyKeys())
-				b.Hold(1900 - b.Now()) // across the checkpoint at 1000, short of the next
-				dirtyAfter, logAfter = len(r.m.DirtyKeys()), r.m.LogSinceCkpt()
-				r.m.StopCheckpoints()
-			})
+			r.drive(
+				fix(r.m, key(0, 1), true),
+				writeLog(r.m),
+				func(next func()) {
+					before, dirtyBefore = *r.host, len(r.m.DirtyKeys())
+					r.s.Schedule(1900-r.s.Now(), next) // across the checkpoint at 1000, short of the next
+				},
+				do(func() {
+					dirtyAfter, logAfter = len(r.m.DirtyKeys()), r.m.LogSinceCkpt()
+					r.m.StopCheckpoints()
+				}),
+			)
 			if dirtyBefore != int(tc.flushed) {
 				t.Fatalf("dirty pages before the checkpoint = %d, want %d", dirtyBefore, tc.flushed)
 			}
@@ -123,11 +123,11 @@ func TestCheckpointDirtyKeysOrder(t *testing.T) {
 	cfg := ckptCfg(0) // no daemon; bookkeeping only
 	cfg.CheckpointIntervalMS = 0
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
-		fixB(b, r.m, key(0, 1), true)
-		fixB(b, r.m, key(0, 2), false)
-		fixB(b, r.m, key(0, 3), true)
-	})
+	r.drive(
+		fix(r.m, key(0, 1), true),
+		fix(r.m, key(0, 2), false),
+		fix(r.m, key(0, 3), true),
+	)
 	keys := r.m.DirtyKeys()
 	if len(keys) != 2 || keys[0] != key(0, 3) || keys[1] != key(0, 1) {
 		t.Fatalf("dirty keys = %v, want [p0/3 p0/1]", keys)
@@ -138,11 +138,7 @@ func TestCheckpointDirtyKeysOrder(t *testing.T) {
 // drains — RunAll terminates and no further checkpoints run.
 func TestStopCheckpointsEndsDaemon(t *testing.T) {
 	r := newRig(t, ckptCfg(50))
-	r.drive(func(b *sim.BlockingProcess) {
-		fixB(b, r.m, key(0, 1), true)
-		b.Hold(120)
-		r.m.StopCheckpoints()
-	})
+	r.drive(fix(r.m, key(0, 1), true), hold(r.s, 120), do(r.m.StopCheckpoints))
 	before := r.m.Stats().Checkpoints
 	if before == 0 {
 		t.Fatal("no checkpoint before stop")
@@ -161,11 +157,11 @@ func TestCrashClearsVolatileOnly(t *testing.T) {
 	cfg.NVEMCacheSize = 4
 	cfg.Partitions[0].NVEMCache = true
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
-		for page := int64(1); page <= 4; page++ { // overflow MM into NVEM
-			fixB(b, r.m, key(0, page), false)
-		}
-	})
+	var fixes []step
+	for page := int64(1); page <= 4; page++ { // overflow MM into NVEM
+		fixes = append(fixes, fix(r.m, key(0, page), false))
+	}
+	r.drive(fixes...)
 	if r.m.MMLen() == 0 || r.m.NVEMCacheLen() == 0 {
 		t.Fatalf("setup: mm=%d nvem=%d", r.m.MMLen(), r.m.NVEMCacheLen())
 	}
@@ -185,11 +181,7 @@ func TestRecoveryScanDeviceVsNVEM(t *testing.T) {
 	r := newRig(t, baseCfg())
 	readsBefore := r.unit.Stats().Reads
 	var scanned bool
-	r.drive(func(b *sim.BlockingProcess) {
-		b.Await(func(done func()) {
-			r.m.RecoveryScan(5, func() { scanned = true; done() })
-		})
-	})
+	r.drive(func(next func()) { r.m.RecoveryScan(5, func() { scanned = true; next() }) })
 	if !scanned {
 		t.Fatal("scan never completed")
 	}
@@ -200,11 +192,7 @@ func TestRecoveryScanDeviceVsNVEM(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Log = LogAlloc{NVEMResident: true}
 	rn := newRig(t, cfg)
-	rn.drive(func(b *sim.BlockingProcess) {
-		b.Await(func(done func()) {
-			rn.m.RecoveryScan(5, done)
-		})
-	})
+	rn.drive(func(next func()) { rn.m.RecoveryScan(5, next) })
 	if rn.host.nvemCalls != 5 {
 		t.Fatalf("NVEM log scan made %d transfers, want 5", rn.host.nvemCalls)
 	}
@@ -219,18 +207,24 @@ func TestRecoveryScanDeviceVsNVEM(t *testing.T) {
 func TestResumeCheckpointsAfterStop(t *testing.T) {
 	r := newRig(t, ckptCfg(100))
 	var atStop, afterDead, afterResume int64
-	r.drive(func(b *sim.BlockingProcess) {
-		fixB(b, r.m, key(0, 1), true)
-		b.Hold(250)
-		r.m.StopCheckpoints()
-		atStop = r.m.Stats().Checkpoints
-		b.Hold(300) // stale tick fires and must exit
-		afterDead = r.m.Stats().Checkpoints
-		r.m.ResumeCheckpoints()
-		b.Hold(300)
-		afterResume = r.m.Stats().Checkpoints
-		r.m.StopCheckpoints()
-	})
+	r.drive(
+		fix(r.m, key(0, 1), true),
+		hold(r.s, 250),
+		do(func() {
+			r.m.StopCheckpoints()
+			atStop = r.m.Stats().Checkpoints
+		}),
+		hold(r.s, 300), // stale tick fires and must exit
+		do(func() {
+			afterDead = r.m.Stats().Checkpoints
+			r.m.ResumeCheckpoints()
+		}),
+		hold(r.s, 300),
+		do(func() {
+			afterResume = r.m.Stats().Checkpoints
+			r.m.StopCheckpoints()
+		}),
+	)
 	if atStop == 0 {
 		t.Fatal("no checkpoint before stop")
 	}

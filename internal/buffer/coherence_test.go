@@ -52,11 +52,11 @@ func twoNodeRig(t *testing.T, bufferSize, sharedFrames int) (s *sim.Sim, a, b *M
 // cache must be hittable by node B.
 func TestSharedNVEMCacheCrossNodeHit(t *testing.T) {
 	s, a, b, _ := twoNodeRig(t, 1, 10)
-	s.SpawnBlocking(0, func(bp *sim.BlockingProcess) {
-		fixB(bp, a, key(0, 1), false) // A reads page 1
-		fixB(bp, a, key(0, 2), false) // evicts page 1 into the shared cache
-		fixB(bp, b, key(0, 1), false) // B must hit it there
-	})
+	script(s,
+		fix(a, key(0, 1), false), // A reads page 1
+		fix(a, key(0, 2), false), // evicts page 1 into the shared cache
+		fix(b, key(0, 1), false), // B must hit it there
+	)
 	s.RunAll()
 	if got := a.Stats().VictimToNVEM; got != 1 {
 		t.Fatalf("node A migrated %d victims into the shared cache, want 1", got)
@@ -73,9 +73,7 @@ func TestSharedNVEMCacheCrossNodeHit(t *testing.T) {
 // next local fix misses.
 func TestInvalidateCleanCopy(t *testing.T) {
 	s, a, _, _ := twoNodeRig(t, 2, 10)
-	s.SpawnBlocking(0, func(bp *sim.BlockingProcess) {
-		fixB(bp, a, key(0, 1), false)
-	})
+	script(s, fix(a, key(0, 1), false))
 	s.RunAll()
 	had, dirty := a.Invalidate(key(0, 1))
 	if !had || dirty {
@@ -99,10 +97,10 @@ func TestInvalidatePrivateNVEMCacheCopy(t *testing.T) {
 		Partitions:    []PartitionAlloc{{DiskUnit: 0, NVEMCache: true, NVEMCacheMode: MigrateAll}},
 		Log:           LogAlloc{DiskUnit: 0},
 	})
-	r.drive(func(bp *sim.BlockingProcess) {
-		fixB(bp, r.m, key(0, 1), false) // read page 1
-		fixB(bp, r.m, key(0, 2), false) // evict page 1 into the private cache
-	})
+	r.drive(
+		fix(r.m, key(0, 1), false), // read page 1
+		fix(r.m, key(0, 2), false), // evict page 1 into the private cache
+	)
 	if r.m.NVEMCacheLen() != 1 {
 		t.Fatalf("private cache holds %d frames, want 1", r.m.NVEMCacheLen())
 	}
@@ -113,9 +111,7 @@ func TestInvalidatePrivateNVEMCacheCopy(t *testing.T) {
 		t.Fatal("stale private-cache copy survived invalidation")
 	}
 	reads := r.m.Stats().DeviceReads
-	r.drive(func(bp *sim.BlockingProcess) {
-		fixB(bp, r.m, key(0, 1), false)
-	})
+	r.drive(fix(r.m, key(0, 1), false))
 	if got := r.m.Stats().DeviceReads; got != reads+1 {
 		t.Fatalf("refetch after invalidation read the device %d times, want %d", got-reads, 1)
 	}
@@ -126,17 +122,13 @@ func TestInvalidatePrivateNVEMCacheCopy(t *testing.T) {
 // can hit it instead of reading a stale disk copy.
 func TestInvalidateDirtyHandoff(t *testing.T) {
 	s, a, b, _ := twoNodeRig(t, 2, 10)
-	s.SpawnBlocking(0, func(bp *sim.BlockingProcess) {
-		fixB(bp, a, key(0, 1), true) // A modifies page 1
-	})
+	script(s, fix(a, key(0, 1), true)) // A modifies page 1
 	s.RunAll()
 	had, dirty := a.Invalidate(key(0, 1))
 	if !had || !dirty {
 		t.Fatalf("Invalidate = (%v, %v), want (true, true)", had, dirty)
 	}
-	s.SpawnBlocking(0, func(bp *sim.BlockingProcess) {
-		fixB(bp, b, key(0, 1), true) // B picks the page up from the shared cache
-	})
+	script(s, fix(b, key(0, 1), true)) // B picks the page up from the shared cache
 	s.RunAll()
 	if got := b.Stats().NVEMCacheHits; got != 1 {
 		t.Fatalf("writer missed the handed-off copy: %+v", b.Stats())
@@ -163,10 +155,10 @@ func TestResidencyTracksHolders(t *testing.T) {
 			t.Fatalf("%s: %v", when, err)
 		}
 	}
-	r.drive(func(bp *sim.BlockingProcess) {
-		fixB(bp, r.m, key(0, 1), false) // page 1 enters MM
-		fixB(bp, r.m, key(0, 2), false) // page 2 enters MM, page 1 the NVEM cache
-	})
+	r.drive(
+		fix(r.m, key(0, 1), false), // page 1 enters MM
+		fix(r.m, key(0, 2), false), // page 2 enters MM, page 1 the NVEM cache
+	)
 	if len(inserted) != 3 || inserted[0] != key(0, 1) || inserted[1] != key(0, 2) || inserted[2] != key(0, 1) {
 		t.Fatalf("insert notifications %v, want pages 1 (MM), 2 (MM), 1 (NVEM cache)", inserted)
 	}
@@ -198,10 +190,10 @@ func TestResidencySkipsSharedCache(t *testing.T) {
 	s, a, _, shared := twoNodeRig(t, 1, 10)
 	res := NewResidency(2, 1)
 	a.Track(res, 0, func(storage.PageKey) {})
-	s.SpawnBlocking(0, func(bp *sim.BlockingProcess) {
-		fixB(bp, a, key(0, 1), false)
-		fixB(bp, a, key(0, 2), false) // page 1 moves into the shared cache
-	})
+	script(s,
+		fix(a, key(0, 1), false),
+		fix(a, key(0, 2), false), // page 1 moves into the shared cache
+	)
 	s.RunAll()
 	if shared.cache.Len() != 1 || a.Holds(key(0, 1)) || !a.Holds(key(0, 2)) {
 		t.Fatalf("shared cache holds %d pages; node holds page 1 %v, page 2 %v; want 1, false, true",

@@ -75,14 +75,12 @@ func TestAsyncReplacementAvoidsSyncVictimWrite(t *testing.T) {
 	cfg.AsyncReplacement = true
 	r := newRig(t, cfg)
 	var missDelay sim.Time
-	r.drive(func(b *sim.BlockingProcess) {
-		for page := int64(1); page <= 3; page++ {
-			fixB(b, r.m, key(0, page), true)
-		}
-		start := b.Now()
-		fixB(b, r.m, key(0, 4), false) // dirty victim handled in background
-		missDelay = b.Now() - start
-	})
+	r.drive(
+		fix(r.m, key(0, 1), true),
+		fix(r.m, key(0, 2), true),
+		fix(r.m, key(0, 3), true),
+		timed(r.s, &missDelay, fix(r.m, key(0, 4), false)), // dirty victim handled in background
+	)
 	st := r.m.Stats()
 	if st.VictimWrites != 0 || st.VictimAsync != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -107,19 +105,19 @@ func TestDeferredDestageSavesDiskWrites(t *testing.T) {
 		cfg.Force = true
 		cfg.NVEMDeferredDestage = deferred
 		r := newRig(t, cfg)
-		r.drive(func(b *sim.BlockingProcess) {
-			for i := 0; i < 5; i++ {
-				fixB(b, r.m, key(0, 1), true)
-				forceB(b, r.m, key(0, 1))
-			}
+		var steps []step
+		for i := 0; i < 5; i++ {
+			steps = append(steps, fix(r.m, key(0, 1), true), force(r.m, key(0, 1)))
+		}
+		r.drive(append(steps,
 			// Evict page 1 from the 2-frame NVEM cache (if cached there).
-			fixB(b, r.m, key(0, 2), true)
-			forceB(b, r.m, key(0, 2))
-			fixB(b, r.m, key(0, 3), true)
-			forceB(b, r.m, key(0, 3))
-			fixB(b, r.m, key(0, 4), true)
-			forceB(b, r.m, key(0, 4))
-		})
+			fix(r.m, key(0, 2), true),
+			force(r.m, key(0, 2)),
+			fix(r.m, key(0, 3), true),
+			force(r.m, key(0, 3)),
+			fix(r.m, key(0, 4), true),
+			force(r.m, key(0, 4)),
+		)...)
 		return r.m.Stats(), r.unit.Stats()
 	}
 	immStats, immUnit := mk(false)
@@ -142,26 +140,28 @@ func TestDeferredDestagePromotionKeepsDirty(t *testing.T) {
 	cfg := nvemCacheCfg(2, 4)
 	cfg.NVEMDeferredDestage = true
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
-		fixB(b, r.m, key(0, 1), true) // dirty
-		fixB(b, r.m, key(0, 2), false)
-		fixB(b, r.m, key(0, 3), false) // 1 → NVEM, dirty, NOT destaged
-		if got := r.m.Stats().AsyncDiskWrites; got != 0 {
-			t.Errorf("deferred mode destaged immediately (%d writes)", got)
-		}
-		fixB(b, r.m, key(0, 1), false) // promote dirty page back to MM
+	r.drive(
+		fix(r.m, key(0, 1), true), // dirty
+		fix(r.m, key(0, 2), false),
+		fix(r.m, key(0, 3), false), // 1 → NVEM, dirty, NOT destaged
+		do(func() {
+			if got := r.m.Stats().AsyncDiskWrites; got != 0 {
+				t.Errorf("deferred mode destaged immediately (%d writes)", got)
+			}
+		}),
+		fix(r.m, key(0, 1), false), // promote dirty page back to MM
 		// Push it out again via a NON-caching... the partition caches, so
 		// it goes back to NVEM dirty; instead verify the MM frame is dirty
 		// by forcing an eviction chain later. Here we check the promoted
 		// frame state indirectly: evict it to NVEM and then evict from NVEM.
-		fixB(b, r.m, key(0, 4), false)
-		fixB(b, r.m, key(0, 5), false) // fills NVEM with {2,3,1-dirty,4}-ish
-		fixB(b, r.m, key(0, 6), false)
-		fixB(b, r.m, key(0, 7), false) // NVEM (cap 4) starts evicting
-		fixB(b, r.m, key(0, 8), false)
-		fixB(b, r.m, key(0, 9), false)
-		fixB(b, r.m, key(0, 10), false) // pushes the dirty page out of NVEM
-	})
+		fix(r.m, key(0, 4), false),
+		fix(r.m, key(0, 5), false), // fills NVEM with {2,3,1-dirty,4}-ish
+		fix(r.m, key(0, 6), false),
+		fix(r.m, key(0, 7), false), // NVEM (cap 4) starts evicting
+		fix(r.m, key(0, 8), false),
+		fix(r.m, key(0, 9), false),
+		fix(r.m, key(0, 10), false), // pushes the dirty page out of NVEM
+	)
 	st := r.m.Stats()
 	if st.NVEMEvictWrites == 0 {
 		t.Fatal("dirty page never destaged — modification lost")

@@ -3,7 +3,6 @@ package buffer
 import (
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
@@ -17,15 +16,16 @@ func TestBufOpPoolResetContract(t *testing.T) {
 	defer func() { poolPoison = false }()
 
 	r := newRig(t, baseCfg())
-	r.drive(func(b *sim.BlockingProcess) {
+	r.drive(
 		// Dirty every op field: three filling misses, then a miss with a
 		// dirty victim (synchronous write-back + device read), then a log
 		// write. Each recycles at least one op through the freelist.
-		for pg := int64(1); pg <= 4; pg++ {
-			fixB(b, r.m, key(0, pg), true)
-		}
-		writeLogB(b, r.m)
-	})
+		fix(r.m, key(0, 1), true),
+		fix(r.m, key(0, 2), true),
+		fix(r.m, key(0, 3), true),
+		fix(r.m, key(0, 4), true),
+		writeLog(r.m),
+	)
 	if r.m.freeOps == nil {
 		t.Fatal("completed operations were not returned to the freelist")
 	}
@@ -35,11 +35,11 @@ func TestBufOpPoolResetContract(t *testing.T) {
 
 	// Recycle poisoned ops through every hot stage again and verify the
 	// outcome is exactly what fresh ops would produce.
-	r.drive(func(b *sim.BlockingProcess) {
-		fixB(b, r.m, key(0, 5), true) // miss, dirty victim
-		fixB(b, r.m, key(0, 5), true) // MM hit, no op
-		writeLogB(b, r.m)
-	})
+	r.drive(
+		fix(r.m, key(0, 5), true), // miss, dirty victim
+		fix(r.m, key(0, 5), true), // MM hit, no op
+		writeLog(r.m),
+	)
 	st := r.m.Stats()
 	if st.DeviceReads != 5 || st.VictimWrites != 2 || st.MMHits != 1 || st.LogWrites != 2 {
 		t.Fatalf("recycled ops skewed stats: %+v", st)
@@ -60,15 +60,15 @@ func TestForceOpPoolResetContract(t *testing.T) {
 	cfg.BufferSize = 8
 	cfg.Force = true
 	r := newRig(t, cfg)
-	r.drive(func(b *sim.BlockingProcess) {
-		fixB(b, r.m, key(0, 1), true)
-		fixB(b, r.m, key(0, 2), true)
-		forceB(b, r.m, key(0, 1), key(0, 2))
+	r.drive(
+		fix(r.m, key(0, 1), true),
+		fix(r.m, key(0, 2), true),
+		force(r.m, key(0, 1), key(0, 2)),
 		// Recycled walker with a different, shorter set; page 2 is already
 		// clean, so exactly one more force write must happen.
-		fixB(b, r.m, key(0, 3), true)
-		forceB(b, r.m, key(0, 3), key(0, 2))
-	})
+		fix(r.m, key(0, 3), true),
+		force(r.m, key(0, 3), key(0, 2)),
+	)
 	if st := r.m.Stats(); st.ForceWrites != 3 {
 		t.Fatalf("ForceWrites = %d, want 3", st.ForceWrites)
 	}

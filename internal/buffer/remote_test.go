@@ -71,12 +71,12 @@ func TestFixRemoteSharedCache(t *testing.T) {
 		},
 	}
 	r := newRemoteRig(t, cfg, 4)
-	r.drive(func(b *sim.BlockingProcess) {
-		fixB(b, r.m, key(0, 1), true)  // miss, probe miss, device read
-		fixB(b, r.m, key(0, 2), false) // miss, probe miss, device read
-		fixB(b, r.m, key(0, 3), false) // victim 1 (dirty) migrates; miss
-		fixB(b, r.m, key(0, 1), false) // victim 2 (clean) migrates; probe hit
-	})
+	r.drive(
+		fix(r.m, key(0, 1), true),  // miss, probe miss, device read
+		fix(r.m, key(0, 2), false), // miss, probe miss, device read
+		fix(r.m, key(0, 3), false), // victim 1 (dirty) migrates; miss
+		fix(r.m, key(0, 1), false), // victim 2 (clean) migrates; probe hit
+	)
 	st := r.m.Stats()
 	if st.DeviceReads != 3 || st.NVEMCacheHits != 1 || st.VictimToNVEM != 2 {
 		t.Fatalf("remote fix stats: %+v", st)
@@ -107,12 +107,12 @@ func TestFixRemoteVictimFromPlainPartition(t *testing.T) {
 		},
 	}
 	r := newRemoteRig(t, cfg, 4)
-	r.drive(func(b *sim.BlockingProcess) {
-		fixB(b, r.m, key(0, 1), true)  // plain partition, fills MM
-		fixB(b, r.m, key(0, 2), false) // plain partition, fills MM
-		fixB(b, r.m, key(1, 1), false) // remote fix; dirty plain victim
-		fixB(b, r.m, key(1, 2), false) // remote fix; clean plain victim
-	})
+	r.drive(
+		fix(r.m, key(0, 1), true),  // plain partition, fills MM
+		fix(r.m, key(0, 2), false), // plain partition, fills MM
+		fix(r.m, key(1, 1), false), // remote fix; dirty plain victim
+		fix(r.m, key(1, 2), false), // remote fix; clean plain victim
+	)
 	st := r.m.Stats()
 	if st.VictimWrites != 1 || st.CleanDrops != 1 || st.DeviceReads != 4 {
 		t.Fatalf("plain-victim disposal stats: %+v", st)

@@ -44,6 +44,19 @@ const (
 	ObjectLevel
 )
 
+func (g Granularity) String() string {
+	switch g {
+	case NoCC:
+		return "none"
+	case PageLevel:
+		return "page"
+	case ObjectLevel:
+		return "object"
+	default:
+		return fmt.Sprintf("Granularity(%d)", uint8(g))
+	}
+}
+
 // Granule identifies a lockable unit: a page or an object of a partition.
 type Granule struct {
 	Partition int
@@ -227,19 +240,6 @@ func (m *Manager) Stats() Stats { return m.stats }
 // ResetStats zeroes the counters, so they cover a measurement window
 // opened now.
 func (m *Manager) ResetStats() { m.stats = Stats{} }
-
-// HeldCount returns how many locks txn currently holds.
-func (m *Manager) HeldCount(txn TxnID) int { return len(m.held[txn]) }
-
-// Holds reports whether txn holds g in at least the given mode.
-func (m *Manager) Holds(txn TxnID, g Granule, mode Mode) bool {
-	e, _ := m.locks.Get(g)
-	if e == nil {
-		return false
-	}
-	held, ok := e.heldMode(txn)
-	return ok && (held == Write || mode == Read)
-}
 
 // Acquire requests g in the given mode for txn.
 //

@@ -251,7 +251,7 @@ type cluster struct {
 	devs    []devices  // devs[k]: kernel k's storage
 	nodes   []*node    // txn ids are k*NumNodes+nodeID
 
-	glocks *cc.Global              // non-nil: cluster-wide lock manager
+	glocks *cc.Manager             // non-nil: cluster-wide lock manager
 	shared *buffer.SharedNVEMCache // non-nil: coherent shared NVEM cache
 
 	// trackActive makes nodes register in-flight transactions so a crash
@@ -289,7 +289,7 @@ func newCluster(cfg ClusterConfig, trackActive bool) (*cluster, error) {
 		c.net = newDirect(c)
 	}
 	if cfg.GlobalLocks {
-		c.glocks = cc.NewGlobal(cfg.NumNodes, func(txn cc.TxnID) {
+		c.glocks = cc.NewManager(func(txn cc.TxnID) {
 			n := c.nodes[int(int64(txn)%int64(cfg.NumNodes))]
 			if k := n.waiter(txn); k != nil {
 				c.net.lockGrant(n, k)

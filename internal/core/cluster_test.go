@@ -196,6 +196,35 @@ func TestClusterSharedNVEMAndCoherence(t *testing.T) {
 	}
 }
 
+// TestGlobalLockMessagesCountedAtSender: a lock request costs its sender
+// a message pair and a release one message, counted in the sender's
+// window. In a two-node global-locking cluster whose node 1 offers no
+// load, node 1 sends nothing and node 0 sends every message, on both
+// engines.
+func TestGlobalLockMessagesCountedAtSender(t *testing.T) {
+	for _, pdes := range []bool{false, true} {
+		cfg := dcCluster(t, 2, 200, false)
+		idle, err := workload.NewDebitCredit(workload.DefaultDebitCreditConfig(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Generators[1] = idle
+		cfg.PDES = PDESConfig{Enabled: pdes, Workers: 1}
+		res, err := RunCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		busy, quiet, all := res.Nodes[0], res.Nodes[1], res.Cluster
+		if quiet.Commits != 0 || quiet.LockMsgs != 0 {
+			t.Errorf("pdes %v: the idle node committed %d and sent %d lock messages, want 0 and 0", pdes, quiet.Commits, quiet.LockMsgs)
+		}
+		if busy.LockMsgs != all.LockMsgs || busy.LockMsgs < 2*all.Locks.Requests || all.Locks.Requests == 0 {
+			t.Errorf("pdes %v: node 0 sent %d lock messages, cluster %d for %d requests; want node 0 = cluster >= 2 per request",
+				pdes, busy.LockMsgs, all.LockMsgs, all.Locks.Requests)
+		}
+	}
+}
+
 // TestGlobalLockingCostsMoreThanLocal: the message pathlength and round
 // trips of the global lock manager must show up as higher response time
 // than idealized local locking on the same workload.

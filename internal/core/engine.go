@@ -381,7 +381,8 @@ func (t *txRun) landLockRequest(at sim.Time) (ok, decided bool) {
 			return false, false
 		}
 	}
-	return t.verdict(e.c.glocks.AcquireFrom(e.id, t.txn, t.g, t.mode), at)
+	e.win.lockMsgs += 2 // the request and its response
+	return t.verdict(e.c.glocks.Acquire(t.txn, t.g, t.mode), at)
 }
 
 // verdict reads a lock manager's verdict on t's request, reached at
@@ -886,9 +887,9 @@ outer:
 
 // snapshot opens the measurement window: counters guarded by warm start
 // accumulating, and the counters the node's components keep — buffer,
-// partition and lock stats, lock messages (cluster.openWindow), the CPU
-// busy and MPL queue integrals, the MPL queue's peak and the coherence
-// counts — restart from zero, so collect reads window values directly.
+// partition and lock stats, the CPU busy and MPL queue integrals, the MPL
+// queue's peak, and the lock-message and coherence counts — restart from
+// zero, so collect reads window values directly.
 func (e *node) snapshot() {
 	e.warm = true
 	e.warmStartTime = e.s.Now()
@@ -898,7 +899,7 @@ func (e *node) snapshot() {
 	}
 	e.cpu.ResetStats()
 	e.mpl.ResetStats()
-	e.win.invalidations, e.win.dirtyHandoffs = 0, 0
+	e.win.lockMsgs, e.win.invalidations, e.win.dirtyHandoffs = 0, 0, 0
 }
 
 // collect completes the node's window tally from its components'
@@ -942,9 +943,6 @@ func (e *node) collect() *tally {
 	}
 	if e.locks != nil {
 		t.locks = e.locks.Stats()
-	}
-	if e.c.glocks != nil {
-		t.lockMsgs = e.c.glocks.Messages(e.id)
 	}
 	if t.timelineBucketMS > 0 {
 		// Pad to the full window, a trailing partial bucket included, so

@@ -74,7 +74,10 @@ func (d direct) lockRequest(t *txRun) {
 	t.e.s.Schedule(d.c.cfg.LockMsgDelayMS, t.resume)
 }
 
-func (d direct) lockRelease(e *node, txn cc.TxnID) { d.c.glocks.ReleaseAllFrom(e.id, txn) }
+func (d direct) lockRelease(e *node, txn cc.TxnID) {
+	e.win.lockMsgs++
+	d.c.glocks.ReleaseAll(txn)
+}
 
 func (d direct) lockGrant(e *node, k func()) { e.s.Schedule(0, k) }
 

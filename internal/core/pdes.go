@@ -384,7 +384,8 @@ func (pd *pdesState) dispatch(m *pdesMsg) {
 	case pdesLockRelease:
 		// Grant cascades fire c.glocks' callback synchronously, and
 		// lockGrant timestamps them with msgTime.
-		c.glocks.ReleaseAllFrom(m.from, m.txn)
+		c.nodes[m.from].win.lockMsgs++
+		c.glocks.ReleaseAll(m.txn)
 	case pdesInvalidate:
 		pd.applyInvalidate(m)
 	case pdesReroute:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -339,7 +340,7 @@ func quietPDES(t *testing.T, nodes int) (c *cluster, window func(), busy func() 
 	}
 	busy = func() bool {
 		for _, k := range c.kernels {
-			if k.Pending() > 0 {
+			if !k.Idle(math.MaxFloat64) { // an event is pending
 				return true
 			}
 		}
@@ -693,8 +694,8 @@ func TestPDESOrdinalTie(t *testing.T) {
 		// Node 1's transaction holds granule g; node 2's waits for it.
 		g := cc.Granule{ID: 9}
 		holder, waiter := n1.newTxn(), n2.newTxn()
-		if c.glocks.AcquireFrom(1, holder, g, cc.Write) != cc.Granted ||
-			c.glocks.AcquireFrom(2, waiter, g, cc.Write) != cc.Wait {
+		if c.glocks.Acquire(holder, g, cc.Write) != cc.Granted ||
+			c.glocks.Acquire(waiter, g, cc.Write) != cc.Wait {
 			t.Fatal("granule g was not held by node 1 and awaited by node 2")
 		}
 		seen := "the grant never fired"
@@ -766,9 +767,9 @@ func TestPDESResidencyMatchesRecount(t *testing.T) {
 		t.Fatal("the crashed node did not recover within the run")
 	}
 	for _, n := range c.nodes {
-		if n.bm.MMLen() == 0 || n.bm.NVEMCacheLen() == 0 {
-			t.Fatalf("node %d holds %d MM and %d NVEM pages; the recount is vacuous",
-				n.id, n.bm.MMLen(), n.bm.NVEMCacheLen())
+		if n.bm.MMLen() == 0 || n.bm.Stats().VictimToNVEM == 0 {
+			t.Fatalf("node %d holds %d MM pages and moved %d victims into its NVEM cache; the recount is vacuous",
+				n.id, n.bm.MMLen(), n.bm.Stats().VictimToNVEM)
 		}
 		if err := n.bm.VerifyResidency(c.net.(*pdesState).residency, n.id); err != nil {
 			t.Fatal(err)

@@ -194,6 +194,49 @@ func TestClusterFailureAvailability(t *testing.T) {
 	}
 }
 
+// TestCrashMidCheckpointFlush: a crash inside a checkpoint's flush
+// abandons that checkpoint. Node 0 checkpoints at every 1,500 ms beat and
+// crashes at 3,001 ms, 1 ms into the flush begun at 3,000 ms, while the
+// checkpoint begun at 1,500 ms, as the window opened, completed inside the
+// window. Checkpoints counts the completed one and not the abandoned one,
+// the crash snapshot's redo log runs from the completed one, and the node
+// still recovers.
+func TestCrashMidCheckpointFlush(t *testing.T) {
+	c, err := newCluster(failCluster(t, 1501), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := c.nodes[0]
+	type probe struct{ ckpts, ckptWrites, logWrites, logSinceCkpt int64 }
+	read := func(p *probe) func() {
+		return func() {
+			st := n.bm.Stats()
+			*p = probe{st.Checkpoints, st.CkptWrites, st.LogWrites, n.bm.LogSinceCkpt()}
+		}
+	}
+	var beforeBeat, atCrash probe
+	n.s.Schedule(2999, read(&beforeBeat))
+	n.s.Schedule(3001, read(&atCrash)) // fires before the crash at the same instant
+	c.runPhases()
+	r := n.restartReport()
+	c.finish()
+	if r == nil || !r.Recovered || r.CrashAtMS != 3001 {
+		t.Fatalf("node 0 did not crash at 3001 ms and recover: %+v", r)
+	}
+	if beforeBeat.ckpts != 1 {
+		t.Errorf("before the 3000 ms beat Checkpoints = %d, want 1: the checkpoint begun at 1500 ms completed in the window", beforeBeat.ckpts)
+	}
+	if atCrash.ckptWrites <= beforeBeat.ckptWrites || atCrash.ckpts != 1 {
+		t.Errorf("at the crash the 3000 ms checkpoint issued %d flush writes and Checkpoints = %d; want some writes and 1: a begun checkpoint is not complete",
+			atCrash.ckptWrites-beforeBeat.ckptWrites, atCrash.ckpts)
+	}
+	sinceCompleted := beforeBeat.logSinceCkpt + atCrash.logWrites - beforeBeat.logWrites
+	if lp := r.Snapshot.LogPages; lp == 0 || lp != atCrash.logSinceCkpt || lp != sinceCompleted {
+		t.Errorf("crash snapshot holds %d log pages; want %d, the log written since the checkpoint that completed",
+			lp, sinceCompleted)
+	}
+}
+
 // TestClusterCrashWithoutRecoveryWindow: a crash so late the node cannot
 // finish redo inside the window still reports, unrecovered.
 func TestClusterCrashWithoutRecoveryWindow(t *testing.T) {

@@ -38,7 +38,7 @@ type tally struct {
 
 	buffer        buffer.Stats
 	locks         cc.Stats
-	lockMsgs      int64
+	lockMsgs      int64 // sent to the global lock manager: 2 per request, 1 per release
 	invalidations int64 // MM copies surrendered to remote writers
 	dirtyHandoffs int64 // ... of which were handed off dirty
 

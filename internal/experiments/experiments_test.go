@@ -38,10 +38,10 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("missing experiment %q", want)
 		}
 	}
-	if _, err := ByName("fig4.1"); err != nil {
-		t.Fatal(err)
+	if es, err := Match(`fig4\.1`); err != nil || len(es) != 1 || es[0].Name != "fig4.1" {
+		t.Fatalf("Match(fig4\\.1) found %d experiments (%v); want fig4.1 alone", len(es), err)
 	}
-	if _, err := ByName("nope"); err == nil {
+	if _, err := Match("nope"); err == nil {
 		t.Fatal("unknown name must error")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -164,11 +165,11 @@ func TestGoldenReplicated(t *testing.T) {
 	}
 	for _, name := range replicatedGolden {
 		t.Run(name, func(t *testing.T) {
-			e, err := ByName(name)
+			es, err := Match(regexp.QuoteMeta(name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := e.Run(o)
+			out, err := es[0].Run(o)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -96,17 +96,6 @@ func All() []Experiment {
 	return exps
 }
 
-// ByName finds an experiment by id.
-func ByName(name string) (Experiment, error) {
-	for _, e := range All() {
-		if e.Name == name {
-			return e, nil
-		}
-	}
-	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q (known: %s)",
-		name, strings.Join(names(), ", "))
-}
-
 // Match returns the experiments whose id matches the anchored regular
 // expression pattern, in registry order. A plain id like "fig4.1" selects
 // that single experiment; "fig4\..*" selects all figures. It is an error

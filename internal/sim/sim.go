@@ -57,10 +57,6 @@ func New() *Sim { return &Sim{next: math.Inf(1)} }
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
 
-// Pending reports the number of scheduled events (including resource
-// wake-ups and deliveries).
-func (s *Sim) Pending() int { return s.events.Len() + len(s.lane) - s.laneHead }
-
 // Schedule runs fn in kernel context at now+delay. delay must be
 // non-negative: a negative or NaN delay panics. fn must not block;
 // activity that takes simulated time is expressed by scheduling a

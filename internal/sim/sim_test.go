@@ -212,76 +212,3 @@ func TestNestedSpawn(t *testing.T) {
 		t.Fatalf("child ran at %v, want 5", childTime)
 	}
 }
-
-// --- blocking compatibility shim ---
-
-func TestBlockingProcessHold(t *testing.T) {
-	s := New()
-	var marks []Time
-	s.SpawnBlocking(0, func(b *BlockingProcess) {
-		marks = append(marks, b.Now())
-		b.Hold(10)
-		marks = append(marks, b.Now())
-		b.Hold(5)
-		marks = append(marks, b.Now())
-	})
-	s.RunAll()
-	want := []Time{0, 10, 15}
-	if fmt.Sprint(marks) != fmt.Sprint(want) {
-		t.Fatalf("marks = %v, want %v", marks, want)
-	}
-}
-
-func TestBlockingProcessSynchronousAwait(t *testing.T) {
-	// An Await whose operation completes without suspending must continue
-	// the body inline, without consuming a heap event.
-	s := New()
-	ran := false
-	s.SpawnBlocking(0, func(b *BlockingProcess) {
-		b.Await(func(done func()) { done() })
-		ran = true
-		if b.Now() != 0 {
-			t.Errorf("now = %v, want 0", b.Now())
-		}
-	})
-	s.RunAll()
-	if !ran {
-		t.Fatal("body did not complete")
-	}
-}
-
-func TestBlockingProcessInterleavesDeterministically(t *testing.T) {
-	// Blocking bodies and continuation processes must share one timeline:
-	// equal-time events fire in scheduling order regardless of style.
-	s := New()
-	var order []string
-	s.SpawnBlocking(1, func(b *BlockingProcess) {
-		order = append(order, "b0")
-		b.Hold(1)
-		order = append(order, "b1")
-	})
-	s.Schedule(1, func() {
-		order = append(order, "c0")
-		s.Schedule(1, func() { order = append(order, "c1") })
-	})
-	s.RunAll()
-	if got := strings.Join(order, ","); got != "b0,c0,b1,c1" {
-		t.Fatalf("order = %q, want b0,c0,b1,c1", got)
-	}
-}
-
-func TestBlockingProcessResource(t *testing.T) {
-	s := New()
-	r := s.NewResource("dev", 1)
-	var finish []Time
-	for i := 0; i < 3; i++ {
-		s.SpawnBlocking(0, func(b *BlockingProcess) {
-			b.Use(r, 10)
-			finish = append(finish, b.Now())
-		})
-	}
-	s.RunAll()
-	if fmt.Sprint(finish) != fmt.Sprint([]Time{10, 20, 30}) {
-		t.Fatalf("finish = %v", finish)
-	}
-}

@@ -19,10 +19,7 @@ func TestDiskOpPoolResetContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SpawnBlocking(0, func(b *sim.BlockingProcess) {
-		bWrite(b, u, key(0, 1))
-		bRead(b, u, key(0, 2))
-	})
+	script(s, write(u, key(0, 1)), read(u, key(0, 2)))
 	s.RunAll()
 	if u.freeOps == nil {
 		t.Fatal("completed disk operations were not returned to the freelist")
@@ -33,11 +30,7 @@ func TestDiskOpPoolResetContract(t *testing.T) {
 
 	// Recycle the poisoned ops and verify they serve like fresh ones.
 	done := 0
-	s.SpawnBlocking(0, func(b *sim.BlockingProcess) {
-		bRead(b, u, key(0, 3))
-		bWrite(b, u, key(0, 4))
-		done = 2
-	})
+	script(s, read(u, key(0, 3)), write(u, key(0, 4)), func(next func()) { done = 2; next() })
 	s.RunAll()
 	if done != 2 {
 		t.Fatal("recycled ops did not complete their accesses")

@@ -423,29 +423,6 @@ func (u *DiskUnit) CrashVolatile() {
 	}
 }
 
-// CacheLen returns the number of cached frames (0 for cacheless units).
-func (u *DiskUnit) CacheLen() int {
-	if u.cache == nil {
-		return 0
-	}
-	return u.cache.Len()
-}
-
-// DirtyFrames counts frames with destages in flight.
-func (u *DiskUnit) DirtyFrames() int {
-	if u.cache == nil {
-		return 0
-	}
-	n := 0
-	u.cache.Each(func(_ PageKey, f cacheFrame) bool {
-		if f.dirty {
-			n++
-		}
-		return true
-	})
-	return n
-}
-
 // NVEM models the non-volatile extended memory store: page transfers between
 // main memory and NVEM take a fixed delay at one of NumServers ports, and
 // are synchronous — the caller's CPU stays busy, which the engine models by
@@ -453,7 +430,6 @@ func (u *DiskUnit) DirtyFrames() int {
 type NVEM struct {
 	res   *sim.Resource
 	delay float64
-	count int64
 }
 
 // NewNVEM builds the NVEM store.
@@ -468,13 +444,7 @@ func NewNVEM(s *sim.Sim, servers int, delay float64) (*NVEM, error) {
 }
 
 // Access performs one page transfer (read or write — symmetric), then k.
-func (n *NVEM) Access(k func()) {
-	n.count++
-	n.res.Use(n.delay, k)
-}
-
-// Accesses returns the number of page transfers so far.
-func (n *NVEM) Accesses() int64 { return n.count }
+func (n *NVEM) Access(k func()) { n.res.Use(n.delay, k) }
 
 // Utilization returns the NVEM ports' mean utilization.
 func (n *NVEM) Utilization() float64 { return n.res.Utilization() }

@@ -14,7 +14,6 @@ const (
 	DCAccount = 0 // ACCOUNT partition
 	DCBranch  = 1 // BRANCH/TELLER partition (clustered) or BRANCH (unclustered)
 	DCTeller  = 2 // TELLER partition (unclustered only)
-	DCHistory = 3 // placeholder; use DebitCredit.HistoryPartition()
 )
 
 // DebitCreditConfig parameterizes the Debit-Credit benchmark generator
