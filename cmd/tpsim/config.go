@@ -298,10 +298,16 @@ func (fc *fileConfig) assembleCluster() (tpsim.Config, *tpsim.ClusterConfig, err
 		return tpsim.Config{}, nil, err
 	}
 	// Generators are stateful: build a fresh instance per node (assemble
-	// already produced node 0's).
+	// already produced node 0's). Trace replay reads its file once: the
+	// other nodes replay rewound copies of node 0's source, whose rates
+	// equal theirs.
 	gens := make([]tpsim.Generator, n)
 	gens[0] = base.Generator
 	for i := 1; i < n; i++ {
+		if src, ok := base.Generator.(*tpsim.TraceSource); ok {
+			gens[i] = src.Rewound()
+			continue
+		}
 		nodeCfg := base
 		if err := per.workload(&nodeCfg); err != nil {
 			return tpsim.Config{}, nil, err

@@ -3,6 +3,8 @@ package main
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -100,6 +102,41 @@ func TestTraceWorkloadFromJSON(t *testing.T) {
 	in := `{"workload": {"kind": "trace", "rate": 10, "traceFile": "/nonexistent.trace"}}`
 	if _, _, err := load(strings.NewReader(in)); err == nil {
 		t.Fatal("missing trace file must error")
+	}
+}
+
+// TestTraceClusterSharesOneTrace: a trace cluster reads its trace file
+// once. Nodes 1..n-1 replay rewound copies of node 0's source at the same
+// even share of the rate, so every node's first transaction is the
+// trace's first, down to its access array.
+func TestTraceClusterSharesOneTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tiny.trace")
+	tr := "TPSIM-TRACE 1\nFILES 1\nFILE 0 100\nTX 0 2\nR 0 1\nW 0 2\nTX 0 1\nR 0 3\nEND\n"
+	if err := os.WriteFile(path, []byte(tr), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	in := fmt.Sprintf(`{"workload": {"kind": "trace", "rate": 30, "traceFile": %q},
+	  "diskUnits": [{"name": "d", "numControllers": 1, "contrDelayMS": 1, "numDisks": 4, "diskDelayMS": 15}],
+	  "buffer": {"bufferSize": 50, "partitions": [{}], "log": {}},
+	  "cluster": {"numNodes": 3}}`, path)
+	_, cluster, err := load(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	first := cluster.Generators[0].Next(0, nil)
+	for i, g := range cluster.Generators {
+		if _, rate := g.TypeInfo(0); rate != 10 {
+			t.Errorf("node %d rate = %v, want 10", i, rate)
+		}
+		if i == 0 {
+			continue
+		}
+		if tx := g.Next(0, nil); len(tx.Accesses) != 2 || &tx.Accesses[0] != &first.Accesses[0] {
+			t.Errorf("node %d's first transaction does not share node 0's access array", i)
+		}
 	}
 }
 

@@ -86,8 +86,8 @@ func report(w io.Writer, tr *trace.Trace, top int) {
 	}
 	if top > 0 {
 		fmt.Fprintf(w, "hottest %d pages:\n", top)
-		for _, r := range tr.HottestPages(top) {
-			fmt.Fprintf(w, "  file %d page %d\n", r.File, r.Page)
+		for _, a := range tr.HottestPages(top) {
+			fmt.Fprintf(w, "  file %d page %d\n", a.Partition, a.Object)
 		}
 	}
 }

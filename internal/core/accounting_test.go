@@ -27,7 +27,7 @@ func (g *scriptGen) Next(_ int, _ *rng.Stream) workload.Tx {
 		g.i++
 		return g.txs[g.i-1]
 	}
-	return workload.Tx{TypeName: "script"}
+	return workload.Tx{}
 }
 
 // scriptConfig is a minimal one-partition, one-disk configuration around a
@@ -51,9 +51,10 @@ func scriptConfig(gen *scriptGen) Config {
 	return cfg
 }
 
-// access builds one read or write access to a distinct page.
+// access builds one read or write access to a distinct page (the
+// partition holds one object per page).
 func access(page int64, write bool) workload.Access {
-	return workload.Access{Partition: 0, Object: page, Page: page, Write: write}
+	return workload.Access{Partition: 0, Object: page, Write: write}
 }
 
 // TestWarmupDropsExcluded saturates the input queue during warm-up only:
@@ -63,7 +64,7 @@ func access(page int64, write bool) workload.Access {
 func TestWarmupDropsExcluded(t *testing.T) {
 	gen := &scriptGen{rate: 200} // 5ms interarrivals
 	for i := 0; i < 40; i++ {
-		tx := workload.Tx{TypeName: "heavy"}
+		var tx workload.Tx
 		for j := 0; j < 3; j++ {
 			tx.Accesses = append(tx.Accesses, access(int64(i*10+j), false))
 		}
@@ -100,13 +101,12 @@ func TestWarmupDropsExcluded(t *testing.T) {
 // running for ~1.7 simulated seconds past the 1s warm-up boundary; the
 // waiter's full wait (~1.7s) would exceed the clamped wait (~0.7s) by far.
 func TestBoundaryStraddlingLockWaitClamped(t *testing.T) {
-	holder := workload.Tx{TypeName: "holder"}
+	var holder workload.Tx
 	holder.Accesses = append(holder.Accesses, access(0, true))
 	for j := int64(1); j <= 100; j++ {
 		holder.Accesses = append(holder.Accesses, access(j, false))
 	}
-	waiter := workload.Tx{TypeName: "waiter",
-		Accesses: []workload.Access{access(0, true)}}
+	waiter := workload.Tx{Accesses: []workload.Access{access(0, true)}}
 	gen := &scriptGen{rate: 400, txs: []workload.Tx{holder, waiter}}
 	cfg := scriptConfig(gen)
 	cfg.WarmupMS = 1000
@@ -166,7 +166,7 @@ func TestPeakQueueSaturation(t *testing.T) {
 	gen := &scriptGen{rate: 200}
 	// Empty warm-up; the burst lands inside the measured window.
 	for i := 0; i < 40; i++ {
-		tx := workload.Tx{TypeName: "heavy"}
+		var tx workload.Tx
 		for j := 0; j < 3; j++ {
 			tx.Accesses = append(tx.Accesses, access(int64(i*10+j), false))
 		}

@@ -20,7 +20,7 @@ type loopGen struct {
 func (g *loopGen) NumTypes() int                  { return 1 }
 func (g *loopGen) TypeInfo(int) (string, float64) { return "loop", g.rate }
 func (g *loopGen) Next(_ int, _ *rng.Stream) workload.Tx {
-	tx := workload.Tx{TypeName: "loop"}
+	var tx workload.Tx
 	for j := 0; j < g.accesses; j++ {
 		g.page = (g.page + 1) % 90_000
 		tx.Accesses = append(tx.Accesses, access(g.page, false))
@@ -169,7 +169,7 @@ func (g *twoClassGen) TypeInfo(i int) (string, float64) {
 	return [2]string{"alpha", "beta"}[i], g.rates[i]
 }
 func (g *twoClassGen) Next(i int, _ *rng.Stream) workload.Tx {
-	tx := workload.Tx{Type: i, TypeName: [2]string{"alpha", "beta"}[i]}
+	tx := workload.Tx{Type: i}
 	for j := 0; j < g.sizes[i]; j++ {
 		g.page[i] = (g.page[i] + 1) % 40_000
 		tx.Accesses = append(tx.Accesses, access(int64(i)*40_000+g.page[i], false))

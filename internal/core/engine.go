@@ -335,21 +335,23 @@ func (e *node) waiter(txn cc.TxnID) func() {
 	return k
 }
 
-// requestLock requests the next access's lock and continues through
-// onLocked with the outcome: false on deadlock (the caller must abort). On
-// a conflict the continuation is deferred until the lock manager grants
-// the queued request. Under global locking the request first pays the
-// message pathlength (state txLockMsg) and then travels to the
-// cluster-wide lock manager over the interconnect.
+// requestLock starts the next access: it maps the access's object to its
+// page, requests the lock and continues through onLocked with the
+// outcome: false on deadlock (the caller must abort). On a conflict the
+// continuation is deferred until the lock manager grants the queued
+// request. Under global locking the request first pays the message
+// pathlength (state txLockMsg) and then travels to the cluster-wide lock
+// manager over the interconnect.
 func (t *txRun) requestLock() {
 	e := t.e
 	acc := &t.tx.Accesses[t.i]
+	t.page = e.cfg.Partitions[acc.Partition].PageOf(acc.Object)
 	granularity := e.cfg.CCModes[acc.Partition]
 	if granularity == cc.NoCC {
 		t.onLocked(true)
 		return
 	}
-	id := acc.Page
+	id := t.page
 	if granularity == cc.ObjectLevel {
 		id = acc.Object
 	}
@@ -567,6 +569,7 @@ type txRun struct {
 	fixTime sim.Time // cumulative I/O wait across all attempts
 	start   sim.Time // current fix start
 	i       int      // next access index
+	page    int64    // access i's page, mapped when the access starts
 	state   txState
 	relPaid bool // release-message pathlength charged (global locking)
 	// dead marks a transaction killed by its node's crash: its locks are
@@ -626,7 +629,7 @@ func (e *node) putTx(t *txRun) {
 	if poolPoison {
 		t.txn = -1
 		t.arrival, t.fixTime, t.start, t.waitStart = -1, -1, -1, -1
-		t.i = -1
+		t.i, t.page = -1, -1
 		t.state = txState(0xff)
 		t.relPaid, t.dead = true, true
 		t.g = cc.Granule{Partition: -1, ID: -1}
@@ -734,7 +737,7 @@ func (t *txRun) onLocked(ok bool) {
 		return
 	}
 	acc := &t.tx.Accesses[t.i]
-	key := storage.PageKey{Partition: acc.Partition, Page: acc.Page}
+	key := storage.PageKey{Partition: acc.Partition, Page: t.page}
 	if acc.Write && t.e.c.cfg.NumNodes > 1 {
 		t.e.c.net.invalidate(t.e, key)
 	}
@@ -871,7 +874,8 @@ outer:
 		if !acc.Write {
 			continue
 		}
-		key := storage.PageKey{Partition: acc.Partition, Page: acc.Page}
+		page := t.e.cfg.Partitions[acc.Partition].PageOf(acc.Object)
+		key := storage.PageKey{Partition: acc.Partition, Page: page}
 		for _, k := range out {
 			if k == key {
 				continue outer

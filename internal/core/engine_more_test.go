@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/buffer"
@@ -68,12 +70,12 @@ func TestTraceSourceDrivesEngine(t *testing.T) {
 	// Deterministic mini-trace: alternating small read and update txs.
 	for i := 0; i < 400; i++ {
 		if i%2 == 0 {
-			tr.Txs = append(tr.Txs, trace.Tx{Type: 0, Refs: []trace.Ref{
-				{File: 0, Page: int64(i % 500)}, {File: 1, Page: int64(i % 100)},
+			tr.Txs = append(tr.Txs, workload.Tx{Type: 0, Accesses: []workload.Access{
+				{Partition: 0, Object: int64(i % 500)}, {Partition: 1, Object: int64(i % 100)},
 			}})
 		} else {
-			tr.Txs = append(tr.Txs, trace.Tx{Type: 1, Refs: []trace.Ref{
-				{File: 0, Page: int64(i % 500), Write: true},
+			tr.Txs = append(tr.Txs, workload.Tx{Type: 1, Accesses: []workload.Access{
+				{Partition: 0, Object: int64(i % 500), Write: true},
 			}})
 		}
 	}
@@ -246,4 +248,56 @@ func TestGroupCommitEngineIntegration(t *testing.T) {
 	if res.Buffer.GroupCommits == 0 || res.Buffer.LogWrites >= res.Commits {
 		t.Fatalf("batching ineffective: %+v", res.Buffer)
 	}
+}
+
+// TestAccessPagesMappedAtFix: the engine maps each access's object to its
+// page with its partition's PageOf. On a partition of 10 objects per page,
+// objects 0 and 9 share page 0, object 15 is page 1 and object 999 page 99;
+// on a Sequential partition of three pages whose append cursor has passed
+// its last object, objects 30 and 47 wrap to pages 0 and 1. The buffer
+// holds every page the run fixes, and each written page stays dirty in
+// it, so its dirty keys are exactly the written pages the fixes named.
+// FORCE's modified-page list maps the same writes.
+func TestAccessPagesMappedAtFix(t *testing.T) {
+	tx := workload.Tx{Accesses: []workload.Access{
+		{Partition: 0, Object: 0, Write: true},
+		{Partition: 0, Object: 9, Write: true},
+		{Partition: 0, Object: 15},
+		{Partition: 0, Object: 999, Write: true},
+		{Partition: 1, Object: 30, Write: true},
+		{Partition: 1, Object: 47, Write: true},
+	}}
+	cfg := scriptConfig(&scriptGen{rate: 100, txs: []workload.Tx{tx}})
+	cfg.Partitions = []workload.Partition{
+		{Name: "blocked", NumObjects: 1000, BlockFactor: 10},
+		{Name: "append", NumObjects: 30, BlockFactor: 10, Sequential: true},
+	}
+	cfg.CCModes = []cc.Granularity{cc.PageLevel, cc.PageLevel}
+	cfg.Buffer.Partitions = []buffer.PartitionAlloc{{DiskUnit: 0}, {DiskUnit: 0}}
+	cfg.WarmupMS, cfg.MeasureMS = 0, 1000
+	c, err := newCluster(oneNode(cfg), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.runPhases()
+	e := c.nodes[0]
+	if win := e.collect(); win.commits != 1 {
+		t.Fatalf("commits = %d, want the one scripted transaction", win.commits)
+	}
+	written := []storage.PageKey{{Partition: 0, Page: 0}, {Partition: 0, Page: 99},
+		{Partition: 1, Page: 0}, {Partition: 1, Page: 1}}
+	dirty := e.bm.DirtyKeys()
+	slices.SortFunc(dirty, func(a, b storage.PageKey) int {
+		return cmp.Or(cmp.Compare(a.Partition, b.Partition), cmp.Compare(a.Page, b.Page))
+	})
+	if !slices.Equal(dirty, written) {
+		t.Errorf("dirty pages after the run = %v, want %v", dirty, written)
+	}
+	if read := (storage.PageKey{Partition: 0, Page: 1}); !e.bm.Holds(read) {
+		t.Errorf("object 15's page %v not fixed", read)
+	}
+	if got := (&txRun{e: e, tx: tx}).modifiedPages(); !slices.Equal(got, written) {
+		t.Errorf("modifiedPages = %v, want %v", got, written)
+	}
+	c.finish()
 }

@@ -346,13 +346,9 @@ func TestTraceSetupBuildsIndependentSources(t *testing.T) {
 	}
 	txs := realLifeTrace().Txs
 	for k, tx := range seqs[0] {
-		if tx.Type != txs[k].Type || len(tx.Accesses) != len(txs[k].Refs) {
+		if tx.Type != txs[k].Type || len(tx.Accesses) != len(txs[k].Accesses) ||
+			&tx.Accesses[0] != &txs[k].Accesses[0] {
 			t.Fatalf("draw %d does not replay trace transaction %d", k, k)
-		}
-		for j, r := range txs[k].Refs {
-			if a := tx.Accesses[j]; a.Partition != r.File || a.Page != r.Page || a.Write != r.Write {
-				t.Fatalf("draw %d access %d = %+v, trace has %+v", k, j, a, r)
-			}
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"repro/internal/workload"
 )
 
 // The on-disk trace format is line-oriented text:
@@ -39,13 +41,13 @@ func Write(w io.Writer, tr *Trace) error {
 	}
 	for i := range tr.Txs {
 		tx := &tr.Txs[i]
-		fmt.Fprintf(bw, "TX %d %d\n", tx.Type, len(tx.Refs))
-		for _, r := range tx.Refs {
+		fmt.Fprintf(bw, "TX %d %d\n", tx.Type, len(tx.Accesses))
+		for _, a := range tx.Accesses {
 			op := byte('R')
-			if r.Write {
+			if a.Write {
 				op = 'W'
 			}
-			fmt.Fprintf(bw, "%c %d %d\n", op, r.File, r.Page)
+			fmt.Fprintf(bw, "%c %d %d\n", op, a.Partition, a.Object)
 		}
 	}
 	fmt.Fprintln(bw, "END")
@@ -187,7 +189,7 @@ func Read(r io.Reader) (*Trace, error) {
 		if nRefs <= 0 {
 			return nil, fail("TX with %d refs", nRefs)
 		}
-		tx := Tx{Type: typ, Refs: make([]Ref, 0, prealloCap(nRefs))}
+		tx := workload.Tx{Type: typ, Accesses: make([]workload.Access, 0, prealloCap(nRefs))}
 		for i := 0; i < nRefs; i++ {
 			s, err := next()
 			if err != nil {
@@ -202,7 +204,7 @@ func Read(r io.Reader) (*Trace, error) {
 			if err1 != nil || err2 != nil {
 				return nil, fail("bad ref numbers %q", s)
 			}
-			tx.Refs = append(tx.Refs, Ref{File: file, Page: page, Write: fields[0] == "W"})
+			tx.Accesses = append(tx.Accesses, workload.Access{Partition: file, Object: page, Write: fields[0] == "W"})
 		}
 		tr.Txs = append(tr.Txs, tx)
 		s, err = next()

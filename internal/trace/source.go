@@ -119,29 +119,18 @@ func (s *Source) TypeInfo(i int) (string, float64) {
 // Len returns the number of transactions in the underlying trace.
 func (s *Source) Len() int { return len(s.tr.Txs) }
 
-// Next implements workload.Generator: it converts the next traced
-// transaction of the stream into engine accesses.
+// Next implements workload.Generator: it returns the next traced
+// transaction of the stream itself, accesses and all, with no copy. A
+// trace's files are page-granular partitions (Partitions), so its accesses
+// are already the engine's.
 func (s *Source) Next(i int, _ *rng.Stream) workload.Tx {
-	var tx *Tx
 	if s.byType != nil {
 		list := s.byType[i]
-		tx = &s.tr.Txs[list[s.posTyp[i]%len(list)]]
+		k := list[s.posTyp[i]%len(list)]
 		s.posTyp[i]++
-	} else {
-		tx = &s.tr.Txs[s.next%len(s.tr.Txs)]
-		s.next++
+		return s.tr.Txs[k]
 	}
-	out := workload.Tx{Type: tx.Type, Accesses: make([]workload.Access, len(tx.Refs))}
-	if len(s.tr.TypeNames) > tx.Type {
-		out.TypeName = s.tr.TypeNames[tx.Type]
-	}
-	for i, r := range tx.Refs {
-		out.Accesses[i] = workload.Access{
-			Partition: r.File,
-			Object:    r.Page, // page-granular traces: object == page
-			Page:      r.Page,
-			Write:     r.Write,
-		}
-	}
-	return out
+	k := s.next % len(s.tr.Txs)
+	s.next++
+	return s.tr.Txs[k]
 }

@@ -4,18 +4,19 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/workload"
 )
 
 func TestSourceByTypeReplaysPerType(t *testing.T) {
 	tr := &Trace{
 		FilePages: []int64{100},
 		TypeNames: []string{"query", "update"},
-		Txs: []Tx{
-			{Type: 0, Refs: []Ref{{Page: 1}}},
-			{Type: 1, Refs: []Ref{{Page: 2, Write: true}}},
-			{Type: 0, Refs: []Ref{{Page: 3}}},
-			{Type: 1, Refs: []Ref{{Page: 4, Write: true}}},
-			{Type: 0, Refs: []Ref{{Page: 5}}},
+		Txs: []workload.Tx{
+			{Type: 0, Accesses: []workload.Access{{Object: 1}}},
+			{Type: 1, Accesses: []workload.Access{{Object: 2, Write: true}}},
+			{Type: 0, Accesses: []workload.Access{{Object: 3}}},
+			{Type: 1, Accesses: []workload.Access{{Object: 4, Write: true}}},
+			{Type: 0, Accesses: []workload.Access{{Object: 5}}},
 		},
 	}
 	src, err := NewSourceByType(tr, []float64{30, 10})
@@ -38,14 +39,14 @@ func TestSourceByTypeReplaysPerType(t *testing.T) {
 	wantPages := []int64{1, 3, 5, 1}
 	for k, want := range wantPages {
 		tx := src.Next(0, s)
-		if tx.Type != 0 || tx.Accesses[0].Page != want {
+		if tx.Type != 0 || tx.Accesses[0].Object != want {
 			t.Fatalf("type-0 draw %d: got type %d page %d, want page %d",
-				k, tx.Type, tx.Accesses[0].Page, want)
+				k, tx.Type, tx.Accesses[0].Object, want)
 		}
 	}
 	// Type 1 stream independent of type 0's position.
 	tx := src.Next(1, s)
-	if tx.Type != 1 || tx.Accesses[0].Page != 2 || !tx.Accesses[0].Write {
+	if tx.Type != 1 || tx.Accesses[0].Object != 2 || !tx.Accesses[0].Write {
 		t.Fatalf("type-1 draw = %+v", tx)
 	}
 	// A rewound copy restarts every type's stream; the original and the
@@ -65,9 +66,9 @@ func TestSourceByTypeReplaysPerType(t *testing.T) {
 		{rew, 1, 4, "rewound"}, {rew, 0, 5, "rewound"},
 	}
 	for k, d := range draws {
-		if tx := d.src.Next(d.typ, s); tx.Type != d.typ || tx.Accesses[0].Page != d.wantPage {
+		if tx := d.src.Next(d.typ, s); tx.Type != d.typ || tx.Accesses[0].Object != d.wantPage {
 			t.Fatalf("draw %d from the %s source's type-%d stream: got page %d, want %d",
-				k, d.sourceName, d.typ, tx.Accesses[0].Page, d.wantPage)
+				k, d.sourceName, d.typ, tx.Accesses[0].Object, d.wantPage)
 		}
 	}
 }
@@ -92,7 +93,7 @@ func TestSourceByTypeValidation(t *testing.T) {
 		t.Fatal("empty trace must error")
 	}
 	bad := tinyTrace()
-	bad.Txs[0].Refs[0].Page = 1000
+	bad.Txs[0].Accesses[0].Object = 1000
 	if _, err := NewSourceByType(bad, []float64{1, 1}); err == nil {
 		t.Fatal("invalid trace must error")
 	}

@@ -116,7 +116,7 @@ func GenerateFromSpec(spec RealLifeSpec, seed int64) *Trace {
 			if !tt.FixedSize {
 				n = s.ExpInt(tt.MeanSize, 1)
 			}
-			tx := Tx{Type: typeID, Refs: make([]Ref, 0, n)}
+			tx := workload.Tx{Type: typeID, Accesses: make([]workload.Access, 0, n)}
 			switch {
 			case tt.Scan && tt.FixedSize:
 				// Ad-hoc query: scan fresh pages of file 0.
@@ -124,7 +124,7 @@ func GenerateFromSpec(spec RealLifeSpec, seed int64) *Trace {
 				for i := 0; i < n; i++ {
 					page := adhocNext % spec.FilePages[file]
 					adhocNext++
-					tx.Refs = append(tx.Refs, Ref{File: file, Page: page})
+					tx.Accesses = append(tx.Accesses, workload.Access{Partition: file, Object: page})
 				}
 			case tt.Scan:
 				// Batch scan: consecutive pages within the active region.
@@ -132,7 +132,7 @@ func GenerateFromSpec(spec RealLifeSpec, seed int64) *Trace {
 				start := s.Int63n(spec.ActivePages[file])
 				for i := 0; i < n; i++ {
 					page := (start + int64(i)) % spec.ActivePages[file]
-					tx.Refs = append(tx.Refs, Ref{File: file, Page: page})
+					tx.Accesses = append(tx.Accesses, workload.Access{Partition: file, Object: page})
 				}
 			default:
 				for i := 0; i < n; i++ {
@@ -141,10 +141,10 @@ func GenerateFromSpec(spec RealLifeSpec, seed int64) *Trace {
 					// re-reference their own recent pages (index → record →
 					// index patterns), which is what keeps even very small
 					// main-memory buffers useful in Fig 4.6.
-					if !write && len(tx.Refs) > 0 && s.Bool(0.35) {
-						back := s.Intn(min(len(tx.Refs), 8)) + 1
-						prev := tx.Refs[len(tx.Refs)-back]
-						tx.Refs = append(tx.Refs, Ref{File: prev.File, Page: prev.Page})
+					if !write && len(tx.Accesses) > 0 && s.Bool(0.35) {
+						back := s.Intn(min(len(tx.Accesses), 8)) + 1
+						prev := tx.Accesses[len(tx.Accesses)-back]
+						tx.Accesses = append(tx.Accesses, workload.Access{Partition: prev.Partition, Object: prev.Object})
 						continue
 					}
 					file := bias.Sample(s)
@@ -159,12 +159,12 @@ func GenerateFromSpec(spec RealLifeSpec, seed int64) *Trace {
 					} else {
 						page = skew[file].Draw(spec.ActivePages[file], s)
 					}
-					tx.Refs = append(tx.Refs, Ref{File: file, Page: page, Write: write})
+					tx.Accesses = append(tx.Accesses, workload.Access{Partition: file, Object: page, Write: write})
 				}
 			}
 			if tt.Update && !tx.Update() {
 				// Update transactions always write at least one page.
-				tx.Refs[s.Intn(len(tx.Refs))].Write = true
+				tx.Accesses[s.Intn(len(tx.Accesses))].Write = true
 			}
 			tr.Txs = append(tr.Txs, tx)
 		}
@@ -176,7 +176,7 @@ func GenerateFromSpec(spec RealLifeSpec, seed int64) *Trace {
 
 // shuffleTxs interleaves transaction types into one arrival order
 // (Fisher-Yates on a deterministic stream).
-func shuffleTxs(txs []Tx, s *rng.Stream) {
+func shuffleTxs(txs []workload.Tx, s *rng.Stream) {
 	for i := len(txs) - 1; i > 0; i-- {
 		j := s.Intn(i + 1)
 		txs[i], txs[j] = txs[j], txs[i]
@@ -199,20 +199,17 @@ func (tr *Trace) TypeHistogram() []int {
 	return counts
 }
 
-// HottestPages returns the n most-referenced (file, page) pairs; used by
-// diagnostics in cmd/tracegen.
-func (tr *Trace) HottestPages(n int) []Ref {
-	type key struct {
-		file int
-		page int64
-	}
-	counts := map[key]int{}
+// HottestPages returns the n most-referenced (file, page) pairs as read
+// accesses; used by diagnostics in cmd/tracegen.
+func (tr *Trace) HottestPages(n int) []workload.Access {
+	counts := map[workload.Access]int{}
 	for i := range tr.Txs {
-		for _, r := range tr.Txs[i].Refs {
-			counts[key{r.File, r.Page}]++
+		for _, a := range tr.Txs[i].Accesses {
+			a.Write = false
+			counts[a]++
 		}
 	}
-	keys := make([]key, 0, len(counts))
+	keys := make([]workload.Access, 0, len(counts))
 	for k := range counts {
 		keys = append(keys, k)
 	}
@@ -221,17 +218,10 @@ func (tr *Trace) HottestPages(n int) []Ref {
 		if ca != cb {
 			return ca > cb
 		}
-		if keys[a].file != keys[b].file {
-			return keys[a].file < keys[b].file
+		if keys[a].Partition != keys[b].Partition {
+			return keys[a].Partition < keys[b].Partition
 		}
-		return keys[a].page < keys[b].page
+		return keys[a].Object < keys[b].Object
 	})
-	if n > len(keys) {
-		n = len(keys)
-	}
-	out := make([]Ref, n)
-	for i := 0; i < n; i++ {
-		out[i] = Ref{File: keys[i].file, Page: keys[i].page}
-	}
-	return out
+	return keys[:min(n, len(keys))]
 }

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 )
 
@@ -111,5 +113,27 @@ func TestRealLifeTypeInterleaving(t *testing.T) {
 	}
 	if len(types) < 2 {
 		t.Fatalf("first quarter has only %d types — not interleaved", len(types))
+	}
+}
+
+// TestRealLifeTraceBytes pins the serialized synthetic trace: the FNV-64a
+// of Write(GenerateRealLife(seed)). The aggregate statistics above and the
+// goldens only guard the synthesizer indirectly; this fails on any change
+// to a drawn page, write flag, size or the shuffled arrival order.
+func TestRealLifeTraceBytes(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		want string
+	}{
+		{42, "3df6ab4a409677fe"},
+		{7, "b6214edf9279d7dc"},
+	} {
+		h := fnv.New64a()
+		if err := Write(h, GenerateRealLife(c.seed)); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != c.want {
+			t.Errorf("seed %d: trace FNV-64a = %s, want %s", c.seed, got, c.want)
+		}
 	}
 }

@@ -23,7 +23,7 @@ func LoadTimeline(tr *Trace, buckets int) ([]float64, error) {
 	vol := make([]float64, buckets)
 	total := 0.0
 	for i := range tr.Txs {
-		refs := float64(len(tr.Txs[i].Refs))
+		refs := float64(len(tr.Txs[i].Accesses))
 		vol[i*buckets/n] += refs
 		total += refs
 	}

@@ -3,15 +3,17 @@ package trace
 import (
 	"math"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 func timelineTrace() *Trace {
 	tr := &Trace{FilePages: []int64{100}}
 	// 8 transactions with reference volumes 1..8: total 36.
 	for i := 1; i <= 8; i++ {
-		tx := Tx{Type: 0}
+		tx := workload.Tx{Type: 0}
 		for j := 0; j < i; j++ {
-			tx.Refs = append(tx.Refs, Ref{File: 0, Page: int64(j)})
+			tx.Accesses = append(tx.Accesses, workload.Access{Partition: 0, Object: int64(j)})
 		}
 		tr.Txs = append(tr.Txs, tx)
 	}

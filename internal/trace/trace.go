@@ -10,48 +10,29 @@ package trace
 
 import (
 	"fmt"
+
+	"repro/internal/workload"
 )
 
-// Ref is a single page reference of a traced transaction.
-type Ref struct {
-	File  int
-	Page  int64
-	Write bool
-}
-
-// Tx is one traced transaction: its type and ordered page references.
-type Tx struct {
-	Type int
-	Refs []Ref
-}
-
-// Update reports whether the transaction writes at least one page.
-func (t *Tx) Update() bool {
-	for i := range t.Refs {
-		if t.Refs[i].Write {
-			return true
-		}
-	}
-	return false
-}
-
 // Trace is a recorded (or synthesized) workload: a set of database files and
-// a sequence of transactions referencing their pages.
+// a sequence of transactions referencing their pages. A trace is
+// page-granular: each file is a partition with block factor 1, so an
+// access's Partition is its file and its Object is the page.
 type Trace struct {
-	// FilePages gives the size in pages of each database file; file ids in
-	// Refs index into it.
+	// FilePages gives the size in pages of each database file; an
+	// access's Partition indexes into it.
 	FilePages []int64
 	// TypeNames optionally labels the transaction types.
 	TypeNames []string
-	Txs       []Tx
+	Txs       []workload.Tx
 }
 
 // NumFiles returns the number of database files.
 func (tr *Trace) NumFiles() int { return len(tr.FilePages) }
 
-// Validate checks referential integrity: every reference must name an
+// Validate checks referential integrity: every access must name an
 // existing file and a page within its bounds, and every transaction must
-// have a known type and at least one reference.
+// have a known type and at least one access.
 func (tr *Trace) Validate() error {
 	if len(tr.FilePages) == 0 {
 		return fmt.Errorf("trace: no files")
@@ -69,16 +50,16 @@ func (tr *Trace) Validate() error {
 		if len(tr.TypeNames) > 0 && tx.Type >= len(tr.TypeNames) {
 			return fmt.Errorf("trace: tx %d type %d out of range", i, tx.Type)
 		}
-		if len(tx.Refs) == 0 {
+		if len(tx.Accesses) == 0 {
 			return fmt.Errorf("trace: tx %d has no references", i)
 		}
-		for j, r := range tx.Refs {
-			if r.File < 0 || r.File >= len(tr.FilePages) {
-				return fmt.Errorf("trace: tx %d ref %d: file %d out of range", i, j, r.File)
+		for j, a := range tx.Accesses {
+			if a.Partition < 0 || a.Partition >= len(tr.FilePages) {
+				return fmt.Errorf("trace: tx %d ref %d: file %d out of range", i, j, a.Partition)
 			}
-			if r.Page < 0 || r.Page >= tr.FilePages[r.File] {
+			if a.Object < 0 || a.Object >= tr.FilePages[a.Partition] {
 				return fmt.Errorf("trace: tx %d ref %d: page %d out of range for file %d",
-					i, j, r.Page, r.File)
+					i, j, a.Object, a.Partition)
 			}
 		}
 	}
@@ -126,17 +107,17 @@ func (tr *Trace) ComputeStats() Stats {
 	for i := range tr.Txs {
 		tx := &tr.Txs[i]
 		types[tx.Type] = struct{}{}
-		if len(tx.Refs) > s.MaxTxSize {
-			s.MaxTxSize = len(tx.Refs)
+		if len(tx.Accesses) > s.MaxTxSize {
+			s.MaxTxSize = len(tx.Accesses)
 		}
 		update := false
-		for _, r := range tx.Refs {
+		for _, a := range tx.Accesses {
 			s.NumAccesses++
-			if r.Write {
+			if a.Write {
 				s.NumWrites++
 				update = true
 			}
-			distinct[pageKey{r.File, r.Page}] = struct{}{}
+			distinct[pageKey{a.Partition, a.Object}] = struct{}{}
 		}
 		if update {
 			s.UpdateTxs++

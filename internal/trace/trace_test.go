@@ -6,15 +6,16 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/workload"
 )
 
 func tinyTrace() *Trace {
 	return &Trace{
 		FilePages: []int64{100, 50},
 		TypeNames: []string{"query", "update"},
-		Txs: []Tx{
-			{Type: 0, Refs: []Ref{{File: 0, Page: 3}, {File: 1, Page: 7}}},
-			{Type: 1, Refs: []Ref{{File: 0, Page: 99, Write: true}}},
+		Txs: []workload.Tx{
+			{Type: 0, Accesses: []workload.Access{{Partition: 0, Object: 3}, {Partition: 1, Object: 7}}},
+			{Type: 1, Accesses: []workload.Access{{Partition: 0, Object: 99, Write: true}}},
 		},
 	}
 }
@@ -31,10 +32,14 @@ func TestValidateErrors(t *testing.T) {
 		"zero pages":    func(tr *Trace) { tr.FilePages[0] = 0 },
 		"neg type":      func(tr *Trace) { tr.Txs[0].Type = -1 },
 		"type range":    func(tr *Trace) { tr.Txs[0].Type = 5 },
-		"no refs":       func(tr *Trace) { tr.Txs[0].Refs = nil },
-		"bad file":      func(tr *Trace) { tr.Txs[0].Refs[0].File = 9 },
-		"page overflow": func(tr *Trace) { tr.Txs[0].Refs[0].Page = 100 },
-		"neg page":      func(tr *Trace) { tr.Txs[0].Refs[0].Page = -1 },
+		"no refs":       func(tr *Trace) { tr.Txs[0].Accesses = nil },
+		"bad file":      func(tr *Trace) { tr.Txs[0].Accesses[0].Partition = 9 },
+		"neg file":      func(tr *Trace) { tr.Txs[0].Accesses[0].Partition = -1 },
+		"page overflow": func(tr *Trace) { tr.Txs[0].Accesses[0].Object = 100 },
+		"neg page":      func(tr *Trace) { tr.Txs[0].Accesses[0].Object = -1 },
+		// File 1 has 50 pages: an object inside file 0's 100 pages is
+		// still outside its own file.
+		"page outside its file": func(tr *Trace) { tr.Txs[0].Accesses[1].Object = 50 },
 	}
 	for name, mutate := range cases {
 		tr := tinyTrace()
@@ -72,12 +77,12 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("shape mismatch: %+v", got)
 	}
 	for i := range orig.Txs {
-		if got.Txs[i].Type != orig.Txs[i].Type || len(got.Txs[i].Refs) != len(orig.Txs[i].Refs) {
+		if got.Txs[i].Type != orig.Txs[i].Type || len(got.Txs[i].Accesses) != len(orig.Txs[i].Accesses) {
 			t.Fatalf("tx %d mismatch", i)
 		}
-		for j := range orig.Txs[i].Refs {
-			if got.Txs[i].Refs[j] != orig.Txs[i].Refs[j] {
-				t.Fatalf("ref %d/%d mismatch: %+v vs %+v", i, j, got.Txs[i].Refs[j], orig.Txs[i].Refs[j])
+		for j := range orig.Txs[i].Accesses {
+			if got.Txs[i].Accesses[j] != orig.Txs[i].Accesses[j] {
+				t.Fatalf("ref %d/%d mismatch: %+v vs %+v", i, j, got.Txs[i].Accesses[j], orig.Txs[i].Accesses[j])
 			}
 		}
 	}
@@ -153,10 +158,10 @@ func TestSourceReplay(t *testing.T) {
 	}
 	s := rng.NewStream(1, "t")
 	first := src.Next(0, s)
-	if first.TypeName != "query" || len(first.Accesses) != 2 {
+	if first.Type != 0 || len(first.Accesses) != 2 {
 		t.Fatalf("first tx = %+v", first)
 	}
-	if first.Accesses[0].Page != 3 || first.Accesses[0].Partition != 0 {
+	if first.Accesses[0].Object != 3 || first.Accesses[0].Partition != 0 {
 		t.Fatalf("first access = %+v", first.Accesses[0])
 	}
 	second := src.Next(0, s)
@@ -165,8 +170,43 @@ func TestSourceReplay(t *testing.T) {
 	}
 	// Wrap-around.
 	third := src.Next(0, s)
-	if third.TypeName != "query" {
+	if third.Type != 0 || &third.Accesses[0] != &first.Accesses[0] {
 		t.Fatal("source did not wrap")
+	}
+}
+
+// TestSourceNextReturnsTraceTx pins the replay contract: Next hands out
+// the trace's own transactions, access slice and all, and allocates
+// nothing, in common-rate and in per-type mode.
+func TestSourceNextReturnsTraceTx(t *testing.T) {
+	tr := tinyTrace()
+	common, err := NewSource(tr, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byType, err := NewSourceByType(tr, []float64{10, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range 2 * len(tr.Txs) {
+		want := &tr.Txs[k%len(tr.Txs)]
+		for _, got := range []workload.Tx{common.Next(0, nil), byType.Next(want.Type, nil)} {
+			if got.Type != want.Type || len(got.Accesses) != len(want.Accesses) ||
+				&got.Accesses[0] != &want.Accesses[0] {
+				t.Fatalf("draw %d = %+v, not trace transaction %d", k, got, k%len(tr.Txs))
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		next func()
+	}{
+		{"common rate", func() { common.Next(0, nil) }},
+		{"per type", func() { byType.Next(0, nil); byType.Next(1, nil) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, c.next); allocs != 0 {
+			t.Errorf("%s: Next allocates %v times per call, want 0", c.name, allocs)
+		}
 	}
 }
 
@@ -175,7 +215,7 @@ func TestSourceErrors(t *testing.T) {
 		t.Fatal("zero rate must error")
 	}
 	bad := tinyTrace()
-	bad.Txs[0].Refs[0].File = 42
+	bad.Txs[0].Accesses[0].Partition = 42
 	if _, err := NewSource(bad, 10); err == nil {
 		t.Fatal("invalid trace must error")
 	}
@@ -209,12 +249,12 @@ func TestTypeHistogram(t *testing.T) {
 func TestHottestPages(t *testing.T) {
 	tr := &Trace{
 		FilePages: []int64{10},
-		Txs: []Tx{
-			{Type: 0, Refs: []Ref{{Page: 5}, {Page: 5}, {Page: 5}, {Page: 2}, {Page: 2}, {Page: 9}}},
+		Txs: []workload.Tx{
+			{Type: 0, Accesses: []workload.Access{{Object: 5}, {Object: 5}, {Object: 5}, {Object: 2}, {Object: 2}, {Object: 9}}},
 		},
 	}
 	top := tr.HottestPages(2)
-	if len(top) != 2 || top[0].Page != 5 || top[1].Page != 2 {
+	if len(top) != 2 || top[0].Object != 5 || top[1].Object != 2 {
 		t.Fatalf("hottest = %+v", top)
 	}
 }

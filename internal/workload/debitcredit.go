@@ -181,35 +181,18 @@ func (g *DebitCredit) Next(_ int, s *rng.Stream) Tx {
 	hist := g.historyTail
 	g.historyTail++
 
-	accounts := make([]Access, 0, 4)
-	accP := &g.partitions[DCAccount]
-	accounts = append(accounts, Access{
-		Partition: DCAccount, Object: account, Page: accP.PageOf(account), Write: true,
-	})
-	histP := &g.partitions[g.historyPart]
-	accounts = append(accounts, Access{
-		Partition: g.historyPart, Object: hist, Page: histP.PageOf(hist), Write: true,
-	})
 	// BRANCH before TELLER: with clustering the TELLER access then always
 	// hits the page its BRANCH access just fetched (footnote 6's hit-ratio
 	// pattern: ~95% BRANCH, 100% TELLER).
+	branchObj, tellerPart, tellerObj := branch, DCTeller, branch*c.TellersPerBranch+teller
 	if c.ClusterBranchTeller {
-		btP := &g.partitions[DCBranch]
 		perPage := 1 + c.TellersPerBranch
-		branchObj := branch * perPage
-		tellerObj := branch*perPage + 1 + teller
-		accounts = append(accounts,
-			Access{Partition: DCBranch, Object: branchObj, Page: btP.PageOf(branchObj), Write: true},
-			Access{Partition: DCBranch, Object: tellerObj, Page: btP.PageOf(tellerObj), Write: true},
-		)
-	} else {
-		tellerObj := branch*c.TellersPerBranch + teller
-		telP := &g.partitions[DCTeller]
-		brP := &g.partitions[DCBranch]
-		accounts = append(accounts,
-			Access{Partition: DCBranch, Object: branch, Page: brP.PageOf(branch), Write: true},
-			Access{Partition: DCTeller, Object: tellerObj, Page: telP.PageOf(tellerObj), Write: true},
-		)
+		branchObj, tellerPart, tellerObj = branch*perPage, DCBranch, branch*perPage+1+teller
 	}
-	return Tx{Type: 0, TypeName: "debit-credit", Accesses: accounts}
+	return Tx{Type: 0, Accesses: []Access{
+		{Partition: DCAccount, Object: account, Write: true},
+		{Partition: g.historyPart, Object: hist, Write: true},
+		{Partition: DCBranch, Object: branchObj, Write: true},
+		{Partition: tellerPart, Object: tellerObj, Write: true},
+	}}
 }

@@ -71,13 +71,13 @@ func TestDebitCreditTransactionShape(t *testing.T) {
 			t.Fatal("second access must be HISTORY")
 		}
 		// With clustering, teller and branch share the page.
-		if tx.Accesses[2].Page != tx.Accesses[3].Page {
+		if pageOf(g, tx.Accesses[2]) != pageOf(g, tx.Accesses[3]) {
 			t.Fatal("clustered TELLER and BRANCH must share a page")
 		}
 		// Only three distinct pages.
 		distinct := map[[2]int64]struct{}{}
 		for _, a := range tx.Accesses {
-			distinct[[2]int64{int64(a.Partition), a.Page}] = struct{}{}
+			distinct[[2]int64{int64(a.Partition), pageOf(g, a)}] = struct{}{}
 		}
 		if len(distinct) != 3 {
 			t.Fatalf("tx touches %d distinct pages, want 3", len(distinct))
@@ -94,8 +94,8 @@ func TestDebitCreditHistoryAppends(t *testing.T) {
 		if h.Object != int64(i) {
 			t.Fatalf("history append %d went to object %d", i, h.Object)
 		}
-		if h.Page != int64(i/20) {
-			t.Fatalf("history page = %d for record %d", h.Page, i)
+		if page := pageOf(g, h); page != int64(i/20) {
+			t.Fatalf("history page = %d for record %d", page, i)
 		}
 	}
 }
@@ -113,7 +113,7 @@ func TestDebitCreditHomeAccountFraction(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tx := g.Next(0, s)
 		accountBranch := tx.Accesses[0].Object / accPerBr
-		branchPage := tx.Accesses[3].Page // clustered: page == branch id
+		branchPage := pageOf(g, tx.Accesses[3]) // clustered: page == branch id
 		if accountBranch == branchPage {
 			home++
 		}
@@ -142,7 +142,7 @@ func TestDebitCreditUnclustered(t *testing.T) {
 	// Four distinct (partition, page) pairs: no clustering.
 	distinct := map[[2]int64]struct{}{}
 	for _, a := range tx.Accesses {
-		distinct[[2]int64{int64(a.Partition), a.Page}] = struct{}{}
+		distinct[[2]int64{int64(a.Partition), pageOf(g, a)}] = struct{}{}
 	}
 	if len(distinct) != 4 {
 		t.Fatalf("tx touches %d distinct pages, want 4", len(distinct))
@@ -230,4 +230,9 @@ func TestDebitCreditRejectsBadSkew(t *testing.T) {
 	if _, err := NewDebitCredit(cfg); err == nil {
 		t.Fatal("invalid AccountSkew accepted")
 	}
+}
+
+// pageOf maps a Debit-Credit access to its page, as the engine does.
+func pageOf(g *DebitCredit, a Access) int64 {
+	return g.Partitions()[a.Partition].PageOf(a.Object)
 }

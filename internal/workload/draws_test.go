@@ -116,8 +116,7 @@ func TestSyntheticDrawsPinned(t *testing.T) {
 			k := pick[p].Sample(b)
 			obj := base[p][k] + b.Int63n(size[p][k])
 			write := b.Bool(0.3)
-			if acc.Partition != p || acc.Object != obj || acc.Write != write ||
-				acc.Page != m.Partitions[p].PageOf(obj) {
+			if acc.Partition != p || acc.Object != obj || acc.Write != write {
 				t.Fatalf("tx %d access %d: %+v, want partition %d object %d write %v",
 					i, j, acc, p, obj, write)
 			}

@@ -12,20 +12,20 @@ import (
 	"repro/internal/rng"
 )
 
-// Access is a single object reference of a transaction. The engine locks on
-// either the page or the object depending on the partition's CC mode, and
-// fixes the page in the buffer.
+// Access is a single object reference of a transaction. The engine maps
+// the object to its page with the partition's PageOf, locks on either the
+// page or the object depending on the partition's CC mode, and fixes the
+// page in the buffer.
 type Access struct {
 	Partition int
 	Object    int64
-	Page      int64
 	Write     bool
 }
 
-// Tx is one generated transaction: an ordered list of object accesses.
+// Tx is one generated transaction: its type and an ordered list of object
+// accesses.
 type Tx struct {
 	Type     int
-	TypeName string
 	Accesses []Access
 }
 
@@ -204,9 +204,15 @@ func (m *Model) Validate() error {
 	return nil
 }
 
-// Generator produces transactions of a single transaction type. The engine
-// runs one arrival process per type, drawing interarrival times from the
-// type's rate and calling Next for each arrival.
+// Generator is TPSIM's SOURCE: it produces the transactions of each of its
+// types. The engine runs one arrival process per type, drawing
+// interarrival times from the type's rate and calling Next for each
+// arrival; class names and rates come from TypeInfo alone.
+//
+// The engine only reads a transaction's accesses; it never writes into
+// the slice. A generator may therefore hand out the same access slice
+// more than once (trace replay returns the trace's own transactions), as
+// long as it does not change the slice afterwards.
 type Generator interface {
 	// NumTypes returns how many transaction types the generator produces.
 	NumTypes() int

@@ -99,20 +99,18 @@ func (g *Synthetic) size(tt *TxType, s *rng.Stream) int {
 func (g *Synthetic) Next(i int, s *rng.Stream) Tx {
 	tt := &g.model.TxTypes[i]
 	n := g.size(tt, s)
-	tx := Tx{Type: i, TypeName: tt.Name, Accesses: make([]Access, 0, n)}
+	tx := Tx{Type: i, Accesses: make([]Access, 0, n)}
 
 	if tt.Sequential {
 		// Sequential types access one partition: the first object by the
 		// partition rule, then the n-1 directly following objects.
 		p := g.refDist[i].Sample(s)
-		part := &g.model.Partitions[p]
+		numObjects := g.model.Partitions[p].NumObjects
 		first := g.pickObject(p, s)
 		for k := 0; k < n; k++ {
-			obj := (first + int64(k)) % part.NumObjects
 			tx.Accesses = append(tx.Accesses, Access{
 				Partition: p,
-				Object:    obj,
-				Page:      part.PageOf(obj),
+				Object:    (first + int64(k)) % numObjects,
 				Write:     s.Bool(tt.WriteProb),
 			})
 		}
@@ -125,7 +123,6 @@ func (g *Synthetic) Next(i int, s *rng.Stream) Tx {
 		tx.Accesses = append(tx.Accesses, Access{
 			Partition: p,
 			Object:    obj,
-			Page:      g.model.Partitions[p].PageOf(obj),
 			Write:     s.Bool(tt.WriteProb),
 		})
 	}

@@ -10,7 +10,12 @@
 # ±20% against the same baseline. Allocation counts are deterministic, so
 # a breach in either direction is a real change: above means the zero-alloc
 # discipline regressed; below means the baseline is stale and should be
-# refreshed via scripts/bench_json.sh.
+# refreshed via scripts/bench_json.sh. The benches gated on allocs/op alone
+# (LockManager*, LRU, baselines of 0) run a fixed 1,000 iterations instead
+# of one: -benchmem counts every goroutine's mallocs over the timed span
+# and truncates the mean, so one stray runtime allocation reads as 0 there
+# (it read as 1 alloc/op in a one-iteration run), while an allocation in
+# every op still reads at least 1.
 #
 # BenchmarkPDESScaleout additionally reports the wall-clock speedup of the
 # 8-worker barrier pool over the serial coordinator; that speedup is gated
@@ -31,9 +36,10 @@ tolerance="${TOLERANCE:-30}" # percent slower than baseline that still passes
 alloc_tolerance="${ALLOC_TOLERANCE:-20}" # percent allocs/op drift, either way
 alloc_benches="BenchmarkEngineDebitCreditDisk BenchmarkEngineDebitCreditNVEM BenchmarkLockManager BenchmarkLockManagerLargeTx BenchmarkLRU BenchmarkPDESScaleout"
 # Benches whose ns/op is gated. The LockManager and LRU benches are
-# alloc-gated only: a single micro-scale iteration is scheduler noise, not
-# a drift signal.
+# alloc-gated only: their micro-scale ns/op is scheduler noise, not a drift
+# signal.
 ns_benches="BenchmarkKernelHeap10M BenchmarkPDESScaleout BenchmarkEngineDebitCreditDisk BenchmarkEngineDebitCreditNVEM"
+alloc_only_iterations=1000x
 
 baseline=$(ls BENCH_*.json | sort | tail -n 1)
 if [ -z "$baseline" ]; then
@@ -52,8 +58,17 @@ status=0
 for bench in $benches; do
     old=$(sed -n "s/.*\"name\": \"${bench}\".*\"ns\/op\": \([0-9]*\).*/\1/p" "$baseline")
 
+    benchtime=1x
+    case " $alloc_benches " in *" $bench "*)
+        case " $ns_benches " in
+        *" $bench "*) ;;
+        *) benchtime=$alloc_only_iterations ;;
+        esac
+        ;;
+    esac
+
     tmp="$(mktemp)"
-    go test -run '^$' -bench "^${bench}\$" -benchtime 1x -benchmem . | tee "$tmp"
+    go test -run '^$' -bench "^${bench}\$" -benchtime "$benchtime" -benchmem . | tee "$tmp"
     new=$(awk -v b="$bench" '$1 ~ "^"b { print $3; exit }' "$tmp")
     if [ -z "$new" ]; then
         echo "bench_check: ${bench} produced no result" >&2
@@ -63,7 +78,7 @@ for bench in $benches; do
 
     case " $ns_benches " in
     *" $bench "*) ;;
-    *) old="" ;; # alloc-gated only; one micro-scale iteration is noise
+    *) old="" ;; # alloc-gated only; micro-scale ns/op is noise
     esac
     if [ -z "$old" ]; then
         # A baseline predating this benchmark (or an alloc-gated-only
