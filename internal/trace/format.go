@@ -2,10 +2,13 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/workload"
 )
@@ -70,38 +73,77 @@ func prealloCap(n int) int {
 
 // countLine strictly parses "<keyword> <n>" — exactly two fields, nothing
 // trailing (fmt.Sscanf would silently accept garbage after the count).
-func countLine(s, keyword string) (int, bool) {
-	fields := strings.Fields(s)
-	if len(fields) != 2 || fields[0] != keyword {
+func countLine(s []byte, keyword string) (int, bool) {
+	key, rest := cutField(s)
+	count, rest := cutField(rest)
+	if len(count) == 0 || len(rest) > 0 || string(key) != keyword {
 		return 0, false
 	}
-	n, err := strconv.Atoi(fields[1])
+	n, err := strconv.Atoi(string(count))
 	if err != nil {
 		return 0, false
 	}
 	return n, true
 }
 
-// Read parses a trace and validates it. The parser is strict: every line
-// must have exactly its format's fields, so trailing garbage is rejected
-// rather than silently dropped.
+// fields3 splits a trimmed line into its first three fields; ok reports
+// that it has exactly three, as len(strings.Fields(line)) == 3 would.
+func fields3(line []byte) (f0, f1, f2 []byte, ok bool) {
+	f0, rest := cutField(line)
+	f1, rest = cutField(rest)
+	f2, rest = cutField(rest)
+	return f0, f1, f2, len(f2) > 0 && len(rest) == 0
+}
+
+// cutField returns s up to its first white space and the rest of s after
+// that run of white space. White space is what unicode.IsSpace accepts,
+// as for strings.Fields, and an invalid UTF-8 byte is not white space.
+func cutField(s []byte) (field, rest []byte) {
+	end := -1 // where the white space after the field starts
+	for i := 0; i < len(s); {
+		r, n := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, n = utf8.DecodeRune(s[i:])
+		}
+		switch space := unicode.IsSpace(r); {
+		case space && end < 0:
+			end = i
+		case !space && end >= 0:
+			return s[:end], s[i:]
+		}
+		i += n
+	}
+	if end < 0 {
+		return s, nil
+	}
+	return s[:end], nil
+}
+
+// Read parses a trace and validates it, so replay sources over the result
+// do not walk it again (Trace). The parser is strict: every line must have
+// exactly its format's fields, so trailing garbage is rejected rather than
+// silently dropped. Reference and transaction lines are parsed in the
+// scanner's buffer: a trace allocates one access slice per transaction,
+// not a string per line.
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
 	line := 0
-	next := func() (string, error) {
+	// next returns the next line that is neither blank nor a comment,
+	// trimmed. It aliases the scanner's buffer until the following call.
+	next := func() ([]byte, error) {
 		for sc.Scan() {
 			line++
-			s := strings.TrimSpace(sc.Text())
-			if s == "" || strings.HasPrefix(s, "#") {
+			s := bytes.TrimSpace(sc.Bytes())
+			if len(s) == 0 || s[0] == '#' {
 				continue
 			}
 			return s, nil
 		}
 		if err := sc.Err(); err != nil {
-			return "", err
+			return nil, err
 		}
-		return "", io.ErrUnexpectedEOF
+		return nil, io.ErrUnexpectedEOF
 	}
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("trace: line %d: %s", line, fmt.Sprintf(format, args...))
@@ -111,7 +153,7 @@ func Read(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, fail("missing header: %v", err)
 	}
-	if hdr != formatHeader {
+	if string(hdr) != formatHeader {
 		return nil, fail("bad header %q", hdr)
 	}
 
@@ -130,12 +172,12 @@ func Read(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fail("missing FILE: %v", err)
 		}
-		fields := strings.Fields(s)
-		if len(fields) != 3 || fields[0] != "FILE" {
+		key, idField, pagesField, ok := fields3(s)
+		if !ok || string(key) != "FILE" {
 			return nil, fail("bad FILE line %q", s)
 		}
-		id, err1 := strconv.Atoi(fields[1])
-		pages, err2 := strconv.ParseInt(fields[2], 10, 64)
+		id, err1 := strconv.Atoi(string(idField))
+		pages, err2 := strconv.ParseInt(string(pagesField), 10, 64)
 		if err1 != nil || err2 != nil {
 			return nil, fail("bad FILE line %q", s)
 		}
@@ -149,7 +191,7 @@ func Read(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, fail("truncated after files: %v", err)
 	}
-	if strings.HasPrefix(s, "TYPES ") {
+	if bytes.HasPrefix(s, []byte("TYPES ")) {
 		nTypes, ok := countLine(s, "TYPES")
 		if !ok || nTypes <= 0 {
 			return nil, fail("bad TYPES line %q", s)
@@ -160,7 +202,7 @@ func Read(r io.Reader) (*Trace, error) {
 			if err != nil {
 				return nil, fail("missing TYPE: %v", err)
 			}
-			parts := strings.SplitN(s, " ", 3)
+			parts := strings.SplitN(string(s), " ", 3)
 			if len(parts) != 3 || parts[0] != "TYPE" {
 				return nil, fail("bad TYPE line %q", s)
 			}
@@ -176,13 +218,13 @@ func Read(r io.Reader) (*Trace, error) {
 		}
 	}
 
-	for s != "END" {
-		fields := strings.Fields(s)
-		if len(fields) != 3 || fields[0] != "TX" {
+	for string(s) != "END" {
+		key, typField, nField, ok := fields3(s)
+		if !ok || string(key) != "TX" {
 			return nil, fail("bad TX line %q", s)
 		}
-		typ, err1 := strconv.Atoi(fields[1])
-		nRefs, err2 := strconv.Atoi(fields[2])
+		typ, err1 := strconv.Atoi(string(typField))
+		nRefs, err2 := strconv.Atoi(string(nField))
 		if err1 != nil || err2 != nil {
 			return nil, fail("bad TX line %q", s)
 		}
@@ -195,16 +237,16 @@ func Read(r io.Reader) (*Trace, error) {
 			if err != nil {
 				return nil, fail("truncated tx: %v", err)
 			}
-			fields := strings.Fields(s)
-			if len(fields) != 3 || (fields[0] != "R" && fields[0] != "W") {
+			op, fileField, pageField, ok := fields3(s)
+			if !ok || len(op) != 1 || (op[0] != 'R' && op[0] != 'W') {
 				return nil, fail("bad ref line %q", s)
 			}
-			file, err1 := strconv.Atoi(fields[1])
-			page, err2 := strconv.ParseInt(fields[2], 10, 64)
+			file, err1 := strconv.Atoi(string(fileField))
+			page, err2 := strconv.ParseInt(string(pageField), 10, 64)
 			if err1 != nil || err2 != nil {
 				return nil, fail("bad ref numbers %q", s)
 			}
-			tx.Accesses = append(tx.Accesses, workload.Access{Partition: file, Object: page, Write: fields[0] == "W"})
+			tx.Accesses = append(tx.Accesses, workload.Access{Partition: file, Object: page, Write: op[0] == 'W'})
 		}
 		tr.Txs = append(tr.Txs, tx)
 		s, err = next()

@@ -8,11 +8,12 @@ import (
 )
 
 // FuzzTraceRead fuzzes the line-oriented trace parser. Read must never
-// panic and never allocate proportionally to header-declared counts, and
-// every input it accepts must satisfy the trace invariants and round-trip
-// byte-stably through Write → Read. A replay source over an accepted trace
-// must rewind: a rewound copy of an advanced source replays what a fresh
-// source does.
+// panic and never allocate proportionally to header-declared counts. It
+// must accept and reject what the reference parser (referenceRead) does,
+// with the same error, and return the same trace. Every input it accepts
+// must satisfy the trace invariants and round-trip byte-stably through
+// Write → Read. A replay source over an accepted trace must rewind: a
+// rewound copy of an advanced source replays what a fresh source does.
 func FuzzTraceRead(f *testing.F) {
 	// A well-formed trace with every section present.
 	full := strings.Join([]string{
@@ -44,11 +45,24 @@ func FuzzTraceRead(f *testing.F) {
 	f.Add([]byte("TPSIM-TRACE 1\nFILES 1\nFILE 1 10\nEND\n"))
 	f.Add([]byte("TPSIM-TRACE 1\nFILES 1\nFILE 0 -5\nEND\n"))
 	f.Add([]byte("TPSIM-TRACE 1\nFILES 1\nFILE 0 10\nTYPES 1\nTYPE 0 t\nTX 9 1\nR 0 1\nEND\n"))
+	// Fields separated by white space other than ' ' and '\t', which
+	// strings.Fields, and so the reference, accepts; and an invalid UTF-8
+	// byte, which is not white space.
+	for _, sep := range []string{"\v", "\f", "\u00a0", "\u0085", "\xa0"} {
+		f.Add([]byte("TPSIM-TRACE 1\n" + strings.ReplaceAll("FILES 1\nFILE 0 10\nTX 0 1\nW 0 9\nEND\n", " ", sep)))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))
+		ref, refErr := referenceRead(bytes.NewReader(data))
+		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("Read error %v, reference parser error %v", err, refErr)
+		}
 		if err != nil {
-			return // rejected input: only property is "no panic"
+			return // rejected by both, with the same error
+		}
+		if !reflect.DeepEqual(tr, ref) {
+			t.Fatalf("Read and the reference parser disagree:\nRead:      %+v\nreference: %+v", tr, ref)
 		}
 		// Accepted input must satisfy the trace invariants…
 		if verr := tr.Validate(); verr != nil {

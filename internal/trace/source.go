@@ -24,9 +24,10 @@ type Source struct {
 
 // NewSource creates a replay source submitting the whole trace as one
 // transaction stream at rate transactions per second, preserving the
-// original execution order.
+// original execution order. It validates the trace unless its last
+// Validate passed (see Trace).
 func NewSource(tr *Trace, rate float64) (*Source, error) {
-	if err := tr.Validate(); err != nil {
+	if err := tr.validated(); err != nil {
 		return nil, err
 	}
 	if rate <= 0 {
@@ -40,9 +41,10 @@ func NewSource(tr *Trace, rate float64) (*Source, error) {
 
 // NewSourceByType creates a replay source with a separate arrival rate per
 // transaction type (rates[i] is TPS for type i; a zero rate disables the
-// type). The number of rates must cover every type id in the trace.
+// type). The number of rates must cover every type id in the trace. Like
+// NewSource, it validates the trace unless its last Validate passed.
 func NewSourceByType(tr *Trace, rates []float64) (*Source, error) {
-	if err := tr.Validate(); err != nil {
+	if err := tr.validated(); err != nil {
 		return nil, err
 	}
 	if len(tr.Txs) == 0 {
@@ -68,10 +70,10 @@ func NewSourceByType(tr *Trace, rates []float64) (*Source, error) {
 }
 
 // Rewound returns a source over the same trace and rates whose streams
-// start again at their first transaction. A Source exists only for a trace
-// that passed Validate, so the copy skips that walk; runs that replay one
-// trace can each take a rewound copy of a single validated source. The
-// copies share the read-only trace and advance independently.
+// start again at their first transaction. Runs that replay one trace can
+// each take a rewound copy of a single source: the copy checks nothing and
+// shares the per-type index NewSourceByType built over every transaction.
+// The copies share the read-only trace and advance independently.
 func (s *Source) Rewound() *Source {
 	r := *s
 	r.next = 0

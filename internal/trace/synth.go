@@ -73,7 +73,8 @@ func DefaultRealLifeSpec() RealLifeSpec {
 
 // GenerateRealLife builds the synthetic real-life trace from the default
 // spec and the given seed. The result is shuffled into a single interleaved
-// arrival order, validated, and ready for simulation or serialization.
+// arrival order and ready for simulation or serialization. It is not
+// validated here: its first replay source walks it once (Trace).
 func GenerateRealLife(seed int64) *Trace {
 	return GenerateFromSpec(DefaultRealLifeSpec(), seed)
 }

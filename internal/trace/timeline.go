@@ -8,9 +8,10 @@ import "fmt"
 // the TPSIM-TRACE format carries no timestamps — and each slice's share of
 // the total reference volume becomes its rate multiplier. The multipliers
 // are normalized to average 1, so feeding them into an ArrivalSpec at some
-// mean rate replays the recorded load shape at that rate.
+// mean rate replays the recorded load shape at that rate. Like NewSource,
+// it validates the trace unless its last Validate passed.
 func LoadTimeline(tr *Trace, buckets int) ([]float64, error) {
-	if err := tr.Validate(); err != nil {
+	if err := tr.validated(); err != nil {
 		return nil, err
 	}
 	if buckets <= 0 {

@@ -10,6 +10,7 @@ package trace
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/workload"
 )
@@ -18,6 +19,12 @@ import (
 // a sequence of transactions referencing their pages. A trace is
 // page-granular: each file is a partition with block factor 1, so an
 // access's Partition is its file and its Object is the page.
+//
+// A trace must not change once it has been validated or replayed: replay
+// sources hand out its own transactions, and they walk its references only
+// while no Validate has passed (Read's closing one counts), so each trace
+// is walked once however many sources replay it. A caller that edits a
+// trace calls Validate again before replaying it.
 type Trace struct {
 	// FilePages gives the size in pages of each database file; an
 	// access's Partition indexes into it.
@@ -25,6 +32,10 @@ type Trace struct {
 	// TypeNames optionally labels the transaction types.
 	TypeNames []string
 	Txs       []workload.Tx
+
+	// valid records that the last Validate passed. Concurrent grid jobs
+	// build sources over one shared trace, so it is atomic.
+	valid atomic.Bool
 }
 
 // NumFiles returns the number of database files.
@@ -32,8 +43,25 @@ func (tr *Trace) NumFiles() int { return len(tr.FilePages) }
 
 // Validate checks referential integrity: every access must name an
 // existing file and a page within its bounds, and every transaction must
-// have a known type and at least one access.
+// have a known type and at least one access. It walks the whole trace on
+// every call and records its verdict for the replay sources.
 func (tr *Trace) Validate() error {
+	err := tr.check()
+	tr.valid.Store(err == nil)
+	return err
+}
+
+// validated returns nil for a trace whose last Validate passed, and
+// validates any other.
+func (tr *Trace) validated() error {
+	if tr.valid.Load() {
+		return nil
+	}
+	return tr.Validate()
+}
+
+// check walks the trace for Validate.
+func (tr *Trace) check() error {
 	if len(tr.FilePages) == 0 {
 		return fmt.Errorf("trace: no files")
 	}

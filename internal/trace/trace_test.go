@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/rng"
@@ -256,5 +259,136 @@ func TestHottestPages(t *testing.T) {
 	top := tr.HottestPages(2)
 	if len(top) != 2 || top[0].Object != 5 || top[1].Object != 2 {
 		t.Fatalf("hottest = %+v", top)
+	}
+}
+
+// TestReadSplitsOnUnicodeSpace pins Read's field splitting to
+// strings.Fields: any unicode.IsSpace run separates fields, and an invalid
+// UTF-8 byte does not.
+func TestReadSplitsOnUnicodeSpace(t *testing.T) {
+	body := "FILES 2\nFILE 0 10\nFILE 1 20\nTX 0 2\nR 0 9\nW 1 19\nEND\n"
+	want, err := Read(strings.NewReader(formatHeader + "\n" + body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sep := range []string{"\t", "\v", "\f", "\r", "\u0085", "\u00a0", "\u2003", " \t\u00a0 "} {
+		got, err := Read(strings.NewReader(formatHeader + "\n" + strings.ReplaceAll(body, " ", sep)))
+		if err != nil {
+			t.Errorf("separator %q: %v", sep, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("separator %q: trace %+v, want %+v", sep, got, want)
+		}
+	}
+	if _, err := Read(strings.NewReader(formatHeader + "\n" + strings.ReplaceAll(body, " ", "\xa0"))); err == nil {
+		t.Error("an invalid UTF-8 byte separated fields")
+	}
+}
+
+// TestReadAllocsPerTransaction pins that Read allocates per transaction,
+// not per reference line: a transaction of 1,000 references costs no more
+// allocations than one of 2.
+func TestReadAllocsPerTransaction(t *testing.T) {
+	traceOf := func(refs int) []byte {
+		var b strings.Builder
+		b.WriteString(formatHeader + "\nFILES 1\nFILE 0 100000\n")
+		fmt.Fprintf(&b, "TX 0 %d\n", refs)
+		for i := range refs {
+			fmt.Fprintf(&b, "R 0 %d\n", i*97)
+		}
+		b.WriteString("END\n")
+		return []byte(b.String())
+	}
+	allocs := func(data []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Read(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(traceOf(2)), allocs(traceOf(1000))
+	if large != small {
+		t.Fatalf("Read allocates %v times for 1,000 references and %v for 2", large, small)
+	}
+}
+
+// TestReadRecordsValidation pins that a trace Read returns carries the
+// record of its closing Validate, so its replay sources skip the walk.
+func TestReadRecordsValidation(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, tinyTrace()); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tr.valid.Load() {
+		t.Fatal("Read returned a trace without the validation record")
+	}
+}
+
+// TestValidationRecordShared builds replay sources and timelines from 8
+// goroutines at once over one fresh shared trace, valid and invalid: they
+// all set or read the record, and all must agree.
+func TestValidationRecordShared(t *testing.T) {
+	bad := tinyTrace()
+	bad.Txs[1].Accesses[0].Object = 100
+	for _, tr := range []*Trace{tinyTrace(), bad} {
+		wantErr := tr.check()
+		errs := make([][3]error, 8)
+		var wg sync.WaitGroup
+		for g := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[g][0] = NewSource(tr, 10)
+				_, errs[g][1] = NewSourceByType(tr, []float64{10, 10})
+				_, errs[g][2] = LoadTimeline(tr, 2)
+			}()
+		}
+		wg.Wait()
+		for g := range errs {
+			for k, err := range errs[g] {
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Errorf("goroutine %d call %d: error %v, want %v", g, k, err, wantErr)
+				}
+			}
+		}
+		if tr.valid.Load() != (wantErr == nil) {
+			t.Errorf("record %v after the calls, want %v", tr.valid.Load(), wantErr == nil)
+		}
+	}
+}
+
+// TestValidationRecordFollowsValidate pins the record's life: a failed
+// walk leaves it clear, so a fixed trace is walked and passes; a passed
+// walk lets sources skip the walk until Validate runs again and fails.
+func TestValidationRecordFollowsValidate(t *testing.T) {
+	tr := tinyTrace()
+	tr.Txs[0].Accesses[1].Partition = 2
+	if _, err := NewSource(tr, 10); err == nil {
+		t.Fatal("NewSource accepted an access to file 2 of 2")
+	}
+	tr.Txs[0].Accesses[1].Partition = 1
+	if _, err := NewSource(tr, 10); err != nil {
+		t.Fatalf("NewSource rejected the fixed trace: %v", err)
+	}
+
+	tr.Txs[1].Accesses[0].Object = -1
+	// The record holds, so sources do not walk the edited trace...
+	if _, err := NewSource(tr, 10); err != nil {
+		t.Fatalf("NewSource walked a validated trace: %v", err)
+	}
+	// ...until the caller validates it again, as Trace's contract asks.
+	if err := tr.Validate(); err == nil {
+		t.Fatal("Validate accepted a negative page")
+	}
+	if _, err := NewSource(tr, 10); err == nil {
+		t.Fatal("NewSource accepted a trace whose last Validate failed")
+	}
+	if _, err := LoadTimeline(tr, 1); err == nil {
+		t.Fatal("LoadTimeline accepted a trace whose last Validate failed")
 	}
 }

@@ -240,7 +240,9 @@ func BCRule(b, c float64) []Subpartition { return workload.BCRule(b, c) }
 
 // Traces (section 4.6).
 type (
-	// Trace is a recorded or synthesized page-reference workload.
+	// Trace is a recorded or synthesized page-reference workload. It must
+	// not change once it has been validated or replayed; a caller that
+	// edits one calls its Validate again.
 	Trace = trace.Trace
 	// TraceSource replays a trace as a workload generator.
 	TraceSource = trace.Source
@@ -253,6 +255,8 @@ func GenerateRealLifeTrace(seed int64) *Trace { return trace.GenerateRealLife(se
 
 // NewTraceSource builds a replay generator submitting the trace at the given
 // rate (transactions per second), preserving the original execution order.
+// Only the first source over a trace validates it, so the points of a sweep
+// over one trace walk its references once.
 func NewTraceSource(tr *Trace, rate float64) (*TraceSource, error) {
 	return trace.NewSource(tr, rate)
 }
@@ -266,11 +270,13 @@ func NewTraceSourceByType(tr *Trace, rates []float64) (*TraceSource, error) {
 // WriteTrace serializes a trace in the line-oriented TPSIM-TRACE format.
 func WriteTrace(w io.Writer, tr *Trace) error { return trace.Write(w, tr) }
 
-// ReadTrace parses and validates a trace in the TPSIM-TRACE format.
+// ReadTrace parses and validates a trace in the TPSIM-TRACE format; replay
+// sources over the result do not validate it again.
 func ReadTrace(r io.Reader) (*Trace, error) { return trace.Read(r) }
 
 // LoadTimeline folds a trace's reference volume into buckets normalized rate
 // multipliers (mean 1), ready for an ArrivalReplay spec's RateMultipliers.
+// Like NewTraceSource, it validates only a trace no Validate has passed.
 func LoadTimeline(tr *Trace, buckets int) ([]float64, error) {
 	return trace.LoadTimeline(tr, buckets)
 }
