@@ -167,7 +167,7 @@ func TestResidencyTracksHolders(t *testing.T) {
 		if got := r.m.Holds(key(0, page)); got != want {
 			t.Fatalf("Holds(page %d) = %v, want %v", page, got, want)
 		}
-		if row := res.Row(key(0, page)); want && row[1] == 0 || row[0] != 0 {
+		if row, _ := res.Row(key(0, page)); want && row[1] == 0 || row[0] != 0 {
 			t.Fatalf("page %d's slot counts %v, want nonzero only in column 1", page, row)
 		}
 	}
@@ -180,6 +180,84 @@ func TestResidencyTracksHolders(t *testing.T) {
 	verify("after the invalidation")
 	if r.m.Holds(key(0, 1)) {
 		t.Fatal("the invalidation left the NVEM-cache copy")
+	}
+}
+
+// TestResidencyAbsenceRule pins the rule that lets a residency entry rule
+// a holder out without a Holds probe: an entry that counts no page, or one
+// page with another fingerprint, proves the node lacks the page; any other
+// entry must be probed. The cases fill the page's slot on one node with
+// nothing, another page, the page itself, two other pages, and the page in
+// main memory and in the private NVEM cache at once, whose fingerprints
+// cancel. The rule must never rule out a node that holds the page.
+func TestResidencyAbsenceRule(t *testing.T) {
+	cfg := Config{
+		BufferSize:    2,
+		NVEMCacheSize: 4,
+		Force:         true, // an NVEM-cache hit keeps its copy
+		Partitions:    []PartitionAlloc{{DiskUnit: 0, NVEMCache: true, NVEMCacheMode: MigrateAll}},
+		Log:           LogAlloc{DiskUnit: 0},
+	}
+	frames := cfg.BufferSize + cfg.NVEMCacheSize
+	probe := NewResidency(1, frames)
+	x := key(0, 1)
+	xRow, xAlone := probe.Row(x)
+	// y and z share x's slot with other fingerprints; a and b lie elsewhere.
+	var y, z, a, b storage.PageKey
+	for page, found := int64(2), 0; found < 4; page++ {
+		k := key(0, page)
+		row, alone := probe.Row(k)
+		switch same := &row[0] == &xRow[0]; {
+		case same && alone != xAlone && y == (storage.PageKey{}):
+			y = k
+		case same && alone != xAlone && z == (storage.PageKey{}):
+			z = k
+		case !same && a == (storage.PageKey{}):
+			a = k
+		case !same && b == (storage.PageKey{}):
+			b = k
+		default:
+			continue
+		}
+		found++
+	}
+	for _, tc := range []struct {
+		name                  string
+		fixes                 []storage.PageKey
+		absent, holds, inBoth bool
+	}{
+		{"empty slot", nil, true, false, false},
+		{"one other page", []storage.PageKey{y}, true, false, false},
+		{"the page itself", []storage.PageKey{x}, false, true, false},
+		{"two other pages", []storage.PageKey{y, z}, false, false, false},
+		{"the page in main memory and the NVEM cache", []storage.PageKey{x, a, b, x}, false, true, true},
+	} {
+		r := newRig(t, cfg)
+		res := NewResidency(1, frames)
+		r.m.Track(res, 0, func(storage.PageKey) {})
+		var steps []step
+		for _, k := range tc.fixes {
+			steps = append(steps, fix(r.m, k, false))
+		}
+		r.drive(steps...)
+		if err := r.m.VerifyResidency(res, 0); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		row, alone := res.Row(x)
+		if got := res.Absent(row[0], alone); got != tc.absent {
+			t.Fatalf("%s: entry %#04x (page alone %#04x) rules the page out %v, want %v", tc.name, row[0], alone, got, tc.absent)
+		}
+		if got := r.m.Holds(x); got != tc.holds {
+			t.Fatalf("%s: Holds = %v, want %v", tc.name, got, tc.holds)
+		}
+		if tc.inBoth {
+			_, inMM := r.m.mm.Peek(x)
+			_, inCache := r.m.nvemCache.Peek(x)
+			if !inMM || !inCache || row[0] != 2 {
+				t.Fatalf("%s: in main memory %v, in the NVEM cache %v, entry %#04x; want both and a count of 2 with no fingerprint",
+					tc.name, inMM, inCache, row[0])
+			}
+		}
 	}
 }
 

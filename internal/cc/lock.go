@@ -207,6 +207,10 @@ type Manager struct {
 	freeEntries []*lockEntry
 	freeHeld    [][]*lockEntry
 
+	// Reusable scratch for ReleaseAll: the released entries with queued
+	// requests.
+	queued []*lockEntry
+
 	// Reusable scratch for wouldDeadlock's wait-for-graph search.
 	dlVisited map[TxnID]bool
 	dlStack   []TxnID
@@ -363,22 +367,38 @@ func (m *Manager) grant(txn TxnID, e *lockEntry, mode Mode) {
 // grants any now-compatible queued requests. If txn is still waiting for a
 // lock (abort while blocked), the pending request is removed first.
 //
-// Locks are released in sorted granule order, NOT map order: the release
-// order decides which queued waiter is granted (and scheduled) first, so a
-// randomized order would make whole simulation runs nondeterministic under
-// contention.
+// The holds drop in acquisition order, and an entry left with neither
+// holders nor waiters is freed at once. Only the entries with queued
+// requests are dispatched, in sorted granule order, NOT acquisition or map
+// order: their grants decide which waiter is scheduled first, so another
+// order would make whole simulation runs nondeterministic under
+// contention. A dispatch reads and changes only its own entry and the
+// granted transactions' lists, so dropping every hold first grants the
+// same requests as releasing entry by entry in sorted order.
 func (m *Manager) ReleaseAll(txn TxnID) {
 	if e, waiting := m.pending[txn]; waiting {
 		m.removeWaiter(txn, e)
 	}
 	locks := m.held[txn]
 	delete(m.held, txn)
-	// The list holds each granule once, so any sort yields the same order.
-	slices.SortFunc(locks, compareEntries)
+	queued := m.queued[:0]
 	for _, e := range locks {
 		e.removeHolder(txn)
+		switch {
+		case len(e.queue) > 0:
+			queued = append(queued, e)
+		case len(e.holders) == 0:
+			m.locks.Delete(e.granule)
+			m.freeEntry(e)
+		}
+	}
+	// The list holds each granule once, so any sort yields the same order.
+	slices.SortFunc(queued, compareEntries)
+	for _, e := range queued {
 		m.dispatch(e)
 	}
+	clear(queued)
+	m.queued = queued[:0]
 	if cap(locks) > 0 {
 		// A recycled list keeps no pointers: the entries just released may
 		// be freed and reused for other granules.

@@ -1,6 +1,8 @@
 package cc
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -301,6 +303,101 @@ func TestReleaseOrderLargeLockSet(t *testing.T) {
 		}
 		for k := range gs {
 			m.ReleaseAll(TxnID(2 + k))
+		}
+		if m.lockEntries() != 0 {
+			t.Fatalf("n=%d: %d lock entries leaked", n, m.lockEntries())
+		}
+	}
+}
+
+// TestReleaseSparseWaiters: one transaction holds up to 2,000 granules
+// across several partitions, taken in random order, and a random tenth of
+// them get one queued waiter; of the rest, a tenth of those it reads get
+// a second reader. Releasing it must grant exactly those waiters, in
+// (Partition, ID) order, keep the second readers' holds, and leave no
+// entry in the table but theirs and the waiters'.
+func TestReleaseSparseWaiters(t *testing.T) {
+	s := rng.NewStream(1, "cc-sparse-waiters")
+	sizes := []int{1, 10, 2000}
+	for range 4 {
+		sizes = append(sizes, 1+s.Intn(2000))
+	}
+	for _, n := range sizes {
+		var granted []TxnID
+		m := NewManager(func(txn TxnID) { granted = append(granted, txn) })
+		const holder = TxnID(1)
+		gs := make([]Granule, 0, n)
+		seen := make(map[Granule]bool, n)
+		for len(gs) < n {
+			gr := g(s.Intn(5), s.Int63n(1<<40))
+			if !seen[gr] {
+				seen[gr] = true
+				gs = append(gs, gr)
+			}
+		}
+		modes := make([]Mode, n)
+		for k, gr := range gs {
+			modes[k] = Mode(s.Intn(2))
+			if res := m.Acquire(holder, gr, modes[k]); res != Granted {
+				t.Fatalf("n=%d: uncontended request %v, want Granted", n, res)
+			}
+		}
+		var want []Granule // the waited-for granules
+		waiterOf := make(map[TxnID]Granule)
+		readerOf := make(map[TxnID]Granule)
+		for k, gr := range gs {
+			if !s.Bool(0.1) {
+				if r := TxnID(2 + n + k); modes[k] == Read && s.Bool(0.1) {
+					if res := m.Acquire(r, gr, Read); res != Granted {
+						t.Fatalf("n=%d: second reader %v, want Granted", n, res)
+					}
+					readerOf[r] = gr
+				}
+				continue
+			}
+			w := TxnID(2 + k)
+			mode := Write
+			if modes[k] == Write && s.Bool(0.5) {
+				mode = Read
+			}
+			if res := m.Acquire(w, gr, mode); res != Wait {
+				t.Fatalf("n=%d: conflicting waiter %v, want Wait", n, res)
+			}
+			want = append(want, gr)
+			waiterOf[w] = gr
+		}
+		slices.SortFunc(want, func(a, b Granule) int {
+			if c := cmp.Compare(a.Partition, b.Partition); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.ID, b.ID)
+		})
+
+		m.ReleaseAll(holder)
+		got := make([]Granule, len(granted))
+		for i, w := range granted {
+			got[i] = waiterOf[w]
+			if !m.Holds(w, got[i], Read) {
+				t.Fatalf("n=%d: waiter %d granted but does not hold %+v", n, w, got[i])
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: granted %v, want the waited-for granules in (Partition, ID) order %v", n, got, want)
+		}
+		if m.lockEntries() != len(want)+len(readerOf) || m.HeldCount(holder) != 0 {
+			t.Fatalf("n=%d: %d lock entries and %d holds of the releaser left, want %d and 0",
+				n, m.lockEntries(), m.HeldCount(holder), len(want)+len(readerOf))
+		}
+		for k := range gs {
+			if gr, ok := readerOf[TxnID(2+n+k)]; ok && !m.Holds(TxnID(2+n+k), gr, Read) {
+				t.Fatalf("n=%d: the second reader of %+v lost its hold", n, gr)
+			}
+		}
+		for _, w := range granted {
+			m.ReleaseAll(w)
+		}
+		for k := range gs {
+			m.ReleaseAll(TxnID(2 + n + k))
 		}
 		if m.lockEntries() != 0 {
 			t.Fatalf("n=%d: %d lock entries leaked", n, m.lockEntries())

@@ -12,7 +12,7 @@ import (
 // dcCluster builds an N-node Debit-Credit cluster over the dcConfig
 // template: the aggregate rate splits evenly, nodes share the disk units
 // and (with sharedNVEM) one NVEM cache, all under the global lock manager.
-func dcCluster(t *testing.T, nodes int, aggregateRate float64, sharedNVEM bool) ClusterConfig {
+func dcCluster(t testing.TB, nodes int, aggregateRate float64, sharedNVEM bool) ClusterConfig {
 	t.Helper()
 	base := dcConfig(t, aggregateRate/float64(nodes))
 	base.WarmupMS = 1500

@@ -12,12 +12,12 @@ import (
 
 // dcConfig builds a small Debit-Credit run: partitions on one regular DB
 // unit, log on a log-disk unit, NOFORCE.
-func dcConfig(t *testing.T, rate float64) Config {
+func dcConfig(t testing.TB, rate float64) Config {
 	t.Helper()
 	return dcConfigSeed(t, rate, 1)
 }
 
-func dcConfigSeed(t *testing.T, rate float64, seed int64) Config {
+func dcConfigSeed(t testing.TB, rate float64, seed int64) Config {
 	t.Helper()
 	gen, err := workload.NewDebitCredit(workload.DefaultDebitCreditConfig(rate))
 	if err != nil {

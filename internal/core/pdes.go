@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -113,12 +114,21 @@ type pdesState struct {
 	// order; only node i's logical process appends, so windows need no
 	// message locking. Slices are reused across windows.
 	outboxes [][]pdesMsg
-	batch    []pdesMsg // reusable merge buffer, coordinator-only
 
-	// pending counts queued messages across all outboxes, so an empty
-	// barrier skips the merge entirely (O(1) instead of sweeping every
-	// outbox per window). Atomic: senders append from parallel kernels.
-	pending atomic.Int64
+	// senders marks the nodes whose outbox is non-empty, one bit per node
+	// in one word per 64 nodes: send sets a node's bit when its outbox goes
+	// from empty to non-empty, so a barrier visits only the senders' outboxes
+	// and an empty one reads a word per 64 nodes. Atomic: the nodes of one
+	// word send from parallel kernels.
+	senders []atomic.Uint64
+
+	// keys is the reusable merge buffer, coordinator-only: one key per
+	// queued message, sorted into the batch order.
+	keys []pdesKey
+
+	// applying is set while deliver applies a batch in place, when a send
+	// would append to an outbox being read; send refuses it.
+	applying bool
 
 	// msgTime is the arrival instant of the message currently being
 	// applied at a barrier. Grant callbacks fired by the global lock
@@ -192,6 +202,7 @@ func newPDES(c *cluster) *pdesState {
 		cohDelay:  lockDelay,
 		workers:   workers,
 		outboxes:  make([][]pdesMsg, numNodes),
+		senders:   make([]atomic.Uint64, (numNodes+63)/64),
 	}
 	if c.shared != nil {
 		pd.cohDelay = sim.Time(c.cfg.NVEMAccessDelayMS)
@@ -295,12 +306,18 @@ func (pd *pdesState) runWindow(w sim.Time) {
 }
 
 // send queues one message from its sender's logical process. Called only
-// from the sending node's kernel (or from the coordinator at a barrier,
+// from the sending node's kernel (or from the coordinator between windows,
 // e.g. crash-time lock releases — outboxes are per-node either way, so
-// only the pending count needs an atomic).
+// only the sender bitset needs an atomic), never while a batch is applied.
 func (pd *pdesState) send(m pdesMsg) {
-	pd.outboxes[m.from] = append(pd.outboxes[m.from], m)
-	pd.pending.Add(1)
+	if pd.applying {
+		panic("core: PDES message sent while a barrier applies its batch")
+	}
+	box := &pd.outboxes[m.from]
+	if len(*box) == 0 {
+		pd.senders[m.from>>6].Or(1 << (m.from & 63))
+	}
+	*box = append(*box, m)
 }
 
 // lockRequest ships t's pending lock request to the global lock manager;
@@ -335,37 +352,64 @@ func (pd *pdesState) reroute(e *node, tx workload.Tx) {
 	pd.send(pdesMsg{kind: pdesReroute, from: e.id, arrive: e.s.Now() + pd.lockDelay, tx: tx})
 }
 
-// deliver merges every outbox and applies the batch in (arrive, sender,
-// send order), a total order, so the schedule does not depend on which
-// worker ran which kernel. The outboxes are appended in node-id order,
-// each in send order, so a stable sort on arrival yields it. A batch holds
-// what was sent during the last window, and its arrivals need not fall
-// inside the window about to run: a message class may travel longer than
-// the lookahead — coherence traffic when NVEMAccessDelayMS exceeds
-// LockMsgDelayMS, lock traffic in the reverse case — and then takes effect
-// windows later. When no node sent anything the merge is skipped
-// outright.
+// pdesKey places one queued message in the batch order: its arrival, then
+// ord, its sender's id and its position in the sender's outbox. Keys hold
+// no pointers, so sorting them moves 16 bytes a message and the garbage
+// collector never scans them.
+type pdesKey struct {
+	arrive sim.Time
+	ord    uint64 // sender<<32 | position
+}
+
+// deliver applies every message sent during the last window in (arrive,
+// sender, send order), a total order, so the schedule does not depend on
+// which worker ran which kernel. It visits only the outboxes the sender
+// bitset marks, sorts one key per message, and dispatches each message in
+// its outbox, so no message is copied and no empty outbox is written. No
+// dispatch path sends (send panics while applying is set): a message sent
+// now would append to an outbox being read. A batch holds what was sent
+// during the last window, and its arrivals need not fall inside the window
+// about to run: a message class may travel longer than the lookahead —
+// coherence traffic when NVEMAccessDelayMS exceeds LockMsgDelayMS, lock
+// traffic in the reverse case — and then takes effect windows later.
 func (pd *pdesState) deliver() {
 	// Every kernel stands at now, so each logged invalidation landing at
 	// or before it has passed everywhere.
 	for q := &pd.invals; q.head < len(q.items) && q.items[q.head].at <= pd.now; {
 		q.pop()
 	}
-	if pd.pending.Load() == 0 {
+	keys := pd.keys[:0]
+	for w := range pd.senders {
+		for set := pd.senders[w].Load(); set != 0; set &= set - 1 {
+			from := w<<6 | bits.TrailingZeros64(set)
+			for i := range pd.outboxes[from] {
+				keys = append(keys, pdesKey{arrive: pd.outboxes[from][i].arrive, ord: uint64(from)<<32 | uint64(i)})
+			}
+		}
+	}
+	if len(keys) == 0 {
 		return
 	}
-	pd.pending.Store(0)
-	batch := pd.batch[:0]
-	for i := range pd.outboxes {
-		batch = append(batch, pd.outboxes[i]...)
-		pd.outboxes[i] = pd.outboxes[i][:0]
+	slices.SortFunc(keys, func(a, b pdesKey) int {
+		if c := cmp.Compare(a.arrive, b.arrive); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ord, b.ord)
+	})
+	pd.applying = true
+	for _, k := range keys {
+		pd.dispatch(&pd.outboxes[k.ord>>32][uint32(k.ord)])
 	}
-	slices.SortStableFunc(batch, func(a, b pdesMsg) int { return cmp.Compare(a.arrive, b.arrive) })
-	for i := range batch {
-		pd.dispatch(&batch[i])
+	pd.applying = false
+	// Truncated, not cleared, as outboxes always were: a stale slot refers
+	// to the run's pooled records until a later send overwrites it.
+	for w := range pd.senders {
+		for set := pd.senders[w].Swap(0); set != 0; set &= set - 1 {
+			from := w<<6 | bits.TrailingZeros64(set)
+			pd.outboxes[from] = pd.outboxes[from][:0]
+		}
 	}
-	clear(batch) // drop payload references before reuse
-	pd.batch = batch[:0]
+	pd.keys = keys[:0]
 }
 
 // dispatch applies one message on the coordinator. Effects on a node's
@@ -416,11 +460,12 @@ func (pd *pdesState) dispatch(m *pdesMsg) {
 
 // applyInvalidate applies a write-invalidation as ordinal n, landing at
 // at on every kernel. Each peer that holds the page now gets the
-// invalidation as a kernel event, in the seq n owns on its kernel. A zero
-// residency count proves a peer lacks the page; a nonzero one is confirmed
-// by Holds. Every other peer, the sender included, is not touched: it
-// takes its seq for n when it next uses one, and the log entry turns that
-// slot into an event if the page enters its buffer before the landing
+// invalidation as a kernel event, in the seq n owns on its kernel. A
+// residency entry that counts no page, or one page with another
+// fingerprint, proves a peer lacks the page; Holds confirms any other.
+// Every other peer, the sender included, is not touched: it takes its seq
+// for n when it next uses one, and the log entry turns that slot into an
+// event if the page enters its buffer before the landing
 // (pdesInbox.inserted). An invalidation that finds no copy changes nothing
 // but the kernel clock, and the seq n owns keeps every other event's place
 // in the (at, seq) order, so the kernels fire the same effective events as
@@ -435,9 +480,11 @@ func (pd *pdesState) applyInvalidate(m *pdesMsg) {
 			}
 		}
 	} else {
-		// Only the row's counts are read for a peer without the page.
-		for i, count := range pd.residency.Row(m.key) {
-			if count != 0 && i != m.from && pd.c.nodes[i].bm.Holds(m.key) {
+		// Only the row's entries are read for a peer the filter rules out.
+		res := pd.residency
+		row, alone := res.Row(m.key)
+		for i, e := range row {
+			if !res.Absent(e, alone) && i != m.from && pd.c.nodes[i].bm.Holds(m.key) {
 				pd.c.nodes[i].inbox.invalidate(n, at, m.key)
 			}
 		}

@@ -23,7 +23,7 @@ func pdesCluster(t *testing.T, nodes int, aggregateRate float64, workers int) Cl
 
 // pdesSharedCluster builds a PDES cluster with the cluster-shared NVEM
 // cache and the positive access latency that makes it parallelizable.
-func pdesSharedCluster(t *testing.T, nodes int, aggregateRate float64, workers int) ClusterConfig {
+func pdesSharedCluster(t testing.TB, nodes int, aggregateRate float64, workers int) ClusterConfig {
 	t.Helper()
 	cfg := dcCluster(t, nodes, aggregateRate, true)
 	cfg.PDES = PDESConfig{Enabled: true, Workers: workers}
@@ -322,7 +322,7 @@ func TestPDESValidate(t *testing.T) {
 // template, serial, with every arrival stream stopped, so a test drives
 // all traffic itself. window runs one barrier and one lookahead window;
 // busy reports whether any kernel or outbox still holds work.
-func quietPDES(t *testing.T, nodes int) (c *cluster, window func(), busy func() bool) {
+func quietPDES(t testing.TB, nodes int) (c *cluster, window func(), busy func() bool) {
 	t.Helper()
 	c, err := newCluster(pdesSharedCluster(t, nodes, 100*float64(nodes), 1), false)
 	if err != nil {
@@ -344,7 +344,12 @@ func quietPDES(t *testing.T, nodes int) (c *cluster, window func(), busy func() 
 				return true
 			}
 		}
-		return pd.pending.Load() > 0
+		for i := range pd.senders {
+			if pd.senders[i].Load() != 0 { // an outbox holds a message
+				return true
+			}
+		}
+		return false
 	}
 	return c, window, busy
 }
@@ -825,4 +830,28 @@ func TestPDESBatchOrder(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("the barrier applied\n%v\nwant\n%v", got, want)
 	}
+}
+
+// TestPDESNoSendDuringBatch pins the rule that lets a barrier apply its
+// batch where the messages lie, in their outboxes: no dispatch path sends.
+// Every PDES run checks it, since send panics while a batch is applied;
+// here a lock manager whose grant callback answers with a message must
+// trip that check when a release in the batch grants a waiter.
+func TestPDESNoSendDuringBatch(t *testing.T) {
+	c, window, _ := quietPDES(t, 2)
+	pd := c.net.(*pdesState)
+	c.glocks = cc.NewManager(func(txn cc.TxnID) { pd.lockRelease(c.nodes[1], txn) })
+	holder, waiter := c.nodes[0].newTxn(), c.nodes[1].newTxn()
+	g := cc.Granule{ID: 1}
+	if c.glocks.Acquire(holder, g, cc.Write) != cc.Granted || c.glocks.Acquire(waiter, g, cc.Write) != cc.Wait {
+		t.Fatal("granule g was not held by node 0 and awaited by node 1")
+	}
+	pd.lockRelease(c.nodes[0], holder)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "applies its batch") {
+			t.Fatalf("a send from inside the batch: recovered %v, want the barrier's panic", r)
+		}
+	}()
+	window()
+	t.Fatal("the barrier applied a batch whose dispatch sent a message")
 }

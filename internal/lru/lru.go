@@ -5,7 +5,12 @@
 // least recently accessed unmodified page", section 3.3).
 package lru
 
-import "repro/internal/hashtab"
+import (
+	"math"
+	"math/bits"
+
+	"repro/internal/hashtab"
+)
 
 // node is a doubly-linked-list element. index 0 is a sentinel.
 type node[K comparable, V any] struct {
@@ -30,62 +35,118 @@ type Cache[K comparable, V any] struct {
 }
 
 // Tally is an exact count of resident keys per hash slot, kept for the
-// caches tracked into it. Each tracked cache counts into one column, and
-// several caches may share a column. A zero count proves that no cache of
-// the column holds any key of the slot; a nonzero count says only that
-// some key of the slot is resident. The table is slot-major: the counts of
-// one slot for every column are adjacent, so reading a key's counts for
-// all columns touches one contiguous row.
+// caches tracked into it, with a fingerprint of the keys it counts. Each
+// tracked cache counts into one column, and several caches may share a
+// column. An entry packs the count of a column's keys in the slot into its
+// low bits and the XOR of their fingerprints into the rest. A key's
+// fingerprint is the top bits of its hash, which the slot index does not
+// use; the bits just above the index follow it too closely under a
+// multiplicative hash (on a 64-node cluster they left 2.8 times as many
+// peers without the page to probe). So an entry is zero exactly when its
+// count is, and an entry that counts one key carries that key's
+// fingerprint: a zero entry, or a one-key entry with another fingerprint,
+// proves that no cache of the column holds the key looked up (Absent); two
+// or more keys say only that it may be resident. The table is slot-major:
+// the entries of one slot for every column are adjacent, so reading a
+// key's entries for all columns touches one contiguous row.
 type Tally[K comparable] struct {
-	counts []uint16 // counts[slot*cols + col]
-	cols   int
-	mask   uint64
-	hash   func(K) uint64
+	entries   []uint16 // entries[slot*cols + col]
+	cols      int
+	mask      uint64 // the slot index: hash & mask
+	countBits uint8  // low bits of an entry that hold its count
+	fpShift   uint8  // 48 + countBits: the hash's top 16 − countBits bits remain
+	counts    uint16 // the count field: 1<<countBits - 1
+	hash      func(K) uint64
 }
 
 // NewTally returns a tally of cols columns and at least slots hash slots
 // (rounded up to a power of two), placing key k in slot hash(k) mod slots.
-// A column's count of one slot must stay below 65536, so the caches
-// sharing a column may hold at most 65535 keys between them.
-func NewTally[K comparable](slots, cols int, hash func(K) uint64) *Tally[K] {
-	if slots <= 0 || cols <= 0 {
+// most is the largest count one entry must hold: the caches sharing a
+// column hold at most most keys between them. It sets the split: the
+// count takes the fewest bits that hold most, and the fingerprint the
+// other 16 − that, none at 65535.
+func NewTally[K comparable](slots, cols, most int, hash func(K) uint64) *Tally[K] {
+	if slots <= 0 || cols <= 0 || most <= 0 {
 		panic("lru: non-positive tally dimensions")
+	}
+	if most > math.MaxUint16 {
+		panic("lru: tally counts past 65535")
 	}
 	n := 1
 	for n < slots {
 		n *= 2
 	}
-	return &Tally[K]{counts: make([]uint16, n*cols), cols: cols, mask: uint64(n - 1), hash: hash}
+	cb := bits.Len(uint(most))
+	return &Tally[K]{
+		entries:   make([]uint16, n*cols),
+		cols:      cols,
+		mask:      uint64(n - 1),
+		countBits: uint8(cb),
+		fpShift:   uint8(48 + cb),
+		counts:    uint16(1<<cb - 1),
+		hash:      hash,
+	}
 }
 
-// Slot returns the index of k's slot.
-func (t *Tally[K]) Slot(k K) int { return int(t.hash(k) & t.mask) }
-
-// Row returns k's slot: one count per column.
-func (t *Tally[K]) Row(k K) []uint16 {
-	i := t.Slot(k) * t.cols
-	return t.counts[i : i+t.cols : i+t.cols]
+// place returns k's slot and its fingerprint, the hash's top 16 −
+// countBits bits, moved above the count field (none at 16 count bits,
+// where the shift reaches 64).
+func (t *Tally[K]) place(k K) (slot int, fp uint16) {
+	h := t.hash(k)
+	return int(h & t.mask), uint16(h>>t.fpShift) << t.countBits
 }
 
-// Column returns a copy of column col: one count per slot.
+// Row returns k's slot, one entry per column, and alone, the entry of a
+// column whose caches hold k and no other key of the slot.
+func (t *Tally[K]) Row(k K) (row []uint16, alone uint16) {
+	slot, fp := t.place(k)
+	i := slot * t.cols
+	return t.entries[i : i+t.cols : i+t.cols], 1 | fp
+}
+
+// Absent reports whether entry e, read in the row of a key whose alone
+// entry Row returned, proves that the column's caches do not hold the key:
+// e counts no key, or one key with another fingerprint.
+func (t *Tally[K]) Absent(e, alone uint16) bool {
+	return e == 0 || e != alone && e&t.counts == 1
+}
+
+// Column returns a copy of column col: one entry per slot.
 func (t *Tally[K]) Column(col int) []uint16 {
-	out := make([]uint16, len(t.counts)/t.cols)
+	out := make([]uint16, len(t.entries)/t.cols)
 	for i := range out {
-		out[i] = t.counts[i*t.cols+col]
+		out[i] = t.entries[i*t.cols+col]
 	}
 	return out
 }
 
-func (t *Tally[K]) add(col int, k K) {
-	c := &t.counts[t.Slot(k)*t.cols+col]
-	if *c == ^uint16(0) {
-		panic("lru: tally count overflow")
-	}
-	*c++
+// Count adds k to entries, a column of this tally's geometry (Column), as
+// tracking adds a key that enters a cache. A recount that starts from a
+// zeroed column must reproduce the column's entries.
+func (t *Tally[K]) Count(entries []uint16, k K) {
+	slot, fp := t.place(k)
+	t.fold(&entries[slot], fp)
 }
 
+// fold counts one more key of fingerprint fp into entry e.
+func (t *Tally[K]) fold(e *uint16, fp uint16) {
+	if *e&t.counts == t.counts {
+		panic("lru: tally count overflow")
+	}
+	*e = (*e + 1) ^ fp
+}
+
+func (t *Tally[K]) add(col int, k K) {
+	slot, fp := t.place(k)
+	t.fold(&t.entries[slot*t.cols+col], fp)
+}
+
+// sub uncounts a resident key: the count is at least 1, so the decrement
+// leaves the fingerprint bits alone, and the XOR takes k's fingerprint out.
 func (t *Tally[K]) sub(col int, k K) {
-	t.counts[t.Slot(k)*t.cols+col]--
+	slot, fp := t.place(k)
+	e := &t.entries[slot*t.cols+col]
+	*e = (*e - 1) ^ fp
 }
 
 // Track counts c's keys into column col of t from now on — the keys

@@ -276,13 +276,16 @@ func TestMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-// TestTallyMatchesRecount is the membership counts' property test: random
-// Put/Get/Touch/Update/Remove/Clear sequences with evictions run on three
-// caches tracked into one tally — two sharing column 0, as a node's main
-// memory and private NVEM cache do — and after every step each slot's
-// count in each column must equal a recount of the column's resident keys.
-// The insert notification must fire exactly once per insertion of a key
-// that was not resident, and never otherwise.
+// TestTallyMatchesRecount is the membership entries' property test: random
+// Put/Get/Touch/Update/Remove/Clear sequences with evictions run on caches
+// tracked into one tally — two sharing column 0, as a node's main memory
+// and private NVEM cache do, where the split leaves room for both — and
+// after every step each slot's entry in each column must equal a recount
+// of the column's resident keys: their count in the low bits and the XOR
+// of their fingerprints, the top bits of their hashes, in the rest.
+// It runs on tallies whose largest counts give 1, 4, 5 and 16 count bits,
+// the last with no fingerprint. The insert notification must fire exactly
+// once per insertion of a key that was not resident, and never otherwise.
 func TestTallyMatchesRecount(t *testing.T) {
 	const slots = 8 // far fewer than the key space, so slots collide
 	type op struct {
@@ -290,76 +293,105 @@ func TestTallyMatchesRecount(t *testing.T) {
 		Cache uint8
 		Key   uint16
 	}
-	f := func(ops []op) bool {
-		tally := NewTally[uint16](slots, 2, func(k uint16) uint64 { return uint64(k) * 7 })
-		caches := []*Cache[uint16, int]{New[uint16, int](5, hashOf[uint16]), New[uint16, int](3, hashOf[uint16]), New[uint16, int](4, hashOf[uint16])}
-		cols := []int{0, 0, 1}
-		var notified []uint16
-		for i, c := range caches {
-			if i == 2 {
-				// Tracking starts on a non-empty cache: its keys count in.
-				c.Put(1, 0)
-				c.Put(9, 0)
-			}
-			ci := i
-			c.Track(tally, cols[i], func(k uint16) {
-				if _, ok := caches[ci].Peek(k); !ok {
-					t.Errorf("notified of key %d before it was resident", k)
+	for _, tc := range []struct {
+		most, countBits int
+		caps, cols      []int // each cache's capacity and column
+	}{
+		{most: 1, countBits: 1, caps: []int{1, 1}, cols: []int{0, 1}},
+		{most: 8, countBits: 4, caps: []int{5, 3, 4}, cols: []int{0, 0, 1}},
+		{most: 31, countBits: 5, caps: []int{5, 3, 4}, cols: []int{0, 0, 1}},
+		{most: 65535, countBits: 16, caps: []int{5, 3, 4}, cols: []int{0, 0, 1}},
+	} {
+		// recount builds column col's entries from its caches' keys.
+		recount := func(caches []*Cache[uint16, int], col int) []uint16 {
+			counts, fps := make([]int, slots), make([]int, slots)
+			for i, c := range caches {
+				if tc.cols[i] != col {
+					continue
 				}
-				notified = append(notified, k)
-			})
+				c.Each(func(k uint16, _ int) bool {
+					h := hashOf(k)
+					counts[h%slots]++
+					fps[h%slots] ^= int(h >> (64 - (16 - tc.countBits)))
+					return true
+				})
+			}
+			want := make([]uint16, slots)
+			for s := range want {
+				want[s] = uint16(counts[s] | fps[s]<<tc.countBits)
+			}
+			return want
 		}
-		for step, o := range ops {
-			c := caches[int(o.Cache)%len(caches)]
-			k := o.Key % 24
-			_, present := c.Peek(k)
-			notified = notified[:0]
-			switch o.Kind % 7 {
-			case 0, 1: // Put, often enough to keep the caches full
-				c.Put(k, step)
-			case 2:
-				c.Get(k)
-			case 3:
-				c.Touch(k)
-			case 4:
-				c.Update(k, step)
-			case 5:
-				c.Remove(k)
-			default:
-				if o.Key%8 == 0 { // rarely: drop everything
-					c.Clear()
-				} else {
-					c.Remove(k)
+		f := func(ops []op) bool {
+			tally := NewTally[uint16](slots, 2, tc.most, hashOf[uint16])
+			if int(tally.countBits) != tc.countBits {
+				t.Fatalf("largest count %d: %d count bits, want %d", tc.most, tally.countBits, tc.countBits)
+			}
+			var caches []*Cache[uint16, int]
+			for _, n := range tc.caps {
+				caches = append(caches, New[uint16, int](n, hashOf[uint16]))
+			}
+			var notified []uint16
+			for i, c := range caches {
+				if i == len(caches)-1 {
+					// Tracking starts on a non-empty cache: its keys count in.
+					c.Put(1, 0)
+					c.Put(9, 0)
 				}
+				ci := i
+				c.Track(tally, tc.cols[i], func(k uint16) {
+					if _, ok := caches[ci].Peek(k); !ok {
+						t.Errorf("notified of key %d before it was resident", k)
+					}
+					notified = append(notified, k)
+				})
 			}
-			wantNote := o.Kind%7 <= 1 && !present
-			if wantNote != (len(notified) == 1) || len(notified) > 1 || wantNote && notified[0] != k {
-				t.Logf("step %d: op %d on key %d (resident %v) notified %v", step, o.Kind%7, k, present, notified)
-				return false
-			}
-			for col := 0; col < 2; col++ {
-				want := make([]uint16, slots)
-				for i, c := range caches {
-					if cols[i] == col {
-						c.Each(func(k uint16, _ int) bool { want[tally.Slot(k)]++; return true })
+			for step, o := range ops {
+				c := caches[int(o.Cache)%len(caches)]
+				k := o.Key % 24
+				_, present := c.Peek(k)
+				notified = notified[:0]
+				switch o.Kind % 7 {
+				case 0, 1: // Put, often enough to keep the caches full
+					c.Put(k, step)
+				case 2:
+					c.Get(k)
+				case 3:
+					c.Touch(k)
+				case 4:
+					c.Update(k, step)
+				case 5:
+					c.Remove(k)
+				default:
+					if o.Key%8 == 0 { // rarely: drop everything
+						c.Clear()
+					} else {
+						c.Remove(k)
 					}
 				}
-				if got := tally.Column(col); !slices.Equal(got, want) {
-					t.Logf("step %d: column %d counts %v, recount %v", step, col, got, want)
+				wantNote := o.Kind%7 <= 1 && !present
+				if wantNote != (len(notified) == 1) || len(notified) > 1 || wantNote && notified[0] != k {
+					t.Logf("step %d: op %d on key %d (resident %v) notified %v", step, o.Kind%7, k, present, notified)
 					return false
 				}
+				for col := 0; col < 2; col++ {
+					if got, want := tally.Column(col), recount(caches, col); !slices.Equal(got, want) {
+						t.Logf("largest count %d, step %d: column %d reads %#04x, recount %#04x", tc.most, step, col, got, want)
+						return false
+					}
+				}
 			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("largest count %d: %v", tc.most, err)
+		}
 	}
 }
 
 // TestTrackTwicePanics: a cache counts into one column only.
 func TestTrackTwicePanics(t *testing.T) {
-	tally := NewTally[int](4, 1, func(k int) uint64 { return uint64(k) })
+	tally := NewTally[int](4, 1, 2, func(k int) uint64 { return uint64(k) })
 	c := New[int, int](2, hashOf[int])
 	c.Track(tally, 0, func(int) {})
 	defer func() {
@@ -368,4 +400,25 @@ func TestTrackTwicePanics(t *testing.T) {
 		}
 	}()
 	c.Track(tally, 0, func(int) {})
+}
+
+// TestTallyOverflowPanics: a tally split for counts up to 3 holds three
+// keys in one slot, and a fourth, which would carry into the fingerprint
+// bits, panics.
+func TestTallyOverflowPanics(t *testing.T) {
+	tally := NewTally[int](1, 1, 3, hashOf[int])
+	c := New[int, int](4, hashOf[int])
+	c.Track(tally, 0, func(int) {})
+	for k := range 3 {
+		c.Put(k, 0)
+	}
+	if got := tally.Column(0)[0] & tally.counts; got != 3 {
+		t.Fatalf("three keys count %d", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a fourth key in the slot did not panic")
+		}
+	}()
+	c.Put(3, 0)
 }
