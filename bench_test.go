@@ -503,32 +503,33 @@ func BenchmarkSimResource(b *testing.B) {
 	s.RunAll()
 }
 
-// BenchmarkLockManager measures uncontended acquire+release pairs. The
-// warmup cycle builds the lock-table entries and record freelists so a
-// one-iteration run measures the recycled steady state the alloc gate pins.
+// BenchmarkLockManager measures uncontended acquire+release pairs. Every
+// cycle runs on one transaction handle, and the warmup cycle builds the
+// lock-table entries and record freelists with it, so a one-iteration run
+// measures the recycled steady state the alloc gate pins.
 func BenchmarkLockManager(b *testing.B) {
 	b.ReportAllocs()
-	m := cc.NewManager(nil)
-	for g := int64(0); g < 8; g++ {
-		m.Acquire(cc.TxnID(-1), cc.Granule{Partition: 0, ID: g}, cc.Write)
-	}
-	m.ReleaseAll(cc.TxnID(-1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		txn := cc.TxnID(i)
+	m, txn := cc.NewManager(), &cc.Txn{}
+	cycle := func() {
 		for g := int64(0); g < 8; g++ {
 			m.Acquire(txn, cc.Granule{Partition: 0, ID: g}, cc.Write)
 		}
 		m.ReleaseAll(txn)
+	}
+	cycle()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
 }
 
 // BenchmarkLockManagerLargeTx measures one transaction that takes 1,024
 // distinct page locks across several partitions, in shuffled order, and then
 // releases them all: the shape of the real-life trace's long queries, where
-// a request's cost must not grow with the number of locks already held. The
-// warm-up transaction builds the lock table and freelists, so a
-// one-iteration run measures the recycled steady state the alloc gate pins.
+// a request's cost must not grow with the number of locks already held.
+// Every transaction runs on one handle, and the warm-up transaction builds
+// the lock table and freelists with it, so a one-iteration run measures the
+// recycled steady state the alloc gate pins.
 func BenchmarkLockManagerLargeTx(b *testing.B) {
 	b.ReportAllocs()
 	const locks = 1024
@@ -541,17 +542,17 @@ func BenchmarkLockManagerLargeTx(b *testing.B) {
 		j := s.Intn(i + 1)
 		gs[i], gs[j] = gs[j], gs[i]
 	}
-	m := cc.NewManager(nil)
-	tx := func(txn cc.TxnID) {
+	m, txn := cc.NewManager(), &cc.Txn{}
+	tx := func() {
 		for _, g := range gs {
 			m.Acquire(txn, g, cc.Read)
 		}
 		m.ReleaseAll(txn)
 	}
-	tx(-1)
+	tx()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tx(cc.TxnID(i))
+		tx()
 	}
 }
 

@@ -4,6 +4,12 @@
 // denied request, aborting the requester that closes the cycle (section
 // 3.2). Lock granularity (none, page or object level) is chosen per
 // partition by the engine.
+//
+// The manager hashes only granules. A transaction's own lock state — the
+// entries it holds, the one it waits on — lives in its Txn, which the
+// caller owns and hands to every call, as the transaction control block
+// carries its lock list in Gray and Reuter's lock manager (Transaction
+// Processing: Concepts and Techniques, 1993, ch. 8).
 package cc
 
 import (
@@ -13,9 +19,6 @@ import (
 
 	"repro/internal/hashtab"
 )
-
-// TxnID identifies a transaction for locking purposes.
-type TxnID int64
 
 // Mode is a lock mode.
 type Mode uint8
@@ -76,13 +79,34 @@ type Result uint8
 // Acquire outcomes.
 const (
 	Granted  Result = iota // lock held; proceed
-	Wait                   // queued; the manager will call onGrant later
+	Wait                   // queued; the manager wakes the Txn's Waiter later
 	Deadlock               // request would close a cycle; caller must abort
 )
 
+// Waiter is woken when the manager grants a transaction's queued request.
+type Waiter interface {
+	// Wake runs when the queued request is granted: the transaction now
+	// holds the lock and may proceed.
+	Wake()
+}
+
+// Txn is one transaction's lock state, owned by the caller: the entries it
+// holds, in acquisition order, the entry its queued request waits on, the
+// stamp of the last deadlock search that visited it, and the Waiter the
+// manager wakes on a grant. The zero value holds nothing and waits on
+// nothing; set Waiter before a request may wait. A Txn is used with one
+// manager, and after ReleaseAll it may acquire again as if fresh.
+type Txn struct {
+	Waiter Waiter
+
+	held    []*lockEntry // taken from and returned to Manager.freeHeld
+	waitsOn *lockEntry   // never freed while the request is queued
+	dlStamp uint64       // the Manager.dlSearch that last visited it
+}
+
 // request is one queued lock request.
 type request struct {
-	txn     TxnID
+	txn     *Txn
 	mode    Mode
 	upgrade bool
 }
@@ -91,7 +115,7 @@ type request struct {
 // handful of readers or one writer), so a slice beats a map allocation on
 // the per-transaction hot path.
 type holder struct {
-	txn  TxnID
+	txn  *Txn
 	mode Mode
 }
 
@@ -114,7 +138,7 @@ func compareEntries(a, b *lockEntry) int {
 	return cmp.Compare(a.granule.ID, b.granule.ID)
 }
 
-func (e *lockEntry) compatible(txn TxnID, mode Mode) bool {
+func (e *lockEntry) compatible(txn *Txn, mode Mode) bool {
 	for _, h := range e.holders {
 		if h.txn == txn {
 			continue
@@ -127,7 +151,7 @@ func (e *lockEntry) compatible(txn TxnID, mode Mode) bool {
 }
 
 // heldMode returns txn's hold on the entry, if any.
-func (e *lockEntry) heldMode(txn TxnID) (Mode, bool) {
+func (e *lockEntry) heldMode(txn *Txn) (Mode, bool) {
 	for _, h := range e.holders {
 		if h.txn == txn {
 			return h.mode, true
@@ -138,7 +162,7 @@ func (e *lockEntry) heldMode(txn TxnID) (Mode, bool) {
 
 // setHolder grants or upgrades txn's hold on the entry and reports whether
 // the hold is new (false for an upgrade).
-func (e *lockEntry) setHolder(txn TxnID, mode Mode) bool {
+func (e *lockEntry) setHolder(txn *Txn, mode Mode) bool {
 	for i := range e.holders {
 		if e.holders[i].txn == txn {
 			e.holders[i].mode = mode
@@ -150,7 +174,7 @@ func (e *lockEntry) setHolder(txn TxnID, mode Mode) bool {
 }
 
 // removeHolder drops txn from the entry's holders, preserving order.
-func (e *lockEntry) removeHolder(txn TxnID) {
+func (e *lockEntry) removeHolder(txn *Txn) {
 	for i := range e.holders {
 		if e.holders[i].txn == txn {
 			e.holders = append(e.holders[:i], e.holders[i+1:]...)
@@ -180,22 +204,19 @@ func (s Stats) Add(o Stats) Stats {
 }
 
 // Manager is the lock manager. It is engine-agnostic: when a queued request
-// is eventually granted, the onGrant callback fires (the engine uses it to
-// resume the waiting transaction's continuation).
+// is eventually granted, it wakes the transaction's Waiter (the engine
+// resumes the waiting transaction's continuation there).
 //
 // A request finds the caller's hold through the granule's entry, whose
 // holder set is small, so its cost does not grow with the transaction's
-// lock count. The per-transaction lists in held point at the entries a
-// transaction holds, in acquisition order; they are read only at
-// ReleaseAll, which needs no lookup to release them. A hold's mode lives
-// in the entry alone. A waiting transaction's entry in pending stays valid
-// while it waits: an entry with a queued request is never freed.
+// lock count. A Txn's held list points at the entries it holds, in
+// acquisition order; it is read only at ReleaseAll, which needs no lookup
+// to release them. A hold's mode lives in the entry alone. Holders and
+// queued requests point at their Txn, so a grant, a deadlock search and a
+// release reach a transaction's state without a lookup.
 type Manager struct {
-	locks   *hashtab.Table[Granule, *lockEntry]
-	held    map[TxnID][]*lockEntry
-	pending map[TxnID]*lockEntry
-	onGrant func(TxnID)
-	stats   Stats
+	locks *hashtab.Table[Granule, *lockEntry]
+	stats Stats
 
 	// Freelists for the two per-request allocations of the steady state:
 	// granule lock records (pushed when a granule's entry empties, popped
@@ -211,9 +232,10 @@ type Manager struct {
 	// requests.
 	queued []*lockEntry
 
-	// Reusable scratch for wouldDeadlock's wait-for-graph search.
-	dlVisited map[TxnID]bool
-	dlStack   []TxnID
+	// wouldDeadlock's search count, which stamps the transactions a search
+	// has visited (Txn.dlStamp), and its reusable stack.
+	dlSearch uint64
+	dlStack  []*Txn
 }
 
 // poolPoison, when true, overwrites freed pool objects with sentinel
@@ -227,15 +249,9 @@ var poolPoison = false
 // production runs.
 func SetPoolPoison(on bool) { poolPoison = on }
 
-// NewManager creates a lock manager. onGrant may be nil if no transaction
-// ever waits (e.g. single-user tests).
-func NewManager(onGrant func(TxnID)) *Manager {
-	return &Manager{
-		locks:   hashtab.New(0, granuleHash, granuleOf),
-		held:    make(map[TxnID][]*lockEntry),
-		pending: make(map[TxnID]*lockEntry),
-		onGrant: onGrant,
-	}
+// NewManager creates a lock manager.
+func NewManager() *Manager {
+	return &Manager{locks: hashtab.New(0, granuleHash, granuleOf)}
 }
 
 // Stats returns a copy of the counters.
@@ -249,16 +265,16 @@ func (m *Manager) ResetStats() { m.stats = Stats{} }
 //
 //   - Granted: the lock is held (strict 2PL: it stays held until ReleaseAll).
 //   - Wait: the request conflicts and is queued FCFS (upgrades are placed
-//     ahead of non-upgrades); onGrant(txn) fires when it is granted.
+//     ahead of non-upgrades); txn.Waiter is woken when it is granted.
 //   - Deadlock: granting would close a wait-for cycle; the request is NOT
 //     queued and the caller must abort txn (the paper aborts the transaction
 //     causing the deadlock).
 //
 // A transaction may wait for at most one lock at a time.
-func (m *Manager) Acquire(txn TxnID, g Granule, mode Mode) Result {
+func (m *Manager) Acquire(txn *Txn, g Granule, mode Mode) Result {
 	m.stats.Requests++
-	if _, waiting := m.pending[txn]; waiting {
-		panic(fmt.Sprintf("cc: txn %d acquiring while already waiting", txn))
+	if txn.waitsOn != nil {
+		panic("cc: a transaction acquiring while already waiting")
 	}
 
 	slot, found := m.locks.Insert(g)
@@ -304,7 +320,7 @@ func (m *Manager) Acquire(txn TxnID, g Granule, mode Mode) Result {
 	} else {
 		e.queue = append(e.queue, req)
 	}
-	m.pending[txn] = e
+	txn.waitsOn = e
 	return Wait
 }
 
@@ -334,12 +350,12 @@ func (m *Manager) freeEntry(e *lockEntry) {
 		e.granule = Granule{Partition: -1, ID: -1}
 		h := e.holders[:cap(e.holders)]
 		for i := range h {
-			h[i] = holder{txn: -1, mode: ^Mode(0)}
+			h[i] = holder{mode: ^Mode(0)}
 		}
 		e.holders = h
 		q := e.queue[:cap(e.queue)]
 		for i := range q {
-			q[i] = request{txn: -1, mode: ^Mode(0), upgrade: true}
+			q[i] = request{mode: ^Mode(0), upgrade: true}
 		}
 		e.queue = q
 	}
@@ -347,40 +363,40 @@ func (m *Manager) freeEntry(e *lockEntry) {
 }
 
 // grant records txn as holding e's granule in mode.
-func (m *Manager) grant(txn TxnID, e *lockEntry, mode Mode) {
+func (m *Manager) grant(txn *Txn, e *lockEntry, mode Mode) {
 	if !e.setHolder(txn, mode) {
 		return // an upgrade: e is already on txn's list
 	}
-	locks := m.held[txn]
-	if locks == nil {
+	if txn.held == nil {
 		// First lock of the transaction: reuse a released list.
 		if n := len(m.freeHeld); n > 0 {
-			locks = m.freeHeld[n-1][:0]
+			txn.held = m.freeHeld[n-1]
 			m.freeHeld[n-1] = nil
 			m.freeHeld = m.freeHeld[:n-1]
 		}
 	}
-	m.held[txn] = append(locks, e)
+	txn.held = append(txn.held, e)
 }
 
 // ReleaseAll releases every lock txn holds (commit phase 2 or abort) and
 // grants any now-compatible queued requests. If txn is still waiting for a
-// lock (abort while blocked), the pending request is removed first.
+// lock (abort while blocked), the queued request is removed first.
 //
 // The holds drop in acquisition order, and an entry left with neither
 // holders nor waiters is freed at once. Only the entries with queued
-// requests are dispatched, in sorted granule order, NOT acquisition or map
-// order: their grants decide which waiter is scheduled first, so another
+// requests are dispatched, in sorted granule order, NOT acquisition order:
+// their grants decide which waiter is scheduled first, so another
 // order would make whole simulation runs nondeterministic under
 // contention. A dispatch reads and changes only its own entry and the
 // granted transactions' lists, so dropping every hold first grants the
-// same requests as releasing entry by entry in sorted order.
-func (m *Manager) ReleaseAll(txn TxnID) {
-	if e, waiting := m.pending[txn]; waiting {
+// same requests as releasing entry by entry in sorted order. Afterwards
+// txn holds nothing and waits on nothing.
+func (m *Manager) ReleaseAll(txn *Txn) {
+	if e := txn.waitsOn; e != nil {
 		m.removeWaiter(txn, e)
 	}
-	locks := m.held[txn]
-	delete(m.held, txn)
+	locks := txn.held
+	txn.held = nil
 	queued := m.queued[:0]
 	for _, e := range locks {
 		e.removeHolder(txn)
@@ -409,8 +425,8 @@ func (m *Manager) ReleaseAll(txn TxnID) {
 
 // removeWaiter deletes txn's queued request on e and re-dispatches (removing
 // a waiter can unblock requests behind it).
-func (m *Manager) removeWaiter(txn TxnID, e *lockEntry) {
-	delete(m.pending, txn)
+func (m *Manager) removeWaiter(txn *Txn, e *lockEntry) {
+	txn.waitsOn = nil
 	for i := range e.queue {
 		if e.queue[i].txn == txn {
 			e.queue = append(e.queue[:i], e.queue[i+1:]...)
@@ -421,7 +437,8 @@ func (m *Manager) removeWaiter(txn TxnID, e *lockEntry) {
 }
 
 // dispatch grants queued requests from the head while they are compatible,
-// firing onGrant for each, and garbage-collects empty entries.
+// waking each granted transaction's Waiter, and garbage-collects empty
+// entries.
 func (m *Manager) dispatch(e *lockEntry) {
 	for len(e.queue) > 0 {
 		head := e.queue[0]
@@ -438,11 +455,9 @@ func (m *Manager) dispatch(e *lockEntry) {
 		copy(e.queue, e.queue[1:])
 		e.queue[len(e.queue)-1] = request{}
 		e.queue = e.queue[:len(e.queue)-1]
-		delete(m.pending, head.txn)
+		head.txn.waitsOn = nil
 		m.grant(head.txn, e, head.mode)
-		if m.onGrant != nil {
-			m.onGrant(head.txn)
-		}
+		head.txn.Waiter.Wake()
 	}
 	if len(e.holders) == 0 && len(e.queue) == 0 {
 		m.locks.Delete(e.granule)
@@ -453,17 +468,16 @@ func (m *Manager) dispatch(e *lockEntry) {
 // wouldDeadlock reports whether txn waiting on e would close a cycle in the
 // wait-for graph. The requester waits for the lock's current holders and,
 // unless it is an upgrade, for every already-queued waiter.
-func (m *Manager) wouldDeadlock(txn TxnID, e *lockEntry, upgrade bool) bool {
+func (m *Manager) wouldDeadlock(txn *Txn, e *lockEntry, upgrade bool) bool {
 	// Iterative depth-first search over "t waits for u" edges looking for
-	// txn, on scratch reused across calls (a deadlock check runs on every
+	// txn, on a stack reused across calls (a deadlock check runs on every
 	// denied request, so per-check allocation would dominate contended
 	// workloads). Reachability is order-independent, so the stack
-	// discipline returns the same verdict as the recursive formulation.
-	if m.dlVisited == nil {
-		m.dlVisited = make(map[TxnID]bool)
-	} else {
-		clear(m.dlVisited)
-	}
+	// discipline returns the same verdict as the recursive formulation. A
+	// transaction is visited when its stamp equals this search's number;
+	// every search takes a new number, so stamps left by earlier searches
+	// never need clearing.
+	m.dlSearch++
 	st := m.dlStack[:0]
 	// Direct blockers of the hypothetical request.
 	for _, h := range e.holders {
@@ -486,12 +500,12 @@ func (m *Manager) wouldDeadlock(txn TxnID, e *lockEntry, upgrade bool) bool {
 			found = true
 			break
 		}
-		if m.dlVisited[t] {
+		if t.dlStamp == m.dlSearch {
 			continue
 		}
-		m.dlVisited[t] = true
-		we, waiting := m.pending[t]
-		if !waiting {
+		t.dlStamp = m.dlSearch
+		we := t.waitsOn
+		if we == nil {
 			continue
 		}
 		for _, h := range we.holders {

@@ -14,24 +14,24 @@ import (
 func TestWriteGrantOrderFCFS(t *testing.T) {
 	f := func(n uint8) bool {
 		waiters := int(n%10) + 2
-		var granted []TxnID
-		m := NewManager(func(txn TxnID) { granted = append(granted, txn) })
-		m.Acquire(1, g(0, 1), Write)
+		var granted []int
+		m, tx := NewManager(), txns(waiters+1, &granted)
+		m.Acquire(tx[1], g(0, 1), Write)
 		for i := 2; i <= waiters+1; i++ {
-			if m.Acquire(TxnID(i), g(0, 1), Write) != Wait {
+			if m.Acquire(tx[i], g(0, 1), Write) != Wait {
 				return false
 			}
 		}
 		// Release one by one; each release grants exactly the next waiter.
-		m.ReleaseAll(1)
+		m.ReleaseAll(tx[1])
 		for i := 2; i <= waiters+1; i++ {
-			m.ReleaseAll(TxnID(i))
+			m.ReleaseAll(tx[i])
 		}
 		if len(granted) != waiters {
 			return false
 		}
 		for i, txn := range granted {
-			if txn != TxnID(i+2) {
+			if txn != i+2 {
 				return false
 			}
 		}
@@ -51,10 +51,10 @@ func TestSingleLockTransactionsNeverDeadlock(t *testing.T) {
 		W    bool
 	}
 	f := func(steps []step) bool {
-		m := NewManager(func(TxnID) {})
-		busy := map[TxnID]bool{} // requested its single lock already
+		m, tx := NewManager(), txns(8, nil)
+		busy := map[int]bool{} // requested its single lock already
 		for _, s := range steps {
-			txn := TxnID(s.Txn%8) + 1
+			txn := int(s.Txn%8) + 1
 			if busy[txn] {
 				continue
 			}
@@ -62,7 +62,7 @@ func TestSingleLockTransactionsNeverDeadlock(t *testing.T) {
 			if s.W {
 				mode = Write
 			}
-			if m.Acquire(txn, g(0, int64(s.Gran%8)), mode) == Deadlock {
+			if m.Acquire(tx[txn], g(0, int64(s.Gran%8)), mode) == Deadlock {
 				return false
 			}
 			busy[txn] = true
@@ -85,11 +85,11 @@ func TestOrderedAcquisitionDeadlockFree(t *testing.T) {
 		Grans [4]uint8
 	}
 	f := func(steps []step) bool {
-		m := NewManager(func(TxnID) {})
-		waiting := map[TxnID]bool{}
-		highWater := map[TxnID]int64{} // largest granule requested so far
+		m, tx := NewManager(), txns(6, nil)
+		waiting := map[int]bool{}
+		highWater := map[int]int64{} // largest granule requested so far
 		for _, s := range steps {
-			txn := TxnID(s.Txn%6) + 1
+			txn := int(s.Txn%6) + 1
 			if waiting[txn] {
 				continue
 			}
@@ -103,7 +103,7 @@ func TestOrderedAcquisitionDeadlockFree(t *testing.T) {
 					continue
 				}
 				highWater[txn] = id
-				switch m.Acquire(txn, g(0, id), Write) {
+				switch m.Acquire(tx[txn], g(0, id), Write) {
 				case Deadlock:
 					return false // impossible under ordered acquisition
 				case Wait:
@@ -127,27 +127,27 @@ func TestOrderedAcquisitionDeadlockFree(t *testing.T) {
 // T2→T3→T1(queue edge)→T2 is a genuine deadlock under strict FCFS, closed
 // through a queue position rather than a held lock.
 func TestQueueEdgeDeadlock(t *testing.T) {
-	m := NewManager(func(TxnID) {})
-	if m.Acquire(1, g(0, 1), Write) != Granted {
+	m, tx := NewManager(), txns(3, nil)
+	if m.Acquire(tx[1], g(0, 1), Write) != Granted {
 		t.Fatal("setup")
 	}
-	if m.Acquire(2, g(0, 5), Write) != Granted {
+	if m.Acquire(tx[2], g(0, 5), Write) != Granted {
 		t.Fatal("setup")
 	}
-	if m.Acquire(3, g(0, 2), Write) != Granted {
+	if m.Acquire(tx[3], g(0, 2), Write) != Granted {
 		t.Fatal("setup")
 	}
-	if m.Acquire(3, g(0, 7), Write) != Granted {
+	if m.Acquire(tx[3], g(0, 7), Write) != Granted {
 		t.Fatal("setup")
 	}
-	if m.Acquire(1, g(0, 5), Write) != Wait {
+	if m.Acquire(tx[1], g(0, 5), Write) != Wait {
 		t.Fatal("T1 should wait on 5")
 	}
-	if m.Acquire(3, g(0, 5), Write) != Wait { // out of order: T3 holds 7
+	if m.Acquire(tx[3], g(0, 5), Write) != Wait { // out of order: T3 holds 7
 		t.Fatal("T3 should queue behind T1")
 	}
 	// T2 closes the cycle through the queue edge T3→T1.
-	if m.Acquire(2, g(0, 7), Write) != Deadlock {
+	if m.Acquire(tx[2], g(0, 7), Write) != Deadlock {
 		t.Fatal("FCFS queue deadlock not detected")
 	}
 }
@@ -155,31 +155,31 @@ func TestQueueEdgeDeadlock(t *testing.T) {
 // TestStrictTwoPhase: no granule is ever available to a conflicting
 // requester before the holder's ReleaseAll.
 func TestStrictTwoPhase(t *testing.T) {
-	m := NewManager(func(TxnID) {})
-	m.Acquire(1, g(0, 1), Write)
-	m.Acquire(1, g(0, 2), Write)
+	m, tx := NewManager(), txns(3, nil)
+	m.Acquire(tx[1], g(0, 1), Write)
+	m.Acquire(tx[1], g(0, 2), Write)
 	// A second transaction conflicts on both.
-	if m.Acquire(2, g(0, 1), Read) != Wait {
+	if m.Acquire(tx[2], g(0, 1), Read) != Wait {
 		t.Fatal("should wait")
 	}
 	// Nothing 1 does before ReleaseAll may free the lock: acquiring more
 	// locks, re-acquiring held ones...
-	m.Acquire(1, g(0, 3), Write)
-	m.Acquire(1, g(0, 1), Write)
-	if m.Holds(2, g(0, 1), Read) {
+	m.Acquire(tx[1], g(0, 3), Write)
+	m.Acquire(tx[1], g(0, 1), Write)
+	if m.Holds(tx[2], g(0, 1), Read) {
 		t.Fatal("lock leaked before release")
 	}
-	m.ReleaseAll(1)
-	if !m.Holds(2, g(0, 1), Read) {
+	m.ReleaseAll(tx[1])
+	if !m.Holds(tx[2], g(0, 1), Read) {
 		t.Fatal("waiter not granted at release")
 	}
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	m := NewManager(func(TxnID) {})
-	m.Acquire(1, g(0, 1), Read)
-	m.Acquire(1, g(0, 1), Write) // upgrade, sole holder
-	m.Acquire(2, g(0, 1), Write) // conflict
+	m, tx := NewManager(), txns(3, nil)
+	m.Acquire(tx[1], g(0, 1), Read)
+	m.Acquire(tx[1], g(0, 1), Write) // upgrade, sole holder
+	m.Acquire(tx[2], g(0, 1), Write) // conflict
 	s := m.Stats()
 	if s.Requests != 3 || s.Upgrades != 1 || s.Conflicts != 1 {
 		t.Fatalf("stats = %+v", s)
@@ -199,9 +199,9 @@ func TestReleaseOrderLargeLockSet(t *testing.T) {
 		sizes = append(sizes, 1+s.Intn(2000))
 	}
 	for _, n := range sizes {
-		var granted []TxnID
-		m := NewManager(func(txn TxnID) { granted = append(granted, txn) })
-		const holder = TxnID(1)
+		var granted []int
+		m, tx := NewManager(), txns(1+n, &granted)
+		holder := tx[1]
 
 		// n distinct granules over five partitions, in random order.
 		gs := make([]Granule, 0, n)
@@ -252,28 +252,28 @@ func TestReleaseOrderLargeLockSet(t *testing.T) {
 
 		// One conflicting waiter per granule: a reader behind a writer, a
 		// writer behind a reader or writer.
-		waiterOf := make(map[TxnID]int, n)
+		waiterOf := make(map[int]int, n)
 		waiterMode := make([]Mode, n)
 		for k, gr := range gs {
-			w := TxnID(2 + k)
+			w := 2 + k
 			waiterMode[k] = Write
 			if want[k] == Write && s.Bool(0.5) {
 				waiterMode[k] = Read
 			}
-			if res := m.Acquire(w, gr, waiterMode[k]); res != Wait {
+			if res := m.Acquire(tx[w], gr, waiterMode[k]); res != Wait {
 				t.Fatalf("n=%d: conflicting waiter %v, want Wait", n, res)
 			}
 			waiterOf[w] = k
 		}
 
-		if got := m.HeldCount(holder); got != n {
+		if got := holder.HeldCount(); got != n {
 			t.Fatalf("n=%d: HeldCount = %d", n, got)
 		}
 		for k, gr := range gs {
 			if !m.Holds(holder, gr, Read) || m.Holds(holder, gr, Write) != (want[k] == Write) {
 				t.Fatalf("n=%d: Holds(%+v) disagrees with requested mode %v", n, gr, want[k])
 			}
-			if m.Holds(TxnID(2+k), gr, Read) {
+			if m.Holds(tx[2+k], gr, Read) {
 				t.Fatalf("n=%d: queued waiter holds %+v before release", n, gr)
 			}
 		}
@@ -287,7 +287,7 @@ func TestReleaseOrderLargeLockSet(t *testing.T) {
 		}
 		for i, w := range granted {
 			k := waiterOf[w]
-			if !m.Holds(w, gs[k], waiterMode[k]) {
+			if !m.Holds(tx[w], gs[k], waiterMode[k]) {
 				t.Fatalf("n=%d: waiter %d granted but does not hold %+v", n, w, gs[k])
 			}
 			if i == 0 {
@@ -298,11 +298,11 @@ func TestReleaseOrderLargeLockSet(t *testing.T) {
 				t.Fatalf("n=%d: grant %d on %+v follows %+v", n, i, cur, prev)
 			}
 		}
-		if m.HeldCount(holder) != 0 {
+		if holder.HeldCount() != 0 {
 			t.Fatalf("n=%d: holder keeps locks after ReleaseAll", n)
 		}
 		for k := range gs {
-			m.ReleaseAll(TxnID(2 + k))
+			m.ReleaseAll(tx[2+k])
 		}
 		if m.lockEntries() != 0 {
 			t.Fatalf("n=%d: %d lock entries leaked", n, m.lockEntries())
@@ -323,9 +323,9 @@ func TestReleaseSparseWaiters(t *testing.T) {
 		sizes = append(sizes, 1+s.Intn(2000))
 	}
 	for _, n := range sizes {
-		var granted []TxnID
-		m := NewManager(func(txn TxnID) { granted = append(granted, txn) })
-		const holder = TxnID(1)
+		var granted []int
+		m, tx := NewManager(), txns(2*n+1, &granted)
+		holder := tx[1]
 		gs := make([]Granule, 0, n)
 		seen := make(map[Granule]bool, n)
 		for len(gs) < n {
@@ -343,24 +343,24 @@ func TestReleaseSparseWaiters(t *testing.T) {
 			}
 		}
 		var want []Granule // the waited-for granules
-		waiterOf := make(map[TxnID]Granule)
-		readerOf := make(map[TxnID]Granule)
+		waiterOf := make(map[int]Granule)
+		readerOf := make(map[int]Granule)
 		for k, gr := range gs {
 			if !s.Bool(0.1) {
-				if r := TxnID(2 + n + k); modes[k] == Read && s.Bool(0.1) {
-					if res := m.Acquire(r, gr, Read); res != Granted {
+				if r := 2 + n + k; modes[k] == Read && s.Bool(0.1) {
+					if res := m.Acquire(tx[r], gr, Read); res != Granted {
 						t.Fatalf("n=%d: second reader %v, want Granted", n, res)
 					}
 					readerOf[r] = gr
 				}
 				continue
 			}
-			w := TxnID(2 + k)
+			w := 2 + k
 			mode := Write
 			if modes[k] == Write && s.Bool(0.5) {
 				mode = Read
 			}
-			if res := m.Acquire(w, gr, mode); res != Wait {
+			if res := m.Acquire(tx[w], gr, mode); res != Wait {
 				t.Fatalf("n=%d: conflicting waiter %v, want Wait", n, res)
 			}
 			want = append(want, gr)
@@ -377,27 +377,27 @@ func TestReleaseSparseWaiters(t *testing.T) {
 		got := make([]Granule, len(granted))
 		for i, w := range granted {
 			got[i] = waiterOf[w]
-			if !m.Holds(w, got[i], Read) {
+			if !m.Holds(tx[w], got[i], Read) {
 				t.Fatalf("n=%d: waiter %d granted but does not hold %+v", n, w, got[i])
 			}
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("n=%d: granted %v, want the waited-for granules in (Partition, ID) order %v", n, got, want)
 		}
-		if m.lockEntries() != len(want)+len(readerOf) || m.HeldCount(holder) != 0 {
+		if m.lockEntries() != len(want)+len(readerOf) || holder.HeldCount() != 0 {
 			t.Fatalf("n=%d: %d lock entries and %d holds of the releaser left, want %d and 0",
-				n, m.lockEntries(), m.HeldCount(holder), len(want)+len(readerOf))
+				n, m.lockEntries(), holder.HeldCount(), len(want)+len(readerOf))
 		}
 		for k := range gs {
-			if gr, ok := readerOf[TxnID(2+n+k)]; ok && !m.Holds(TxnID(2+n+k), gr, Read) {
+			if gr, ok := readerOf[2+n+k]; ok && !m.Holds(tx[2+n+k], gr, Read) {
 				t.Fatalf("n=%d: the second reader of %+v lost its hold", n, gr)
 			}
 		}
 		for _, w := range granted {
-			m.ReleaseAll(w)
+			m.ReleaseAll(tx[w])
 		}
 		for k := range gs {
-			m.ReleaseAll(TxnID(2 + n + k))
+			m.ReleaseAll(tx[2+n+k])
 		}
 		if m.lockEntries() != 0 {
 			t.Fatalf("n=%d: %d lock entries leaked", n, m.lockEntries())

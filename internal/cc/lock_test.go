@@ -7,6 +7,32 @@ import (
 
 func g(p int, id int64) Granule { return Granule{Partition: p, ID: id} }
 
+// testTxn is a transaction with an index, which it records when a queued
+// request of it is granted.
+type testTxn struct {
+	Txn
+	id      int
+	granted *[]int
+}
+
+func (t *testTxn) Wake() {
+	if t.granted != nil {
+		*t.granted = append(*t.granted, t.id)
+	}
+}
+
+// txns returns transactions 0..n, the one at index i indexed i, each
+// appending its index to *granted on a grant (granted may be nil).
+func txns(n int, granted *[]int) []*Txn {
+	ts := make([]*Txn, n+1)
+	for i := range ts {
+		t := &testTxn{id: i, granted: granted}
+		t.Waiter = t
+		ts[i] = &t.Txn
+	}
+	return ts
+}
+
 // lockEntries returns how many granules have a lock-table entry.
 func (m *Manager) lockEntries() int { return m.locks.Len() }
 
@@ -17,35 +43,35 @@ func (m *Manager) entry(g Granule) *lockEntry {
 }
 
 func TestReadLocksShared(t *testing.T) {
-	m := NewManager(nil)
-	if m.Acquire(1, g(0, 1), Read) != Granted {
+	m, tx := NewManager(), txns(3, nil)
+	if m.Acquire(tx[1], g(0, 1), Read) != Granted {
 		t.Fatal("first read not granted")
 	}
-	if m.Acquire(2, g(0, 1), Read) != Granted {
+	if m.Acquire(tx[2], g(0, 1), Read) != Granted {
 		t.Fatal("second read not granted")
 	}
-	if !m.Holds(1, g(0, 1), Read) || !m.Holds(2, g(0, 1), Read) {
+	if !m.Holds(tx[1], g(0, 1), Read) || !m.Holds(tx[2], g(0, 1), Read) {
 		t.Fatal("holders not recorded")
 	}
 }
 
 func TestWriteExcludes(t *testing.T) {
-	var granted []TxnID
-	m := NewManager(func(txn TxnID) { granted = append(granted, txn) })
-	if m.Acquire(1, g(0, 1), Write) != Granted {
+	var granted []int
+	m, tx := NewManager(), txns(3, &granted)
+	if m.Acquire(tx[1], g(0, 1), Write) != Granted {
 		t.Fatal("first write not granted")
 	}
-	if m.Acquire(2, g(0, 1), Write) != Wait {
+	if m.Acquire(tx[2], g(0, 1), Write) != Wait {
 		t.Fatal("conflicting write did not wait")
 	}
-	if m.Acquire(3, g(0, 1), Read) != Wait {
+	if m.Acquire(tx[3], g(0, 1), Read) != Wait {
 		t.Fatal("conflicting read did not wait")
 	}
-	m.ReleaseAll(1)
+	m.ReleaseAll(tx[1])
 	if len(granted) != 1 || granted[0] != 2 {
 		t.Fatalf("grant order = %v, want [2] (FCFS)", granted)
 	}
-	m.ReleaseAll(2)
+	m.ReleaseAll(tx[2])
 	if len(granted) != 2 || granted[1] != 3 {
 		t.Fatalf("grant order = %v, want [2 3]", granted)
 	}
@@ -54,35 +80,35 @@ func TestWriteExcludes(t *testing.T) {
 func TestFCFSNoStarvation(t *testing.T) {
 	// A read arriving after a queued write must not jump the queue even
 	// though it is compatible with the current read holders.
-	m := NewManager(func(TxnID) {})
-	m.Acquire(1, g(0, 1), Read)
-	if m.Acquire(2, g(0, 1), Write) != Wait {
+	m, tx := NewManager(), txns(3, nil)
+	m.Acquire(tx[1], g(0, 1), Read)
+	if m.Acquire(tx[2], g(0, 1), Write) != Wait {
 		t.Fatal("write should wait")
 	}
-	if m.Acquire(3, g(0, 1), Read) != Wait {
+	if m.Acquire(tx[3], g(0, 1), Read) != Wait {
 		t.Fatal("read must queue behind waiting write")
 	}
 }
 
 func TestBatchReadGrant(t *testing.T) {
-	var granted []TxnID
-	m := NewManager(func(txn TxnID) { granted = append(granted, txn) })
-	m.Acquire(1, g(0, 1), Write)
-	m.Acquire(2, g(0, 1), Read)
-	m.Acquire(3, g(0, 1), Read)
-	m.ReleaseAll(1)
+	var granted []int
+	m, tx := NewManager(), txns(3, &granted)
+	m.Acquire(tx[1], g(0, 1), Write)
+	m.Acquire(tx[2], g(0, 1), Read)
+	m.Acquire(tx[3], g(0, 1), Read)
+	m.ReleaseAll(tx[1])
 	if len(granted) != 2 {
 		t.Fatalf("granted = %v, want both reads at once", granted)
 	}
 }
 
 func TestReacquireHeldLock(t *testing.T) {
-	m := NewManager(nil)
-	m.Acquire(1, g(0, 1), Write)
-	if m.Acquire(1, g(0, 1), Write) != Granted {
+	m, tx := NewManager(), txns(3, nil)
+	m.Acquire(tx[1], g(0, 1), Write)
+	if m.Acquire(tx[1], g(0, 1), Write) != Granted {
 		t.Fatal("re-acquire of held write must be granted")
 	}
-	if m.Acquire(1, g(0, 1), Read) != Granted {
+	if m.Acquire(tx[1], g(0, 1), Read) != Granted {
 		t.Fatal("read under held write must be granted")
 	}
 	if got := m.Stats().Requests; got != 3 {
@@ -91,12 +117,12 @@ func TestReacquireHeldLock(t *testing.T) {
 }
 
 func TestUpgradeSoleHolder(t *testing.T) {
-	m := NewManager(nil)
-	m.Acquire(1, g(0, 1), Read)
-	if m.Acquire(1, g(0, 1), Write) != Granted {
+	m, tx := NewManager(), txns(3, nil)
+	m.Acquire(tx[1], g(0, 1), Read)
+	if m.Acquire(tx[1], g(0, 1), Write) != Granted {
 		t.Fatal("sole-holder upgrade must be granted")
 	}
-	if !m.Holds(1, g(0, 1), Write) {
+	if !m.Holds(tx[1], g(0, 1), Write) {
 		t.Fatal("upgrade not recorded")
 	}
 	if m.Stats().Upgrades != 1 {
@@ -105,130 +131,130 @@ func TestUpgradeSoleHolder(t *testing.T) {
 }
 
 func TestUpgradeWaitsForOtherReaders(t *testing.T) {
-	var granted []TxnID
-	m := NewManager(func(txn TxnID) { granted = append(granted, txn) })
-	m.Acquire(1, g(0, 1), Read)
-	m.Acquire(2, g(0, 1), Read)
-	if m.Acquire(1, g(0, 1), Write) != Wait {
+	var granted []int
+	m, tx := NewManager(), txns(3, &granted)
+	m.Acquire(tx[1], g(0, 1), Read)
+	m.Acquire(tx[2], g(0, 1), Read)
+	if m.Acquire(tx[1], g(0, 1), Write) != Wait {
 		t.Fatal("upgrade with other reader must wait")
 	}
-	m.ReleaseAll(2)
+	m.ReleaseAll(tx[2])
 	if len(granted) != 1 || granted[0] != 1 {
 		t.Fatalf("granted = %v, want [1]", granted)
 	}
-	if !m.Holds(1, g(0, 1), Write) {
+	if !m.Holds(tx[1], g(0, 1), Write) {
 		t.Fatal("upgrade not completed")
 	}
 }
 
 func TestUpgradeHasPriorityOverQueuedWrites(t *testing.T) {
-	var granted []TxnID
-	m := NewManager(func(txn TxnID) { granted = append(granted, txn) })
-	m.Acquire(1, g(0, 1), Read)
-	m.Acquire(2, g(0, 1), Read)
-	if m.Acquire(3, g(0, 1), Write) != Wait {
+	var granted []int
+	m, tx := NewManager(), txns(3, &granted)
+	m.Acquire(tx[1], g(0, 1), Read)
+	m.Acquire(tx[2], g(0, 1), Read)
+	if m.Acquire(tx[3], g(0, 1), Write) != Wait {
 		t.Fatal("fresh write must wait")
 	}
-	if m.Acquire(1, g(0, 1), Write) != Wait {
+	if m.Acquire(tx[1], g(0, 1), Write) != Wait {
 		t.Fatal("upgrade must wait for reader 2")
 	}
-	m.ReleaseAll(2)
+	m.ReleaseAll(tx[2])
 	// Upgrade (txn 1) must be granted before the earlier-queued write (3).
 	if len(granted) == 0 || granted[0] != 1 {
 		t.Fatalf("granted = %v, want upgrade first", granted)
 	}
-	m.ReleaseAll(1)
+	m.ReleaseAll(tx[1])
 	if granted[len(granted)-1] != 3 {
 		t.Fatalf("granted = %v, want 3 last", granted)
 	}
 }
 
 func TestDeadlockDetected(t *testing.T) {
-	m := NewManager(func(TxnID) {})
-	m.Acquire(1, g(0, 1), Write)
-	m.Acquire(2, g(0, 2), Write)
-	if m.Acquire(1, g(0, 2), Write) != Wait {
+	m, tx := NewManager(), txns(3, nil)
+	m.Acquire(tx[1], g(0, 1), Write)
+	m.Acquire(tx[2], g(0, 2), Write)
+	if m.Acquire(tx[1], g(0, 2), Write) != Wait {
 		t.Fatal("1 should wait for 2")
 	}
 	// 2 requesting 1's lock closes the cycle: 2 must be refused.
-	if m.Acquire(2, g(0, 1), Write) != Deadlock {
+	if m.Acquire(tx[2], g(0, 1), Write) != Deadlock {
 		t.Fatal("deadlock not detected")
 	}
 	if m.Stats().Deadlocks != 1 {
 		t.Fatal("deadlock not counted")
 	}
 	// Victim aborts: releasing its locks lets 1 proceed.
-	m.ReleaseAll(2)
-	if !m.Holds(1, g(0, 2), Write) {
+	m.ReleaseAll(tx[2])
+	if !m.Holds(tx[1], g(0, 2), Write) {
 		t.Fatal("survivor not granted after victim release")
 	}
 }
 
 func TestThreeWayDeadlock(t *testing.T) {
-	m := NewManager(func(TxnID) {})
-	m.Acquire(1, g(0, 1), Write)
-	m.Acquire(2, g(0, 2), Write)
-	m.Acquire(3, g(0, 3), Write)
-	if m.Acquire(1, g(0, 2), Write) != Wait {
+	m, tx := NewManager(), txns(3, nil)
+	m.Acquire(tx[1], g(0, 1), Write)
+	m.Acquire(tx[2], g(0, 2), Write)
+	m.Acquire(tx[3], g(0, 3), Write)
+	if m.Acquire(tx[1], g(0, 2), Write) != Wait {
 		t.Fatal("1→2 should wait")
 	}
-	if m.Acquire(2, g(0, 3), Write) != Wait {
+	if m.Acquire(tx[2], g(0, 3), Write) != Wait {
 		t.Fatal("2→3 should wait")
 	}
-	if m.Acquire(3, g(0, 1), Write) != Deadlock {
+	if m.Acquire(tx[3], g(0, 1), Write) != Deadlock {
 		t.Fatal("three-way cycle not detected")
 	}
 }
 
 func TestUpgradeDeadlock(t *testing.T) {
 	// Two readers both upgrading: classic conversion deadlock.
-	m := NewManager(func(TxnID) {})
-	m.Acquire(1, g(0, 1), Read)
-	m.Acquire(2, g(0, 1), Read)
-	if m.Acquire(1, g(0, 1), Write) != Wait {
+	m, tx := NewManager(), txns(3, nil)
+	m.Acquire(tx[1], g(0, 1), Read)
+	m.Acquire(tx[2], g(0, 1), Read)
+	if m.Acquire(tx[1], g(0, 1), Write) != Wait {
 		t.Fatal("first upgrade should wait")
 	}
-	if m.Acquire(2, g(0, 1), Write) != Deadlock {
+	if m.Acquire(tx[2], g(0, 1), Write) != Deadlock {
 		t.Fatal("second upgrade must be a deadlock")
 	}
 }
 
 func TestNoFalseDeadlock(t *testing.T) {
-	m := NewManager(func(TxnID) {})
-	m.Acquire(1, g(0, 1), Write)
-	if m.Acquire(2, g(0, 1), Write) != Wait {
+	m, tx := NewManager(), txns(3, nil)
+	m.Acquire(tx[1], g(0, 1), Write)
+	if m.Acquire(tx[2], g(0, 1), Write) != Wait {
 		t.Fatal("should wait")
 	}
 	// 3 waiting on the same lock is a chain, not a cycle.
-	if m.Acquire(3, g(0, 1), Write) != Wait {
+	if m.Acquire(tx[3], g(0, 1), Write) != Wait {
 		t.Fatal("chain misreported as deadlock")
 	}
 }
 
 func TestAbortWhileWaiting(t *testing.T) {
-	var granted []TxnID
-	m := NewManager(func(txn TxnID) { granted = append(granted, txn) })
-	m.Acquire(1, g(0, 1), Write)
-	m.Acquire(2, g(0, 1), Write)
-	m.Acquire(3, g(0, 1), Write)
+	var granted []int
+	m, tx := NewManager(), txns(3, &granted)
+	m.Acquire(tx[1], g(0, 1), Write)
+	m.Acquire(tx[2], g(0, 1), Write)
+	m.Acquire(tx[3], g(0, 1), Write)
 	// 2 aborts while queued; its request must vanish.
-	m.ReleaseAll(2)
-	m.ReleaseAll(1)
+	m.ReleaseAll(tx[2])
+	m.ReleaseAll(tx[1])
 	if len(granted) != 1 || granted[0] != 3 {
 		t.Fatalf("granted = %v, want [3]", granted)
 	}
 }
 
 func TestReleaseAllClearsEverything(t *testing.T) {
-	m := NewManager(nil)
-	m.Acquire(1, g(0, 1), Write)
-	m.Acquire(1, g(0, 2), Read)
-	m.Acquire(1, g(1, 1), Write)
-	if m.HeldCount(1) != 3 {
-		t.Fatalf("held = %d", m.HeldCount(1))
+	m, tx := NewManager(), txns(3, nil)
+	m.Acquire(tx[1], g(0, 1), Write)
+	m.Acquire(tx[1], g(0, 2), Read)
+	m.Acquire(tx[1], g(1, 1), Write)
+	if tx[1].HeldCount() != 3 {
+		t.Fatalf("held = %d", tx[1].HeldCount())
 	}
-	m.ReleaseAll(1)
-	if m.HeldCount(1) != 0 {
+	m.ReleaseAll(tx[1])
+	if tx[1].HeldCount() != 0 {
 		t.Fatal("locks remain after ReleaseAll")
 	}
 	if m.lockEntries() != 0 {
@@ -237,23 +263,23 @@ func TestReleaseAllClearsEverything(t *testing.T) {
 }
 
 func TestDistinctGranulesIndependent(t *testing.T) {
-	m := NewManager(nil)
-	if m.Acquire(1, g(0, 1), Write) != Granted {
+	m, tx := NewManager(), txns(3, nil)
+	if m.Acquire(tx[1], g(0, 1), Write) != Granted {
 		t.Fatal("not granted")
 	}
-	if m.Acquire(2, g(0, 2), Write) != Granted {
+	if m.Acquire(tx[2], g(0, 2), Write) != Granted {
 		t.Fatal("different page must be independent")
 	}
-	if m.Acquire(3, g(1, 1), Write) != Granted {
+	if m.Acquire(tx[3], g(1, 1), Write) != Granted {
 		t.Fatal("different partition must be independent")
 	}
 }
 
 func TestConflictCounter(t *testing.T) {
-	m := NewManager(func(TxnID) {})
-	m.Acquire(1, g(0, 1), Write)
-	m.Acquire(2, g(0, 1), Write)
-	m.Acquire(3, g(0, 2), Write)
+	m, tx := NewManager(), txns(3, nil)
+	m.Acquire(tx[1], g(0, 1), Write)
+	m.Acquire(tx[2], g(0, 1), Write)
+	m.Acquire(tx[3], g(0, 2), Write)
 	s := m.Stats()
 	if s.Requests != 3 || s.Conflicts != 1 {
 		t.Fatalf("stats = %+v", s)
@@ -270,11 +296,11 @@ func TestLockInvariants(t *testing.T) {
 		Mode uint8
 	}
 	f := func(ops []op) bool {
-		m := NewManager(func(TxnID) {})
-		active := map[TxnID]bool{}
-		waiting := map[TxnID]bool{}
+		m, tx := NewManager(), txns(8, nil)
+		active := map[int]bool{}
+		waiting := map[int]bool{}
 		for _, o := range ops {
-			txn := TxnID(o.Txn%8) + 1
+			txn := int(o.Txn%8) + 1
 			if waiting[txn] {
 				continue // a waiting txn cannot issue more requests
 			}
@@ -283,14 +309,14 @@ func TestLockInvariants(t *testing.T) {
 				mode = Write
 			}
 			gr := g(0, int64(o.Page%16))
-			switch m.Acquire(txn, gr, mode) {
+			switch m.Acquire(tx[txn], gr, mode) {
 			case Granted:
 				active[txn] = true
 			case Wait:
 				active[txn] = true
 				waiting[txn] = true
 			case Deadlock:
-				m.ReleaseAll(txn)
+				m.ReleaseAll(tx[txn])
 				delete(active, txn)
 			}
 			// Check mutual exclusion invariant on every entry.
@@ -316,8 +342,8 @@ func TestLockInvariants(t *testing.T) {
 		// that is granted leaves the waiting set — simulate by releasing
 		// repeatedly until the table is empty.
 		for i := 0; i < 16; i++ {
-			for txn := TxnID(1); txn <= 8; txn++ {
-				m.ReleaseAll(txn)
+			for txn := 1; txn <= 8; txn++ {
+				m.ReleaseAll(tx[txn])
 			}
 		}
 		return m.lockEntries() == 0
@@ -328,13 +354,13 @@ func TestLockInvariants(t *testing.T) {
 }
 
 func TestAcquireWhileWaitingPanics(t *testing.T) {
-	m := NewManager(func(TxnID) {})
-	m.Acquire(1, g(0, 1), Write)
-	m.Acquire(2, g(0, 1), Write) // 2 now waits
+	m, tx := NewManager(), txns(3, nil)
+	m.Acquire(tx[1], g(0, 1), Write)
+	m.Acquire(tx[2], g(0, 1), Write) // 2 now waits
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.Acquire(2, g(0, 2), Read)
+	m.Acquire(tx[2], g(0, 2), Read)
 }

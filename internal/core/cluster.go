@@ -198,7 +198,7 @@ func runCluster(cfg ClusterConfig) (*cluster, *ClusterResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	c, err := newCluster(cfg, cfg.Failure.Enabled)
+	c, err := newCluster(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -249,16 +249,12 @@ type cluster struct {
 	net     interconnect
 	kernels []*sim.Sim // node i runs on kernels[i mod len(kernels)]
 	devs    []devices  // devs[k]: kernel k's storage
-	nodes   []*node    // txn ids are k*NumNodes+nodeID
+	nodes   []*node
 
 	glocks *cc.Manager             // non-nil: cluster-wide lock manager
 	shared *buffer.SharedNVEMCache // non-nil: coherent shared NVEM cache
 
-	// trackActive makes nodes register in-flight transactions so a crash
-	// can kill them: set by failure injection and by MeasureRestart, which
-	// crashes after the window.
-	trackActive bool
-	rr          int // round-robin cursor of the arrival rerouter
+	rr int // round-robin cursor of the arrival rerouter
 }
 
 // devices is one kernel's storage: the disk units and the NVEM store (nil
@@ -270,11 +266,11 @@ type devices struct {
 
 // newCluster builds the interconnect with its kernels, each kernel's
 // devices and every node; node i runs cfg.Base with generator i.
-func newCluster(cfg ClusterConfig, trackActive bool) (*cluster, error) {
+func newCluster(cfg ClusterConfig) (*cluster, error) {
 	cfg.InstrLockMsg = cmp.Or(cfg.InstrLockMsg, DefaultInstrLockMsg)
 	cfg.LockMsgDelayMS = cmp.Or(cfg.LockMsgDelayMS, DefaultLockMsgDelayMS)
 	cfg.Admission.QueueFactor = cmp.Or(cfg.Admission.QueueFactor, DefaultAdmissionQueueFactor)
-	c := &cluster{cfg: cfg, trackActive: trackActive}
+	c := &cluster{cfg: cfg}
 
 	if cfg.SharedNVEMCache {
 		sc, err := buffer.NewSharedNVEMCache(cfg.Base.Buffer.NVEMCacheSize)
@@ -289,12 +285,7 @@ func newCluster(cfg ClusterConfig, trackActive bool) (*cluster, error) {
 		c.net = newDirect(c)
 	}
 	if cfg.GlobalLocks {
-		c.glocks = cc.NewManager(func(txn cc.TxnID) {
-			n := c.nodes[int(int64(txn)%int64(cfg.NumNodes))]
-			if k := n.waiter(txn); k != nil {
-				c.net.lockGrant(n, k)
-			}
-		})
+		c.glocks = cc.NewManager()
 	}
 
 	// Seqs are per kernel: a kernel's devices come before any node

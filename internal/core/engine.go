@@ -25,21 +25,20 @@ type node struct {
 	cfg Config
 	s   *sim.Sim
 
-	cpu     *sim.Resource
-	mpl     *sim.Resource
-	nvem    *storage.NVEM
-	units   []*storage.DiskUnit
-	bm      *buffer.Manager
-	locks   *cc.Manager // local lock manager; nil under global locking
-	waiting map[cc.TxnID]func()
-	inbox   *pdesInbox // barrier deliveries of the PDES coordinator; nil otherwise
+	cpu   *sim.Resource
+	mpl   *sim.Resource
+	nvem  *storage.NVEM
+	units []*storage.DiskUnit
+	bm    *buffer.Manager
+	locks *cc.Manager // local lock manager; nil under global locking
+	inbox *pdesInbox  // barrier deliveries of the PDES coordinator; nil otherwise
 
-	// Lifecycle (phase.go, recovery.go). active tracks in-flight
-	// transactions only when the cluster may crash a node (trackActive),
-	// so failure-free runs pay nothing on the transaction hot path.
+	// Lifecycle (phase.go, recovery.go). running lists the in-flight
+	// attempts in the order they began, which is the order a crash kills
+	// them in.
 	phase      nodePhase
 	nameSuffix string // "" single-node, "/n<id>" in clusters
-	active     map[cc.TxnID]*txRun
+	running    txList
 
 	// Crash/restart state (recovery.go). peakBeforeCrash preserves the
 	// MPL input-queue peak across the crash's resource replacement.
@@ -58,8 +57,6 @@ type node struct {
 	cpuRnd *rng.Stream
 	genRnd *rng.Stream
 	arrRnd *rng.Stream
-
-	nextTxn int64
 
 	// Measurement. win is the window tally, guarded by warm or zeroed at
 	// snapshot (DESIGN.md, measurement-window contract). resp and
@@ -91,7 +88,7 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c, err := newCluster(oneNode(cfg), false)
+	c, err := newCluster(oneNode(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -117,19 +114,17 @@ func newNode(c *cluster, id int) (*node, error) {
 	}
 	k := id % len(c.kernels)
 	n := &node{
-		c:       c,
-		id:      id,
-		cfg:     cfg,
-		s:       c.kernels[k],
-		nvem:    c.devs[k].nvem,
-		units:   c.devs[k].units,
-		waiting: make(map[cc.TxnID]func()),
-		active:  make(map[cc.TxnID]*txRun),
-		win:     tally{cpus: cfg.NumCPU, timelineBucketMS: c.cfg.TimelineBucketMS},
-		resp:    stats.NewSummary(),
-		cpuRnd:  rng.NewStream(cfg.Seed, suffix("cpu")),
-		genRnd:  rng.NewStream(cfg.Seed, suffix("workload")),
-		arrRnd:  rng.NewStream(cfg.Seed, suffix("arrivals")),
+		c:      c,
+		id:     id,
+		cfg:    cfg,
+		s:      c.kernels[k],
+		nvem:   c.devs[k].nvem,
+		units:  c.devs[k].units,
+		win:    tally{cpus: cfg.NumCPU, timelineBucketMS: c.cfg.TimelineBucketMS},
+		resp:   stats.NewSummary(),
+		cpuRnd: rng.NewStream(cfg.Seed, suffix("cpu")),
+		genRnd: rng.NewStream(cfg.Seed, suffix("workload")),
+		arrRnd: rng.NewStream(cfg.Seed, suffix("arrivals")),
 	}
 	if c.cfg.NumNodes > 1 {
 		n.nameSuffix = fmt.Sprintf("/n%d", id)
@@ -140,7 +135,7 @@ func newNode(c *cluster, id int) (*node, error) {
 		return nil, err
 	}
 	if c.glocks == nil {
-		n.locks = cc.NewManager(n.onLockGrant)
+		n.locks = cc.NewManager()
 	}
 
 	// Per-class accounting only exists when classes can actually share the
@@ -187,15 +182,6 @@ func (e *node) classOf(typeIdx int) *classTally {
 		return nil
 	}
 	return &e.win.classes[typeIdx]
-}
-
-// newTxn allocates a cluster-unique transaction id: node ids interleave,
-// so id mod the node count recovers the owner (the global lock manager's
-// grant routing relies on this). With one node this degenerates to the
-// plain 1, 2, 3, ... sequence.
-func (e *node) newTxn() cc.TxnID {
-	e.nextTxn++
-	return cc.TxnID(e.nextTxn*int64(e.c.cfg.NumNodes) + int64(e.id))
 }
 
 // --- buffer.Host implementation ---
@@ -316,23 +302,20 @@ func (e *node) Sim() *sim.Sim { return e.s }
 
 // --- lock integration ---
 
-// onLockGrant resumes a queued request the node's local lock manager
-// granted. Grants of the global manager wake their waiter through the
-// interconnect (newCluster).
-func (e *node) onLockGrant(txn cc.TxnID) {
-	if k := e.waiter(txn); k != nil {
-		e.s.Schedule(0, k)
+// Wake implements cc.Waiter: the lock manager granted t's queued request.
+// A global grant resumes t over the interconnect, a local one at once. A
+// record a crash killed wakes into nothing: crashNow marks every in-flight
+// record dead before it releases any lock, so the grants its releases fire
+// schedule nothing for the node's own waiters.
+func (t *txRun) Wake() {
+	if t.dead {
+		return
 	}
-}
-
-// waiter removes and returns the continuation of txn's queued lock
-// request; nil when none is queued (a crash killed the transaction).
-func (e *node) waiter(txn cc.TxnID) func() {
-	k, ok := e.waiting[txn]
-	if ok {
-		delete(e.waiting, txn)
+	if t.e.c.glocks != nil {
+		t.e.c.net.lockGrant(t)
+		return
 	}
-	return k
+	t.e.s.Schedule(0, t.granted)
 }
 
 // requestLock starts the next access: it maps the access's object to its
@@ -366,38 +349,35 @@ func (t *txRun) requestLock() {
 		e.cpuBurst(e.c.cfg.InstrLockMsg, t.resume)
 		return
 	}
-	if ok, decided := t.verdict(e.locks.Acquire(t.txn, g, mode), e.s.Now()); decided {
+	if ok, decided := t.verdict(e.locks.Acquire(&t.Txn, g, mode), e.s.Now()); decided {
 		t.onLocked(ok)
 	}
 }
 
 // landLockRequest lands t's global lock request at the cluster-wide lock
 // manager at instant at and reads the verdict like verdict. A crash while
-// the request was in flight killed the transaction and purged it from the
-// active table; its request must not reach the manager, where nobody would
-// ever release it, and is left undecided.
+// the request was in flight killed the transaction, whose locks are
+// already released; its request must not reach the manager, where nobody
+// would ever release it, and is left undecided.
 func (t *txRun) landLockRequest(at sim.Time) (ok, decided bool) {
-	e := t.e
-	if e.c.trackActive {
-		if _, alive := e.active[t.txn]; !alive {
-			return false, false
-		}
+	if t.dead {
+		return false, false
 	}
+	e := t.e
 	e.win.lockMsgs += 2 // the request and its response
-	return t.verdict(e.c.glocks.Acquire(t.txn, t.g, t.mode), at)
+	return t.verdict(e.c.glocks.Acquire(&t.Txn, t.g, t.mode), at)
 }
 
 // verdict reads a lock manager's verdict on t's request, reached at
 // instant at. A granted request is decided ok, a deadlock decided not ok
-// (t must abort). A queued request is undecided: t waits for the grant,
-// and the wait counts from at.
+// (t must abort). A queued request is undecided: t waits for the grant
+// (Wake), and the wait counts from at.
 func (t *txRun) verdict(res cc.Result, at sim.Time) (ok, decided bool) {
 	switch res {
 	case cc.Granted:
 		return true, true
 	case cc.Wait:
 		t.waitStart = at
-		t.e.waiting[t.txn] = t.granted
 		return false, false
 	default: // cc.Deadlock
 		return false, true
@@ -421,12 +401,12 @@ func (t *txRun) onGranted() {
 
 // releaseLocks releases the transaction's locks at the local lock
 // manager, or over the interconnect at the global one.
-func (e *node) releaseLocks(txn cc.TxnID) {
-	if e.c.glocks != nil {
-		e.c.net.lockRelease(e, txn)
+func (t *txRun) releaseLocks() {
+	if t.e.c.glocks != nil {
+		t.e.c.net.lockRelease(t)
 		return
 	}
-	e.locks.ReleaseAll(txn)
+	t.e.locks.ReleaseAll(&t.Txn)
 }
 
 // --- workload arrival and transaction execution ---
@@ -561,15 +541,21 @@ const (
 // and per commit phase) and advance it through MPL admission, lock acquisition,
 // page fixes and the two commit phases, restarting on deadlock aborts
 // (access invariance: the restarted transaction repeats the same accesses).
+// It carries its lock state (cc.Txn) and is the waiter the lock manager
+// wakes on a grant.
 type txRun struct {
+	cc.Txn
 	e       *node
 	tx      workload.Tx
-	txn     cc.TxnID
 	arrival sim.Time
 	fixTime sim.Time // cumulative I/O wait across all attempts
 	start   sim.Time // current fix start
 	i       int      // next access index
 	page    int64    // access i's page, mapped when the access starts
+	// Pending global lock request (txLockMsg/txLockSent); mode shares a
+	// word with the flags below.
+	g       cc.Granule
+	mode    cc.Mode
 	state   txState
 	relPaid bool // release-message pathlength charged (global locking)
 	// dead marks a transaction killed by its node's crash: its locks are
@@ -582,11 +568,7 @@ type txRun struct {
 	// back into its think phase.
 	done func()
 
-	// Pending global lock request (txLockMsg/txLockSent) and the start of
-	// the current conflicted wait.
-	g         cc.Granule
-	mode      cc.Mode
-	waitStart sim.Time
+	waitStart sim.Time // the start of the current conflicted wait
 
 	// mod is the reusable modified-page scratch ForcePages reads; valid
 	// until the commit's force writes finish, rebuilt per commit.
@@ -600,6 +582,40 @@ type txRun struct {
 	resume   func()
 	granted  func()
 	next     *txRun // freelist link
+
+	// prevRun and nextRun link the record into its node's running list
+	// while an attempt runs.
+	prevRun, nextRun *txRun
+}
+
+// txList is a doubly linked list of transaction records, through their
+// prevRun and nextRun links.
+type txList struct{ head, tail *txRun }
+
+// push appends t at the tail.
+func (l *txList) push(t *txRun) {
+	t.prevRun = l.tail
+	if l.tail != nil {
+		l.tail.nextRun = t
+	} else {
+		l.head = t
+	}
+	l.tail = t
+}
+
+// remove unlinks t.
+func (l *txList) remove(t *txRun) {
+	if t.prevRun != nil {
+		t.prevRun.nextRun = t.nextRun
+	} else {
+		l.head = t.nextRun
+	}
+	if t.nextRun != nil {
+		t.nextRun.prevRun = t.prevRun
+	} else {
+		l.tail = t.prevRun
+	}
+	t.prevRun, t.nextRun = nil, nil
 }
 
 // getTx pops a recycled transaction record (resetting the per-transaction
@@ -609,6 +625,7 @@ func (e *node) getTx() *txRun {
 	t := e.freeTx
 	if t == nil {
 		t = &txRun{e: e}
+		t.Waiter = t
 		t.begin = t.onBegin
 		t.admitted = t.onAdmitted
 		t.resume = t.dispatch
@@ -622,12 +639,17 @@ func (e *node) getTx() *txRun {
 	return t
 }
 
-// putTx recycles a finished (never a dead) transaction record.
+// putTx recycles a finished (never a dead) transaction record. It leaves
+// the lock handle (cc.Txn) alone, poison or not: under PDES the commit's
+// release message may still be in flight, carrying the record, when the
+// record is reused. That is safe because the reused record's first lock
+// request is sent later, at the same LockMsgDelayMS, from the same node,
+// so the batch order (arrive, sender, position) applies the release
+// first, and the new attempt starts from a handle that holds nothing.
 func (e *node) putTx(t *txRun) {
 	t.done = nil
 	t.tx = workload.Tx{}
 	if poolPoison {
-		t.txn = -1
 		t.arrival, t.fixTime, t.start, t.waitStart = -1, -1, -1, -1
 		t.i, t.page = -1, -1
 		t.state = txState(0xff)
@@ -702,16 +724,14 @@ func (t *txRun) onAdmitted() {
 	t.beginAttempt()
 }
 
-// beginAttempt starts one execution attempt under a fresh transaction id.
-// The BOT burst guarantees simulated time advances between attempts.
+// beginAttempt starts one execution attempt at the tail of the node's
+// running list. The BOT burst guarantees simulated time advances between
+// attempts.
 func (t *txRun) beginAttempt() {
-	t.txn = t.e.newTxn()
 	t.i = 0
 	t.state = txStep
 	t.relPaid = false
-	if t.e.c.trackActive {
-		t.e.active[t.txn] = t
-	}
+	t.e.running.push(t)
 	t.e.cpuBurst(t.e.cfg.InstrBOT, t.resume)
 }
 
@@ -772,8 +792,8 @@ func (t *txRun) abort() {
 	}
 	if t.e.c.glocks != nil {
 		// A crash during the release burst already released the locks (the
-		// transaction was still registered as active); dispatch's dead
-		// check drops the continuation then.
+		// attempt was still on the running list); dispatch's dead check
+		// drops the continuation then.
 		t.state = txAborted
 		t.e.cpuBurst(t.e.c.cfg.InstrLockMsg, t.resume)
 		return
@@ -783,10 +803,8 @@ func (t *txRun) abort() {
 
 // finishAbort releases the aborted attempt's locks and retries.
 func (t *txRun) finishAbort() {
-	t.e.releaseLocks(t.txn)
-	if t.e.c.trackActive {
-		delete(t.e.active, t.txn)
-	}
+	t.releaseLocks()
+	t.e.running.remove(t)
 	t.beginAttempt()
 }
 
@@ -822,10 +840,8 @@ func (t *txRun) finish() {
 		e.cpuBurst(e.c.cfg.InstrLockMsg, t.resume)
 		return
 	}
-	e.releaseLocks(t.txn)
-	if e.c.trackActive {
-		delete(e.active, t.txn)
-	}
+	t.releaseLocks()
+	e.running.remove(t)
 	if e.warm {
 		rt := e.s.Now() - t.arrival
 		e.win.commits++

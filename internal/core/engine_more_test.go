@@ -275,7 +275,7 @@ func TestAccessPagesMappedAtFix(t *testing.T) {
 	cfg.CCModes = []cc.Granularity{cc.PageLevel, cc.PageLevel}
 	cfg.Buffer.Partitions = []buffer.PartitionAlloc{{DiskUnit: 0}, {DiskUnit: 0}}
 	cfg.WarmupMS, cfg.MeasureMS = 0, 1000
-	c, err := newCluster(oneNode(cfg), false)
+	c, err := newCluster(oneNode(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/cc"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -22,8 +21,8 @@ import (
 //
 // The decisions an effect takes are written once and shared by both: the
 // reroute chain (cluster.rerouteTarget), the in-flight check of a global
-// lock request (txRun.landLockRequest) and the registration of a queued
-// one (txRun.verdict). The engines differ only in when an effect lands.
+// lock request (txRun.landLockRequest) and the reading of its verdict
+// (txRun.verdict). The engines differ only in when an effect lands.
 type interconnect interface {
 	// attach wires node n into the interconnect once its kernel, devices
 	// and CPU/MPL resources exist: it builds the node's buffer manager,
@@ -33,11 +32,11 @@ type interconnect interface {
 	// request's CPU pathlength is paid. A decided verdict resumes t
 	// through onLocked; a queued request waits for lockGrant.
 	lockRequest(t *txRun)
-	// lockRelease releases every global lock txn of node e holds.
-	lockRelease(e *node, txn cc.TxnID)
-	// lockGrant wakes node e's queued global request, whose continuation
-	// is k, once the global lock manager grants it.
-	lockGrant(e *node, k func())
+	// lockRelease releases every global lock t holds.
+	lockRelease(t *txRun)
+	// lockGrant resumes t's queued global request once the global lock
+	// manager grants it.
+	lockGrant(t *txRun)
 	// invalidate drops every other node's copy of key before writer
 	// modifies the page (write-invalidate coherence). A node that held the
 	// page counts the hand-off.
@@ -74,12 +73,12 @@ func (d direct) lockRequest(t *txRun) {
 	t.e.s.Schedule(d.c.cfg.LockMsgDelayMS, t.resume)
 }
 
-func (d direct) lockRelease(e *node, txn cc.TxnID) {
-	e.win.lockMsgs++
-	d.c.glocks.ReleaseAll(txn)
+func (d direct) lockRelease(t *txRun) {
+	t.e.win.lockMsgs++
+	d.c.glocks.ReleaseAll(&t.Txn)
 }
 
-func (d direct) lockGrant(e *node, k func()) { e.s.Schedule(0, k) }
+func (d direct) lockGrant(t *txRun) { t.e.s.Schedule(0, t.granted) }
 
 // invalidate visits the peers in id order for determinism.
 func (d direct) invalidate(writer *node, key storage.PageKey) {

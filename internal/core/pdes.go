@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/buffer"
-	"repro/internal/cc"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -82,8 +81,7 @@ type pdesMsg struct {
 
 	// Lock traffic: the requesting transaction, whose pending request
 	// (t.g, t.mode) stays fixed until its verdict, or the releasing one.
-	t   *txRun
-	txn cc.TxnID
+	t *txRun
 
 	// Coherence / shared-cache traffic.
 	key   storage.PageKey
@@ -328,16 +326,19 @@ func (pd *pdesState) lockRequest(t *txRun) {
 	pd.send(pdesMsg{kind: pdesLockReq, from: e.id, arrive: e.s.Now() + pd.lockDelay, t: t})
 }
 
-// lockRelease ships a one-way release of every lock txn holds: the locks
-// drop when it lands at the manager.
-func (pd *pdesState) lockRelease(e *node, txn cc.TxnID) {
-	pd.send(pdesMsg{kind: pdesLockRelease, from: e.id, arrive: e.s.Now() + pd.lockDelay, txn: txn})
+// lockRelease ships a one-way release of every lock t holds: the locks
+// drop when it lands at the manager. The message carries the record,
+// which may start its next attempt, or be reused, before the message
+// lands (putTx).
+func (pd *pdesState) lockRelease(t *txRun) {
+	e := t.e
+	pd.send(pdesMsg{kind: pdesLockRelease, from: e.id, arrive: e.s.Now() + pd.lockDelay, t: t})
 }
 
 // lockGrant wakes a waiter the global manager granted while a release
 // message was applied at a barrier: it resumes at that message's arrival
 // instant.
-func (pd *pdesState) lockGrant(e *node, k func()) { e.inbox.deliver(pd.msgTime, k) }
+func (pd *pdesState) lockGrant(t *txRun) { t.e.inbox.deliver(pd.msgTime, t.granted) }
 
 // invalidate ships a write-invalidation of key; the coordinator applies it
 // to the peers at the next barrier (applyInvalidate).
@@ -419,17 +420,17 @@ func (pd *pdesState) dispatch(m *pdesMsg) {
 	pd.msgTime = m.arrive
 	switch m.kind {
 	case pdesLockReq:
-		// A queued request registers as a waiter here, not via a kernel
-		// event: a release in the same batch may grant it before its
-		// kernel runs again, and the grant must find the waiter.
+		// The verdict is taken here, not in a kernel event: a release
+		// later in the same batch may grant a queued request before its
+		// kernel runs again.
 		if ok, decided := m.t.landLockRequest(m.arrive); decided {
 			m.t.e.inbox.verdict(m.arrive, m.t, ok)
 		}
 	case pdesLockRelease:
-		// Grant cascades fire c.glocks' callback synchronously, and
-		// lockGrant timestamps them with msgTime.
+		// Grant cascades wake their waiters synchronously (txRun.Wake),
+		// and lockGrant timestamps them with msgTime.
 		c.nodes[m.from].win.lockMsgs++
-		c.glocks.ReleaseAll(m.txn)
+		c.glocks.ReleaseAll(&m.t.Txn)
 	case pdesInvalidate:
 		pd.applyInvalidate(m)
 	case pdesReroute:

@@ -35,11 +35,12 @@ func BenchmarkPDESBarrier(b *testing.B) {
 		pd := c.net.(*pdesState)
 		pages := []storage.PageKey{{Partition: 0, Page: 1}, {Partition: 0, Page: 2}, {Partition: 0, Page: 3}}
 		holders := [][]int{{8, 9, 10}, {20, 21}, {40}}
-		// The requester's transaction is marked dead, so its verdict resumes
-		// into nothing; the releaser holds one granule when its release lands.
+		// The requester's transaction is dead except while a barrier applies
+		// its batch, so its request reaches the manager and its verdict
+		// resumes into nothing; the releaser holds one granule when its
+		// release lands.
 		req, rel := c.nodes[2].getTx(), c.nodes[3].getTx()
-		req.dead = true
-		req.txn, rel.txn = c.nodes[2].newTxn(), c.nodes[3].newTxn()
+		window = deadWhileRunning(pd, req)
 		req.g, req.mode = cc.Granule{ID: 1}, cc.Write
 		held := cc.Granule{ID: 2}
 		drain := func() {
@@ -49,21 +50,21 @@ func BenchmarkPDESBarrier(b *testing.B) {
 		}
 		settle := func() {
 			drain()
-			c.glocks.ReleaseAll(req.txn)
+			c.glocks.ReleaseAll(&req.Txn)
 			for p, ns := range holders {
 				for _, id := range ns {
 					c.nodes[id].bm.Fix(pages[p], false, func() {})
 				}
 			}
 			drain()
-			if c.glocks.Acquire(rel.txn, held, cc.Write) != cc.Granted {
+			if c.glocks.Acquire(&rel.Txn, held, cc.Write) != cc.Granted {
 				b.Fatal("the releaser's granule is taken")
 			}
 			for p := range pages {
 				pd.invalidate(c.nodes[4+p], pages[p])
 			}
 			pd.lockRequest(req)
-			pd.lockRelease(c.nodes[3], rel.txn)
+			pd.lockRelease(rel)
 		}
 		const warm = 300
 		for range warm {

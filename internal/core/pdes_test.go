@@ -10,6 +10,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 // pdesCluster builds a PDES-enabled Debit-Credit cluster over the
@@ -324,7 +325,7 @@ func TestPDESValidate(t *testing.T) {
 // busy reports whether any kernel or outbox still holds work.
 func quietPDES(t testing.TB, nodes int) (c *cluster, window func(), busy func() bool) {
 	t.Helper()
-	c, err := newCluster(pdesSharedCluster(t, nodes, 100*float64(nodes), 1), false)
+	c, err := newCluster(pdesSharedCluster(t, nodes, 100*float64(nodes), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,6 +354,31 @@ func quietPDES(t testing.TB, nodes int) (c *cluster, window func(), busy func() 
 	}
 	return c, window, busy
 }
+
+// deadWhileRunning returns a window function for a quietPDES cluster that
+// keeps the test's transactions ts alive while the barrier applies its
+// batch, so their lock requests reach the global manager and its grants
+// wake them, and dead while the kernels run, so every verdict and grant
+// resumes into nothing.
+func deadWhileRunning(pd *pdesState, ts ...*txRun) (window func()) {
+	mark := func(dead bool) {
+		for _, t := range ts {
+			t.dead = dead
+		}
+	}
+	mark(true)
+	return func() {
+		mark(false)
+		pd.deliver()
+		mark(true)
+		pd.runWindow(pd.now + pd.lookahead)
+	}
+}
+
+// wakeFunc adapts a function to cc.Waiter.
+type wakeFunc func()
+
+func (f wakeFunc) Wake() { f() }
 
 // watched is the number of slots node n watches: logged invalidations
 // from its peers that it did not get as a holder and has not filled, whose
@@ -411,12 +437,12 @@ func TestPDESBarrierDeliveryZeroAlloc(t *testing.T) {
 	c, window, busy := quietPDES(t, 4)
 	pd := c.net.(*pdesState)
 
-	// Transactions x (node 1) and y (node 2) contend for two granules. Both
-	// are marked dead, so their verdicts resume into nothing and the cycle
-	// measures delivery alone.
+	// Transactions x (node 1) and y (node 2) contend for two granules.
+	// Both are dead except while a barrier applies its batch, so their
+	// lock traffic reaches the manager but their verdicts and grants
+	// resume into nothing, and the cycle measures delivery alone.
 	x, y := c.nodes[1].getTx(), c.nodes[2].getTx()
-	x.dead, y.dead = true, true
-	x.txn, y.txn = c.nodes[1].newTxn(), c.nodes[2].newTxn()
+	window = deadWhileRunning(pd, x, y)
 	g1, g2 := cc.Granule{ID: 1}, cc.Granule{ID: 2}
 	request := func(tx *txRun, g cc.Granule) {
 		tx.g, tx.mode = g, cc.Write
@@ -446,9 +472,9 @@ func TestPDESBarrierDeliveryZeroAlloc(t *testing.T) {
 		request(x, g2) // queues behind y
 		request(y, g1) // closes the wait-for cycle: deadlock
 		window()
-		pd.lockRelease(c.nodes[2], y.txn) // grants x's queued request
+		pd.lockRelease(y) // grants x's queued request
 		window()
-		pd.lockRelease(c.nodes[1], x.txn)
+		pd.lockRelease(x)
 		for fixes < 2 {
 			window()
 		}
@@ -698,20 +724,20 @@ func TestPDESOrdinalTie(t *testing.T) {
 
 		// Node 1's transaction holds granule g; node 2's waits for it.
 		g := cc.Granule{ID: 9}
-		holder, waiter := n1.newTxn(), n2.newTxn()
-		if c.glocks.Acquire(holder, g, cc.Write) != cc.Granted ||
-			c.glocks.Acquire(waiter, g, cc.Write) != cc.Wait {
+		holder, waiter := n1.getTx(), n2.getTx()
+		if c.glocks.Acquire(&holder.Txn, g, cc.Write) != cc.Granted ||
+			c.glocks.Acquire(&waiter.Txn, g, cc.Write) != cc.Wait {
 			t.Fatal("granule g was not held by node 1 and awaited by node 2")
 		}
 		seen := "the grant never fired"
-		n2.waiting[waiter] = func() {
+		waiter.granted = func() {
 			seen = fmt.Sprintf("grant at %v: node 2 holds a %v, b %v", n2.s.Now(), n2.bm.Holds(a), n2.bm.Holds(b))
 		}
 		// Sent at 0.22 and 0.27, all three messages arrive at 0.37 and
 		// are applied at the barrier at 0.3 in the order a, release, b.
 		n0.s.Schedule(0.22, func() { pd.invalidate(n0, a) })
 		n3.s.Schedule(0.22, func() { pd.invalidate(n3, b) })
-		n1.s.Schedule(0.27, func() { pd.lockRelease(n1, holder) })
+		n1.s.Schedule(0.27, func() { pd.lockRelease(holder) })
 		fix(n2, 0.33, a, b)
 		for busy() {
 			window()
@@ -835,18 +861,18 @@ func TestPDESBatchOrder(t *testing.T) {
 // TestPDESNoSendDuringBatch pins the rule that lets a barrier apply its
 // batch where the messages lie, in their outboxes: no dispatch path sends.
 // Every PDES run checks it, since send panics while a batch is applied;
-// here a lock manager whose grant callback answers with a message must
-// trip that check when a release in the batch grants a waiter.
+// here a waiter whose wake answers with a message must trip that check
+// when a release in the batch grants it.
 func TestPDESNoSendDuringBatch(t *testing.T) {
 	c, window, _ := quietPDES(t, 2)
 	pd := c.net.(*pdesState)
-	c.glocks = cc.NewManager(func(txn cc.TxnID) { pd.lockRelease(c.nodes[1], txn) })
-	holder, waiter := c.nodes[0].newTxn(), c.nodes[1].newTxn()
+	holder, waiter := c.nodes[0].getTx(), c.nodes[1].getTx()
+	waiter.Waiter = wakeFunc(func() { pd.lockRelease(waiter) })
 	g := cc.Granule{ID: 1}
-	if c.glocks.Acquire(holder, g, cc.Write) != cc.Granted || c.glocks.Acquire(waiter, g, cc.Write) != cc.Wait {
+	if c.glocks.Acquire(&holder.Txn, g, cc.Write) != cc.Granted || c.glocks.Acquire(&waiter.Txn, g, cc.Write) != cc.Wait {
 		t.Fatal("granule g was not held by node 0 and awaited by node 1")
 	}
-	pd.lockRelease(c.nodes[0], holder)
+	pd.lockRelease(holder)
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "applies its batch") {
 			t.Fatalf("a send from inside the batch: recovered %v, want the barrier's panic", r)
@@ -854,4 +880,69 @@ func TestPDESNoSendDuringBatch(t *testing.T) {
 	}()
 	window()
 	t.Fatal("the barrier applied a batch whose dispatch sent a message")
+}
+
+// TestPDESReusedRecordReleaseFirst: under global locking a transaction
+// commits, and its release message, which carries the record, is still in
+// flight when the next arrival reuses the record. The release must land
+// before the new attempt's first request and release only the old
+// attempt's locks, and a waiter on an old lock is granted at the
+// release's arrival.
+func TestPDESReusedRecordReleaseFirst(t *testing.T) {
+	c, window, busy := quietPDES(t, 3)
+	pd := c.net.(*pdesState)
+	n1, n2 := c.nodes[1], c.nodes[2]
+	part := &c.cfg.Base.Partitions[0]
+	old := workload.Access{Partition: 0, Object: 0, Write: true}
+	fresh := workload.Access{Partition: 0, Object: 5000, Write: true}
+	gOld := cc.Granule{Partition: 0, ID: part.PageOf(old.Object)}
+	gNew := cc.Granule{Partition: 0, ID: part.PageOf(fresh.Object)}
+	if gOld == gNew {
+		t.Fatal("the two accesses share a page")
+	}
+
+	// Node 1's transaction a writes the old page. When it commits, the next
+	// arrival b takes a's record at once and writes the fresh page, then
+	// the old one.
+	var b *txRun
+	commitAt := sim.Time(-1)
+	a := n1.newTx(workload.Tx{Accesses: []workload.Access{old}}, func() {
+		commitAt = n1.s.Now()
+		b = n1.newTx(workload.Tx{Accesses: []workload.Access{fresh, old}}, nil)
+		n1.s.Schedule(0, b.begin)
+	})
+	n1.s.Schedule(0, a.begin)
+	// Node 2's transaction w queues on the old page behind a; its grant
+	// only records when it lands.
+	w := n2.getTx()
+	grantAt := sim.Time(-1)
+	w.granted = func() { grantAt = n2.s.Now() }
+	for i := 0; a.state != txFixed; i++ {
+		if i == 10_000 {
+			t.Fatal("a never locked the old page")
+		}
+		window()
+	}
+	if c.glocks.Acquire(&w.Txn, gOld, cc.Write) != cc.Wait {
+		t.Fatal("w did not queue behind a")
+	}
+	for busy() {
+		window()
+	}
+
+	if b != a {
+		t.Fatal("the next arrival did not reuse the committed record")
+	}
+	if grantAt != commitAt+pd.lockDelay || grantAt >= b.start {
+		t.Fatalf("w granted at %v, b's first verdict at %v; want the release's arrival %v, before it",
+			grantAt, b.start, commitAt+pd.lockDelay)
+	}
+	// b holds the fresh page and waits for the old one behind w.
+	var probe cc.Txn
+	held := c.glocks.Acquire(&probe, gNew, cc.Read)
+	c.glocks.ReleaseAll(&probe)
+	if held != cc.Wait || b.i != 1 || b.waitStart <= grantAt {
+		t.Fatalf("b: a read of the fresh page reads %v, b's next access is %d, its wait began at %v; want Wait, 1 and after %v",
+			held, b.i, b.waitStart, grantAt)
+	}
 }

@@ -73,7 +73,7 @@ func TestTxRunFreelistRecycles(t *testing.T) {
 
 	cfg := dcConfig(t, 150)
 	cfg.WarmupMS, cfg.MeasureMS = 1000, 1000
-	c, err := newCluster(oneNode(cfg), false)
+	c, err := newCluster(oneNode(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +82,8 @@ func TestTxRunFreelistRecycles(t *testing.T) {
 	if e.freeTx == nil {
 		t.Fatal("no committed transaction record returned to the freelist")
 	}
-	if head := e.freeTx; head.txn != -1 || head.i != -1 || !head.dead {
-		t.Fatalf("freed txRun not poisoned: txn=%d i=%d dead=%v", head.txn, head.i, head.dead)
+	if head := e.freeTx; head.page != -1 || head.i != -1 || !head.dead {
+		t.Fatalf("freed txRun not poisoned: page=%d i=%d dead=%v", head.page, head.i, head.dead)
 	}
 	win := e.collect()
 	c.finish()

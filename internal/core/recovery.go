@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/cc"
 	"repro/internal/recovery"
 )
 
@@ -89,7 +87,7 @@ func MeasureRestart(cfg Config, rebootMS float64) (*Result, error) {
 	if rebootMS < 0 {
 		return nil, fmt.Errorf("core: rebootMS = %v", rebootMS)
 	}
-	c, err := newCluster(oneNode(cfg), true)
+	c, err := newCluster(oneNode(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -129,22 +127,16 @@ func (e *node) crashNow(rebootMS float64) {
 	}
 	e.estimateMS = e.estimateRestart()
 
-	// Kill in-flight transactions in txn-id order (map iteration order
-	// must not leak into lock-release order). Waiting continuations are
-	// dropped first so a release cannot resume a dead transaction.
-	e.waiting = make(map[cc.TxnID]func())
-	ids := make([]cc.TxnID, 0, len(e.active))
-	for id := range e.active {
-		ids = append(ids, id)
+	// Kill in-flight transactions in the order their attempts began. Every
+	// one is marked dead before any lock is released, so a grant a release
+	// fires to one of them wakes nothing (txRun.Wake).
+	for t := e.running.head; t != nil; t = t.nextRun {
+		t.dead = true
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		e.active[id].dead = true
+	for t := e.running.head; t != nil; t = t.nextRun {
+		t.releaseLocks()
 	}
-	for _, id := range ids {
-		e.releaseLocks(id)
-	}
-	e.active = make(map[cc.TxnID]*txRun)
+	e.running = txList{}
 
 	// Fresh MPL slots: the held and queued slots of dead transactions are
 	// abandoned with them (queued admissions are work lost in the crash).

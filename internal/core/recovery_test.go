@@ -202,7 +202,7 @@ func TestClusterFailureAvailability(t *testing.T) {
 // the crash snapshot's redo log runs from the completed one, and the node
 // still recovers.
 func TestCrashMidCheckpointFlush(t *testing.T) {
-	c, err := newCluster(failCluster(t, 1501), true)
+	c, err := newCluster(failCluster(t, 1501))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,5 +277,87 @@ func TestSingleNodeClusterCrashDropsArrivals(t *testing.T) {
 	}
 	if res.Cluster.Restart == nil || !res.Cluster.Restart.Recovered {
 		t.Fatalf("node never recovered: %+v", res.Cluster.Restart)
+	}
+}
+
+// TestCrashWakesNoKilledWaiter: node 0 crashes while two of its
+// transactions wait for page 0's lock, which a third holds. The crash's
+// releases grant the lock to each killed waiter in turn, and no grant may
+// wake one of them or credit its wait to the window: under local and
+// global locking, on both engines.
+func TestCrashWakesNoKilledWaiter(t *testing.T) {
+	// Three identical transactions each write page 0 first and then read
+	// 100 pages of their own, so whichever locks page 0 first holds it
+	// far past the crash at 600 ms while the other two wait.
+	long := func(base int64) workload.Tx {
+		tx := workload.Tx{Accesses: []workload.Access{access(0, true)}}
+		for j := int64(1); j <= 100; j++ {
+			tx.Accesses = append(tx.Accesses, access(base+j, false))
+		}
+		return tx
+	}
+	for _, global := range []bool{false, true} {
+		for _, pdes := range []bool{false, true} {
+			gen := &scriptGen{rate: 400, txs: []workload.Tx{long(1000), long(2000), long(3000)}}
+			base := scriptConfig(gen)
+			base.WarmupMS, base.MeasureMS = 100, 2000
+			cfg := ClusterConfig{
+				Base:        base,
+				NumNodes:    2,
+				Generators:  []workload.Generator{gen, &scriptGen{rate: 400}}, // node 1 idles
+				GlobalLocks: global,
+				Failure:     FailureConfig{Enabled: true, Node: 0, CrashAtMS: 500, RebootMS: 100},
+				PDES:        PDESConfig{Enabled: pdes, Workers: 1},
+			}
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			c, err := newCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := c.nodes[0]
+			// At the crash instant, before the crash, wrap each in-flight
+			// record's waiter and grant continuation to count the grants
+			// the manager makes to it and the wake events that reach it.
+			var recs []*txRun
+			grants, killedWakes := 0, 0
+			n.s.Schedule(600, func() {
+				for r := n.running.head; r != nil; r = r.nextRun {
+					recs = append(recs, r)
+					resume := r.granted
+					r.granted = func() {
+						if r.dead {
+							killedWakes++
+						}
+						resume()
+					}
+					r.Waiter = wakeFunc(func() {
+						grants++
+						r.Wake()
+					})
+				}
+			})
+			c.runPhases()
+			c.finish()
+
+			waiters := 0
+			for _, r := range recs {
+				if !r.dead {
+					t.Fatalf("global %v, PDES %v: an in-flight record survived the crash", global, pdes)
+				}
+				if r.i == 0 && r.waitStart > 0 {
+					waiters++
+				}
+			}
+			if len(recs) != 3 || waiters != 2 || grants != 2 {
+				t.Fatalf("global %v, PDES %v: %d records in flight at the crash, %d of them waiting, %d grants to them; want 3, 2 and 2",
+					global, pdes, len(recs), waiters, grants)
+			}
+			if killedWakes != 0 || n.win.lockWaitSum != 0 {
+				t.Fatalf("global %v, PDES %v: %d wake events reached killed waiters, %v ms of lock wait credited",
+					global, pdes, killedWakes, n.win.lockWaitSum)
+			}
+		}
 	}
 }

@@ -53,39 +53,38 @@ func (f *Figure) Render() string {
 	for _, s := range f.Series {
 		headers = append(headers, s.Label)
 	}
-	widths := make([]int, len(headers))
-	for i, h := range headers {
-		widths[i] = len(h)
-	}
-	rows := make([][]string, len(f.X))
+	rows := make([][]string, 1, len(f.X)+1)
+	rows[0] = headers
 	for r := range f.X {
 		row := make([]string, len(headers))
 		row[0] = trimNum(f.X[r])
 		for c, s := range f.Series {
 			row[c+1] = cellText(s.Points[r], s.CI, r, "%.2f")
 		}
-		for c, cell := range row {
-			if len(cell) > widths[c] {
-				widths[c] = len(cell)
-			}
-		}
-		rows[r] = row
+		rows = append(rows, row)
 	}
+	writeGrid(&b, rows)
+	return b.String()
+}
 
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
+// writeGrid writes rows, the header first, right-aligned in columns as wide
+// as their widest cell in bytes and separated by two spaces.
+func writeGrid(b *strings.Builder, rows [][]string) {
+	widths := make([]int, len(rows[0]))
+	for _, row := range rows {
+		for c, cell := range row {
+			widths[c] = max(widths[c], len(cell))
+		}
+	}
+	for _, row := range rows {
+		for c, cell := range row {
+			if c > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%*s", widths[i], cell)
+			fmt.Fprintf(b, "%*s", widths[c], cell)
 		}
 		b.WriteByte('\n')
 	}
-	writeRow(headers)
-	for _, row := range rows {
-		writeRow(row)
-	}
-	return b.String()
 }
 
 // cellText formats one cell, appending "±ci" when the series carries
@@ -148,14 +147,10 @@ func (t *Table) SetCI(row, col int, v, ci float64) {
 func (t *Table) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", t.Title)
-	headers := append([]string{t.Corner}, t.Columns...)
-	widths := make([]int, len(headers))
-	for i, h := range headers {
-		widths[i] = len(h)
-	}
-	body := make([][]string, len(t.RowLbls))
+	rows := make([][]string, 1, len(t.RowLbls)+1)
+	rows[0] = append([]string{t.Corner}, t.Columns...)
 	for r, lbl := range t.RowLbls {
-		row := make([]string, len(headers))
+		row := make([]string, len(t.Columns)+1)
 		row[0] = lbl
 		for c := range t.Columns {
 			var rowCI []float64
@@ -164,25 +159,8 @@ func (t *Table) Render() string {
 			}
 			row[c+1] = cellText(t.Cells[r][c], rowCI, c, "%.1f")
 		}
-		for c, cell := range row {
-			if len(cell) > widths[c] {
-				widths[c] = len(cell)
-			}
-		}
-		body[r] = row
+		rows = append(rows, row)
 	}
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%*s", widths[i], cell)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(headers)
-	for _, row := range body {
-		writeRow(row)
-	}
+	writeGrid(&b, rows)
 	return b.String()
 }
