@@ -1,16 +1,12 @@
 package core
 
-import (
-	"sort"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // This file is the engine's run controller. A simulation is no longer a
-// hard-coded warmup→measure pair of kernel runs: it is a sorted schedule
-// of phase boundaries, each advancing the kernel to a timestamp and then
-// performing a transition (open the measurement window, inject a node
-// crash, ...). Crash/restart is just one more boundary plus the kernel
+// hard-coded warmup→measure pair of kernel runs: it is a time-ordered
+// schedule of phase boundaries, each advancing the kernel to a timestamp
+// and then performing a transition (open the measurement window, inject a
+// node crash, ...). Crash/restart is just one more boundary plus the kernel
 // events it schedules, and each node tracks its own lifecycle phase
 // (running → crashed → recovering → rejoined-as-running) independently
 // of the cluster-wide schedule.
@@ -48,17 +44,17 @@ type phaseStep struct {
 
 // phases builds the run schedule: the measurement-window snapshot at the
 // end of warm-up, an optional crash injection inside the window, and the
-// end-of-run boundary. Steps are sorted by time (stable, so equal-time
-// steps keep their declaration order).
+// end-of-run boundary. The steps are declared in time order:
+// FailureConfig.validate keeps CrashAtMS strictly inside (0, MeasureMS),
+// and rounding the sums can at most make neighbouring instants equal,
+// where the declared order is the one to keep.
 func (c *cluster) phases() []phaseStep {
 	warmup, failure := c.cfg.Base.WarmupMS, &c.cfg.Failure
 	steps := []phaseStep{{at: warmup, run: c.openWindow}}
 	if failure.Enabled {
 		steps = append(steps, phaseStep{at: warmup + failure.CrashAtMS, run: c.injectCrash})
 	}
-	steps = append(steps, phaseStep{at: warmup + c.cfg.Base.MeasureMS})
-	sort.SliceStable(steps, func(i, j int) bool { return steps[i].at < steps[j].at })
-	return steps
+	return append(steps, phaseStep{at: warmup + c.cfg.Base.MeasureMS})
 }
 
 // runPhases executes the schedule on the interconnect: every event up to

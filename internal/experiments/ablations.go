@@ -180,10 +180,9 @@ func AblationClustering(o Options) (string, error) {
 		}
 		cfg.CCModes[gen.HistoryPartition()] = cc.NoCC
 		cfg.DiskUnits = diskUnits(12, 96, 2, 8)
-		cfg.Buffer = buffer.Config{BufferSize: 2000, Logging: true,
-			Log: buffer.LogAlloc{DiskUnit: 1}}
-		for range cfg.Partitions {
-			cfg.Buffer.Partitions = append(cfg.Buffer.Partitions, buffer.PartitionAlloc{DiskUnit: 0})
+		cfg.Buffer = buffer.Config{BufferSize: 2000, Logging: true}
+		if err := place(&cfg, DBSpec{Kind: DBRegular}, LogSpec{Kind: LogDisk}); err != nil {
+			return nil, err
 		}
 		res, err := core.Run(cfg)
 		if err != nil {

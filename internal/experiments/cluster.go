@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/buffer"
@@ -114,37 +115,21 @@ func (s ClusterSetup) Build(o Options) (core.ClusterConfig, error) {
 		base.CCModes = []cc.Granularity{cc.PageLevel, cc.PageLevel, cc.NoCC}
 	}
 
-	mm := s.MMBuffer
-	if mm == 0 {
-		mm = 2000 / s.Nodes // fixed aggregate main memory across the sweep
+	base.DiskUnits = diskUnits(cmp.Or(s.DBControllers, 12), cmp.Or(s.DBDisks, 96),
+		cmp.Or(s.LogControllers, 2), cmp.Or(s.LogDisks, 8))
+	// 2000/N frames per node: fixed aggregate main memory across the sweep.
+	base.Buffer = buffer.Config{BufferSize: cmp.Or(s.MMBuffer, 2000/s.Nodes), Logging: true}
+	base.Buffer.CheckpointIntervalMS = s.CheckpointMS
+	db := DBSpec{Kind: DBRegular}
+	log := LogSpec{Kind: LogDisk}
+	if nvem := max(s.SharedNVEM, s.PrivateNVEM); nvem > 0 {
+		// The NVEM is the cluster's log store as well.
+		db = DBSpec{Kind: DBNVEMCache, Size: nvem}
+		log = LogSpec{Kind: LogNVEM}
 	}
-	part := buffer.PartitionAlloc{DiskUnit: 0}
-	bufCfg := buffer.Config{BufferSize: mm, Logging: true}
-	logAlloc := buffer.LogAlloc{DiskUnit: 1}
-	switch {
-	case s.SharedNVEM > 0:
-		part.NVEMCache = true
-		part.NVEMCacheMode = buffer.MigrateAll
-		bufCfg.NVEMCacheSize = s.SharedNVEM
-		// The global NVEM is the cluster's log store as well.
-		logAlloc = buffer.LogAlloc{NVEMResident: true}
-	case s.PrivateNVEM > 0:
-		part.NVEMCache = true
-		part.NVEMCacheMode = buffer.MigrateAll
-		bufCfg.NVEMCacheSize = s.PrivateNVEM
-		logAlloc = buffer.LogAlloc{NVEMResident: true}
+	if err := place(&base, db, log); err != nil {
+		return core.ClusterConfig{}, err
 	}
-	parts := make([]buffer.PartitionAlloc, len(base.Partitions))
-	for i := range parts {
-		parts[i] = part
-	}
-	bufCfg.Partitions = parts
-	bufCfg.Log = logAlloc
-	bufCfg.CheckpointIntervalMS = s.CheckpointMS
-	base.Buffer = bufCfg
-
-	base.DiskUnits = diskUnits(orDefault(s.DBControllers, 12), orDefault(s.DBDisks, 96),
-		orDefault(s.LogControllers, 2), orDefault(s.LogDisks, 8))
 
 	cfg := core.ClusterConfig{
 		Base:              base,

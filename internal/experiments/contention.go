@@ -97,18 +97,23 @@ func (s ContentionSetup) Build(o Options) (core.Config, error) {
 		BufferSize: 2000,
 		Logging:    true,
 	}
+	db := DBSpec{Kind: DBRegular}
+	log := LogSpec{Kind: LogNVEM}
 	switch s.Alloc {
 	case ContDisk:
-		cfg.Buffer.Partitions = []buffer.PartitionAlloc{{DiskUnit: 0}, {DiskUnit: 0}}
-		cfg.Buffer.Log = buffer.LogAlloc{DiskUnit: 1}
+		log.Kind = LogDisk
 	case ContMixed:
-		cfg.Buffer.Partitions = []buffer.PartitionAlloc{{NVEMResident: true}, {DiskUnit: 0}}
-		cfg.Buffer.Log = buffer.LogAlloc{NVEMResident: true}
 	case ContNVEM:
-		cfg.Buffer.Partitions = []buffer.PartitionAlloc{{NVEMResident: true}, {NVEMResident: true}}
-		cfg.Buffer.Log = buffer.LogAlloc{NVEMResident: true}
+		db.Kind = DBNVEMResident
 	default:
 		return core.Config{}, fmt.Errorf("experiments: unknown contention allocation %d", s.Alloc)
+	}
+	if err := place(&cfg, db, log); err != nil {
+		return core.Config{}, err
+	}
+	if s.Alloc == ContMixed {
+		// The small high-contention partition alone is NVEM-resident.
+		cfg.Buffer.Partitions[0].NVEMResident = true
 	}
 	return cfg, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
@@ -8,7 +9,6 @@ import (
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/stats"
-	"repro/internal/storage"
 	"repro/internal/trace"
 )
 
@@ -71,56 +71,28 @@ func (s TraceSetup) Build(o Options) (core.Config, error) {
 		cfg.CCModes[i] = cc.PageLevel
 	}
 
+	// Section 4.6 replays the trace on the placements of Figs 4.6 and 4.7
+	// only: no write-buffer-only disk cache, MM residence or NVEM write
+	// buffer for the database, and no SSD or NVEM write buffer for the log.
+	switch {
+	case s.DB.Kind == DBDiskCacheWB || s.DB.Kind == DBMMResident || s.DB.Kind == DBNVEMWB:
+		return core.Config{}, fmt.Errorf("experiments: trace DB kind %d unsupported", s.DB.Kind)
+	case s.Log.Kind == LogSSD || s.Log.Kind == LogNVEMWB:
+		return core.Config{}, fmt.Errorf("experiments: trace log kind %d unsupported", s.Log.Kind)
+	}
+	// Figs 4.6 and 4.7 size an unsized second level at 2000 frames.
+	s.DB.Size = cmp.Or(s.DB.Size, 2000)
 	if s.Log.Disks == 0 {
 		s.Log.Disks = 4
 	}
 	cfg.DiskUnits = diskUnits(12, 96, 2, s.Log.Disks)
-	dbUnit, logUnit := &cfg.DiskUnits[0], &cfg.DiskUnits[1]
-	part := buffer.PartitionAlloc{DiskUnit: 0}
-	bufCfg := buffer.Config{
+	cfg.Buffer = buffer.Config{
 		BufferSize: s.MMBuffer,
 		Logging:    true,
 	}
-	switch s.DB.Kind {
-	case DBRegular:
-	case DBVolCache:
-		dbUnit.Type = storage.VolatileCache
-		dbUnit.CacheSize = orDefault(s.DB.Size, 2000)
-	case DBNVCache:
-		dbUnit.Type = storage.NVCache
-		dbUnit.CacheSize = orDefault(s.DB.Size, 2000)
-	case DBSSD:
-		dbUnit.Type = storage.SSD
-		dbUnit.NumDisks = 0
-		dbUnit.DiskDelay = 0
-	case DBNVEMResident:
-		part = buffer.PartitionAlloc{NVEMResident: true}
-	case DBNVEMCache:
-		part.NVEMCache = true
-		part.NVEMCacheMode = buffer.MigrateAll
-		bufCfg.NVEMCacheSize = orDefault(s.DB.Size, 2000)
-	default:
-		return core.Config{}, fmt.Errorf("experiments: trace DB kind %d unsupported", s.DB.Kind)
+	if err := place(&cfg, s.DB, s.Log); err != nil {
+		return core.Config{}, err
 	}
-	for range cfg.Partitions {
-		bufCfg.Partitions = append(bufCfg.Partitions, part)
-	}
-
-	switch s.Log.Kind {
-	case LogDisk:
-		bufCfg.Log = buffer.LogAlloc{DiskUnit: 1}
-	case LogDiskWB:
-		logUnit.Type = storage.NVCache
-		logUnit.CacheSize = orDefault(s.Log.Size, 500)
-		logUnit.WriteBufferOnly = true
-		bufCfg.Log = buffer.LogAlloc{DiskUnit: 1}
-	case LogNVEM:
-		bufCfg.Log = buffer.LogAlloc{NVEMResident: true}
-	default:
-		return core.Config{}, fmt.Errorf("experiments: trace log kind %d unsupported", s.Log.Kind)
-	}
-
-	cfg.Buffer = bufCfg
 	return cfg, nil
 }
 

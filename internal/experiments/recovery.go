@@ -41,49 +41,26 @@ func (s RecoverySetup) Run(o Options) (*core.Result, error) {
 	return core.MeasureRestart(cfg, s.RebootMS)
 }
 
+// restartMetric maps a run to one field of its restart report, 0 when the
+// run measured no restart.
+func restartMetric(field func(*core.RestartReport) float64) func(*core.Result) float64 {
+	return func(r *core.Result) float64 {
+		if r.Restart == nil {
+			return 0
+		}
+		return field(r.Restart)
+	}
+}
+
 // Restart metrics.
-
-func restartMS(r *core.Result) float64 {
-	if r.Restart == nil {
-		return 0
-	}
-	return r.Restart.RestartMS
-}
-
-func logScanMS(r *core.Result) float64 {
-	if r.Restart == nil {
-		return 0
-	}
-	return r.Restart.LogScanMS
-}
-
-func redoMS(r *core.Result) float64 {
-	if r.Restart == nil {
-		return 0
-	}
-	return r.Restart.RedoMS
-}
-
-func restartEstimateMS(r *core.Result) float64 {
-	if r.Restart == nil {
-		return 0
-	}
-	return r.Restart.EstimateMS
-}
-
-func restartLogPages(r *core.Result) float64 {
-	if r.Restart == nil {
-		return 0
-	}
-	return float64(r.Restart.Snapshot.LogPages)
-}
-
-func restartRedoPages(r *core.Result) float64 {
-	if r.Restart == nil {
-		return 0
-	}
-	return float64(r.Restart.Snapshot.RedoPages)
-}
+var (
+	restartMS         = restartMetric(func(r *core.RestartReport) float64 { return r.RestartMS })
+	logScanMS         = restartMetric(func(r *core.RestartReport) float64 { return r.LogScanMS })
+	redoMS            = restartMetric(func(r *core.RestartReport) float64 { return r.RedoMS })
+	restartEstimateMS = restartMetric(func(r *core.RestartReport) float64 { return r.EstimateMS })
+	restartLogPages   = restartMetric(func(r *core.RestartReport) float64 { return float64(r.Snapshot.LogPages) })
+	restartRedoPages  = restartMetric(func(r *core.RestartReport) float64 { return float64(r.Snapshot.RedoPages) })
+)
 
 // RecoveryRestart measures restart time after a crash for the log and
 // database placements of Fig 3.2: the redo log scan is device-bound, so

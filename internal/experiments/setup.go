@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/buffer"
@@ -144,6 +145,70 @@ func diskUnits(dbCtrl, dbDisks, logCtrl, logDisks int) []storage.DiskUnitConfig 
 	}
 }
 
+// place lays db and log out on cfg's diskUnits farm: it sets the units'
+// types and cache sizes, one allocation per partition and the log's.
+// Unsized caches and NVEM write buffers get 1000 frames, write-buffer-only
+// disk caches 500; a log behind the NVEM write buffer shares the database's.
+func place(cfg *core.Config, db DBSpec, log LogSpec) error {
+	dbUnit, logUnit := &cfg.DiskUnits[0], &cfg.DiskUnits[1]
+	part := buffer.PartitionAlloc{DiskUnit: 0}
+	switch db.Kind {
+	case DBRegular:
+	case DBDiskCacheWB:
+		dbUnit.Type = storage.NVCache
+		dbUnit.CacheSize = cmp.Or(db.Size, 500)
+		dbUnit.WriteBufferOnly = true
+	case DBVolCache:
+		dbUnit.Type = storage.VolatileCache
+		dbUnit.CacheSize = cmp.Or(db.Size, 1000)
+	case DBNVCache:
+		dbUnit.Type = storage.NVCache
+		dbUnit.CacheSize = cmp.Or(db.Size, 1000)
+	case DBSSD:
+		dbUnit.Type = storage.SSD
+		dbUnit.NumDisks = 0
+		dbUnit.DiskDelay = 0
+	case DBNVEMResident:
+		part = buffer.PartitionAlloc{NVEMResident: true}
+	case DBMMResident:
+		part = buffer.PartitionAlloc{MMResident: true}
+	case DBNVEMWB:
+		part.NVEMWriteBuffer = true
+		cfg.Buffer.NVEMWriteBufferSize = cmp.Or(db.Size, 1000)
+	case DBNVEMCache:
+		part.NVEMCache = true
+		part.NVEMCacheMode = buffer.MigrateAll
+		cfg.Buffer.NVEMCacheSize = cmp.Or(db.Size, 1000)
+	default:
+		return fmt.Errorf("experiments: unknown DB kind %d", db.Kind)
+	}
+	cfg.Buffer.Partitions = make([]buffer.PartitionAlloc, len(cfg.Partitions))
+	for i := range cfg.Buffer.Partitions {
+		cfg.Buffer.Partitions[i] = part
+	}
+
+	cfg.Buffer.Log = buffer.LogAlloc{DiskUnit: 1}
+	switch log.Kind {
+	case LogDisk:
+	case LogDiskWB:
+		logUnit.Type = storage.NVCache
+		logUnit.CacheSize = cmp.Or(log.Size, 500)
+		logUnit.WriteBufferOnly = true
+	case LogSSD:
+		logUnit.Type = storage.SSD
+		logUnit.NumDisks = 0
+		logUnit.DiskDelay = 0
+	case LogNVEM:
+		cfg.Buffer.Log = buffer.LogAlloc{NVEMResident: true}
+	case LogNVEMWB:
+		cfg.Buffer.Log.NVEMWriteBuffer = true
+		cfg.Buffer.NVEMWriteBufferSize = cmp.Or(cfg.Buffer.NVEMWriteBufferSize, 1000)
+	default:
+		return fmt.Errorf("experiments: unknown log kind %d", log.Kind)
+	}
+	return nil
+}
+
 // runBuilt executes a configuration a single-node setup's Build returned.
 func runBuilt(cfg core.Config, err error) (*core.Result, error) {
 	if err != nil {
@@ -177,80 +242,16 @@ func (s DCSetup) Build(o Options) (core.Config, error) {
 	}
 
 	cfg.DiskUnits = diskUnits(12, 96, 2, s.Log.Disks)
-	dbUnit, logUnit := &cfg.DiskUnits[0], &cfg.DiskUnits[1]
-	part := buffer.PartitionAlloc{DiskUnit: 0}
-	bufCfg := buffer.Config{
+	cfg.Buffer = buffer.Config{
 		BufferSize: s.MMBuffer,
 		Force:      s.Force,
 		Logging:    true,
 	}
-
-	switch s.DB.Kind {
-	case DBRegular:
-	case DBDiskCacheWB:
-		dbUnit.Type = storage.NVCache
-		dbUnit.CacheSize = orDefault(s.DB.Size, 500)
-		dbUnit.WriteBufferOnly = true
-	case DBVolCache:
-		dbUnit.Type = storage.VolatileCache
-		dbUnit.CacheSize = orDefault(s.DB.Size, 1000)
-	case DBNVCache:
-		dbUnit.Type = storage.NVCache
-		dbUnit.CacheSize = orDefault(s.DB.Size, 1000)
-	case DBSSD:
-		dbUnit.Type = storage.SSD
-		dbUnit.NumDisks = 0
-		dbUnit.DiskDelay = 0
-	case DBNVEMResident:
-		part = buffer.PartitionAlloc{NVEMResident: true}
-	case DBMMResident:
-		part = buffer.PartitionAlloc{MMResident: true}
-	case DBNVEMWB:
-		part.NVEMWriteBuffer = true
-		bufCfg.NVEMWriteBufferSize = orDefault(s.DB.Size, 1000)
-	case DBNVEMCache:
-		part.NVEMCache = true
-		part.NVEMCacheMode = buffer.MigrateAll
-		bufCfg.NVEMCacheSize = orDefault(s.DB.Size, 1000)
-	default:
-		return core.Config{}, fmt.Errorf("experiments: unknown DB kind %d", s.DB.Kind)
+	if err := place(&cfg, s.DB, s.Log); err != nil {
+		return core.Config{}, err
 	}
-	bufCfg.Partitions = []buffer.PartitionAlloc{part, part, part}
-
-	switch s.Log.Kind {
-	case LogDisk:
-	case LogDiskWB:
-		logUnit.Type = storage.NVCache
-		logUnit.CacheSize = orDefault(s.Log.Size, 500)
-		logUnit.WriteBufferOnly = true
-	case LogSSD:
-		logUnit.Type = storage.SSD
-		logUnit.NumDisks = 0
-		logUnit.DiskDelay = 0
-	case LogNVEM:
-		bufCfg.Log = buffer.LogAlloc{NVEMResident: true}
-	case LogNVEMWB:
-		bufCfg.Log = buffer.LogAlloc{DiskUnit: 1, NVEMWriteBuffer: true}
-		if bufCfg.NVEMWriteBufferSize == 0 {
-			bufCfg.NVEMWriteBufferSize = 1000
-		}
-	default:
-		return core.Config{}, fmt.Errorf("experiments: unknown log kind %d", s.Log.Kind)
-	}
-	if s.Log.Kind != LogNVEM && s.Log.Kind != LogNVEMWB {
-		bufCfg.Log = buffer.LogAlloc{DiskUnit: 1}
-	}
-
-	cfg.Buffer = bufCfg
 	return cfg, nil
 }
 
 // Run builds and executes the setup.
 func (s DCSetup) Run(o Options) (*core.Result, error) { return runBuilt(s.Build(o)) }
-
-func orDefault(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
-}

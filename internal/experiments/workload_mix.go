@@ -148,8 +148,9 @@ func (s MixSetup) Build(o Options) (core.Config, error) {
 	cfg.Buffer = buffer.Config{
 		BufferSize: 2000,
 		Logging:    true,
-		Partitions: []buffer.PartitionAlloc{{DiskUnit: 0}, {DiskUnit: 0}},
-		Log:        buffer.LogAlloc{DiskUnit: 1},
+	}
+	if err := place(&cfg, DBSpec{Kind: DBRegular}, LogSpec{Kind: LogDisk}); err != nil {
+		return core.Config{}, err
 	}
 	return cfg, nil
 }
