@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding"
 	"fmt"
 	"math"
 	"os"
@@ -11,22 +12,84 @@ import (
 	tpsim "repro"
 )
 
+// TestExampleConfigLoadsAndRuns: every -example config loads and, with
+// its windows cut to 500/1500 ms, commits on every node. Offsets into the
+// measurement window (a spike, a crash) shrink with it.
 func TestExampleConfigLoadsAndRuns(t *testing.T) {
-	cfg, _, err := load(strings.NewReader(exampleConfig))
-	if err != nil {
-		t.Fatal(err)
+	for _, ex := range examples {
+		t.Run(ex.name, func(t *testing.T) {
+			cfg, cluster, err := load(strings.NewReader(ex.json))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cluster != nil {
+				cfg = cluster.Base
+			}
+			f := 1500 / cfg.MeasureMS
+			cfg.WarmupMS, cfg.MeasureMS = 500, 1500
+			cfg.Arrival.SpikeAtMS *= f
+			cfg.Arrival.SpikeDurMS *= f
+			if cluster == nil {
+				res, err := tpsim.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Commits == 0 {
+					t.Fatal("no commits")
+				}
+				return
+			}
+			cluster.Base = cfg
+			cluster.Failure.CrashAtMS *= f
+			res, err := tpsim.RunCluster(*cluster)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range res.Nodes {
+				if n.Commits == 0 {
+					t.Errorf("node %d: no commits", i)
+				}
+			}
+		})
 	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
+}
+
+// TestEnumNamesRoundTrip: each enum the file names decodes from the
+// String() name of every value, from zero up to the first that prints the
+// "Type(n)" fallback, and rejects "" and an unknown name.
+func TestEnumNamesRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		check func(*testing.T)
+	}{
+		{"Granularity", roundTrip[tpsim.Granularity]},
+		{"DiskUnitType", roundTrip[tpsim.DiskUnitType]},
+		{"MigrateMode", roundTrip[tpsim.MigrateMode]},
+		{"AccessKind", roundTrip[tpsim.AccessKind]},
+		{"ArrivalKind", roundTrip[tpsim.ArrivalKind]},
+	} {
+		t.Run(tc.name, tc.check)
 	}
-	cfg.WarmupMS = 500
-	cfg.MeasureMS = 1500
-	res, err := tpsim.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+}
+
+func roundTrip[E interface {
+	~uint8 | ~int
+	fmt.Stringer
+}, P interface {
+	*E
+	encoding.TextUnmarshaler
+}](t *testing.T) {
+	for v := E(0); !strings.HasSuffix(v.String(), fmt.Sprintf("(%d)", int(v))); v++ {
+		var got E
+		if err := P(&got).UnmarshalText([]byte(v.String())); err != nil || got != v {
+			t.Errorf("%q decodes to %v, %v; want %v", v.String(), got, err, v)
+		}
 	}
-	if res.Commits == 0 {
-		t.Fatal("no commits")
+	for _, name := range []string{"", "bogus"} {
+		var got E
+		if err := P(&got).UnmarshalText([]byte(name)); err == nil {
+			t.Errorf("%q decodes to %v; want an error", name, got)
+		}
 	}
 }
 
@@ -94,6 +157,16 @@ func TestSyntheticWorkloadFromJSON(t *testing.T) {
 	_, rate := cfg.Generator.TypeInfo(0)
 	if rate != 50 {
 		t.Fatalf("rate = %v", rate)
+	}
+
+	// A partition's access kind is written by name, as in workload.access.
+	skewed := strings.Replace(in, `"BlockFactor": 10}`, `"BlockFactor": 10, "Access": {"Kind": "zipf", "Theta": 0.8}}`, 1)
+	cfg, _, err = load(strings.NewReader(skewed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := cfg.Partitions[0].Access; a.Kind != tpsim.AccessZipf || a.Theta != 0.8 {
+		t.Fatalf("partition access = %+v", a)
 	}
 }
 

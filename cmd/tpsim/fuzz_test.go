@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -13,10 +14,12 @@ import (
 // would exhaust memory. It skips inputs that name a trace file, which load
 // would open whatever path it names, and clusters of more than 64 nodes,
 // for which load builds one generator per node before any validation.
+// Its seeds are the pinned inputs that name no trace file.
 func FuzzConfig(f *testing.F) {
-	for _, c := range []string{exampleConfig, exampleClusterConfig, exampleWorkloadConfig,
-		exampleClosedLoopConfig, exampleSkewConfig} {
-		f.Add([]byte(c))
+	for _, in := range pinInputs() {
+		if !strings.Contains(in.json, "traceFile") {
+			f.Add([]byte(in.json))
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decode as load does; a failed decode may have set fields too.

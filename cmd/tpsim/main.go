@@ -10,10 +10,11 @@
 //	tpsim -example-closedloop # print an example closed-loop terminals configuration
 //	tpsim -example-skew       # print an example skewed multi-class configuration
 //
-// The JSON schema mirrors the engine configuration: CM parameters (Table
-// 3.3 of the paper), disk units (Table 3.4), buffer-manager allocation
-// (Fig 3.2, including the fuzzy-checkpoint interval) and a workload
-// selector (debitcredit / trace / synthetic / classes). A
+// The file decodes straight into the engine's configuration types, whose
+// json tags name its keys: CM parameters (Table 3.3 of the paper), disk
+// units (Table 3.4), buffer-manager allocation (Fig 3.2, including the
+// fuzzy-checkpoint interval), plus a workload selector (debitcredit /
+// trace / synthetic / classes). Every enum is written by its name. A
 // "workload.arrival" section swaps the arrival process (poisson / mmpp /
 // diurnal / spike / closedloop / replay); a "workload.access" section
 // skews the object draws (uniform / zipf / hotspot). Workload kind

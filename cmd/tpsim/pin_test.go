@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,6 +14,18 @@ import (
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/config_pin.txt")
+
+// input is a named configuration file.
+type input struct{ name, json string }
+
+// examples are the configs the -example flags print.
+var examples = []input{
+	{"example", exampleConfig},
+	{"example-cluster", exampleClusterConfig},
+	{"example-workload", exampleWorkloadConfig},
+	{"example-closedloop", exampleClosedLoopConfig},
+	{"example-skew", exampleSkewConfig},
+}
 
 // Fragments of the pinned inputs: a one-unit disk farm and a Debit-Credit
 // buffer over it.
@@ -39,14 +52,8 @@ const pinTrace = "TPSIM-TRACE 1\nFILES 1\nFILE 0 100\nTYPES 2\nTYPE 0 upd\nTYPE 
 // pinInputs returns the configuration files TestConfigPin pins: the five
 // -example configs, the inline configs of the load tests, and the schema's
 // edge cases. An input naming $TRACE replays pinTrace.
-func pinInputs() []struct{ name, json string } {
-	in := []struct{ name, json string }{
-		{"example", exampleConfig},
-		{"example-cluster", exampleClusterConfig},
-		{"example-workload", exampleWorkloadConfig},
-		{"example-closedloop", exampleClosedLoopConfig},
-		{"example-skew", exampleSkewConfig},
-
+func pinInputs() []input {
+	in := append(slices.Clone(examples), []input{
 		{"unknown key", `{"bogus": 1}`},
 		{"bad cc mode", `{` + pinDC + `,"ccModes":["zebra"],` + pinRest + `}`},
 		{"bad unit type", `{` + pinDC + `,"diskUnits":[{"name":"d","type":"floppy","numControllers":1,"contrDelayMS":1,"numDisks":1,"diskDelayMS":15}],"buffer":{"bufferSize":100,"partitions":[{},{},{}],"log":{}}}`},
@@ -154,14 +161,14 @@ func pinInputs() []struct{ name, json string } {
 		{"unknown buffer key asyncReplacement", `{` + pinDC + `,"diskUnits":[` + pinUnit + `],"buffer":{"bufferSize":100,"asyncReplacement":true,"partitions":[{},{},{}],"log":{}}}`},
 		{"unknown cluster key base", `{` + pinDC + `,` + pinRest + `,"cluster":{"numNodes":2,"base":{}}}`},
 		{"unknown failure key enabled", `{` + pinDC + `,` + pinRest + `,"cluster":{"numNodes":2,"failure":{"enabled":false,"crashAtMS":100}}}`},
-	}
+	}...)
 	for _, field := range []string{"mpl", "numCPU", "mips", "instrBOT", "instrOR", "instrEOT", "instrIO",
 		"instrNVEM", "warmupMS", "measureMS", "nvemServers", "nvemDelayMS"} {
-		in = append(in, struct{ name, json string }{"negative " + field,
+		in = append(in, input{"negative " + field,
 			fmt.Sprintf(`{"%s":-1,%s,%s}`, field, pinDC, pinRest)})
 	}
 	for _, field := range []string{"branches", "accounts"} {
-		in = append(in, struct{ name, json string }{"negative workload." + field,
+		in = append(in, input{"negative workload." + field,
 			fmt.Sprintf(`{"workload":{"kind":"debitcredit","rate":10,"%s":-5},%s}`, field, pinRest)})
 	}
 	return in

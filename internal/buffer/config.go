@@ -28,29 +28,40 @@ func (m MigrateMode) String() string {
 	}
 }
 
+// UnmarshalText sets m to the migration mode whose String() is text.
+func (m *MigrateMode) UnmarshalText(text []byte) error {
+	for v := range MigrateUnmodified + 1 {
+		if v.String() == string(text) {
+			*m = v
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown nvemCacheMode %q", text)
+}
+
 // PartitionAlloc places one database partition in the storage hierarchy
 // (the 17 possibilities of Fig 3.2): main-memory resident, NVEM resident, or
 // on a disk-unit — optionally with an NVEM second-level cache and/or an NVEM
 // write buffer in front of the disk-unit.
 type PartitionAlloc struct {
-	MMResident   bool
-	NVEMResident bool
+	MMResident   bool `json:"mmResident"`
+	NVEMResident bool `json:"nvemResident"`
 	// DiskUnit indexes the engine's disk-unit list when the partition is
 	// neither MM- nor NVEM-resident.
-	DiskUnit int
+	DiskUnit int `json:"diskUnit"`
 	// SyncAccess selects synchronous device access for this partition
 	// (parameter AccessMode of Table 3.3): the CPU stays busy until the
 	// read or write completes instead of being released for the I/O.
-	SyncAccess bool
+	SyncAccess bool `json:"syncAccess"`
 
 	// NVEMCache caches this partition's pages in the NVEM second-level
 	// buffer when they are replaced from main memory.
-	NVEMCache bool
+	NVEMCache bool `json:"nvemCache"`
 	// NVEMCacheMode selects which replaced pages migrate.
-	NVEMCacheMode MigrateMode
+	NVEMCacheMode MigrateMode `json:"nvemCacheMode"`
 	// NVEMWriteBuffer routes this partition's page writes through the NVEM
 	// write buffer (asynchronous disk update).
-	NVEMWriteBuffer bool
+	NVEMWriteBuffer bool `json:"nvemWriteBuffer"`
 }
 
 // Validate checks a single partition allocation.
@@ -77,9 +88,9 @@ func (a *PartitionAlloc) Validate(name string, numUnits int) error {
 // disk-unit (SSD, disk with write-buffer cache, plain disk), optionally
 // through the NVEM write buffer.
 type LogAlloc struct {
-	NVEMResident    bool
-	DiskUnit        int
-	NVEMWriteBuffer bool
+	NVEMResident    bool `json:"nvemResident"`
+	DiskUnit        int  `json:"diskUnit"`
+	NVEMWriteBuffer bool `json:"nvemWriteBuffer"`
 }
 
 // Validate checks the log allocation.
@@ -96,51 +107,51 @@ func (a *LogAlloc) Validate(numUnits int) error {
 // Config parameterizes the buffer manager (the BM rows of Table 3.3).
 type Config struct {
 	// BufferSize is the main-memory database buffer size in page frames.
-	BufferSize int
+	BufferSize int `json:"bufferSize"`
 	// Force selects the FORCE update strategy (all pages modified by a
 	// transaction written to non-volatile storage at commit); false is
 	// NOFORCE with fuzzy checkpointing (no extra commit writes).
-	Force bool
+	Force bool `json:"force"`
 	// Logging disables the commit log write when false.
-	Logging bool
+	Logging bool `json:"logging"`
 
 	// GroupCommit batches the log writes of concurrently committing
 	// transactions into one log I/O (the optimization footnote 3 notes the
 	// paper's base model omits — and which section 4.2 argues NV memory
 	// makes unnecessary). Committers wait up to GroupCommitWaitMS for the
 	// group's shared write.
-	GroupCommit       bool
-	GroupCommitWaitMS float64
+	GroupCommit       bool    `json:"-"`
+	GroupCommitWaitMS float64 `json:"-"`
 
 	// AsyncReplacement writes dirty victim pages to disk asynchronously
 	// instead of stalling the replacing transaction (the "more
 	// sophisticated buffer manager" of section 4.3). Without NV memory this
 	// recovers most of the write-buffer benefit in software.
-	AsyncReplacement bool
+	AsyncReplacement bool `json:"-"`
 
 	// CheckpointIntervalMS, when positive, runs the fuzzy-checkpoint
 	// daemon: every interval the dirty main-memory frames are flushed
 	// asynchronously and a checkpoint record is logged, bounding the redo
 	// log a restart must scan (section 3.2: NOFORCE "in combination with
 	// fuzzy checkpoints"). Requires Logging.
-	CheckpointIntervalMS float64
+	CheckpointIntervalMS float64 `json:"checkpointIntervalMS"`
 
 	// NVEMDeferredDestage defers the disk update of modified pages in the
 	// NVEM cache until they are evicted from NVEM, saving disk writes for
 	// pages modified repeatedly (the alternative propagation policy
 	// discussed in section 3.2). The eviction then pays an extra NVEM→MM
 	// transfer before the asynchronous disk write.
-	NVEMDeferredDestage bool
+	NVEMDeferredDestage bool `json:"-"`
 
 	// NVEMCacheSize is the NVEM second-level buffer size in frames (0 when
 	// no partition uses NVEM caching).
-	NVEMCacheSize int
+	NVEMCacheSize int `json:"nvemCacheSize"`
 	// NVEMWriteBufferSize bounds pages buffered in the NVEM write buffer
 	// awaiting their asynchronous disk write (0 when unused).
-	NVEMWriteBufferSize int
+	NVEMWriteBufferSize int `json:"nvemWriteBufferSize"`
 
-	Partitions []PartitionAlloc
-	Log        LogAlloc
+	Partitions []PartitionAlloc `json:"partitions"`
+	Log        LogAlloc         `json:"log"`
 }
 
 // Validate checks the configuration against the number of configured

@@ -60,6 +60,17 @@ func (g Granularity) String() string {
 	}
 }
 
+// UnmarshalText sets g to the granularity whose String() is text.
+func (g *Granularity) UnmarshalText(text []byte) error {
+	for v := range ObjectLevel + 1 {
+		if v.String() == string(text) {
+			*g = v
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown cc mode %q", text)
+}
+
 // Granule identifies a lockable unit: a page or an object of a partition.
 type Granule struct {
 	Partition int

@@ -35,10 +35,10 @@ const DefaultAdmissionQueueFactor = 1.0
 // transactions — the survivors keep serving their own load at normal
 // response times instead of dragging everyone into the backlog.
 type AdmissionConfig struct {
-	Enabled bool
+	Enabled bool `json:"-"`
 	// QueueFactor is the shedding threshold in multiples of the target
 	// node's MPL. Zero means DefaultAdmissionQueueFactor.
-	QueueFactor float64
+	QueueFactor float64 `json:"queueFactor"`
 }
 
 // validate checks the admission description.
@@ -58,20 +58,20 @@ type ClusterConfig struct {
 	// window settings apply to every node; its DiskUnits and NVEM
 	// parameters describe the storage shared by all nodes. Base.Generator
 	// is ignored — Generators supplies the per-node arrival streams.
-	Base Config
+	Base Config `json:"-"`
 
-	NumNodes int
+	NumNodes int `json:"numNodes"`
 
 	// Generators holds one workload generator per node. Generators are
 	// stateful, so nodes must not share an instance.
-	Generators []workload.Generator
+	Generators []workload.Generator `json:"-"`
 
 	// SharedNVEMCache shares a single NVEM second-level cache of
 	// Base.Buffer.NVEMCacheSize frames across all nodes: a page destaged
 	// by one node is hittable by every other, with write-invalidate
 	// coherence. When false each node gets a private cache (or none when
 	// the buffer configuration uses no NVEM cache).
-	SharedNVEMCache bool
+	SharedNVEMCache bool `json:"sharedNVEMCache"`
 
 	// NVEMAccessDelayMS is the modeled interconnect latency of one
 	// shared-NVEM-cache access (probe, insert, dirty hand-off). The
@@ -81,7 +81,7 @@ type ClusterConfig struct {
 	// many milliseconds later, and the barrier lookahead becomes
 	// min(LockMsgDelayMS, NVEMAccessDelayMS). PDES + SharedNVEMCache is
 	// therefore rejected unless this is positive.
-	NVEMAccessDelayMS float64
+	NVEMAccessDelayMS float64 `json:"nvemAccessDelayMS"`
 
 	// GlobalLocks routes every lock request through one cluster-wide lock
 	// manager. Each request costs InstrLockMsg instructions of message
@@ -89,33 +89,33 @@ type ClusterConfig struct {
 	// trip; releases cost one more message. Zero values take the
 	// defaults. When false each node locks locally with no inter-node
 	// messages — an idealized lower bound used for overhead ablations.
-	GlobalLocks    bool
-	InstrLockMsg   float64
-	LockMsgDelayMS float64
+	GlobalLocks    bool    `json:"globalLocks"`
+	InstrLockMsg   float64 `json:"instrLockMsg"`
+	LockMsgDelayMS float64 `json:"lockMsgDelayMS"`
 
 	// Failure injects one node crash into the measurement window: the
 	// node's volatile state is lost, its arrivals reroute to the
 	// surviving nodes, and after RebootMS it replays its redo log and
 	// rejoins (recovery.go). The zero value disables injection.
-	Failure FailureConfig
+	Failure FailureConfig `json:"-"`
 
 	// Admission sheds rerouted arrivals above a survivor-capacity
 	// threshold while a node is down, instead of queueing them. The zero
 	// value queues everything (the pre-admission behaviour).
-	Admission AdmissionConfig
+	Admission AdmissionConfig `json:"-"`
 
 	// TimelineBucketMS, when positive, records cluster-wide commits per
 	// time bucket over the measurement window (Result.Timeline) — the
 	// availability experiments read the throughput dip and ramp-back
 	// around a crash from it.
-	TimelineBucketMS float64
+	TimelineBucketMS float64 `json:"timelineBucketMS"`
 
 	// PDES runs the cluster as a conservative parallel simulation: one
 	// kernel and private storage per node, cross-node events exchanged at
 	// lookahead barriers (pdes.go). Compatible with SharedNVEMCache only
 	// when NVEMAccessDelayMS is positive — instantaneous coherence has
 	// zero lookahead and cannot be parallelized conservatively.
-	PDES PDESConfig
+	PDES PDESConfig `json:"-"`
 }
 
 // Validate checks the cluster description.

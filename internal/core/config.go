@@ -16,49 +16,50 @@ import (
 
 // Config is the complete description of one simulation run: CM parameters
 // (Table 3.3), external device parameters (Table 3.4), buffer-manager
-// allocation (Fig 3.2) and the workload source.
+// allocation (Fig 3.2) and the workload source. The json tags are the keys
+// of cmd/tpsim's configuration file; a field tagged "-" has no key there.
 type Config struct {
-	Seed int64
+	Seed int64 `json:"seed"`
 
 	// --- transaction manager / CPU (Table 3.3) ---
-	MPL      int     // multiprogramming level (max concurrent transactions)
-	InstrBOT float64 // mean instructions at begin-of-transaction
-	InstrOR  float64 // mean instructions per object reference
-	InstrEOT float64 // mean instructions at end-of-transaction
-	NumCPU   int
-	MIPS     float64 // per CPU
-	InstrIO  float64 // mean instructions of CPU overhead per I/O
+	MPL      int     `json:"mpl"`      // multiprogramming level (max concurrent transactions)
+	InstrBOT float64 `json:"instrBOT"` // mean instructions at begin-of-transaction
+	InstrOR  float64 `json:"instrOR"`  // mean instructions per object reference
+	InstrEOT float64 `json:"instrEOT"` // mean instructions at end-of-transaction
+	NumCPU   int     `json:"numCPU"`
+	MIPS     float64 `json:"mips"`    // per CPU
+	InstrIO  float64 `json:"instrIO"` // mean instructions of CPU overhead per I/O
 	// InstrNVEM is the CPU cost per NVEM access; the transfer itself is
 	// synchronous (CPU held, section 2).
-	InstrNVEM float64
+	InstrNVEM float64 `json:"instrNVEM"`
 
 	// CCModes selects the lock granularity per database partition.
-	CCModes []cc.Granularity
+	CCModes []cc.Granularity `json:"ccModes"`
 
 	// --- buffer manager (Table 3.3) and allocation (Fig 3.2) ---
-	Buffer buffer.Config
+	Buffer buffer.Config `json:"buffer"`
 
 	// --- external devices (Table 3.4) ---
-	DiskUnits   []storage.DiskUnitConfig
-	NVEMServers int
-	NVEMDelay   float64 // ms per page transfer
+	DiskUnits   []storage.DiskUnitConfig `json:"diskUnits"`
+	NVEMServers int                      `json:"nvemServers"`
+	NVEMDelay   float64                  `json:"nvemDelayMS"` // ms per page transfer
 
 	// --- workload ---
-	Partitions []workload.Partition
-	Generator  workload.Generator
+	Partitions []workload.Partition `json:"-"`
+	Generator  workload.Generator   `json:"-"`
 	// Arrival selects the arrival process driving every transaction-type
 	// stream (Poisson, MMPP bursty, diurnal, spike). The zero value is the
 	// classic Poisson process of the paper's evaluation. Window-relative
 	// parameters (spike offsets) are anchored at the end of warm-up.
-	Arrival workload.ArrivalSpec
+	Arrival workload.ArrivalSpec `json:"-"`
 
 	// --- run control ---
-	WarmupMS  float64 // simulated warm-up excluded from measurements
-	MeasureMS float64 // measured window
+	WarmupMS  float64 `json:"warmupMS"`  // simulated warm-up excluded from measurements
+	MeasureMS float64 `json:"measureMS"` // measured window
 	// MaxQueue caps the transaction input queue; arrivals beyond it are
 	// dropped and the run flagged Saturated (an open system under overload
 	// would otherwise queue unboundedly).
-	MaxQueue int
+	MaxQueue int `json:"-"`
 }
 
 // Validate checks the configuration for consistency.

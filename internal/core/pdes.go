@@ -44,11 +44,11 @@ import (
 
 // PDESConfig switches a cluster run to the conservative parallel engine.
 type PDESConfig struct {
-	Enabled bool
+	Enabled bool `json:"-"`
 	// Workers caps the kernel-executing goroutines (0 = GOMAXPROCS,
 	// further capped by the node count). Results are identical for every
 	// value; 1 runs the windows inline.
-	Workers int
+	Workers int `json:"workers"`
 }
 
 // validate checks the parallel-engine description.

@@ -16,15 +16,15 @@ import (
 // FailureConfig injects one node crash into a cluster run. The zero
 // value disables failure injection.
 type FailureConfig struct {
-	Enabled bool
+	Enabled bool `json:"-"`
 	// Node is the index of the node to crash.
-	Node int
+	Node int `json:"node"`
 	// CrashAtMS is the crash instant as an offset into the measurement
 	// window (the crash must land inside it).
-	CrashAtMS float64
+	CrashAtMS float64 `json:"crashAtMS"`
 	// RebootMS is the failure-detection plus system-restart delay before
 	// redo recovery begins.
-	RebootMS float64
+	RebootMS float64 `json:"rebootMS"`
 }
 
 // validate checks the failure description against the cluster shape.

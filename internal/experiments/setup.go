@@ -101,7 +101,9 @@ const (
 type LogSpec struct {
 	Kind  LogKind
 	Disks int // log disk servers (1 reproduces the Fig 4.1 bottleneck)
-	Size  int // write-buffer frames for LogDiskWB
+	// Size is the write-buffer frames of LogDiskWB. A LogNVEMWB log shares
+	// the one NVEMWriteBufferSize with the database and takes no Size.
+	Size int
 }
 
 // DCSetup fully describes one Debit-Credit simulation point.
@@ -148,7 +150,8 @@ func diskUnits(dbCtrl, dbDisks, logCtrl, logDisks int) []storage.DiskUnitConfig 
 // place lays db and log out on cfg's diskUnits farm: it sets the units'
 // types and cache sizes, one allocation per partition and the log's.
 // Unsized caches and NVEM write buffers get 1000 frames, write-buffer-only
-// disk caches 500; a log behind the NVEM write buffer shares the database's.
+// disk caches 500; a log behind the NVEM write buffer shares the database's
+// and is not sized on its own.
 func place(cfg *core.Config, db DBSpec, log LogSpec) error {
 	dbUnit, logUnit := &cfg.DiskUnits[0], &cfg.DiskUnits[1]
 	part := buffer.PartitionAlloc{DiskUnit: 0}
@@ -201,6 +204,9 @@ func place(cfg *core.Config, db DBSpec, log LogSpec) error {
 	case LogNVEM:
 		cfg.Buffer.Log = buffer.LogAlloc{NVEMResident: true}
 	case LogNVEMWB:
+		if log.Size != 0 {
+			return fmt.Errorf("experiments: LogSpec.Size = %d: a log behind the NVEM write buffer shares its NVEMWriteBufferSize", log.Size)
+		}
 		cfg.Buffer.Log.NVEMWriteBuffer = true
 		cfg.Buffer.NVEMWriteBufferSize = cmp.Or(cfg.Buffer.NVEMWriteBufferSize, 1000)
 	default:

@@ -56,21 +56,32 @@ func (t DiskUnitType) String() string {
 	}
 }
 
+// UnmarshalText sets t to the disk-unit type whose String() is text.
+func (t *DiskUnitType) UnmarshalText(text []byte) error {
+	for v := range SSD + 1 {
+		if v.String() == string(text) {
+			*t = v
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown disk unit type %q", text)
+}
+
 // DiskUnitConfig are the per-disk-unit parameters of Table 3.4.
 type DiskUnitConfig struct {
-	Name           string
-	Type           DiskUnitType
-	NumControllers int     // disk controllers
-	ContrDelay     float64 // average controller service time per page (ms)
-	TransDelay     float64 // transmission time per page (ms), fixed
-	NumDisks       int     // disk servers (partition striped uniformly)
-	DiskDelay      float64 // average disk access time per page (ms)
-	CacheSize      int     // disk-cache / write-buffer frames (cache types)
+	Name           string       `json:"name"`
+	Type           DiskUnitType `json:"type"`
+	NumControllers int          `json:"numControllers"` // disk controllers
+	ContrDelay     float64      `json:"contrDelayMS"`   // average controller service time per page (ms)
+	TransDelay     float64      `json:"transDelayMS"`   // transmission time per page (ms), fixed
+	NumDisks       int          `json:"numDisks"`       // disk servers (partition striped uniformly)
+	DiskDelay      float64      `json:"diskDelayMS"`    // average disk access time per page (ms)
+	CacheSize      int          `json:"cacheSize"`      // disk-cache / write-buffer frames (cache types)
 
 	// WriteBufferOnly configures a non-volatile cache used solely for
 	// logging: no LRU read caching, the cache acts purely as a write buffer
 	// (section 3.3, log allocation).
-	WriteBufferOnly bool
+	WriteBufferOnly bool `json:"writeBufferOnly"`
 }
 
 // Validate checks the configuration.

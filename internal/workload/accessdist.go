@@ -58,20 +58,31 @@ func (k AccessKind) String() string {
 	}
 }
 
+// UnmarshalText sets k to the access kind whose String() is text.
+func (k *AccessKind) UnmarshalText(text []byte) error {
+	for v := range AccessHotSpot + 1 {
+		if v.String() == string(text) {
+			*k = v
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown access kind %q", text)
+}
+
 // AccessSpec describes an access distribution declaratively, so configs and
 // JSON files can carry it. The zero value is the uniform distribution.
 type AccessSpec struct {
-	Kind AccessKind
+	Kind AccessKind `json:"kind"`
 
 	// Zipf (Kind == AccessZipf): the skew exponent, in (0, 1). Higher
 	// Theta is more skewed; 0.8 is the conventional "80/20-ish" setting.
-	Theta float64
+	Theta float64 `json:"theta"`
 
 	// Hot-spot (Kind == AccessHotSpot): HotAccessFrac (p) of the accesses
 	// go to the first HotDataFrac (q) of the objects. Requires
 	// 0 < q < 1 and q <= p < 1 (p >= q keeps the hot set actually hot).
-	HotAccessFrac float64
-	HotDataFrac   float64
+	HotAccessFrac float64 `json:"hotAccessFrac"`
+	HotDataFrac   float64 `json:"hotDataFrac"`
 }
 
 // Validate checks the spec's parameters for its kind.

@@ -73,6 +73,17 @@ func (k ArrivalKind) String() string {
 	}
 }
 
+// UnmarshalText sets k to the arrival kind whose String() is text.
+func (k *ArrivalKind) UnmarshalText(text []byte) error {
+	for v := range ArrivalReplay + 1 {
+		if v.String() == string(text) {
+			*k = v
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown arrival kind %q", text)
+}
+
 // DefaultBurstMeanMS is the mean burst-state sojourn when an MMPP spec
 // leaves BurstMeanMS zero.
 const DefaultBurstMeanMS = 500.0
@@ -82,7 +93,7 @@ const DefaultBurstMeanMS = 500.0
 // stream's configured mean rate. The zero value is the plain Poisson
 // process, so existing configurations are untouched.
 type ArrivalSpec struct {
-	Kind ArrivalKind
+	Kind ArrivalKind `json:"kind"`
 
 	// MMPP (Kind == ArrivalMMPP). The burst state runs at BurstFactor ×
 	// the mean rate and covers BurstFrac of the time in the long run; the
@@ -90,39 +101,39 @@ type ArrivalSpec struct {
 	// which requires BurstFactor·BurstFrac < 1. BurstMeanMS is the mean
 	// burst sojourn (0 → DefaultBurstMeanMS); the base-state sojourn
 	// follows from BurstFrac.
-	BurstFactor float64
-	BurstFrac   float64
-	BurstMeanMS float64
+	BurstFactor float64 `json:"burstFactor"`
+	BurstFrac   float64 `json:"burstFrac"`
+	BurstMeanMS float64 `json:"burstMeanMS"`
 
 	// Diurnal (Kind == ArrivalDiurnal): rate(t) = mean · (1 + Amplitude ·
 	// sin(2π·(t-origin)/PeriodMS + PhaseRad)). Amplitude must stay below 1
 	// so the rate never reaches zero.
-	Amplitude float64
-	PeriodMS  float64
-	PhaseRad  float64
+	Amplitude float64 `json:"amplitude"`
+	PeriodMS  float64 `json:"periodMS"`
+	PhaseRad  float64 `json:"phaseRad"`
 
 	// Spike (Kind == ArrivalSpike): the rate is multiplied by SpikeFactor
 	// over [SpikeAtMS, SpikeAtMS+SpikeDurMS), both offsets into the
 	// measurement window (the same clock FailureConfig.CrashAtMS uses, so
 	// a spike is trivially aligned with a crash).
-	SpikeFactor float64
-	SpikeAtMS   float64
-	SpikeDurMS  float64
+	SpikeFactor float64 `json:"spikeFactor"`
+	SpikeAtMS   float64 `json:"spikeAtMS"`
+	SpikeDurMS  float64 `json:"spikeDurMS"`
 
 	// Closed loop (Kind == ArrivalClosedLoop): Terminals emulated users
 	// per arrival stream, each thinking for an exponential time with mean
 	// ThinkMS between its transactions. ThinkMS must be positive — a
 	// zero think time would let a terminal resubmit at the same simulated
 	// instant forever.
-	Terminals int
-	ThinkMS   float64
+	Terminals int     `json:"terminals"`
+	ThinkMS   float64 `json:"thinkMS"`
 
 	// Replay (Kind == ArrivalReplay): the rate is multiplied by
 	// RateMultipliers[i] over the i-th RateBucketMS-wide bucket past the
 	// origin, cycling once the timeline is exhausted. Multipliers should
 	// average 1 so the configured rate stays the long-run mean.
-	RateBucketMS    float64
-	RateMultipliers []float64
+	RateBucketMS    float64   `json:"rateBucketMS"`
+	RateMultipliers []float64 `json:"rateMultipliers"`
 }
 
 // Validate checks the spec's parameters for its kind.

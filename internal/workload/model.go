@@ -44,26 +44,26 @@ func (t *Tx) Update() bool {
 // b/c rule (section 3.1): SizeFrac of the objects receive AccessProb of the
 // partition's accesses, uniformly within the slice.
 type Subpartition struct {
-	SizeFrac   float64
-	AccessProb float64
+	SizeFrac   float64 `json:"SizeFrac"`
+	AccessProb float64 `json:"AccessProb"`
 }
 
 // Partition is a unit of the database: a file, relation, relation fragment
 // or index. It defines the reference distribution, the device allocation
 // unit, and the concurrency-control granule choice.
 type Partition struct {
-	Name        string
-	NumObjects  int64
-	BlockFactor int // objects per page
+	Name        string `json:"Name"`
+	NumObjects  int64  `json:"NumObjects"`
+	BlockFactor int    `json:"BlockFactor"` // objects per page
 	// Subpartitions implement the generalized b/c rule. Empty means uniform.
-	Subpartitions []Subpartition
+	Subpartitions []Subpartition `json:"Subpartitions"`
 	// Access is the object-draw distribution inside the partition (the zero
 	// value is uniform). Mutually exclusive with Subpartitions — the b/c
 	// rule already defines the skew.
-	Access AccessSpec
+	Access AccessSpec `json:"Access"`
 	// Sequential marks append-only partitions (e.g. Debit-Credit HISTORY):
 	// every access goes to the current end of file.
-	Sequential bool
+	Sequential bool `json:"Sequential"`
 }
 
 // NumPages returns the partition size in pages.
@@ -142,22 +142,22 @@ func BCRule(b, c float64) []Subpartition {
 
 // TxType describes one transaction type of the synthetic model (Table 3.1).
 type TxType struct {
-	Name        string
-	ArrivalRate float64 // transactions per second
-	TxSize      float64 // mean number of object accesses
-	WriteProb   float64 // probability each access is a write
-	Sequential  bool    // accesses restricted to one partition, consecutive objects
-	VarSize     bool    // exponential tx size over the mean, else fixed
+	Name        string  `json:"Name"`
+	ArrivalRate float64 `json:"ArrivalRate"` // transactions per second
+	TxSize      float64 `json:"TxSize"`      // mean number of object accesses
+	WriteProb   float64 `json:"WriteProb"`   // probability each access is a write
+	Sequential  bool    `json:"Sequential"`  // accesses restricted to one partition, consecutive objects
+	VarSize     bool    `json:"VarSize"`     // exponential tx size over the mean, else fixed
 	// RefRow is the transaction type's row of the relative reference matrix
 	// (Table 3.2): the fraction of this type's accesses directed at each
 	// partition. Must sum to 1 over the model's partitions.
-	RefRow []float64
+	RefRow []float64 `json:"RefRow"`
 }
 
 // Model is the complete synthetic database and load description.
 type Model struct {
-	Partitions []Partition
-	TxTypes    []TxType
+	Partitions []Partition `json:"Partitions"`
+	TxTypes    []TxType    `json:"TxTypes"`
 }
 
 // Validate checks the model: at least one partition and type, valid

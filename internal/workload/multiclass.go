@@ -21,15 +21,15 @@ const (
 
 // ClassSpec describes one transaction class of the standard mix.
 type ClassSpec struct {
-	Name      string
-	Rate      float64 // arrivals per second
-	Size      float64 // mean object accesses per transaction
-	WriteProb float64
+	Name      string  `json:"name"`
+	Rate      float64 `json:"rate"` // arrivals per second
+	Size      float64 `json:"size"` // mean object accesses per transaction
+	WriteProb float64 `json:"writeProb"`
 	// Sequential classes scan consecutive ORDERS objects (batch scans);
 	// random classes draw 70% CUSTOMER / 30% ORDERS.
-	Sequential bool
+	Sequential bool `json:"sequential"`
 	// VarSize draws the size exponentially around the mean.
-	VarSize bool
+	VarSize bool `json:"varSize"`
 }
 
 // ClassMixModel builds the standard two-partition multi-class model from
