@@ -97,6 +97,9 @@ func (fc *fileConfig) assembleCluster() (tpsim.Config, *tpsim.ClusterConfig, err
 	if cl.NumNodes <= 0 {
 		return tpsim.Config{}, nil, fmt.Errorf("cluster.numNodes = %d", cl.NumNodes)
 	}
+	if cl.NumNodes > tpsim.MaxNodes {
+		return tpsim.Config{}, nil, fmt.Errorf("cluster.numNodes = %d exceeds the cap of %d nodes", cl.NumNodes, tpsim.MaxNodes)
+	}
 	n := cl.NumNodes
 	per := *fc
 	per.Workload = fc.Workload.split(n)

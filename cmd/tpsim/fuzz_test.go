@@ -12,8 +12,10 @@ import (
 // fails with an error, never a panic. The target runs no simulation, since
 // the engine reserves its buffer frames up front and a fuzzed buffer size
 // would exhaust memory. It skips inputs that name a trace file, which load
-// would open whatever path it names, and clusters of more than 64 nodes,
-// for which load builds one generator per node before any validation.
+// would open whatever path it names, and clusters of more than 64 nodes:
+// load rejects a count above tpsim.MaxNodes before it builds anything, but
+// below the cap it builds one generator per node, which makes such an
+// input too slow for a fuzz run.
 // Its seeds are the pinned inputs that name no trace file.
 func FuzzConfig(f *testing.F) {
 	for _, in := range pinInputs() {

@@ -171,7 +171,10 @@ func pinInputs() []input {
 		in = append(in, input{"negative workload." + field,
 			fmt.Sprintf(`{"workload":{"kind":"debitcredit","rate":10,"%s":-5},%s}`, field, pinRest)})
 	}
-	return in
+	// Above tpsim.MaxNodes: load rejects it before it builds anything per
+	// node. It comes last so that every other input keeps its FuzzConfig
+	// seed number.
+	return append(in, input{"cluster too many nodes", `{` + pinDC + `,` + pinRest + `,"cluster":{"numNodes":1000000000}}`})
 }
 
 // TestConfigPin pins what load makes of every input of pinInputs, in

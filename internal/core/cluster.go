@@ -21,6 +21,12 @@ const (
 	DefaultLockMsgDelayMS = 0.1
 )
 
+// MaxNodes caps ClusterConfig.NumNodes at 16 times the largest cluster
+// the experiments run (256 nodes). A cluster needs a generator and a
+// buffer manager for every node, so the cap lets a caller reject a node
+// count before it builds anything per node.
+const MaxNodes = 4096
+
 // DefaultAdmissionQueueFactor is the survivor-capacity threshold of the
 // admission controller when AdmissionConfig.QueueFactor is zero: a rerouted
 // arrival is shed once the target's input queue holds one full MPL batch.
@@ -122,6 +128,9 @@ type ClusterConfig struct {
 func (c *ClusterConfig) Validate() error {
 	if c.NumNodes <= 0 {
 		return fmt.Errorf("core: cluster NumNodes = %d", c.NumNodes)
+	}
+	if c.NumNodes > MaxNodes {
+		return fmt.Errorf("core: cluster NumNodes = %d exceeds MaxNodes = %d", c.NumNodes, MaxNodes)
 	}
 	if len(c.Generators) != c.NumNodes {
 		return fmt.Errorf("core: %d generators for %d nodes", len(c.Generators), c.NumNodes)

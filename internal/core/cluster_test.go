@@ -52,6 +52,10 @@ func TestClusterValidate(t *testing.T) {
 	if _, err := RunCluster(bad); err == nil {
 		t.Fatal("NumNodes = 0 must error")
 	}
+	bad.NumNodes = MaxNodes + 1
+	if _, err := RunCluster(bad); err == nil {
+		t.Fatal("NumNodes above MaxNodes must error")
+	}
 	bad = cfg
 	bad.Generators = bad.Generators[:1]
 	if _, err := RunCluster(bad); err == nil {

@@ -33,9 +33,10 @@ func AblationGroupCommit(o Options) (*stats.Figure, error) {
 		}},
 		{"log-nvem-no-group-commit", nil}, // built from the NVEM log scheme
 	}
-	cells, err := sweep(o, len(variants), len(fig.X), func(si, xi int, o Options) (*core.Result, error) {
-		v, rate := variants[si], fig.X[xi]
-		setup := DCSetup{Rate: rate, DB: DBSpec{Kind: DBRegular},
+	labels := labelsOf(len(variants), func(i int) string { return variants[i].label })
+	cells, err := sweep(o, labels, fig.X, func(si, xi int, o Options) (*core.Result, error) {
+		v := variants[si]
+		setup := DCSetup{Rate: fig.X[xi], DB: DBSpec{Kind: DBRegular},
 			Log: LogSpec{Kind: LogDisk, Disks: 1}}
 		if v.mut == nil {
 			setup.Log = LogSpec{Kind: LogNVEM}
@@ -47,19 +48,12 @@ func AblationGroupCommit(o Options) (*stats.Figure, error) {
 		if v.mut != nil {
 			v.mut(&cfg)
 		}
-		res, err := core.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("ablation group-commit %s @%v: %w", v.label, rate, err)
-		}
-		return res, nil
+		return core.Run(cfg)
 	})
 	if err != nil {
 		return nil, err
 	}
-	labels := labelsOf(len(variants), func(i int) string { return variants[i].label })
-	if err := plot(fig, labels, cells, respMean); err != nil {
-		return nil, err
-	}
+	plot(fig, labels, cells, respMean)
 	return fig, nil
 }
 
@@ -84,26 +78,20 @@ func AblationAsyncReplacement(o Options) (*stats.Figure, error) {
 		{"disk-async-replacement", DBSpec{Kind: DBRegular}, LogSpec{Kind: LogDisk}, true},
 		{"disk-cache-write-buffer", DBSpec{Kind: DBDiskCacheWB, Size: 500}, LogSpec{Kind: LogDiskWB, Size: 500}, false},
 	}
-	cells, err := sweep(o, len(variants), len(fig.X), func(si, xi int, o Options) (*core.Result, error) {
-		v, rate := variants[si], fig.X[xi]
-		cfg, err := DCSetup{Rate: rate, DB: v.db, Log: v.log}.Build(o)
+	labels := labelsOf(len(variants), func(i int) string { return variants[i].label })
+	cells, err := sweep(o, labels, fig.X, func(si, xi int, o Options) (*core.Result, error) {
+		v := variants[si]
+		cfg, err := DCSetup{Rate: fig.X[xi], DB: v.db, Log: v.log}.Build(o)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Buffer.AsyncReplacement = v.async
-		res, err := core.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("ablation async-replacement %s @%v: %w", v.label, rate, err)
-		}
-		return res, nil
+		return core.Run(cfg)
 	})
 	if err != nil {
 		return nil, err
 	}
-	labels := labelsOf(len(variants), func(i int) string { return variants[i].label })
-	if err := plot(fig, labels, cells, respMean); err != nil {
-		return nil, err
-	}
+	plot(fig, labels, cells, respMean)
 	return fig, nil
 }
 
@@ -118,7 +106,7 @@ func AblationMigrationModes(o Options) (*stats.Figure, error) {
 		X:      []float64{0, 1, 2},
 	}
 	modes := []buffer.MigrateMode{buffer.MigrateAll, buffer.MigrateModified, buffer.MigrateUnmodified}
-	cells, err := sweep(o, 1, len(modes), func(_, xi int, o Options) (*core.Result, error) {
+	cells, err := sweep(o, []string{"migration-mode"}, fig.X, func(_, xi int, o Options) (*core.Result, error) {
 		cfg, err := TraceSetup{MMBuffer: 1000,
 			DB: DBSpec{Kind: DBNVEMCache, Size: 2000}, Log: LogSpec{Kind: LogNVEM}}.Build(o)
 		if err != nil {
@@ -127,21 +115,13 @@ func AblationMigrationModes(o Options) (*stats.Figure, error) {
 		for i := range cfg.Buffer.Partitions {
 			cfg.Buffer.Partitions[i].NVEMCacheMode = modes[xi]
 		}
-		res, err := core.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("ablation migration mode %v: %w", modes[xi], err)
-		}
-		return res, nil
+		return core.Run(cfg)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := addSeries(fig, "nvem-add-hit-pct", cells[0], nvemAddHitPct); err != nil {
-		return nil, err
-	}
-	if err := addSeries(fig, "resp-ms", cells[0], respMean); err != nil {
-		return nil, err
-	}
+	addSeries(fig, "nvem-add-hit-pct", cells[0], nvemAddHitPct)
+	addSeries(fig, "resp-ms", cells[0], respMean)
 	return fig, nil
 }
 
@@ -162,11 +142,10 @@ func lockConflicts(r *core.Result) float64 { return float64(r.Locks.Conflicts) }
 // and (under page-level CC) reduces data contention.
 func AblationClustering(o Options) (string, error) {
 	out := "Ablation A5: BRANCH/TELLER clustering (Debit-Credit, 500 TPS, disk-based)\n"
-	variants := []bool{true, false}
-	cells, err := sweep(o, len(variants), 1, func(vi, _ int, o Options) (*core.Result, error) {
-		clustered := variants[vi]
+	labels := []string{"clustered", "unclustered"}
+	cells, err := sweep(o, labels, nil, func(vi, _ int, o Options) (*core.Result, error) {
 		dcc := workload.DefaultDebitCreditConfig(500)
-		dcc.ClusterBranchTeller = clustered
+		dcc.ClusterBranchTeller = labels[vi] == "clustered"
 		gen, err := workload.NewDebitCredit(dcc)
 		if err != nil {
 			return nil, err
@@ -184,20 +163,12 @@ func AblationClustering(o Options) (string, error) {
 		if err := place(&cfg, DBSpec{Kind: DBRegular}, LogSpec{Kind: LogDisk}); err != nil {
 			return nil, err
 		}
-		res, err := core.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("ablation clustering=%v: %w", clustered, err)
-		}
-		return res, nil
+		return core.Run(cfg)
 	})
 	if err != nil {
 		return "", err
 	}
-	for vi, clustered := range variants {
-		label := "clustered"
-		if !clustered {
-			label = "unclustered"
-		}
+	for vi, label := range labels {
 		c := cells[vi][0]
 		out += fmt.Sprintf("  %-11s resp=%s ms  fixes/tx=%s  mmHit=%s%%  lock conflicts=%s\n",
 			label, c.fmtMeanCI("%6.2f", respMean), c.fmtMeanCI("%.2f", fixesPerTx),
@@ -214,28 +185,20 @@ func AblationClustering(o Options) (string, error) {
 // destage saves disk writes (the section 3.2 discussion).
 func AblationDestagePolicy(o Options) (string, error) {
 	out := "Ablation A4: NVEM destage policy under FORCE (Debit-Credit, 500 TPS, NVEM cache 1000)\n"
-	variants := []bool{false, true}
-	cells, err := sweep(o, len(variants), 1, func(vi, _ int, o Options) (*core.Result, error) {
+	policies := []string{"immediate", "deferred"}
+	cells, err := sweep(o, policies, nil, func(vi, _ int, o Options) (*core.Result, error) {
 		cfg, err := DCSetup{Rate: 500, Force: true, MMBuffer: 2000,
 			DB: DBSpec{Kind: DBNVEMCache, Size: 1000}, Log: LogSpec{Kind: LogNVEM}}.Build(o)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Buffer.NVEMDeferredDestage = variants[vi]
-		res, err := core.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("ablation destage deferred=%v: %w", variants[vi], err)
-		}
-		return res, nil
+		cfg.Buffer.NVEMDeferredDestage = policies[vi] == "deferred"
+		return core.Run(cfg)
 	})
 	if err != nil {
 		return "", err
 	}
-	for vi, deferred := range variants {
-		policy := "immediate"
-		if deferred {
-			policy = "deferred"
-		}
+	for vi, policy := range policies {
 		c := cells[vi][0]
 		out += fmt.Sprintf("  %-9s resp=%s ms  async disk writes=%s  evict destages=%s  disk writes=%s\n",
 			policy, c.fmtMeanCI("%6.2f", respMean),

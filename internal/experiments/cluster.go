@@ -34,8 +34,7 @@ type ClusterSetup struct {
 
 	// Recovery / availability knobs (the recovery.* experiments).
 	CheckpointMS     float64 // fuzzy-checkpoint interval (0: no daemon)
-	CrashAtMS        float64 // crash CrashNode this far into the window (0: no crash)
-	CrashNode        int
+	CrashAtMS        float64 // crash node 0 this far into the window (0: no crash)
 	RebootMS         float64
 	TimelineBucketMS float64 // record cluster commits per bucket
 
@@ -148,7 +147,6 @@ func (s ClusterSetup) Build(o Options) (core.ClusterConfig, error) {
 	if s.CrashAtMS > 0 {
 		cfg.Failure = core.FailureConfig{
 			Enabled:   true,
-			Node:      s.CrashNode,
 			CrashAtMS: s.CrashAtMS,
 			RebootMS:  s.RebootMS,
 		}
@@ -203,29 +201,19 @@ func ClusterScaleout(o Options) (*stats.Figure, *stats.Figure, error) {
 		{"shared-nvem", 2000},
 		{"disk-only", 0},
 	}
-	cells, err := sweep(o, len(schemes), len(resp.X), func(si, xi int, o Options) (*core.Result, error) {
-		sc, nodes := schemes[si], int(resp.X[xi])
-		res, err := ClusterSetup{Nodes: nodes, AggregateRate: 400,
-			SharedNVEM: sc.shared, GlobalLocks: true}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("cluster.scaleout %s @%d: %w", sc.label, nodes, err)
-		}
-		return res, nil
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	cells, err := sweep(o, labels, resp.X, func(si, xi int, o Options) (*core.Result, error) {
+		return ClusterSetup{Nodes: int(resp.X[xi]), AggregateRate: 400,
+			SharedNVEM: schemes[si].shared, GlobalLocks: true}.Run(o)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	for si, sc := range schemes {
-		if err := addSeries(resp, sc.label, cells[si], respMean); err != nil {
-			return nil, nil, err
-		}
-		if err := addSeries(hits, sc.label+":mm", cells[si], mmHitPct); err != nil {
-			return nil, nil, err
-		}
+	for si, label := range labels {
+		addSeries(resp, label, cells[si], respMean)
+		addSeries(hits, label+":mm", cells[si], mmHitPct)
 	}
-	if err := addSeries(hits, "shared-nvem:nvem", cells[0], nvemAddHitPct); err != nil {
-		return nil, nil, err
-	}
+	addSeries(hits, "shared-nvem:nvem", cells[0], nvemAddHitPct)
 	return resp, hits, nil
 }
 
@@ -267,27 +255,19 @@ func ClusterScaleout64(o Options) (*stats.Figure, *stats.Figure, error) {
 		{"private-nvem", 500},
 		{"disk-only", 0},
 	}
-	cells, err := sweep(o, len(schemes), len(resp.X), func(si, xi int, o Options) (*core.Result, error) {
-		sc, nodes := schemes[si], int(resp.X[xi])
-		res, err := ClusterSetup{Nodes: nodes, AggregateRate: 50 * float64(nodes),
-			MMBuffer: 500, PrivateNVEM: sc.private, GlobalLocks: true,
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	cells, err := sweep(o, labels, resp.X, func(si, xi int, o Options) (*core.Result, error) {
+		nodes := int(resp.X[xi])
+		return ClusterSetup{Nodes: nodes, AggregateRate: 50 * float64(nodes),
+			MMBuffer: 500, PrivateNVEM: schemes[si].private, GlobalLocks: true,
 			PDES:          true,
 			DBControllers: 2, DBDisks: 12, LogControllers: 1, LogDisks: 2}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("cluster.scaleout64 %s @%d: %w", sc.label, nodes, err)
-		}
-		return res, nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
-	if err := plot(resp, labels, cells, respMean); err != nil {
-		return nil, nil, err
-	}
-	if err := plot(tput, labels, cells, throughput); err != nil {
-		return nil, nil, err
-	}
+	plot(resp, labels, cells, respMean)
+	plot(tput, labels, cells, throughput)
 	return resp, tput, nil
 }
 
@@ -328,28 +308,20 @@ func ClusterScaleout256(o Options) (*stats.Figure, *stats.Figure, error) {
 		{"shared-nvem", 2000, 0},
 		{"private-nvem", 0, 500},
 	}
-	cells, err := sweep(o, len(schemes), len(resp.X), func(si, xi int, o Options) (*core.Result, error) {
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	cells, err := sweep(o, labels, resp.X, func(si, xi int, o Options) (*core.Result, error) {
 		sc, nodes := schemes[si], int(resp.X[xi])
-		res, err := ClusterSetup{Nodes: nodes, AggregateRate: 50 * float64(nodes),
+		return ClusterSetup{Nodes: nodes, AggregateRate: 50 * float64(nodes),
 			MMBuffer: 500, SharedNVEM: sc.shared, PrivateNVEM: sc.private,
 			GlobalLocks: true, PDES: true,
 			NVEMAccessDelayMS: 0.15, WindowScale: 0.2,
 			DBControllers: 2, DBDisks: 12, LogControllers: 1, LogDisks: 2}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("cluster.scaleout256 %s @%d: %w", sc.label, nodes, err)
-		}
-		return res, nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
-	if err := plot(resp, labels, cells, respMean); err != nil {
-		return nil, nil, err
-	}
-	if err := plot(tput, labels, cells, throughput); err != nil {
-		return nil, nil, err
-	}
+	plot(resp, labels, cells, respMean)
+	plot(tput, labels, cells, throughput)
 	return resp, tput, nil
 }
 
@@ -373,22 +345,16 @@ func ClusterAllocation(o Options) (*stats.Figure, error) {
 		{"private-nvem-caches", 0, 2000 / nodes},
 		{"disk-only", 0, 0},
 	}
-	cells, err := sweep(o, len(schemes), len(fig.X), func(si, xi int, o Options) (*core.Result, error) {
-		sc, rate := schemes[si], fig.X[xi]
-		res, err := ClusterSetup{Nodes: nodes, AggregateRate: rate,
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	cells, err := sweep(o, labels, fig.X, func(si, xi int, o Options) (*core.Result, error) {
+		sc := schemes[si]
+		return ClusterSetup{Nodes: nodes, AggregateRate: fig.X[xi],
 			SharedNVEM: sc.shared, PrivateNVEM: sc.private, GlobalLocks: true}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("cluster.allocation %s @%v: %w", sc.label, rate, err)
-		}
-		return res, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
-	if err := plot(fig, labels, cells, respMean); err != nil {
-		return nil, err
-	}
+	plot(fig, labels, cells, respMean)
 	return fig, nil
 }
 
@@ -427,27 +393,19 @@ func ClusterLocking(o Options) (*stats.Figure, *stats.Figure, error) {
 		{"global:page-locks", true, cc.PageLevel},
 		{"global:object-locks", true, cc.ObjectLevel},
 	}
-	cells, err := sweep(o, len(schemes), len(resp.X), func(si, xi int, o Options) (*core.Result, error) {
-		sc, rate := schemes[si], resp.X[xi]
-		res, err := ClusterSetup{Nodes: 2, AggregateRate: rate,
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	cells, err := sweep(o, labels, resp.X, func(si, xi int, o Options) (*core.Result, error) {
+		sc := schemes[si]
+		return ClusterSetup{Nodes: 2, AggregateRate: resp.X[xi],
 			GlobalLocks: sc.global, Contention: true, Granularity: sc.gran}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("cluster.locking %s @%v: %w", sc.label, rate, err)
-		}
-		return res, nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	for si, sc := range schemes {
-		if err := addSeries(resp, sc.label, cells[si], respMean); err != nil {
-			return nil, nil, err
-		}
-		if !sc.global {
-			continue
-		}
-		if err := addSeries(msgs, sc.label, cells[si], lockMsgsPerTx); err != nil {
-			return nil, nil, err
+		addSeries(resp, sc.label, cells[si], respMean)
+		if sc.global {
+			addSeries(msgs, sc.label, cells[si], lockMsgsPerTx)
 		}
 	}
 	return resp, msgs, nil

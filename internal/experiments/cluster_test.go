@@ -58,7 +58,7 @@ func TestGridJobsRunPDESOnOneWorker(t *testing.T) {
 		{2, 3, 3},
 	} {
 		got := make([]int, 2)
-		_, err := sweep(Options{Quick: true, Parallelism: tc.parallelism}, 1, 2,
+		_, err := sweep(Options{Quick: true, Parallelism: tc.parallelism}, []string{"pdes"}, []float64{1, 2},
 			func(_, col int, o Options) (*core.Result, error) {
 				cfg, err := ClusterSetup{Nodes: 2, AggregateRate: 100, GlobalLocks: true,
 					PDES: true, PDESWorkers: tc.workers}.Build(o)

@@ -144,20 +144,14 @@ func Fig48(o Options) (*stats.Figure, error) {
 		{"mixed:object-locks", ContMixed, cc.ObjectLevel},
 		{"nvem:page-locks", ContNVEM, cc.PageLevel},
 	}
-	cells, err := sweep(o, len(schemes), len(fig.X), func(si, xi int, o Options) (*core.Result, error) {
-		sc, rate := schemes[si], fig.X[xi]
-		res, err := ContentionSetup{Rate: rate, Alloc: sc.alloc, Granularity: sc.gran}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("fig4.8 %s @%v: %w", sc.label, rate, err)
-		}
-		return res, nil
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	cells, err := sweep(o, labels, fig.X, func(si, xi int, o Options) (*core.Result, error) {
+		sc := schemes[si]
+		return ContentionSetup{Rate: fig.X[xi], Alloc: sc.alloc, Granularity: sc.gran}.Run(o)
 	})
 	if err != nil {
 		return nil, err
 	}
-	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
-	if err := plot(fig, labels, cells, respMean); err != nil {
-		return nil, err
-	}
+	plot(fig, labels, cells, respMean)
 	return fig, nil
 }

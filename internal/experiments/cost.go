@@ -33,13 +33,9 @@ func Table21(o Options) (string, error) {
 
 	b.WriteString(fmt.Sprintf("Cost-effectiveness of the Fig 4.2 allocation schemes (Debit-Credit, %.0f TPS):\n\n", rate))
 	schemes := dbSchemes42()
-	cells, err := sweep(o, len(schemes), 1, func(si, _ int, o Options) (*core.Result, error) {
+	cells, err := sweep(o, dcLabels(schemes), nil, func(si, _ int, o Options) (*core.Result, error) {
 		sc := schemes[si]
-		res, err := DCSetup{Rate: rate, DB: sc.db, Log: sc.log}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("table2.1 %s: %w", sc.label, err)
-		}
-		return res, nil
+		return DCSetup{Rate: rate, DB: sc.db, Log: sc.log}.Run(o)
 	})
 	if err != nil {
 		return "", err
@@ -94,12 +90,9 @@ const downtimeCostPerMin = 10_000.0
 // restart time is the outage.
 func downtimeCost(o Options, b *strings.Builder) error {
 	schemes := availSchemes()
-	cells, err := sweep(o, len(schemes), 1, func(si, _ int, o Options) (*core.Result, error) {
-		res, err := availSetup(schemes[si], 0).Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("table2.1 downtime %s: %w", schemes[si].label, err)
-		}
-		return res, nil
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	cells, err := sweep(o, labels, nil, func(si, _ int, o Options) (*core.Result, error) {
+		return availSetup(schemes[si], 0).Run(o)
 	})
 	if err != nil {
 		return err

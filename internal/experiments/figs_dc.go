@@ -39,21 +39,14 @@ func Fig41(o Options) (*stats.Figure, error) {
 		{"log-ssd", LogSpec{Kind: LogSSD}},
 		{"log-nvem", LogSpec{Kind: LogNVEM}},
 	}
-	cells, err := sweep(o, len(schemes), len(fig.X), func(si, xi int, o Options) (*core.Result, error) {
-		sc, rate := schemes[si], fig.X[xi]
-		res, err := DCSetup{Rate: rate, DB: DBSpec{Kind: DBRegular}, Log: sc.log}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("fig4.1 %s @%v: %w", sc.label, rate, err)
-		}
-		return res, nil
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	cells, err := sweep(o, labels, fig.X, func(si, xi int, o Options) (*core.Result, error) {
+		return DCSetup{Rate: fig.X[xi], DB: DBSpec{Kind: DBRegular}, Log: schemes[si].log}.Run(o)
 	})
 	if err != nil {
 		return nil, err
 	}
-	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
-	if err := plot(fig, labels, cells, respMean); err != nil {
-		return nil, err
-	}
+	plot(fig, labels, cells, respMean)
 	return fig, nil
 }
 
@@ -81,20 +74,15 @@ func Fig42(o Options) (*stats.Figure, error) {
 		X:      o.rates(),
 	}
 	schemes := dbSchemes42()
-	cells, err := sweep(o, len(schemes), len(fig.X), func(si, xi int, o Options) (*core.Result, error) {
-		sc, rate := schemes[si], fig.X[xi]
-		res, err := DCSetup{Rate: rate, DB: sc.db, Log: sc.log}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("fig4.2 %s @%v: %w", sc.label, rate, err)
-		}
-		return res, nil
+	labels := dcLabels(schemes)
+	cells, err := sweep(o, labels, fig.X, func(si, xi int, o Options) (*core.Result, error) {
+		sc := schemes[si]
+		return DCSetup{Rate: fig.X[xi], DB: sc.db, Log: sc.log}.Run(o)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := plot(fig, dcLabels(schemes), cells, respMean); err != nil {
-		return nil, err
-	}
+	plot(fig, labels, cells, respMean)
 	return fig, nil
 }
 
@@ -120,20 +108,14 @@ func Fig43(o Options) (*stats.Figure, error) {
 		}
 		return "NOFORCE:" + schemes[row/2].label
 	})
-	cells, err := sweep(o, len(labels), len(fig.X), func(row, xi int, o Options) (*core.Result, error) {
-		sc, rate := schemes[row/2], fig.X[xi]
-		res, err := DCSetup{Rate: rate, Force: force(row), DB: sc.db, Log: sc.log}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("fig4.3 %s @%v: %w", labels[row], rate, err)
-		}
-		return res, nil
+	cells, err := sweep(o, labels, fig.X, func(row, xi int, o Options) (*core.Result, error) {
+		sc := schemes[row/2]
+		return DCSetup{Rate: fig.X[xi], Force: force(row), DB: sc.db, Log: sc.log}.Run(o)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := plot(fig, labels, cells, respMean); err != nil {
-		return nil, err
-	}
+	plot(fig, labels, cells, respMean)
 	return fig, nil
 }
 
@@ -169,20 +151,15 @@ func Fig44(o Options) (*stats.Figure, error) {
 		X:      o.mmSizes(),
 	}
 	schemes := cachingSchemes()
-	cells, err := sweep(o, len(schemes), len(fig.X), func(si, xi int, o Options) (*core.Result, error) {
-		sc, mm := schemes[si], int(fig.X[xi])
-		res, err := DCSetup{Rate: 500, MMBuffer: mm, DB: sc.db, Log: sc.log}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("fig4.4 %s mm=%d: %w", sc.label, mm, err)
-		}
-		return res, nil
+	labels := dcLabels(schemes)
+	cells, err := sweep(o, labels, fig.X, func(si, xi int, o Options) (*core.Result, error) {
+		sc := schemes[si]
+		return DCSetup{Rate: 500, MMBuffer: int(fig.X[xi]), DB: sc.db, Log: sc.log}.Run(o)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := plot(fig, dcLabels(schemes), cells, respMean); err != nil {
-		return nil, err
-	}
+	plot(fig, labels, cells, respMean)
 	return fig, nil
 }
 
@@ -205,16 +182,13 @@ func Table42(o Options, force bool) (*stats.Table, error) {
 	if !force {
 		rows = append(rows, dcScheme{"NVEM cache 500", DBSpec{Kind: DBNVEMCache, Size: 500}, LogSpec{Kind: LogNVEM}})
 	}
+	labels := dcLabels(rows)
 	tbl := stats.NewTable(
 		fmt.Sprintf("Table 4.2%s: MM and 2nd-level cache hit ratios in %% (%s, 500 TPS)", variant, name),
-		"cache \\ MM size", dcLabels(rows), labelsOf(len(sizes), func(i int) string { return fmt.Sprint(sizes[i]) }))
-	cells, err := sweep(o, len(rows), len(sizes), func(r, c int, o Options) (*core.Result, error) {
-		spec, mm := rows[r], int(sizes[c])
-		res, err := DCSetup{Rate: 500, Force: force, MMBuffer: mm, DB: spec.db, Log: spec.log}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("table4.2%s row %d mm=%d: %w", variant, r, mm, err)
-		}
-		return res, nil
+		"cache \\ MM size", labels, labelsOf(len(sizes), func(i int) string { return fmt.Sprint(sizes[i]) }))
+	cells, err := sweep(o, labels, sizes, func(r, c int, o Options) (*core.Result, error) {
+		spec := rows[r]
+		return DCSetup{Rate: 500, Force: force, MMBuffer: int(sizes[c]), DB: spec.db, Log: spec.log}.Run(o)
 	})
 	if err != nil {
 		return nil, err
@@ -272,17 +246,14 @@ func Fig45(o Options) (*stats.Figure, *stats.Figure, error) {
 		{"nv-disk-cache", DBNVCache, LogSpec{Kind: LogDiskWB, Size: 500}},
 		{"nvem-cache", DBNVEMCache, LogSpec{Kind: LogNVEM}},
 	}
-	cells, err := sweep(o, len(schemes), len(respFig.X), func(si, xi int, o Options) (*core.Result, error) {
-		sc, size := schemes[si], int(respFig.X[xi])
-		res, err := DCSetup{
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	cells, err := sweep(o, labels, respFig.X, func(si, xi int, o Options) (*core.Result, error) {
+		sc := schemes[si]
+		return DCSetup{
 			Rate: 500, MMBuffer: 500,
-			DB:  DBSpec{Kind: sc.kind, Size: size},
+			DB:  DBSpec{Kind: sc.kind, Size: int(respFig.X[xi])},
 			Log: sc.log,
 		}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("fig4.5 %s size=%d: %w", sc.label, size, err)
-		}
-		return res, nil
 	})
 	if err != nil {
 		return nil, nil, err
@@ -292,12 +263,8 @@ func Fig45(o Options) (*stats.Figure, *stats.Figure, error) {
 		if sc.kind == DBNVEMCache {
 			hitMetric = nvemAddHitPct
 		}
-		if err := addSeries(respFig, sc.label, cells[si], respMean); err != nil {
-			return nil, nil, err
-		}
-		if err := addSeries(hitFig, sc.label, cells[si], hitMetric); err != nil {
-			return nil, nil, err
-		}
+		addSeries(respFig, sc.label, cells[si], respMean)
+		addSeries(hitFig, sc.label, cells[si], hitMetric)
 	}
 	return respFig, hitFig, nil
 }

@@ -124,20 +124,15 @@ func Fig46(o Options) (*stats.Figure, error) {
 		{"ssd", DBSpec{Kind: DBSSD}, LogSpec{Kind: LogDiskWB, Size: 500}},
 		{"nvem-resident", DBSpec{Kind: DBNVEMResident}, LogSpec{Kind: LogNVEM}},
 	}
-	cells, err := sweep(o, len(schemes), len(fig.X), func(si, xi int, o Options) (*core.Result, error) {
-		sc, mm := schemes[si], int(fig.X[xi])
-		res, err := TraceSetup{MMBuffer: mm, DB: sc.db, Log: sc.log}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("fig4.6 %s mm=%d: %w", sc.label, mm, err)
-		}
-		return res, nil
+	labels := dcLabels(schemes)
+	cells, err := sweep(o, labels, fig.X, func(si, xi int, o Options) (*core.Result, error) {
+		sc := schemes[si]
+		return TraceSetup{MMBuffer: int(fig.X[xi]), DB: sc.db, Log: sc.log}.Run(o)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := plot(fig, dcLabels(schemes), cells, respMean); err != nil {
-		return nil, err
-	}
+	plot(fig, labels, cells, respMean)
 	return fig, nil
 }
 
@@ -167,7 +162,8 @@ func Fig47(o Options) (*stats.Figure, error) {
 		{"nv-disk-cache", DBNVCache, LogSpec{Kind: LogDiskWB, Size: 500}},
 		{"nvem-cache", DBNVEMCache, LogSpec{Kind: LogNVEM}},
 	}
-	cells, err := sweep(o, len(schemes), len(fig.X), func(si, xi int, o Options) (*core.Result, error) {
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	cells, err := sweep(o, labels, fig.X, func(si, xi int, o Options) (*core.Result, error) {
 		sc, size := schemes[si], int(fig.X[xi])
 		setup := TraceSetup{MMBuffer: 1000, Log: sc.log}
 		if size == 0 {
@@ -176,18 +172,11 @@ func Fig47(o Options) (*stats.Figure, error) {
 		} else {
 			setup.DB = DBSpec{Kind: sc.kind, Size: size}
 		}
-		res, err := setup.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("fig4.7 %s size=%d: %w", sc.label, size, err)
-		}
-		return res, nil
+		return setup.Run(o)
 	})
 	if err != nil {
 		return nil, err
 	}
-	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
-	if err := plot(fig, labels, cells, respMean); err != nil {
-		return nil, err
-	}
+	plot(fig, labels, cells, respMean)
 	return fig, nil
 }

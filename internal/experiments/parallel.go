@@ -94,15 +94,21 @@ func (c cell) fmtMeanCI(format string, metric func(*core.Result) float64) string
 	return fmt.Sprintf(format+"±"+format, mean, ci)
 }
 
-// sweep runs a rows×cols grid of simulation points, each replicated
-// o.reps() times, on o.parallelism() workers, and returns the cells indexed
-// [row][col]. run(r, c, o) builds and executes point (r, c); o carries the
-// derived seed of its replication. Runs are claimed cell-major (all
-// replications of a point are consecutive). On failure sweep returns the
-// error of the lowest-indexed failing run, whatever the scheduling.
-func sweep(o Options, rows, cols int, run func(r, c int, o Options) (*core.Result, error)) ([][]cell, error) {
+// sweep runs one simulation point per row label and x value, or one per
+// row when x is nil, each replicated o.reps() times on o.parallelism()
+// workers, and returns the cells indexed [row][col]. run(r, c, o) builds
+// and executes point (r, c); o carries the derived seed of its
+// replication. Runs are claimed cell-major (all replications of a point
+// are consecutive). On failure sweep returns the error of the
+// lowest-indexed failing run, whatever the scheduling, wrapped as
+// "<row> @<x>: <err>", or "<row>: <err>" when x is nil.
+func sweep(o Options, rows []string, x []float64, run func(r, c int, o Options) (*core.Result, error)) ([][]cell, error) {
+	cols := len(x)
+	if x == nil {
+		cols = 1
+	}
 	reps := o.reps()
-	n := rows * cols * reps
+	n := len(rows) * cols * reps
 	results := make([]*core.Result, n)
 	errs := make([]error, n)
 	base := o.seed()
@@ -115,14 +121,19 @@ func sweep(o Options, rows, cols int, run func(r, c int, o Options) (*core.Resul
 		ro.concurrent = concurrent
 		results[k], errs[k] = run(idx/cols, idx%cols, ro)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for k, err := range errs {
+		if err == nil {
+			continue
 		}
+		r, c := k/reps/cols, k/reps%cols
+		if x == nil {
+			return nil, fmt.Errorf("%s: %w", rows[r], err)
+		}
+		return nil, fmt.Errorf("%s @%v: %w", rows[r], x[c], err)
 	}
 	// Every cell's results are a contiguous, capacity-capped window of the
 	// one per-sweep result slice — no per-cell slices.
-	cells := make([][]cell, rows)
+	cells := make([][]cell, len(rows))
 	for r := range cells {
 		cells[r] = make([]cell, cols)
 		for c := range cells[r] {
@@ -145,7 +156,7 @@ func labelsOf(n int, label func(i int) string) []string {
 // addPoints adds an n-point series to fig: at(i) gives point i's
 // replication mean and 95%-confidence half-width. The half-widths render
 // only when the points are replicated.
-func addPoints(fig *stats.Figure, label string, n int, replicated bool, at func(i int) (mean, ci float64)) error {
+func addPoints(fig *stats.Figure, label string, n int, replicated bool, at func(i int) (mean, ci float64)) {
 	points, cis := make([]float64, n), make([]float64, n)
 	for i := range points {
 		points[i], cis[i] = at(i)
@@ -153,31 +164,28 @@ func addPoints(fig *stats.Figure, label string, n int, replicated bool, at func(
 	if !replicated {
 		cis = nil
 	}
-	return fig.AddSeriesCI(label, points, cis)
+	fig.AddSeriesCI(label, points, cis)
 }
 
 // addSeries adds one row of cells to fig as a series of metric.
-func addSeries(fig *stats.Figure, label string, row []cell, metric func(*core.Result) float64) error {
-	return addPoints(fig, label, len(row), row[0].replicated(), func(i int) (float64, float64) {
+func addSeries(fig *stats.Figure, label string, row []cell, metric func(*core.Result) float64) {
+	addPoints(fig, label, len(row), row[0].replicated(), func(i int) (float64, float64) {
 		return row[i].meanCI(metric)
 	})
 }
 
 // plot adds every row of cells to fig as a series of metric, row r under
 // labels[r].
-func plot(fig *stats.Figure, labels []string, cells [][]cell, metric func(*core.Result) float64) error {
+func plot(fig *stats.Figure, labels []string, cells [][]cell, metric func(*core.Result) float64) {
 	for r, label := range labels {
-		if err := addSeries(fig, label, cells[r], metric); err != nil {
-			return err
-		}
+		addSeries(fig, label, cells[r], metric)
 	}
-	return nil
 }
 
 // addTimelines adds c's two commit timelines to fig, one point per x
 // bucket: the cluster-wide one as label:cluster and the crashed node's own
 // as label:node0.
-func addTimelines(fig *stats.Figure, label string, c cell) error {
+func addTimelines(fig *stats.Figure, label string, c cell) {
 	for _, tl := range []struct {
 		suffix string
 		of     func(*core.Result) []int64
@@ -185,7 +193,7 @@ func addTimelines(fig *stats.Figure, label string, c cell) error {
 		{"cluster", func(r *core.Result) []int64 { return r.Timeline }},
 		{"node0", func(r *core.Result) []int64 { return r.CrashedTimeline }},
 	} {
-		err := addPoints(fig, label+":"+tl.suffix, len(fig.X), c.replicated(), func(b int) (float64, float64) {
+		addPoints(fig, label+":"+tl.suffix, len(fig.X), c.replicated(), func(b int) (float64, float64) {
 			return c.meanCI(func(r *core.Result) float64 {
 				if t := tl.of(r); b < len(t) {
 					return float64(t[b])
@@ -193,11 +201,7 @@ func addTimelines(fig *stats.Figure, label string, c cell) error {
 				return 0
 			})
 		})
-		if err != nil {
-			return err
-		}
 	}
-	return nil
 }
 
 // setCell fills table cell (r, col) with c's replication mean of metric,

@@ -45,7 +45,7 @@ func TestGridSeedDerivation(t *testing.T) {
 		o := Options{Seed: 11, Quick: true, Replications: 3, Parallelism: workers}
 		var mu sync.Mutex
 		seen := map[int64]int{}
-		cells, err := sweep(o, 2, 2, func(_, _ int, o Options) (*core.Result, error) {
+		cells, err := sweep(o, []string{"a", "b"}, []float64{1, 2}, func(_, _ int, o Options) (*core.Result, error) {
 			mu.Lock()
 			seen[o.Seed]++
 			mu.Unlock()
@@ -75,17 +75,33 @@ func TestGridSeedDerivation(t *testing.T) {
 }
 
 // TestGridFirstErrorDeterministic: the reported error is the lowest-indexed
-// failure regardless of scheduling.
+// failure regardless of scheduling, named by its row label and x value, or
+// by its row label alone when the sweep has no x, and it wraps the run's
+// own error.
 func TestGridFirstErrorDeterministic(t *testing.T) {
-	o := Options{Quick: true, Parallelism: 8}
-	_, err := sweep(o, 1, 3, func(_, c int, _ Options) (*core.Result, error) {
-		if c >= 1 {
+	o := Options{Quick: true, Replications: 2, Parallelism: 8}
+	_, err := sweep(o, []string{"row", "other"}, []float64{10, 20, 30}, func(r, c int, _ Options) (*core.Result, error) {
+		if r == 1 || c >= 1 {
 			return nil, errors.New("boom-" + string(rune('0'+c)))
 		}
 		return &core.Result{}, nil
 	})
-	if err == nil || err.Error() != "boom-1" {
-		t.Fatalf("got error %v, want boom-1", err)
+	if err == nil || err.Error() != "row @20: boom-1" {
+		t.Fatalf("got error %v, want row @20: boom-1", err)
+	}
+
+	boom := errors.New("boom")
+	_, err = sweep(o, []string{"ok", "row", "late"}, nil, func(r, _ int, _ Options) (*core.Result, error) {
+		switch r {
+		case 0:
+			return &core.Result{}, nil
+		case 1:
+			return nil, boom
+		}
+		return nil, errors.New("late")
+	})
+	if err == nil || err.Error() != "row: boom" || !errors.Is(err, boom) {
+		t.Fatalf("got error %v, want row: boom wrapping the run's error", err)
 	}
 }
 

@@ -83,17 +83,14 @@ func RecoveryRestart(o Options) (*stats.Table, error) {
 	metrics := []func(*core.Result) float64{
 		restartMS, logScanMS, redoMS, restartEstimateMS, restartLogPages, restartRedoPages,
 	}
+	labels := labelsOf(len(rows), func(i int) string { return rows[i].label })
 	tbl := stats.NewTable(
 		fmt.Sprintf("Restart time by log/database placement (Debit-Credit %d TPS, NOFORCE, ckpt %.0fs)",
 			rate, defaultCkptIntervalMS/1000.0),
-		"placement", labelsOf(len(rows), func(i int) string { return rows[i].label }), cols)
+		"placement", labels, cols)
 
-	cells, err := sweep(o, len(rows), 1, func(r, _ int, o Options) (*core.Result, error) {
-		res, err := RecoverySetup{DC: rows[r].dc, CheckpointMS: defaultCkptIntervalMS, RebootMS: 500}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("recovery.restart %s: %w", rows[r].label, err)
-		}
-		return res, nil
+	cells, err := sweep(o, labels, nil, func(r, _ int, o Options) (*core.Result, error) {
+		return RecoverySetup{DC: rows[r].dc, CheckpointMS: defaultCkptIntervalMS, RebootMS: 500}.Run(o)
 	})
 	if err != nil {
 		return nil, err
@@ -139,28 +136,19 @@ func RecoveryCheckpoint(o Options) (*stats.Figure, *stats.Figure, error) {
 		{"log-disk", LogSpec{Kind: LogDisk}},
 		{"log-nvem", LogSpec{Kind: LogNVEM}},
 	}
-	cells, err := sweep(o, len(schemes), len(resp.X), func(si, xi int, o Options) (*core.Result, error) {
-		sc, interval := schemes[si], resp.X[xi]
-		res, err := RecoverySetup{
-			DC:           DCSetup{Rate: 200, DB: DBSpec{Kind: DBRegular}, Log: sc.log},
-			CheckpointMS: interval,
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	cells, err := sweep(o, labels, resp.X, func(si, xi int, o Options) (*core.Result, error) {
+		return RecoverySetup{
+			DC:           DCSetup{Rate: 200, DB: DBSpec{Kind: DBRegular}, Log: schemes[si].log},
+			CheckpointMS: resp.X[xi],
 			RebootMS:     500,
 		}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("recovery.checkpoint %s @%v: %w", sc.label, interval, err)
-		}
-		return res, nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
-	if err := plot(resp, labels, cells, respMean); err != nil {
-		return nil, nil, err
-	}
-	if err := plot(restart, labels, cells, restartMS); err != nil {
-		return nil, nil, err
-	}
+	plot(resp, labels, cells, respMean)
+	plot(restart, labels, cells, restartMS)
 	return resp, restart, nil
 }
 
@@ -203,7 +191,7 @@ func availSetup(sc availScheme, timelineBucketMS float64) ClusterSetup {
 		SharedNVEM: sc.shared, PrivateNVEM: sc.private,
 		GlobalLocks:  true,
 		CheckpointMS: availCkptMS,
-		CrashAtMS:    availCrashAtMS, CrashNode: 0, RebootMS: availRebootMS,
+		CrashAtMS:    availCrashAtMS, RebootMS: availRebootMS,
 		TimelineBucketMS: timelineBucketMS,
 	}
 }
@@ -236,21 +224,15 @@ func RecoveryAvailability(o Options) (*stats.Figure, *stats.Table, error) {
 	tbl := stats.NewTable("Restart breakdown", "scheme", labels,
 		[]string{"restart-ms", "log-scan-ms", "redo-ms", "log-pages", "redo-pages"})
 
-	cells, err := sweep(o, len(schemes), 1, func(si, _ int, o Options) (*core.Result, error) {
-		res, err := availSetup(schemes[si], bucketMS).Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("recovery.availability %s: %w", schemes[si].label, err)
-		}
-		return res, nil
+	cells, err := sweep(o, labels, nil, func(si, _ int, o Options) (*core.Result, error) {
+		return availSetup(schemes[si], bucketMS).Run(o)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	metrics := []func(*core.Result) float64{restartMS, logScanMS, redoMS, restartLogPages, restartRedoPages}
 	for si, label := range labels {
-		if err := addTimelines(fig, label, cells[si][0]); err != nil {
-			return nil, nil, err
-		}
+		addTimelines(fig, label, cells[si][0])
 		for c, metric := range metrics {
 			setCell(tbl, si, c, cells[si][0], metric)
 		}

@@ -66,25 +66,17 @@ func WorkloadBurstiness(o Options) (*stats.Figure, *stats.Figure, error) {
 		{"log-nvem", DBSpec{Kind: DBRegular}, LogSpec{Kind: LogNVEM}},
 		{"db+log-nvem", DBSpec{Kind: DBNVEMResident}, LogSpec{Kind: LogNVEM}},
 	}
-	cells, err := sweep(o, len(schemes), len(resp.X), func(si, xi int, o Options) (*core.Result, error) {
-		sc, factor := schemes[si], resp.X[xi]
-		res, err := DCSetup{Rate: rate, DB: sc.db, Log: sc.log,
-			Arrival: burstSpec(factor)}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("workload.burstiness %s @%v: %w", sc.label, factor, err)
-		}
-		return res, nil
+	labels := dcLabels(schemes)
+	cells, err := sweep(o, labels, resp.X, func(si, xi int, o Options) (*core.Result, error) {
+		sc := schemes[si]
+		return DCSetup{Rate: rate, DB: sc.db, Log: sc.log,
+			Arrival: burstSpec(resp.X[xi])}.Run(o)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	labels := dcLabels(schemes)
-	if err := plot(resp, labels, cells, respMean); err != nil {
-		return nil, nil, err
-	}
-	if err := plot(p95, labels, cells, respP95); err != nil {
-		return nil, nil, err
-	}
+	plot(resp, labels, cells, respMean)
+	plot(p95, labels, cells, respP95)
 	return resp, p95, nil
 }
 
@@ -114,7 +106,7 @@ func spikeCrashSetup(admission bool) ClusterSetup {
 		Nodes: spikeNodes, AggregateRate: spikeRate,
 		SharedNVEM: 2000, GlobalLocks: true,
 		CheckpointMS: 2_600,
-		CrashAtMS:    spikeCrashAtMS, CrashNode: 0, RebootMS: spikeRebootMS,
+		CrashAtMS:    spikeCrashAtMS, RebootMS: spikeRebootMS,
 		TimelineBucketMS: spikeBucketMS,
 		Arrival: workload.ArrivalSpec{
 			Kind:        workload.ArrivalSpike,
@@ -164,12 +156,8 @@ func WorkloadSpikeCrash(o Options) (*stats.Figure, *stats.Table, error) {
 	tbl := stats.NewTable("Admission control during the spike-crash window", "scheme", labels,
 		[]string{"survivor-resp-ms", "resp-ms", "shed", "dropped", "commits", "restart-ms"})
 
-	cells, err := sweep(o, len(schemes), 1, func(si, _ int, o Options) (*core.Result, error) {
-		res, err := spikeCrashSetup(schemes[si].admission).Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("workload.spike-crash %s: %w", schemes[si].label, err)
-		}
-		return res, nil
+	cells, err := sweep(o, labels, nil, func(si, _ int, o Options) (*core.Result, error) {
+		return spikeCrashSetup(schemes[si].admission).Run(o)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -178,9 +166,7 @@ func WorkloadSpikeCrash(o Options) (*stats.Figure, *stats.Table, error) {
 		survivorRespMean, respMean, shedCount, droppedCount, commitCount, restartMS,
 	}
 	for si, label := range labels {
-		if err := addTimelines(fig, label, cells[si][0]); err != nil {
-			return nil, nil, err
-		}
+		addTimelines(fig, label, cells[si][0])
 		for c, metric := range metrics {
 			setCell(tbl, si, c, cells[si][0], metric)
 		}
@@ -233,29 +219,20 @@ func WorkloadDiurnal(o Options) (*stats.Figure, *stats.Figure, error) {
 		{"log-disks", LogSpec{Kind: LogDisk}},
 		{"log-nvem", LogSpec{Kind: LogNVEM}},
 	}
-	cells, err := sweep(o, len(schemes), len(resp.X), func(si, xi int, o Options) (*core.Result, error) {
-		sc, amp := schemes[si], resp.X[xi]
-		res, err := DCSetup{Rate: rate, DB: DBSpec{Kind: DBRegular}, Log: sc.log,
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	cells, err := sweep(o, labels, resp.X, func(si, xi int, o Options) (*core.Result, error) {
+		return DCSetup{Rate: rate, DB: DBSpec{Kind: DBRegular}, Log: schemes[si].log,
 			MeasureScale: measureScale,
 			Arrival: workload.ArrivalSpec{
 				Kind:      workload.ArrivalDiurnal,
-				Amplitude: amp,
+				Amplitude: resp.X[xi],
 				PeriodMS:  periodMS,
 			}}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("workload.diurnal %s @%v: %w", sc.label, amp, err)
-		}
-		return res, nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
-	if err := plot(resp, labels, cells, respMean); err != nil {
-		return nil, nil, err
-	}
-	if err := plot(p95, labels, cells, respP95); err != nil {
-		return nil, nil, err
-	}
+	plot(resp, labels, cells, respMean)
+	plot(p95, labels, cells, respP95)
 	return resp, p95, nil
 }

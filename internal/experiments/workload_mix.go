@@ -73,27 +73,18 @@ func WorkloadSkew(o Options) (*stats.Figure, *stats.Figure, error) {
 		{"hotspot-90/0.01", workload.AccessSpec{Kind: workload.AccessHotSpot,
 			HotAccessFrac: skewHotFrac, HotDataFrac: skewHotData}},
 	}
-	cells, err := sweep(o, len(schemes), len(resp.X), func(si, xi int, o Options) (*core.Result, error) {
-		sc, size := schemes[si], int(resp.X[xi])
-		res, err := DCSetup{Rate: skewRate, MMBuffer: skewMMBuffer,
-			DB:   DBSpec{Kind: DBNVEMCache, Size: size},
+	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
+	cells, err := sweep(o, labels, resp.X, func(si, xi int, o Options) (*core.Result, error) {
+		return DCSetup{Rate: skewRate, MMBuffer: skewMMBuffer,
+			DB:   DBSpec{Kind: DBNVEMCache, Size: int(resp.X[xi])},
 			Log:  LogSpec{Kind: LogNVEM},
-			Skew: sc.skew}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("workload.skew %s nvem=%d: %w", sc.label, size, err)
-		}
-		return res, nil
+			Skew: schemes[si].skew}.Run(o)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	labels := labelsOf(len(schemes), func(i int) string { return schemes[i].label })
-	if err := plot(resp, labels, cells, respMean); err != nil {
-		return nil, nil, err
-	}
-	if err := plot(hits, labels, cells, nvemAddHitPct); err != nil {
-		return nil, nil, err
-	}
+	plot(resp, labels, cells, respMean)
+	plot(hits, labels, cells, nvemAddHitPct)
 	return resp, hits, nil
 }
 
@@ -116,18 +107,18 @@ func (o Options) mixScanRates() []float64 {
 }
 
 // MixSetup is one multi-class simulation point: the standard three-class
-// mix (workload.DefaultClassMix) on the shared two-partition database.
+// mix (workload.DefaultClassMix) on the shared two-partition database,
+// drawing its objects uniformly.
 type MixSetup struct {
 	UpdateTPS float64
 	ReadTPS   float64
 	ScanTPS   float64
-	Skew      workload.AccessSpec
 }
 
 // Build assembles the engine configuration for the mix.
 func (s MixSetup) Build(o Options) (core.Config, error) {
 	model, err := workload.ClassMixModel(
-		workload.DefaultClassMix(s.UpdateTPS, s.ReadTPS, s.ScanTPS), s.Skew)
+		workload.DefaultClassMix(s.UpdateTPS, s.ReadTPS, s.ScanTPS), workload.AccessSpec{})
 	if err != nil {
 		return core.Config{}, err
 	}
@@ -186,22 +177,15 @@ func WorkloadMulticlass(o Options) (*stats.Figure, *stats.Table, error) {
 		X:      scanRates,
 	}
 	classes := []string{"short-update", "read-mostly", "batch-scan"}
-	cells, err := sweep(o, 1, len(scanRates), func(_, xi int, o Options) (*core.Result, error) {
-		res, err := MixSetup{UpdateTPS: mixUpdateTPS, ReadTPS: mixReadTPS,
-			ScanTPS: scanRates[xi]}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("workload.multiclass scan=%v: %w", scanRates[xi], err)
-		}
-		return res, nil
+	cells, err := sweep(o, []string{"mix"}, scanRates, func(_, xi int, o Options) (*core.Result, error) {
+		return MixSetup{UpdateTPS: mixUpdateTPS, ReadTPS: mixReadTPS, ScanTPS: scanRates[xi]}.Run(o)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	for _, name := range classes {
 		metric := classMetric(name, func(c core.ClassReport) float64 { return c.RespMean })
-		if err := addSeries(fig, name, cells[0], metric); err != nil {
-			return nil, nil, err
-		}
+		addSeries(fig, name, cells[0], metric)
 	}
 	tbl := stats.NewTable(
 		fmt.Sprintf("Per-class accounting at scan TPS = %v", scanRates[len(scanRates)-1]),
@@ -264,7 +248,7 @@ func WorkloadClosedLoop(o Options) (*stats.Figure, *stats.Figure, *stats.Table, 
 		X:      resp.X,
 	}
 	labels := labelsOf(len(thinkTimesMS), func(i int) string { return fmt.Sprintf("think-%.0fms", thinkTimesMS[i]) })
-	cells, err := sweep(o, len(thinkTimesMS), len(resp.X), func(si, xi int, o Options) (*core.Result, error) {
+	cells, err := sweep(o, labels, resp.X, func(si, xi int, o Options) (*core.Result, error) {
 		cfg, err := DCSetup{
 			DB:  DBSpec{Kind: DBRegular},
 			Log: LogSpec{Kind: LogDisk},
@@ -273,24 +257,17 @@ func WorkloadClosedLoop(o Options) (*stats.Figure, *stats.Figure, *stats.Table, 
 				Terminals: int(resp.X[xi]),
 				ThinkMS:   thinkTimesMS[si],
 			}}.Build(o)
-		if err == nil {
-			cfg.MPL = closedLoopMPL
-			var res *core.Result
-			if res, err = core.Run(cfg); err == nil {
-				return res, nil
-			}
+		if err != nil {
+			return nil, err
 		}
-		return nil, fmt.Errorf("workload.closedloop %s N=%v: %w", labels[si], resp.X[xi], err)
+		cfg.MPL = closedLoopMPL
+		return core.Run(cfg)
 	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := plot(resp, labels, cells, respMean); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := plot(tput, labels, cells, throughput); err != nil {
-		return nil, nil, nil, err
-	}
+	plot(resp, labels, cells, respMean)
+	plot(tput, labels, cells, throughput)
 	wait := stats.NewTable("Fraction of terminals waiting for an MPL slot", "think time", labels,
 		labelsOf(len(resp.X), func(i int) string { return fmt.Sprintf("N=%v", resp.X[i]) }))
 	for si := range labels {
@@ -335,20 +312,16 @@ func WorkloadReplay(o Options) (*stats.Table, error) {
 			RateMultipliers: mult,
 		}},
 	}
+	labels := labelsOf(len(arrivals), func(i int) string { return arrivals[i].label })
 	tbl := stats.NewTable(
 		fmt.Sprintf("Recorded rate timeline vs. Poisson at %.0f TPS mean (Debit-Credit, disk-based, %d buckets x %.0f ms)",
 			replayRate, replayBuckets, replayBucketMS),
-		"arrivals", labelsOf(len(arrivals), func(i int) string { return arrivals[i].label }),
-		[]string{"resp-ms", "p95-ms", "commits", "dropped"})
-	cells, err := sweep(o, len(arrivals), 1, func(si, _ int, o Options) (*core.Result, error) {
-		res, err := DCSetup{Rate: replayRate,
+		"arrivals", labels, []string{"resp-ms", "p95-ms", "commits", "dropped"})
+	cells, err := sweep(o, labels, nil, func(si, _ int, o Options) (*core.Result, error) {
+		return DCSetup{Rate: replayRate,
 			DB:      DBSpec{Kind: DBRegular},
 			Log:     LogSpec{Kind: LogDisk},
 			Arrival: arrivals[si].spec}.Run(o)
-		if err != nil {
-			return nil, fmt.Errorf("workload.replay %s: %w", arrivals[si].label, err)
-		}
-		return res, nil
 	})
 	if err != nil {
 		return nil, err

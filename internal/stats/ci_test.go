@@ -50,12 +50,8 @@ func TestMeanCI95LargeSampleUsesNormal(t *testing.T) {
 
 func TestFigureRenderWithCI(t *testing.T) {
 	fig := &Figure{Title: "T", XLabel: "x", X: []float64{1, 2}}
-	if err := fig.AddSeriesCI("a", []float64{10, 20}, []float64{0.5, 1.25}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fig.AddSeriesCI("b", []float64{3, 4}, nil); err != nil {
-		t.Fatal(err)
-	}
+	fig.AddSeriesCI("a", []float64{10, 20}, []float64{0.5, 1.25})
+	fig.AddSeriesCI("b", []float64{3, 4}, nil)
 	out := fig.Render()
 	for _, want := range []string{"10.00±0.50", "20.00±1.25", "3.00", "4.00"} {
 		if !strings.Contains(out, want) {
@@ -67,13 +63,25 @@ func TestFigureRenderWithCI(t *testing.T) {
 	}
 }
 
+// TestAddSeriesCIValidates: a series whose CI values or points differ in
+// number from the x-axis panics, since only a caller's bug builds one.
 func TestAddSeriesCIValidates(t *testing.T) {
-	fig := &Figure{X: []float64{1, 2}}
-	if err := fig.AddSeriesCI("bad", []float64{1, 2}, []float64{0.1}); err == nil {
-		t.Fatal("mismatched CI length must error")
-	}
-	if err := fig.AddSeriesCI("bad", []float64{1}, nil); err == nil {
-		t.Fatal("mismatched point count must error")
+	for _, tc := range []struct {
+		name       string
+		points, ci []float64
+	}{
+		{"CI length", []float64{1, 2}, []float64{0.1}},
+		{"point count", []float64{1}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("mismatched series must panic")
+				}
+			}()
+			fig := &Figure{X: []float64{1, 2}}
+			fig.AddSeriesCI("bad", tc.points, tc.ci)
+		})
 	}
 }
 

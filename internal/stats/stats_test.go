@@ -76,12 +76,8 @@ func TestCI95ShrinksWithN(t *testing.T) {
 
 func TestFigureRender(t *testing.T) {
 	f := Figure{Title: "Fig X", XLabel: "TPS", YLabel: "ms", X: []float64{10, 100, 700}}
-	if err := f.AddSeriesCI("disk", []float64{40.1, 41.2, 80.9}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AddSeriesCI("NVEM", []float64{5.1, 5.2, 9.3}, nil); err != nil {
-		t.Fatal(err)
-	}
+	f.AddSeriesCI("disk", []float64{40.1, 41.2, 80.9}, nil)
+	f.AddSeriesCI("NVEM", []float64{5.1, 5.2, 9.3}, nil)
 	out := f.Render()
 	for _, want := range []string{"Fig X", "TPS", "disk", "NVEM", "700", "80.90"} {
 		if !strings.Contains(out, want) {
@@ -91,13 +87,6 @@ func TestFigureRender(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 2+1+3 { // title, ylabel, header, 3 rows
 		t.Fatalf("unexpected line count %d:\n%s", len(lines), out)
-	}
-}
-
-func TestFigureSeriesLengthMismatch(t *testing.T) {
-	f := Figure{Title: "t", XLabel: "x", X: []float64{1, 2}}
-	if err := f.AddSeriesCI("bad", []float64{1}, nil); err == nil {
-		t.Fatal("length mismatch must error")
 	}
 }
 

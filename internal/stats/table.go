@@ -26,17 +26,15 @@ type Figure struct {
 }
 
 // AddSeriesCI appends a curve with per-point 95%-confidence half-widths
-// from replicated runs. A nil ci is a single-run series. The number of
-// points must match the x-axis.
-func (f *Figure) AddSeriesCI(label string, points, ci []float64) error {
-	if len(points) != len(f.X) {
-		return fmt.Errorf("stats: series %q has %d points, axis has %d", label, len(points), len(f.X))
-	}
-	if ci != nil && len(ci) != len(points) {
-		return fmt.Errorf("stats: series %q has %d CI values for %d points", label, len(ci), len(points))
+// from replicated runs. A nil ci is a single-run series. It panics when
+// the points, or a non-nil ci, differ in length from the x-axis: only a
+// bug in the caller builds such a series.
+func (f *Figure) AddSeriesCI(label string, points, ci []float64) {
+	if len(points) != len(f.X) || ci != nil && len(ci) != len(f.X) {
+		panic(fmt.Sprintf("stats: series %q has %d points and %d CI values, axis has %d",
+			label, len(points), len(ci), len(f.X)))
 	}
 	f.Series = append(f.Series, Series{Label: label, Points: points, CI: ci})
-	return nil
 }
 
 // Render produces an aligned text table: one row per x value, one column per

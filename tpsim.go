@@ -74,6 +74,9 @@ type (
 	PDESConfig = core.PDESConfig
 )
 
+// MaxNodes caps ClusterConfig.NumNodes.
+const MaxNodes = core.MaxNodes
+
 // RunCluster executes one multi-node data-sharing simulation.
 func RunCluster(cfg ClusterConfig) (*ClusterResult, error) { return core.RunCluster(cfg) }
 
